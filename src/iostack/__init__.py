@@ -51,7 +51,14 @@ from .replay import (
     reference_media_image,
     replay,
 )
-from .reports import ZeroBaseline, emit_reports, error_percent, load_baseline, write_baseline
+from .reports import (
+    BaselineError,
+    ZeroBaseline,
+    emit_reports,
+    error_percent,
+    load_baseline,
+    write_baseline,
+)
 from .requests import AccessMode, CanonicalRequest, Op, Origin, RequestRecord, Summary
 from .scheduler import Direction, DuplicateRequest, PendingQueue, Policy
 from .trace import (
@@ -77,6 +84,7 @@ __all__ = [
     "AccessMode",
     "Ack",
     "BadTime",
+    "BaselineError",
     "CacheFull",
     "CanonicalFormatError",
     "CanonicalRequest",

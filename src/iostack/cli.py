@@ -12,10 +12,18 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, RunSpec, load_config
+from .engine import StageFault
 from .replay import ReplayMode, TraceReplayError, replay
-from .reports import emit_reports, load_baseline
+from .reports import BaselineError, emit_reports, load_baseline
 from .trace import TraceError, ingest_text, read_canonical
 from .workload import generate
+
+
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -31,10 +39,12 @@ def _parser() -> argparse.ArgumentParser:
         "--generate", action="store_true", help="generate the workload from [workload] sections"
     )
     p.add_argument("--output", required=True, help="report output directory")
-    p.add_argument("--seed", type=int, help="override the seed of every generator")
+    p.add_argument("--seed", type=_non_negative_int, help="override the seed of every generator")
     p.add_argument("--replay", choices=["closed", "open"], help="override the replay mode")
     p.add_argument("--baseline", help="measured per-request latency file")
-    p.add_argument("--tolerance-us", type=int, help="closed-loop response-time tolerance")
+    p.add_argument(
+        "--tolerance-us", type=_non_negative_int, help="closed-loop response-time tolerance"
+    )
     p.add_argument("--dump-events", action="store_true", help="also write the event log")
     return p
 
@@ -83,7 +93,7 @@ def main(argv: list[str] | None = None) -> int:
             effective_config=spec.echo,
             event_log=result.event_log if args.dump_events else None,
         )
-    except (ConfigError, TraceError, TraceReplayError, OSError) as exc:
+    except (ConfigError, TraceError, TraceReplayError, BaselineError, StageFault, OSError) as exc:
         print(f"simulate: error: {exc}", file=sys.stderr)
         return 2
 

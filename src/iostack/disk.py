@@ -221,12 +221,6 @@ class HeadState:
     def angle_at(self, t_us: float, period_us: float) -> float:
         return (self.angle_revs + (t_us - self.time_us) / period_us) % 1.0
 
-    def angle_sectors(self, geometry: DiskGeometry, t_us: float) -> float:
-        """Rotational position in sector units of the current zone's tracks."""
-
-        spt = geometry.sectors_per_track_at(self.cylinder)
-        return self.angle_at(t_us, geometry.rotation_period_us) * spt
-
 
 def rotational_wait(
     target_sector: int, spt: int, state: HeadState, arrival_us: float, period_us: float

@@ -155,6 +155,19 @@ class SegmentedCache:
         self._touch_seq += 1
         segment.last_touch = self._touch_seq
 
+    def _extend(self, seg: Segment, lba: int, sectors: int) -> None:
+        """Raise ``seg.end`` to cover the run and touch ``seg``.
+
+        The segment slides forward over a long sequential stream.  Only the
+        end moves toward the run: a run starting below ``seg.start`` keeps
+        its leading sectors out of the segment.
+        """
+
+        seg.end = max(seg.end, lba + sectors)
+        if seg.end - seg.start > seg.capacity:
+            seg.start = seg.end - seg.capacity
+        self._touch(seg)
+
     def _segment_for(self, lba: int, sectors: int) -> Segment | None:
         for seg in self.segments:
             if seg.end > seg.start and (seg.overlaps(lba, sectors) or seg.end == lba):
@@ -274,14 +287,10 @@ class SegmentedCache:
             if seg is None:
                 return  # every segment dirty: serve uncached, cache nothing
             seg.start = seg.end = lba
-        seg.end = max(seg.end, lba + sectors)
-        # The active segment slides forward over a long sequential stream.
-        if seg.end - seg.start > seg.capacity:
-            seg.start = seg.end - seg.capacity
+        self._extend(seg, lba, sectors)
         if local:
             seg.local_prefetch = True
             seg.consumed_by_128k = 0
-        self._touch(seg)
 
     # -- writes -----------------------------------------------------------------
 
@@ -310,22 +319,16 @@ class SegmentedCache:
                     raise CacheFull("all segments dirty and background destage is disabled")
                 return Ack.DEFER, []
             seg.start = seg.end = lba
-        seg.end = max(seg.end, lba + sectors)
-        if seg.end - seg.start > seg.capacity:
-            seg.start = seg.end - seg.capacity
+        self._extend(seg, lba, sectors)
         self._write_seq += 1
         seg.write_queue.append((self._write_seq, lba, sectors, dict(tags or {})))
-        self._touch(seg)
         return Ack.ACK_NOW, []
 
     def insert_clean_for_write(self, lba: int, sectors: int) -> None:
         # Written-through data stays readable from the cache afterwards.
         seg = self._segment_for(lba, sectors)
         if seg is not None and not seg.dirty:
-            seg.end = max(seg.end, lba + sectors)
-            if seg.end - seg.start > seg.capacity:
-                seg.start = seg.end - seg.capacity
-            self._touch(seg)
+            self._extend(seg, lba, sectors)
 
     def destage_next(self) -> tuple[int, int, dict[int, int]] | None:
         """Globally oldest pending write record.

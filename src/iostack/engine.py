@@ -33,14 +33,6 @@ STAGE_ORDER = (
 )
 
 
-def next_down(stage: StageId) -> StageId:
-    return STAGE_ORDER[STAGE_ORDER.index(stage) + 1]
-
-
-def next_up(stage: StageId) -> StageId:
-    return STAGE_ORDER[STAGE_ORDER.index(stage) - 1]
-
-
 class PastEvent(Exception):
     """An event was scheduled before the current clock."""
 

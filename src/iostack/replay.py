@@ -49,16 +49,28 @@ class StackConfig:
     include_system_requests: bool = False
 
 
-# -- message payloads ---------------------------------------------------------
+# -- messages -----------------------------------------------------------------
+#
+# APP sends each RequestMsg to FS_CACHE and gets its done form back.  FS_CACHE
+# sends IoMsg to SCHEDULER, which passes them one at a time to DISK_CACHE; the
+# done form returns the same way.  DISK_CACHE sends MediaMsg to DISK, which
+# times each op with its finished form and returns its done form.  Signals go
+# to FS_CACHE: FLUSH_TICK from itself, DRAIN from APP after the last request.
 
 
-@dataclass
+@dataclass(slots=True)
 class RequestMsg:
-    kind = "request"
     request_id: int
     request: CanonicalRequest
+    done: bool = False
+
+    @property
+    def kind(self) -> str:
+        return "request-done" if self.done else "request"
 
     def detail(self) -> str:
+        if self.done:
+            return f"req={self.request_id}"
         r = self.request
         return (
             f"req={self.request_id} op={r.op.value} mode={r.mode.value} "
@@ -66,24 +78,21 @@ class RequestMsg:
         )
 
 
-@dataclass
-class RequestDoneMsg:
-    kind = "request-done"
-    request_id: int
-
-    def detail(self) -> str:
-        return f"req={self.request_id}"
-
-
-@dataclass
+@dataclass(slots=True)
 class IoMsg:
-    kind = "io"
     io_id: int
     intent: IoIntent
     request_id: int | None
+    done: bool = False
+
+    @property
+    def kind(self) -> str:
+        return "io-done" if self.done else "io"
 
     def detail(self) -> str:
         i = self.intent
+        if self.done:
+            return f"io={self.io_id} purpose={i.purpose}"
         op = "write" if i.write else "read"
         req = self.request_id if self.request_id is not None else "-"
         return (
@@ -92,71 +101,69 @@ class IoMsg:
         )
 
 
-@dataclass
-class IoDoneMsg:
-    kind = "io-done"
-    io_id: int
-    intent: IoIntent
-    request_id: int | None
+class MediaRole(Enum):
+    """What a drive-cache media op is for; the value is its logged purpose."""
 
-    def detail(self) -> str:
-        return f"io={self.io_id} purpose={self.intent.purpose}"
+    HOST_READ = "host-fill"
+    LOCAL_PREFETCH = "local-prefetch"
+    FILL_CHUNK = "fill-chunk"
+    HOST_WRITE = "host-write"  # logged with the host io's own purpose
+    DESTAGE = "destage"
 
 
-@dataclass
+@dataclass(slots=True)
 class MediaMsg:
-    kind = "media"
     media_id: int
-    write: bool
+    role: MediaRole
     lba: int
     sectors: int
-    purpose: str
-    reply: tuple
+    #: The host io a HOST_READ or HOST_WRITE op serves.
+    host: IoMsg | None = None
     sector_tags: dict[int, int] | None = None
     penalty_rotations: int = 0
+    #: The disk's own timer: the op has left the platter.
+    finished: bool = False
+    #: Reported back to the drive cache.
+    done: bool = False
+
+    @property
+    def write(self) -> bool:
+        return self.role is MediaRole.HOST_WRITE or self.role is MediaRole.DESTAGE
+
+    @property
+    def purpose(self) -> str:
+        if self.role is MediaRole.HOST_WRITE:
+            return self.host.intent.purpose
+        return self.role.value
+
+    @property
+    def kind(self) -> str:
+        if self.done:
+            return "media-done"
+        return "media-finish" if self.finished else "media"
 
     def detail(self) -> str:
+        head = f"media={self.media_id}"
+        if self.done:
+            return f"{head} lba={self.lba} sectors={self.sectors} purpose={self.purpose}"
+        if self.finished:
+            return head
         op = "write" if self.write else "read"
-        return f"media={self.media_id} op={op} lba={self.lba} sectors={self.sectors} purpose={self.purpose}"
+        return f"{head} op={op} lba={self.lba} sectors={self.sectors} purpose={self.purpose}"
 
 
-@dataclass
-class MediaDoneMsg:
-    kind = "media-done"
-    media_id: int
-    write: bool
-    lba: int
-    sectors: int
-    purpose: str
-    reply: tuple
+class Signal(Enum):
+    """Messages without a payload; the value is (kind, detail)."""
 
-    def detail(self) -> str:
-        return f"media={self.media_id} lba={self.lba} sectors={self.sectors} purpose={self.purpose}"
+    FLUSH_TICK = ("flush-tick", "progressive")
+    DRAIN = ("drain", "end-of-stream")
 
-
-@dataclass
-class MediaFinishMsg:
-    kind = "media-finish"
-    media_id: int
+    @property
+    def kind(self) -> str:
+        return self.value[0]
 
     def detail(self) -> str:
-        return f"media={self.media_id}"
-
-
-@dataclass
-class FlushTickMsg:
-    kind = "flush-tick"
-
-    def detail(self) -> str:
-        return "progressive"
-
-
-@dataclass
-class DrainMsg:
-    kind = "drain"
-
-    def detail(self) -> str:
-        return "end-of-stream"
+        return self.value[1]
 
 
 # -- stages -------------------------------------------------------------------
@@ -183,33 +190,31 @@ class AppStage:
             sim.schedule(StageId.APP, RequestMsg(0, self.requests[0]), at_us=self.requests[0].issue_time_us)
 
     def handle(self, sim: Simulator, event: SimEvent) -> None:
-        msg = event.payload
-        if msg.kind == "request":
-            self.issue_times[msg.request_id] = sim.now()
-            sim.schedule(StageId.FS_CACHE, msg)
-        elif msg.kind == "request-done":
-            rid = msg.request_id
-            r = self.requests[rid]
-            issue = self.issue_times[rid]
-            self.records.append(
-                RequestRecord(
-                    request_id=rid,
-                    issue_us=issue,
-                    complete_us=sim.now(),
-                    bytes=r.length_bytes,
-                    op=r.op,
-                    mode=r.mode,
-                    origin=r.origin,
+        match event.payload:
+            case RequestMsg(done=False) as msg:
+                self.issue_times[msg.request_id] = sim.now()
+                sim.schedule(StageId.FS_CACHE, msg)
+            case RequestMsg(request_id=rid, request=r):
+                issue = self.issue_times[rid]
+                self.records.append(
+                    RequestRecord(
+                        request_id=rid,
+                        issue_us=issue,
+                        complete_us=sim.now(),
+                        bytes=r.length_bytes,
+                        op=r.op,
+                        mode=r.mode,
+                        origin=r.origin,
+                    )
                 )
-            )
-            self.completed += 1
-            if self.policy.mode is ReplayMode.CLOSED_LOOP and rid + 1 < len(self.requests):
-                nxt = rid + 1
-                at = self._next_issue_time(rid, issue, sim.now())
-                sim.schedule(StageId.APP, RequestMsg(nxt, self.requests[nxt]), at_us=max(at, sim.now()))
-            if self.completed == len(self.requests) and not self.drained:
-                self.drained = True
-                sim.schedule(StageId.FS_CACHE, DrainMsg())
+                self.completed += 1
+                if self.policy.mode is ReplayMode.CLOSED_LOOP and rid + 1 < len(self.requests):
+                    nxt = rid + 1
+                    at = self._next_issue_time(rid, issue, sim.now())
+                    sim.schedule(StageId.APP, RequestMsg(nxt, self.requests[nxt]), at_us=max(at, sim.now()))
+                if self.completed == len(self.requests) and not self.drained:
+                    self.drained = True
+                    sim.schedule(StageId.FS_CACHE, Signal.DRAIN)
 
     def _next_issue_time(self, rid: int, issue_us: int, complete_us: int) -> int:
         """Closed-loop pacing with the measured-response tolerance.
@@ -235,7 +240,7 @@ class AppStage:
 
 @dataclass
 class _PendingRequest:
-    request_id: int
+    msg: RequestMsg
     required_ios: set[int] = field(default_factory=set)
     wait_blocks: set[tuple[int, int]] = field(default_factory=set)
     copy_us: int = 0
@@ -265,19 +270,18 @@ class FsStage:
         return self._io_seq
 
     def handle(self, sim: Simulator, event: SimEvent) -> None:
-        msg = event.payload
-        if msg.kind == "request":
-            if self.wt_gate is not None:
+        match event.payload:
+            case RequestMsg() as msg if self.wt_gate is not None:
                 self.deferred.append(msg)
-            else:
+            case RequestMsg() as msg:
                 self._admit(msg)
-        elif msg.kind == "io-done":
-            self._io_done(msg)
-        elif msg.kind == "flush-tick":
-            self._progressive_step()
-        elif msg.kind == "drain":
-            for intent in self.fs.flush_all():
-                self._issue(intent, None, sim.now())
+            case IoMsg() as msg:
+                self._io_done(msg)
+            case Signal.FLUSH_TICK:
+                self._progressive_step()
+            case Signal.DRAIN:
+                for intent in self.fs.flush_all():
+                    self._issue(intent, None, sim.now())
 
     # -- request admission ----------------------------------------------------
 
@@ -290,15 +294,15 @@ class FsStage:
                 # Fresh handle: speculation state restarts.
                 self.fs.read_streams.pop(req.file_id, None)
                 self.fs.write_streams.pop(req.file_id, None)
-            self._complete(rid, at_us=now + cfg.open_close_cost_us)
+            self._complete(msg, at_us=now + cfg.open_close_cost_us)
             return
         if req.length_bytes == 0:
-            self._complete(rid, at_us=now + cfg.fastio_hit_cost_us)
+            self._complete(msg, at_us=now + cfg.fastio_hit_cost_us)
             return
 
         plan = self.fs.on_read(req) if req.op is Op.READ else self.fs.on_write(req, rid)
         pending = _PendingRequest(
-            request_id=rid,
+            msg=msg,
             wait_blocks=set(plan.wait_blocks),
             metadata_after_data=plan.metadata_after_data,
             passthrough=any(io.purpose == fsc.PASSTHROUGH for io in plan.ios),
@@ -309,7 +313,7 @@ class FsStage:
             pending.copy_us = cfg.copy_us(plan.copy_bytes)
 
         if plan.hit and not plan.ios:
-            self._complete(rid, at_us=now + cfg.fastio_hit_cost_us + pending.copy_us)
+            self._complete(msg, at_us=now + cfg.fastio_hit_cost_us + pending.copy_us)
             return
 
         issue_at = now + (cfg.miss_path_cost_us if (plan.required_ios or pending.passthrough) else 0)
@@ -323,18 +327,18 @@ class FsStage:
         self.pending[rid] = pending
         if plan.kick_progressive and not self.progressive_running:
             self.progressive_running = True
-            self.sim.schedule(StageId.FS_CACHE, FlushTickMsg())
+            self.sim.schedule(StageId.FS_CACHE, Signal.FLUSH_TICK)
         if not pending.required_ios and not pending.wait_blocks and not plan.metadata_after_data:
             # Only optional ios (prefetch/flush): serve from cache now.
             del self.pending[rid]
-            self._complete(rid, at_us=now + self.fs.config.fastio_hit_cost_us + pending.copy_us)
+            self._complete(msg, at_us=now + self.fs.config.fastio_hit_cost_us + pending.copy_us)
 
-    def _complete(self, request_id: int, at_us: int) -> None:
-        self.sim.schedule(StageId.APP, RequestDoneMsg(request_id), at_us=at_us)
+    def _complete(self, msg: RequestMsg, at_us: int) -> None:
+        self.sim.schedule(StageId.APP, replace(msg, done=True), at_us=at_us)
 
     # -- io completions ----------------------------------------------------------
 
-    def _io_done(self, msg: IoDoneMsg) -> None:
+    def _io_done(self, msg: IoMsg) -> None:
         intent = msg.intent
         if intent.block_key is not None:
             self.fs.on_block_loaded(intent.block_key)
@@ -344,7 +348,7 @@ class FsStage:
                     pending.wait_blocks.discard(intent.block_key)
                     self._maybe_finish(pending)
         if intent.purpose == fsc.FLUSH and self.progressive_running:
-            self.sim.schedule(StageId.FS_CACHE, FlushTickMsg())
+            self.sim.schedule(StageId.FS_CACHE, Signal.FLUSH_TICK)
         rid = self.io_owner.pop(msg.io_id, None)
         if rid is not None:
             pending = self.pending.get(rid)
@@ -355,7 +359,7 @@ class FsStage:
     def _maybe_finish(self, pending: _PendingRequest) -> None:
         if pending.required_ios or pending.wait_blocks:
             return
-        rid = pending.request_id
+        rid = pending.msg.request_id
         if pending.metadata_after_data and not pending.metadata_issued:
             pending.metadata_issued = True
             intent = self.fs.metadata_io(rid)
@@ -365,7 +369,7 @@ class FsStage:
             return
         del self.pending[rid]
         extra = 0 if pending.passthrough else pending.copy_us
-        self._complete(rid, at_us=self.sim.now() + extra)
+        self._complete(pending.msg, at_us=self.sim.now() + extra)
         if self.wt_gate == rid:
             self.wt_gate = None
             deferred, self.deferred = self.deferred, []
@@ -395,15 +399,15 @@ class SchedulerStage:
         self.inflight: int | None = None
 
     def handle(self, sim: Simulator, event: SimEvent) -> None:
-        msg = event.payload
-        if msg.kind == "io":
-            self.by_id[msg.io_id] = msg
-            self.queue.enqueue(msg.io_id, cylinder_of_byte(msg.intent.disk_addr, self.geometry))
-            self._dispatch()
-        elif msg.kind == "io-done":
-            self.inflight = None
-            sim.schedule(StageId.FS_CACHE, msg)
-            self._dispatch()
+        match event.payload:
+            case IoMsg(done=False) as msg:
+                self.by_id[msg.io_id] = msg
+                self.queue.enqueue(msg.io_id, cylinder_of_byte(msg.intent.disk_addr, self.geometry))
+                self._dispatch()
+            case IoMsg() as msg:
+                self.inflight = None
+                sim.schedule(StageId.FS_CACHE, msg)
+                self._dispatch()
 
     def _dispatch(self) -> None:
         if self.inflight is not None:
@@ -429,7 +433,8 @@ class DiskCacheStage:
         self.cache = cache
         self.geometry = geometry
         self.host_reads: dict[int, _HostRead] = {}
-        self.host_writes: dict[int, tuple[IoMsg, int]] = {}
+        #: Media writes still outstanding per write-through host io.
+        self.host_writes: dict[int, int] = {}
         self.deferred_writes: list[IoMsg] = []
         self.fill_ranges: list[tuple[int, int]] = []  # [start, end) sector ranges to fill
         self.fill_inflight: set[tuple[int, int]] = set()
@@ -440,28 +445,12 @@ class DiskCacheStage:
     # -- media plumbing ---------------------------------------------------------
 
     def _media(
-        self,
-        write: bool,
-        lba: int,
-        sectors: int,
-        purpose: str,
-        reply: tuple,
-        tags: dict[int, int] | None = None,
+        self, role: MediaRole, lba: int, sectors: int, host: IoMsg | None = None, tags=None
     ) -> None:
         self._media_seq += 1
-        self.sim.schedule(
-            StageId.DISK,
-            MediaMsg(
-                media_id=self._media_seq,
-                write=write,
-                lba=lba,
-                sectors=sectors,
-                purpose=purpose,
-                reply=reply,
-                sector_tags=tags,
-                penalty_rotations=self.cache.take_penalty_rotations(),
-            ),
-        )
+        penalty = self.cache.take_penalty_rotations()
+        msg = MediaMsg(self._media_seq, role, lba, sectors, host, tags, penalty)
+        self.sim.schedule(StageId.DISK, msg)
 
     def _sectors(self, intent: IoIntent) -> tuple[int, int]:
         sb = self.cache.config.sector_bytes
@@ -470,14 +459,13 @@ class DiskCacheStage:
         return lba, max(1, end - lba)
 
     def handle(self, sim: Simulator, event: SimEvent) -> None:
-        msg = event.payload
-        if msg.kind == "io":
-            if msg.intent.write:
+        match event.payload:
+            case IoMsg() as msg if msg.intent.write:
                 self._host_write(msg)
-            else:
+            case IoMsg() as msg:
                 self._host_read(msg)
-        elif msg.kind == "media-done":
-            self._media_done(msg)
+            case MediaMsg() as msg:
+                self._media_done(msg)
 
     # -- reads --------------------------------------------------------------------
 
@@ -492,7 +480,7 @@ class DiskCacheStage:
             needed.append((run_lba, run_sectors))
             if not self._covered_by_fill(run_lba, run_sectors):
                 self.cache.expect_fill(run_lba, run_sectors)
-                self._media(False, run_lba, run_sectors, "host-fill", ("host", msg.io_id))
+                self._media(MediaRole.HOST_READ, run_lba, run_sectors, msg)
         self._apply_directives(directives)
         if needed:
             self.host_reads[msg.io_id] = _HostRead(msg, needed)
@@ -521,7 +509,7 @@ class DiskCacheStage:
             if d.kind == "local":
                 self.cache.expect_fill(d.lba, end - d.lba)
                 self.fill_inflight.add((d.lba, end))
-                self._media(False, d.lba, end - d.lba, "local-prefetch", ("prefetch", True))
+                self._media(MediaRole.LOCAL_PREFETCH, d.lba, end - d.lba)
             else:
                 self.fill_ranges.append((d.lba, end))
                 self._next_fill_chunk()
@@ -540,11 +528,11 @@ class DiskCacheStage:
             self.cache.expect_fill(start, take)
             self.fill_inflight.add((start, start + take))
             self._fill_chunk_outstanding = True
-            self._media(False, start, take, "fill-chunk", ("prefetch", False))
+            self._media(MediaRole.FILL_CHUNK, start, take)
             return
 
     def _reply_done(self, msg: IoMsg) -> None:
-        self.sim.schedule(StageId.SCHEDULER, IoDoneMsg(msg.io_id, msg.intent, msg.request_id))
+        self.sim.schedule(StageId.SCHEDULER, replace(msg, done=True))
 
     # -- writes --------------------------------------------------------------------
 
@@ -557,12 +545,9 @@ class DiskCacheStage:
             self._reply_done(msg)
             self._kick_destage()
         elif ack is Ack.ACK_AFTER_MEDIA:
-            outstanding = len(media_actions)
-            self.host_writes[msg.io_id] = (msg, outstanding)
+            self.host_writes[msg.io_id] = len(media_actions)
             for run_lba, run_sectors, tags in media_actions:
-                self._media(
-                    True, run_lba, run_sectors, msg.intent.purpose, ("host-write", msg.io_id), tags
-                )
+                self._media(MediaRole.HOST_WRITE, run_lba, run_sectors, msg, tags)
         else:  # DEFER: every segment dirty, wait for a destage to free one
             self.deferred_writes.append(msg)
             self._kick_destage()
@@ -575,44 +560,42 @@ class DiskCacheStage:
             return
         lba, sectors, tags = record
         self.destage_inflight = True
-        self._media(True, lba, sectors, "destage", ("destage",), tags)
+        self._media(MediaRole.DESTAGE, lba, sectors, tags=tags)
 
     # -- media completions ------------------------------------------------------------
 
-    def _media_done(self, msg: MediaDoneMsg) -> None:
-        reply = msg.reply
-        if reply[0] == "host":
-            self.cache.on_media_data(msg.lba, msg.sectors)
-            # The host's own media read IS the delivery; it must not depend
-            # on the data still being resident (a long transfer can slide
-            # out of its staging segment before the request finishes).
-            entry = self.host_reads.get(reply[1])
-            if entry is not None and (msg.lba, msg.sectors) in entry.needed:
-                entry.needed.remove((msg.lba, msg.sectors))
-            self._settle_host_reads()
-        elif reply[0] == "prefetch":
-            local = reply[1]
-            self.cache.on_media_data(msg.lba, msg.sectors, local=local)
-            self.fill_inflight.discard((msg.lba, msg.lba + msg.sectors))
-            if not local:
-                self._fill_chunk_outstanding = False
-                self._next_fill_chunk()
-            self._settle_host_reads()
-        elif reply[0] == "host-write":
-            io_id = reply[1]
-            held, outstanding = self.host_writes[io_id]
-            if outstanding <= 1:
-                del self.host_writes[io_id]
-                self._reply_done(held)
-            else:
-                self.host_writes[io_id] = (held, outstanding - 1)
-        elif reply[0] == "destage":
-            self.destage_inflight = False
-            self._kick_destage()
-            if self.deferred_writes:
-                retry, self.deferred_writes = self.deferred_writes, []
-                for m in retry:
-                    self._host_write(m)
+    def _media_done(self, msg: MediaMsg) -> None:
+        match msg.role:
+            case MediaRole.HOST_READ:
+                self.cache.on_media_data(msg.lba, msg.sectors)
+                # The host's own media read IS the delivery; it must not depend
+                # on the data still being resident (a long transfer can slide
+                # out of its staging segment before the request finishes).
+                entry = self.host_reads.get(msg.host.io_id)
+                if entry is not None and (msg.lba, msg.sectors) in entry.needed:
+                    entry.needed.remove((msg.lba, msg.sectors))
+                self._settle_host_reads()
+            case MediaRole.LOCAL_PREFETCH | MediaRole.FILL_CHUNK:
+                local = msg.role is MediaRole.LOCAL_PREFETCH
+                self.cache.on_media_data(msg.lba, msg.sectors, local=local)
+                self.fill_inflight.discard((msg.lba, msg.lba + msg.sectors))
+                if not local:
+                    self._fill_chunk_outstanding = False
+                    self._next_fill_chunk()
+                self._settle_host_reads()
+            case MediaRole.HOST_WRITE:
+                io_id = msg.host.io_id
+                self.host_writes[io_id] -= 1
+                if not self.host_writes[io_id]:
+                    del self.host_writes[io_id]
+                    self._reply_done(msg.host)
+            case MediaRole.DESTAGE:
+                self.destage_inflight = False
+                self._kick_destage()
+                if self.deferred_writes:
+                    retry, self.deferred_writes = self.deferred_writes, []
+                    for m in retry:
+                        self._host_write(m)
 
     def _settle_host_reads(self) -> None:
         for io_id in list(self.host_reads):
@@ -640,24 +623,21 @@ class DiskStage:
         self.seek = seek
         self.head = head or HeadState()
         self.queue: list[MediaMsg] = []
-        self.busy = False
         self.active: MediaMsg | None = None
         self.data_image: dict[int, int] = {}
         self.metadata_writes = 0
-        self.media_busy_us = 0
 
     def handle(self, sim: Simulator, event: SimEvent) -> None:
-        msg = event.payload
-        if msg.kind == "media":
-            self.queue.append(msg)
-            if not self.busy:
-                self._start_next()
-        elif msg.kind == "media-finish":
-            self._finish()
+        match event.payload:
+            case MediaMsg(finished=False) as msg:
+                self.queue.append(msg)
+                if self.active is None:
+                    self._start_next()
+            case MediaMsg() as msg:
+                self._finish(msg)
 
     def _start_next(self) -> None:
         if not self.queue:
-            self.busy = False
             return
         msg = self.queue.pop(0)
         delay, new_head = service(
@@ -677,24 +657,17 @@ class DiskStage:
         # head instead of a hair behind it (which would cost a phantom
         # revolution).
         self.head = replace(new_head, time_us=float(self.sim.now() + delay_us))
-        self.busy = True
         self.active = msg
-        self.media_busy_us += delay_us
-        self.sim.schedule_after(StageId.DISK, MediaFinishMsg(msg.media_id), delay_us)
+        self.sim.schedule_after(StageId.DISK, replace(msg, finished=True), delay_us)
 
-    def _finish(self) -> None:
-        msg = self.active
-        assert msg is not None
+    def _finish(self, msg: MediaMsg) -> None:
         if msg.write:
             if msg.purpose == fsc.METADATA or msg.sector_tags is None:
                 self.metadata_writes += 1
             else:
                 for sector, tag in msg.sector_tags.items():
                     self.data_image[sector] = tag
-        self.sim.schedule(
-            StageId.DISK_CACHE,
-            MediaDoneMsg(msg.media_id, msg.write, msg.lba, msg.sectors, msg.purpose, msg.reply),
-        )
+        self.sim.schedule(StageId.DISK_CACHE, replace(msg, done=True))
         self.active = None
         self._start_next()
 
@@ -713,10 +686,6 @@ class ReplayResult:
     media_image: dict[int, int]
     metadata_writes: int
     clipped_requests: int
-
-
-class ConfigurationError(ValueError):
-    pass
 
 
 class TraceReplayError(ValueError):

@@ -87,19 +87,28 @@ class ZeroBaseline(ValueError):
     pass
 
 
+class BaselineError(ValueError):
+    """A baseline file is malformed."""
+
+
 def load_baseline(path: str | Path) -> dict[int, int]:
     """Read a measured-latency baseline file: '<ordinal> <latency_us>' lines."""
 
     text = Path(path).read_text(encoding="utf-8")
     lines = text.splitlines()
     if not lines or not lines[0].startswith("#iostack-baseline v"):
-        raise ValueError("missing baseline header")
+        raise BaselineError(f"{path}: missing '#iostack-baseline v' header")
     baseline = {}
-    for line in lines[1:]:
+    for number, line in enumerate(lines[1:], start=2):
         if not line or line.startswith("#"):
             continue
-        ordinal, latency = line.split()
-        baseline[int(ordinal)] = int(latency)
+        try:
+            ordinal, latency = map(int, line.split())
+        except ValueError:
+            raise BaselineError(
+                f"{path}:{number}: expected '<ordinal> <latency_us>', got {line!r}"
+            ) from None
+        baseline[ordinal] = latency
     return baseline
 
 

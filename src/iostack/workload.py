@@ -157,6 +157,8 @@ class GeneratorSpec:
     def __post_init__(self) -> None:
         if self.count < 0:
             raise InvalidParams("count must be >= 0")
+        if self.seed < 0:
+            raise InvalidParams("seed must be >= 0")
         if self.read_weight < 0 or self.write_weight < 0:
             raise InvalidParams("op weights must be non-negative")
         if self.read_weight + self.write_weight == 0:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import pytest
+
 from iostack.cli import main
 
 from conftest import SAMPLE_TRACE
@@ -109,3 +111,60 @@ class TestCli:
             ]
         )
         assert code == 0
+
+
+# One segment, no background destage: the second write-back write finds every
+# segment dirty and the drive cache fails inside the replay.
+CACHE_FULL_CONFIG = """
+[disk]
+profile = fujitsu_man3184mp
+
+[disk_cache]
+segment_count = 1
+background_destage = false
+
+[workload]
+count = 4
+seed = 42
+mode = NO_BUFFER
+size_bytes = constant:65536
+inter_arrival_us = constant:0
+read_weight = 0
+write_weight = 1
+address = random_choice:0:10485760:20971520
+"""
+
+
+@pytest.mark.parametrize(
+    "baseline, extra, config, message",
+    [
+        ("0 100\n", [], CONFIG, "missing '#iostack-baseline v' header"),
+        ("#iostack-baseline v1\n0 100 7\n", [], CONFIG, "expected '<ordinal> <latency_us>'"),
+        (None, ["--tolerance-us", "-5"], CONFIG, "argument --tolerance-us: must be >= 0"),
+        (None, ["--seed", "-3"], CONFIG, "argument --seed: must be >= 0"),
+        (None, [], CONFIG.replace("seed = 42", "seed = -1"), "workload: seed must be >= 0"),
+        (None, [], CACHE_FULL_CONFIG, "stage DISK_CACHE failed"),
+    ],
+    ids=[
+        "baseline-header",
+        "baseline-fields",
+        "negative-tolerance",
+        "negative-seed-flag",
+        "negative-seed-config",
+        "stage-fault",
+    ],
+)
+def test_bad_input_exits_2_with_one_line(tmp_path, capsys, baseline, extra, config, message):
+    argv = ["--config", str(write_config(tmp_path, config)), "--generate"]
+    argv += ["--output", str(tmp_path / "out"), *extra]
+    if baseline is not None:
+        path = tmp_path / "base.txt"
+        path.write_text(baseline)
+        argv += ["--baseline", str(path)]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects the argument itself
+        code = exc.code
+    assert code == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.startswith("simulate: error: ") and message in last

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import pytest
 
 from iostack import PastEvent, Simulator, StageFault, StageId
-from iostack.engine import STAGE_ORDER, UnknownStage, next_down, next_up
+from iostack.engine import STAGE_ORDER, UnknownStage
 
 
 @dataclass
@@ -21,6 +21,14 @@ class Token:
 
 def sink(sim, event):
     pass
+
+
+def next_down(stage: StageId) -> StageId:
+    return STAGE_ORDER[STAGE_ORDER.index(stage) + 1]
+
+
+def next_up(stage: StageId) -> StageId:
+    return STAGE_ORDER[STAGE_ORDER.index(stage) - 1]
 
 
 def make_sim(stages=(StageId.APP,)) -> Simulator:
