@@ -133,7 +133,6 @@ def _geometry_fields(section: _Section, base: DiskGeometry | None) -> DiskGeomet
         "cylinders": _parse_int,
         "heads": _parse_int,
         "rpm": _parse_int,
-        "sector_bytes": _parse_int,
         "track_skew_sectors": _parse_int,
         "cylinder_skew_sectors": _parse_int,
         "spares_per_zone_tail": _parse_int,
@@ -402,7 +401,6 @@ def build_echo(spec: RunSpec, profile_name: str | None = None) -> dict[str, str]
     echo["disk.cylinders"] = str(g.cylinders)
     echo["disk.heads"] = str(g.heads)
     echo["disk.rpm"] = str(g.rpm)
-    echo["disk.sector_bytes"] = str(g.sector_bytes)
     echo["disk.zones"] = ",".join(f"{z.first_cylinder}:{z.sectors_per_track}" for z in g.zones)
     echo["disk.track_skew_sectors"] = str(g.track_skew_sectors)
     echo["disk.cylinder_skew_sectors"] = str(g.cylinder_skew_sectors)

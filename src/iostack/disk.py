@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
+from .requests import SECTOR_BYTES
+
 
 class OutOfRange(Exception):
     """An LBA or cylinder distance falls outside the geometry."""
@@ -36,7 +38,6 @@ class DiskGeometry:
     heads: int
     zones: tuple[Zone, ...]
     rpm: int
-    sector_bytes: int = 512
     track_skew_sectors: int = 0
     cylinder_skew_sectors: int = 0
     #: Sectors reserved at the tail of each zone's logical order (0 = none).
@@ -78,24 +79,11 @@ class DiskGeometry:
 
     @property
     def usable_bytes(self) -> int:
-        return self.usable_sectors * self.sector_bytes
+        return self.usable_sectors * SECTOR_BYTES
 
     @property
     def rotation_period_us(self) -> float:
         return 60_000_000 / self.rpm
-
-    def zone_of_cylinder(self, cylinder: int) -> int:
-        if not 0 <= cylinder < self.cylinders:
-            raise OutOfRange(f"cylinder {cylinder} outside [0, {self.cylinders})")
-        idx = 0
-        for i, z in enumerate(self.zones):
-            if z.first_cylinder > cylinder:
-                break
-            idx = i
-        return idx
-
-    def sectors_per_track_at(self, cylinder: int) -> int:
-        return self.zones[self.zone_of_cylinder(cylinder)].sectors_per_track
 
     def _zone_of_lba(self, lba: int) -> tuple[int, int]:
         """Zone index and the LBA where that zone starts."""
@@ -304,5 +292,5 @@ def service(
 def cylinder_of_byte(disk_byte_addr: int, geometry: DiskGeometry) -> int:
     """Cylinder holding the first sector of a byte address (clipped in range)."""
 
-    lba = min(disk_byte_addr // geometry.sector_bytes, geometry.usable_sectors - 1)
+    lba = min(disk_byte_addr // SECTOR_BYTES, geometry.usable_sectors - 1)
     return lba_to_phys(lba, geometry)[0]

@@ -12,6 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Iterable
+
+from .requests import SECTOR_BYTES
 
 
 class CacheFull(Exception):
@@ -63,7 +66,6 @@ class DiskCacheConfig:
     #: Lose one revolution after draining a 512KB prefetch in 128KB slices.
     reposition_penalty: bool = False
     background_destage: bool = True
-    sector_bytes: int = 512
 
     def __post_init__(self) -> None:
         if self.segment_count * self.segment_bytes > self.total_bytes:
@@ -73,11 +75,11 @@ class DiskCacheConfig:
 
     @property
     def segment_sectors(self) -> int:
-        return self.segment_bytes // self.sector_bytes
+        return self.segment_bytes // SECTOR_BYTES
 
     @property
     def prefetch_block_sectors(self) -> int:
-        return self.prefetch_block_bytes // self.sector_bytes
+        return self.prefetch_block_bytes // SECTOR_BYTES
 
 
 @dataclass
@@ -130,6 +132,30 @@ class LocalPatternDetector:
             return False
         (a, a_len), (b, _), (c, _) = self.window
         return c == a + a_len and b != c and abs(b - (a + a_len)) <= self.radius_sectors
+
+
+def uncovered_runs(
+    lba: int, sectors: int, extents: Iterable[tuple[int, int]]
+) -> list[tuple[int, int]]:
+    """Maximal runs of [lba, lba + sectors) outside every [start, end) extent.
+
+    Runs come as (lba, sectors) in ascending order; empty extents count for
+    nothing.
+    """
+
+    runs = []
+    cursor, end = lba, lba + sectors
+    for start, stop in sorted(extents):
+        if cursor >= end:
+            break
+        if stop <= max(start, cursor):
+            continue
+        if start > cursor:
+            runs.append((cursor, min(start, end) - cursor))
+        cursor = stop
+    if cursor < end:
+        runs.append((cursor, end - cursor))
+    return runs
 
 
 class SegmentedCache:
@@ -190,25 +216,7 @@ class SegmentedCache:
         return any(s.covers(lba, sectors) for s in self.segments if s.end > s.start)
 
     def missing_runs(self, lba: int, sectors: int) -> list[tuple[int, int]]:
-        runs: list[tuple[int, int]] = []
-        cursor = lba
-        end = lba + sectors
-        while cursor < end:
-            holder = next(
-                (s for s in self.segments if s.end > s.start and s.start <= cursor < s.end),
-                None,
-            )
-            if holder is None:
-                run_end = cursor + 1
-                while run_end < end and not any(
-                    s.start <= run_end < s.end for s in self.segments if s.end > s.start
-                ):
-                    run_end += 1
-                runs.append((cursor, run_end - cursor))
-                cursor = run_end
-            else:
-                cursor = min(end, holder.end)
-        return runs
+        return uncovered_runs(lba, sectors, ((s.start, s.end) for s in self.segments))
 
     # -- reads -----------------------------------------------------------------
 
@@ -231,7 +239,7 @@ class SegmentedCache:
             holder = self._segment_for(lba, sectors)
             if holder is not None:
                 self._touch(holder)
-                if holder.local_prefetch and sectors * cfg.sector_bytes == 131_072:
+                if holder.local_prefetch and sectors * SECTOR_BYTES == 131_072:
                     holder.consumed_by_128k += sectors
                     if (
                         cfg.reposition_penalty
@@ -351,4 +359,4 @@ class SegmentedCache:
 
     @property
     def valid_bytes(self) -> int:
-        return sum((s.end - s.start) * self.config.sector_bytes for s in self.segments)
+        return sum((s.end - s.start) * SECTOR_BYTES for s in self.segments)

@@ -19,9 +19,10 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator
+from itertools import groupby, zip_longest
+from typing import Iterable, Iterator
 
-from .requests import AccessMode, CanonicalRequest, Op
+from .requests import SECTOR_BYTES, AccessMode, CanonicalRequest, Op, sector_range
 
 BLOCK_BYTES = 65_536
 VIEW_BYTES = 262_144
@@ -71,7 +72,6 @@ class FsCacheConfig:
     metadata_write_bytes: int = 4096
     metadata_disk_addr: int = 0
     open_close_cost_us: int = 0
-    sector_bytes: int = 512
 
     def __post_init__(self) -> None:
         if self.block_bytes <= 0 or self.view_bytes % self.block_bytes:
@@ -332,25 +332,21 @@ class FsCache:
             block_key=key,
         )
 
+    def _prefetch_ios(self, file_id: int, addrs: Iterable[int]) -> list[IoIntent]:
+        """Read-ahead loads of the blocks neither resident nor in flight."""
+
+        return [
+            self._read_io(file_id, addr, PREFETCH, SYSTEM_ACTOR, False)
+            for addr in addrs
+            if not self.block_resident(file_id, addr) and not self.block_inflight(file_id, addr)
+        ]
+
     def on_read(self, req: CanonicalRequest) -> Plan:
         if req.op is not Op.READ:
             raise ValueError("on_read requires a READ request")
         cfg = self.config
         if req.mode is AccessMode.NO_BUFFER:
-            # The cache manager is bypassed outright: one disk request of
-            # the original size, no cache state touched.
-            return Plan(
-                ios=[
-                    IoIntent(
-                        write=False,
-                        disk_addr=req.disk_byte_addr,
-                        nbytes=req.length_bytes,
-                        purpose=PASSTHROUGH,
-                        actor=APP_ACTOR,
-                        required=True,
-                    )
-                ]
-            )
+            return _passthrough(req, None)
 
         eof = self.extents.get(req.file_id, req.disk_byte_addr + req.length_bytes)
         start, end = req.disk_byte_addr, req.disk_byte_addr + req.length_bytes
@@ -368,52 +364,36 @@ class FsCache:
         continuation = start == stream.last_end
         missing, waiting = self._classify_blocks(req.file_id, blocks)
         plan.wait_blocks = waiting
+        block_readahead = self._uses_block_readahead(req)
+        # The window algorithm's continuations are loaded by the application
+        # process; everything else by the system process.
+        actor = APP_ACTOR if continuation and not block_readahead else SYSTEM_ACTOR
+        demand_ios = [self._read_io(req.file_id, addr, DEMAND, actor, True) for addr in missing]
+        stream.sequential_count = stream.sequential_count + 1 if continuation else 1
 
-        if self._uses_block_readahead(req):
-            stream.sequential_count = stream.sequential_count + 1 if continuation else 1
+        if block_readahead:
             if not continuation:
                 stream.prefetch_cursor = end
-            demand_ios = [
-                self._read_io(req.file_id, addr, DEMAND, SYSTEM_ACTOR, True) for addr in missing
-            ]
             prefetch_ios = []
             if stream.sequential_count >= cfg.readahead_trigger and req.length_bytes:
                 window_end = min(end + cfg.readahead_window_factor * req.length_bytes, eof)
                 cursor = max(stream.prefetch_cursor, end)
                 cursor -= cursor % cfg.block_bytes
-                for addr in range(cursor, window_end, cfg.block_bytes):
-                    if not self.block_resident(req.file_id, addr) and not self.block_inflight(
-                        req.file_id, addr
-                    ):
-                        prefetch_ios.append(
-                            self._read_io(req.file_id, addr, PREFETCH, SYSTEM_ACTOR, False)
-                        )
+                prefetch_ios = self._prefetch_ios(
+                    req.file_id, range(cursor, window_end, cfg.block_bytes)
+                )
                 stream.prefetch_cursor = max(cursor, window_end)
             plan.ios = demand_ios + prefetch_ios
-        else:
-            # Window algorithm: the first request of a stream is loaded by
-            # the system process; on each sequential continuation the system
+        elif continuation:
+            # Window algorithm: on each sequential continuation the system
             # leapfrogs one request-size window ahead while the application
             # process fills the current one, the two interleaving at the
             # disk with the system's blocks leading.
-            if continuation:
-                demand_ios = [
-                    self._read_io(req.file_id, addr, DEMAND, APP_ACTOR, True) for addr in missing
-                ]
-                prefetch_ios = []
-                for addr, _ in split_into_blocks(end, req.length_bytes, cfg.block_bytes):
-                    if addr < eof and not self.block_resident(
-                        req.file_id, addr
-                    ) and not self.block_inflight(req.file_id, addr):
-                        prefetch_ios.append(
-                            self._read_io(req.file_id, addr, PREFETCH, SYSTEM_ACTOR, False)
-                        )
-                plan.ios = _interleave(prefetch_ios, demand_ios)
-            else:
-                plan.ios = [
-                    self._read_io(req.file_id, addr, DEMAND, SYSTEM_ACTOR, True) for addr in missing
-                ]
-            stream.sequential_count = stream.sequential_count + 1 if continuation else 1
+            ahead = split_into_blocks(end, req.length_bytes, cfg.block_bytes)
+            prefetch_ios = self._prefetch_ios(req.file_id, (a for a, _ in ahead if a < eof))
+            plan.ios = _interleave(prefetch_ios, demand_ios)
+        else:
+            plan.ios = demand_ios
 
         stream.last_end = end
         plan.hit = not plan.required_ios and not plan.wait_blocks
@@ -421,49 +401,19 @@ class FsCache:
 
     # -- writes ---------------------------------------------------------------
 
+    def _block_spans(self, start: int, nbytes: int) -> Iterator[tuple[int, int, int]]:
+        """(block_addr, lo, hi): each block [start, start + nbytes) touches, clipped to it."""
+
+        end = start + nbytes
+        for addr, size in split_into_blocks(start, nbytes, self.config.block_bytes):
+            yield addr, max(start, addr), min(end, addr + size)
+
     def _dirty_sectors(self, file_id: int, start: int, nbytes: int, tag: int) -> None:
-        cfg = self.config
-        for addr, _ in split_into_blocks(start, nbytes, cfg.block_bytes):
-            key = (file_id, addr)
-            sectors = self.dirty_blocks.setdefault(key, {})
-            lo = max(start, addr) // cfg.sector_bytes
-            hi = -(-min(start + nbytes, addr + cfg.block_bytes) // cfg.sector_bytes)
-            for sector in range(lo, hi):
-                sectors[sector] = tag
-            self.mark_resident(file_id, addr, dirty=True)
-
-    def _write_run_ios(
-        self,
-        file_id: int,
-        start: int,
-        nbytes: int,
-        tag: int,
-        purpose: str,
-        actor: str,
-        required: bool,
-        force_media: bool = False,
-    ) -> list[IoIntent]:
-        """Quantize a write range into per-block media write intents."""
-
-        cfg = self.config
-        ios = []
-        for addr, _ in split_into_blocks(start, nbytes, cfg.block_bytes):
-            lo = max(start, addr)
-            hi = min(start + nbytes, addr + cfg.block_bytes)
-            tags = {s: tag for s in range(lo // cfg.sector_bytes, -(-hi // cfg.sector_bytes))}
-            ios.append(
-                IoIntent(
-                    write=True,
-                    disk_addr=lo,
-                    nbytes=hi - lo,
-                    purpose=purpose,
-                    actor=actor,
-                    required=required,
-                    force_media=force_media,
-                    sector_tags=tags,
-                )
+        for addr, lo, hi in self._block_spans(start, nbytes):
+            self.dirty_blocks.setdefault((file_id, addr), {}).update(
+                dict.fromkeys(sector_range(lo, hi), tag)
             )
-        return ios
+            self.mark_resident(file_id, addr, dirty=True)
 
     def _direct_write_ios(
         self, file_id: int, start: int, nbytes: int, tag: int
@@ -475,30 +425,16 @@ class FsCache:
         direct write.
         """
 
-        cfg = self.config
         ios = []
-        for addr, _ in split_into_blocks(start, nbytes, cfg.block_bytes):
-            lo = max(start, addr)
-            hi = min(start + nbytes, addr + cfg.block_bytes)
-            dirty = self.dirty_blocks.get((file_id, addr))
+        for addr, lo, hi in self._block_spans(start, nbytes):
+            dirty = self.dirty_blocks.get((file_id, addr), {})
             tags: dict[int, int] = {}
-            for sector in range(lo // cfg.sector_bytes, -(-hi // cfg.sector_bytes)):
-                if dirty is not None and sector in dirty:
+            for sector in sector_range(lo, hi):
+                if sector in dirty:
                     dirty[sector] = tag
                 else:
                     tags[sector] = tag
-            for run_start, run_tags in _contiguous_runs(tags):
-                ios.append(
-                    IoIntent(
-                        write=True,
-                        disk_addr=run_start * cfg.sector_bytes,
-                        nbytes=len(run_tags) * cfg.sector_bytes,
-                        purpose=APP_DIRECT,
-                        actor=APP_ACTOR,
-                        required=True,
-                        sector_tags=run_tags,
-                    )
-                )
+            ios += _run_writes(tags, APP_DIRECT, APP_ACTOR, True)
         return ios
 
     def on_write(self, req: CanonicalRequest, tag: int) -> Plan:
@@ -506,37 +442,28 @@ class FsCache:
             raise ValueError("on_write requires a WRITE request")
         cfg = self.config
         if req.mode is AccessMode.NO_BUFFER:
-            return Plan(
-                ios=[
-                    IoIntent(
-                        write=True,
-                        disk_addr=req.disk_byte_addr,
-                        nbytes=req.length_bytes,
-                        purpose=PASSTHROUGH,
-                        actor=APP_ACTOR,
-                        required=True,
-                        sector_tags={
-                            s: tag
-                            for s in range(
-                                req.disk_byte_addr // cfg.sector_bytes,
-                                -(-(req.disk_byte_addr + req.length_bytes) // cfg.sector_bytes),
-                            )
-                        },
-                    )
-                ]
-            )
+            return _passthrough(req, tag)
 
         start, length = req.disk_byte_addr, req.length_bytes
         if req.mode is AccessMode.WRITE_THROUGH:
             # Copy to cache block by block, push the data through to media,
             # then update the file's metadata before admitting the next
             # request.
-            for addr, _ in split_into_blocks(start, length, cfg.block_bytes):
-                self.mark_resident(req.file_id, addr)
             plan = Plan(copy_bytes=length, metadata_after_data=True)
-            plan.ios = self._write_run_ios(
-                req.file_id, start, length, tag, WT_DATA, APP_ACTOR, True, force_media=True
-            )
+            for addr, lo, hi in self._block_spans(start, length):
+                self.mark_resident(req.file_id, addr)
+                plan.ios.append(
+                    IoIntent(
+                        write=True,
+                        disk_addr=lo,
+                        nbytes=hi - lo,
+                        purpose=WT_DATA,
+                        actor=APP_ACTOR,
+                        required=True,
+                        force_media=True,
+                        sector_tags=dict.fromkeys(sector_range(lo, hi), tag),
+                    )
+                )
             return plan
 
         regime = classify_write_regime(length, cfg)
@@ -578,26 +505,11 @@ class FsCache:
     # -- flushing ---------------------------------------------------------------
 
     def _flush_block(self, key: tuple[int, int], sectors: dict[int, int]) -> list[IoIntent]:
-        cfg = self.config
-        file_id, addr = key
-        view_key, slot = self._view_of(file_id, addr)
+        view_key, slot = self._view_of(*key)
         view = self.views.get(view_key)
         if view is not None:
             view.dirty.discard(slot)
-        ios = []
-        for run_start, run_tags in _contiguous_runs(sectors):
-            ios.append(
-                IoIntent(
-                    write=True,
-                    disk_addr=run_start * cfg.sector_bytes,
-                    nbytes=len(run_tags) * cfg.sector_bytes,
-                    purpose=FLUSH,
-                    actor=SYSTEM_ACTOR,
-                    required=False,
-                    sector_tags=run_tags,
-                )
-            )
-        return ios
+        return _run_writes(sectors, FLUSH, SYSTEM_ACTOR, False)
 
     def flush_all(self) -> list[IoIntent]:
         """Drain the whole dirty set in first-write order."""
@@ -639,32 +551,53 @@ class FsCache:
         )
 
 
+def _passthrough(req: CanonicalRequest, tag: int | None) -> Plan:
+    """NO_BUFFER: one disk request of the original size.
+
+    The cache manager is bypassed outright and no cache state is touched.
+    """
+
+    write = req.op is Op.WRITE
+    end = req.disk_byte_addr + req.length_bytes
+    tags = dict.fromkeys(sector_range(req.disk_byte_addr, end), tag) if write else None
+    return Plan(
+        ios=[
+            IoIntent(
+                write=write,
+                disk_addr=req.disk_byte_addr,
+                nbytes=req.length_bytes,
+                purpose=PASSTHROUGH,
+                actor=APP_ACTOR,
+                required=True,
+                sector_tags=tags,
+            )
+        ]
+    )
+
+
+def _run_writes(
+    sectors: dict[int, int], purpose: str, actor: str, required: bool
+) -> list[IoIntent]:
+    """One write per run of consecutive sectors in a sector -> tag map."""
+
+    ios = []
+    for _, run in groupby(enumerate(sorted(sectors)), key=lambda pair: pair[1] - pair[0]):
+        tags = {sector: sectors[sector] for _, sector in run}
+        ios.append(
+            IoIntent(
+                write=True,
+                disk_addr=next(iter(tags)) * SECTOR_BYTES,
+                nbytes=len(tags) * SECTOR_BYTES,
+                purpose=purpose,
+                actor=actor,
+                required=required,
+                sector_tags=tags,
+            )
+        )
+    return ios
+
+
 def _interleave(first: list, second: list) -> list:
     """Alternate two lists starting with the first; leftovers keep order."""
 
-    out = []
-    for a, b in zip(first, second):
-        out.append(a)
-        out.append(b)
-    longer = first if len(first) > len(second) else second
-    out.extend(longer[min(len(first), len(second)):])
-    return out
-
-
-def _contiguous_runs(sectors: dict[int, int]) -> Iterator[tuple[int, dict[int, int]]]:
-    """Split a sector->tag map into contiguous runs (keys sorted)."""
-
-    run_start = None
-    run: dict[int, int] = {}
-    prev = None
-    for sector in sorted(sectors):
-        if prev is not None and sector == prev + 1:
-            run[sector] = sectors[sector]
-        else:
-            if run_start is not None:
-                yield run_start, run
-            run_start = sector
-            run = {sector: sectors[sector]}
-        prev = sector
-    if run_start is not None:
-        yield run_start, run
+    return [x for pair in zip_longest(first, second) for x in pair if x is not None]

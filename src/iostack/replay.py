@@ -14,11 +14,11 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 
 from . import fscache as fsc
-from .diskcache import Ack, DiskCacheConfig, PrefetchDirective, SegmentedCache
+from .diskcache import Ack, DiskCacheConfig, PrefetchDirective, SegmentedCache, uncovered_runs
 from .disk import DiskGeometry, HeadState, SeekProfile, cylinder_of_byte, service
 from .engine import Simulator, SimEvent, StageId, EventLog
 from .fscache import FsCache, FsCacheConfig, IoIntent
-from .requests import CanonicalRequest, Op, Origin, RequestRecord, Summary
+from .requests import CanonicalRequest, Op, Origin, RequestRecord, Summary, sector_range
 from .scheduler import PendingQueue, Policy
 
 
@@ -453,10 +453,8 @@ class DiskCacheStage:
         self.sim.schedule(StageId.DISK, msg)
 
     def _sectors(self, intent: IoIntent) -> tuple[int, int]:
-        sb = self.cache.config.sector_bytes
-        lba = intent.disk_addr // sb
-        end = -(-(intent.disk_addr + intent.nbytes) // sb)
-        return lba, max(1, end - lba)
+        sectors = sector_range(intent.disk_addr, intent.disk_addr + intent.nbytes)
+        return sectors.start, max(1, len(sectors))
 
     def handle(self, sim: Simulator, event: SimEvent) -> None:
         match event.payload:
@@ -490,15 +488,7 @@ class DiskCacheStage:
     def _covered_by_fill(self, lba: int, sectors: int) -> bool:
         """Whether in-flight plus queued fills will cover the run entirely."""
 
-        intervals = sorted(list(self.fill_inflight) + [r for r in self.fill_ranges if r[1] > r[0]])
-        cursor = lba
-        for start, end in intervals:
-            if start > cursor:
-                break
-            cursor = max(cursor, end)
-            if cursor >= lba + sectors:
-                return True
-        return cursor >= lba + sectors
+        return not uncovered_runs(lba, sectors, [*self.fill_inflight, *self.fill_ranges])
 
     def _apply_directives(self, directives: list[PrefetchDirective]) -> None:
         limit = self.geometry.usable_sectors
@@ -692,6 +682,10 @@ class TraceReplayError(ValueError):
     pass
 
 
+class StallError(TraceReplayError):
+    """The event queue ran dry before every effective request completed."""
+
+
 def file_extents(requests: list[CanonicalRequest]) -> dict[int, int]:
     """Known end-of-file per file, in disk-address space, from the trace."""
 
@@ -703,17 +697,13 @@ def file_extents(requests: list[CanonicalRequest]) -> dict[int, int]:
     return extents
 
 
-def reference_media_image(
-    requests: list[CanonicalRequest], sector_bytes: int = 512
-) -> dict[int, int]:
+def reference_media_image(requests: list[CanonicalRequest]) -> dict[int, int]:
     """Apply the stream's writes in order, directly: the conservation oracle."""
 
     image: dict[int, int] = {}
     for ordinal, r in enumerate(requests):
-        if r.op is Op.WRITE and r.length_bytes:
-            first = r.disk_byte_addr // sector_bytes
-            last = -(-(r.disk_byte_addr + r.length_bytes) // sector_bytes)
-            for sector in range(first, last):
+        if r.op is Op.WRITE:
+            for sector in sector_range(r.disk_byte_addr, r.disk_byte_addr + r.length_bytes):
                 image[sector] = ordinal
     return image
 
@@ -759,6 +749,12 @@ def replay(
 
     app.start(sim)
     log = sim.run()
+    if app.completed != len(effective):
+        raise StallError(
+            f"replay stalled after {app.completed} of {len(effective)} requests; "
+            f"fs cache still holds requests {sorted(fs_stage.pending)}, "
+            f"drive cache still holds host read ios {sorted(cache_stage.host_reads)}"
+        )
     records = sorted(app.records, key=lambda r: r.request_id)
     return ReplayResult(
         records=records,

@@ -5,6 +5,15 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
+#: Bytes per logical sector.  Every layer addresses the disk in these units.
+SECTOR_BYTES = 512
+
+
+def sector_range(lo: int, hi: int) -> range:
+    """The sectors covering the byte range [lo, hi)."""
+
+    return range(lo // SECTOR_BYTES, -(-hi // SECTOR_BYTES))
+
 
 class Op(enum.Enum):
     OPEN = "OPEN"
@@ -53,10 +62,6 @@ class CanonicalRequest:
             raise ValueError("offset and length must be >= 0")
         if self.disk_byte_addr < 0:
             raise ValueError("disk_byte_addr must be >= 0")
-
-    @property
-    def end_offset(self) -> int:
-        return self.file_offset_bytes + self.length_bytes
 
 
 @dataclass

@@ -88,9 +88,10 @@ class PendingQueue:
     def _split(self) -> tuple[list[_Entry], list[_Entry]]:
         if self.direction is Direction.UP:
             ahead = [e for e in self._entries if e.cylinder >= self.position]
+            behind = [e for e in self._entries if e.cylinder < self.position]
         else:
             ahead = [e for e in self._entries if e.cylinder <= self.position]
-        behind = [e for e in self._entries if e not in ahead]
+            behind = [e for e in self._entries if e.cylinder > self.position]
         return ahead, behind
 
     def _next_elevator(self) -> _Entry:

@@ -134,6 +134,13 @@ write_weight = 1
 address = random_choice:0:10485760:20971520
 """
 
+# A 4 KB sector size used to scale the geometry's capacity while the drive
+# cache kept counting 512-byte sectors, so this read, inside the scaled
+# capacity, failed in the disk stage.  The sector size is no longer a key.
+SECTOR_4K_CONFIG = CONFIG.replace(
+    "profile = fujitsu_man3184mp", "profile = fujitsu_man3184mp\nsector_bytes = 4096"
+).replace("address = sequential", "address = random_choice:40000000000")
+
 
 @pytest.mark.parametrize(
     "baseline, extra, config, message",
@@ -144,6 +151,7 @@ address = random_choice:0:10485760:20971520
         (None, ["--seed", "-3"], CONFIG, "argument --seed: must be >= 0"),
         (None, [], CONFIG.replace("seed = 42", "seed = -1"), "workload: seed must be >= 0"),
         (None, [], CACHE_FULL_CONFIG, "stage DISK_CACHE failed"),
+        (None, [], SECTOR_4K_CONFIG, "disk.sector_bytes: unknown key"),
     ],
     ids=[
         "baseline-header",
@@ -152,6 +160,7 @@ address = random_choice:0:10485760:20971520
         "negative-seed-flag",
         "negative-seed-config",
         "stage-fault",
+        "sector-bytes-key",
     ],
 )
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, baseline, extra, config, message):

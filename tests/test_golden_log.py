@@ -1,11 +1,12 @@
-"""Golden event logs: pinned SHA-256 of three full-stack replays.
+"""Golden event logs: pinned SHA-256 of seven full-stack replays.
 
 The determinism tests compare two runs of the same code, so they cannot see
-a change to the log text itself.  These hashes were taken before the message
-protocol was reworked and must not move unless the log format or the
-modelled behaviour changes on purpose.  Together the three replays reach
-every event kind and every drive-cache media role, so a change to any of
-them shows up here.
+a change to the log text itself.  These hashes must not move unless the log
+format or the modelled behaviour changes on purpose.  Together the replays
+reach every event kind, every drive-cache media role and every fs-cache io
+purpose, and they run the SEQUENTIAL, NO_BUFFER and WRITE_THROUGH access
+modes, open loop, the elevator policies and a second drive profile, so a
+change to any of those paths shows up here.
 """
 
 from __future__ import annotations
@@ -15,12 +16,21 @@ import hashlib
 
 import pytest
 
-from iostack import AccessMode, ReplayPolicy, StackConfig, WritePolicy, replay
-from iostack.profiles import FUJITSU_MAN3184MP
+from iostack import (
+    AccessMode,
+    Policy,
+    ReplayMode,
+    ReplayPolicy,
+    StackConfig,
+    WritePolicy,
+    replay,
+)
+from iostack.profiles import FUJITSU_MAN3184MP, TOSHIBA_MK6012MAP
 from iostack.workload import DistSpec, GeneratorSpec, aligned_choices, generate
 
 KB = 1024
 MB = 1024 * KB
+GB = 1024 * MB
 COUNT = 256
 SEED = 1
 
@@ -36,6 +46,15 @@ EVENT_KINDS = {
     "drain",
 }
 MEDIA_ROLES = {"host-read", "local-prefetch", "fill-chunk", "host-write", "destage"}
+IO_PURPOSES = {
+    "demand",
+    "prefetch",
+    "passthrough",
+    "app-direct",
+    "flush",
+    "wt-data",
+    "metadata",
+}
 
 
 def sequential_reads():
@@ -63,34 +82,111 @@ def mixed_read_write():
     )
 
 
-def stack(write_policy: WritePolicy) -> StackConfig:
-    drive = FUJITSU_MAN3184MP
+def sequential_mode_reads():
+    return generate(
+        GeneratorSpec(
+            count=COUNT,
+            seed=SEED,
+            mode=AccessMode.SEQUENTIAL,
+            size_bytes=DistSpec.choice([64 * KB, 96 * KB, 128 * KB]),
+        )
+    )
+
+
+def no_buffer_random():
+    return generate(
+        GeneratorSpec(
+            count=COUNT,
+            seed=SEED,
+            mode=AccessMode.NO_BUFFER,
+            inter_arrival_us=DistSpec.exponential(200),
+            size_bytes=DistSpec.choice([4 * KB, 64 * KB]),
+            read_weight=0.7,
+            write_weight=0.3,
+            address=aligned_choices(1 * GB, 4 * KB),
+        )
+    )
+
+
+def write_through_mix():
+    return generate(
+        GeneratorSpec(
+            count=COUNT,
+            seed=SEED,
+            mode=AccessMode.WRITE_THROUGH,
+            inter_arrival_us=DistSpec.exponential(2000),
+            size_bytes=DistSpec.choice([64 * KB, 96 * KB, 256 * KB]),
+            read_weight=0.5,
+            write_weight=0.5,
+            address=aligned_choices(64 * MB, 64 * KB),
+        )
+    )
+
+
+def stack(
+    write_policy: WritePolicy = WritePolicy.WRITE_BACK,
+    scheduler: Policy = Policy.FCFS,
+    drive=FUJITSU_MAN3184MP,
+) -> StackConfig:
     cache = dataclasses.replace(drive.cache, write_policy=write_policy)
-    return StackConfig(geometry=drive.geometry, seek=drive.seek, cache=cache)
+    return StackConfig(
+        geometry=drive.geometry, seek=drive.seek, cache=cache, scheduler_policy=scheduler
+    )
 
 
+CLOSED = ReplayPolicy()
+OPEN = ReplayPolicy(mode=ReplayMode.OPEN_LOOP_TIMED)
+
+#: name -> (request stream, stack, replay policy, event-log SHA-256)
 SCENARIOS = {
     "sequential_read_write_back": (
         sequential_reads,
-        WritePolicy.WRITE_BACK,
+        stack(WritePolicy.WRITE_BACK),
+        CLOSED,
         "2c107fec2b8652641af7a27fbc1154d7518033e8415e7c20db1737bda6082cd7",
     ),
     "mixed_write_back": (
         mixed_read_write,
-        WritePolicy.WRITE_BACK,
+        stack(WritePolicy.WRITE_BACK),
+        CLOSED,
         "d27046e2dc67f6681fedc8ef4e95e1f4fedff018979ff7a7236fbf5ca462b64a",
     ),
     "mixed_write_through": (
         mixed_read_write,
-        WritePolicy.WRITE_THROUGH,
+        stack(WritePolicy.WRITE_THROUGH),
+        CLOSED,
         "565ddcc32a44b05b2bb48fa52c9290799fc08a4fc91a8c803351fd3644806c51",
+    ),
+    "sequential_mode_fcfs": (
+        sequential_mode_reads,
+        stack(scheduler=Policy.FCFS),
+        CLOSED,
+        "a59af5409d8d761e79a7b6d782ff7f63d7cda36a21e1c3ad486188651c2e0498",
+    ),
+    "no_buffer_open_look": (
+        no_buffer_random,
+        stack(scheduler=Policy.LOOK),
+        OPEN,
+        "aa9790f061a4fe5e38034b1762d48182d8b51d2952977512188578691586fec5",
+    ),
+    "write_through_mode_open_scan": (
+        write_through_mix,
+        stack(scheduler=Policy.SCAN),
+        OPEN,
+        "044c81ab4d6988021920c2ccd5f23848b76bc4ed9f955459a0f711e7c8deff9b",
+    ),
+    "toshiba_sequential_read": (
+        sequential_reads,
+        stack(drive=TOSHIBA_MK6012MAP),
+        CLOSED,
+        "487e1edea18f3424d46ec9b0941ad9535ae0866de6fd9fe52d014c94e11a74f1",
     ),
 }
 
 
 def run(name: str):
-    make, write_policy, _ = SCENARIOS[name]
-    return replay(make(), stack(write_policy), ReplayPolicy())
+    make, stack_config, policy, _ = SCENARIOS[name]
+    return replay(make(), stack_config, policy)
 
 
 def media_role(payload) -> str:
@@ -106,16 +202,20 @@ def test_event_log_hash_pinned(name):
     result = run(name)
     assert len(result.records) == len(result.effective_requests)
     digest = hashlib.sha256(result.event_log.to_text().encode()).hexdigest()
-    assert digest == SCENARIOS[name][2]
+    assert digest == SCENARIOS[name][3]
 
 
 def test_scenarios_cover_every_kind_and_media_role():
     kinds: set[str] = set()
     roles: set[str] = set()
+    purposes: set[str] = set()
     for name in SCENARIOS:
         for e in run(name).event_log.entries:
             kinds.add(e.payload.kind)
             if e.payload.kind == "media":
                 roles.add(media_role(e.payload))
+            elif e.payload.kind == "io":
+                purposes.add(e.payload.intent.purpose)
     assert kinds == EVENT_KINDS
     assert roles == MEDIA_ROLES
+    assert purposes == IO_PURPOSES

@@ -16,15 +16,18 @@ from iostack import (
     ReplayMode,
     ReplayPolicy,
     StageId,
+    StallError,
     TraceReplayError,
     WritePolicy,
     reference_media_image,
     replay,
 )
 from iostack.fscache import METADATA, WT_DATA
+from iostack.profiles import TOSHIBA_MK6012MAP
 from iostack.workload import DistSpec, GeneratorSpec, generate
 
 from conftest import plain_stack, tiny_geometry, zero_cost_fs
+from test_golden_log import mixed_read_write, stack as golden_stack
 
 KB = 1024
 BLOCK = 64 * KB
@@ -280,6 +283,16 @@ class TestPacing:
     def test_empty_trace_rejected(self):
         with pytest.raises(TraceReplayError):
             replay([], plain_stack())
+
+    def test_stall_raises_with_stuck_state(self):
+        # On the Toshiba drive this stream leaves one host read waiting in
+        # the drive cache for data that never arrives.
+        with pytest.raises(StallError) as info:
+            replay(mixed_read_write(), golden_stack(drive=TOSHIBA_MK6012MAP))
+        message = str(info.value)
+        assert "after 45 of 258 requests" in message
+        assert "fs cache still holds requests [45]" in message
+        assert "drive cache still holds host read ios [178]" in message
 
 
 class TestTolerance:
