@@ -9,8 +9,10 @@ head after the switch instead of losing a revolution.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from bisect import bisect_right
+from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
 
 from .requests import SECTOR_BYTES
 
@@ -57,25 +59,29 @@ class DiskGeometry:
         min_spt = min(z.sectors_per_track for z in self.zones)
         if self.track_skew_sectors >= min_spt or self.cylinder_skew_sectors >= min_spt:
             raise ValueError("skews must be smaller than every zone's sectors_per_track")
-        for idx in range(len(self.zones)):
-            if self.spares_per_zone_tail >= self._zone_total_sectors(idx):
+        ends = [z.first_cylinder for z in self.zones[1:]] + [self.cylinders]
+        cylinder_counts = tuple(end - z.first_cylinder for z, end in zip(self.zones, ends))
+        usable = []
+        for count, z in zip(cylinder_counts, self.zones):
+            total = count * self.heads * z.sectors_per_track
+            if self.spares_per_zone_tail >= total:
                 raise ValueError("spares exceed zone capacity")
+            usable.append(total - self.spares_per_zone_tail)
+        # Zone tables, fixed with the frozen geometry and kept out of its
+        # fields: per zone, its cylinder count, usable sectors and first LBA,
+        # plus the total usable sectors as a final start.
+        object.__setattr__(self, "_zone_cylinders", cylinder_counts)
+        object.__setattr__(self, "_zone_usable", tuple(usable))
+        object.__setattr__(self, "_zone_starts", tuple(accumulate(usable, initial=0)))
 
     # -- zone arithmetic ---------------------------------------------------
 
-    def _zone_cylinders(self, idx: int) -> int:
-        end = self.zones[idx + 1].first_cylinder if idx + 1 < len(self.zones) else self.cylinders
-        return end - self.zones[idx].first_cylinder
-
-    def _zone_total_sectors(self, idx: int) -> int:
-        return self._zone_cylinders(idx) * self.heads * self.zones[idx].sectors_per_track
-
     def zone_usable_sectors(self, idx: int) -> int:
-        return self._zone_total_sectors(idx) - self.spares_per_zone_tail
+        return self._zone_usable[idx]
 
     @property
     def usable_sectors(self) -> int:
-        return sum(self.zone_usable_sectors(i) for i in range(len(self.zones)))
+        return self._zone_starts[-1]
 
     @property
     def usable_bytes(self) -> int:
@@ -90,13 +96,10 @@ class DiskGeometry:
 
         if lba < 0:
             raise OutOfRange(f"lba {lba} is negative")
-        start = 0
-        for idx in range(len(self.zones)):
-            usable = self.zone_usable_sectors(idx)
-            if lba < start + usable:
-                return idx, start
-            start += usable
-        raise OutOfRange(f"lba {lba} beyond usable capacity {start}")
+        idx = bisect_right(self._zone_starts, lba) - 1
+        if idx == len(self.zones):
+            raise OutOfRange(f"lba {lba} beyond usable capacity {self.usable_sectors}")
+        return idx, self._zone_starts[idx]
 
     def _track_skew_offset(self, zone_track: int, zone_cylinders: int) -> int:
         """Rotational offset of logical sector 0 for a track of the zone.
@@ -121,7 +124,7 @@ class DiskGeometry:
         """(cylinder, head) of the zone-relative track index."""
 
         z = self.zones[zone_idx]
-        zc = self._zone_cylinders(zone_idx)
+        zc = self._zone_cylinders[zone_idx]
         if self.mapping is Mapping.CYLINDER_MAJOR:
             return z.first_cylinder + zone_track // self.heads, zone_track % self.heads
         return z.first_cylinder + zone_track % zc, zone_track // zc
@@ -140,7 +143,7 @@ def lba_to_phys(lba: int, geometry: DiskGeometry) -> tuple[int, int, int]:
     track = slot // z.sectors_per_track
     logical_sector = slot % z.sectors_per_track
     cylinder, head = geometry._track_geometry(zone_idx, track)
-    skew = geometry._track_skew_offset(track, geometry._zone_cylinders(zone_idx))
+    skew = geometry._track_skew_offset(track, geometry._zone_cylinders[zone_idx])
     physical = (logical_sector + skew) % z.sectors_per_track
     return cylinder, head, physical
 
@@ -239,7 +242,7 @@ def _track_runs(lba: int, sectors: int, geometry: DiskGeometry):
         track = slot // z.sectors_per_track
         logical = slot % z.sectors_per_track
         run = min(remaining, z.sectors_per_track - logical)
-        run = min(run, geometry.zone_usable_sectors(zone_idx) - slot)
+        run = min(run, geometry._zone_usable[zone_idx] - slot)
         yield zone_idx, track, logical, run
         lba += run
         remaining -= run
@@ -279,9 +282,9 @@ def service(
             t += seek_time(abs(cylinder - pos.cylinder), profile, geometry.cylinders, write)
         elif head != pos.head:
             t += profile.head_switch_us
-        skew = geometry._track_skew_offset(track, geometry._zone_cylinders(zone_idx))
+        skew = geometry._track_skew_offset(track, geometry._zone_cylinders[zone_idx])
         phys_start = (logical + skew) % z.sectors_per_track
-        pos = replace(pos, cylinder=cylinder, head=head)
+        # The rotational phase does not depend on which track the head is on.
         t += rotational_wait(phys_start, z.sectors_per_track, pos, t, period)
         t += run / z.sectors_per_track * period
         end_angle = ((phys_start + run) % z.sectors_per_track) / z.sectors_per_track

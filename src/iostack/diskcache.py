@@ -10,6 +10,7 @@ only after media completion.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable
@@ -91,7 +92,7 @@ class Segment:
     capacity: int = 0
     last_touch: int = 0
     #: Pending write records in arrival order: (seq, lba, sectors, tags).
-    write_queue: list[tuple[int, int, int, dict[int, int]]] = field(default_factory=list)
+    write_queue: deque[tuple[int, int, int, dict[int, int]]] = field(default_factory=deque)
     local_prefetch: bool = False
     consumed_by_128k: int = 0
 
@@ -122,12 +123,10 @@ class LocalPatternDetector:
     """
 
     radius_sectors: int
-    window: list[tuple[int, int]] = field(default_factory=list)
+    window: deque[tuple[int, int]] = field(default_factory=lambda: deque(maxlen=3))
 
     def observe(self, lba: int, sectors: int) -> bool:
         self.window.append((lba, sectors))
-        if len(self.window) > 3:
-            self.window.pop(0)
         if len(self.window) < 3:
             return False
         (a, a_len), (b, _), (c, _) = self.window
@@ -350,7 +349,7 @@ class SegmentedCache:
         if not dirty:
             return None
         seg = min(dirty, key=lambda s: s.write_queue[0][0])
-        _, lba, sectors, tags = seg.write_queue.pop(0)
+        _, lba, sectors, tags = seg.write_queue.popleft()
         return lba, sectors, tags
 
     @property

@@ -12,7 +12,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Protocol
+from typing import Callable, NamedTuple, Protocol
 
 
 class StageId(Enum):
@@ -56,8 +56,12 @@ class Payload(Protocol):
     def detail(self) -> str: ...
 
 
-@dataclass(frozen=True)
-class SimEvent:
+class SimEvent(NamedTuple):
+    """One delivery; the heap orders events as tuples.
+
+    ``seq`` is unique, so two events never compare their payloads.
+    """
+
     fire_at_us: int
     seq: int
     target: StageId
@@ -97,7 +101,7 @@ class Simulator:
     """Single-threaded event loop shared by all stages of one run."""
 
     def __init__(self) -> None:
-        self._queue: list[tuple[int, int, SimEvent]] = []
+        self._queue: list[SimEvent] = []
         self._handlers: dict[StageId, Handler] = {}
         self._clock = 0
         self._seq = 0
@@ -119,7 +123,7 @@ class Simulator:
             raise UnknownStage(f"no handler registered for stage {target.value}")
         event = SimEvent(fire_at, self._seq, target, payload)
         self._seq += 1
-        heapq.heappush(self._queue, (fire_at, event.seq, event))
+        heapq.heappush(self._queue, event)
         return event
 
     def schedule_after(self, target: StageId, payload: Payload, delay_us: int) -> SimEvent:
@@ -129,11 +133,10 @@ class Simulator:
         """Dispatch events in order until the queue empties or the horizon passes."""
 
         while self._queue:
-            fire_at, _, event = self._queue[0]
-            if until_us is not None and fire_at > until_us:
+            if until_us is not None and self._queue[0].fire_at_us > until_us:
                 break
-            heapq.heappop(self._queue)
-            self._clock = fire_at
+            event = heapq.heappop(self._queue)
+            self._clock = event.fire_at_us
             self.log.append(event)
             handler = self._handlers[event.target]
             try:

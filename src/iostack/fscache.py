@@ -273,18 +273,24 @@ class FsCache:
 
     def _evict_to_capacity(self) -> None:
         # Clean views go first, oldest first; dirty or loading views are pinned.
-        for key in list(self.views):
-            if self.resident_bytes <= self.config.cache_capacity_bytes:
+        capacity = self.config.cache_capacity_bytes
+        if self.resident_bytes <= capacity:
+            return
+        block_bytes = self.config.block_bytes
+        victims = []
+        for key, view in self.views.items():
+            if self.resident_bytes <= capacity:
                 break
-            view = self.views[key]
             if view.dirty:
                 continue
             if any(
-                (view.file_id, view.base_addr + s * self.config.block_bytes) in self.inflight
+                (view.file_id, view.base_addr + s * block_bytes) in self.inflight
                 for s in range(self.config.slots_per_view)
             ):
                 continue
-            self.resident_bytes -= len(view.resident) * self.config.block_bytes
+            self.resident_bytes -= len(view.resident) * block_bytes
+            victims.append(key)
+        for key in victims:
             del self.views[key]
 
     def resident_block_count(self) -> int:

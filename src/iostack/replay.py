@@ -10,7 +10,8 @@ maintaining a per-sector provenance image for conservation checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from collections import deque
+from dataclasses import dataclass, field
 from enum import Enum
 
 from . import fscache as fsc
@@ -56,6 +57,8 @@ class StackConfig:
 # done form returns the same way.  DISK_CACHE sends MediaMsg to DISK, which
 # times each op with its finished form and returns its done form.  Signals go
 # to FS_CACHE: FLUSH_TICK from itself, DRAIN from APP after the last request.
+# A done or finished form is a new message, because the event log keeps the
+# one it replies to.
 
 
 @dataclass(slots=True)
@@ -135,6 +138,19 @@ class MediaMsg:
         if self.role is MediaRole.HOST_WRITE:
             return self.host.intent.purpose
         return self.role.value
+
+    def with_flags(self, finished: bool, done: bool = False) -> "MediaMsg":
+        return MediaMsg(
+            self.media_id,
+            self.role,
+            self.lba,
+            self.sectors,
+            self.host,
+            self.sector_tags,
+            self.penalty_rotations,
+            finished,
+            done,
+        )
 
     @property
     def kind(self) -> str:
@@ -334,7 +350,7 @@ class FsStage:
             self._complete(msg, at_us=now + self.fs.config.fastio_hit_cost_us + pending.copy_us)
 
     def _complete(self, msg: RequestMsg, at_us: int) -> None:
-        self.sim.schedule(StageId.APP, replace(msg, done=True), at_us=at_us)
+        self.sim.schedule(StageId.APP, RequestMsg(msg.request_id, msg.request, True), at_us=at_us)
 
     # -- io completions ----------------------------------------------------------
 
@@ -436,7 +452,7 @@ class DiskCacheStage:
         #: Media writes still outstanding per write-through host io.
         self.host_writes: dict[int, int] = {}
         self.deferred_writes: list[IoMsg] = []
-        self.fill_ranges: list[tuple[int, int]] = []  # [start, end) sector ranges to fill
+        self.fill_ranges: deque[tuple[int, int]] = deque()  # [start, end) sector ranges to fill
         self.fill_inflight: set[tuple[int, int]] = set()
         self.destage_inflight = False
         self._fill_chunk_outstanding = False
@@ -511,7 +527,7 @@ class DiskCacheStage:
         while self.fill_ranges:
             start, end = self.fill_ranges[0]
             if start >= end:
-                self.fill_ranges.pop(0)
+                self.fill_ranges.popleft()
                 continue
             take = min(chunk, end - start)
             self.fill_ranges[0] = (start + take, end)
@@ -522,7 +538,7 @@ class DiskCacheStage:
             return
 
     def _reply_done(self, msg: IoMsg) -> None:
-        self.sim.schedule(StageId.SCHEDULER, replace(msg, done=True))
+        self.sim.schedule(StageId.SCHEDULER, IoMsg(msg.io_id, msg.intent, msg.request_id, True))
 
     # -- writes --------------------------------------------------------------------
 
@@ -612,7 +628,7 @@ class DiskStage:
         self.geometry = geometry
         self.seek = seek
         self.head = head or HeadState()
-        self.queue: list[MediaMsg] = []
+        self.queue: deque[MediaMsg] = deque()
         self.active: MediaMsg | None = None
         self.data_image: dict[int, int] = {}
         self.metadata_writes = 0
@@ -629,7 +645,7 @@ class DiskStage:
     def _start_next(self) -> None:
         if not self.queue:
             return
-        msg = self.queue.pop(0)
+        msg = self.queue.popleft()
         delay, new_head = service(
             msg.lba,
             msg.sectors,
@@ -646,9 +662,11 @@ class DiskStage:
         # contiguous follow-up op sees its target sector exactly under the
         # head instead of a hair behind it (which would cost a phantom
         # revolution).
-        self.head = replace(new_head, time_us=float(self.sim.now() + delay_us))
+        self.head = HeadState(
+            new_head.cylinder, new_head.head, new_head.angle_revs, float(self.sim.now() + delay_us)
+        )
         self.active = msg
-        self.sim.schedule_after(StageId.DISK, replace(msg, finished=True), delay_us)
+        self.sim.schedule_after(StageId.DISK, msg.with_flags(finished=True), delay_us)
 
     def _finish(self, msg: MediaMsg) -> None:
         if msg.write:
@@ -657,7 +675,7 @@ class DiskStage:
             else:
                 for sector, tag in msg.sector_tags.items():
                     self.data_image[sector] = tag
-        self.sim.schedule(StageId.DISK_CACHE, replace(msg, done=True))
+        self.sim.schedule(StageId.DISK_CACHE, msg.with_flags(finished=True, done=True))
         self.active = None
         self._start_next()
 

@@ -8,6 +8,8 @@ closed-loop and open-loop replays share one code path.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -30,13 +32,6 @@ class Direction(Enum):
 
 
 @dataclass
-class _Entry:
-    request_id: int
-    cylinder: int
-    arrival_seq: int
-
-
-@dataclass
 class PendingQueue:
     """Policy-ordered queue keyed by target cylinder.
 
@@ -44,6 +39,14 @@ class PendingQueue:
     ``travel_cylinders`` accumulates the head sweep implied by the policy
     (including boundary excursions for SCAN/C_SCAN), which is what
     distinguishes LOOK-style turnarounds in tests.
+
+    Every pending request has the key ``(cylinder, arrival_seq, request_id)``,
+    where ``arrival_seq`` counts enqueues.  The elevator and circular
+    policies keep the keys in one ascending list, so the head position
+    splits it into ahead and behind at a ``bisect`` boundary, and among
+    requests at one cylinder the earliest arrival always goes first.  FCFS
+    needs no sorted list: it pops the oldest entry of ``_keys``, which holds
+    every pending request in arrival order.
     """
 
     policy: Policy = Policy.FCFS
@@ -51,72 +54,82 @@ class PendingQueue:
     direction: Direction = Direction.UP
     position: int = 0
     travel_cylinders: int = 0
-    _entries: list[_Entry] = field(default_factory=list)
+    #: request_id -> key, in arrival order.  An OrderedDict because popping
+    #: the front of a plain dict rescans the deleted slots before it.
+    _keys: OrderedDict[int, tuple[int, int, int]] = field(default_factory=OrderedDict)
+    #: Every key in ascending order; unused under FCFS.
+    _sorted: list[tuple[int, int, int]] = field(default_factory=list)
     _next_arrival: int = 0
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._keys)
 
     def enqueue(self, request_id: int, cylinder: int) -> None:
-        if any(e.request_id == request_id for e in self._entries):
+        if request_id in self._keys:
             raise DuplicateRequest(f"request {request_id} already pending")
-        self._entries.append(_Entry(request_id, cylinder, self._next_arrival))
+        key = (cylinder, self._next_arrival, request_id)
         self._next_arrival += 1
+        self._keys[request_id] = key
+        if self.policy is not Policy.FCFS:
+            insort(self._sorted, key)
 
     def next(self) -> int | None:
         """Pop the next request id per policy; None when the queue is empty."""
 
-        if not self._entries:
+        if not self._keys:
             return None
         if self.policy is Policy.FCFS:
-            chosen = min(self._entries, key=lambda e: e.arrival_seq)
-        elif self.policy in (Policy.SCAN, Policy.LOOK):
-            chosen = self._next_elevator()
+            request_id, (cylinder, _, _) = self._keys.popitem(last=False)
         else:
-            chosen = self._next_circular()
-        self._entries.remove(chosen)
-        self.travel_cylinders += abs(chosen.cylinder - self.position)
-        self.position = chosen.cylinder
-        return chosen.request_id
+            if self.policy is Policy.SCAN or self.policy is Policy.LOOK:
+                ix = self._next_elevator()
+            else:
+                ix = self._next_circular()
+            cylinder, _, request_id = self._sorted.pop(ix)
+            del self._keys[request_id]
+        self.travel_cylinders += abs(cylinder - self.position)
+        self.position = cylinder
+        return request_id
 
-    # Ties at one cylinder always break by arrival order.
-    def _nearest(self, candidates: list[_Entry], ahead_up: bool) -> _Entry:
-        if ahead_up:
-            return min(candidates, key=lambda e: (e.cylinder, e.arrival_seq))
-        return min(candidates, key=lambda e: (-e.cylinder, e.arrival_seq))
+    def _first_at(self, cylinder: int) -> int:
+        """Index of the earliest arrival at ``cylinder`` or, failing that, above it."""
 
-    def _split(self) -> tuple[list[_Entry], list[_Entry]]:
+        return bisect_left(self._sorted, (cylinder,))
+
+    def _next_elevator(self) -> int:
+        keys = self._sorted
         if self.direction is Direction.UP:
-            ahead = [e for e in self._entries if e.cylinder >= self.position]
-            behind = [e for e in self._entries if e.cylinder < self.position]
+            ix = self._first_at(self.position)
+            if ix < len(keys):
+                return ix
         else:
-            ahead = [e for e in self._entries if e.cylinder <= self.position]
-            behind = [e for e in self._entries if e.cylinder > self.position]
-        return ahead, behind
-
-    def _next_elevator(self) -> _Entry:
-        ahead, behind = self._split()
-        if ahead:
-            return self._nearest(ahead, self.direction is Direction.UP)
+            above = self._first_at(self.position + 1)
+            if above:
+                return self._first_at(keys[above - 1][0])
         # Nothing ahead: turn around.  SCAN rides to the edge first, LOOK
-        # reverses at the furthest pending request.
+        # reverses at the furthest pending request.  Every request is then
+        # ahead, so the nearest one is the extreme one.
         if self.policy is Policy.SCAN:
             edge = self.max_cylinder if self.direction is Direction.UP else 0
             self.travel_cylinders += abs(edge - self.position)
             self.position = edge
-        self.direction = Direction.DOWN if self.direction is Direction.UP else Direction.UP
-        return self._nearest(behind, self.direction is Direction.UP)
+        if self.direction is Direction.UP:
+            self.direction = Direction.DOWN
+            return self._first_at(keys[-1][0])
+        self.direction = Direction.UP
+        return 0
 
-    def _next_circular(self) -> _Entry:
-        ahead = [e for e in self._entries if e.cylinder >= self.position]
-        if ahead:
-            return self._nearest(ahead, True)
+    def _next_circular(self) -> int:
+        keys = self._sorted
+        ix = self._first_at(self.position)
+        if ix < len(keys):
+            return ix
         # Wrap to the lowest cylinder instead of reversing.
         if self.policy is Policy.C_SCAN:
             self.travel_cylinders += (self.max_cylinder - self.position) + self.max_cylinder
             self.position = 0
         else:
-            lowest = min(e.cylinder for e in self._entries)
+            lowest = keys[0][0]
             self.travel_cylinders += abs(self.position - lowest)
             self.position = lowest
-        return self._nearest(self._entries, True)
+        return 0

@@ -19,7 +19,12 @@ from iostack import (
     seek_time,
     service,
 )
-from iostack.profiles import FUJITSU_MAN3184MP, HITACHI_TRAVELSTAR_80GN, TOSHIBA_MK6012MAP
+from iostack.profiles import (
+    FUJITSU_MAN3184MP,
+    HITACHI_TRAVELSTAR_80GN,
+    PROFILES,
+    TOSHIBA_MK6012MAP,
+)
 
 from conftest import flat_seek, tiny_geometry
 
@@ -77,6 +82,30 @@ def enumerate_mapping(geometry: DiskGeometry) -> dict[int, tuple[int, int, int]]
     return mapping
 
 
+def random_geometries(count: int = 120):
+    """Small seeded geometries over zones, skews, spares and both mappings."""
+
+    rng = np.random.default_rng(20240917)
+    for _ in range(count):
+        cylinders = int(rng.integers(1, 5))
+        heads = int(rng.integers(1, 5))
+        zone_count = int(rng.integers(1, min(cylinders, 2) + 1))
+        firsts = sorted(rng.choice(cylinders, size=zone_count, replace=False).tolist())
+        firsts[0] = 0
+        spts = [int(rng.integers(4, 17)) for _ in range(zone_count)]
+        min_spt = min(spts)
+        yield DiskGeometry(
+            cylinders=cylinders,
+            heads=heads,
+            zones=tuple(Zone(f, s) for f, s in zip(firsts, spts)),
+            rpm=4200,
+            track_skew_sectors=int(rng.integers(0, min_spt)),
+            cylinder_skew_sectors=int(rng.integers(0, min_spt)),
+            spares_per_zone_tail=int(rng.integers(0, 3)),
+            mapping=Mapping.CYLINDER_MAJOR if rng.random() < 0.5 else Mapping.SURFACE_MAJOR,
+        )
+
+
 class TestLbaMapping:
     def test_origin(self):
         g = tiny_geometry(spt=10, cylinders=2, heads=2)
@@ -120,25 +149,7 @@ class TestLbaMapping:
             assert lba_to_phys(lba, g) == expected
 
     def test_randomized_geometries_bijective(self):
-        rng = np.random.default_rng(20240917)
-        for _ in range(120):
-            cylinders = int(rng.integers(1, 5))
-            heads = int(rng.integers(1, 5))
-            zone_count = int(rng.integers(1, min(cylinders, 2) + 1))
-            firsts = sorted(rng.choice(cylinders, size=zone_count, replace=False).tolist())
-            firsts[0] = 0
-            spts = [int(rng.integers(4, 17)) for _ in range(zone_count)]
-            min_spt = min(spts)
-            g = DiskGeometry(
-                cylinders=cylinders,
-                heads=heads,
-                zones=tuple(Zone(f, s) for f, s in zip(firsts, spts)),
-                rpm=4200,
-                track_skew_sectors=int(rng.integers(0, min_spt)),
-                cylinder_skew_sectors=int(rng.integers(0, min_spt)),
-                spares_per_zone_tail=int(rng.integers(0, 3)),
-                mapping=Mapping.CYLINDER_MAJOR if rng.random() < 0.5 else Mapping.SURFACE_MAJOR,
-            )
+        for g in random_geometries():
             oracle = enumerate_mapping(g)
             seen = set()
             for lba in range(g.usable_sectors):
@@ -146,6 +157,39 @@ class TestLbaMapping:
                 assert phys == oracle[lba]
                 seen.add(phys)
             assert len(seen) == g.usable_sectors  # injective onto non-spares
+
+
+def zone_starts_by_summing(geometry: DiskGeometry) -> list[tuple[int, int]]:
+    """(first LBA, usable sectors) of every zone, summed from the zone list."""
+
+    spans = []
+    start = 0
+    ends = [z.first_cylinder for z in geometry.zones[1:]] + [geometry.cylinders]
+    for zone, end in zip(geometry.zones, ends):
+        usable = (end - zone.first_cylinder) * geometry.heads * zone.sectors_per_track
+        usable -= geometry.spares_per_zone_tail
+        spans.append((start, usable))
+        start += usable
+    return spans
+
+
+@pytest.mark.parametrize(
+    "geometries",
+    [[p.geometry for p in PROFILES.values()], list(random_geometries())],
+    ids=["profiles", "random"],
+)
+def test_zone_table_matches_summed_zones(geometries):
+    for g in geometries:
+        spans = zone_starts_by_summing(g)
+        for idx, (start, usable) in enumerate(spans):
+            assert g.zone_usable_sectors(idx) == usable
+            assert g._zone_of_lba(start) == (idx, start)
+            assert g._zone_of_lba(start + usable - 1) == (idx, start)
+        assert g.usable_sectors == sum(g.zone_usable_sectors(i) for i in range(len(g.zones)))
+        assert g.usable_sectors == sum(usable for _, usable in spans)
+        for lba in (-1, g.usable_sectors):
+            with pytest.raises(OutOfRange):
+                g._zone_of_lba(lba)
 
 
 class TestSeekCurve:

@@ -267,12 +267,19 @@ class TestReads:
 
 class TestEviction:
     def test_clean_views_evicted_lru(self):
-        cfg = FsCacheConfig(cache_capacity_bytes=2 * 256 * KB)
+        cfg = FsCacheConfig(cache_capacity_bytes=3 * 256 * KB)
         fs = FsCache(cfg, {0: 1000 * BLOCK})
-        for view in range(4):
+        # View 0 is the oldest: one block resident, one still loading.
+        assert [io.block_key for io in fs.on_read(read(0, BLOCK)).ios] == [(0, 0)]
+        fs.mark_resident(0, BLOCK)
+        for view in range(1, 5):
             for slot in range(4):
                 fs.mark_resident(0, view * 256 * KB + slot * BLOCK)
         assert fs.resident_bytes <= cfg.cache_capacity_bytes
+        # Views 1 and 2 went, oldest first; view 0 was skipped, not evicted,
+        # because its loading block pins it.
+        assert list(fs.views) == [(0, view * 256 * KB) for view in (0, 3, 4)]
+        assert fs.resident_bytes == fs.resident_block_count() * cfg.block_bytes == 9 * BLOCK
 
     def test_dirty_views_pinned(self):
         cfg = FsCacheConfig(cache_capacity_bytes=256 * KB)

@@ -1,4 +1,4 @@
-"""Golden event logs: pinned SHA-256 of seven full-stack replays.
+"""Golden event logs: pinned SHA-256 of nine full-stack replays.
 
 The determinism tests compare two runs of the same code, so they cannot see
 a change to the log text itself.  These hashes must not move unless the log
@@ -6,7 +6,9 @@ format or the modelled behaviour changes on purpose.  Together the replays
 reach every event kind, every drive-cache media role and every fs-cache io
 purpose, and they run the SEQUENTIAL, NO_BUFFER and WRITE_THROUGH access
 modes, open loop, the elevator policies and a second drive profile, so a
-change to any of those paths shows up here.
+change to any of those paths shows up here.  Two saturated open-loop streams
+hold close to a thousand requests in the scheduler queue at once, so the
+queue order under deep queues is pinned too.
 """
 
 from __future__ import annotations
@@ -123,6 +125,21 @@ def write_through_mix():
     )
 
 
+def saturated_random_reads():
+    """64 KB reads arriving faster than the disk serves them: depth ~1000."""
+
+    return generate(
+        GeneratorSpec(
+            count=4 * COUNT,
+            seed=SEED,
+            mode=AccessMode.NO_BUFFER,
+            inter_arrival_us=DistSpec.exponential(200),
+            size_bytes=DistSpec.constant(64 * KB),
+            address=aligned_choices(8 * GB, 64 * KB),
+        )
+    )
+
+
 def stack(
     write_policy: WritePolicy = WritePolicy.WRITE_BACK,
     scheduler: Policy = Policy.FCFS,
@@ -180,6 +197,18 @@ SCENARIOS = {
         stack(drive=TOSHIBA_MK6012MAP),
         CLOSED,
         "487e1edea18f3424d46ec9b0941ad9535ae0866de6fd9fe52d014c94e11a74f1",
+    ),
+    "saturated_open_c_look": (
+        saturated_random_reads,
+        stack(scheduler=Policy.C_LOOK),
+        OPEN,
+        "0e59f0c86e3b742909ad6702e89faa6b9762f97fea402ac638e8260aa12d1731",
+    ),
+    "saturated_open_scan": (
+        saturated_random_reads,
+        stack(scheduler=Policy.SCAN),
+        OPEN,
+        "fe9181e26f4efd7b6bc2f167280e2aaaf4d0cfa20c31ee4e1e8e94061afd20eb",
     ),
 }
 

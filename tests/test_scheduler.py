@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from iostack import Direction, DuplicateRequest, PendingQueue, Policy
 
@@ -122,3 +124,115 @@ def test_every_policy_dispatches_exactly_the_enqueued_set(pending, policy, start
     order = drain(q)
     assert sorted(order) == sorted(pending)
     assert q.next() is None  # work conservation: empty iff nothing pending
+
+
+# -- differential check against the linear-scan queue -------------------------
+
+
+@dataclass
+class _Entry:
+    request_id: int
+    cylinder: int
+    arrival_seq: int
+
+
+@dataclass
+class LinearQueue:
+    """Reference ``PendingQueue``: every operation scans all pending entries."""
+
+    policy: Policy = Policy.FCFS
+    max_cylinder: int = 0
+    direction: Direction = Direction.UP
+    position: int = 0
+    travel_cylinders: int = 0
+    entries: list[_Entry] = field(default_factory=list)
+    next_arrival: int = 0
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    def enqueue(self, request_id: int, cylinder: int) -> None:
+        if any(e.request_id == request_id for e in self.entries):
+            raise DuplicateRequest(f"request {request_id} already pending")
+        self.entries.append(_Entry(request_id, cylinder, self.next_arrival))
+        self.next_arrival += 1
+
+    def next(self) -> int | None:
+        if not self.entries:
+            return None
+        if self.policy is Policy.FCFS:
+            chosen = min(self.entries, key=lambda e: e.arrival_seq)
+        elif self.policy in (Policy.SCAN, Policy.LOOK):
+            chosen = self._next_elevator()
+        else:
+            chosen = self._next_circular()
+        self.entries.remove(chosen)
+        self.travel_cylinders += abs(chosen.cylinder - self.position)
+        self.position = chosen.cylinder
+        return chosen.request_id
+
+    def _nearest(self, candidates: list[_Entry], ahead_up: bool) -> _Entry:
+        if ahead_up:
+            return min(candidates, key=lambda e: (e.cylinder, e.arrival_seq))
+        return min(candidates, key=lambda e: (-e.cylinder, e.arrival_seq))
+
+    def _next_elevator(self) -> _Entry:
+        if self.direction is Direction.UP:
+            ahead = [e for e in self.entries if e.cylinder >= self.position]
+            behind = [e for e in self.entries if e.cylinder < self.position]
+        else:
+            ahead = [e for e in self.entries if e.cylinder <= self.position]
+            behind = [e for e in self.entries if e.cylinder > self.position]
+        if ahead:
+            return self._nearest(ahead, self.direction is Direction.UP)
+        if self.policy is Policy.SCAN:
+            edge = self.max_cylinder if self.direction is Direction.UP else 0
+            self.travel_cylinders += abs(edge - self.position)
+            self.position = edge
+        self.direction = Direction.DOWN if self.direction is Direction.UP else Direction.UP
+        return self._nearest(behind, self.direction is Direction.UP)
+
+    def _next_circular(self) -> _Entry:
+        ahead = [e for e in self.entries if e.cylinder >= self.position]
+        if ahead:
+            return self._nearest(ahead, True)
+        if self.policy is Policy.C_SCAN:
+            self.travel_cylinders += (self.max_cylinder - self.position) + self.max_cylinder
+            self.position = 0
+        else:
+            lowest = min(e.cylinder for e in self.entries)
+            self.travel_cylinders += abs(self.position - lowest)
+            self.position = lowest
+        return self._nearest(self.entries, True)
+
+
+#: An enqueue at a cylinder (few distinct values, so ties are common) or a
+#: dispatch (None).
+STEPS = st.lists(st.one_of(st.none(), st.integers(0, 40)), max_size=400)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    STEPS,
+    st.sampled_from(list(Policy)),
+    st.integers(0, 40),
+    st.sampled_from(list(Direction)),
+)
+def test_dispatch_matches_linear_reference(steps, policy, start, direction):
+    kwargs = dict(policy=policy, max_cylinder=40, position=start, direction=direction)
+    fast, slow = PendingQueue(**kwargs), LinearQueue(**kwargs)
+    request_id = 0
+    for cylinder in steps + [None] * len(steps):
+        if cylinder is None:
+            assert fast.next() == slow.next()
+        else:
+            request_id += 1
+            fast.enqueue(request_id, cylinder)
+            slow.enqueue(request_id, cylinder)
+        assert len(fast) == len(slow)
+        assert (fast.travel_cylinders, fast.position, fast.direction) == (
+            slow.travel_cylinders,
+            slow.position,
+            slow.direction,
+        )
+    assert fast.next() is None
