@@ -10,9 +10,11 @@ only after media completion.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import itemgetter
 from typing import Iterable
 
 from .requests import SECTOR_BYTES
@@ -92,7 +94,7 @@ class Segment:
     capacity: int = 0
     last_touch: int = 0
     #: Pending write records in arrival order: (seq, lba, sectors, tags).
-    write_queue: deque[tuple[int, int, int, dict[int, int]]] = field(default_factory=deque)
+    write_queue: deque[tuple[int, int, int, TagRuns | None]] = field(default_factory=deque)
     local_prefetch: bool = False
     consumed_by_128k: int = 0
 
@@ -155,6 +157,83 @@ def uncovered_runs(
     if cursor < end:
         runs.append((cursor, end - cursor))
     return runs
+
+
+#: Sectors [start, end) that all carry one write tag: (start, end, tag).
+TagRun = tuple[int, int, int]
+#: The tags of one write, in ascending sector order.
+TagRuns = tuple[TagRun, ...]
+
+_START = itemgetter(0)
+_END = itemgetter(1)
+
+
+class TagMap:
+    """A sector -> write-tag map held as runs.
+
+    ``runs`` is sorted and disjoint, and no two touching runs carry the same
+    tag, so two maps of the same sectors to the same tags hold equal runs and
+    ``==`` compares the maps.
+    """
+
+    __slots__ = ("runs",)
+
+    def __init__(self) -> None:
+        self.runs: list[TagRun] = []
+
+    def overlay(self, runs: Iterable[TagRun]) -> None:
+        """Write each run over the map in turn; empty runs change nothing."""
+
+        for start, end, tag in runs:
+            if start < end:
+                self._overlay(start, end, tag)
+
+    def _overlay(self, start: int, end: int, tag: int) -> None:
+        runs = self.runs
+        # runs[i:j] are the runs that overlap [start, end).
+        i = bisect_right(runs, start, key=_END)
+        j = bisect_left(runs, end, i, key=_START)
+        head: TagRuns = ()
+        tail: TagRuns = ()
+        if i < j and runs[i][0] < start:
+            lo, _, old = runs[i]
+            if old == tag:
+                start = lo
+            else:
+                head = ((lo, start, old),)
+        elif i and runs[i - 1][1] == start and runs[i - 1][2] == tag:
+            i -= 1
+            start = runs[i][0]
+        if i < j and runs[j - 1][1] > end:
+            _, hi, old = runs[j - 1]
+            if old == tag:
+                end = hi
+            else:
+                tail = ((end, hi, old),)
+        elif j < len(runs) and runs[j][0] == end and runs[j][2] == tag:
+            end = runs[j][1]
+            j += 1
+        runs[i:j] = (*head, (start, end, tag), *tail)
+
+    def clip(self, lo: int, hi: int) -> TagRuns:
+        """The runs inside [lo, hi), cut at its edges."""
+
+        runs = self.runs
+        out = []
+        for k in range(bisect_right(runs, lo, key=_END), len(runs)):
+            start, end, tag = runs[k]
+            if start >= hi:
+                break
+            out.append((max(start, lo), min(end, hi), tag))
+        return tuple(out)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TagMap):
+            return NotImplemented
+        return self.runs == other.runs
+
+    def __repr__(self) -> str:
+        return f"TagMap({self.runs!r})"
 
 
 class SegmentedCache:
@@ -302,8 +381,8 @@ class SegmentedCache:
     # -- writes -----------------------------------------------------------------
 
     def write_accept(
-        self, lba: int, sectors: int, tags: dict[int, int] | None, force_media: bool = False
-    ) -> tuple[Ack, list[tuple[int, int, dict[int, int] | None]]]:
+        self, lba: int, sectors: int, tags: TagRuns | None, force_media: bool = False
+    ) -> tuple[Ack, list[tuple[int, int, TagRuns | None]]]:
         """Accept a host write; returns (ack, media writes to issue now).
 
         Write-back acknowledges once the data sits in a segment and leaves
@@ -328,7 +407,7 @@ class SegmentedCache:
             seg.start = seg.end = lba
         self._extend(seg, lba, sectors)
         self._write_seq += 1
-        seg.write_queue.append((self._write_seq, lba, sectors, dict(tags or {})))
+        seg.write_queue.append((self._write_seq, lba, sectors, tags))
         return Ack.ACK_NOW, []
 
     def insert_clean_for_write(self, lba: int, sectors: int) -> None:
@@ -337,7 +416,7 @@ class SegmentedCache:
         if seg is not None and not seg.dirty:
             self._extend(seg, lba, sectors)
 
-    def destage_next(self) -> tuple[int, int, dict[int, int]] | None:
+    def destage_next(self) -> tuple[int, int, TagRuns | None] | None:
         """Globally oldest pending write record.
 
         Global arrival order keeps overlapping writes staged in different

@@ -22,6 +22,11 @@ class StageId(Enum):
     DISK_CACHE = "DISK_CACHE"
     DISK = "DISK"
 
+    # Members compare by identity, so they may hash by it too; Enum's own
+    # __hash__ is a Python function, and the handler table is looked up
+    # twice per event.
+    __hash__ = object.__hash__
+
 
 #: Request path in stack order; completions travel the reverse way.
 STAGE_ORDER = (

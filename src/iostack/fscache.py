@@ -19,9 +19,10 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import groupby, zip_longest
-from typing import Iterable, Iterator
+from itertools import zip_longest
+from typing import Iterable, Iterator, Sequence
 
+from .diskcache import TagMap, TagRun, TagRuns, uncovered_runs
 from .requests import SECTOR_BYTES, AccessMode, CanonicalRequest, Op, sector_range
 
 BLOCK_BYTES = 65_536
@@ -164,7 +165,7 @@ class IoIntent:
     required: bool
     force_media: bool = False
     block_key: tuple[int, int] | None = None
-    sector_tags: dict[int, int] | None = None
+    sector_tags: TagRuns | None = None
 
 
 @dataclass
@@ -223,8 +224,8 @@ class FsCache:
         self.inflight: set[tuple[int, int]] = set()
         self.read_streams: dict[int, ReadStream] = {}
         self.write_streams: dict[int, WriteStream] = {}
-        #: Dirty block queue in first-write order; values map sector -> tag.
-        self.dirty_blocks: OrderedDict[tuple[int, int], dict[int, int]] = OrderedDict()
+        #: Dirty block queue in first-write order; values tag the dirty sectors.
+        self.dirty_blocks: OrderedDict[tuple[int, int], TagMap] = OrderedDict()
         self.dirty_accounted_bytes = 0
         self.resident_bytes = 0
         self.flush_ordinals: list[int] = []
@@ -416,9 +417,7 @@ class FsCache:
 
     def _dirty_sectors(self, file_id: int, start: int, nbytes: int, tag: int) -> None:
         for addr, lo, hi in self._block_spans(start, nbytes):
-            self.dirty_blocks.setdefault((file_id, addr), {}).update(
-                dict.fromkeys(sector_range(lo, hi), tag)
-            )
+            self.dirty_blocks.setdefault((file_id, addr), TagMap()).overlay(_tags(lo, hi, tag))
             self.mark_resident(file_id, addr, dirty=True)
 
     def _direct_write_ios(
@@ -433,14 +432,13 @@ class FsCache:
 
         ios = []
         for addr, lo, hi in self._block_spans(start, nbytes):
-            dirty = self.dirty_blocks.get((file_id, addr), {})
-            tags: dict[int, int] = {}
-            for sector in sector_range(lo, hi):
-                if sector in dirty:
-                    dirty[sector] = tag
-                else:
-                    tags[sector] = tag
-            ios += _run_writes(tags, APP_DIRECT, APP_ACTOR, True)
+            sectors = sector_range(lo, hi)
+            dirty = self.dirty_blocks.get((file_id, addr))
+            covered = dirty.clip(sectors.start, sectors.stop) if dirty is not None else ()
+            if covered:
+                dirty.overlay([(first, end, tag) for first, end, _ in covered])
+            gaps = uncovered_runs(sectors.start, len(sectors), [run[:2] for run in covered])
+            ios += _run_writes([(lba, lba + n, tag) for lba, n in gaps], APP_DIRECT, APP_ACTOR, True)
         return ios
 
     def on_write(self, req: CanonicalRequest, tag: int) -> Plan:
@@ -467,7 +465,7 @@ class FsCache:
                         actor=APP_ACTOR,
                         required=True,
                         force_media=True,
-                        sector_tags=dict.fromkeys(sector_range(lo, hi), tag),
+                        sector_tags=_tags(lo, hi, tag),
                     )
                 )
             return plan
@@ -510,20 +508,20 @@ class FsCache:
 
     # -- flushing ---------------------------------------------------------------
 
-    def _flush_block(self, key: tuple[int, int], sectors: dict[int, int]) -> list[IoIntent]:
+    def _flush_block(self, key: tuple[int, int], dirty: TagMap) -> list[IoIntent]:
         view_key, slot = self._view_of(*key)
         view = self.views.get(view_key)
         if view is not None:
             view.dirty.discard(slot)
-        return _run_writes(sectors, FLUSH, SYSTEM_ACTOR, False)
+        return _run_writes(dirty.runs, FLUSH, SYSTEM_ACTOR, False)
 
     def flush_all(self) -> list[IoIntent]:
         """Drain the whole dirty set in first-write order."""
 
         ios = []
         while self.dirty_blocks:
-            key, sectors = self.dirty_blocks.popitem(last=False)
-            ios.extend(self._flush_block(key, sectors))
+            key, dirty = self.dirty_blocks.popitem(last=False)
+            ios.extend(self._flush_block(key, dirty))
         self.dirty_accounted_bytes = 0
         return ios
 
@@ -533,11 +531,11 @@ class FsCache:
         if not self.dirty_blocks:
             self.dirty_accounted_bytes = 0
             return []
-        key, sectors = self.dirty_blocks.popitem(last=False)
+        key, dirty = self.dirty_blocks.popitem(last=False)
         self.dirty_accounted_bytes = max(
             0, self.dirty_accounted_bytes - self.config.block_bytes
         )
-        return self._flush_block(key, sectors)
+        return self._flush_block(key, dirty)
 
     @property
     def dirty_bytes(self) -> int:
@@ -565,7 +563,7 @@ def _passthrough(req: CanonicalRequest, tag: int | None) -> Plan:
 
     write = req.op is Op.WRITE
     end = req.disk_byte_addr + req.length_bytes
-    tags = dict.fromkeys(sector_range(req.disk_byte_addr, end), tag) if write else None
+    tags = _tags(req.disk_byte_addr, end, tag) if write else None
     return Plan(
         ios=[
             IoIntent(
@@ -581,25 +579,36 @@ def _passthrough(req: CanonicalRequest, tag: int | None) -> Plan:
     )
 
 
+def _tags(lo: int, hi: int, tag: int) -> TagRuns:
+    """The sectors of the byte range [lo, hi), all tagged ``tag``."""
+
+    sectors = sector_range(lo, hi)
+    return ((sectors.start, sectors.stop, tag),)
+
+
 def _run_writes(
-    sectors: dict[int, int], purpose: str, actor: str, required: bool
+    runs: Sequence[TagRun], purpose: str, actor: str, required: bool
 ) -> list[IoIntent]:
-    """One write per run of consecutive sectors in a sector -> tag map."""
+    """One write per stretch of back-to-back runs, in ascending order."""
 
     ios = []
-    for _, run in groupby(enumerate(sorted(sectors)), key=lambda pair: pair[1] - pair[0]):
-        tags = {sector: sectors[sector] for _, sector in run}
+    first = 0
+    for k in range(1, len(runs) + 1):
+        if k < len(runs) and runs[k][0] == runs[k - 1][1]:
+            continue
+        start, end = runs[first][0], runs[k - 1][1]
         ios.append(
             IoIntent(
                 write=True,
-                disk_addr=next(iter(tags)) * SECTOR_BYTES,
-                nbytes=len(tags) * SECTOR_BYTES,
+                disk_addr=start * SECTOR_BYTES,
+                nbytes=(end - start) * SECTOR_BYTES,
                 purpose=purpose,
                 actor=actor,
                 required=required,
-                sector_tags=tags,
+                sector_tags=tuple(runs[first:k]),
             )
         )
+        first = k
     return ios
 
 

@@ -5,7 +5,7 @@ requests (closed loop, open loop, or closed loop with a measured-response
 tolerance), the file-system cache stage executes planner intents, the
 scheduler orders pending disk work, the drive cache stages data, and the
 disk stage serializes media operations against the mechanical model while
-maintaining a per-sector provenance image for conservation checks.
+keeping the written sectors' tags as runs for conservation checks.
 """
 
 from __future__ import annotations
@@ -15,7 +15,15 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from . import fscache as fsc
-from .diskcache import Ack, DiskCacheConfig, PrefetchDirective, SegmentedCache, uncovered_runs
+from .diskcache import (
+    Ack,
+    DiskCacheConfig,
+    PrefetchDirective,
+    SegmentedCache,
+    TagMap,
+    TagRuns,
+    uncovered_runs,
+)
 from .disk import DiskGeometry, HeadState, SeekProfile, cylinder_of_byte, service
 from .engine import Simulator, SimEvent, StageId, EventLog
 from .fscache import FsCache, FsCacheConfig, IoIntent
@@ -122,7 +130,7 @@ class MediaMsg:
     sectors: int
     #: The host io a HOST_READ or HOST_WRITE op serves.
     host: IoMsg | None = None
-    sector_tags: dict[int, int] | None = None
+    sector_tags: TagRuns | None = None
     penalty_rotations: int = 0
     #: The disk's own timer: the op has left the platter.
     finished: bool = False
@@ -461,7 +469,12 @@ class DiskCacheStage:
     # -- media plumbing ---------------------------------------------------------
 
     def _media(
-        self, role: MediaRole, lba: int, sectors: int, host: IoMsg | None = None, tags=None
+        self,
+        role: MediaRole,
+        lba: int,
+        sectors: int,
+        host: IoMsg | None = None,
+        tags: TagRuns | None = None,
     ) -> None:
         self._media_seq += 1
         penalty = self.cache.take_penalty_rotations()
@@ -574,13 +587,7 @@ class DiskCacheStage:
         match msg.role:
             case MediaRole.HOST_READ:
                 self.cache.on_media_data(msg.lba, msg.sectors)
-                # The host's own media read IS the delivery; it must not depend
-                # on the data still being resident (a long transfer can slide
-                # out of its staging segment before the request finishes).
-                entry = self.host_reads.get(msg.host.io_id)
-                if entry is not None and (msg.lba, msg.sectors) in entry.needed:
-                    entry.needed.remove((msg.lba, msg.sectors))
-                self._settle_host_reads()
+                self._settle_host_reads(msg.lba, msg.sectors)
             case MediaRole.LOCAL_PREFETCH | MediaRole.FILL_CHUNK:
                 local = msg.role is MediaRole.LOCAL_PREFETCH
                 self.cache.on_media_data(msg.lba, msg.sectors, local=local)
@@ -588,7 +595,7 @@ class DiskCacheStage:
                 if not local:
                     self._fill_chunk_outstanding = False
                     self._next_fill_chunk()
-                self._settle_host_reads()
+                self._settle_host_reads(msg.lba, msg.sectors)
             case MediaRole.HOST_WRITE:
                 io_id = msg.host.io_id
                 self.host_writes[io_id] -= 1
@@ -603,11 +610,18 @@ class DiskCacheStage:
                     for m in retry:
                         self._host_write(m)
 
-    def _settle_host_reads(self) -> None:
+    def _settle_host_reads(self, lba: int, sectors: int) -> None:
+        """Count media data [lba, lba + sectors) as delivered to every waiting read.
+
+        Delivery, not residency, completes a read: the data may slide out
+        of its segment, or straddle two, before the read is settled.
+        """
+
+        delivered = ((lba, lba + sectors),)
         for io_id in list(self.host_reads):
             entry = self.host_reads[io_id]
             entry.needed = [
-                run for run in entry.needed if not self.cache.resident(run[0], run[1])
+                gap for run in entry.needed for gap in uncovered_runs(*run, delivered)
             ]
             if not entry.needed:
                 del self.host_reads[io_id]
@@ -630,7 +644,7 @@ class DiskStage:
         self.head = head or HeadState()
         self.queue: deque[MediaMsg] = deque()
         self.active: MediaMsg | None = None
-        self.data_image: dict[int, int] = {}
+        self.data_image = TagMap()
         self.metadata_writes = 0
 
     def handle(self, sim: Simulator, event: SimEvent) -> None:
@@ -673,8 +687,7 @@ class DiskStage:
             if msg.purpose == fsc.METADATA or msg.sector_tags is None:
                 self.metadata_writes += 1
             else:
-                for sector, tag in msg.sector_tags.items():
-                    self.data_image[sector] = tag
+                self.data_image.overlay(msg.sector_tags)
         self.sim.schedule(StageId.DISK_CACHE, msg.with_flags(finished=True, done=True))
         self.active = None
         self._start_next()
@@ -691,7 +704,7 @@ class ReplayResult:
     effective_requests: list[CanonicalRequest]
     fs: FsCache
     disk_cache: SegmentedCache
-    media_image: dict[int, int]
+    media_image: TagMap
     metadata_writes: int
     clipped_requests: int
 
@@ -715,14 +728,14 @@ def file_extents(requests: list[CanonicalRequest]) -> dict[int, int]:
     return extents
 
 
-def reference_media_image(requests: list[CanonicalRequest]) -> dict[int, int]:
+def reference_media_image(requests: list[CanonicalRequest]) -> TagMap:
     """Apply the stream's writes in order, directly: the conservation oracle."""
 
-    image: dict[int, int] = {}
+    image = TagMap()
     for ordinal, r in enumerate(requests):
         if r.op is Op.WRITE:
-            for sector in sector_range(r.disk_byte_addr, r.disk_byte_addr + r.length_bytes):
-                image[sector] = ordinal
+            sectors = sector_range(r.disk_byte_addr, r.disk_byte_addr + r.length_bytes)
+            image.overlay(((sectors.start, sectors.stop, ordinal),))
     return image
 
 

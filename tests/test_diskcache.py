@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, strategies as st
 
 from iostack import Ack, CacheFull, DiskCacheConfig, Lookup, ReadPrefetch, UnexpectedFill, WritePolicy
-from iostack.diskcache import LocalPatternDetector, SegmentedCache
+from iostack.diskcache import LocalPatternDetector, SegmentedCache, TagMap
 
 BLOCK_SECTORS = 128  # one 64KB block
 
@@ -108,15 +109,15 @@ class TestLocalPattern:
 class TestWrites:
     def test_write_back_acks_now(self):
         cache = SegmentedCache(cfg())
-        ack, actions = cache.write_accept(0, 128, {s: 1 for s in range(128)})
+        ack, actions = cache.write_accept(0, 128, ((0, 128, 1),))
         assert ack is Ack.ACK_NOW and actions == []
         assert cache.dirty_records == 1
 
     def test_write_through_acks_after_media(self):
         cache = SegmentedCache(cfg(write_policy=WritePolicy.WRITE_THROUGH))
-        ack, actions = cache.write_accept(0, 128, {s: 1 for s in range(128)})
+        ack, actions = cache.write_accept(0, 128, ((0, 128, 1),))
         assert ack is Ack.ACK_AFTER_MEDIA
-        assert actions == [(0, 128, {s: 1 for s in range(128)})]
+        assert actions == [(0, 128, ((0, 128, 1),))]
         assert cache.dirty_records == 0
 
     def test_forced_media_overrides_write_back(self):
@@ -126,8 +127,8 @@ class TestWrites:
 
     def test_destage_preserves_write_order_per_segment(self):
         cache = SegmentedCache(cfg())
-        cache.write_accept(0, 64, {s: 1 for s in range(64)})
-        cache.write_accept(64, 64, {s: 2 for s in range(64, 128)})
+        cache.write_accept(0, 64, ((0, 64, 1),))
+        cache.write_accept(64, 64, ((64, 128, 2),))
         first = cache.destage_next()
         second = cache.destage_next()
         assert first[0] == 0 and second[0] == 64
@@ -137,31 +138,31 @@ class TestWrites:
         config = cfg(background_destage=False, segment_count=2, segment_bytes=64 * 1024, total_bytes=128 * 1024)
         cache = SegmentedCache(config)
         step = config.segment_sectors
-        cache.write_accept(0, 8, {0: 0})
-        cache.write_accept(10 * step, 8, {10 * step: 1})
+        cache.write_accept(0, 8, ((0, 1, 0),))
+        cache.write_accept(10 * step, 8, ((10 * step, 10 * step + 1, 1),))
         with pytest.raises(CacheFull):
-            cache.write_accept(20 * step, 8, {20 * step: 2})
+            cache.write_accept(20 * step, 8, ((20 * step, 20 * step + 1, 2),))
 
     def test_defer_when_destage_enabled(self):
         config = cfg(segment_count=2, segment_bytes=64 * 1024, total_bytes=128 * 1024)
         cache = SegmentedCache(config)
         step = config.segment_sectors
-        cache.write_accept(0, 8, {0: 0})
-        cache.write_accept(10 * step, 8, {10 * step: 1})
-        ack, _ = cache.write_accept(20 * step, 8, {20 * step: 2})
+        cache.write_accept(0, 8, ((0, 1, 0),))
+        cache.write_accept(10 * step, 8, ((10 * step, 10 * step + 1, 1),))
+        ack, _ = cache.write_accept(20 * step, 8, ((20 * step, 20 * step + 1, 2),))
         assert ack is Ack.DEFER
 
 
 class TestCoherence:
     def test_read_after_write_hits_cached_data(self):
         cache = SegmentedCache(cfg())
-        cache.write_accept(100, 64, {s: 9 for s in range(100, 164)})
+        cache.write_accept(100, 64, ((100, 164, 9),))
         kind, missing, _ = cache.read_lookup(100, 64)
         assert kind is Lookup.HIT and not missing
 
     def test_read_after_destaged_write_still_hits(self):
         cache = SegmentedCache(cfg())
-        cache.write_accept(100, 64, {s: 9 for s in range(100, 164)})
+        cache.write_accept(100, 64, ((100, 164, 9),))
         cache.destage_next()
         kind, _, _ = cache.read_lookup(100, 64)
         assert kind is Lookup.HIT
@@ -227,3 +228,63 @@ class TestRepositionPenalty:
         for i in range(4):
             cache.read_lookup(i * 256, 256)
         assert cache.take_penalty_rotations() == 0
+
+
+def expand(runs) -> dict[int, int]:
+    """Sector -> tag map of (start, end, tag) runs, later runs winning."""
+
+    sectors: dict[int, int] = {}
+    for start, end, tag in runs:
+        sectors.update(dict.fromkeys(range(start, end), tag))
+    return sectors
+
+
+def tag_map(*runs) -> TagMap:
+    tags = TagMap()
+    tags.overlay(runs)
+    return tags
+
+
+# Few sectors and few tags, so runs overlap, touch and repeat tags often.
+TAG_RUNS = st.lists(
+    st.tuples(st.integers(0, 40), st.integers(0, 12), st.integers(0, 3)).map(
+        lambda t: (t[0], t[0] + t[1], t[2])
+    ),
+    max_size=16,
+)
+
+
+class TestTagMap:
+    @given(writes=TAG_RUNS, clips=st.lists(st.tuples(st.integers(0, 60), st.integers(0, 60))))
+    def test_matches_per_sector_reference(self, writes, clips):
+        tags, reference = TagMap(), {}
+        for run in writes:
+            tags.overlay([run])
+            reference.update(expand([run]))
+            assert expand(tags.runs) == reference
+            assert all(start < end for start, end, _ in tags.runs)
+            for (_, end, tag), (start, _, following) in zip(tags.runs, tags.runs[1:]):
+                assert end < start or (end == start and tag != following)
+        for lo, hi in clips:
+            clipped = tags.clip(lo, hi)
+            assert isinstance(clipped, tuple)
+            assert expand(clipped) == {s: t for s, t in reference.items() if lo <= s < hi}
+
+    @given(writes=TAG_RUNS, order=st.randoms(use_true_random=False))
+    def test_equal_sector_maps_compare_equal(self, writes, order):
+        # The same sectors and tags, written as one batch of runs and as
+        # single sectors in shuffled order, give equal maps.
+        sectors = list(expand(writes).items())
+        order.shuffle(sectors)
+        assert tag_map(*writes) == tag_map(*((s, s + 1, t) for s, t in sectors))
+
+    def test_overlay_orders(self):
+        first = tag_map((0, 10, 1), (5, 15, 2), (15, 20, 2))
+        second = tag_map((10, 20, 2), (0, 5, 1), (5, 10, 2))
+        assert first == second
+        assert first.runs == [(0, 5, 1), (5, 20, 2)]
+        assert first != tag_map((0, 5, 1), (5, 20, 3))
+        assert first != tag_map((0, 5, 1), (5, 21, 2))
+
+    def test_empty_runs_change_nothing(self):
+        assert tag_map((3, 3, 1), (7, 4, 2)) == TagMap()

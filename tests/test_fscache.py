@@ -145,7 +145,8 @@ class TestPeriodicWrites:
         flush_ios = fs.flush_all()
         flushed_tags = {}
         for io in flush_ios:
-            flushed_tags.update(io.sector_tags)
+            for start, end, tag in io.sector_tags:
+                flushed_tags.update(dict.fromkeys(range(start, end), tag))
         # Every flushed sector in the first 192KB carries the newer tag.
         assert set(flushed_tags.values()) == {1}
         assert sum(io.nbytes for io in direct) == 128 * KB

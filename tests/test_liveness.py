@@ -1,0 +1,86 @@
+"""Seeded fuzz over the replay configuration space: liveness and conservation.
+
+Each trial draws a drive profile, drive read prefetch and write policy, an
+access mode, a scheduler policy, closed or open loop, a write share, and
+either random 4 KB-aligned or sequential addresses, then replays one file's
+stream of 96 requests.  Every replay must complete every request.  Closed
+loop, every write reaches the media in issue order, so the media image must
+equal the directly applied reference; open loop, overlapping writes in
+flight together may reach the media in either order, and no oracle is
+defined for them yet.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import random
+
+import pytest
+
+from iostack import (
+    AccessMode,
+    CanonicalRequest,
+    Op,
+    Origin,
+    Policy,
+    ReadPrefetch,
+    ReplayMode,
+    ReplayPolicy,
+    StackConfig,
+    WritePolicy,
+    reference_media_image,
+    replay,
+)
+from iostack.profiles import PROFILES
+
+KB = 1024
+MB = 1024 * KB
+TRIALS = 100
+REQUESTS = 96
+SIZES = (4 * KB, 64 * KB, 96 * KB, 128 * KB, 256 * KB, 320 * KB, 384 * KB, 512 * KB)
+#: Random addresses fall in this span, so writes overlap now and then.
+SPAN = 32 * MB
+MEAN_GAP_US = 2_000
+
+
+def trial(seed: int) -> tuple[list[CanonicalRequest], StackConfig, ReplayPolicy]:
+    rng = random.Random(seed)
+    drive = PROFILES[rng.choice(sorted(PROFILES))]
+    cache = dataclasses.replace(
+        drive.cache,
+        read_prefetch=rng.choice(list(ReadPrefetch)),
+        write_policy=rng.choice(list(WritePolicy)),
+    )
+    stack = StackConfig(
+        geometry=drive.geometry,
+        seek=drive.seek,
+        cache=cache,
+        scheduler_policy=rng.choice(list(Policy)),
+    )
+    mode = rng.choice(list(AccessMode))
+    policy = ReplayPolicy(mode=rng.choice(list(ReplayMode)))
+    sequential = rng.random() < 0.5
+    write_share = rng.random()
+
+    requests = [CanonicalRequest(0, Origin.APP, Op.OPEN, 0, 0, 0, 0, mode)]
+    t = addr = 0
+    for _ in range(REQUESTS):
+        size = rng.choice(SIZES)
+        if not sequential:
+            addr = rng.randrange(SPAN // (4 * KB)) * 4 * KB
+        op = Op.WRITE if rng.random() < write_share else Op.READ
+        requests.append(CanonicalRequest(t, Origin.APP, op, 0, addr, size, addr, mode))
+        if sequential:
+            addr += size
+        t += round(rng.expovariate(1 / MEAN_GAP_US))
+    requests.append(CanonicalRequest(t, Origin.APP, Op.CLOSE, 0, 0, 0, 0, mode))
+    return requests, stack, policy
+
+
+@pytest.mark.parametrize("seed", range(TRIALS))
+def test_replay_completes_and_conserves_writes(seed):
+    requests, stack, policy = trial(seed)
+    result = replay(requests, stack, policy)
+    assert len(result.records) == len(result.effective_requests)
+    if policy.mode is ReplayMode.CLOSED_LOOP:
+        assert result.media_image == reference_media_image(result.effective_requests)

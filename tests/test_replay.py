@@ -23,6 +23,7 @@ from iostack import (
     replay,
 )
 from iostack.fscache import METADATA, WT_DATA
+from iostack.replay import DiskCacheStage, MediaRole
 from iostack.profiles import TOSHIBA_MK6012MAP
 from iostack.workload import DistSpec, GeneratorSpec, generate
 
@@ -240,6 +241,13 @@ class TestConservation:
         result = replay(trace, plain_stack())
         assert result.media_image == reference_media_image(result.effective_requests)
 
+    def test_media_image_holds_runs_not_sectors(self):
+        # A write splits at most one run in three, so it adds at most two.
+        result = replay(mixed_read_write(), golden_stack())
+        writes = sum(r.op is Op.WRITE for r in result.effective_requests)
+        assert result.media_image == reference_media_image(result.effective_requests)
+        assert 0 < len(result.media_image.runs) <= 2 * writes
+
     def test_fs_cache_drained_after_run(self):
         ios = [(Op.WRITE, i * 320 * KB, 320 * KB) for i in range(10)]
         result = replay(stream(ios, AccessMode.NORMAL), plain_stack())
@@ -284,15 +292,34 @@ class TestPacing:
         with pytest.raises(TraceReplayError):
             replay([], plain_stack())
 
-    def test_stall_raises_with_stuck_state(self):
-        # On the Toshiba drive this stream leaves one host read waiting in
-        # the drive cache for data that never arrives.
+    def test_stall_raises_with_stuck_state(self, monkeypatch):
+        # A drive cache that loses the first host read's media reply leaves
+        # that read, and the request behind it, waiting for good.
+        dropped = []
+        media_done = DiskCacheStage._media_done
+
+        def lose_first_host_read(stage, msg):
+            if msg.role is MediaRole.HOST_READ and not dropped:
+                dropped.append(msg)
+                return
+            media_done(stage, msg)
+
+        monkeypatch.setattr(DiskCacheStage, "_media_done", lose_first_host_read)
+        trace = stream([(Op.READ, i * BLOCK, BLOCK) for i in range(4)], AccessMode.NORMAL)
         with pytest.raises(StallError) as info:
-            replay(mixed_read_write(), golden_stack(drive=TOSHIBA_MK6012MAP))
+            replay(trace, plain_stack())
         message = str(info.value)
-        assert "after 45 of 258 requests" in message
-        assert "fs cache still holds requests [45]" in message
-        assert "drive cache still holds host read ios [178]" in message
+        assert "after 1 of 6 requests" in message
+        assert "fs cache still holds requests [1]" in message
+        assert "drive cache still holds host read ios [1]" in message
+
+    def test_read_settles_on_delivered_data(self):
+        # On the Toshiba drive (128 KB segments) this stream once left io 178
+        # waiting on fills for [332288, 332416): the fills delivered it, but
+        # no one segment held all of it when the read was checked.
+        result = replay(mixed_read_write(), golden_stack(drive=TOSHIBA_MK6012MAP))
+        assert len(result.records) == len(result.effective_requests) == 258
+        assert result.media_image == reference_media_image(result.effective_requests)
 
 
 class TestTolerance:
