@@ -10,9 +10,8 @@ byte-for-byte.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, NamedTuple, Protocol
+from typing import Callable, NamedTuple, Protocol, TextIO
 
 
 class StageId(Enum):
@@ -76,17 +75,39 @@ class SimEvent(NamedTuple):
         return f"t={self.fire_at_us} stage={self.target.value} kind={self.payload.kind} {self.payload.detail()}"
 
 
-@dataclass
+#: Receives each event as it is dispatched, before its handler runs.
+Observer = Callable[[SimEvent], None]
+
+
 class EventLog:
-    """Ordered record of every dispatched event, exportable as text."""
+    """The events one run dispatched: always counted, recorded on demand.
 
-    entries: list[SimEvent] = field(default_factory=list)
+    A plain run keeps only its event count.  ``record(observer)`` runs the
+    same deterministic run again, passing each dispatched event to
+    ``observer``; the first read of the events calls it once and keeps the
+    list.  ``write`` streams the text through a fresh call instead.
+    """
 
-    def append(self, event: SimEvent) -> None:
-        self.entries.append(event)
+    def __init__(self, count: int, record: Callable[[Observer], None]):
+        self._count = count
+        self._record = record
+        self._entries: list[SimEvent] | None = None
+
+    @property
+    def entries(self) -> list[SimEvent]:
+        if self._entries is None:
+            entries: list[SimEvent] = []
+            self._record(entries.append)
+            self._entries = entries
+        return self._entries
 
     def to_text(self) -> str:
         return "".join(e.describe() + "\n" for e in self.entries)
+
+    def write(self, fp: TextIO) -> None:
+        """Write ``to_text()`` to ``fp`` one line per event, keeping no event."""
+
+        self._record(lambda e: fp.write(e.describe() + "\n"))
 
     def filter(self, stage: StageId | None = None, kind: str | None = None) -> list[SimEvent]:
         return [
@@ -96,24 +117,33 @@ class EventLog:
         ]
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return self._count
 
 
 Handler = Callable[["Simulator", SimEvent], None]
 
 
 class Simulator:
-    """Single-threaded event loop shared by all stages of one run."""
+    """Single-threaded event loop shared by all stages of one run.
 
-    def __init__(self) -> None:
+    It records no event unless given an ``observe`` callback.
+    """
+
+    def __init__(self, observe: Observer | None = None) -> None:
         self._queue: list[SimEvent] = []
         self._handlers: dict[StageId, Handler] = {}
         self._clock = 0
         self._seq = 0
-        self.log = EventLog()
+        self._observe = observe
 
     def now(self) -> int:
         return self._clock
+
+    @property
+    def dispatched(self) -> int:
+        """Events dispatched so far: every scheduled event not still queued."""
+
+        return self._seq - len(self._queue)
 
     def register(self, stage: StageId, handler: Handler) -> None:
         self._handlers[stage] = handler
@@ -134,18 +164,19 @@ class Simulator:
     def schedule_after(self, target: StageId, payload: Payload, delay_us: int) -> SimEvent:
         return self.schedule(target, payload, self._clock + delay_us)
 
-    def run(self, until_us: int | None = None) -> EventLog:
+    def run(self, until_us: int | None = None) -> None:
         """Dispatch events in order until the queue empties or the horizon passes."""
 
+        observe = self._observe
         while self._queue:
             if until_us is not None and self._queue[0].fire_at_us > until_us:
                 break
             event = heapq.heappop(self._queue)
             self._clock = event.fire_at_us
-            self.log.append(event)
+            if observe is not None:
+                observe(event)
             handler = self._handlers[event.target]
             try:
                 handler(self, event)
             except Exception as exc:
                 raise StageFault(event, exc) from exc
-        return self.log

@@ -25,7 +25,7 @@ from .diskcache import (
     uncovered_runs,
 )
 from .disk import DiskGeometry, HeadState, SeekProfile, cylinder_of_byte, service
-from .engine import Simulator, SimEvent, StageId, EventLog
+from .engine import EventLog, Observer, SimEvent, Simulator, StageId
 from .fscache import FsCache, FsCacheConfig, IoIntent
 from .requests import CanonicalRequest, Op, Origin, RequestRecord, Summary, sector_range
 from .scheduler import PendingQueue, Policy
@@ -219,7 +219,7 @@ class AppStage:
                 self.issue_times[msg.request_id] = sim.now()
                 sim.schedule(StageId.FS_CACHE, msg)
             case RequestMsg(request_id=rid, request=r):
-                issue = self.issue_times[rid]
+                issue = self.issue_times.pop(rid)
                 self.records.append(
                     RequestRecord(
                         request_id=rid,
@@ -717,6 +717,10 @@ class StallError(TraceReplayError):
     """The event queue ran dry before every effective request completed."""
 
 
+class ReplayDiverged(TraceReplayError):
+    """Re-running a replay to record its event log simulated a different run."""
+
+
 def file_extents(requests: list[CanonicalRequest]) -> dict[int, int]:
     """Known end-of-file per file, in disk-address space, from the trace."""
 
@@ -744,7 +748,22 @@ def replay(
     stack: StackConfig,
     policy: ReplayPolicy = ReplayPolicy(),
 ) -> ReplayResult:
-    """Run one full-stack simulation of the request stream."""
+    """Run one full-stack simulation of the request stream.
+
+    The run records no event; its ``event_log`` re-runs it once, checked,
+    when the events are first read.
+    """
+
+    return _replay(requests, stack, policy, None)
+
+
+def _replay(
+    requests: list[CanonicalRequest],
+    stack: StackConfig,
+    policy: ReplayPolicy,
+    observe: Observer | None,
+) -> ReplayResult:
+    """One replay, passing each dispatched event to ``observe`` if given."""
 
     if not requests:
         raise TraceReplayError("cannot replay an empty trace")
@@ -763,7 +782,7 @@ def replay(
                 f"configured disk capacity of {capacity} bytes"
             )
 
-    sim = Simulator()
+    sim = Simulator(observe)
     fs = FsCache(stack.fs, file_extents(effective))
     cache = SegmentedCache(stack.cache)
     app = AppStage(effective, policy)
@@ -779,7 +798,7 @@ def replay(
     sim.register(StageId.DISK, disk_stage.handle)
 
     app.start(sim)
-    log = sim.run()
+    sim.run()
     if app.completed != len(effective):
         raise StallError(
             f"replay stalled after {app.completed} of {len(effective)} requests; "
@@ -787,10 +806,23 @@ def replay(
             f"drive cache still holds host read ios {sorted(cache_stage.host_reads)}"
         )
     records = sorted(app.records, key=lambda r: r.request_id)
+    events = sim.dispatched
+
+    def record(observe: Observer) -> None:
+        # Runs are deterministic, so the same inputs simulate the same run;
+        # the check catches inputs changed since (a mutated baseline dict).
+        again = _replay(effective, stack, policy, observe)
+        if len(again.event_log) != events or again.records != records:
+            raise ReplayDiverged(
+                f"re-running the replay to record its events gave {len(again.event_log)} events "
+                f"against {events}, and {'equal' if again.records == records else 'different'} "
+                "request records: were its inputs changed after the run?"
+            )
+
     return ReplayResult(
         records=records,
         summary=Summary.from_records(records),
-        event_log=log,
+        event_log=EventLog(events, record),
         effective_requests=effective,
         fs=fs,
         disk_cache=cache,

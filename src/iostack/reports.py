@@ -68,9 +68,9 @@ def emit_reports(
     written.append(summary_path)
     if event_log is not None:
         events_path = out / "events.log"
-        events_path.write_text(
-            f"#iostack-events v{REPORT_FORMAT_VERSION}\n" + event_log.to_text(), encoding="utf-8"
-        )
+        with events_path.open("w", encoding="utf-8") as fp:
+            fp.write(f"#iostack-events v{REPORT_FORMAT_VERSION}\n")
+            event_log.write(fp)
         written.append(events_path)
     return written
 

@@ -18,10 +18,12 @@ from iostack import (
     replay,
     write_baseline,
 )
+from iostack.reports import REPORT_FORMAT_VERSION
 from iostack.requests import RequestRecord, Origin, Summary
 from iostack.scheduler import Policy
 
 from conftest import plain_stack
+from test_golden_log import run as run_golden
 from test_replay import stream
 
 MINIMAL = """
@@ -174,6 +176,14 @@ class TestReports:
             files = emit_reports(result.records, result.summary, out, event_log=result.event_log)
             texts.append(tuple(f.read_text() for f in files))
         assert texts[0] == texts[1]
+
+    def test_events_log_is_header_plus_log_text(self, tmp_path):
+        result = run_golden("mixed_write_back")
+        # Written first, so the file is streamed through a re-run of its own.
+        files = emit_reports(result.records, result.summary, tmp_path, event_log=result.event_log)
+        assert files[2].name == "events.log"
+        expected = f"#iostack-events v{REPORT_FORMAT_VERSION}\n" + result.event_log.to_text()
+        assert files[2].read_bytes() == expected.encode("utf-8")
 
     def test_baseline_round_trip(self, tmp_path):
         path = tmp_path / "base.txt"

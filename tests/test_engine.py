@@ -31,30 +31,33 @@ def next_up(stage: StageId) -> StageId:
     return STAGE_ORDER[STAGE_ORDER.index(stage) - 1]
 
 
-def make_sim(stages=(StageId.APP,)) -> Simulator:
-    sim = Simulator()
+def make_sim(stages=(StageId.APP,)) -> tuple[Simulator, list]:
+    """A simulator of sink stages and the list its observer records into."""
+
+    seen = []
+    sim = Simulator(seen.append)
     for s in stages:
         sim.register(s, sink)
-    return sim
+    return sim, seen
 
 
 class TestOrdering:
     def test_time_order(self):
-        sim = make_sim()
+        sim, seen = make_sim()
         sim.schedule(StageId.APP, Token("late"), at_us=5)
         sim.schedule(StageId.APP, Token("early"), at_us=3)
-        log = sim.run()
-        assert [e.payload.label for e in log.entries] == ["early", "late"]
+        sim.run()
+        assert [e.payload.label for e in seen] == ["early", "late"]
 
     def test_tie_breaks_by_scheduling_order(self):
-        sim = make_sim()
+        sim, seen = make_sim()
         sim.schedule(StageId.APP, Token("first"), at_us=3)
         sim.schedule(StageId.APP, Token("second"), at_us=3)
-        log = sim.run()
-        assert [e.payload.label for e in log.entries] == ["first", "second"]
+        sim.run()
+        assert [e.payload.label for e in seen] == ["first", "second"]
 
     def test_past_event_rejected(self):
-        sim = make_sim()
+        sim, _ = make_sim()
         sim.schedule(StageId.APP, Token("a"), at_us=10)
         sim.run()
         assert sim.now() == 10
@@ -62,30 +65,42 @@ class TestOrdering:
             sim.schedule(StageId.APP, Token("b"), at_us=9)
 
     def test_empty_run(self):
-        sim = make_sim()
-        log = sim.run()
+        sim, seen = make_sim()
+        sim.run()
         assert sim.now() == 0
-        assert len(log) == 0
+        assert sim.dispatched == 0
+        assert seen == []
 
     def test_run_until_horizon(self):
-        sim = make_sim()
+        sim, seen = make_sim()
         sim.schedule(StageId.APP, Token("in"), at_us=5)
         sim.schedule(StageId.APP, Token("out"), at_us=50)
-        log = sim.run(until_us=10)
-        assert [e.payload.label for e in log.entries] == ["in"]
+        sim.run(until_us=10)
+        assert [e.payload.label for e in seen] == ["in"]
+        assert sim.dispatched == 1
         assert sim.now() == 5
 
     def test_unknown_stage_rejected(self):
-        sim = make_sim()
+        sim, _ = make_sim()
         with pytest.raises(UnknownStage):
             sim.schedule(StageId.DISK, Token("x"))
 
+    def test_unobserved_run_counts_events(self):
+        sim = Simulator()
+        sim.register(StageId.APP, sink)
+        for t in (3, 1, 2):
+            sim.schedule(StageId.APP, Token(str(t)), at_us=t)
+        sim.run(until_us=2)
+        assert sim.dispatched == 2
+        sim.run()
+        assert sim.dispatched == 3
+
     def test_clock_monotone_in_log(self):
-        sim = make_sim()
+        sim, seen = make_sim()
         for t in (9, 2, 7, 2, 0):
             sim.schedule(StageId.APP, Token(str(t)), at_us=t)
-        log = sim.run()
-        times = [e.fire_at_us for e in log.entries]
+        sim.run()
+        times = [e.fire_at_us for e in seen]
         assert times == sorted(times)
 
 
@@ -109,7 +124,8 @@ class TestTopologyWalk:
     def test_single_token_walks_all_stages_and_back(self):
         # Hand-built walk-through: each stage forwards the token down at
         # +1us; the disk turns it around and completions travel back up.
-        sim = Simulator()
+        seen = []
+        sim = Simulator(seen.append)
 
         def forwarder(stage):
             def handle(s, event):
@@ -126,16 +142,17 @@ class TestTopologyWalk:
         for stage in STAGE_ORDER:
             sim.register(stage, forwarder(stage))
         sim.schedule(StageId.APP, Token("down"), at_us=0)
-        log = sim.run()
-        visited = [e.target for e in log.entries]
+        sim.run()
+        visited = [e.target for e in seen]
         assert visited == list(STAGE_ORDER) + list(reversed(STAGE_ORDER))[1:]
 
     def test_determinism_two_runs_identical(self):
         def run_once() -> str:
-            sim = make_sim((StageId.APP, StageId.FS_CACHE))
+            sim, seen = make_sim((StageId.APP, StageId.FS_CACHE))
             for i in range(20):
                 sim.schedule(StageId.APP, Token(f"a{i}"), at_us=i % 5)
                 sim.schedule(StageId.FS_CACHE, Token(f"b{i}"), at_us=i % 3)
-            return sim.run().to_text()
+            sim.run()
+            return "".join(e.describe() + "\n" for e in seen)
 
         assert run_once() == run_once()

@@ -232,6 +232,8 @@ def test_event_log_hash_pinned(name):
     assert len(result.records) == len(result.effective_requests)
     digest = hashlib.sha256(result.event_log.to_text().encode()).hexdigest()
     assert digest == SCENARIOS[name][3]
+    # The count kept by the plain run matches the events recorded on demand.
+    assert len(result.event_log) == len(result.event_log.entries)
 
 
 def test_scenarios_cover_every_kind_and_media_role():
