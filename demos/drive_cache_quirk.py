@@ -26,7 +26,7 @@ def main() -> None:
             cache.expect_fill(*run)
             cache.on_media_data(*run)
         for d in directives:
-            if d.kind == "local":
+            if d.local:
                 print(f"  -> 512KB prefetch from B{block + 1} "
                       f"(lba {d.lba}, {d.sectors} sectors)")
                 cache.expect_fill(d.lba, d.sectors)

@@ -21,7 +21,7 @@ def main() -> None:
     cfg = FsCacheConfig()
     print("regime by request size:")
     for size_kb in (32, 64, 96, 128, 160, 192, 256, 320, 512):
-        regime = classify_write_regime(size_kb * KB, cfg)
+        regime = classify_write_regime(size_kb * KB)
         print(f"  {size_kb:>4} KB -> {regime.value}")
 
     stack = StackConfig(

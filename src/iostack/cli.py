@@ -11,9 +11,9 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from .config import ConfigError, RunSpec, load_config
+from .config import REPLAY_MODES, ConfigError, RunSpec, load_config
 from .engine import StageFault
-from .replay import ReplayMode, TraceReplayError, replay
+from .replay import TraceReplayError, replay
 from .reports import BaselineError, emit_reports, load_baseline
 from .trace import TraceError, ingest_text, read_canonical
 from .workload import generate
@@ -40,7 +40,7 @@ def _parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--output", required=True, help="report output directory")
     p.add_argument("--seed", type=_non_negative_int, help="override the seed of every generator")
-    p.add_argument("--replay", choices=["closed", "open"], help="override the replay mode")
+    p.add_argument("--replay", choices=list(REPLAY_MODES), help="override the replay mode")
     p.add_argument("--baseline", help="measured per-request latency file")
     p.add_argument(
         "--tolerance-us", type=_non_negative_int, help="closed-loop response-time tolerance"
@@ -76,8 +76,7 @@ def main(argv: list[str] | None = None) -> int:
         spec = load_config(Path(args.config).read_text(encoding="utf-8"))
         policy = spec.policy
         if args.replay is not None:
-            mode = ReplayMode.CLOSED_LOOP if args.replay == "closed" else ReplayMode.OPEN_LOOP_TIMED
-            policy = dataclasses.replace(policy, mode=mode)
+            policy = dataclasses.replace(policy, mode=REPLAY_MODES[args.replay])
         if args.tolerance_us is not None:
             policy = dataclasses.replace(policy, tolerance_us=args.tolerance_us)
         baseline_path = args.baseline or spec.baseline_path

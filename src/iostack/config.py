@@ -1,22 +1,27 @@
 """INI configuration loading with strict validation and full echo.
 
-Every key is type-checked, unknown keys are rejected, and the complete set
-of effective parameters (explicit or defaulted) is echoed into the run
-report so any result can be reproduced from its summary alone.
+The config dataclasses are the schema: the keys of ``[disk]``,
+``[disk_cache]``, ``[os]`` and each ``[workload*]`` section are the fields
+of the dataclasses those sections configure, and one parser and one
+formatter, chosen by field type, serve every key.  Unknown keys are
+rejected.  The echo walks the same fields under the same key names, so the
+complete set of effective parameters (explicit or defaulted) written into
+the run report loads back as the same run.
 """
 
 from __future__ import annotations
 
 import configparser
 import dataclasses
+import typing
 from dataclasses import dataclass, field
+from enum import Enum
 
-from .diskcache import DiskCacheConfig, ReadPrefetch, WritePolicy
-from .disk import DiskGeometry, Mapping, SeekProfile, Zone
+from .diskcache import DiskCacheConfig
+from .disk import DiskGeometry, SeekProfile, Zone
 from .fscache import FsCacheConfig
-from .profiles import PROFILES, DriveProfile
+from .profiles import PROFILES
 from .replay import ReplayMode, ReplayPolicy, StackConfig
-from .requests import AccessMode
 from .scheduler import Policy
 from .trace import DEFAULT_SYSTEM_PROCESSES
 from .workload import SEQUENTIAL_ADDRESSES, DistKind, DistSpec, GeneratorSpec
@@ -40,71 +45,107 @@ class RunSpec:
     echo: dict[str, str] = field(default_factory=dict)
 
 
-def _parse_int(section: str, key: str, raw: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"{section}.{key}: expected integer, got {raw!r}") from None
+#: ``[replay] mode`` values.
+REPLAY_MODES = {"closed": ReplayMode.CLOSED_LOOP, "open": ReplayMode.OPEN_LOOP_TIMED}
+
+_BOOLS = {
+    **dict.fromkeys(("1", "true", "yes", "on"), True),
+    **dict.fromkeys(("0", "false", "no", "off"), False),
+}
 
 
-def _parse_float(section: str, key: str, raw: str) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"{section}.{key}: expected number, got {raw!r}") from None
+def _keys(cls, key=lambda name: name) -> dict[str, tuple[str, object]]:
+    """INI key -> (field name, field type) for every field of a config dataclass."""
+
+    types = typing.get_type_hints(cls)
+    return {key(f.name): (f.name, types[f.name]) for f in dataclasses.fields(cls)}
 
 
-def _parse_bool(section: str, key: str, raw: str) -> bool:
-    lowered = raw.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"{section}.{key}: expected boolean, got {raw!r}")
+GEOMETRY_KEYS = _keys(DiskGeometry)
+#: The seek triples keep a ``seek_`` prefix; ``head_switch_us`` has none.
+SEEK_KEYS = _keys(
+    SeekProfile, lambda name: f"seek_{name}" if name.startswith(("read_", "write_")) else name
+)
+DISK_CACHE_KEYS = _keys(DiskCacheConfig)
+FS_KEYS = _keys(FsCacheConfig)
+WORKLOAD_KEYS = _keys(GeneratorSpec)
+#: Field types that hold a distribution: field ``k`` also takes ``k_clamp``.
+_DISTRIBUTIONS = (DistSpec, str | DistSpec)
 
 
-def _parse_enum(section: str, key: str, raw: str, enum_cls):
-    try:
-        return enum_cls(raw.strip().upper())
-    except ValueError:
-        choices = ", ".join(e.value for e in enum_cls)
-        raise ConfigError(f"{section}.{key}: expected one of {choices}, got {raw!r}") from None
-
-
-def _parse_zones(section: str, raw: str) -> tuple[Zone, ...]:
+def _zones(text: str) -> tuple[Zone, ...]:
     zones = []
-    for part in raw.split(","):
+    for part in text.split(","):
         try:
-            first, spt = part.strip().split(":")
+            first, spt = part.split(":")
             zones.append(Zone(int(first), int(spt)))
         except ValueError:
-            raise ConfigError(
-                f"{section}.zones: expected 'first:spt,first:spt,...', got {raw!r}"
-            ) from None
+            raise ValueError(f"expected 'first:spt,first:spt,...', got {text!r}") from None
     return tuple(zones)
 
 
-def _parse_dist(section: str, key: str, raw: str, clamp: tuple | None) -> DistSpec:
-    parts = [p.strip() for p in raw.split(":")]
-    kind_token = parts[0].upper()
+def _value(kind, text: str):
+    """``text`` as a value of field type ``kind``."""
+
+    if kind is bool:
+        if text.lower() not in _BOOLS:
+            raise ValueError(f"expected boolean, got {text!r}")
+        return _BOOLS[text.lower()]
+    if kind is int or kind is float:
+        try:
+            return kind(text)
+        except ValueError:
+            expected = "integer" if kind is int else "number"
+            raise ValueError(f"expected {expected}, got {text!r}") from None
+    if kind == tuple[Zone, ...]:
+        return _zones(text)
+    if kind in _DISTRIBUTIONS:
+        if kind != DistSpec and text.upper() == SEQUENTIAL_ADDRESSES:
+            return SEQUENTIAL_ADDRESSES
+        name, *params = text.split(":")
+        return DistSpec(_value(DistKind, name.strip()), tuple(float(p) for p in params))
+    choices = [member.value for member in kind]
+    if text.upper() not in choices:
+        raise ValueError(f"expected one of {', '.join(choices)}, got {text!r}")
+    return kind(text.upper())
+
+
+def _clamped(dist, text: str) -> DistSpec:
+    """``dist`` clamped to the ``min:max`` range ``text``."""
+
+    if not isinstance(dist, DistSpec):
+        raise ValueError("clamps only a distribution set in the same section")
     try:
-        kind = DistKind(kind_token)
+        lo, hi = (float(p) for p in text.split(":"))
     except ValueError:
-        choices = ", ".join(k.value.lower() for k in DistKind)
-        raise ConfigError(f"{section}.{key}: unknown distribution {parts[0]!r} ({choices})") from None
+        raise ValueError(f"expected 'min:max', got {text!r}") from None
+    return dataclasses.replace(dist, clamp=(lo, hi))
+
+
+def _parse(section: str, key: str, parse, *args):
+    """``parse(*args)``, its errors reported against ``section.key``."""
+
     try:
-        params = tuple(float(p) for p in parts[1:])
-        return DistSpec(kind, params, clamp)
+        return parse(*args)
     except ValueError as exc:
         raise ConfigError(f"{section}.{key}: {exc}") from None
 
 
-def _parse_clamp(section: str, key: str, raw: str) -> tuple[float, float]:
-    try:
-        lo, hi = (float(p) for p in raw.split(":"))
-        return lo, hi
-    except ValueError:
-        raise ConfigError(f"{section}.{key}: expected 'min:max', got {raw!r}") from None
+def _format(value) -> str:
+    """The INI text that parses back to ``value``."""
+
+    if isinstance(value, float):
+        # The shortest text that round-trips, without a bare ".0".
+        return repr(value).removesuffix(".0")
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, DistSpec):
+        return ":".join([value.kind.value.lower(), *map(_format, value.params)])
+    if isinstance(value, Zone):
+        return f"{value.first_cylinder}:{value.sectors_per_track}"
+    if isinstance(value, tuple):
+        return ",".join(map(_format, value))
+    return str(value)
 
 
 class _Section:
@@ -119,80 +160,59 @@ class _Section:
         self.seen.add(key)
         return self.raw.get(key, default)
 
+    def value(self, key: str, kind, default):
+        raw = self.get(key)
+        return default if raw is None else _parse(self.name, key, _value, kind, raw)
+
     def reject_unknown(self) -> None:
         unknown = sorted(set(self.raw) - self.seen)
         if unknown:
             raise ConfigError(f"{self.name}.{unknown[0]}: unknown key")
 
 
-def _geometry_fields(section: _Section, base: DiskGeometry | None) -> DiskGeometry:
+def _read(section: _Section, keys: dict, base=None) -> dict:
+    """The field values of ``base``, if given, overridden by the section's keys."""
+
     values = {}
     if base is not None:
-        values = {f.name: getattr(base, f.name) for f in dataclasses.fields(DiskGeometry)}
-    mapping = {
-        "cylinders": _parse_int,
-        "heads": _parse_int,
-        "rpm": _parse_int,
-        "track_skew_sectors": _parse_int,
-        "cylinder_skew_sectors": _parse_int,
-        "spares_per_zone_tail": _parse_int,
-    }
-    for key, parser in mapping.items():
+        values = {f.name: getattr(base, f.name) for f in dataclasses.fields(base)}
+    for key, (name, kind) in keys.items():
         raw = section.get(key)
         if raw is not None:
-            values[key] = parser(section.name, key, raw)
-    raw = section.get("zones")
-    if raw is not None:
-        values["zones"] = _parse_zones(section.name, raw)
-    raw = section.get("mapping")
-    if raw is not None:
-        values["mapping"] = _parse_enum(section.name, "mapping", raw, Mapping)
-    if "rpm" in values and values["rpm"] <= 0:
-        raise ConfigError(f"{section.name}.rpm: must be positive, got {values['rpm']}")
-    missing = {"cylinders", "heads", "rpm", "zones"} - set(values)
-    if missing:
-        raise ConfigError(f"{section.name}.{sorted(missing)[0]}: required without a profile")
-    try:
-        return DiskGeometry(**values)
-    except ValueError as exc:
-        raise ConfigError(f"{section.name}: {exc}") from None
-
-
-def _seek_fields(section: _Section, base: SeekProfile | None) -> SeekProfile:
-    values = {}
-    if base is not None:
-        values = {f.name: getattr(base, f.name) for f in dataclasses.fields(SeekProfile)}
-    for key in (
-        "seek_read_min_us",
-        "seek_read_avg_us",
-        "seek_read_max_us",
-        "seek_write_min_us",
-        "seek_write_avg_us",
-        "seek_write_max_us",
-        "head_switch_us",
-    ):
-        raw = section.get(key)
-        if raw is not None:
-            values[key.removeprefix("seek_")] = _parse_float(section.name, key, raw)
-    read_keys = {"read_min_us", "read_avg_us", "read_max_us"}
-    if not read_keys <= set(values):
-        raise ConfigError(f"{section.name}.seek_read_min_us: seek triple required without a profile")
-    for side in ("min", "avg", "max"):
-        values.setdefault(f"write_{side}_us", values[f"read_{side}_us"])
-    values.setdefault("head_switch_us", values["read_min_us"])
-    try:
-        return SeekProfile(**values)
-    except ValueError as exc:
-        raise ConfigError(f"{section.name}: {exc}") from None
-
-
-def _dataclass_overrides(section: _Section, base, parsers: dict[str, tuple]) -> dict:
-    values = {f.name: getattr(base, f.name) for f in dataclasses.fields(type(base))}
-    for key, (parser, *extra) in parsers.items():
-        raw = section.get(key)
-        if raw is not None:
-            values[key] = parser(section.name, key, raw, *extra)
+            values[name] = _parse(section.name, key, _value, kind, raw)
+        clamp = section.get(f"{key}_clamp") if kind in _DISTRIBUTIONS else None
+        if clamp is not None:
+            values[name] = _parse(section.name, f"{key}_clamp", _clamped, values.get(name), clamp)
     return values
+
+
+def _make(section: str, cls, keys: dict, values: dict, missing: str = "required"):
+    """``cls(**values)``; a field without a default must be in ``values``."""
+
+    required = {
+        f.name
+        for f in dataclasses.fields(cls)
+        if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+    }
+    for key, (name, _) in keys.items():
+        if name in required and name not in values:
+            raise ConfigError(f"{section}.{key}: {missing}")
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(f"{section}: {exc}") from None
+
+
+def _seek(section: _Section, base: SeekProfile | None) -> SeekProfile:
+    values = _read(section, SEEK_KEYS, base)
+    if base is None:
+        # Write seeks default to the read triple, a head switch to a
+        # one-cylinder seek.
+        for name in [name for name in values if name.startswith("read_")]:
+            values.setdefault(name.replace("read_", "write_", 1), values[name])
+        if "read_min_us" in values:
+            values.setdefault("head_switch_us", values["read_min_us"])
+    return _make("disk", SeekProfile, SEEK_KEYS, values, "seek triple required without a profile")
 
 
 def load_config(text: str) -> RunSpec:
@@ -214,89 +234,42 @@ def load_config(text: str) -> RunSpec:
 
     # [disk]
     disk = section("disk")
-    profile: DriveProfile | None = None
     profile_name = disk.get("profile")
-    if profile_name is not None:
-        if profile_name not in PROFILES:
-            raise ConfigError(
-                f"disk.profile: unknown profile {profile_name!r}; "
-                f"available: {', '.join(sorted(PROFILES))}"
-            )
-        profile = PROFILES[profile_name]
-    geometry = _geometry_fields(disk, profile.geometry if profile else None)
-    seek = _seek_fields(disk, profile.seek if profile else None)
+    if profile_name is not None and profile_name not in PROFILES:
+        raise ConfigError(
+            f"disk.profile: unknown profile {profile_name!r}; "
+            f"available: {', '.join(sorted(PROFILES))}"
+        )
+    profile = PROFILES.get(profile_name)
+    values = _read(disk, GEOMETRY_KEYS, profile.geometry if profile else None)
+    if values.get("rpm", 1) <= 0:
+        raise ConfigError(f"disk.rpm: must be positive, got {values['rpm']}")
+    geometry = _make("disk", DiskGeometry, GEOMETRY_KEYS, values, "required without a profile")
+    seek = _seek(disk, profile.seek if profile else None)
     disk.reject_unknown()
 
     # [disk_cache]
     cache_section = section("disk_cache")
-    cache_base = profile.cache if profile else DiskCacheConfig()
-    cache_values = _dataclass_overrides(
-        cache_section,
-        cache_base,
-        {
-            "total_bytes": (_parse_int,),
-            "segment_count": (_parse_int,),
-            "segment_bytes": (_parse_int,),
-            "read_prefetch": (_parse_enum, ReadPrefetch),
-            "prefetch_block_bytes": (_parse_int,),
-            "write_policy": (_parse_enum, WritePolicy),
-            "locality_radius_sectors": (_parse_int,),
-            "fill_chunk_sectors": (_parse_int,),
-            "reposition_penalty": (_parse_bool,),
-            "background_destage": (_parse_bool,),
-        },
-    )
+    values = _read(cache_section, DISK_CACHE_KEYS, profile.cache if profile else None)
+    cache = _make("disk_cache", DiskCacheConfig, DISK_CACHE_KEYS, values)
     cache_section.reject_unknown()
-    try:
-        cache = DiskCacheConfig(**cache_values)
-    except ValueError as exc:
-        raise ConfigError(f"disk_cache: {exc}") from None
 
     # [os]
     os_section = section("os")
-    fs_values = _dataclass_overrides(
-        os_section,
-        FsCacheConfig(),
-        {
-            "block_bytes": (_parse_int,),
-            "view_bytes": (_parse_int,),
-            "readahead_trigger": (_parse_int,),
-            "readahead_window_factor": (_parse_int,),
-            "working_set_bytes": (_parse_int,),
-            "reserve_constant_bytes": (_parse_int,),
-            "fastio_hit_cost_us": (_parse_int,),
-            "miss_path_cost_us": (_parse_int,),
-            "memcopy_bytes_per_us": (_parse_int,),
-            "cache_capacity_bytes": (_parse_int,),
-            "metadata_write_bytes": (_parse_int,),
-            "metadata_disk_addr": (_parse_int,),
-            "open_close_cost_us": (_parse_int,),
-        },
-    )
-    raw_policy = os_section.get("scheduler_policy")
-    scheduler_policy = (
-        _parse_enum("os", "scheduler_policy", raw_policy, Policy) if raw_policy else Policy.FCFS
-    )
+    fs = _make("os", FsCacheConfig, FS_KEYS, _read(os_section, FS_KEYS))
+    scheduler_policy = os_section.value("scheduler_policy", Policy, Policy.FCFS)
     os_section.reject_unknown()
-    try:
-        fs = FsCacheConfig(**fs_values)
-    except ValueError as exc:
-        raise ConfigError(f"os: {exc}") from None
 
     # [trace]
     trace_section = section("trace")
     trace_path = trace_section.get("path")
-    cluster_raw = trace_section.get("cluster_bytes")
-    cluster_bytes = _parse_int("trace", "cluster_bytes", cluster_raw) if cluster_raw else 4096
-    include_raw = trace_section.get("include_system")
-    include_system = (
-        _parse_bool("trace", "include_system", include_raw) if include_raw else False
-    )
+    cluster_bytes = trace_section.value("cluster_bytes", int, 4096)
+    include_system = trace_section.value("include_system", bool, False)
     deny_raw = trace_section.get("process_deny")
     system_processes = (
-        tuple(p.strip() for p in deny_raw.split(",") if p.strip())
-        if deny_raw
-        else DEFAULT_SYSTEM_PROCESSES
+        DEFAULT_SYSTEM_PROCESSES
+        if deny_raw is None
+        else tuple(p.strip() for p in deny_raw.split(",") if p.strip())
     )
     trace_section.reject_unknown()
 
@@ -304,36 +277,26 @@ def load_config(text: str) -> RunSpec:
     workloads = []
     for name in parser.sections():
         if name.startswith("workload"):
-            workloads.append(_load_workload(_Section(name, dict(parser[name]))))
+            workload = _Section(name, dict(parser[name]))
+            values = _read(workload, WORKLOAD_KEYS)
+            workload.reject_unknown()
+            workloads.append(_make(name, GeneratorSpec, WORKLOAD_KEYS, values))
 
     # [replay]
     replay_section = section("replay")
     mode_raw = replay_section.get("mode", "closed")
-    mode = {
-        "closed": ReplayMode.CLOSED_LOOP,
-        "open": ReplayMode.OPEN_LOOP_TIMED,
-    }.get(mode_raw.strip().lower())
+    mode = REPLAY_MODES.get(mode_raw.strip().lower())
     if mode is None:
         raise ConfigError(f"replay.mode: expected closed or open, got {mode_raw!r}")
-    tol_raw = replay_section.get("tolerance_us")
-    tolerance_us = _parse_int("replay", "tolerance_us", tol_raw) if tol_raw else 0
+    tolerance_us = replay_section.value("tolerance_us", int, 0)
     if tolerance_us < 0:
         raise ConfigError(f"replay.tolerance_us: must be >= 0, got {tolerance_us}")
     baseline_path = replay_section.get("baseline")
     replay_section.reject_unknown()
 
-    stack = StackConfig(
-        geometry=geometry,
-        seek=seek,
-        fs=fs,
-        cache=cache,
-        scheduler_policy=scheduler_policy,
-        include_system_requests=include_system,
-    )
-    policy = ReplayPolicy(mode=mode, tolerance_us=tolerance_us)
     spec = RunSpec(
-        stack=stack,
-        policy=policy,
+        stack=StackConfig(geometry, seek, fs, cache, scheduler_policy, include_system),
+        policy=ReplayPolicy(mode, tolerance_us),
         trace_path=trace_path,
         cluster_bytes=cluster_bytes,
         system_processes=system_processes,
@@ -344,109 +307,38 @@ def load_config(text: str) -> RunSpec:
     return spec
 
 
-def _load_workload(section: _Section) -> GeneratorSpec:
-    name = section.name
-
-    def need_int(key: str) -> int:
-        raw = section.get(key)
-        if raw is None:
-            raise ConfigError(f"{name}.{key}: required")
-        return _parse_int(name, key, raw)
-
-    count = need_int("count")
-    seed = need_int("seed")
-    values: dict = {"count": count, "seed": seed}
-    for key in ("file_id", "disk_base_bytes", "size_granularity_bytes", "start_time_us", "address_base"):
-        raw = section.get(key)
-        if raw is not None:
-            values[key] = _parse_int(name, key, raw)
-    for key in ("read_weight", "write_weight"):
-        raw = section.get(key)
-        if raw is not None:
-            values[key] = _parse_float(name, key, raw)
-    raw = section.get("mode")
-    if raw is not None:
-        values["mode"] = _parse_enum(name, "mode", raw, AccessMode)
-    raw = section.get("emit_open_close")
-    if raw is not None:
-        values["emit_open_close"] = _parse_bool(name, "emit_open_close", raw)
-    for key, target in (("inter_arrival_us", "inter_arrival_us"), ("size_bytes", "size_bytes")):
-        raw = section.get(key)
-        clamp_raw = section.get(f"{key}_clamp")
-        clamp = _parse_clamp(name, f"{key}_clamp", clamp_raw) if clamp_raw else None
-        if raw is not None:
-            values[target] = _parse_dist(name, key, raw, clamp)
-    raw = section.get("address")
-    if raw is not None:
-        if raw.strip().lower() == "sequential":
-            values["address"] = SEQUENTIAL_ADDRESSES
-        else:
-            clamp_raw = section.get("address_clamp")
-            clamp = _parse_clamp(name, "address_clamp", clamp_raw) if clamp_raw else None
-            values["address"] = _parse_dist(name, "address", raw, clamp)
-    section.reject_unknown()
-    try:
-        return GeneratorSpec(**values)
-    except ValueError as exc:
-        raise ConfigError(f"{name}: {exc}") from None
-
-
 def build_echo(spec: RunSpec, profile_name: str | None = None) -> dict[str, str]:
-    """Flatten every effective parameter into one deterministic mapping."""
+    """Flatten every effective parameter into one deterministic mapping.
+
+    Every entry is ``section.key`` -> value text that :func:`load_config`
+    accepts, so the echo loads back as the same run.
+    """
 
     echo: dict[str, str] = {}
+
+    def fields(section: str, keys: dict, obj) -> None:
+        for key, (name, _) in keys.items():
+            value = getattr(obj, name)
+            echo[f"{section}.{key}"] = _format(value)
+            if isinstance(value, DistSpec) and value.clamp is not None:
+                echo[f"{section}.{key}_clamp"] = ":".join(map(_format, value.clamp))
+
     if profile_name:
         echo["disk.profile"] = profile_name
-    g = spec.stack.geometry
-    echo["disk.cylinders"] = str(g.cylinders)
-    echo["disk.heads"] = str(g.heads)
-    echo["disk.rpm"] = str(g.rpm)
-    echo["disk.zones"] = ",".join(f"{z.first_cylinder}:{z.sectors_per_track}" for z in g.zones)
-    echo["disk.track_skew_sectors"] = str(g.track_skew_sectors)
-    echo["disk.cylinder_skew_sectors"] = str(g.cylinder_skew_sectors)
-    echo["disk.spares_per_zone_tail"] = str(g.spares_per_zone_tail)
-    echo["disk.mapping"] = g.mapping.value
-    s = spec.stack.seek
-    for fld in dataclasses.fields(SeekProfile):
-        echo[f"disk.seek_{fld.name}" if not fld.name.startswith("head") else f"disk.{fld.name}"] = (
-            f"{getattr(s, fld.name):g}"
-        )
-    c = spec.stack.cache
-    for fld in dataclasses.fields(DiskCacheConfig):
-        value = getattr(c, fld.name)
-        echo[f"disk_cache.{fld.name}"] = value.value if hasattr(value, "value") else str(value)
-    f = spec.stack.fs
-    for fld in dataclasses.fields(FsCacheConfig):
-        value = getattr(f, fld.name)
-        echo[f"os.{fld.name}"] = str(value)
-    echo["os.scheduler_policy"] = spec.stack.scheduler_policy.value
-    echo["trace.cluster_bytes"] = str(spec.cluster_bytes)
-    echo["trace.include_system"] = str(spec.stack.include_system_requests)
-    echo["trace.process_deny"] = ",".join(spec.system_processes)
+    fields("disk", GEOMETRY_KEYS, spec.stack.geometry)
+    fields("disk", SEEK_KEYS, spec.stack.seek)
+    fields("disk_cache", DISK_CACHE_KEYS, spec.stack.cache)
+    fields("os", FS_KEYS, spec.stack.fs)
+    echo["os.scheduler_policy"] = _format(spec.stack.scheduler_policy)
+    echo["trace.cluster_bytes"] = _format(spec.cluster_bytes)
+    echo["trace.include_system"] = _format(spec.stack.include_system_requests)
+    echo["trace.process_deny"] = _format(spec.system_processes)
     if spec.trace_path:
         echo["trace.path"] = spec.trace_path
-    echo["replay.mode"] = spec.policy.mode.value
-    echo["replay.tolerance_us"] = str(spec.policy.tolerance_us)
+    echo["replay.mode"] = next(k for k, mode in REPLAY_MODES.items() if mode is spec.policy.mode)
+    echo["replay.tolerance_us"] = _format(spec.policy.tolerance_us)
     if spec.baseline_path:
         echo["replay.baseline"] = spec.baseline_path
     for i, w in enumerate(spec.workloads):
-        prefix = f"workload{i}"
-        echo[f"{prefix}.count"] = str(w.count)
-        echo[f"{prefix}.seed"] = str(w.seed)
-        echo[f"{prefix}.mode"] = w.mode.value
-        echo[f"{prefix}.size_bytes"] = _dist_repr(w.size_bytes)
-        echo[f"{prefix}.inter_arrival_us"] = _dist_repr(w.inter_arrival_us)
-        echo[f"{prefix}.address"] = (
-            w.address if isinstance(w.address, str) else _dist_repr(w.address)
-        )
-        echo[f"{prefix}.address_base"] = str(w.address_base)
-        echo[f"{prefix}.file_id"] = str(w.file_id)
-        echo[f"{prefix}.disk_base_bytes"] = str(w.disk_base_bytes)
+        fields(f"workload{i}", WORKLOAD_KEYS, w)
     return echo
-
-
-def _dist_repr(dist: DistSpec) -> str:
-    body = ":".join([dist.kind.value.lower()] + [f"{p:g}" for p in dist.params])
-    if dist.clamp:
-        body += f" clamp {dist.clamp[0]:g}:{dist.clamp[1]:g}"
-    return body

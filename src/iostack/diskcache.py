@@ -20,10 +20,6 @@ from typing import Iterable
 from .requests import SECTOR_BYTES
 
 
-class CacheFull(Exception):
-    """All segments dirty while background destage is disabled."""
-
-
 class UnexpectedFill(Exception):
     """Media data arrived that no outstanding fill or prefetch asked for."""
 
@@ -68,7 +64,6 @@ class DiskCacheConfig:
     fill_chunk_sectors: int = 128
     #: Lose one revolution after draining a 512KB prefetch in 128KB slices.
     reposition_penalty: bool = False
-    background_destage: bool = True
 
     def __post_init__(self) -> None:
         if self.segment_count * self.segment_bytes > self.total_bytes:
@@ -113,7 +108,8 @@ class Segment:
 class PrefetchDirective:
     lba: int
     sectors: int
-    kind: str  # "fill" or "local"
+    #: The local-pattern 512KB prefetch rather than a sequential fill.
+    local: bool
 
 
 @dataclass
@@ -336,12 +332,12 @@ class SegmentedCache:
             target = lba + sectors + cfg.segment_sectors
             frontier = max(self.fill_frontier, lba + sectors)
             if target > frontier:
-                directives.append(PrefetchDirective(frontier, target - frontier, "fill"))
+                directives.append(PrefetchDirective(frontier, target - frontier, local=False))
                 self.fill_frontier = target
         elif not sequential:
             self.fill_frontier = 0
         if cfg.read_prefetch is ReadPrefetch.LOCAL_512K and self.detector.observe(lba, sectors):
-            directives.append(PrefetchDirective(lba, cfg.prefetch_block_sectors, "local"))
+            directives.append(PrefetchDirective(lba, cfg.prefetch_block_sectors, local=True))
             self.local_prefetch_count += 1
         self.seq_last_end = lba + sectors
         return classification, missing, directives
@@ -392,8 +388,7 @@ class SegmentedCache:
 
         if sectors <= 0:
             raise ValueError("sectors must be positive")
-        cfg = self.config
-        if cfg.write_policy is WritePolicy.WRITE_THROUGH or force_media:
+        if self.config.write_policy is WritePolicy.WRITE_THROUGH or force_media:
             self.insert_clean_for_write(lba, sectors)
             return Ack.ACK_AFTER_MEDIA, [(lba, sectors, tags)]
 
@@ -401,8 +396,6 @@ class SegmentedCache:
         if seg is None:
             seg = self._allocate()
             if seg is None:
-                if not cfg.background_destage:
-                    raise CacheFull("all segments dirty and background destage is disabled")
                 return Ack.DEFER, []
             seg.start = seg.end = lba
         self._extend(seg, lba, sectors)

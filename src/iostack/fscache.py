@@ -40,6 +40,13 @@ METADATA = "metadata"
 APP_ACTOR = "app"
 SYSTEM_ACTOR = "system"
 
+#: Sizes written progressively: everything at or below this bound...
+PROGRESSIVE_MAX_BYTES = 98_304
+#: ...plus these two exact sizes.
+PROGRESSIVE_EXACT_SIZES = (131_072, 262_144)
+#: Observed block accounting that deviates from ceil(size/64KB).
+PERIODIC_BLOCK_OVERRIDES = {327_680: 6}
+
 
 class WriteRegime(Enum):
     PROGRESSIVE = "PROGRESSIVE"
@@ -60,12 +67,6 @@ class FsCacheConfig:
     #: flush cadence of one bulk flush per 7-8 large requests at an 8MB
     #: working set.
     reserve_constant_bytes: int = 6 * 1024 * 1024
-    #: Sizes written progressively: everything at or below this bound...
-    progressive_max_bytes: int = 98_304
-    #: ...plus these two exact sizes.
-    progressive_exact_sizes: tuple[int, ...] = (131_072, 262_144)
-    #: Observed block accounting that deviates from ceil(size/64KB).
-    periodic_block_overrides: tuple[tuple[int, int], ...] = ((327_680, 6),)
     fastio_hit_cost_us: int = 10
     miss_path_cost_us: int = 50
     memcopy_bytes_per_us: int = 2048
@@ -120,21 +121,18 @@ def split_into_blocks(
     return [(start, block_bytes) for start in range(first, last, block_bytes)]
 
 
-def classify_write_regime(size_bytes: int, config: FsCacheConfig) -> WriteRegime:
+def classify_write_regime(size_bytes: int) -> WriteRegime:
     """Progressive for small requests and the two exact larger sizes."""
 
     if size_bytes <= 0:
         raise ValueError("size must be positive")
-    if size_bytes <= config.progressive_max_bytes or size_bytes in config.progressive_exact_sizes:
+    if size_bytes <= PROGRESSIVE_MAX_BYTES or size_bytes in PROGRESSIVE_EXACT_SIZES:
         return WriteRegime.PROGRESSIVE
     return WriteRegime.PERIODIC
 
 
 def periodic_block_count(size_bytes: int, config: FsCacheConfig) -> int:
-    for size, blocks in config.periodic_block_overrides:
-        if size == size_bytes:
-            return blocks
-    return -(-size_bytes // config.block_bytes)
+    return PERIODIC_BLOCK_OVERRIDES.get(size_bytes, -(-size_bytes // config.block_bytes))
 
 
 def periodic_split(block_count: int, period_position: int) -> tuple[int, int]:
@@ -470,7 +468,7 @@ class FsCache:
                 )
             return plan
 
-        regime = classify_write_regime(length, cfg)
+        regime = classify_write_regime(length)
         n = periodic_block_count(length, cfg)
         stream = self.write_streams.setdefault(req.file_id, WriteStream())
         plan = Plan()

@@ -27,7 +27,15 @@ from .diskcache import (
 from .disk import DiskGeometry, HeadState, SeekProfile, cylinder_of_byte, service
 from .engine import EventLog, Observer, SimEvent, Simulator, StageId
 from .fscache import FsCache, FsCacheConfig, IoIntent
-from .requests import CanonicalRequest, Op, Origin, RequestRecord, Summary, sector_range
+from .requests import (
+    AccessMode,
+    CanonicalRequest,
+    Op,
+    Origin,
+    RequestRecord,
+    Summary,
+    sector_range,
+)
 from .scheduler import PendingQueue, Policy
 
 
@@ -329,7 +337,7 @@ class FsStage:
             msg=msg,
             wait_blocks=set(plan.wait_blocks),
             metadata_after_data=plan.metadata_after_data,
-            passthrough=any(io.purpose == fsc.PASSTHROUGH for io in plan.ios),
+            passthrough=req.mode is AccessMode.NO_BUFFER,
         )
         for key in pending.wait_blocks:
             self.block_waiters.setdefault(key, []).append(rid)
@@ -525,7 +533,7 @@ class DiskCacheStage:
             end = min(d.lba + d.sectors, limit)
             if end <= d.lba:
                 continue
-            if d.kind == "local":
+            if d.local:
                 self.cache.expect_fill(d.lba, end - d.lba)
                 self.fill_inflight.add((d.lba, end))
                 self._media(MediaRole.LOCAL_PREFETCH, d.lba, end - d.lba)
@@ -572,7 +580,7 @@ class DiskCacheStage:
             self._kick_destage()
 
     def _kick_destage(self) -> None:
-        if self.destage_inflight or not self.cache.config.background_destage:
+        if self.destage_inflight:
             return
         record = self.cache.destage_next()
         if record is None:
@@ -684,7 +692,7 @@ class DiskStage:
 
     def _finish(self, msg: MediaMsg) -> None:
         if msg.write:
-            if msg.purpose == fsc.METADATA or msg.sector_tags is None:
+            if msg.sector_tags is None:
                 self.metadata_writes += 1
             else:
                 self.data_image.overlay(msg.sector_tags)

@@ -94,3 +94,13 @@ def plain_stack(
         cache=cache or DiskCacheConfig(read_prefetch=ReadPrefetch.NONE),
         **stack_overrides,
     )
+
+
+def echo_to_ini(echo: dict[str, str]) -> str:
+    """An INI body holding every ``section.key`` -> value entry of a config echo."""
+
+    sections: dict[str, list[str]] = {}
+    for dotted, value in echo.items():
+        section, key = dotted.split(".", 1)
+        sections.setdefault(section, []).append(f"{key} = {value}")
+    return "".join(f"[{name}]\n" + "\n".join(lines) + "\n" for name, lines in sections.items())

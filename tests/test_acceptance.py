@@ -35,7 +35,6 @@ from iostack import (
     write_canonical,
 )
 from iostack.diskcache import SegmentedCache
-from iostack.fscache import FsCacheConfig
 from iostack.profiles import FUJITSU_MAN3184MP, HITACHI_TRAVELSTAR_80GN, PROFILES, TOSHIBA_MK6012MAP
 from iostack.requests import Origin
 from iostack.workload import DistSpec, GeneratorSpec, generate
@@ -84,11 +83,10 @@ def test_periodic_write_pattern_and_flush_cadence():
 
 
 def test_write_regime_classification():
-    cfg = FsCacheConfig()
     for size in (32 * KB, 64 * KB, 96 * KB, 128 * KB, 256 * KB):
-        assert classify_write_regime(size, cfg) is WriteRegime.PROGRESSIVE, size
+        assert classify_write_regime(size) is WriteRegime.PROGRESSIVE, size
     for size in (160 * KB, 192 * KB, 320 * KB, 512 * KB):
-        assert classify_write_regime(size, cfg) is WriteRegime.PERIODIC, size
+        assert classify_write_regime(size) is WriteRegime.PERIODIC, size
     ok("write regime classification")
 
 
@@ -114,7 +112,7 @@ def test_local_512k_prefetch_per_pattern_instance():
             cache.expect_fill(*run)
             cache.on_media_data(*run)
         for d in directives:
-            if d.kind == "local":
+            if d.local:
                 cache.expect_fill(d.lba, d.sectors)
                 cache.on_media_data(d.lba, d.sectors, local=True)
     assert cache.local_prefetch_count == expected

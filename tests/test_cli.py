@@ -8,7 +8,8 @@ import pytest
 
 from iostack.cli import main
 
-from conftest import SAMPLE_TRACE
+from conftest import SAMPLE_TRACE, echo_to_ini
+from test_config_reports import BAD_VALUES, with_bad_value
 
 CONFIG = """
 [disk]
@@ -113,25 +114,37 @@ class TestCli:
         assert code == 0
 
 
-# One segment, no background destage: the second write-back write finds every
-# segment dirty and the drive cache fails inside the replay.
-CACHE_FULL_CONFIG = """
+    def test_summary_config_block_reproduces_the_run(self, tmp_path):
+        sample = Path(__file__).parent.parent / "demos" / "sample_config.ini"
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main(["--config", str(sample), "--generate", "--output", str(first)]) == 0
+        summary = (first / "summary.txt").read_text().splitlines()
+        block = summary[summary.index("[config]") + 1 :]
+        echo = dict(line.split("=", 1) for line in block)
+        reloaded = write_config(tmp_path, echo_to_ini(echo))
+        assert main(["--config", str(reloaded), "--generate", "--output", str(second)]) == 0
+        for name in ("requests.csv", "summary.txt"):
+            assert (second / name).read_bytes() == (first / name).read_bytes()
+
+
+# The metadata write after each write-through write lands far beyond the
+# drive's last sector, so the disk stage fails inside the replay.
+STAGE_FAULT_CONFIG = """
 [disk]
 profile = fujitsu_man3184mp
 
-[disk_cache]
-segment_count = 1
-background_destage = false
+[os]
+metadata_disk_addr = 40000000000
 
 [workload]
 count = 4
 seed = 42
-mode = NO_BUFFER
+mode = WRITE_THROUGH
 size_bytes = constant:65536
 inter_arrival_us = constant:0
 read_weight = 0
 write_weight = 1
-address = random_choice:0:10485760:20971520
+address = sequential
 """
 
 # A 4 KB sector size used to scale the geometry's capacity while the drive
@@ -150,8 +163,9 @@ SECTOR_4K_CONFIG = CONFIG.replace(
         (None, ["--tolerance-us", "-5"], CONFIG, "argument --tolerance-us: must be >= 0"),
         (None, ["--seed", "-3"], CONFIG, "argument --seed: must be >= 0"),
         (None, [], CONFIG.replace("seed = 42", "seed = -1"), "workload: seed must be >= 0"),
-        (None, [], CACHE_FULL_CONFIG, "stage DISK_CACHE failed"),
+        (None, [], STAGE_FAULT_CONFIG, "stage DISK failed"),
         (None, [], SECTOR_4K_CONFIG, "disk.sector_bytes: unknown key"),
+        *((None, [], with_bad_value(key, value), f"{key}: ") for key, value in BAD_VALUES.values()),
     ],
     ids=[
         "baseline-header",
@@ -161,6 +175,7 @@ SECTOR_4K_CONFIG = CONFIG.replace(
         "negative-seed-config",
         "stage-fault",
         "sector-bytes-key",
+        *(f"bad-{kind}" for kind in BAD_VALUES),
     ],
 )
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, baseline, extra, config, message):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from iostack import (
@@ -22,7 +24,7 @@ from iostack.reports import REPORT_FORMAT_VERSION
 from iostack.requests import RequestRecord, Origin, Summary
 from iostack.scheduler import Policy
 
-from conftest import plain_stack
+from conftest import echo_to_ini, plain_stack
 from test_golden_log import run as run_golden
 from test_replay import stream
 
@@ -127,6 +129,210 @@ class TestLoadConfig:
         # Echoed keys are unique by construction (dict) and include the
         # profile name that resolved the rest.
         assert spec.echo["disk.profile"] == "fujitsu_man3184mp"
+
+
+SAMPLE_CONFIG = Path(__file__).parent.parent / "demos" / "sample_config.ini"
+WORKLOAD = MINIMAL + "[workload]\ncount = 1\nseed = 1\n"
+
+#: Every accepted key of every section, each set to a value that differs from
+#: its default (or, for the profile's keys, from the profile's value).  The
+#: workload section is named as the echo names it.
+EVERY_KEY = {
+    "disk.profile": "fujitsu_man3184mp",
+    "disk.cylinders": "20000",
+    "disk.heads": "2",
+    "disk.zones": "0:700,10000:500",
+    "disk.rpm": "7200",
+    "disk.track_skew_sectors": "10",
+    "disk.cylinder_skew_sectors": "20",
+    "disk.spares_per_zone_tail": "8",
+    "disk.mapping": "SURFACE_MAJOR",
+    "disk.seek_read_min_us": "512.3456",
+    "disk.seek_read_avg_us": "4000.25",
+    "disk.seek_read_max_us": "9000.5",
+    "disk.seek_write_min_us": "700.125",
+    "disk.seek_write_avg_us": "5500.75",
+    "disk.seek_write_max_us": "13000.5",
+    "disk.head_switch_us": "350.5",
+    "disk_cache.total_bytes": "4194304",
+    "disk_cache.segment_count": "4",
+    "disk_cache.segment_bytes": "262144",
+    "disk_cache.read_prefetch": "NONE",
+    "disk_cache.prefetch_block_bytes": "131072",
+    "disk_cache.write_policy": "WRITE_THROUGH",
+    "disk_cache.locality_radius_sectors": "256",
+    "disk_cache.fill_chunk_sectors": "64",
+    "disk_cache.reposition_penalty": "false",
+    "os.block_bytes": "32768",
+    "os.view_bytes": "131072",
+    "os.readahead_trigger": "4",
+    "os.readahead_window_factor": "3",
+    "os.working_set_bytes": "16777216",
+    "os.reserve_constant_bytes": "8388608",
+    "os.fastio_hit_cost_us": "12",
+    "os.miss_path_cost_us": "60",
+    "os.memcopy_bytes_per_us": "4096",
+    "os.cache_capacity_bytes": "67108864",
+    "os.metadata_write_bytes": "8192",
+    "os.metadata_disk_addr": "1048576",
+    "os.open_close_cost_us": "5",
+    "os.scheduler_policy": "C_LOOK",
+    "trace.cluster_bytes": "8192",
+    "trace.include_system": "true",
+    "trace.process_deny": "svchost.exe,lsass.exe",
+    "trace.path": "capture.txt",
+    "replay.mode": "open",
+    "replay.tolerance_us": "250",
+    "replay.baseline": "base.txt",
+    "workload0.count": "64",
+    "workload0.seed": "9",
+    "workload0.inter_arrival_us": "exponential:250.5",
+    "workload0.inter_arrival_us_clamp": "10:5000",
+    "workload0.size_bytes": "uniform:4096:65536",
+    "workload0.size_bytes_clamp": "8192:32768",
+    "workload0.read_weight": "0.7",
+    "workload0.write_weight": "0.3",
+    "workload0.mode": "NO_BUFFER",
+    "workload0.address": "uniform:0:536805376",
+    "workload0.address_clamp": "1048576:536805376",
+    "workload0.address_base": "4096",
+    "workload0.file_id": "3",
+    "workload0.disk_base_bytes": "1048576",
+    "workload0.size_granularity_bytes": "4096",
+    "workload0.start_time_us": "1000",
+    "workload0.emit_open_close": "false",
+}
+
+#: Each section's accepted keys: no more, no fewer.
+ACCEPTED_KEYS = {
+    "disk": {
+        "profile", "cylinders", "heads", "zones", "rpm", "track_skew_sectors",
+        "cylinder_skew_sectors", "spares_per_zone_tail", "mapping", "seek_read_min_us",
+        "seek_read_avg_us", "seek_read_max_us", "seek_write_min_us", "seek_write_avg_us",
+        "seek_write_max_us", "head_switch_us",
+    },
+    "disk_cache": {
+        "total_bytes", "segment_count", "segment_bytes", "read_prefetch",
+        "prefetch_block_bytes", "write_policy", "locality_radius_sectors",
+        "fill_chunk_sectors", "reposition_penalty",
+    },
+    "os": {
+        "block_bytes", "view_bytes", "readahead_trigger", "readahead_window_factor",
+        "working_set_bytes", "reserve_constant_bytes", "fastio_hit_cost_us",
+        "miss_path_cost_us", "memcopy_bytes_per_us", "cache_capacity_bytes",
+        "metadata_write_bytes", "metadata_disk_addr", "open_close_cost_us", "scheduler_policy",
+    },
+    "trace": {"path", "cluster_bytes", "include_system", "process_deny"},
+    "replay": {"mode", "tolerance_us", "baseline"},
+    "workload0": {
+        "count", "seed", "inter_arrival_us", "inter_arrival_us_clamp", "size_bytes",
+        "size_bytes_clamp", "read_weight", "write_weight", "mode", "address", "address_clamp",
+        "address_base", "file_id", "disk_base_bytes", "size_granularity_bytes",
+        "start_time_us", "emit_open_close",
+    },
+}
+#: Echoed only when set.
+OPTIONAL_KEYS = {
+    "trace.path",
+    "replay.baseline",
+    "workload0.inter_arrival_us_clamp",
+    "workload0.size_bytes_clamp",
+    "workload0.address_clamp",
+}
+
+
+def dotted(sections: dict[str, set[str]]) -> set[str]:
+    return {f"{name}.{key}" for name, keys in sections.items() for key in keys}
+
+
+class TestRoundTrip:
+    def assert_round_trip(self, text: str):
+        spec = load_config(text)
+        back = load_config(echo_to_ini(spec.echo))
+        assert back.stack == spec.stack
+        assert back.policy == spec.policy
+        assert back.workloads == spec.workloads
+        assert (back.trace_path, back.cluster_bytes, back.system_processes) == (
+            spec.trace_path,
+            spec.cluster_bytes,
+            spec.system_processes,
+        )
+        assert back.baseline_path == spec.baseline_path
+        assert back.echo == spec.echo
+        return spec
+
+    def test_demo_config(self):
+        spec = self.assert_round_trip(SAMPLE_CONFIG.read_text())
+        assert spec.echo["replay.mode"] == "closed"
+
+    def test_every_key_non_default(self):
+        spec = self.assert_round_trip(echo_to_ini(EVERY_KEY))
+        default = load_config(WORKLOAD).echo
+        changed = {key for key in default if key in spec.echo and spec.echo[key] != default[key]}
+        assert changed == set(default) - {"disk.profile"}
+        w = spec.workloads[0]
+        assert (w.read_weight, w.write_weight) == (0.7, 0.3)
+        assert w.size_bytes.clamp == (8192, 32768)
+        assert w.address.params == (0, 536_805_376)
+        assert spec.stack.seek.read_min_us == 512.3456
+        assert spec.stack.include_system_requests
+        assert spec.policy.mode is ReplayMode.OPEN_LOOP_TIMED
+        assert spec.echo["disk.seek_read_min_us"] == "512.3456"
+        assert spec.echo["workload0.address"] == "uniform:0:536805376"
+        assert spec.echo["workload0.size_bytes_clamp"] == "8192:32768"
+
+
+class TestNoNewKnob:
+    def test_every_key_config_sets_exactly_the_accepted_keys(self):
+        assert set(EVERY_KEY) == dotted(ACCEPTED_KEYS)
+
+    def test_echo_keys_are_the_accepted_keys(self):
+        assert set(load_config(echo_to_ini(EVERY_KEY)).echo) == dotted(ACCEPTED_KEYS)
+        assert set(load_config(WORKLOAD).echo) == dotted(ACCEPTED_KEYS) - OPTIONAL_KEYS
+
+    @pytest.mark.parametrize(
+        "key",
+        [
+            "disk_cache.background_destage",
+            "os.progressive_max_bytes",
+            "os.progressive_exact_sizes",
+            "os.periodic_block_overrides",
+        ],
+    )
+    def test_removed_or_internal_field_is_not_a_key(self, key):
+        section, name = key.split(".")
+        with pytest.raises(ConfigError, match=f"{key}: unknown key"):
+            load_config(MINIMAL + f"[{section}]\n{name} = 1\n")
+
+
+#: (section.key, bad value), one per value parser.
+BAD_VALUES = {
+    "int": ("disk.cylinders", "many"),
+    "float": ("disk.seek_read_min_us", "fast"),
+    "bool": ("disk_cache.reposition_penalty", "maybe"),
+    "enum": ("disk_cache.write_policy", "sideways"),
+    "zones": ("disk.zones", "0-736"),
+    "distribution": ("workload.size_bytes", "zipf:2"),
+    "clamp": ("workload.size_bytes_clamp", "8192"),
+}
+
+
+def with_bad_value(key: str, value: str) -> str:
+    """A config that generates one workload, with ``key`` set to ``value``."""
+
+    entries = {
+        "disk.profile": "fujitsu_man3184mp",
+        "workload.count": "1",
+        "workload.seed": "1",
+        "workload.size_bytes": "constant:4096",
+    }
+    return echo_to_ini({**entries, key: value})
+
+
+@pytest.mark.parametrize("key, value", BAD_VALUES.values(), ids=BAD_VALUES)
+def test_bad_value_names_the_key(key, value):
+    with pytest.raises(ConfigError, match=f"^{key}: "):
+        load_config(with_bad_value(key, value))
 
 
 class TestErrorPercent:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from iostack import Ack, CacheFull, DiskCacheConfig, Lookup, ReadPrefetch, UnexpectedFill, WritePolicy
+from iostack import Ack, DiskCacheConfig, Lookup, ReadPrefetch, UnexpectedFill, WritePolicy
 from iostack.diskcache import LocalPatternDetector, SegmentedCache, TagMap
 
 BLOCK_SECTORS = 128  # one 64KB block
@@ -54,7 +54,7 @@ class TestReadLookup:
         _, _, directives = cache.read_lookup(128, 128)
         assert len(directives) == 1
         d = directives[0]
-        assert d.kind == "fill"
+        assert not d.local
         assert d.lba == 256
         assert d.sectors == cache.config.segment_sectors
 
@@ -99,7 +99,7 @@ class TestLocalPattern:
         cache.read_lookup(3 * BLOCK_SECTORS, BLOCK_SECTORS)
         cache.read_lookup(8 * BLOCK_SECTORS, BLOCK_SECTORS)
         _, _, directives = cache.read_lookup(4 * BLOCK_SECTORS, BLOCK_SECTORS)
-        local = [d for d in directives if d.kind == "local"]
+        local = [d for d in directives if d.local]
         assert len(local) == 1
         assert local[0].lba == 4 * BLOCK_SECTORS
         assert local[0].sectors == 1024  # 512KB
@@ -133,15 +133,6 @@ class TestWrites:
         second = cache.destage_next()
         assert first[0] == 0 and second[0] == 64
         assert cache.destage_next() is None
-
-    def test_cache_full_without_destage(self):
-        config = cfg(background_destage=False, segment_count=2, segment_bytes=64 * 1024, total_bytes=128 * 1024)
-        cache = SegmentedCache(config)
-        step = config.segment_sectors
-        cache.write_accept(0, 8, ((0, 1, 0),))
-        cache.write_accept(10 * step, 8, ((10 * step, 10 * step + 1, 1),))
-        with pytest.raises(CacheFull):
-            cache.write_accept(20 * step, 8, ((20 * step, 20 * step + 1, 2),))
 
     def test_defer_when_destage_enabled(self):
         config = cfg(segment_count=2, segment_bytes=64 * 1024, total_bytes=128 * 1024)

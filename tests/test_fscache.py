@@ -58,15 +58,15 @@ class TestSplitIntoBlocks:
 class TestWriteRegime:
     @pytest.mark.parametrize("size", [32 * KB, 64 * KB, 96 * KB, 128 * KB, 256 * KB])
     def test_progressive_sizes(self, size):
-        assert classify_write_regime(size, FsCacheConfig()) is WriteRegime.PROGRESSIVE
+        assert classify_write_regime(size) is WriteRegime.PROGRESSIVE
 
     @pytest.mark.parametrize("size", [160 * KB, 192 * KB, 320 * KB, 512 * KB])
     def test_periodic_sizes(self, size):
-        assert classify_write_regime(size, FsCacheConfig()) is WriteRegime.PERIODIC
+        assert classify_write_regime(size) is WriteRegime.PERIODIC
 
     def test_boundary_at_96k(self):
-        assert classify_write_regime(98_304, FsCacheConfig()) is WriteRegime.PROGRESSIVE
-        assert classify_write_regime(98_305, FsCacheConfig()) is WriteRegime.PERIODIC
+        assert classify_write_regime(98_304) is WriteRegime.PROGRESSIVE
+        assert classify_write_regime(98_305) is WriteRegime.PERIODIC
 
     def test_320k_accounting_override(self):
         # Observed behavior counts six blocks for a 320KB request even

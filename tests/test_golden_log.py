@@ -1,7 +1,7 @@
-"""Golden event logs: pinned SHA-256 of nine full-stack replays.
+"""Golden event logs and reports: pinned SHA-256 of nine full-stack replays.
 
 The determinism tests compare two runs of the same code, so they cannot see
-a change to the log text itself.  These hashes must not move unless the log
+a change to the log or report text itself.  These hashes must not move unless the log
 format or the modelled behaviour changes on purpose.  Together the replays
 reach every event kind, every drive-cache media role and every fs-cache io
 purpose, and they run the SEQUENTIAL, NO_BUFFER and WRITE_THROUGH access
@@ -28,6 +28,7 @@ from iostack import (
     replay,
 )
 from iostack.profiles import FUJITSU_MAN3184MP, TOSHIBA_MK6012MAP
+from iostack.reports import format_request_table, format_summary
 from iostack.workload import DistSpec, GeneratorSpec, aligned_choices, generate
 
 KB = 1024
@@ -213,6 +214,47 @@ SCENARIOS = {
 }
 
 
+#: name -> SHA-256 of (format_request_table(records), format_summary(summary))
+REPORT_SHA256 = {
+    "mixed_write_back": (
+        "a6d40e5fa6958005bd37e2a2ecb0acab3f555f2ecbf7e1acd569ea3353789791",
+        "564973a19b54b23812b4a0f8e9c2a03343244c765bdcb359b08ce900912bc805",
+    ),
+    "mixed_write_through": (
+        "8087ddf81c801ba328f730b737d2df11ef86bcb77bdf399168771495036d072a",
+        "1910207b3004ab0712689dd23115568f733a1fab154450b8d988b6b57dae820d",
+    ),
+    "no_buffer_open_look": (
+        "ea060299a97846200fc46bedd32f8414480fbea4c0d3f0b652915efd06603b98",
+        "5bd04be5fe3c7a0b4c25e24c37672a5564c2e849b6e125b68be94a4392f4fcf8",
+    ),
+    "saturated_open_c_look": (
+        "e2083c51602af1bd734cf8e99b6ea1bf92544ce3a8fa2b732abf280755393d5d",
+        "09e15c0ddb578c8d9193c57c4ad7033faf51be724be3f089e7ceaf5b0683dfeb",
+    ),
+    "saturated_open_scan": (
+        "8c9b114c17abd9d62a106bc938f43021041ff0e62b9c54278e40ab9de2750b9d",
+        "c76c3b4673817eca498f269da4c7c86d954023353449c72e50ed849392b35cd6",
+    ),
+    "sequential_mode_fcfs": (
+        "2d825b50d46eedb2c6ed4054ffa8f72947de6aff0227880daf1439cff02aa923",
+        "8d7c9af414178b4d0731c2b086c7a861d931ffb5b1a54fcab2d09832fed292f4",
+    ),
+    "sequential_read_write_back": (
+        "81ea379626c0f5e0a24f4c87ac6d5db6b142893fa599496ab7e0971544c40076",
+        "5cc7d6a60e555497348aa64764591e47b79280f24133d99d656081534d06f83f",
+    ),
+    "toshiba_sequential_read": (
+        "1a6615e5fe017dee3945e0adb1d771bdd5cdfe965deb677f7f02c23b000df3cc",
+        "b0cfbfefa841562a9ede3356da225dd9b27dde71cd95c48d8bba8192eea04d03",
+    ),
+    "write_through_mode_open_scan": (
+        "e7b88aa27220c5cc54e719563eca454fcc955fa667325543d204a00d9474ba49",
+        "3914c5d8d7ce42a5d9c10feebbd5e726b0ff2fd3f802fa6784f24f6e0923a505",
+    ),
+}
+
+
 def run(name: str):
     make, stack_config, policy, _ = SCENARIOS[name]
     return replay(make(), stack_config, policy)
@@ -234,6 +276,10 @@ def test_event_log_hash_pinned(name):
     assert digest == SCENARIOS[name][3]
     # The count kept by the plain run matches the events recorded on demand.
     assert len(result.event_log) == len(result.event_log.entries)
+    reports = (format_request_table(result.records), format_summary(result.summary))
+    assert tuple(hashlib.sha256(text.encode()).hexdigest() for text in reports) == (
+        REPORT_SHA256[name]
+    )
 
 
 def test_scenarios_cover_every_kind_and_media_role():
