@@ -6,7 +6,8 @@ requested around a sequential continuation (the A, B, A-adjacent shape).
 That is exactly the shape the interleaved normal-mode read stream
 produces, so the quirk fires repeatedly there.  After draining such a
 prefetch in 128KB slices the same drive loses about one revolution
-repositioning, which is modeled as a per-profile penalty flag.
+repositioning, which the LOCAL_512K read-prefetch policy models along with
+the prefetch itself.
 """
 
 from iostack.diskcache import SegmentedCache

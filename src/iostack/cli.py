@@ -49,23 +49,35 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
-def _load_requests(args, spec: RunSpec):
-    if args.generate or (args.trace is None and spec.workloads and spec.trace_path is None):
+def _as_run(args, spec: RunSpec) -> RunSpec:
+    """``spec`` with the command-line overrides applied: its echo loads back as this run."""
+
+    policy = spec.policy
+    if args.replay is not None:
+        policy = dataclasses.replace(policy, mode=REPLAY_MODES[args.replay])
+    if args.tolerance_us is not None:
+        policy = dataclasses.replace(policy, tolerance_us=args.tolerance_us)
+    baseline_path = args.baseline or spec.baseline_path
+    if baseline_path:
+        policy = dataclasses.replace(policy, baseline_us=load_baseline(baseline_path))
+    workloads = spec.workloads
+    if args.seed is not None:
+        workloads = [dataclasses.replace(w, seed=args.seed + i) for i, w in enumerate(workloads)]
+    trace_path = None if args.generate else args.trace or spec.trace_path
+    return dataclasses.replace(
+        spec, policy=policy, workloads=workloads, baseline_path=baseline_path, trace_path=trace_path
+    )
+
+
+def _load_requests(spec: RunSpec):
+    if spec.trace_path is None:
         if not spec.workloads:
-            raise ConfigError("workload: --generate requires at least one [workload] section")
-        requests = []
-        for i, w in enumerate(spec.workloads):
-            if args.seed is not None:
-                w = dataclasses.replace(w, seed=args.seed + i)
-            requests.extend(generate(w))
-        requests.sort(key=lambda r: r.issue_time_us)
-        return requests, None
-    path = args.trace or spec.trace_path
-    if path is None:
-        raise ConfigError("trace.path: no trace given (use --trace or --generate)")
-    text = Path(path).read_text(encoding="utf-8")
+            raise ConfigError("workload: no [workload] section to generate from and no trace")
+        requests = [r for w in spec.workloads for r in generate(w)]
+        return sorted(requests, key=lambda r: r.issue_time_us), None
+    text = Path(spec.trace_path).read_text(encoding="utf-8")
     if text.startswith("#iostack-trace"):
-        return read_canonical(path), None
+        return read_canonical(spec.trace_path), None
     requests, report = ingest_text(text, spec.cluster_bytes, spec.system_processes)
     return requests, report
 
@@ -73,18 +85,9 @@ def _load_requests(args, spec: RunSpec):
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        spec = load_config(Path(args.config).read_text(encoding="utf-8"))
-        policy = spec.policy
-        if args.replay is not None:
-            policy = dataclasses.replace(policy, mode=REPLAY_MODES[args.replay])
-        if args.tolerance_us is not None:
-            policy = dataclasses.replace(policy, tolerance_us=args.tolerance_us)
-        baseline_path = args.baseline or spec.baseline_path
-        if baseline_path:
-            policy = dataclasses.replace(policy, baseline_us=load_baseline(baseline_path))
-
-        requests, defect_report = _load_requests(args, spec)
-        result = replay(requests, spec.stack, policy)
+        spec = _as_run(args, load_config(Path(args.config).read_text(encoding="utf-8")))
+        requests, defect_report = _load_requests(spec)
+        result = replay(requests, spec.stack, spec.policy)
         files = emit_reports(
             result.records,
             result.summary,

@@ -42,7 +42,12 @@ class RunSpec:
     system_processes: tuple[str, ...] = DEFAULT_SYSTEM_PROCESSES
     workloads: list[GeneratorSpec] = field(default_factory=list)
     baseline_path: str | None = None
-    echo: dict[str, str] = field(default_factory=dict)
+    #: The drive profile named in ``[disk]``, if any.
+    profile_name: str | None = None
+
+    @property
+    def echo(self) -> dict[str, str]:
+        return build_echo(self)
 
 
 #: ``[replay] mode`` values.
@@ -294,7 +299,7 @@ def load_config(text: str) -> RunSpec:
     baseline_path = replay_section.get("baseline")
     replay_section.reject_unknown()
 
-    spec = RunSpec(
+    return RunSpec(
         stack=StackConfig(geometry, seek, fs, cache, scheduler_policy, include_system),
         policy=ReplayPolicy(mode, tolerance_us),
         trace_path=trace_path,
@@ -302,12 +307,11 @@ def load_config(text: str) -> RunSpec:
         system_processes=system_processes,
         workloads=workloads,
         baseline_path=baseline_path,
+        profile_name=profile_name,
     )
-    spec.echo = build_echo(spec, profile_name)
-    return spec
 
 
-def build_echo(spec: RunSpec, profile_name: str | None = None) -> dict[str, str]:
+def build_echo(spec: RunSpec) -> dict[str, str]:
     """Flatten every effective parameter into one deterministic mapping.
 
     Every entry is ``section.key`` -> value text that :func:`load_config`
@@ -323,8 +327,8 @@ def build_echo(spec: RunSpec, profile_name: str | None = None) -> dict[str, str]
             if isinstance(value, DistSpec) and value.clamp is not None:
                 echo[f"{section}.{key}_clamp"] = ":".join(map(_format, value.clamp))
 
-    if profile_name:
-        echo["disk.profile"] = profile_name
+    if spec.profile_name:
+        echo["disk.profile"] = spec.profile_name
     fields("disk", GEOMETRY_KEYS, spec.stack.geometry)
     fields("disk", SEEK_KEYS, spec.stack.seek)
     fields("disk_cache", DISK_CACHE_KEYS, spec.stack.cache)

@@ -27,7 +27,8 @@ class UnexpectedFill(Exception):
 class ReadPrefetch(Enum):
     NONE = "NONE"
     SEQUENTIAL_FILL = "SEQUENTIAL_FILL"
-    #: Sequential fill plus the local-pattern 512KB prefetch quirk.
+    #: Sequential fill plus the local-pattern 512KB prefetch quirk and its
+    #: repositioning penalty.
     LOCAL_512K = "LOCAL_512K"
 
 
@@ -48,36 +49,35 @@ class Ack(Enum):
     DEFER = "DEFER"
 
 
+#: The local-pattern prefetch reads 512KB from the third request's start.
+PREFETCH_BLOCK_SECTORS = 524_288 // SECTOR_BYTES
+#: Two requests count as "local" when the second starts within this many
+#: sectors of the first one's end (the observed pattern gap is four 64KB
+#: blocks).
+LOCALITY_RADIUS_SECTORS = 512
+#: Media ops used to fill ahead of a sequential stream.
+FILL_CHUNK_SECTORS = 128
+
+
 @dataclass(frozen=True)
 class DiskCacheConfig:
-    total_bytes: int = 8 * 1024 * 1024
     segment_count: int = 16
     segment_bytes: int = 512 * 1024
     read_prefetch: ReadPrefetch = ReadPrefetch.SEQUENTIAL_FILL
-    prefetch_block_bytes: int = 524_288
     write_policy: WritePolicy = WritePolicy.WRITE_BACK
-    #: Two requests count as "local" when the second starts within this many
-    #: sectors of the first one's end (the observed pattern gap is four
-    #: 64KB blocks).
-    locality_radius_sectors: int = 512
-    #: Media ops used to fill ahead of a sequential stream.
-    fill_chunk_sectors: int = 128
-    #: Lose one revolution after draining a 512KB prefetch in 128KB slices.
-    reposition_penalty: bool = False
 
     def __post_init__(self) -> None:
-        if self.segment_count * self.segment_bytes > self.total_bytes:
-            raise ValueError("segments exceed total cache size")
-        if self.read_prefetch is not ReadPrefetch.NONE and self.prefetch_block_bytes <= 0:
-            raise ValueError("prefetch_block_bytes must be positive when prefetch is enabled")
+        if self.segment_count < 1:
+            raise ValueError(f"segment_count must be >= 1, got {self.segment_count}")
+        if self.segment_bytes <= 0 or self.segment_bytes % SECTOR_BYTES:
+            raise ValueError(
+                f"segment_bytes must be a positive multiple of {SECTOR_BYTES}, "
+                f"got {self.segment_bytes}"
+            )
 
     @property
     def segment_sectors(self) -> int:
         return self.segment_bytes // SECTOR_BYTES
-
-    @property
-    def prefetch_block_sectors(self) -> int:
-        return self.prefetch_block_bytes // SECTOR_BYTES
 
 
 @dataclass
@@ -240,7 +240,7 @@ class SegmentedCache:
         self.segments = [
             Segment(capacity=config.segment_sectors) for _ in range(config.segment_count)
         ]
-        self.detector = LocalPatternDetector(config.locality_radius_sectors)
+        self.detector = LocalPatternDetector(LOCALITY_RADIUS_SECTORS)
         self._touch_seq = 0
         self._write_seq = 0
         self._outstanding_fills: list[tuple[int, int]] = []
@@ -273,6 +273,18 @@ class SegmentedCache:
             if seg.end > seg.start and (seg.overlaps(lba, sectors) or seg.end == lba):
                 return seg
         return None
+
+    def _stage(self, lba: int, sectors: int) -> Segment | None:
+        """The segment now holding the run, or None when every segment is dirty."""
+
+        seg = self._segment_for(lba, sectors)
+        if seg is None:
+            seg = self._allocate()
+            if seg is None:
+                return None
+            seg.start = seg.end = lba
+        self._extend(seg, lba, sectors)
+        return seg
 
     def _allocate(self) -> Segment | None:
         """LRU-clean victim, or None when every segment is dirty."""
@@ -313,12 +325,11 @@ class SegmentedCache:
             holder = self._segment_for(lba, sectors)
             if holder is not None:
                 self._touch(holder)
+                # Only LOCAL_512K stages local prefetches, so only it owes
+                # the repositioning penalty.
                 if holder.local_prefetch and sectors * SECTOR_BYTES == 131_072:
                     holder.consumed_by_128k += sectors
-                    if (
-                        cfg.reposition_penalty
-                        and holder.consumed_by_128k >= cfg.prefetch_block_sectors
-                    ):
+                    if holder.consumed_by_128k >= PREFETCH_BLOCK_SECTORS:
                         self._penalty_pending += 1
                         holder.consumed_by_128k = 0
         elif len(missing) == 1 and missing[0] == (lba, sectors):
@@ -337,7 +348,7 @@ class SegmentedCache:
         elif not sequential:
             self.fill_frontier = 0
         if cfg.read_prefetch is ReadPrefetch.LOCAL_512K and self.detector.observe(lba, sectors):
-            directives.append(PrefetchDirective(lba, cfg.prefetch_block_sectors, local=True))
+            directives.append(PrefetchDirective(lba, PREFETCH_BLOCK_SECTORS, local=True))
             self.local_prefetch_count += 1
         self.seq_last_end = lba + sectors
         return classification, missing, directives
@@ -363,13 +374,9 @@ class SegmentedCache:
         self.insert_clean(lba, sectors, local=local)
 
     def insert_clean(self, lba: int, sectors: int, local: bool = False) -> None:
-        seg = self._segment_for(lba, sectors)
+        seg = self._stage(lba, sectors)
         if seg is None:
-            seg = self._allocate()
-            if seg is None:
-                return  # every segment dirty: serve uncached, cache nothing
-            seg.start = seg.end = lba
-        self._extend(seg, lba, sectors)
+            return  # every segment dirty: serve uncached, cache nothing
         if local:
             seg.local_prefetch = True
             seg.consumed_by_128k = 0
@@ -392,13 +399,9 @@ class SegmentedCache:
             self.insert_clean_for_write(lba, sectors)
             return Ack.ACK_AFTER_MEDIA, [(lba, sectors, tags)]
 
-        seg = self._segment_for(lba, sectors)
+        seg = self._stage(lba, sectors)
         if seg is None:
-            seg = self._allocate()
-            if seg is None:
-                return Ack.DEFER, []
-            seg.start = seg.end = lba
-        self._extend(seg, lba, sectors)
+            return Ack.DEFER, []
         self._write_seq += 1
         seg.write_queue.append((self._write_seq, lba, sectors, tags))
         return Ack.ACK_NOW, []

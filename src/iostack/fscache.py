@@ -28,14 +28,24 @@ from .requests import SECTOR_BYTES, AccessMode, CanonicalRequest, Op, sector_ran
 BLOCK_BYTES = 65_536
 VIEW_BYTES = 262_144
 
-# io purposes
-DEMAND = "demand"
-PREFETCH = "prefetch"
-PASSTHROUGH = "passthrough"
-APP_DIRECT = "app-direct"
-FLUSH = "flush"
-WT_DATA = "wt-data"
-METADATA = "metadata"
+#: Prefetch may run this many request-sizes past the last demand.
+READAHEAD_WINDOW_FACTOR = 2
+METADATA_WRITE_BYTES = 4096
+
+
+class Purpose(Enum):
+    """What a disk-bound io is for; the value is its logged text."""
+
+    DEMAND = "demand"
+    PREFETCH = "prefetch"
+    PASSTHROUGH = "passthrough"
+    APP_DIRECT = "app-direct"
+    FLUSH = "flush"
+    WT_DATA = "wt-data"
+    METADATA = "metadata"
+
+
+DEMAND, PREFETCH, PASSTHROUGH, APP_DIRECT, FLUSH, WT_DATA, METADATA = Purpose
 
 APP_ACTOR = "app"
 SYSTEM_ACTOR = "system"
@@ -55,12 +65,8 @@ class WriteRegime(Enum):
 
 @dataclass(frozen=True)
 class FsCacheConfig:
-    block_bytes: int = BLOCK_BYTES
-    view_bytes: int = VIEW_BYTES
     #: Sequential requests needed before read-ahead engages.
     readahead_trigger: int = 3
-    #: Prefetch may run this many request-sizes past the last demand.
-    readahead_window_factor: int = 2
     working_set_bytes: int = 8 * 1024 * 1024
     #: Dirty data may grow to working_set - reserve before the bulk flush.
     #: 6MB leaves a 2MB flush threshold, which reproduces the observed
@@ -71,16 +77,11 @@ class FsCacheConfig:
     miss_path_cost_us: int = 50
     memcopy_bytes_per_us: int = 2048
     cache_capacity_bytes: int = 128 * 1024 * 1024
-    metadata_write_bytes: int = 4096
     metadata_disk_addr: int = 0
-    open_close_cost_us: int = 0
 
     def __post_init__(self) -> None:
-        if self.block_bytes <= 0 or self.view_bytes % self.block_bytes:
-            raise ValueError("block size must divide the view size")
         for name in (
             "readahead_trigger",
-            "readahead_window_factor",
             "working_set_bytes",
             "memcopy_bytes_per_us",
             "cache_capacity_bytes",
@@ -94,18 +95,12 @@ class FsCacheConfig:
     def flush_threshold_bytes(self) -> int:
         return self.working_set_bytes - self.reserve_constant_bytes
 
-    @property
-    def slots_per_view(self) -> int:
-        return self.view_bytes // self.block_bytes
-
     def copy_us(self, nbytes: int) -> int:
         return -(-nbytes // self.memcopy_bytes_per_us) if nbytes else 0
 
 
-def split_into_blocks(
-    offset_bytes: int, length_bytes: int, block_bytes: int = BLOCK_BYTES
-) -> list[tuple[int, int]]:
-    """Cover [offset, offset+length) with whole, aligned cache blocks.
+def split_into_blocks(offset_bytes: int, length_bytes: int) -> range:
+    """Addresses of the whole, aligned cache blocks covering [offset, offset+length).
 
     A sub-block request still yields one full block; a request straddling a
     boundary yields every block it touches.
@@ -114,11 +109,9 @@ def split_into_blocks(
     if length_bytes < 0:
         raise ValueError("length must be >= 0")
     if length_bytes == 0:
-        return []
-    first = offset_bytes - offset_bytes % block_bytes
+        return range(0)
     end = offset_bytes + length_bytes
-    last = end + (-end % block_bytes)
-    return [(start, block_bytes) for start in range(first, last, block_bytes)]
+    return range(offset_bytes - offset_bytes % BLOCK_BYTES, end + (-end % BLOCK_BYTES), BLOCK_BYTES)
 
 
 def classify_write_regime(size_bytes: int) -> WriteRegime:
@@ -131,8 +124,8 @@ def classify_write_regime(size_bytes: int) -> WriteRegime:
     return WriteRegime.PERIODIC
 
 
-def periodic_block_count(size_bytes: int, config: FsCacheConfig) -> int:
-    return PERIODIC_BLOCK_OVERRIDES.get(size_bytes, -(-size_bytes // config.block_bytes))
+def periodic_block_count(size_bytes: int) -> int:
+    return PERIODIC_BLOCK_OVERRIDES.get(size_bytes, -(-size_bytes // BLOCK_BYTES))
 
 
 def periodic_split(block_count: int, period_position: int) -> tuple[int, int]:
@@ -158,7 +151,7 @@ class IoIntent:
     write: bool
     disk_addr: int
     nbytes: int
-    purpose: str
+    purpose: Purpose
     actor: str
     required: bool
     force_media: bool = False
@@ -233,8 +226,8 @@ class FsCache:
     # -- residency ----------------------------------------------------------
 
     def _view_of(self, file_id: int, block_addr: int) -> tuple[tuple[int, int], int]:
-        base = block_addr - block_addr % self.config.view_bytes
-        slot = (block_addr - base) // self.config.block_bytes
+        base = block_addr - block_addr % VIEW_BYTES
+        slot = (block_addr - base) // BLOCK_BYTES
         return (file_id, base), slot
 
     def _touch(self, key: tuple[int, int]) -> View:
@@ -259,7 +252,7 @@ class FsCache:
         view = self._touch(key)
         if slot not in view.resident:
             view.resident.add(slot)
-            self.resident_bytes += self.config.block_bytes
+            self.resident_bytes += BLOCK_BYTES
         if dirty:
             view.dirty.add(slot)
         self._evict_to_capacity()
@@ -275,7 +268,6 @@ class FsCache:
         capacity = self.config.cache_capacity_bytes
         if self.resident_bytes <= capacity:
             return
-        block_bytes = self.config.block_bytes
         victims = []
         for key, view in self.views.items():
             if self.resident_bytes <= capacity:
@@ -283,11 +275,11 @@ class FsCache:
             if view.dirty:
                 continue
             if any(
-                (view.file_id, view.base_addr + s * block_bytes) in self.inflight
-                for s in range(self.config.slots_per_view)
+                (view.file_id, addr) in self.inflight
+                for addr in range(view.base_addr, view.base_addr + VIEW_BYTES, BLOCK_BYTES)
             ):
                 continue
-            self.resident_bytes -= len(view.resident) * block_bytes
+            self.resident_bytes -= len(view.resident) * BLOCK_BYTES
             victims.append(key)
         for key in victims:
             del self.views[key]
@@ -307,15 +299,15 @@ class FsCache:
         """
 
         if req.mode is AccessMode.SEQUENTIAL:
-            return req.length_bytes % self.config.block_bytes == 0
-        return req.length_bytes <= self.config.block_bytes
+            return req.length_bytes % BLOCK_BYTES == 0
+        return req.length_bytes <= BLOCK_BYTES
 
     def _classify_blocks(
-        self, file_id: int, blocks: list[tuple[int, int]]
+        self, file_id: int, blocks: Iterable[int]
     ) -> tuple[list[int], list[tuple[int, int]]]:
         missing: list[int] = []
         waiting: list[tuple[int, int]] = []
-        for addr, _ in blocks:
+        for addr in blocks:
             if self.block_resident(file_id, addr):
                 continue
             if self.block_inflight(file_id, addr):
@@ -324,13 +316,15 @@ class FsCache:
                 missing.append(addr)
         return missing, waiting
 
-    def _read_io(self, file_id: int, addr: int, purpose: str, actor: str, required: bool) -> IoIntent:
+    def _read_io(
+        self, file_id: int, addr: int, purpose: Purpose, actor: str, required: bool
+    ) -> IoIntent:
         key = (file_id, addr)
         self.inflight.add(key)
         return IoIntent(
             write=False,
             disk_addr=addr,
-            nbytes=self.config.block_bytes,
+            nbytes=BLOCK_BYTES,
             purpose=purpose,
             actor=actor,
             required=required,
@@ -360,11 +354,7 @@ class FsCache:
             plan.clipped_bytes = req.length_bytes - plan.copy_bytes
             self.clipped_requests += 1
 
-        blocks = [
-            (addr, size)
-            for addr, size in split_into_blocks(start, req.length_bytes, cfg.block_bytes)
-            if addr < eof
-        ]
+        blocks = [addr for addr in split_into_blocks(start, req.length_bytes) if addr < eof]
         stream = self.read_streams.setdefault(req.file_id, ReadStream())
         continuation = start == stream.last_end
         missing, waiting = self._classify_blocks(req.file_id, blocks)
@@ -381,11 +371,11 @@ class FsCache:
                 stream.prefetch_cursor = end
             prefetch_ios = []
             if stream.sequential_count >= cfg.readahead_trigger and req.length_bytes:
-                window_end = min(end + cfg.readahead_window_factor * req.length_bytes, eof)
+                window_end = min(end + READAHEAD_WINDOW_FACTOR * req.length_bytes, eof)
                 cursor = max(stream.prefetch_cursor, end)
-                cursor -= cursor % cfg.block_bytes
+                cursor -= cursor % BLOCK_BYTES
                 prefetch_ios = self._prefetch_ios(
-                    req.file_id, range(cursor, window_end, cfg.block_bytes)
+                    req.file_id, range(cursor, window_end, BLOCK_BYTES)
                 )
                 stream.prefetch_cursor = max(cursor, window_end)
             plan.ios = demand_ios + prefetch_ios
@@ -394,8 +384,8 @@ class FsCache:
             # leapfrogs one request-size window ahead while the application
             # process fills the current one, the two interleaving at the
             # disk with the system's blocks leading.
-            ahead = split_into_blocks(end, req.length_bytes, cfg.block_bytes)
-            prefetch_ios = self._prefetch_ios(req.file_id, (a for a, _ in ahead if a < eof))
+            ahead = split_into_blocks(end, req.length_bytes)
+            prefetch_ios = self._prefetch_ios(req.file_id, (a for a in ahead if a < eof))
             plan.ios = _interleave(prefetch_ios, demand_ios)
         else:
             plan.ios = demand_ios
@@ -410,8 +400,8 @@ class FsCache:
         """(block_addr, lo, hi): each block [start, start + nbytes) touches, clipped to it."""
 
         end = start + nbytes
-        for addr, size in split_into_blocks(start, nbytes, self.config.block_bytes):
-            yield addr, max(start, addr), min(end, addr + size)
+        for addr in split_into_blocks(start, nbytes):
+            yield addr, max(start, addr), min(end, addr + BLOCK_BYTES)
 
     def _dirty_sectors(self, file_id: int, start: int, nbytes: int, tag: int) -> None:
         for addr, lo, hi in self._block_spans(start, nbytes):
@@ -469,7 +459,7 @@ class FsCache:
             return plan
 
         regime = classify_write_regime(length)
-        n = periodic_block_count(length, cfg)
+        n = periodic_block_count(length)
         stream = self.write_streams.setdefault(req.file_id, WriteStream())
         plan = Plan()
         if regime is WriteRegime.PROGRESSIVE:
@@ -482,7 +472,7 @@ class FsCache:
                 stream.period_position = 0
             cached_blocks, direct_blocks = periodic_split(n, stream.period_position)
             stream.period_position = (stream.period_position + 1) % periodic_period_length(n)
-            cache_bytes = min(cached_blocks * cfg.block_bytes, length)
+            cache_bytes = min(cached_blocks * BLOCK_BYTES, length)
             direct_bytes = length - cache_bytes
 
         self.write_splits.append((tag, cached_blocks, direct_blocks))
@@ -491,7 +481,7 @@ class FsCache:
             self._dirty_sectors(req.file_id, start, cache_bytes, tag)
             # Dirty growth is accounted in whole blocks, matching the
             # observed flush cadence rather than raw byte counts.
-            self.dirty_accounted_bytes += cached_blocks * cfg.block_bytes
+            self.dirty_accounted_bytes += cached_blocks * BLOCK_BYTES
         if direct_bytes:
             plan.ios.extend(
                 self._direct_write_ios(req.file_id, start + cache_bytes, direct_bytes, tag)
@@ -530,9 +520,7 @@ class FsCache:
             self.dirty_accounted_bytes = 0
             return []
         key, dirty = self.dirty_blocks.popitem(last=False)
-        self.dirty_accounted_bytes = max(
-            0, self.dirty_accounted_bytes - self.config.block_bytes
-        )
+        self.dirty_accounted_bytes = max(0, self.dirty_accounted_bytes - BLOCK_BYTES)
         return self._flush_block(key, dirty)
 
     @property
@@ -540,11 +528,10 @@ class FsCache:
         return self.dirty_accounted_bytes
 
     def metadata_io(self, tag: int) -> IoIntent:
-        cfg = self.config
         return IoIntent(
             write=True,
-            disk_addr=cfg.metadata_disk_addr,
-            nbytes=cfg.metadata_write_bytes,
+            disk_addr=self.config.metadata_disk_addr,
+            nbytes=METADATA_WRITE_BYTES,
             purpose=METADATA,
             actor=SYSTEM_ACTOR,
             required=True,
@@ -585,7 +572,7 @@ def _tags(lo: int, hi: int, tag: int) -> TagRuns:
 
 
 def _run_writes(
-    runs: Sequence[TagRun], purpose: str, actor: str, required: bool
+    runs: Sequence[TagRun], purpose: Purpose, actor: str, required: bool
 ) -> list[IoIntent]:
     """One write per stretch of back-to-back runs, in ascending order."""
 

@@ -57,13 +57,10 @@ FUJITSU_MAN3184MP = DriveProfile(
         head_switch_us=400,
     ),
     cache=DiskCacheConfig(
-        total_bytes=8 * 1024 * 1024,
         segment_count=16,
         segment_bytes=512 * 1024,
         read_prefetch=ReadPrefetch.LOCAL_512K,
-        prefetch_block_bytes=524_288,
         write_policy=WritePolicy.WRITE_BACK,
-        reposition_penalty=True,
     ),
 )
 
@@ -89,7 +86,6 @@ TOSHIBA_MK6012MAP = DriveProfile(
         head_switch_us=3_000,
     ),
     cache=DiskCacheConfig(
-        total_bytes=1024 * 1024,
         segment_count=8,
         segment_bytes=128 * 1024,
         read_prefetch=ReadPrefetch.SEQUENTIAL_FILL,
@@ -118,7 +114,6 @@ HITACHI_TRAVELSTAR_80GN = DriveProfile(
         head_switch_us=2_500,
     ),
     cache=DiskCacheConfig(
-        total_bytes=8 * 1024 * 1024,
         segment_count=16,
         segment_bytes=512 * 1024,
         read_prefetch=ReadPrefetch.SEQUENTIAL_FILL,

@@ -14,8 +14,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 
-from . import fscache as fsc
 from .diskcache import (
+    FILL_CHUNK_SECTORS,
     Ack,
     DiskCacheConfig,
     PrefetchDirective,
@@ -26,7 +26,7 @@ from .diskcache import (
 )
 from .disk import DiskGeometry, HeadState, SeekProfile, cylinder_of_byte, service
 from .engine import EventLog, Observer, SimEvent, Simulator, StageId
-from .fscache import FsCache, FsCacheConfig, IoIntent
+from .fscache import FLUSH, FsCache, FsCacheConfig, IoIntent
 from .requests import (
     AccessMode,
     CanonicalRequest,
@@ -111,12 +111,12 @@ class IoMsg:
     def detail(self) -> str:
         i = self.intent
         if self.done:
-            return f"io={self.io_id} purpose={i.purpose}"
+            return f"io={self.io_id} purpose={i.purpose.value}"
         op = "write" if i.write else "read"
         req = self.request_id if self.request_id is not None else "-"
         return (
             f"io={self.io_id} op={op} addr={i.disk_addr} bytes={i.nbytes} "
-            f"purpose={i.purpose} actor={i.actor} req={req}"
+            f"purpose={i.purpose.value} actor={i.actor} req={req}"
         )
 
 
@@ -152,7 +152,7 @@ class MediaMsg:
     @property
     def purpose(self) -> str:
         if self.role is MediaRole.HOST_WRITE:
-            return self.host.intent.purpose
+            return self.host.intent.purpose.value
         return self.role.value
 
     def with_flags(self, finished: bool, done: bool = False) -> "MediaMsg":
@@ -326,7 +326,8 @@ class FsStage:
                 # Fresh handle: speculation state restarts.
                 self.fs.read_streams.pop(req.file_id, None)
                 self.fs.write_streams.pop(req.file_id, None)
-            self._complete(msg, at_us=now + cfg.open_close_cost_us)
+            # Opening or closing a handle takes no simulated time.
+            self._complete(msg, at_us=now)
             return
         if req.length_bytes == 0:
             self._complete(msg, at_us=now + cfg.fastio_hit_cost_us)
@@ -379,7 +380,7 @@ class FsStage:
                 if pending is not None:
                     pending.wait_blocks.discard(intent.block_key)
                     self._maybe_finish(pending)
-        if intent.purpose == fsc.FLUSH and self.progressive_running:
+        if intent.purpose is FLUSH and self.progressive_running:
             self.sim.schedule(StageId.FS_CACHE, Signal.FLUSH_TICK)
         rid = self.io_owner.pop(msg.io_id, None)
         if rid is not None:
@@ -544,13 +545,12 @@ class DiskCacheStage:
     def _next_fill_chunk(self) -> None:
         if self._fill_chunk_outstanding:
             return
-        chunk = self.cache.config.fill_chunk_sectors
         while self.fill_ranges:
             start, end = self.fill_ranges[0]
             if start >= end:
                 self.fill_ranges.popleft()
                 continue
-            take = min(chunk, end - start)
+            take = min(FILL_CHUNK_SECTORS, end - start)
             self.fill_ranges[0] = (start + take, end)
             self.cache.expect_fill(start, take)
             self.fill_inflight.add((start, start + take))

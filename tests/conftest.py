@@ -73,7 +73,6 @@ def zero_cost_fs(**overrides) -> FsCacheConfig:
         fastio_hit_cost_us=0,
         miss_path_cost_us=0,
         memcopy_bytes_per_us=10**9,
-        open_close_cost_us=0,
     )
     values.update(overrides)
     return FsCacheConfig(**values)

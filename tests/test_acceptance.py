@@ -34,7 +34,7 @@ from iostack import (
     seek_time,
     write_canonical,
 )
-from iostack.diskcache import SegmentedCache
+from iostack.diskcache import LOCALITY_RADIUS_SECTORS, SegmentedCache
 from iostack.profiles import FUJITSU_MAN3184MP, HITACHI_TRAVELSTAR_80GN, PROFILES, TOSHIBA_MK6012MAP
 from iostack.requests import Origin
 from iostack.workload import DistSpec, GeneratorSpec, generate
@@ -98,7 +98,7 @@ def test_local_512k_prefetch_per_pattern_instance():
     requests = [(b * BLOCK // 512, BLOCK // 512) for b in order]
 
     # Independent oracle: enumerate sliding triples with the pattern shape.
-    radius = FUJITSU_MAN3184MP.cache.locality_radius_sectors
+    radius = LOCALITY_RADIUS_SECTORS
     expected = 0
     for (a, alen), (b, _), (c, _) in zip(requests, requests[1:], requests[2:]):
         if c == a + alen and b != c and abs(b - (a + alen)) <= radius:

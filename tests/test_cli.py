@@ -9,7 +9,7 @@ import pytest
 from iostack.cli import main
 
 from conftest import SAMPLE_TRACE, echo_to_ini
-from test_config_reports import BAD_VALUES, with_bad_value
+from test_config_reports import BAD_VALUES, REMOVED_CACHE_KEYS, with_bad_value
 
 CONFIG = """
 [disk]
@@ -115,16 +115,36 @@ class TestCli:
 
 
     def test_summary_config_block_reproduces_the_run(self, tmp_path):
-        sample = Path(__file__).parent.parent / "demos" / "sample_config.ini"
-        first, second = tmp_path / "first", tmp_path / "second"
-        assert main(["--config", str(sample), "--generate", "--output", str(first)]) == 0
-        summary = (first / "summary.txt").read_text().splitlines()
-        block = summary[summary.index("[config]") + 1 :]
-        echo = dict(line.split("=", 1) for line in block)
-        reloaded = write_config(tmp_path, echo_to_ini(echo))
-        assert main(["--config", str(reloaded), "--generate", "--output", str(second)]) == 0
-        for name in ("requests.csv", "summary.txt"):
-            assert (second / name).read_bytes() == (first / name).read_bytes()
+        assert_echo_reproduces(tmp_path, [])
+
+    def test_summary_config_block_reproduces_an_overridden_run(self, tmp_path):
+        from iostack import write_baseline
+
+        base = tmp_path / "base.txt"
+        write_baseline({i: 2_000 + 37 * i for i in range(0, 200, 3)}, base)
+        flags = ["--seed", "7", "--replay", "open", "--tolerance-us", "100"]
+        echo = assert_echo_reproduces(tmp_path, [*flags, "--baseline", str(base)])
+        assert (echo["workload0.seed"], echo["replay.mode"]) == ("7", "open")
+        assert (echo["replay.tolerance_us"], echo["replay.baseline"]) == ("100", str(base))
+
+
+def assert_echo_reproduces(tmp_path: Path, flags: list[str]) -> dict[str, str]:
+    """Run the demo config with ``flags``, then its summary's ``[config]`` block alone.
+
+    Both runs must write the same request table and summary; returns the echo.
+    """
+
+    sample = Path(__file__).parent.parent / "demos" / "sample_config.ini"
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(["--config", str(sample), "--generate", "--output", str(first), *flags]) == 0
+    summary = (first / "summary.txt").read_text().splitlines()
+    block = summary[summary.index("[config]") + 1 :]
+    echo = dict(line.split("=", 1) for line in block)
+    reloaded = write_config(tmp_path, echo_to_ini(echo))
+    assert main(["--config", str(reloaded), "--generate", "--output", str(second)]) == 0
+    for name in ("requests.csv", "summary.txt"):
+        assert (second / name).read_bytes() == (first / name).read_bytes()
+    return echo
 
 
 # The metadata write after each write-through write lands far beyond the
@@ -166,6 +186,25 @@ SECTOR_4K_CONFIG = CONFIG.replace(
         (None, [], STAGE_FAULT_CONFIG, "stage DISK failed"),
         (None, [], SECTOR_4K_CONFIG, "disk.sector_bytes: unknown key"),
         *((None, [], with_bad_value(key, value), f"{key}: ") for key, value in BAD_VALUES.values()),
+        (
+            None,
+            [],
+            with_bad_value("disk_cache.segment_count", "0"),
+            "disk_cache: segment_count must be >= 1",
+        ),
+        (
+            None,
+            [],
+            with_bad_value("disk_cache.segment_bytes", "0"),
+            "disk_cache: segment_bytes must be a positive multiple of 512",
+        ),
+        (
+            None,
+            [],
+            with_bad_value("disk_cache.segment_bytes", "1000"),
+            "disk_cache: segment_bytes must be a positive multiple of 512",
+        ),
+        *((None, [], with_bad_value(key, "1"), f"{key}: unknown key") for key in REMOVED_CACHE_KEYS),
     ],
     ids=[
         "baseline-header",
@@ -176,6 +215,10 @@ SECTOR_4K_CONFIG = CONFIG.replace(
         "stage-fault",
         "sector-bytes-key",
         *(f"bad-{kind}" for kind in BAD_VALUES),
+        "bad-segment-count",
+        "bad-segment-bytes-zero",
+        "bad-segment-bytes-unaligned",
+        *(f"removed-{key}" for key in REMOVED_CACHE_KEYS),
     ],
 )
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, baseline, extra, config, message):

@@ -38,7 +38,8 @@ class TestLoadConfig:
     def test_profile_populates_geometry_and_cache(self):
         spec = load_config(MINIMAL)
         assert spec.stack.geometry.rpm == 10_000
-        assert spec.stack.cache.total_bytes == 8 * 1024 * 1024
+        cache = spec.stack.cache
+        assert cache.segment_count * cache.segment_bytes == 8 * 1024 * 1024
         assert spec.stack.cache.read_prefetch is ReadPrefetch.LOCAL_512K
         assert spec.stack.seek.read_min_us == 400
 
@@ -78,10 +79,10 @@ class TestLoadConfig:
 
     def test_omitted_os_section_defaults_echoed(self):
         spec = load_config(MINIMAL)
-        assert spec.stack.fs.block_bytes == 65_536
+        assert spec.stack.fs.cache_capacity_bytes == 128 * 1024 * 1024
         assert spec.stack.fs.readahead_trigger == 3
         assert spec.stack.fs.working_set_bytes == 8 * 1024 * 1024
-        assert spec.echo["os.block_bytes"] == "65536"
+        assert spec.echo["os.cache_capacity_bytes"] == str(128 * 1024 * 1024)
         assert spec.echo["os.readahead_trigger"] == "3"
         assert spec.echo["os.working_set_bytes"] == str(8 * 1024 * 1024)
 
@@ -154,28 +155,18 @@ EVERY_KEY = {
     "disk.seek_write_avg_us": "5500.75",
     "disk.seek_write_max_us": "13000.5",
     "disk.head_switch_us": "350.5",
-    "disk_cache.total_bytes": "4194304",
     "disk_cache.segment_count": "4",
     "disk_cache.segment_bytes": "262144",
     "disk_cache.read_prefetch": "NONE",
-    "disk_cache.prefetch_block_bytes": "131072",
     "disk_cache.write_policy": "WRITE_THROUGH",
-    "disk_cache.locality_radius_sectors": "256",
-    "disk_cache.fill_chunk_sectors": "64",
-    "disk_cache.reposition_penalty": "false",
-    "os.block_bytes": "32768",
-    "os.view_bytes": "131072",
     "os.readahead_trigger": "4",
-    "os.readahead_window_factor": "3",
     "os.working_set_bytes": "16777216",
     "os.reserve_constant_bytes": "8388608",
     "os.fastio_hit_cost_us": "12",
     "os.miss_path_cost_us": "60",
     "os.memcopy_bytes_per_us": "4096",
     "os.cache_capacity_bytes": "67108864",
-    "os.metadata_write_bytes": "8192",
     "os.metadata_disk_addr": "1048576",
-    "os.open_close_cost_us": "5",
     "os.scheduler_policy": "C_LOOK",
     "trace.cluster_bytes": "8192",
     "trace.include_system": "true",
@@ -211,16 +202,11 @@ ACCEPTED_KEYS = {
         "seek_read_avg_us", "seek_read_max_us", "seek_write_min_us", "seek_write_avg_us",
         "seek_write_max_us", "head_switch_us",
     },
-    "disk_cache": {
-        "total_bytes", "segment_count", "segment_bytes", "read_prefetch",
-        "prefetch_block_bytes", "write_policy", "locality_radius_sectors",
-        "fill_chunk_sectors", "reposition_penalty",
-    },
+    "disk_cache": {"segment_count", "segment_bytes", "read_prefetch", "write_policy"},
     "os": {
-        "block_bytes", "view_bytes", "readahead_trigger", "readahead_window_factor",
-        "working_set_bytes", "reserve_constant_bytes", "fastio_hit_cost_us",
-        "miss_path_cost_us", "memcopy_bytes_per_us", "cache_capacity_bytes",
-        "metadata_write_bytes", "metadata_disk_addr", "open_close_cost_us", "scheduler_policy",
+        "readahead_trigger", "working_set_bytes", "reserve_constant_bytes",
+        "fastio_hit_cost_us", "miss_path_cost_us", "memcopy_bytes_per_us",
+        "cache_capacity_bytes", "metadata_disk_addr", "scheduler_policy",
     },
     "trace": {"path", "cluster_bytes", "include_system", "process_deny"},
     "replay": {"mode", "tolerance_us", "baseline"},
@@ -282,6 +268,22 @@ class TestRoundTrip:
         assert spec.echo["workload0.size_bytes_clamp"] == "8192:32768"
 
 
+#: Cache keys that became paper constants, the LOCAL_512K switch or a
+#: derived size.
+REMOVED_CACHE_KEYS = (
+    "disk_cache.total_bytes",
+    "disk_cache.prefetch_block_bytes",
+    "disk_cache.locality_radius_sectors",
+    "disk_cache.fill_chunk_sectors",
+    "disk_cache.reposition_penalty",
+    "os.block_bytes",
+    "os.view_bytes",
+    "os.readahead_window_factor",
+    "os.metadata_write_bytes",
+    "os.open_close_cost_us",
+)
+
+
 class TestNoNewKnob:
     def test_every_key_config_sets_exactly_the_accepted_keys(self):
         assert set(EVERY_KEY) == dotted(ACCEPTED_KEYS)
@@ -297,6 +299,7 @@ class TestNoNewKnob:
             "os.progressive_max_bytes",
             "os.progressive_exact_sizes",
             "os.periodic_block_overrides",
+            *REMOVED_CACHE_KEYS,
         ],
     )
     def test_removed_or_internal_field_is_not_a_key(self, key):
@@ -309,7 +312,7 @@ class TestNoNewKnob:
 BAD_VALUES = {
     "int": ("disk.cylinders", "many"),
     "float": ("disk.seek_read_min_us", "fast"),
-    "bool": ("disk_cache.reposition_penalty", "maybe"),
+    "bool": ("trace.include_system", "maybe"),
     "enum": ("disk_cache.write_policy", "sideways"),
     "zones": ("disk.zones", "0-736"),
     "distribution": ("workload.size_bytes", "zipf:2"),

@@ -5,7 +5,15 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from iostack import Ack, DiskCacheConfig, Lookup, ReadPrefetch, UnexpectedFill, WritePolicy
+from iostack import (
+    Ack,
+    DiskCacheConfig,
+    Lookup,
+    ReadPrefetch,
+    UnexpectedFill,
+    WritePolicy,
+    load_config,
+)
 from iostack.diskcache import LocalPatternDetector, SegmentedCache, TagMap
 
 BLOCK_SECTORS = 128  # one 64KB block
@@ -13,7 +21,6 @@ BLOCK_SECTORS = 128  # one 64KB block
 
 def cfg(**overrides) -> DiskCacheConfig:
     values = dict(
-        total_bytes=1024 * 1024,
         segment_count=4,
         segment_bytes=256 * 1024,
         read_prefetch=ReadPrefetch.NONE,
@@ -90,7 +97,6 @@ class TestLocalPattern:
     def test_local_directive_from_third_request_start(self):
         cache = SegmentedCache(
             cfg(
-                total_bytes=8 * 1024 * 1024,
                 segment_count=16,
                 segment_bytes=512 * 1024,
                 read_prefetch=ReadPrefetch.LOCAL_512K,
@@ -135,7 +141,7 @@ class TestWrites:
         assert cache.destage_next() is None
 
     def test_defer_when_destage_enabled(self):
-        config = cfg(segment_count=2, segment_bytes=64 * 1024, total_bytes=128 * 1024)
+        config = cfg(segment_count=2, segment_bytes=64 * 1024)
         cache = SegmentedCache(config)
         step = config.segment_sectors
         cache.write_accept(0, 8, ((0, 1, 0),))
@@ -163,7 +169,7 @@ class TestReplacement:
     def test_prefetch_lands_in_lru_victim(self):
         # Reference LRU oracle: victim is the least recently touched clean
         # segment.
-        cache = SegmentedCache(cfg(segment_count=2, segment_bytes=64 * 1024, total_bytes=128 * 1024))
+        cache = SegmentedCache(cfg(segment_count=2, segment_bytes=64 * 1024))
         step = cache.config.segment_sectors
         fill(cache, 0 * step * 10, 8)          # segment A
         fill(cache, 10 * step, 8)              # segment B
@@ -174,7 +180,7 @@ class TestReplacement:
         assert cache.resident(20 * step, 8)
 
     def test_sliding_window_on_long_sequential_fill(self):
-        cache = SegmentedCache(cfg(segment_count=2, segment_bytes=64 * 1024, total_bytes=128 * 1024))
+        cache = SegmentedCache(cfg(segment_count=2, segment_bytes=64 * 1024))
         capacity = cache.config.segment_sectors
         fill(cache, 0, capacity)
         fill(cache, capacity, capacity // 2)  # extends and slides
@@ -185,18 +191,16 @@ class TestReplacement:
         cache = SegmentedCache(cfg())
         for i in range(20):
             fill(cache, i * 1000, 128)
-            assert cache.valid_bytes <= cache.config.total_bytes
+            assert cache.valid_bytes <= cache.config.segment_count * cache.config.segment_bytes
 
 
 class TestRepositionPenalty:
     def test_penalty_after_draining_local_prefetch_in_128k_slices(self):
         cache = SegmentedCache(
             cfg(
-                total_bytes=8 * 1024 * 1024,
                 segment_count=16,
                 segment_bytes=512 * 1024,
                 read_prefetch=ReadPrefetch.LOCAL_512K,
-                reposition_penalty=True,
             )
         )
         fill(cache, 0, 1024, local=True)  # one 512KB local prefetch
@@ -206,19 +210,20 @@ class TestRepositionPenalty:
         assert cache.take_penalty_rotations() == 1
         assert cache.take_penalty_rotations() == 0
 
-    def test_no_penalty_when_disabled(self):
-        cache = SegmentedCache(
-            cfg(
-                total_bytes=8 * 1024 * 1024,
-                segment_count=16,
-                segment_bytes=512 * 1024,
-                read_prefetch=ReadPrefetch.LOCAL_512K,
-            )
+    def test_local_512k_owes_the_penalty_on_any_drive(self):
+        # The Hitachi profile has sequential fill only; LOCAL_512K set from
+        # the INI brings the penalty with it.
+        spec = load_config(
+            "[disk]\nprofile = hitachi_travelstar_80gn\n"
+            "[disk_cache]\nread_prefetch = LOCAL_512K\n"
         )
+        cache = SegmentedCache(spec.stack.cache)
         fill(cache, 0, 1024, local=True)
         for i in range(4):
-            cache.read_lookup(i * 256, 256)
-        assert cache.take_penalty_rotations() == 0
+            kind, _, _ = cache.read_lookup(i * 256, 256)
+            assert kind is Lookup.HIT
+        assert cache.take_penalty_rotations() == 1
+
 
 
 def expand(runs) -> dict[int, int]:

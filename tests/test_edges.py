@@ -19,7 +19,8 @@ from iostack import (
     service,
 )
 from iostack.diskcache import DiskCacheConfig, ReadPrefetch
-from iostack.fscache import FsCache, FsCacheConfig
+from iostack.fscache import DEMAND, FsCache, FsCacheConfig
+from iostack.replay import MediaRole
 from iostack.requests import CanonicalRequest, Origin
 from iostack.scheduler import Policy
 from iostack.trace import OpenFlag, ingest_text
@@ -94,7 +95,7 @@ class TestFsCacheEdges:
         req = CanonicalRequest(0, Origin.APP, Op.READ, 0, 0, BLOCK, 0, AccessMode.WRITE_THROUGH)
         plan = fs.on_read(req)
         # Cached path, not passthrough: one quantized demand block.
-        assert [io.purpose for io in plan.ios] == ["demand"]
+        assert [io.purpose for io in plan.ios] == [DEMAND]
         assert plan.ios[0].nbytes == BLOCK
 
     def test_open_resets_stream_state(self):
@@ -110,7 +111,7 @@ class TestFsCacheEdges:
         demands = [
             e.payload.intent
             for e in result.event_log.filter(kind="io")
-            if e.payload.intent.purpose == "demand"
+            if e.payload.intent.purpose is DEMAND
         ]
         last_four = demands[-4:]
         assert [io.disk_addr // BLOCK for io in last_four] == [32, 33, 34, 35]
@@ -192,8 +193,8 @@ class TestReplayEdges:
         )
         ios = [(Op.READ, i * BLOCK, BLOCK) for i in range(20)]
         result = replay(stream(ios, AccessMode.NO_BUFFER), stack)
-        purposes = {e.payload.purpose for e in result.event_log.filter(kind="media")}
-        assert "fill-chunk" in purposes
+        roles = {e.payload.role for e in result.event_log.filter(kind="media")}
+        assert MediaRole.FILL_CHUNK in roles
 
 
 @settings(max_examples=60, deadline=None)

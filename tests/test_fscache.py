@@ -11,8 +11,10 @@ from iostack.fscache import (
     APP_DIRECT,
     DEMAND,
     FLUSH,
+    METADATA,
     PASSTHROUGH,
     PREFETCH,
+    READAHEAD_WINDOW_FACTOR,
     SYSTEM_ACTOR,
     classify_write_regime,
     periodic_block_count,
@@ -35,23 +37,23 @@ def write(addr: int, size: int, mode=AccessMode.NORMAL, t=0, file_id=0) -> Canon
 
 class TestSplitIntoBlocks:
     def test_exact_multiple(self):
-        assert split_into_blocks(0, 196_608) == [(0, BLOCK), (BLOCK, BLOCK), (2 * BLOCK, BLOCK)]
+        assert list(split_into_blocks(0, 196_608)) == [0, BLOCK, 2 * BLOCK]
 
     def test_sub_block_request_loads_full_block(self):
-        assert split_into_blocks(0, 12) == [(0, BLOCK)]
+        assert list(split_into_blocks(0, 12)) == [0]
 
     def test_straddling_boundary(self):
-        assert split_into_blocks(65_000, 2_000) == [(0, BLOCK), (BLOCK, BLOCK)]
+        assert list(split_into_blocks(65_000, 2_000)) == [0, BLOCK]
 
     def test_empty(self):
-        assert split_into_blocks(0, 0) == []
+        assert list(split_into_blocks(0, 0)) == []
 
     @given(offset=st.integers(0, 2**30), length=st.integers(1, 2**22))
     def test_cover_property(self, offset, length):
         blocks = split_into_blocks(offset, length)
-        assert blocks[0][0] == offset - offset % BLOCK
-        assert blocks[-1][0] + BLOCK >= offset + length
-        for (a, _), (b, _) in zip(blocks, blocks[1:]):
+        assert blocks[0] == offset - offset % BLOCK
+        assert blocks[-1] + BLOCK >= offset + length
+        for a, b in zip(blocks, blocks[1:]):
             assert b == a + BLOCK  # contiguous, aligned, exactly covering
 
 
@@ -71,9 +73,9 @@ class TestWriteRegime:
     def test_320k_accounting_override(self):
         # Observed behavior counts six blocks for a 320KB request even
         # though 320/64 is five; the override table pins it.
-        assert periodic_block_count(320 * KB, FsCacheConfig()) == 6
-        assert periodic_block_count(384 * KB, FsCacheConfig()) == 6
-        assert periodic_block_count(512 * KB, FsCacheConfig()) == 8
+        assert periodic_block_count(320 * KB) == 6
+        assert periodic_block_count(384 * KB) == 6
+        assert periodic_block_count(512 * KB) == 8
 
     def test_periodic_split_sequence_for_six_blocks(self):
         splits = [periodic_split(6, k) for k in range(periodic_period_length(6))]
@@ -158,7 +160,7 @@ class TestPeriodicWrites:
         assert all(io.force_media for io in plan.ios)
         assert sum(io.nbytes for io in plan.ios) == 128 * KB
         meta = fs.metadata_io(0)
-        assert meta.purpose == "metadata" and meta.force_media
+        assert meta.purpose is METADATA and meta.force_media
 
     def test_no_buffer_write_passthrough(self):
         fs = FsCache(FsCacheConfig())
@@ -240,7 +242,7 @@ class TestReads:
             fs.on_read(read(i * BLOCK, BLOCK, mode=AccessMode.SEQUENTIAL))
         stream = fs.read_streams[0]
         last_demand_end = 10 * BLOCK
-        assert stream.prefetch_cursor - last_demand_end <= cfg.readahead_window_factor * BLOCK
+        assert stream.prefetch_cursor - last_demand_end <= READAHEAD_WINDOW_FACTOR * BLOCK
 
     def test_hit_after_load(self):
         fs = FsCache(FsCacheConfig(), {0: 10 * BLOCK})
@@ -280,7 +282,7 @@ class TestEviction:
         # Views 1 and 2 went, oldest first; view 0 was skipped, not evicted,
         # because its loading block pins it.
         assert list(fs.views) == [(0, view * 256 * KB) for view in (0, 3, 4)]
-        assert fs.resident_bytes == fs.resident_block_count() * cfg.block_bytes == 9 * BLOCK
+        assert fs.resident_bytes == fs.resident_block_count() * BLOCK == 9 * BLOCK
 
     def test_dirty_views_pinned(self):
         cfg = FsCacheConfig(cache_capacity_bytes=256 * KB)

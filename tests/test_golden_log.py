@@ -27,6 +27,7 @@ from iostack import (
     WritePolicy,
     replay,
 )
+from iostack.fscache import Purpose
 from iostack.profiles import FUJITSU_MAN3184MP, TOSHIBA_MK6012MAP
 from iostack.reports import format_request_table, format_summary
 from iostack.workload import DistSpec, GeneratorSpec, aligned_choices, generate
@@ -49,15 +50,7 @@ EVENT_KINDS = {
     "drain",
 }
 MEDIA_ROLES = {"host-read", "local-prefetch", "fill-chunk", "host-write", "destage"}
-IO_PURPOSES = {
-    "demand",
-    "prefetch",
-    "passthrough",
-    "app-direct",
-    "flush",
-    "wt-data",
-    "metadata",
-}
+IO_PURPOSES = set(Purpose)
 
 
 def sequential_reads():
@@ -285,7 +278,7 @@ def test_event_log_hash_pinned(name):
 def test_scenarios_cover_every_kind_and_media_role():
     kinds: set[str] = set()
     roles: set[str] = set()
-    purposes: set[str] = set()
+    purposes: set[Purpose] = set()
     for name in SCENARIOS:
         for e in run(name).event_log.entries:
             kinds.add(e.payload.kind)

@@ -22,7 +22,7 @@ from iostack import (
     reference_media_image,
     replay,
 )
-from iostack.fscache import METADATA, WT_DATA
+from iostack.fscache import APP_DIRECT, FLUSH, METADATA, PASSTHROUGH, WT_DATA
 from iostack.replay import DiskCacheStage, MediaRole
 from iostack.profiles import TOSHIBA_MK6012MAP
 from iostack.workload import DistSpec, GeneratorSpec, generate
@@ -160,15 +160,15 @@ class TestWriteRegimesOnTheWire:
             e.payload.intent.purpose
             for e in result.event_log.filter(stage=StageId.DISK_CACHE, kind="io")
         }
-        assert "app-direct" not in purposes
-        assert "flush" in purposes  # media writes all come from the system flush
+        assert APP_DIRECT not in purposes
+        assert FLUSH in purposes  # media writes all come from the system flush
 
     def test_write_through_ordering(self):
         stack = plain_stack()
         ios = [(Op.WRITE, i * 128 * KB, 128 * KB) for i in range(3)]
         result = replay(stream(ios, AccessMode.WRITE_THROUGH), stack)
         media = [
-            e.payload.purpose
+            e.payload.host.intent.purpose
             for e in result.event_log.filter(stage=StageId.DISK, kind="media")
             if e.payload.write
         ]
@@ -182,8 +182,7 @@ class TestWriteRegimesOnTheWire:
         # its staging window and must complete off its own media read.
         stack = plain_stack(
             cache=DiskCacheConfig(
-                total_bytes=1024 * KB, segment_count=4, segment_bytes=256 * KB,
-                read_prefetch=ReadPrefetch.NONE,
+                segment_count=4, segment_bytes=256 * KB, read_prefetch=ReadPrefetch.NONE
             )
         )
         result = replay(stream([(Op.READ, 0, 1024 * KB)], AccessMode.NO_BUFFER), stack)
@@ -208,7 +207,7 @@ class TestQuantization:
         result = replay(stream(ios, AccessMode.NORMAL), stack)
         for e in result.event_log.filter(stage=StageId.DISK_CACHE, kind="io"):
             intent = e.payload.intent
-            if not intent.write and intent.purpose != "passthrough":
+            if not intent.write and intent.purpose is not PASSTHROUGH:
                 assert intent.nbytes == BLOCK
 
 
@@ -414,7 +413,7 @@ class TestDriveWriteBack:
         destage_done = max(
             e.fire_at_us
             for e in log
-            if e.payload.kind == "media-done" and e.payload.purpose == "destage"
+            if e.payload.kind == "media-done" and e.payload.role is MediaRole.DESTAGE
         )
         assert ack_at < destage_done  # host sees the ack while media work continues
 
