@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from enum import Enum
 from itertools import accumulate
 
 from .requests import SECTOR_BYTES
@@ -19,13 +18,6 @@ from .requests import SECTOR_BYTES
 
 class OutOfRange(Exception):
     """An LBA or cylinder distance falls outside the geometry."""
-
-
-class Mapping(Enum):
-    #: Classic CHS order: all heads of a cylinder, then the next cylinder.
-    CYLINDER_MAJOR = "CYLINDER_MAJOR"
-    #: Fill a whole surface before switching heads.
-    SURFACE_MAJOR = "SURFACE_MAJOR"
 
 
 @dataclass(frozen=True)
@@ -44,7 +36,6 @@ class DiskGeometry:
     cylinder_skew_sectors: int = 0
     #: Sectors reserved at the tail of each zone's logical order (0 = none).
     spares_per_zone_tail: int = 0
-    mapping: Mapping = Mapping.CYLINDER_MAJOR
 
     def __post_init__(self) -> None:
         if self.cylinders <= 0 or self.heads <= 0 or self.rpm <= 0:
@@ -60,17 +51,15 @@ class DiskGeometry:
         if self.track_skew_sectors >= min_spt or self.cylinder_skew_sectors >= min_spt:
             raise ValueError("skews must be smaller than every zone's sectors_per_track")
         ends = [z.first_cylinder for z in self.zones[1:]] + [self.cylinders]
-        cylinder_counts = tuple(end - z.first_cylinder for z, end in zip(self.zones, ends))
         usable = []
-        for count, z in zip(cylinder_counts, self.zones):
-            total = count * self.heads * z.sectors_per_track
+        for z, end in zip(self.zones, ends):
+            total = (end - z.first_cylinder) * self.heads * z.sectors_per_track
             if self.spares_per_zone_tail >= total:
                 raise ValueError("spares exceed zone capacity")
             usable.append(total - self.spares_per_zone_tail)
         # Zone tables, fixed with the frozen geometry and kept out of its
-        # fields: per zone, its cylinder count, usable sectors and first LBA,
-        # plus the total usable sectors as a final start.
-        object.__setattr__(self, "_zone_cylinders", cylinder_counts)
+        # fields: per zone, its usable sectors and first LBA, plus the total
+        # usable sectors as a final start.
         object.__setattr__(self, "_zone_usable", tuple(usable))
         object.__setattr__(self, "_zone_starts", tuple(accumulate(usable, initial=0)))
 
@@ -101,20 +90,17 @@ class DiskGeometry:
             raise OutOfRange(f"lba {lba} beyond usable capacity {self.usable_sectors}")
         return idx, self._zone_starts[idx]
 
-    def _track_skew_offset(self, zone_track: int, zone_cylinders: int) -> int:
+    def _track_skew_offset(self, zone_track: int) -> int:
         """Rotational offset of logical sector 0 for a track of the zone.
 
-        Skew accumulates along the mapping order: every head switch adds the
+        Tracks run in cylinder-major order (all heads of a cylinder, then the
+        next cylinder).  Skew accumulates along it: every head switch adds the
         track skew, every cylinder step adds the cylinder skew, so a
         sequential transfer resumes just behind the head after each switch.
         """
 
-        if self.mapping is Mapping.CYLINDER_MAJOR:
-            cylinder_steps = zone_track // self.heads
-            head_switches = zone_track - cylinder_steps
-        else:
-            head_switches = zone_track // zone_cylinders
-            cylinder_steps = zone_track - head_switches
+        cylinder_steps = zone_track // self.heads
+        head_switches = zone_track - cylinder_steps
         return (
             head_switches * self.track_skew_sectors
             + cylinder_steps * self.cylinder_skew_sectors
@@ -123,11 +109,8 @@ class DiskGeometry:
     def _track_geometry(self, zone_idx: int, zone_track: int) -> tuple[int, int]:
         """(cylinder, head) of the zone-relative track index."""
 
-        z = self.zones[zone_idx]
-        zc = self._zone_cylinders[zone_idx]
-        if self.mapping is Mapping.CYLINDER_MAJOR:
-            return z.first_cylinder + zone_track // self.heads, zone_track % self.heads
-        return z.first_cylinder + zone_track % zc, zone_track // zc
+        cylinder = self.zones[zone_idx].first_cylinder + zone_track // self.heads
+        return cylinder, zone_track % self.heads
 
 
 def lba_to_phys(lba: int, geometry: DiskGeometry) -> tuple[int, int, int]:
@@ -143,7 +126,7 @@ def lba_to_phys(lba: int, geometry: DiskGeometry) -> tuple[int, int, int]:
     track = slot // z.sectors_per_track
     logical_sector = slot % z.sectors_per_track
     cylinder, head = geometry._track_geometry(zone_idx, track)
-    skew = geometry._track_skew_offset(track, geometry._zone_cylinders[zone_idx])
+    skew = geometry._track_skew_offset(track)
     physical = (logical_sector + skew) % z.sectors_per_track
     return cylinder, head, physical
 
@@ -282,7 +265,7 @@ def service(
             t += seek_time(abs(cylinder - pos.cylinder), profile, geometry.cylinders, write)
         elif head != pos.head:
             t += profile.head_switch_us
-        skew = geometry._track_skew_offset(track, geometry._zone_cylinders[zone_idx])
+        skew = geometry._track_skew_offset(track)
         phys_start = (logical + skew) % z.sectors_per_track
         # The rotational phase does not depend on which track the head is on.
         t += rotational_wait(phys_start, z.sectors_per_track, pos, t, period)

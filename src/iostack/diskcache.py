@@ -86,7 +86,6 @@ class Segment:
 
     start: int = 0  # valid run [start, end) in absolute sectors
     end: int = 0
-    capacity: int = 0
     last_touch: int = 0
     #: Pending write records in arrival order: (seq, lba, sectors, tags).
     write_queue: deque[tuple[int, int, int, TagRuns | None]] = field(default_factory=deque)
@@ -237,9 +236,7 @@ class SegmentedCache:
 
     def __init__(self, config: DiskCacheConfig):
         self.config = config
-        self.segments = [
-            Segment(capacity=config.segment_sectors) for _ in range(config.segment_count)
-        ]
+        self.segments = [Segment() for _ in range(config.segment_count)]
         self.detector = LocalPatternDetector(LOCALITY_RADIUS_SECTORS)
         self._touch_seq = 0
         self._write_seq = 0
@@ -264,8 +261,7 @@ class SegmentedCache:
         """
 
         seg.end = max(seg.end, lba + sectors)
-        if seg.end - seg.start > seg.capacity:
-            seg.start = seg.end - seg.capacity
+        seg.start = max(seg.start, seg.end - self.config.segment_sectors)
         self._touch(seg)
 
     def _segment_for(self, lba: int, sectors: int) -> Segment | None:

@@ -164,13 +164,11 @@ class Simulator:
     def schedule_after(self, target: StageId, payload: Payload, delay_us: int) -> SimEvent:
         return self.schedule(target, payload, self._clock + delay_us)
 
-    def run(self, until_us: int | None = None) -> None:
-        """Dispatch events in order until the queue empties or the horizon passes."""
+    def run(self) -> None:
+        """Dispatch events in order until the queue empties."""
 
         observe = self._observe
         while self._queue:
-            if until_us is not None and self._queue[0].fire_at_us > until_us:
-                break
             event = heapq.heappop(self._queue)
             self._clock = event.fire_at_us
             if observe is not None:

@@ -183,7 +183,6 @@ class View:
     file_id: int
     base_addr: int
     resident: set[int] = field(default_factory=set)
-    dirty: set[int] = field(default_factory=set)
 
 
 @dataclass
@@ -247,14 +246,12 @@ class FsCache:
     def block_inflight(self, file_id: int, block_addr: int) -> bool:
         return (file_id, block_addr) in self.inflight
 
-    def mark_resident(self, file_id: int, block_addr: int, dirty: bool = False) -> None:
+    def mark_resident(self, file_id: int, block_addr: int) -> None:
         key, slot = self._view_of(file_id, block_addr)
         view = self._touch(key)
         if slot not in view.resident:
             view.resident.add(slot)
             self.resident_bytes += BLOCK_BYTES
-        if dirty:
-            view.dirty.add(slot)
         self._evict_to_capacity()
 
     def on_block_loaded(self, block_key: tuple[int, int]) -> None:
@@ -272,10 +269,8 @@ class FsCache:
         for key, view in self.views.items():
             if self.resident_bytes <= capacity:
                 break
-            if view.dirty:
-                continue
             if any(
-                (view.file_id, addr) in self.inflight
+                (view.file_id, addr) in self.dirty_blocks or (view.file_id, addr) in self.inflight
                 for addr in range(view.base_addr, view.base_addr + VIEW_BYTES, BLOCK_BYTES)
             ):
                 continue
@@ -406,7 +401,7 @@ class FsCache:
     def _dirty_sectors(self, file_id: int, start: int, nbytes: int, tag: int) -> None:
         for addr, lo, hi in self._block_spans(start, nbytes):
             self.dirty_blocks.setdefault((file_id, addr), TagMap()).overlay(_tags(lo, hi, tag))
-            self.mark_resident(file_id, addr, dirty=True)
+            self.mark_resident(file_id, addr)
 
     def _direct_write_ios(
         self, file_id: int, start: int, nbytes: int, tag: int
@@ -496,20 +491,13 @@ class FsCache:
 
     # -- flushing ---------------------------------------------------------------
 
-    def _flush_block(self, key: tuple[int, int], dirty: TagMap) -> list[IoIntent]:
-        view_key, slot = self._view_of(*key)
-        view = self.views.get(view_key)
-        if view is not None:
-            view.dirty.discard(slot)
-        return _run_writes(dirty.runs, FLUSH, SYSTEM_ACTOR, False)
-
     def flush_all(self) -> list[IoIntent]:
         """Drain the whole dirty set in first-write order."""
 
         ios = []
         while self.dirty_blocks:
-            key, dirty = self.dirty_blocks.popitem(last=False)
-            ios.extend(self._flush_block(key, dirty))
+            _, dirty = self.dirty_blocks.popitem(last=False)
+            ios.extend(_run_writes(dirty.runs, FLUSH, SYSTEM_ACTOR, False))
         self.dirty_accounted_bytes = 0
         return ios
 
@@ -519,15 +507,11 @@ class FsCache:
         if not self.dirty_blocks:
             self.dirty_accounted_bytes = 0
             return []
-        key, dirty = self.dirty_blocks.popitem(last=False)
+        _, dirty = self.dirty_blocks.popitem(last=False)
         self.dirty_accounted_bytes = max(0, self.dirty_accounted_bytes - BLOCK_BYTES)
-        return self._flush_block(key, dirty)
+        return _run_writes(dirty.runs, FLUSH, SYSTEM_ACTOR, False)
 
-    @property
-    def dirty_bytes(self) -> int:
-        return self.dirty_accounted_bytes
-
-    def metadata_io(self, tag: int) -> IoIntent:
+    def metadata_io(self) -> IoIntent:
         return IoIntent(
             write=True,
             disk_addr=self.config.metadata_disk_addr,

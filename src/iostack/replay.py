@@ -6,6 +6,11 @@ tolerance), the file-system cache stage executes planner intents, the
 scheduler orders pending disk work, the drive cache stages data, and the
 disk stage serializes media operations against the mechanical model while
 keeping the written sectors' tags as runs for conservation checks.
+
+Each fact has one owner: ``FsCache`` holds fs residency and the in-flight
+and dirty blocks, ``FsStage`` what each request still waits for, an io's
+``IoMsg.request_id`` the request it serves, and ``SegmentedCache`` the
+drive segments and outstanding fills.
 """
 
 from __future__ import annotations
@@ -28,7 +33,6 @@ from .disk import DiskGeometry, HeadState, SeekProfile, cylinder_of_byte, servic
 from .engine import EventLog, Observer, SimEvent, Simulator, StageId
 from .fscache import FLUSH, FsCache, FsCacheConfig, IoIntent
 from .requests import (
-    AccessMode,
     CanonicalRequest,
     Op,
     Origin,
@@ -209,8 +213,6 @@ class AppStage:
         self.policy = policy
         self.issue_times: dict[int, int] = {}
         self.records: list[RequestRecord] = []
-        self.completed = 0
-        self.drained = False
 
     def start(self, sim: Simulator) -> None:
         if not self.requests:
@@ -239,13 +241,11 @@ class AppStage:
                         origin=r.origin,
                     )
                 )
-                self.completed += 1
                 if self.policy.mode is ReplayMode.CLOSED_LOOP and rid + 1 < len(self.requests):
                     nxt = rid + 1
                     at = self._next_issue_time(rid, issue, sim.now())
                     sim.schedule(StageId.APP, RequestMsg(nxt, self.requests[nxt]), at_us=max(at, sim.now()))
-                if self.completed == len(self.requests) and not self.drained:
-                    self.drained = True
+                if len(self.records) == len(self.requests):
                     sim.schedule(StageId.FS_CACHE, Signal.DRAIN)
 
     def _next_issue_time(self, rid: int, issue_us: int, complete_us: int) -> int:
@@ -276,8 +276,6 @@ class _PendingRequest:
     required_ios: set[int] = field(default_factory=set)
     wait_blocks: set[tuple[int, int]] = field(default_factory=set)
     copy_us: int = 0
-    metadata_after_data: bool = False
-    passthrough: bool = False
     metadata_issued: bool = False
 
 
@@ -289,8 +287,8 @@ class FsStage:
         self.fs = fs
         self.pending: dict[int, _PendingRequest] = {}
         self.block_waiters: dict[tuple[int, int], list[int]] = {}
-        self.io_owner: dict[int, int] = {}
         self.deferred: list[RequestMsg] = []
+        #: The write-through request whose metadata write holds back the rest.
         self.wt_gate: int | None = None
         self.progressive_running = False
         self._io_seq = 0
@@ -335,26 +333,16 @@ class FsStage:
 
         plan = self.fs.on_read(req) if req.op is Op.READ else self.fs.on_write(req, rid)
         pending = _PendingRequest(
-            msg=msg,
-            wait_blocks=set(plan.wait_blocks),
-            metadata_after_data=plan.metadata_after_data,
-            passthrough=req.mode is AccessMode.NO_BUFFER,
+            msg=msg, wait_blocks=set(plan.wait_blocks), copy_us=cfg.copy_us(plan.copy_bytes)
         )
         for key in pending.wait_blocks:
             self.block_waiters.setdefault(key, []).append(rid)
-        if not pending.passthrough:
-            pending.copy_us = cfg.copy_us(plan.copy_bytes)
 
-        if plan.hit and not plan.ios:
-            self._complete(msg, at_us=now + cfg.fastio_hit_cost_us + pending.copy_us)
-            return
-
-        issue_at = now + (cfg.miss_path_cost_us if (plan.required_ios or pending.passthrough) else 0)
+        issue_at = now + (cfg.miss_path_cost_us if plan.required_ios else 0)
         for intent in plan.ios:
             io_id = self._issue(intent, rid if intent.required else None, issue_at)
             if intent.required:
                 pending.required_ios.add(io_id)
-                self.io_owner[io_id] = rid
         if plan.metadata_after_data:
             self.wt_gate = rid
         self.pending[rid] = pending
@@ -362,9 +350,9 @@ class FsStage:
             self.progressive_running = True
             self.sim.schedule(StageId.FS_CACHE, Signal.FLUSH_TICK)
         if not pending.required_ios and not pending.wait_blocks and not plan.metadata_after_data:
-            # Only optional ios (prefetch/flush): serve from cache now.
+            # No io, or only optional ones (prefetch/flush): serve from cache now.
             del self.pending[rid]
-            self._complete(msg, at_us=now + self.fs.config.fastio_hit_cost_us + pending.copy_us)
+            self._complete(msg, at_us=now + cfg.fastio_hit_cost_us + pending.copy_us)
 
     def _complete(self, msg: RequestMsg, at_us: int) -> None:
         self.sim.schedule(StageId.APP, RequestMsg(msg.request_id, msg.request, True), at_us=at_us)
@@ -382,27 +370,22 @@ class FsStage:
                     self._maybe_finish(pending)
         if intent.purpose is FLUSH and self.progressive_running:
             self.sim.schedule(StageId.FS_CACHE, Signal.FLUSH_TICK)
-        rid = self.io_owner.pop(msg.io_id, None)
-        if rid is not None:
-            pending = self.pending.get(rid)
-            if pending is not None:
-                pending.required_ios.discard(msg.io_id)
-                self._maybe_finish(pending)
+        # Required ios, and only they, carry the request they serve.
+        if msg.request_id is not None:
+            pending = self.pending[msg.request_id]
+            pending.required_ios.discard(msg.io_id)
+            self._maybe_finish(pending)
 
     def _maybe_finish(self, pending: _PendingRequest) -> None:
         if pending.required_ios or pending.wait_blocks:
             return
         rid = pending.msg.request_id
-        if pending.metadata_after_data and not pending.metadata_issued:
+        if self.wt_gate == rid and not pending.metadata_issued:
             pending.metadata_issued = True
-            intent = self.fs.metadata_io(rid)
-            io_id = self._issue(intent, rid, self.sim.now())
-            pending.required_ios.add(io_id)
-            self.io_owner[io_id] = rid
+            pending.required_ios.add(self._issue(self.fs.metadata_io(), rid, self.sim.now()))
             return
         del self.pending[rid]
-        extra = 0 if pending.passthrough else pending.copy_us
-        self._complete(pending.msg, at_us=self.sim.now() + extra)
+        self._complete(pending.msg, at_us=self.sim.now() + pending.copy_us)
         if self.wt_gate == rid:
             self.wt_gate = None
             deferred, self.deferred = self.deferred, []
@@ -466,8 +449,6 @@ class DiskCacheStage:
         self.cache = cache
         self.geometry = geometry
         self.host_reads: dict[int, _HostRead] = {}
-        #: Media writes still outstanding per write-through host io.
-        self.host_writes: dict[int, int] = {}
         self.deferred_writes: list[IoMsg] = []
         self.fill_ranges: deque[tuple[int, int]] = deque()  # [start, end) sector ranges to fill
         self.fill_inflight: set[tuple[int, int]] = set()
@@ -572,9 +553,9 @@ class DiskCacheStage:
             self._reply_done(msg)
             self._kick_destage()
         elif ack is Ack.ACK_AFTER_MEDIA:
-            self.host_writes[msg.io_id] = len(media_actions)
-            for run_lba, run_sectors, tags in media_actions:
-                self._media(MediaRole.HOST_WRITE, run_lba, run_sectors, msg, tags)
+            # One media write, whose completion acknowledges the host io.
+            ((run_lba, run_sectors, tags),) = media_actions
+            self._media(MediaRole.HOST_WRITE, run_lba, run_sectors, msg, tags)
         else:  # DEFER: every segment dirty, wait for a destage to free one
             self.deferred_writes.append(msg)
             self._kick_destage()
@@ -605,11 +586,7 @@ class DiskCacheStage:
                     self._next_fill_chunk()
                 self._settle_host_reads(msg.lba, msg.sectors)
             case MediaRole.HOST_WRITE:
-                io_id = msg.host.io_id
-                self.host_writes[io_id] -= 1
-                if not self.host_writes[io_id]:
-                    del self.host_writes[io_id]
-                    self._reply_done(msg.host)
+                self._reply_done(msg.host)
             case MediaRole.DESTAGE:
                 self.destage_inflight = False
                 self._kick_destage()
@@ -807,9 +784,9 @@ def _replay(
 
     app.start(sim)
     sim.run()
-    if app.completed != len(effective):
+    if len(app.records) != len(effective):
         raise StallError(
-            f"replay stalled after {app.completed} of {len(effective)} requests; "
+            f"replay stalled after {len(app.records)} of {len(effective)} requests; "
             f"fs cache still holds requests {sorted(fs_stage.pending)}, "
             f"drive cache still holds host read ios {sorted(cache_stage.host_reads)}"
         )

@@ -16,7 +16,6 @@ import pytest
 from iostack import (
     AccessMode,
     DiskGeometry,
-    Mapping,
     Op,
     ReplayPolicy,
     StackConfig,
@@ -140,7 +139,6 @@ def test_lba_mapping_bijective_on_randomized_geometries():
             track_skew_sectors=int(rng.integers(0, min(spts))),
             cylinder_skew_sectors=int(rng.integers(0, min(spts))),
             spares_per_zone_tail=int(rng.integers(0, 3)),
-            mapping=Mapping.CYLINDER_MAJOR if rng.random() < 0.5 else Mapping.SURFACE_MAJOR,
         )
         oracle = enumerate_mapping(geometry)
         seen = set()

@@ -9,7 +9,7 @@ import pytest
 from iostack.cli import main
 
 from conftest import SAMPLE_TRACE, echo_to_ini
-from test_config_reports import BAD_VALUES, REMOVED_CACHE_KEYS, with_bad_value
+from test_config_reports import BAD_VALUES, REMOVED_KEYS, with_bad_value
 
 CONFIG = """
 [disk]
@@ -204,7 +204,7 @@ SECTOR_4K_CONFIG = CONFIG.replace(
             with_bad_value("disk_cache.segment_bytes", "1000"),
             "disk_cache: segment_bytes must be a positive multiple of 512",
         ),
-        *((None, [], with_bad_value(key, "1"), f"{key}: unknown key") for key in REMOVED_CACHE_KEYS),
+        *((None, [], with_bad_value(key, "1"), f"{key}: unknown key") for key in REMOVED_KEYS),
     ],
     ids=[
         "baseline-header",
@@ -218,7 +218,7 @@ SECTOR_4K_CONFIG = CONFIG.replace(
         "bad-segment-count",
         "bad-segment-bytes-zero",
         "bad-segment-bytes-unaligned",
-        *(f"removed-{key}" for key in REMOVED_CACHE_KEYS),
+        *(f"removed-{key}" for key in REMOVED_KEYS),
     ],
 )
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, baseline, extra, config, message):

@@ -147,7 +147,6 @@ EVERY_KEY = {
     "disk.track_skew_sectors": "10",
     "disk.cylinder_skew_sectors": "20",
     "disk.spares_per_zone_tail": "8",
-    "disk.mapping": "SURFACE_MAJOR",
     "disk.seek_read_min_us": "512.3456",
     "disk.seek_read_avg_us": "4000.25",
     "disk.seek_read_max_us": "9000.5",
@@ -198,7 +197,7 @@ EVERY_KEY = {
 ACCEPTED_KEYS = {
     "disk": {
         "profile", "cylinders", "heads", "zones", "rpm", "track_skew_sectors",
-        "cylinder_skew_sectors", "spares_per_zone_tail", "mapping", "seek_read_min_us",
+        "cylinder_skew_sectors", "spares_per_zone_tail", "seek_read_min_us",
         "seek_read_avg_us", "seek_read_max_us", "seek_write_min_us", "seek_write_avg_us",
         "seek_write_max_us", "head_switch_us",
     },
@@ -268,9 +267,11 @@ class TestRoundTrip:
         assert spec.echo["workload0.size_bytes_clamp"] == "8192:32768"
 
 
-#: Cache keys that became paper constants, the LOCAL_512K switch or a
-#: derived size.
-REMOVED_CACHE_KEYS = (
+#: Keys of removed knobs: cache keys that became paper constants, the
+#: LOCAL_512K switch or a derived size, and the LBA mapping, which had one
+#: used value (cylinder-major).
+REMOVED_KEYS = (
+    "disk.mapping",
     "disk_cache.total_bytes",
     "disk_cache.prefetch_block_bytes",
     "disk_cache.locality_radius_sectors",
@@ -299,13 +300,12 @@ class TestNoNewKnob:
             "os.progressive_max_bytes",
             "os.progressive_exact_sizes",
             "os.periodic_block_overrides",
-            *REMOVED_CACHE_KEYS,
+            *REMOVED_KEYS,
         ],
     )
     def test_removed_or_internal_field_is_not_a_key(self, key):
-        section, name = key.split(".")
         with pytest.raises(ConfigError, match=f"{key}: unknown key"):
-            load_config(MINIMAL + f"[{section}]\n{name} = 1\n")
+            load_config(echo_to_ini({"disk.profile": "fujitsu_man3184mp", key: "1"}))
 
 
 #: (section.key, bad value), one per value parser.

@@ -10,7 +10,6 @@ import pytest
 from iostack import (
     DiskGeometry,
     HeadState,
-    Mapping,
     OutOfRange,
     SeekProfile,
     Zone,
@@ -30,8 +29,9 @@ from conftest import flat_seek, tiny_geometry
 
 
 def enumerate_mapping(geometry: DiskGeometry) -> dict[int, tuple[int, int, int]]:
-    """Independent mapping oracle: walk tracks in order, placing LBAs one
-    by one and accumulating skew at each boundary by its kind."""
+    """Independent mapping oracle: walk tracks in cylinder-major order,
+    placing LBAs one by one and accumulating skew at each boundary by its
+    kind."""
 
     mapping: dict[int, tuple[int, int, int]] = {}
     lba = 0
@@ -40,41 +40,24 @@ def enumerate_mapping(geometry: DiskGeometry) -> dict[int, tuple[int, int, int]]
         z_end = zones[zi + 1].first_cylinder if zi + 1 < len(zones) else geometry.cylinders
         zone_cyls = z_end - zone.first_cylinder
         spt = zone.sectors_per_track
-        # Build the track visit order for this zone.
-        if geometry.mapping is Mapping.CYLINDER_MAJOR:
-            tracks = [
-                (zone.first_cylinder + c, h) for c in range(zone_cyls) for h in range(geometry.heads)
-            ]
-        else:
-            tracks = [
-                (zone.first_cylinder + c, h) for h in range(geometry.heads) for c in range(zone_cyls)
-            ]
+        tracks = [
+            (zone.first_cylinder + c, h) for c in range(zone_cyls) for h in range(geometry.heads)
+        ]
         slots = []
         skew = 0
-        previous = None
+        prev_cyl = None
         for cyl, head in tracks:
-            if previous is not None:
-                prev_cyl, prev_head = previous
-                # Boundary kind follows the traversal structure: in
-                # cylinder-major order a cylinder crossing is one arm step
-                # (the head returning to 0 rides along); in surface-major
-                # order a head crossing is one switch (the arm flying back
-                # rides along).
-                if geometry.mapping is Mapping.CYLINDER_MAJOR:
-                    skew += (
-                        geometry.cylinder_skew_sectors
-                        if cyl != prev_cyl
-                        else geometry.track_skew_sectors
-                    )
-                else:
-                    skew += (
-                        geometry.track_skew_sectors
-                        if head != prev_head
-                        else geometry.cylinder_skew_sectors
-                    )
+            if prev_cyl is not None:
+                # A cylinder crossing is one arm step (the head returning to
+                # 0 rides along); any other boundary is one head switch.
+                skew += (
+                    geometry.cylinder_skew_sectors
+                    if cyl != prev_cyl
+                    else geometry.track_skew_sectors
+                )
             for s in range(spt):
                 slots.append((cyl, head, (s + skew) % spt))
-            previous = (cyl, head)
+            prev_cyl = cyl
         usable = len(slots) - geometry.spares_per_zone_tail
         for slot in slots[:usable]:
             mapping[lba] = slot
@@ -83,7 +66,7 @@ def enumerate_mapping(geometry: DiskGeometry) -> dict[int, tuple[int, int, int]]
 
 
 def random_geometries(count: int = 120):
-    """Small seeded geometries over zones, skews, spares and both mappings."""
+    """Small seeded geometries over zones, skews and spares."""
 
     rng = np.random.default_rng(20240917)
     for _ in range(count):
@@ -102,7 +85,6 @@ def random_geometries(count: int = 120):
             track_skew_sectors=int(rng.integers(0, min_spt)),
             cylinder_skew_sectors=int(rng.integers(0, min_spt)),
             spares_per_zone_tail=int(rng.integers(0, 3)),
-            mapping=Mapping.CYLINDER_MAJOR if rng.random() < 0.5 else Mapping.SURFACE_MAJOR,
         )
 
 
@@ -131,8 +113,7 @@ class TestLbaMapping:
         with pytest.raises(OutOfRange):
             lba_to_phys(-1, g)
 
-    @pytest.mark.parametrize("mapping", list(Mapping))
-    def test_matches_enumeration_oracle(self, mapping):
+    def test_matches_enumeration_oracle(self):
         g = DiskGeometry(
             cylinders=4,
             heads=3,
@@ -141,7 +122,6 @@ class TestLbaMapping:
             track_skew_sectors=3,
             cylinder_skew_sectors=5,
             spares_per_zone_tail=2,
-            mapping=mapping,
         )
         oracle = enumerate_mapping(g)
         assert len(oracle) == g.usable_sectors

@@ -121,10 +121,10 @@ class TestFsCacheEdges:
         fs = FsCache(FsCacheConfig())
         req = CanonicalRequest(0, Origin.APP, Op.WRITE, 0, 0, BLOCK, 0, AccessMode.NORMAL)
         fs.on_write(req, tag=0)
-        assert fs.dirty_bytes > 0
+        assert fs.dirty_accounted_bytes > 0
         while fs.next_progressive_flush():
             pass
-        assert fs.dirty_bytes == 0
+        assert fs.dirty_accounted_bytes == 0
 
 
 class TestReplayEdges:
@@ -165,7 +165,7 @@ class TestReplayEdges:
         stack = plain_stack(scheduler_policy=Policy.C_LOOK)
         ios = [(Op.WRITE, i * 320 * KB, 320 * KB) for i in range(6)]
         result = replay(stream(ios, AccessMode.NORMAL), stack)
-        assert result.fs.dirty_bytes == 0
+        assert result.fs.dirty_accounted_bytes == 0
 
     def test_request_beyond_capacity_rejected_upfront(self):
         from iostack import TraceReplayError

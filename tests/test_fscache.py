@@ -159,7 +159,7 @@ class TestPeriodicWrites:
         assert plan.metadata_after_data
         assert all(io.force_media for io in plan.ios)
         assert sum(io.nbytes for io in plan.ios) == 128 * KB
-        meta = fs.metadata_io(0)
+        meta = fs.metadata_io()
         assert meta.purpose is METADATA and meta.force_media
 
     def test_no_buffer_write_passthrough(self):

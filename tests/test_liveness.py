@@ -84,3 +84,16 @@ def test_replay_completes_and_conserves_writes(seed):
     assert len(result.records) == len(result.effective_requests)
     if policy.mode is ReplayMode.CLOSED_LOOP:
         assert result.media_image == reference_media_image(result.effective_requests)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 1: a queued fs flush lands after a later direct write under SCAN",
+)
+def test_stale_flush_known_defect():
+    # Closed loop, SCAN, a write-through drive and SEQUENTIAL access: the
+    # in-order image is the oracle, and a stall would still fail the test.
+    requests, stack, policy = trial(740)
+    result = replay(requests, stack, policy)
+    assert result.media_image == reference_media_image(result.effective_requests)

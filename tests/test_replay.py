@@ -250,7 +250,7 @@ class TestConservation:
     def test_fs_cache_drained_after_run(self):
         ios = [(Op.WRITE, i * 320 * KB, 320 * KB) for i in range(10)]
         result = replay(stream(ios, AccessMode.NORMAL), plain_stack())
-        assert result.fs.dirty_bytes == 0
+        assert result.fs.dirty_accounted_bytes == 0
         assert not result.fs.dirty_blocks
         assert result.disk_cache.dirty_records == 0
 
