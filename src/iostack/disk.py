@@ -192,43 +192,29 @@ class HeadState:
     angle_revs: float = 0.0
     time_us: float = 0.0
 
-    def angle_at(self, t_us: float, period_us: float) -> float:
-        return (self.angle_revs + (t_us - self.time_us) / period_us) % 1.0
-
 
 def rotational_wait(
-    target_sector: int, spt: int, state: HeadState, arrival_us: float, period_us: float
+    target_sector: int,
+    spt: int,
+    angle_revs: float,
+    ref_us: float,
+    arrival_us: float,
+    period_us: float,
 ) -> float:
     """Microseconds until the target physical sector reaches the head.
 
-    A sector that is mathematically exactly under the head must wait zero,
+    The platter stood at ``angle_revs`` revolutions at time ``ref_us``.  A
+    sector that is mathematically exactly under the head must wait zero,
     not a full revolution; the epsilon absorbs float noise from the angle
     arithmetic (1e-9 of a revolution is far below one sector).
     """
 
     target_angle = (target_sector % spt) / spt
-    current = state.angle_at(arrival_us, period_us)
+    current = (angle_revs + (arrival_us - ref_us) / period_us) % 1.0
     wait_revs = (target_angle - current) % 1.0
     if wait_revs > 1.0 - 1e-9:
         wait_revs = 0.0
     return wait_revs * period_us
-
-
-def _track_runs(lba: int, sectors: int, geometry: DiskGeometry):
-    """Split an LBA range into per-track runs of logical sectors."""
-
-    remaining = sectors
-    while remaining > 0:
-        zone_idx, zone_start = geometry._zone_of_lba(lba)
-        z = geometry.zones[zone_idx]
-        slot = lba - zone_start
-        track = slot // z.sectors_per_track
-        logical = slot % z.sectors_per_track
-        run = min(remaining, z.sectors_per_track - logical)
-        run = min(run, geometry._zone_usable[zone_idx] - slot)
-        yield zone_idx, track, logical, run
-        lba += run
-        remaining -= run
 
 
 def service(
@@ -256,23 +242,40 @@ def service(
         )
     period = geometry.rotation_period_us
     t = float(arrival_us)
-    pos = state
-    for zone_idx, track, logical, run in _track_runs(lba, sectors, geometry):
-        z = geometry.zones[zone_idx]
-        cylinder, head = geometry._track_geometry(zone_idx, track)
-        if cylinder != pos.cylinder:
+    # The head: its position, and the platter's phase at reference time ref.
+    cylinder, head, angle, ref = state.cylinder, state.head, state.angle_revs, state.time_us
+    zone_idx, zone_start = geometry._zone_of_lba(lba)
+    usable = geometry._zone_usable[zone_idx]
+    spt = geometry.zones[zone_idx].sectors_per_track
+    remaining = sectors
+    while remaining > 0:
+        slot = lba - zone_start
+        if slot == usable:
+            # The run continues into the next zone.
+            zone_idx += 1
+            zone_start = lba
+            slot = 0
+            usable = geometry._zone_usable[zone_idx]
+            spt = geometry.zones[zone_idx].sectors_per_track
+        track = slot // spt
+        logical = slot % spt
+        run = min(remaining, spt - logical, usable - slot)
+        to_cylinder, to_head = geometry._track_geometry(zone_idx, track)
+        if to_cylinder != cylinder:
             # Head selection settles within the arm move.
-            t += seek_time(abs(cylinder - pos.cylinder), profile, geometry.cylinders, write)
-        elif head != pos.head:
+            t += seek_time(abs(to_cylinder - cylinder), profile, geometry.cylinders, write)
+        elif to_head != head:
             t += profile.head_switch_us
-        skew = geometry._track_skew_offset(track)
-        phys_start = (logical + skew) % z.sectors_per_track
+        phys_start = (logical + geometry._track_skew_offset(track)) % spt
         # The rotational phase does not depend on which track the head is on.
-        t += rotational_wait(phys_start, z.sectors_per_track, pos, t, period)
-        t += run / z.sectors_per_track * period
-        end_angle = ((phys_start + run) % z.sectors_per_track) / z.sectors_per_track
-        pos = HeadState(cylinder, head, end_angle, t)
-    return t - arrival_us, pos
+        t += rotational_wait(phys_start, spt, angle, ref, t, period)
+        t += run / spt * period
+        cylinder, head = to_cylinder, to_head
+        angle = ((phys_start + run) % spt) / spt
+        ref = t
+        lba += run
+        remaining -= run
+    return t - arrival_us, HeadState(cylinder, head, angle, ref)
 
 
 def cylinder_of_byte(disk_byte_addr: int, geometry: DiskGeometry) -> int:

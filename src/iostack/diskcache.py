@@ -99,9 +99,6 @@ class Segment:
     def covers(self, lba: int, sectors: int) -> bool:
         return self.start <= lba and lba + sectors <= self.end
 
-    def overlaps(self, lba: int, sectors: int) -> bool:
-        return lba < self.end and self.start < lba + sectors
-
 
 @dataclass
 class PrefetchDirective:
@@ -240,7 +237,8 @@ class SegmentedCache:
         self.detector = LocalPatternDetector(LOCALITY_RADIUS_SECTORS)
         self._touch_seq = 0
         self._write_seq = 0
-        self._outstanding_fills: list[tuple[int, int]] = []
+        #: (lba, sectors) of every fill or prefetch read whose data has not arrived.
+        self.outstanding_fills: list[tuple[int, int]] = []
         self.seq_last_end: int | None = None
         self.fill_frontier = 0
         self.local_prefetch_count = 0
@@ -265,8 +263,12 @@ class SegmentedCache:
         self._touch(seg)
 
     def _segment_for(self, lba: int, sectors: int) -> Segment | None:
+        """The first non-empty segment that overlaps the run or ends where it starts."""
+
+        end = lba + sectors
         for seg in self.segments:
-            if seg.end > seg.start and (seg.overlaps(lba, sectors) or seg.end == lba):
+            start, stop = seg.start, seg.end
+            if start < stop and (lba < stop and start < end or stop == lba):
                 return seg
         return None
 
@@ -298,7 +300,9 @@ class SegmentedCache:
         return any(s.covers(lba, sectors) for s in self.segments if s.end > s.start)
 
     def missing_runs(self, lba: int, sectors: int) -> list[tuple[int, int]]:
-        return uncovered_runs(lba, sectors, ((s.start, s.end) for s in self.segments))
+        return uncovered_runs(
+            lba, sectors, [(s.start, s.end) for s in self.segments if s.start < s.end]
+        )
 
     # -- reads -----------------------------------------------------------------
 
@@ -359,14 +363,14 @@ class SegmentedCache:
     # -- fills -------------------------------------------------------------------
 
     def expect_fill(self, lba: int, sectors: int) -> None:
-        self._outstanding_fills.append((lba, sectors))
+        self.outstanding_fills.append((lba, sectors))
 
     def on_media_data(self, lba: int, sectors: int, local: bool = False) -> None:
         """A fill or prefetch read completed; stage the data in a segment."""
 
-        if sectors <= 0 or (lba, sectors) not in self._outstanding_fills:
+        if sectors <= 0 or (lba, sectors) not in self.outstanding_fills:
             raise UnexpectedFill(f"no outstanding fill for [{lba}, {lba + sectors})")
-        self._outstanding_fills.remove((lba, sectors))
+        self.outstanding_fills.remove((lba, sectors))
         self.insert_clean(lba, sectors, local=local)
 
     def insert_clean(self, lba: int, sectors: int, local: bool = False) -> None:

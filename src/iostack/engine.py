@@ -5,12 +5,16 @@ between the stack stages.  Ties at equal timestamps break by global
 scheduling sequence, which pins down the one detail message-passing
 frameworks usually leave implicit and makes whole runs replayable
 byte-for-byte.
+
+The queue holds plain ``(fire_at_us, seq, target, payload)`` tuples and each
+handler receives only ``(sim, payload)``: a ``SimEvent`` is built just for an
+observer, or for the ``StageFault`` of a handler that raised.
 """
 
 from __future__ import annotations
 
-import heapq
 from enum import Enum
+from heapq import heappop, heappush
 from typing import Callable, NamedTuple, Protocol, TextIO
 
 
@@ -61,9 +65,9 @@ class Payload(Protocol):
 
 
 class SimEvent(NamedTuple):
-    """One delivery; the heap orders events as tuples.
+    """One delivery, with the fields of the queue entry it was built from.
 
-    ``seq`` is unique, so two events never compare their payloads.
+    ``seq`` is unique, so two queue entries never compare their payloads.
     """
 
     fire_at_us: int
@@ -120,7 +124,8 @@ class EventLog:
         return self._count
 
 
-Handler = Callable[["Simulator", SimEvent], None]
+#: Called with the simulator and the payload of each event for its stage.
+Handler = Callable[["Simulator", Payload], None]
 
 
 class Simulator:
@@ -130,7 +135,7 @@ class Simulator:
     """
 
     def __init__(self, observe: Observer | None = None) -> None:
-        self._queue: list[SimEvent] = []
+        self._queue: list[tuple[int, int, StageId, Payload]] = []
         self._handlers: dict[StageId, Handler] = {}
         self._clock = 0
         self._seq = 0
@@ -148,7 +153,7 @@ class Simulator:
     def register(self, stage: StageId, handler: Handler) -> None:
         self._handlers[stage] = handler
 
-    def schedule(self, target: StageId, payload: Payload, at_us: int | None = None) -> SimEvent:
+    def schedule(self, target: StageId, payload: Payload, at_us: int | None = None) -> None:
         """Enqueue a message; events at equal times dispatch in scheduling order."""
 
         fire_at = self._clock if at_us is None else at_us
@@ -156,25 +161,26 @@ class Simulator:
             raise PastEvent(f"cannot schedule at t={fire_at} when clock is t={self._clock}")
         if target not in self._handlers:
             raise UnknownStage(f"no handler registered for stage {target.value}")
-        event = SimEvent(fire_at, self._seq, target, payload)
+        heappush(self._queue, (fire_at, self._seq, target, payload))
         self._seq += 1
-        heapq.heappush(self._queue, event)
-        return event
 
-    def schedule_after(self, target: StageId, payload: Payload, delay_us: int) -> SimEvent:
-        return self.schedule(target, payload, self._clock + delay_us)
+    def schedule_after(self, target: StageId, payload: Payload, delay_us: int) -> None:
+        self.schedule(target, payload, self._clock + delay_us)
 
     def run(self) -> None:
         """Dispatch events in order until the queue empties."""
 
+        queue = self._queue
+        pop = heappop
+        handlers = self._handlers
         observe = self._observe
-        while self._queue:
-            event = heapq.heappop(self._queue)
-            self._clock = event.fire_at_us
+        while queue:
+            entry = pop(queue)
+            fire_at, _, target, payload = entry
+            self._clock = fire_at
             if observe is not None:
-                observe(event)
-            handler = self._handlers[event.target]
+                observe(SimEvent._make(entry))
             try:
-                handler(self, event)
+                handlers[target](self, payload)
             except Exception as exc:
-                raise StageFault(event, exc) from exc
+                raise StageFault(SimEvent._make(entry), exc) from exc

@@ -30,7 +30,7 @@ from .diskcache import (
     uncovered_runs,
 )
 from .disk import DiskGeometry, HeadState, SeekProfile, cylinder_of_byte, service
-from .engine import EventLog, Observer, SimEvent, Simulator, StageId
+from .engine import EventLog, Observer, Payload, Simulator, StageId
 from .fscache import FLUSH, FsCache, FsCacheConfig, IoIntent
 from .requests import (
     CanonicalRequest,
@@ -223,8 +223,8 @@ class AppStage:
         else:
             sim.schedule(StageId.APP, RequestMsg(0, self.requests[0]), at_us=self.requests[0].issue_time_us)
 
-    def handle(self, sim: Simulator, event: SimEvent) -> None:
-        match event.payload:
+    def handle(self, sim: Simulator, payload: Payload) -> None:
+        match payload:
             case RequestMsg(done=False) as msg:
                 self.issue_times[msg.request_id] = sim.now()
                 sim.schedule(StageId.FS_CACHE, msg)
@@ -299,8 +299,8 @@ class FsStage:
         self.sim.schedule(StageId.SCHEDULER, io, at_us=at_us)
         return self._io_seq
 
-    def handle(self, sim: Simulator, event: SimEvent) -> None:
-        match event.payload:
+    def handle(self, sim: Simulator, payload: Payload) -> None:
+        match payload:
             case RequestMsg() as msg if self.wt_gate is not None:
                 self.deferred.append(msg)
             case RequestMsg() as msg:
@@ -414,8 +414,8 @@ class SchedulerStage:
         self.by_id: dict[int, IoMsg] = {}
         self.inflight: int | None = None
 
-    def handle(self, sim: Simulator, event: SimEvent) -> None:
-        match event.payload:
+    def handle(self, sim: Simulator, payload: Payload) -> None:
+        match payload:
             case IoMsg(done=False) as msg:
                 self.by_id[msg.io_id] = msg
                 self.queue.enqueue(msg.io_id, cylinder_of_byte(msg.intent.disk_addr, self.geometry))
@@ -475,8 +475,8 @@ class DiskCacheStage:
         sectors = sector_range(intent.disk_addr, intent.disk_addr + intent.nbytes)
         return sectors.start, max(1, len(sectors))
 
-    def handle(self, sim: Simulator, event: SimEvent) -> None:
-        match event.payload:
+    def handle(self, sim: Simulator, payload: Payload) -> None:
+        match payload:
             case IoMsg() as msg if msg.intent.write:
                 self._host_write(msg)
             case IoMsg() as msg:
@@ -632,8 +632,8 @@ class DiskStage:
         self.data_image = TagMap()
         self.metadata_writes = 0
 
-    def handle(self, sim: Simulator, event: SimEvent) -> None:
-        match event.payload:
+    def handle(self, sim: Simulator, payload: Payload) -> None:
+        match payload:
             case MediaMsg(finished=False) as msg:
                 self.queue.append(msg)
                 if self.active is None:
@@ -699,11 +699,40 @@ class TraceReplayError(ValueError):
 
 
 class StallError(TraceReplayError):
-    """The event queue ran dry before every effective request completed."""
+    """A replay ended with a request incomplete or a stage still holding work."""
 
 
 class ReplayDiverged(TraceReplayError):
     """Re-running a replay to record its event log simulated a different run."""
+
+
+def _held_work(
+    fs_stage: FsStage,
+    sched_stage: SchedulerStage,
+    cache_stage: DiskCacheStage,
+    disk_stage: DiskStage,
+) -> list[str]:
+    """One line per stage holder still holding work once the event queue is empty.
+
+    A finished replay leaves every one of them empty: a queued destage or an
+    unread fill left behind is work the run lost.
+    """
+
+    cache = cache_stage.cache
+    holders = (
+        ("fs cache", "requests", sorted(fs_stage.pending)),
+        ("fs cache", "deferred requests", [m.request_id for m in fs_stage.deferred]),
+        ("fs cache", "dirty blocks", list(fs_stage.fs.dirty_blocks)),
+        ("scheduler", "queued ios", list(sched_stage.by_id)),
+        ("drive cache", "host read ios", sorted(cache_stage.host_reads)),
+        ("drive cache", "deferred write ios", [m.io_id for m in cache_stage.deferred_writes]),
+        ("drive cache", "fill ranges", list(cache_stage.fill_ranges)),
+        ("drive cache", "in-flight fills", sorted(cache_stage.fill_inflight)),
+        ("drive cache", "dirty segments", [i for i, s in enumerate(cache.segments) if s.dirty]),
+        ("drive cache", "outstanding fills", list(cache.outstanding_fills)),
+        ("disk", "media ops", [m.media_id for m in (disk_stage.active, *disk_stage.queue) if m is not None]),
+    )
+    return [f"{stage} still holds {what} {items}" for stage, what, items in holders if items]
 
 
 def file_extents(requests: list[CanonicalRequest]) -> dict[int, int]:
@@ -784,11 +813,11 @@ def _replay(
 
     app.start(sim)
     sim.run()
-    if len(app.records) != len(effective):
+    held = _held_work(fs_stage, sched_stage, cache_stage, disk_stage)
+    if len(app.records) != len(effective) or held:
         raise StallError(
-            f"replay stalled after {len(app.records)} of {len(effective)} requests; "
-            f"fs cache still holds requests {sorted(fs_stage.pending)}, "
-            f"drive cache still holds host read ios {sorted(cache_stage.host_reads)}"
+            f"event queue ran dry after {len(app.records)} of {len(effective)} requests "
+            "completed; " + ("; ".join(held) or "no stage holds work")
         )
     records = sorted(app.records, key=lambda r: r.request_id)
     events = sim.dispatched

@@ -211,20 +211,21 @@ class TestRotation:
         assert g.rotation_period_us == pytest.approx(14_285.714285714286)
 
     def test_target_at_head_waits_zero(self):
-        state = HeadState(angle_revs=0.25, time_us=0)
         # spt 100: sector 25 is exactly under the head.
-        assert rotational_wait(25, 100, state, arrival_us=0, period_us=6000) == pytest.approx(0)
+        assert rotational_wait(25, 100, 0.25, 0, arrival_us=0, period_us=6000) == pytest.approx(0)
 
     def test_wait_bounded_by_period(self):
-        state = HeadState(angle_revs=0.26, time_us=0)
-        wait = rotational_wait(25, 100, state, arrival_us=0, period_us=6000)
+        wait = rotational_wait(25, 100, 0.26, 0, arrival_us=0, period_us=6000)
         assert 0 <= wait < 6000
         assert wait == pytest.approx(6000 * 0.99)
 
     def test_angle_advances_with_time(self):
-        state = HeadState(angle_revs=0.0, time_us=0)
-        # After a quarter period the head sits a quarter turn later.
-        assert state.angle_at(1500, 6000) == pytest.approx(0.25)
+        # After a quarter period the head sits a quarter turn later: sector
+        # 25 of 100 is under it, and sector 0 is three quarters away.
+        assert rotational_wait(25, 100, 0.0, 0, arrival_us=1500, period_us=6000) == pytest.approx(0)
+        assert rotational_wait(0, 100, 0.0, 0, arrival_us=1500, period_us=6000) == pytest.approx(4500)
+        # The phase is taken relative to the reference time.
+        assert rotational_wait(25, 100, 0.0, 700, arrival_us=2200, period_us=6000) == pytest.approx(0)
 
 
 class TestService:
@@ -268,9 +269,11 @@ class TestService:
     def test_angle_continuity_after_service(self):
         g = tiny_geometry(spt=100, cylinders=4, heads=2, rpm=6000)
         _, head = service(5, 20, HeadState(), g, flat_seek(), arrival_us=0)
-        later = head.time_us + 1234
-        expected = (head.angle_revs + 1234 / 10_000) % 1.0
-        assert head.angle_at(later, 10_000) == pytest.approx(expected)
+        assert head.angle_revs == pytest.approx(0.25)
+        # The next sector is under the head as the transfer ends, so a
+        # contiguous follow-up pays transfer time only.
+        delay, _ = service(25, 10, head, g, flat_seek(), arrival_us=head.time_us)
+        assert delay == pytest.approx(10 / 100 * 10_000)
 
     def test_transfer_lower_bound(self):
         g = tiny_geometry(spt=100, cylinders=60, heads=2, rpm=6000)
@@ -288,3 +291,130 @@ class TestService:
         assert math.isclose(
             FUJITSU_MAN3184MP.geometry.usable_bytes, 18.4e9, rel_tol=0.01
         )
+
+
+# -- exact differential check of ``service`` ---------------------------------
+
+
+def reference_track_runs(lba: int, sectors: int, geometry: DiskGeometry):
+    """Per-track runs of logical sectors, one zone lookup per track."""
+
+    remaining = sectors
+    while remaining > 0:
+        zone_idx, zone_start = geometry._zone_of_lba(lba)
+        z = geometry.zones[zone_idx]
+        slot = lba - zone_start
+        track = slot // z.sectors_per_track
+        logical = slot % z.sectors_per_track
+        run = min(remaining, z.sectors_per_track - logical)
+        run = min(run, geometry.zone_usable_sectors(zone_idx) - slot)
+        yield zone_idx, track, logical, run
+        lba += run
+        remaining -= run
+
+
+def reference_angle_at(state: HeadState, t_us: float, period_us: float) -> float:
+    return (state.angle_revs + (t_us - state.time_us) / period_us) % 1.0
+
+
+def reference_rotational_wait(
+    target_sector: int, spt: int, state: HeadState, arrival_us: float, period_us: float
+) -> float:
+    target_angle = (target_sector % spt) / spt
+    current = reference_angle_at(state, arrival_us, period_us)
+    wait_revs = (target_angle - current) % 1.0
+    if wait_revs > 1.0 - 1e-9:
+        wait_revs = 0.0
+    return wait_revs * period_us
+
+
+def reference_service(lba, sectors, state, geometry, profile, arrival_us, write=False):
+    """``service`` as a per-track loop building one ``HeadState`` per track."""
+
+    period = geometry.rotation_period_us
+    t = float(arrival_us)
+    pos = state
+    for zone_idx, track, logical, run in reference_track_runs(lba, sectors, geometry):
+        z = geometry.zones[zone_idx]
+        cylinder, head = geometry._track_geometry(zone_idx, track)
+        if cylinder != pos.cylinder:
+            t += seek_time(abs(cylinder - pos.cylinder), profile, geometry.cylinders, write)
+        elif head != pos.head:
+            t += profile.head_switch_us
+        skew = geometry._track_skew_offset(track)
+        phys_start = (logical + skew) % z.sectors_per_track
+        t += reference_rotational_wait(phys_start, z.sectors_per_track, pos, t, period)
+        t += run / z.sectors_per_track * period
+        end_angle = ((phys_start + run) % z.sectors_per_track) / z.sectors_per_track
+        pos = HeadState(cylinder, head, end_angle, t)
+    return t - arrival_us, pos
+
+
+def boundary_runs(geometry: DiskGeometry, rng: np.random.Generator, count: int):
+    """(lba, sectors) runs, many of them crossing a track, cylinder or zone boundary."""
+
+    spt0 = geometry.zones[0].sectors_per_track
+    zone_starts = geometry._zone_starts[1:-1]
+    total = geometry.usable_sectors
+
+    def boundary(size: int) -> int:
+        """A multiple of ``size`` inside the first zone, or ``size``."""
+
+        return int(rng.integers(1, max(1, geometry.zone_usable_sectors(0) // size) + 1)) * size
+
+    for i in range(count):
+        kind = i % 4
+        if kind == 0 or (kind == 3 and not zone_starts):
+            lba = int(rng.integers(0, total))
+        elif kind == 1:  # the end of a track of the first zone
+            lba = boundary(spt0)
+        elif kind == 2:  # the end of a cylinder of the first zone
+            lba = boundary(geometry.heads * spt0)
+        else:  # the end of a zone
+            lba = int(zone_starts[int(rng.integers(0, len(zone_starts)))])
+        if kind:
+            lba -= int(rng.integers(1, spt0 + 1))
+        lba = max(0, min(lba, total - 1))
+        sectors = int(rng.integers(1, 3 * spt0 + 1))
+        yield lba, min(sectors, total - lba)
+
+
+def random_head(geometry: DiskGeometry, rng: np.random.Generator) -> HeadState:
+    return HeadState(
+        cylinder=int(rng.integers(0, geometry.cylinders)),
+        head=int(rng.integers(0, geometry.heads)),
+        angle_revs=float(rng.random()),
+        time_us=float(rng.integers(0, 10**7)),
+    )
+
+
+@pytest.mark.parametrize("name", sorted(PROFILES))
+def test_service_equals_per_track_reference_on_profiles(name):
+    drive = PROFILES[name]
+    g = drive.geometry
+    rng = np.random.default_rng(sum(map(ord, name)))
+    crossed = {"track": 0, "cylinder": 0, "zone": 0}
+    for i, (lba, sectors) in enumerate(boundary_runs(g, rng, 800)):
+        state = random_head(g, rng)
+        arrival = state.time_us + float(rng.integers(0, 50_000))
+        write = bool(i % 2)
+        got = service(lba, sectors, state, g, drive.seek, arrival_us=arrival, write=write)
+        want = reference_service(lba, sectors, state, g, drive.seek, arrival, write)
+        assert got == want
+        first, last = lba_to_phys(lba, g), lba_to_phys(lba + sectors - 1, g)
+        crossed["track"] += first[:2] != last[:2]
+        crossed["cylinder"] += first[0] != last[0]
+        crossed["zone"] += g._zone_of_lba(lba)[0] != g._zone_of_lba(lba + sectors - 1)[0]
+    assert min(crossed.values()) >= 20, crossed
+
+
+def test_service_equals_per_track_reference_on_random_geometries():
+    rng = np.random.default_rng(7)
+    profile = flat_seek(switch_us=150)
+    for g in random_geometries(60):
+        for i, (lba, sectors) in enumerate(boundary_runs(g, rng, 12)):
+            state = random_head(g, rng)
+            arrival = state.time_us + float(rng.integers(0, 20_000))
+            write = bool(i % 2)
+            got = service(lba, sectors, state, g, profile, arrival_us=arrival, write=write)
+            assert got == reference_service(lba, sectors, state, g, profile, arrival, write)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from iostack import PastEvent, Simulator, StageFault, StageId
+from iostack import PastEvent, Simulator, StageFault, StageId, engine
 from iostack.engine import STAGE_ORDER, UnknownStage
 
 
@@ -19,7 +19,7 @@ class Token:
         return self.label
 
 
-def sink(sim, event):
+def sink(sim, payload):
     pass
 
 
@@ -79,7 +79,7 @@ class TestOrdering:
     def test_unobserved_run_counts_events(self):
         sim = Simulator()
         counts = []
-        sim.register(StageId.APP, lambda s, e: counts.append(s.dispatched))
+        sim.register(StageId.APP, lambda s, payload: counts.append(s.dispatched))
         for t in (3, 1, 2):
             sim.schedule(StageId.APP, Token(str(t)), at_us=t)
         sim.run()
@@ -96,19 +96,70 @@ class TestOrdering:
         assert times == sorted(times)
 
 
+class TestEventRecords:
+    """A ``SimEvent`` exists only for an observer or a stage fault."""
+
+    @pytest.fixture
+    def built(self, monkeypatch) -> list:
+        made = []
+        real = engine.SimEvent
+
+        class Counted(real):
+            __slots__ = ()
+
+            def __new__(cls, *fields):
+                made.append(fields)
+                return real.__new__(cls, *fields)
+
+            @classmethod
+            def _make(cls, fields):
+                return cls(*fields)
+
+        monkeypatch.setattr(engine, "SimEvent", Counted)
+        return made
+
+    @staticmethod
+    def _schedule(sim: Simulator) -> None:
+        for t, label in ((4, "b"), (2, "a"), (4, "c")):
+            sim.schedule(StageId.APP, Token(label), at_us=t)
+
+    def test_unobserved_run_builds_no_event(self, built):
+        sim = Simulator()
+        payloads = []
+        sim.register(StageId.APP, lambda s, payload: payloads.append(payload.label))
+        self._schedule(sim)
+        sim.run()
+        assert payloads == ["a", "b", "c"]
+        assert built == []
+
+    def test_observed_run_gets_events(self, built):
+        sim, seen = make_sim()
+        self._schedule(sim)
+        sim.run()
+        assert len(built) == 3
+        assert all(isinstance(e, engine.SimEvent) for e in seen)
+        assert [e.describe() for e in seen] == [
+            "t=2 stage=APP kind=token a",
+            "t=4 stage=APP kind=token b",
+            "t=4 stage=APP kind=token c",
+        ]
+        assert [(e.fire_at_us, e.seq) for e in seen] == [(2, 1), (4, 0), (4, 2)]
+
+
 class TestStageFault:
     def test_handler_error_wrapped_with_event(self):
         sim = Simulator()
 
-        def boom(s, e):
+        def boom(s, payload):
             raise RuntimeError("broken handler")
 
         sim.register(StageId.APP, boom)
         sim.schedule(StageId.APP, Token("x"), at_us=1)
         with pytest.raises(StageFault) as info:
             sim.run()
-        assert "APP" in str(info.value)
+        assert str(info.value).startswith("stage APP failed on t=1 stage=APP kind=token x: ")
         assert info.value.event.fire_at_us == 1
+        assert info.value.event.payload == Token("x")
         assert isinstance(info.value.original, RuntimeError)
 
 
@@ -120,13 +171,13 @@ class TestTopologyWalk:
         sim = Simulator(seen.append)
 
         def forwarder(stage):
-            def handle(s, event):
-                if event.payload.label == "down":
+            def handle(s, payload):
+                if payload.label == "down":
                     if stage is StageId.DISK:
                         s.schedule_after(next_up(stage), Token("up"), 1)
                     else:
                         s.schedule_after(next_down(stage), Token("down"), 1)
-                elif event.payload.label == "up" and stage is not StageId.APP:
+                elif payload.label == "up" and stage is not StageId.APP:
                     s.schedule_after(next_up(stage), Token("up"), 1)
 
             return handle

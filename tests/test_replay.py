@@ -312,6 +312,18 @@ class TestPacing:
         assert "fs cache still holds requests [1]" in message
         assert "drive cache still holds host read ios [1]" in message
 
+    def test_leftover_destage_raises_after_every_request_completed(self, monkeypatch):
+        # A write-back drive that never destages acknowledges every write,
+        # so each request completes, but the written data never reaches the
+        # media: the run must not end as if it had.
+        monkeypatch.setattr(DiskCacheStage, "_kick_destage", lambda stage: None)
+        trace = stream([(Op.WRITE, i * BLOCK, BLOCK) for i in range(2)], AccessMode.NORMAL)
+        with pytest.raises(StallError) as info:
+            replay(trace, plain_stack())
+        message = str(info.value)
+        assert "after 4 of 4 requests completed" in message
+        assert message.endswith("; drive cache still holds dirty segments [0]")
+
     def test_read_settles_on_delivered_data(self):
         # On the Toshiba drive (128 KB segments) this stream once left io 178
         # waiting on fills for [332288, 332416): the fills delivered it, but
