@@ -106,8 +106,8 @@ def main(argv: list[str] | None = None) -> int:
     print(f"requests={s.total_requests} bytes={s.total_bytes}")
     print(f"total_response_us={s.total_response_us}")
     print(f"throughput_bytes_per_s={s.throughput_bytes_per_s:.0f}")
-    if result.clipped_requests:
-        print(f"clipped_requests={result.clipped_requests}")
+    if result.fs.clipped_requests:
+        print(f"clipped_requests={result.fs.clipped_requests}")
     for path in files:
         print(f"wrote {path}")
     return 0

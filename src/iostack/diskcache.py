@@ -96,9 +96,6 @@ class Segment:
     def dirty(self) -> bool:
         return bool(self.write_queue)
 
-    def covers(self, lba: int, sectors: int) -> bool:
-        return self.start <= lba and lba + sectors <= self.end
-
 
 @dataclass
 class PrefetchDirective:
@@ -237,7 +234,8 @@ class SegmentedCache:
         self.detector = LocalPatternDetector(LOCALITY_RADIUS_SECTORS)
         self._touch_seq = 0
         self._write_seq = 0
-        #: (lba, sectors) of every fill or prefetch read whose data has not arrived.
+        #: (lba, sectors) of every media read (host fill, fill chunk or local
+        #: prefetch) whose data has not arrived: the in-flight fills.
         self.outstanding_fills: list[tuple[int, int]] = []
         self.seq_last_end: int | None = None
         self.fill_frontier = 0
@@ -297,7 +295,8 @@ class SegmentedCache:
         return victim
 
     def resident(self, lba: int, sectors: int) -> bool:
-        return any(s.covers(lba, sectors) for s in self.segments if s.end > s.start)
+        end = lba + sectors
+        return any(s.start <= lba and end <= s.end for s in self.segments if s.end > s.start)
 
     def missing_runs(self, lba: int, sectors: int) -> list[tuple[int, int]]:
         return uncovered_runs(
@@ -371,13 +370,9 @@ class SegmentedCache:
         if sectors <= 0 or (lba, sectors) not in self.outstanding_fills:
             raise UnexpectedFill(f"no outstanding fill for [{lba}, {lba + sectors})")
         self.outstanding_fills.remove((lba, sectors))
-        self.insert_clean(lba, sectors, local=local)
-
-    def insert_clean(self, lba: int, sectors: int, local: bool = False) -> None:
         seg = self._stage(lba, sectors)
-        if seg is None:
-            return  # every segment dirty: serve uncached, cache nothing
-        if local:
+        # With every segment dirty the data is served uncached.
+        if seg is not None and local:
             seg.local_prefetch = True
             seg.consumed_by_128k = 0
 
@@ -396,7 +391,10 @@ class SegmentedCache:
         if sectors <= 0:
             raise ValueError("sectors must be positive")
         if self.config.write_policy is WritePolicy.WRITE_THROUGH or force_media:
-            self.insert_clean_for_write(lba, sectors)
+            # Written-through data stays readable from the cache afterwards.
+            seg = self._segment_for(lba, sectors)
+            if seg is not None and not seg.dirty:
+                self._extend(seg, lba, sectors)
             return Ack.ACK_AFTER_MEDIA, [(lba, sectors, tags)]
 
         seg = self._stage(lba, sectors)
@@ -405,12 +403,6 @@ class SegmentedCache:
         self._write_seq += 1
         seg.write_queue.append((self._write_seq, lba, sectors, tags))
         return Ack.ACK_NOW, []
-
-    def insert_clean_for_write(self, lba: int, sectors: int) -> None:
-        # Written-through data stays readable from the cache afterwards.
-        seg = self._segment_for(lba, sectors)
-        if seg is not None and not seg.dirty:
-            self._extend(seg, lba, sectors)
 
     def destage_next(self) -> tuple[int, int, TagRuns | None] | None:
         """Globally oldest pending write record.
@@ -426,11 +418,3 @@ class SegmentedCache:
         seg = min(dirty, key=lambda s: s.write_queue[0][0])
         _, lba, sectors, tags = seg.write_queue.popleft()
         return lba, sectors, tags
-
-    @property
-    def dirty_records(self) -> int:
-        return sum(len(s.write_queue) for s in self.segments)
-
-    @property
-    def valid_bytes(self) -> int:
-        return sum((s.end - s.start) * SECTOR_BYTES for s in self.segments)

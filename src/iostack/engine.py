@@ -19,6 +19,8 @@ from typing import Callable, NamedTuple, Protocol, TextIO
 
 
 class StageId(Enum):
+    """The stages in request-path order; completions travel the reverse way."""
+
     APP = "APP"
     FS_CACHE = "FS_CACHE"
     SCHEDULER = "SCHEDULER"
@@ -29,16 +31,6 @@ class StageId(Enum):
     # __hash__ is a Python function, and the handler table is looked up
     # twice per event.
     __hash__ = object.__hash__
-
-
-#: Request path in stack order; completions travel the reverse way.
-STAGE_ORDER = (
-    StageId.APP,
-    StageId.FS_CACHE,
-    StageId.SCHEDULER,
-    StageId.DISK_CACHE,
-    StageId.DISK,
-)
 
 
 class PastEvent(Exception):

@@ -168,21 +168,11 @@ class Plan:
     copy_bytes: int = 0
     hit: bool = False
     metadata_after_data: bool = False
-    clipped_bytes: int = 0
     kick_progressive: bool = False
 
     @property
     def required_ios(self) -> list[IoIntent]:
         return [io for io in self.ios if io.required]
-
-
-@dataclass
-class View:
-    """Minimum cache allocation for a file: four 64KB block slots."""
-
-    file_id: int
-    base_addr: int
-    resident: set[int] = field(default_factory=set)
 
 
 @dataclass
@@ -192,10 +182,6 @@ class ReadStream:
     last_end: int = -1
     sequential_count: int = 0
     prefetch_cursor: int = 0
-
-    @property
-    def active(self) -> bool:
-        return self.sequential_count > 0
 
 
 @dataclass
@@ -210,7 +196,9 @@ class FsCache:
     def __init__(self, config: FsCacheConfig, file_extents: dict[int, int] | None = None):
         self.config = config
         self.extents: dict[int, int] = dict(file_extents or {})
-        self.views: OrderedDict[tuple[int, int], View] = OrderedDict()
+        #: Views, a file's minimum cache allocation of four 64KB block slots:
+        #: (file_id, base address) -> resident slot numbers, oldest first.
+        self.views: OrderedDict[tuple[int, int], set[int]] = OrderedDict()
         self.inflight: set[tuple[int, int]] = set()
         self.read_streams: dict[int, ReadStream] = {}
         self.write_streams: dict[int, WriteStream] = {}
@@ -229,11 +217,10 @@ class FsCache:
         slot = (block_addr - base) // BLOCK_BYTES
         return (file_id, base), slot
 
-    def _touch(self, key: tuple[int, int]) -> View:
+    def _touch(self, key: tuple[int, int]) -> set[int]:
         view = self.views.get(key)
         if view is None:
-            view = View(file_id=key[0], base_addr=key[1])
-            self.views[key] = view
+            view = self.views[key] = set()
         else:
             self.views.move_to_end(key)
         return view
@@ -241,16 +228,13 @@ class FsCache:
     def block_resident(self, file_id: int, block_addr: int) -> bool:
         key, slot = self._view_of(file_id, block_addr)
         view = self.views.get(key)
-        return view is not None and slot in view.resident
-
-    def block_inflight(self, file_id: int, block_addr: int) -> bool:
-        return (file_id, block_addr) in self.inflight
+        return view is not None and slot in view
 
     def mark_resident(self, file_id: int, block_addr: int) -> None:
         key, slot = self._view_of(file_id, block_addr)
         view = self._touch(key)
-        if slot not in view.resident:
-            view.resident.add(slot)
+        if slot not in view:
+            view.add(slot)
             self.resident_bytes += BLOCK_BYTES
         self._evict_to_capacity()
 
@@ -269,18 +253,16 @@ class FsCache:
         for key, view in self.views.items():
             if self.resident_bytes <= capacity:
                 break
+            file_id, base = key
             if any(
-                (view.file_id, addr) in self.dirty_blocks or (view.file_id, addr) in self.inflight
-                for addr in range(view.base_addr, view.base_addr + VIEW_BYTES, BLOCK_BYTES)
+                (file_id, addr) in self.dirty_blocks or (file_id, addr) in self.inflight
+                for addr in range(base, base + VIEW_BYTES, BLOCK_BYTES)
             ):
                 continue
-            self.resident_bytes -= len(view.resident) * BLOCK_BYTES
+            self.resident_bytes -= len(view) * BLOCK_BYTES
             victims.append(key)
         for key in victims:
             del self.views[key]
-
-    def resident_block_count(self) -> int:
-        return sum(len(v.resident) for v in self.views.values())
 
     # -- reads ---------------------------------------------------------------
 
@@ -305,7 +287,7 @@ class FsCache:
         for addr in blocks:
             if self.block_resident(file_id, addr):
                 continue
-            if self.block_inflight(file_id, addr):
+            if (file_id, addr) in self.inflight:
                 waiting.append((file_id, addr))
             else:
                 missing.append(addr)
@@ -332,7 +314,7 @@ class FsCache:
         return [
             self._read_io(file_id, addr, PREFETCH, SYSTEM_ACTOR, False)
             for addr in addrs
-            if not self.block_resident(file_id, addr) and not self.block_inflight(file_id, addr)
+            if not self.block_resident(file_id, addr) and (file_id, addr) not in self.inflight
         ]
 
     def on_read(self, req: CanonicalRequest) -> Plan:
@@ -346,7 +328,6 @@ class FsCache:
         start, end = req.disk_byte_addr, req.disk_byte_addr + req.length_bytes
         plan = Plan(copy_bytes=max(0, min(end, eof) - start))
         if plan.copy_bytes < req.length_bytes:
-            plan.clipped_bytes = req.length_bytes - plan.copy_bytes
             self.clipped_requests += 1
 
         blocks = [addr for addr in split_into_blocks(start, req.length_bytes) if addr < eof]

@@ -10,7 +10,9 @@ keeping the written sectors' tags as runs for conservation checks.
 Each fact has one owner: ``FsCache`` holds fs residency and the in-flight
 and dirty blocks, ``FsStage`` what each request still waits for, an io's
 ``IoMsg.request_id`` the request it serves, and ``SegmentedCache`` the
-drive segments and outstanding fills.
+drive segments and in-flight fills (``outstanding_fills``).  The scheduler
+hands the drive one io at a time, so ``DiskCacheStage`` keeps that io in a
+slot while it waits for media data or for a free segment.
 """
 
 from __future__ import annotations
@@ -140,7 +142,7 @@ class MediaMsg:
     role: MediaRole
     lba: int
     sectors: int
-    #: The host io a HOST_READ or HOST_WRITE op serves.
+    #: The host io a HOST_WRITE op serves.
     host: IoMsg | None = None
     sector_tags: TagRuns | None = None
     penalty_rotations: int = 0
@@ -435,23 +437,23 @@ class SchedulerStage:
         self.sim.schedule(StageId.DISK_CACHE, self.by_id.pop(io_id))
 
 
-@dataclass
-class _HostRead:
-    io: IoMsg
-    needed: list[tuple[int, int]]
-
-
 class DiskCacheStage:
-    """Drive cache: segment staging, prefetch chains, write acks, destage."""
+    """Drive cache: segment staging, prefetch chains, write acks, destage.
+
+    The scheduler hands the drive one io at a time and waits for its done
+    form, so one slot holds the read waiting for media data (``host_read``,
+    with the runs it still ``needed``) and one the write waiting for a
+    destage to free a segment (``deferred_write``).
+    """
 
     def __init__(self, sim: Simulator, cache: SegmentedCache, geometry: DiskGeometry):
         self.sim = sim
         self.cache = cache
         self.geometry = geometry
-        self.host_reads: dict[int, _HostRead] = {}
-        self.deferred_writes: list[IoMsg] = []
+        self.host_read: IoMsg | None = None
+        self.needed: list[tuple[int, int]] = []
+        self.deferred_write: IoMsg | None = None
         self.fill_ranges: deque[tuple[int, int]] = deque()  # [start, end) sector ranges to fill
-        self.fill_inflight: set[tuple[int, int]] = set()
         self.destage_inflight = False
         self._fill_chunk_outstanding = False
         self._media_seq = 0
@@ -492,22 +494,21 @@ class DiskCacheStage:
         # The host's own media reads go first so the media keeps ascending
         # LBA order; fill-ahead chunks (which sit beyond the request) queue
         # after them.
-        needed = []
         for run_lba, run_sectors in missing:
-            needed.append((run_lba, run_sectors))
             if not self._covered_by_fill(run_lba, run_sectors):
                 self.cache.expect_fill(run_lba, run_sectors)
-                self._media(MediaRole.HOST_READ, run_lba, run_sectors, msg)
+                self._media(MediaRole.HOST_READ, run_lba, run_sectors)
         self._apply_directives(directives)
-        if needed:
-            self.host_reads[msg.io_id] = _HostRead(msg, needed)
+        if missing:
+            self.host_read, self.needed = msg, missing
         else:
             self._reply_done(msg)
 
     def _covered_by_fill(self, lba: int, sectors: int) -> bool:
         """Whether in-flight plus queued fills will cover the run entirely."""
 
-        return not uncovered_runs(lba, sectors, [*self.fill_inflight, *self.fill_ranges])
+        inflight = [(start, start + n) for start, n in self.cache.outstanding_fills]
+        return not uncovered_runs(lba, sectors, [*inflight, *self.fill_ranges])
 
     def _apply_directives(self, directives: list[PrefetchDirective]) -> None:
         limit = self.geometry.usable_sectors
@@ -517,7 +518,6 @@ class DiskCacheStage:
                 continue
             if d.local:
                 self.cache.expect_fill(d.lba, end - d.lba)
-                self.fill_inflight.add((d.lba, end))
                 self._media(MediaRole.LOCAL_PREFETCH, d.lba, end - d.lba)
             else:
                 self.fill_ranges.append((d.lba, end))
@@ -534,7 +534,6 @@ class DiskCacheStage:
             take = min(FILL_CHUNK_SECTORS, end - start)
             self.fill_ranges[0] = (start + take, end)
             self.cache.expect_fill(start, take)
-            self.fill_inflight.add((start, start + take))
             self._fill_chunk_outstanding = True
             self._media(MediaRole.FILL_CHUNK, start, take)
             return
@@ -557,7 +556,7 @@ class DiskCacheStage:
             ((run_lba, run_sectors, tags),) = media_actions
             self._media(MediaRole.HOST_WRITE, run_lba, run_sectors, msg, tags)
         else:  # DEFER: every segment dirty, wait for a destage to free one
-            self.deferred_writes.append(msg)
+            self.deferred_write = msg
             self._kick_destage()
 
     def _kick_destage(self) -> None:
@@ -574,43 +573,34 @@ class DiskCacheStage:
 
     def _media_done(self, msg: MediaMsg) -> None:
         match msg.role:
-            case MediaRole.HOST_READ:
-                self.cache.on_media_data(msg.lba, msg.sectors)
-                self._settle_host_reads(msg.lba, msg.sectors)
-            case MediaRole.LOCAL_PREFETCH | MediaRole.FILL_CHUNK:
-                local = msg.role is MediaRole.LOCAL_PREFETCH
-                self.cache.on_media_data(msg.lba, msg.sectors, local=local)
-                self.fill_inflight.discard((msg.lba, msg.lba + msg.sectors))
-                if not local:
-                    self._fill_chunk_outstanding = False
-                    self._next_fill_chunk()
-                self._settle_host_reads(msg.lba, msg.sectors)
             case MediaRole.HOST_WRITE:
                 self._reply_done(msg.host)
             case MediaRole.DESTAGE:
                 self.destage_inflight = False
                 self._kick_destage()
-                if self.deferred_writes:
-                    retry, self.deferred_writes = self.deferred_writes, []
-                    for m in retry:
-                        self._host_write(m)
+                if self.deferred_write is not None:
+                    retry, self.deferred_write = self.deferred_write, None
+                    self._host_write(retry)
+            case _:  # HOST_READ, LOCAL_PREFETCH or FILL_CHUNK data
+                local = msg.role is MediaRole.LOCAL_PREFETCH
+                self.cache.on_media_data(msg.lba, msg.sectors, local=local)
+                if msg.role is MediaRole.FILL_CHUNK:
+                    self._fill_chunk_outstanding = False
+                    self._next_fill_chunk()
+                self._settle_host_read(msg.lba, msg.sectors)
 
-    def _settle_host_reads(self, lba: int, sectors: int) -> None:
-        """Count media data [lba, lba + sectors) as delivered to every waiting read.
+    def _settle_host_read(self, lba: int, sectors: int) -> None:
+        """Count media data [lba, lba + sectors) as delivered to the waiting read.
 
         Delivery, not residency, completes a read: the data may slide out
         of its segment, or straddle two, before the read is settled.
         """
 
         delivered = ((lba, lba + sectors),)
-        for io_id in list(self.host_reads):
-            entry = self.host_reads[io_id]
-            entry.needed = [
-                gap for run in entry.needed for gap in uncovered_runs(*run, delivered)
-            ]
-            if not entry.needed:
-                del self.host_reads[io_id]
-                self._reply_done(entry.io)
+        self.needed = [gap for run in self.needed for gap in uncovered_runs(*run, delivered)]
+        if self.host_read is not None and not self.needed:
+            msg, self.host_read = self.host_read, None
+            self._reply_done(msg)
 
 
 class DiskStage:
@@ -691,7 +681,6 @@ class ReplayResult:
     disk_cache: SegmentedCache
     media_image: TagMap
     metadata_writes: int
-    clipped_requests: int
 
 
 class TraceReplayError(ValueError):
@@ -724,10 +713,9 @@ def _held_work(
         ("fs cache", "deferred requests", [m.request_id for m in fs_stage.deferred]),
         ("fs cache", "dirty blocks", list(fs_stage.fs.dirty_blocks)),
         ("scheduler", "queued ios", list(sched_stage.by_id)),
-        ("drive cache", "host read ios", sorted(cache_stage.host_reads)),
-        ("drive cache", "deferred write ios", [m.io_id for m in cache_stage.deferred_writes]),
+        ("drive cache", "host read ios", [m.io_id for m in (cache_stage.host_read,) if m is not None]),
+        ("drive cache", "deferred write ios", [m.io_id for m in (cache_stage.deferred_write,) if m is not None]),
         ("drive cache", "fill ranges", list(cache_stage.fill_ranges)),
-        ("drive cache", "in-flight fills", sorted(cache_stage.fill_inflight)),
         ("drive cache", "dirty segments", [i for i, s in enumerate(cache.segments) if s.dirty]),
         ("drive cache", "outstanding fills", list(cache.outstanding_fills)),
         ("disk", "media ops", [m.media_id for m in (disk_stage.active, *disk_stage.queue) if m is not None]),
@@ -842,5 +830,4 @@ def _replay(
         disk_cache=cache,
         media_image=disk_stage.data_image,
         metadata_writes=disk_stage.metadata_writes,
-        clipped_requests=fs.clipped_requests,
     )

@@ -92,7 +92,7 @@ class BaselineError(ValueError):
 
 
 def load_baseline(path: str | Path) -> dict[int, int]:
-    """Read a measured-latency baseline file: '<ordinal> <latency_us>' lines."""
+    """Read a measured-latency baseline: one '<ordinal> <latency_us>' line per ordinal."""
 
     text = Path(path).read_text(encoding="utf-8")
     lines = text.splitlines()
@@ -108,6 +108,10 @@ def load_baseline(path: str | Path) -> dict[int, int]:
             raise BaselineError(
                 f"{path}:{number}: expected '<ordinal> <latency_us>', got {line!r}"
             ) from None
+        if ordinal < 0 or latency < 0:
+            raise BaselineError(f"{path}:{number}: ordinal and latency must be >= 0, got {line!r}")
+        if ordinal in baseline:
+            raise BaselineError(f"{path}:{number}: ordinal {ordinal} is given twice")
         baseline[ordinal] = latency
     return baseline
 

@@ -42,8 +42,9 @@ class CanonicalRequest:
 
     ``disk_byte_addr`` is the absolute on-disk position of the request
     (cluster number times cluster size plus the in-file offset for
-    trace-derived requests); ``file_offset_bytes`` stays file-relative so
-    cache views can be indexed per file.
+    trace-derived requests); ``file_offset_bytes`` stays file-relative.  The
+    caches key their state by disk address (see ``fscache``), so no stage
+    reads the offset; the canonical trace format keeps it.
     """
 
     issue_time_us: int

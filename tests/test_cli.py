@@ -180,6 +180,8 @@ SECTOR_4K_CONFIG = CONFIG.replace(
     [
         ("0 100\n", [], CONFIG, "missing '#iostack-baseline v' header"),
         ("#iostack-baseline v1\n0 100 7\n", [], CONFIG, "expected '<ordinal> <latency_us>'"),
+        ("#iostack-baseline v1\n0 -5\n", [], CONFIG, "base.txt:2: ordinal and latency must be >= 0"),
+        ("#iostack-baseline v1\n1 100\n1 200\n", [], CONFIG, "base.txt:3: ordinal 1 is given twice"),
         (None, ["--tolerance-us", "-5"], CONFIG, "argument --tolerance-us: must be >= 0"),
         (None, ["--seed", "-3"], CONFIG, "argument --seed: must be >= 0"),
         (None, [], CONFIG.replace("seed = 42", "seed = -1"), "workload: seed must be >= 0"),
@@ -209,6 +211,8 @@ SECTOR_4K_CONFIG = CONFIG.replace(
     ids=[
         "baseline-header",
         "baseline-fields",
+        "baseline-negative",
+        "baseline-repeated",
         "negative-tolerance",
         "negative-seed-flag",
         "negative-seed-config",

@@ -7,9 +7,10 @@ addresses with a 512 KB fs cache, which evicts views on nearly every miss.
 Each replay adds its event-log text, request table, summary and media-image
 runs; a replay that stalls raises.  The replays run observed, once each:
 reading the log of a ``replay`` result runs it a second time, which doubles
-the cost of the matrix.  The digests must not move unless the modelled
-behaviour changes on purpose; a failure names the (profile, access mode)
-slice that moved.
+the cost of the matrix.  The observer also checks the drive's traffic
+contract: the scheduler hands the drive one io at a time.  The digests must
+not move unless the modelled behaviour changes on purpose; a failure names
+the (profile, access mode) slice that moved.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from iostack import (
     ReplayMode,
     ReplayPolicy,
     StackConfig,
+    StageId,
     WritePolicy,
 )
 from iostack.profiles import PROFILES
@@ -67,6 +69,28 @@ def stream(mode: AccessMode, sequential: bool) -> list[CanonicalRequest]:
     return requests
 
 
+def observer(log):
+    """Hash each event into ``log``, checking that the drive holds one io at a time.
+
+    Between an io's DISK_CACHE ``io`` event and its SCHEDULER ``io-done``, no
+    other io reaches DISK_CACHE.
+    """
+
+    at_drive = []
+
+    def observe(event) -> None:
+        log.update(f"{event.describe()}\n".encode())
+        kind = event.payload.kind
+        if kind == "io" and event.target is StageId.DISK_CACHE:
+            assert not at_drive, f"{event.describe()} while io {at_drive} is at the drive"
+            at_drive.append(event.payload.io_id)
+        elif kind == "io-done" and event.target is StageId.SCHEDULER:
+            assert at_drive == [event.payload.io_id], event.describe()
+            at_drive.clear()
+
+    return observe
+
+
 def slice_digest(profile: str, mode: AccessMode) -> str:
     drive = PROFILES[profile]
     digest = hashlib.sha256()
@@ -83,7 +107,7 @@ def slice_digest(profile: str, mode: AccessMode) -> str:
                         requests,
                         stack,
                         ReplayPolicy(mode=replay_mode),
-                        lambda e: log.update(f"{e.describe()}\n".encode()),
+                        observer(log),
                     )
                     for text in (
                         log.hexdigest(),

@@ -15,6 +15,7 @@ from iostack import (
     load_config,
 )
 from iostack.diskcache import LocalPatternDetector, SegmentedCache, TagMap
+from iostack.requests import SECTOR_BYTES
 
 BLOCK_SECTORS = 128  # one 64KB block
 
@@ -32,6 +33,10 @@ def cfg(**overrides) -> DiskCacheConfig:
 def fill(cache: SegmentedCache, lba: int, sectors: int, local: bool = False) -> None:
     cache.expect_fill(lba, sectors)
     cache.on_media_data(lba, sectors, local=local)
+
+
+def dirty_records(cache: SegmentedCache) -> int:
+    return sum(len(s.write_queue) for s in cache.segments)
 
 
 class TestReadLookup:
@@ -117,14 +122,14 @@ class TestWrites:
         cache = SegmentedCache(cfg())
         ack, actions = cache.write_accept(0, 128, ((0, 128, 1),))
         assert ack is Ack.ACK_NOW and actions == []
-        assert cache.dirty_records == 1
+        assert dirty_records(cache) == 1
 
     def test_write_through_acks_after_media(self):
         cache = SegmentedCache(cfg(write_policy=WritePolicy.WRITE_THROUGH))
         ack, actions = cache.write_accept(0, 128, ((0, 128, 1),))
         assert ack is Ack.ACK_AFTER_MEDIA
         assert actions == [(0, 128, ((0, 128, 1),))]
-        assert cache.dirty_records == 0
+        assert dirty_records(cache) == 0
 
     def test_forced_media_overrides_write_back(self):
         cache = SegmentedCache(cfg())
@@ -191,7 +196,8 @@ class TestReplacement:
         cache = SegmentedCache(cfg())
         for i in range(20):
             fill(cache, i * 1000, 128)
-            assert cache.valid_bytes <= cache.config.segment_count * cache.config.segment_bytes
+            valid_bytes = sum((s.end - s.start) * SECTOR_BYTES for s in cache.segments)
+            assert valid_bytes <= cache.config.segment_count * cache.config.segment_bytes
 
 
 class TestRepositionPenalty:

@@ -152,7 +152,7 @@ class TestReplayEdges:
             CanonicalRequest(0, Origin.APP, Op.CLOSE, 0, 0, 0, 0),
         ]
         result = replay(requests, stack)
-        assert result.clipped_requests == 0
+        assert result.fs.clipped_requests == 0
 
     def test_scan_policy_full_run(self):
         stack = plain_stack(scheduler_policy=Policy.SCAN)

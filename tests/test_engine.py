@@ -7,7 +7,10 @@ from dataclasses import dataclass
 import pytest
 
 from iostack import PastEvent, Simulator, StageFault, StageId, engine
-from iostack.engine import STAGE_ORDER, UnknownStage
+from iostack.engine import UnknownStage
+
+#: Request path in stack order; completions travel the reverse way.
+STAGE_ORDER = tuple(StageId)
 
 
 @dataclass

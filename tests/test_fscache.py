@@ -167,7 +167,7 @@ class TestPeriodicWrites:
         plan = fs.on_write(write(0, 128 * KB, mode=AccessMode.NO_BUFFER), tag=0)
         assert [io.purpose for io in plan.ios] == [PASSTHROUGH]
         assert plan.ios[0].nbytes == 128 * KB
-        assert fs.resident_block_count() == 0
+        assert not fs.views
 
 
 class TestReads:
@@ -176,7 +176,7 @@ class TestReads:
         plan = fs.on_read(read(0, 128 * KB, mode=AccessMode.NO_BUFFER))
         assert [io.purpose for io in plan.ios] == [PASSTHROUGH]
         assert plan.ios[0].nbytes == 128 * KB
-        assert fs.resident_block_count() == 0
+        assert not fs.views
 
     def test_window_algorithm_interleaves_system_first(self):
         # 256KB requests: request 1 loads blocks 0-3 via the system
@@ -256,7 +256,6 @@ class TestReads:
         fs = FsCache(FsCacheConfig(), {0: BLOCK})
         plan = fs.on_read(read(0, 4 * BLOCK))
         assert plan.copy_bytes == BLOCK
-        assert plan.clipped_bytes == 3 * BLOCK
         assert fs.clipped_requests == 1
 
     def test_inflight_block_not_reissued(self):
@@ -282,7 +281,7 @@ class TestEviction:
         # Views 1 and 2 went, oldest first; view 0 was skipped, not evicted,
         # because its loading block pins it.
         assert list(fs.views) == [(0, view * 256 * KB) for view in (0, 3, 4)]
-        assert fs.resident_bytes == fs.resident_block_count() * BLOCK == 9 * BLOCK
+        assert fs.resident_bytes == sum(map(len, fs.views.values())) * BLOCK == 9 * BLOCK
 
     def test_dirty_views_pinned(self):
         cfg = FsCacheConfig(cache_capacity_bytes=256 * KB)
