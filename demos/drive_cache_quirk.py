@@ -10,10 +10,25 @@ repositioning, which the LOCAL_512K read-prefetch policy models along with
 the prefetch itself.
 """
 
-from iostack.diskcache import SegmentedCache
+from collections import deque
+
+from iostack.diskcache import MediaRole, SegmentedCache
 from iostack.profiles import FUJITSU_MAN3184MP
 
 BLOCK_SECTORS = 128  # 64KB
+
+
+def serve(cache: SegmentedCache, block: int) -> list:
+    """Read one 64KB block, delivering the data of every media read it starts."""
+
+    _, _, reads = cache.read_lookup(block * BLOCK_SECTORS, BLOCK_SECTORS)
+    todo = deque(reads)
+    while todo:
+        role, lba, sectors = todo.popleft()
+        chunk = cache.on_media_data(lba, sectors, role)
+        if chunk is not None:
+            todo.append(chunk)
+    return reads
 
 
 def main() -> None:
@@ -21,25 +36,18 @@ def main() -> None:
     order = [0, 1, 2, 3, 8, 4, 9, 5, 10, 6, 11, 7]  # interleaved read stream
     print("request stream (64KB blocks):", ", ".join(f"B{b + 1}" for b in order))
     for block in order:
-        lba = block * BLOCK_SECTORS
-        _, missing, directives = cache.read_lookup(lba, BLOCK_SECTORS)
-        for run in missing:
-            cache.expect_fill(*run)
-            cache.on_media_data(*run)
-        for d in directives:
-            if d.local:
+        for role, lba, sectors in serve(cache, block):
+            if role is MediaRole.LOCAL_PREFETCH:
                 print(f"  -> 512KB prefetch from B{block + 1} "
-                      f"(lba {d.lba}, {d.sectors} sectors)")
-                cache.expect_fill(d.lba, d.sectors)
-                cache.on_media_data(d.lba, d.sectors, local=True)
+                      f"(lba {lba}, {sectors} sectors)")
     print(f"local prefetches fired: {cache.local_prefetch_count}")
 
     print("\ndraining a fresh 512KB prefetch in 128KB slices:")
     cache2 = SegmentedCache(FUJITSU_MAN3184MP.cache)
-    cache2.expect_fill(0, 1024)
-    cache2.on_media_data(0, 1024, local=True)
+    for block in (3, 8, 4):  # B4, B9, B5: a prefetch from B5
+        serve(cache2, block)
     for i in range(4):
-        kind, _, _ = cache2.read_lookup(i * 256, 256)
+        kind, _, _ = cache2.read_lookup(4 * BLOCK_SECTORS + i * 256, 256)
         print(f"  128KB read {i + 1}: {kind.value}")
     rotations = cache2.take_penalty_rotations()
     print(f"repositioning penalty owed to the next media op: {rotations} rotation(s)")

@@ -10,6 +10,7 @@ only after media completion.
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field
@@ -47,6 +48,20 @@ class Ack(Enum):
     ACK_NOW = "ACK_NOW"
     ACK_AFTER_MEDIA = "ACK_AFTER_MEDIA"
     DEFER = "DEFER"
+
+
+class MediaRole(Enum):
+    """What a drive-cache media op is for; the value is its logged purpose."""
+
+    HOST_READ = "host-fill"
+    LOCAL_PREFETCH = "local-prefetch"
+    FILL_CHUNK = "fill-chunk"
+    HOST_WRITE = "host-write"  # logged with the host io's own purpose
+    DESTAGE = "destage"
+
+
+#: A media read the drive issues: (role, lba, sectors).
+MediaRead = tuple[MediaRole, int, int]
 
 
 #: The local-pattern prefetch reads 512KB from the third request's start.
@@ -95,14 +110,6 @@ class Segment:
     @property
     def dirty(self) -> bool:
         return bool(self.write_queue)
-
-
-@dataclass
-class PrefetchDirective:
-    lba: int
-    sectors: int
-    #: The local-pattern 512KB prefetch rather than a sequential fill.
-    local: bool
 
 
 @dataclass
@@ -226,10 +233,15 @@ class TagMap:
 
 
 class SegmentedCache:
-    """Drive cache state machine, independent of the event engine."""
+    """Drive cache state machine, independent of the event engine.
 
-    def __init__(self, config: DiskCacheConfig):
+    It plans every media read, owns the reads in flight and the queued
+    fill-ahead, and stops each read at the disk end (``usable_sectors``).
+    """
+
+    def __init__(self, config: DiskCacheConfig, usable_sectors: int = sys.maxsize):
         self.config = config
+        self.usable_sectors = usable_sectors
         self.segments = [Segment() for _ in range(config.segment_count)]
         self.detector = LocalPatternDetector(LOCALITY_RADIUS_SECTORS)
         self._touch_seq = 0
@@ -237,6 +249,9 @@ class SegmentedCache:
         #: (lba, sectors) of every media read (host fill, fill chunk or local
         #: prefetch) whose data has not arrived: the in-flight fills.
         self.outstanding_fills: list[tuple[int, int]] = []
+        #: [start, end) fill-ahead ranges not yet read, one chunk at a time.
+        self.fill_ranges: deque[tuple[int, int]] = deque()
+        self._fill_chunk_outstanding = False
         self.seq_last_end: int | None = None
         self.fill_frontier = 0
         self.local_prefetch_count = 0
@@ -307,16 +322,20 @@ class SegmentedCache:
 
     def read_lookup(
         self, lba: int, sectors: int
-    ) -> tuple[Lookup, list[tuple[int, int]], list[PrefetchDirective]]:
-        """Classify a host read and emit any prefetch directives.
+    ) -> tuple[Lookup, list[tuple[int, int]], list[MediaRead]]:
+        """Classify a host read and plan the media reads it starts.
 
-        Returns (classification, missing media runs, directives).  The
-        caller is responsible for issuing the media reads and feeding
-        completions back through :meth:`expect_fill` / :meth:`on_media_data`.
+        Returns (classification, missing media runs, reads).  The reads are
+        in issue order: the host's runs no fill covers (so the media keeps
+        ascending LBA order), the next fill-ahead chunk, the local
+        prefetch.  Each is already an outstanding fill; the caller issues
+        them and hands their data to :meth:`on_media_data`.  The read stops
+        at the disk end: the fs cache reads whole 64KB blocks.
         """
 
-        if sectors <= 0:
-            raise ValueError("sectors must be positive")
+        if sectors <= 0 or lba >= self.usable_sectors:
+            raise ValueError(f"read [{lba}, +{sectors}) holds no sector of the disk")
+        sectors = min(sectors, self.usable_sectors - lba)
         cfg = self.config
         missing = self.missing_runs(lba, sectors)
         if not missing:
@@ -336,21 +355,52 @@ class SegmentedCache:
         else:
             classification = Lookup.PARTIAL
 
-        directives: list[PrefetchDirective] = []
+        reads: list[MediaRead] = []
+        for run_lba, run_sectors in missing:
+            if not self._covered_by_fill(run_lba, run_sectors):
+                self.expect_fill(run_lba, run_sectors)
+                reads.append((MediaRole.HOST_READ, run_lba, run_sectors))
         sequential = self.seq_last_end is not None and lba == self.seq_last_end
         if cfg.read_prefetch is not ReadPrefetch.NONE and sequential:
-            target = lba + sectors + cfg.segment_sectors
+            # Fill one segment past the request, short of the disk end.
             frontier = max(self.fill_frontier, lba + sectors)
+            target = min(lba + sectors + cfg.segment_sectors, self.usable_sectors)
             if target > frontier:
-                directives.append(PrefetchDirective(frontier, target - frontier, local=False))
                 self.fill_frontier = target
+                self.fill_ranges.append((frontier, target))
+                chunk = self._next_fill_chunk()
+                if chunk is not None:
+                    reads.append(chunk)
         elif not sequential:
             self.fill_frontier = 0
         if cfg.read_prefetch is ReadPrefetch.LOCAL_512K and self.detector.observe(lba, sectors):
-            directives.append(PrefetchDirective(lba, PREFETCH_BLOCK_SECTORS, local=True))
             self.local_prefetch_count += 1
+            prefetch = min(PREFETCH_BLOCK_SECTORS, self.usable_sectors - lba)
+            self.expect_fill(lba, prefetch)
+            reads.append((MediaRole.LOCAL_PREFETCH, lba, prefetch))
         self.seq_last_end = lba + sectors
-        return classification, missing, directives
+        return classification, missing, reads
+
+    def _covered_by_fill(self, lba: int, sectors: int) -> bool:
+        """Whether in-flight plus queued fills will cover the run entirely."""
+
+        inflight = [(start, start + n) for start, n in self.outstanding_fills]
+        return not uncovered_runs(lba, sectors, [*inflight, *self.fill_ranges])
+
+    def _next_fill_chunk(self) -> MediaRead | None:
+        """The next fill-ahead chunk to read, unless one is in flight."""
+
+        if self._fill_chunk_outstanding or not self.fill_ranges:
+            return None
+        start, end = self.fill_ranges[0]
+        take = min(FILL_CHUNK_SECTORS, end - start)
+        if start + take < end:
+            self.fill_ranges[0] = (start + take, end)
+        else:
+            self.fill_ranges.popleft()
+        self.expect_fill(start, take)
+        self._fill_chunk_outstanding = True
+        return MediaRole.FILL_CHUNK, start, take
 
     def take_penalty_rotations(self) -> int:
         """Rotations of repositioning penalty owed to the next media op."""
@@ -364,17 +414,25 @@ class SegmentedCache:
     def expect_fill(self, lba: int, sectors: int) -> None:
         self.outstanding_fills.append((lba, sectors))
 
-    def on_media_data(self, lba: int, sectors: int, local: bool = False) -> None:
-        """A fill or prefetch read completed; stage the data in a segment."""
+    def on_media_data(self, lba: int, sectors: int, role: MediaRole) -> MediaRead | None:
+        """A planned media read completed; stage the data in a segment.
+
+        Returns the fill-ahead chunk to read next when a fill chunk's data
+        frees the chunk slot and more fill is queued.
+        """
 
         if sectors <= 0 or (lba, sectors) not in self.outstanding_fills:
             raise UnexpectedFill(f"no outstanding fill for [{lba}, {lba + sectors})")
         self.outstanding_fills.remove((lba, sectors))
         seg = self._stage(lba, sectors)
         # With every segment dirty the data is served uncached.
-        if seg is not None and local:
+        if seg is not None and role is MediaRole.LOCAL_PREFETCH:
             seg.local_prefetch = True
             seg.consumed_by_128k = 0
+        if role is not MediaRole.FILL_CHUNK:
+            return None
+        self._fill_chunk_outstanding = False
+        return self._next_fill_chunk()
 
     # -- writes -----------------------------------------------------------------
 

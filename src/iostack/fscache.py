@@ -44,6 +44,18 @@ class Purpose(Enum):
     WT_DATA = "wt-data"
     METADATA = "metadata"
 
+    @property
+    def required(self) -> bool:
+        """The request that issues the io waits for it."""
+
+        return self is not Purpose.PREFETCH and self is not Purpose.FLUSH
+
+    @property
+    def force_media(self) -> bool:
+        """The drive acknowledges the io only once it is on the media."""
+
+        return self is Purpose.WT_DATA or self is Purpose.METADATA
+
 
 DEMAND, PREFETCH, PASSTHROUGH, APP_DIRECT, FLUSH, WT_DATA, METADATA = Purpose
 
@@ -153,8 +165,6 @@ class IoIntent:
     nbytes: int
     purpose: Purpose
     actor: str
-    required: bool
-    force_media: bool = False
     block_key: tuple[int, int] | None = None
     sector_tags: TagRuns | None = None
 
@@ -172,7 +182,7 @@ class Plan:
 
     @property
     def required_ios(self) -> list[IoIntent]:
-        return [io for io in self.ios if io.required]
+        return [io for io in self.ios if io.purpose.required]
 
 
 @dataclass
@@ -293,9 +303,7 @@ class FsCache:
                 missing.append(addr)
         return missing, waiting
 
-    def _read_io(
-        self, file_id: int, addr: int, purpose: Purpose, actor: str, required: bool
-    ) -> IoIntent:
+    def _read_io(self, file_id: int, addr: int, purpose: Purpose, actor: str) -> IoIntent:
         key = (file_id, addr)
         self.inflight.add(key)
         return IoIntent(
@@ -304,7 +312,6 @@ class FsCache:
             nbytes=BLOCK_BYTES,
             purpose=purpose,
             actor=actor,
-            required=required,
             block_key=key,
         )
 
@@ -312,7 +319,7 @@ class FsCache:
         """Read-ahead loads of the blocks neither resident nor in flight."""
 
         return [
-            self._read_io(file_id, addr, PREFETCH, SYSTEM_ACTOR, False)
+            self._read_io(file_id, addr, PREFETCH, SYSTEM_ACTOR)
             for addr in addrs
             if not self.block_resident(file_id, addr) and (file_id, addr) not in self.inflight
         ]
@@ -339,7 +346,7 @@ class FsCache:
         # The window algorithm's continuations are loaded by the application
         # process; everything else by the system process.
         actor = APP_ACTOR if continuation and not block_readahead else SYSTEM_ACTOR
-        demand_ios = [self._read_io(req.file_id, addr, DEMAND, actor, True) for addr in missing]
+        demand_ios = [self._read_io(req.file_id, addr, DEMAND, actor) for addr in missing]
         stream.sequential_count = stream.sequential_count + 1 if continuation else 1
 
         if block_readahead:
@@ -402,7 +409,7 @@ class FsCache:
             if covered:
                 dirty.overlay([(first, end, tag) for first, end, _ in covered])
             gaps = uncovered_runs(sectors.start, len(sectors), [run[:2] for run in covered])
-            ios += _run_writes([(lba, lba + n, tag) for lba, n in gaps], APP_DIRECT, APP_ACTOR, True)
+            ios += _run_writes([(lba, lba + n, tag) for lba, n in gaps], APP_DIRECT, APP_ACTOR)
         return ios
 
     def on_write(self, req: CanonicalRequest, tag: int) -> Plan:
@@ -427,8 +434,6 @@ class FsCache:
                         nbytes=hi - lo,
                         purpose=WT_DATA,
                         actor=APP_ACTOR,
-                        required=True,
-                        force_media=True,
                         sector_tags=_tags(lo, hi, tag),
                     )
                 )
@@ -478,7 +483,7 @@ class FsCache:
         ios = []
         while self.dirty_blocks:
             _, dirty = self.dirty_blocks.popitem(last=False)
-            ios.extend(_run_writes(dirty.runs, FLUSH, SYSTEM_ACTOR, False))
+            ios.extend(_run_writes(dirty.runs, FLUSH, SYSTEM_ACTOR))
         self.dirty_accounted_bytes = 0
         return ios
 
@@ -490,7 +495,7 @@ class FsCache:
             return []
         _, dirty = self.dirty_blocks.popitem(last=False)
         self.dirty_accounted_bytes = max(0, self.dirty_accounted_bytes - BLOCK_BYTES)
-        return _run_writes(dirty.runs, FLUSH, SYSTEM_ACTOR, False)
+        return _run_writes(dirty.runs, FLUSH, SYSTEM_ACTOR)
 
     def metadata_io(self) -> IoIntent:
         return IoIntent(
@@ -499,8 +504,6 @@ class FsCache:
             nbytes=METADATA_WRITE_BYTES,
             purpose=METADATA,
             actor=SYSTEM_ACTOR,
-            required=True,
-            force_media=True,
             sector_tags=None,
         )
 
@@ -522,7 +525,6 @@ def _passthrough(req: CanonicalRequest, tag: int | None) -> Plan:
                 nbytes=req.length_bytes,
                 purpose=PASSTHROUGH,
                 actor=APP_ACTOR,
-                required=True,
                 sector_tags=tags,
             )
         ]
@@ -536,9 +538,7 @@ def _tags(lo: int, hi: int, tag: int) -> TagRuns:
     return ((sectors.start, sectors.stop, tag),)
 
 
-def _run_writes(
-    runs: Sequence[TagRun], purpose: Purpose, actor: str, required: bool
-) -> list[IoIntent]:
+def _run_writes(runs: Sequence[TagRun], purpose: Purpose, actor: str) -> list[IoIntent]:
     """One write per stretch of back-to-back runs, in ascending order."""
 
     ios = []
@@ -554,7 +554,6 @@ def _run_writes(
                 nbytes=(end - start) * SECTOR_BYTES,
                 purpose=purpose,
                 actor=actor,
-                required=required,
                 sector_tags=tuple(runs[first:k]),
             )
         )

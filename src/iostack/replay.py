@@ -10,7 +10,9 @@ keeping the written sectors' tags as runs for conservation checks.
 Each fact has one owner: ``FsCache`` holds fs residency and the in-flight
 and dirty blocks, ``FsStage`` what each request still waits for, an io's
 ``IoMsg.request_id`` the request it serves, and ``SegmentedCache`` the
-drive segments and in-flight fills (``outstanding_fills``).  The scheduler
+drive segments, the in-flight and queued fills (``outstanding_fills``,
+``fill_ranges``) and the disk end no media read passes.  The cache plans
+each media read and ``DiskCacheStage`` only issues it.  The scheduler
 hands the drive one io at a time, so ``DiskCacheStage`` keeps that io in a
 slot while it waits for media data or for a free segment.
 """
@@ -22,10 +24,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .diskcache import (
-    FILL_CHUNK_SECTORS,
     Ack,
     DiskCacheConfig,
-    PrefetchDirective,
+    MediaRole,
     SegmentedCache,
     TagMap,
     TagRuns,
@@ -124,16 +125,6 @@ class IoMsg:
             f"io={self.io_id} op={op} addr={i.disk_addr} bytes={i.nbytes} "
             f"purpose={i.purpose.value} actor={i.actor} req={req}"
         )
-
-
-class MediaRole(Enum):
-    """What a drive-cache media op is for; the value is its logged purpose."""
-
-    HOST_READ = "host-fill"
-    LOCAL_PREFETCH = "local-prefetch"
-    FILL_CHUNK = "fill-chunk"
-    HOST_WRITE = "host-write"  # logged with the host io's own purpose
-    DESTAGE = "destage"
 
 
 @dataclass(slots=True)
@@ -276,7 +267,8 @@ class AppStage:
 class _PendingRequest:
     msg: RequestMsg
     required_ios: set[int] = field(default_factory=set)
-    wait_blocks: set[tuple[int, int]] = field(default_factory=set)
+    #: Blocks still awaited; ``FsStage.block_waiters`` says which.
+    blocks_awaited: int = 0
     copy_us: int = 0
     metadata_issued: bool = False
 
@@ -335,23 +327,24 @@ class FsStage:
 
         plan = self.fs.on_read(req) if req.op is Op.READ else self.fs.on_write(req, rid)
         pending = _PendingRequest(
-            msg=msg, wait_blocks=set(plan.wait_blocks), copy_us=cfg.copy_us(plan.copy_bytes)
+            msg=msg, blocks_awaited=len(plan.wait_blocks), copy_us=cfg.copy_us(plan.copy_bytes)
         )
-        for key in pending.wait_blocks:
+        for key in plan.wait_blocks:
             self.block_waiters.setdefault(key, []).append(rid)
 
         issue_at = now + (cfg.miss_path_cost_us if plan.required_ios else 0)
         for intent in plan.ios:
-            io_id = self._issue(intent, rid if intent.required else None, issue_at)
-            if intent.required:
-                pending.required_ios.add(io_id)
+            if intent.purpose.required:
+                pending.required_ios.add(self._issue(intent, rid, issue_at))
+            else:
+                self._issue(intent, None, issue_at)
         if plan.metadata_after_data:
             self.wt_gate = rid
         self.pending[rid] = pending
         if plan.kick_progressive and not self.progressive_running:
             self.progressive_running = True
             self.sim.schedule(StageId.FS_CACHE, Signal.FLUSH_TICK)
-        if not pending.required_ios and not pending.wait_blocks and not plan.metadata_after_data:
+        if not pending.required_ios and not pending.blocks_awaited and not plan.metadata_after_data:
             # No io, or only optional ones (prefetch/flush): serve from cache now.
             del self.pending[rid]
             self._complete(msg, at_us=now + cfg.fastio_hit_cost_us + pending.copy_us)
@@ -368,7 +361,7 @@ class FsStage:
             for rid in self.block_waiters.pop(intent.block_key, []):
                 pending = self.pending.get(rid)
                 if pending is not None:
-                    pending.wait_blocks.discard(intent.block_key)
+                    pending.blocks_awaited -= 1
                     self._maybe_finish(pending)
         if intent.purpose is FLUSH and self.progressive_running:
             self.sim.schedule(StageId.FS_CACHE, Signal.FLUSH_TICK)
@@ -379,7 +372,7 @@ class FsStage:
             self._maybe_finish(pending)
 
     def _maybe_finish(self, pending: _PendingRequest) -> None:
-        if pending.required_ios or pending.wait_blocks:
+        if pending.required_ios or pending.blocks_awaited:
             return
         rid = pending.msg.request_id
         if self.wt_gate == rid and not pending.metadata_issued:
@@ -438,24 +431,22 @@ class SchedulerStage:
 
 
 class DiskCacheStage:
-    """Drive cache: segment staging, prefetch chains, write acks, destage.
+    """Drive cache: the media reads ``SegmentedCache`` plans, write acks, destage.
 
+    The cache owns the in-flight and queued fills and the disk-end bound.
     The scheduler hands the drive one io at a time and waits for its done
     form, so one slot holds the read waiting for media data (``host_read``,
     with the runs it still ``needed``) and one the write waiting for a
     destage to free a segment (``deferred_write``).
     """
 
-    def __init__(self, sim: Simulator, cache: SegmentedCache, geometry: DiskGeometry):
+    def __init__(self, sim: Simulator, cache: SegmentedCache):
         self.sim = sim
         self.cache = cache
-        self.geometry = geometry
         self.host_read: IoMsg | None = None
         self.needed: list[tuple[int, int]] = []
         self.deferred_write: IoMsg | None = None
-        self.fill_ranges: deque[tuple[int, int]] = deque()  # [start, end) sector ranges to fill
         self.destage_inflight = False
-        self._fill_chunk_outstanding = False
         self._media_seq = 0
 
     # -- media plumbing ---------------------------------------------------------
@@ -490,53 +481,13 @@ class DiskCacheStage:
 
     def _host_read(self, msg: IoMsg) -> None:
         lba, sectors = self._sectors(msg.intent)
-        _, missing, directives = self.cache.read_lookup(lba, sectors)
-        # The host's own media reads go first so the media keeps ascending
-        # LBA order; fill-ahead chunks (which sit beyond the request) queue
-        # after them.
-        for run_lba, run_sectors in missing:
-            if not self._covered_by_fill(run_lba, run_sectors):
-                self.cache.expect_fill(run_lba, run_sectors)
-                self._media(MediaRole.HOST_READ, run_lba, run_sectors)
-        self._apply_directives(directives)
+        _, missing, reads = self.cache.read_lookup(lba, sectors)
+        for role, run_lba, run_sectors in reads:
+            self._media(role, run_lba, run_sectors)
         if missing:
             self.host_read, self.needed = msg, missing
         else:
             self._reply_done(msg)
-
-    def _covered_by_fill(self, lba: int, sectors: int) -> bool:
-        """Whether in-flight plus queued fills will cover the run entirely."""
-
-        inflight = [(start, start + n) for start, n in self.cache.outstanding_fills]
-        return not uncovered_runs(lba, sectors, [*inflight, *self.fill_ranges])
-
-    def _apply_directives(self, directives: list[PrefetchDirective]) -> None:
-        limit = self.geometry.usable_sectors
-        for d in directives:
-            end = min(d.lba + d.sectors, limit)
-            if end <= d.lba:
-                continue
-            if d.local:
-                self.cache.expect_fill(d.lba, end - d.lba)
-                self._media(MediaRole.LOCAL_PREFETCH, d.lba, end - d.lba)
-            else:
-                self.fill_ranges.append((d.lba, end))
-                self._next_fill_chunk()
-
-    def _next_fill_chunk(self) -> None:
-        if self._fill_chunk_outstanding:
-            return
-        while self.fill_ranges:
-            start, end = self.fill_ranges[0]
-            if start >= end:
-                self.fill_ranges.popleft()
-                continue
-            take = min(FILL_CHUNK_SECTORS, end - start)
-            self.fill_ranges[0] = (start + take, end)
-            self.cache.expect_fill(start, take)
-            self._fill_chunk_outstanding = True
-            self._media(MediaRole.FILL_CHUNK, start, take)
-            return
 
     def _reply_done(self, msg: IoMsg) -> None:
         self.sim.schedule(StageId.SCHEDULER, IoMsg(msg.io_id, msg.intent, msg.request_id, True))
@@ -546,7 +497,7 @@ class DiskCacheStage:
     def _host_write(self, msg: IoMsg) -> None:
         lba, sectors = self._sectors(msg.intent)
         ack, media_actions = self.cache.write_accept(
-            lba, sectors, msg.intent.sector_tags, force_media=msg.intent.force_media
+            lba, sectors, msg.intent.sector_tags, force_media=msg.intent.purpose.force_media
         )
         if ack is Ack.ACK_NOW:
             self._reply_done(msg)
@@ -582,11 +533,9 @@ class DiskCacheStage:
                     retry, self.deferred_write = self.deferred_write, None
                     self._host_write(retry)
             case _:  # HOST_READ, LOCAL_PREFETCH or FILL_CHUNK data
-                local = msg.role is MediaRole.LOCAL_PREFETCH
-                self.cache.on_media_data(msg.lba, msg.sectors, local=local)
-                if msg.role is MediaRole.FILL_CHUNK:
-                    self._fill_chunk_outstanding = False
-                    self._next_fill_chunk()
+                chunk = self.cache.on_media_data(msg.lba, msg.sectors, msg.role)
+                if chunk is not None:
+                    self._media(*chunk)
                 self._settle_host_read(msg.lba, msg.sectors)
 
     def _settle_host_read(self, lba: int, sectors: int) -> None:
@@ -606,17 +555,11 @@ class DiskCacheStage:
 class DiskStage:
     """Serial media execution against the mechanical model."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        geometry: DiskGeometry,
-        seek: SeekProfile,
-        head: HeadState | None = None,
-    ):
+    def __init__(self, sim: Simulator, geometry: DiskGeometry, seek: SeekProfile):
         self.sim = sim
         self.geometry = geometry
         self.seek = seek
-        self.head = head or HeadState()
+        self.head = HeadState()
         self.queue: deque[MediaMsg] = deque()
         self.active: MediaMsg | None = None
         self.data_image = TagMap()
@@ -715,7 +658,7 @@ def _held_work(
         ("scheduler", "queued ios", list(sched_stage.by_id)),
         ("drive cache", "host read ios", [m.io_id for m in (cache_stage.host_read,) if m is not None]),
         ("drive cache", "deferred write ios", [m.io_id for m in (cache_stage.deferred_write,) if m is not None]),
-        ("drive cache", "fill ranges", list(cache_stage.fill_ranges)),
+        ("drive cache", "fill ranges", list(cache.fill_ranges)),
         ("drive cache", "dirty segments", [i for i, s in enumerate(cache.segments) if s.dirty]),
         ("drive cache", "outstanding fills", list(cache.outstanding_fills)),
         ("disk", "media ops", [m.media_id for m in (disk_stage.active, *disk_stage.queue) if m is not None]),
@@ -786,11 +729,11 @@ def _replay(
 
     sim = Simulator(observe)
     fs = FsCache(stack.fs, file_extents(effective))
-    cache = SegmentedCache(stack.cache)
+    cache = SegmentedCache(stack.cache, stack.geometry.usable_sectors)
     app = AppStage(effective, policy)
     fs_stage = FsStage(sim, fs)
     sched_stage = SchedulerStage(sim, stack.scheduler_policy, stack.geometry)
-    cache_stage = DiskCacheStage(sim, cache, stack.geometry)
+    cache_stage = DiskCacheStage(sim, cache)
     disk_stage = DiskStage(sim, stack.geometry, stack.seek)
 
     sim.register(StageId.APP, app.handle)

@@ -50,7 +50,6 @@ class OpenFlag(Enum):
     NO_BUFFER = "NoBuffer"
     WRITE_THROUGH = "WriteThrough"
     SEQUENTIAL_SCAN = "SequentialScan"
-    OPEN_IF = "OpenIf"
 
 
 _FLAG_TOKENS = {f.value: f for f in OpenFlag}

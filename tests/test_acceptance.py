@@ -106,15 +106,15 @@ def test_local_512k_prefetch_per_pattern_instance():
 
     cache = SegmentedCache(FUJITSU_MAN3184MP.cache)
     for lba, sectors in requests:
-        _, missing, directives = cache.read_lookup(lba, sectors)
-        for run in missing:
-            cache.expect_fill(*run)
-            cache.on_media_data(*run)
-        for d in directives:
-            if d.local:
-                cache.expect_fill(d.lba, d.sectors)
-                cache.on_media_data(d.lba, d.sectors, local=True)
+        # Deliver every media read the lookup starts, fill chunks included.
+        todo = cache.read_lookup(lba, sectors)[2]
+        while todo:
+            role, run_lba, run_sectors = todo.pop(0)
+            chunk = cache.on_media_data(run_lba, run_sectors, role)
+            if chunk is not None:
+                todo.append(chunk)
     assert cache.local_prefetch_count == expected
+    assert not cache.outstanding_fills and not cache.fill_ranges
     ok("local 512KB prefetch count per pattern instance")
 
 

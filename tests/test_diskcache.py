@@ -1,4 +1,4 @@
-"""Segmented drive cache: lookup, prefetch directives, write policies, LRU."""
+"""Segmented drive cache: lookup, media read plan, write policies, LRU."""
 
 from __future__ import annotations
 
@@ -14,10 +14,11 @@ from iostack import (
     WritePolicy,
     load_config,
 )
-from iostack.diskcache import LocalPatternDetector, SegmentedCache, TagMap
+from iostack.diskcache import LocalPatternDetector, MediaRole, SegmentedCache, TagMap
 from iostack.requests import SECTOR_BYTES
 
 BLOCK_SECTORS = 128  # one 64KB block
+HOST_READ, LOCAL_PREFETCH, FILL_CHUNK = MediaRole.HOST_READ, MediaRole.LOCAL_PREFETCH, MediaRole.FILL_CHUNK
 
 
 def cfg(**overrides) -> DiskCacheConfig:
@@ -32,7 +33,7 @@ def cfg(**overrides) -> DiskCacheConfig:
 
 def fill(cache: SegmentedCache, lba: int, sectors: int, local: bool = False) -> None:
     cache.expect_fill(lba, sectors)
-    cache.on_media_data(lba, sectors, local=local)
+    cache.on_media_data(lba, sectors, LOCAL_PREFETCH if local else HOST_READ)
 
 
 def dirty_records(cache: SegmentedCache) -> int:
@@ -42,10 +43,11 @@ def dirty_records(cache: SegmentedCache) -> int:
 class TestReadLookup:
     def test_cold_miss_no_prefetch_under_none(self):
         cache = SegmentedCache(cfg())
-        kind, missing, directives = cache.read_lookup(1000, 8)
+        kind, missing, reads = cache.read_lookup(1000, 8)
         assert kind is Lookup.MISS
         assert missing == [(1000, 8)]
-        assert directives == []
+        assert reads == [(HOST_READ, 1000, 8)]
+        assert cache.outstanding_fills == [(1000, 8)]
 
     def test_hit_after_fill(self):
         cache = SegmentedCache(cfg())
@@ -63,22 +65,77 @@ class TestReadLookup:
     def test_sequential_fill_directive_on_continuation(self):
         cache = SegmentedCache(cfg(read_prefetch=ReadPrefetch.SEQUENTIAL_FILL))
         cache.read_lookup(0, 128)
-        _, _, directives = cache.read_lookup(128, 128)
-        assert len(directives) == 1
-        d = directives[0]
-        assert not d.local
-        assert d.lba == 256
-        assert d.sectors == cache.config.segment_sectors
+        _, _, reads = cache.read_lookup(128, 128)
+        # One segment of fill-ahead past the request, read a chunk at a time.
+        assert reads == [(HOST_READ, 128, 128), (FILL_CHUNK, 256, 128)]
+        assert list(cache.fill_ranges) == [(384, 256 + cache.config.segment_sectors)]
 
     def test_zero_sector_fill_rejected(self):
         cache = SegmentedCache(cfg())
         with pytest.raises(UnexpectedFill):
-            cache.on_media_data(0, 0)
+            cache.on_media_data(0, 0, HOST_READ)
 
     def test_unmatched_fill_rejected(self):
         cache = SegmentedCache(cfg())
         with pytest.raises(UnexpectedFill):
-            cache.on_media_data(0, 64)
+            cache.on_media_data(0, 64, HOST_READ)
+
+
+class TestReadPlan:
+    def test_host_runs_then_fill_chunk_then_local_prefetch(self):
+        cache = SegmentedCache(
+            cfg(segment_count=16, segment_bytes=512 * 1024, read_prefetch=ReadPrefetch.LOCAL_512K)
+        )
+        assert cache.read_lookup(0, 256)[2] == [(HOST_READ, 0, 256)]
+        # In flight from the first read: no media read of its own.
+        assert cache.read_lookup(128, 128)[2] == []
+        # Continues the first read (the local pattern) and the second (a
+        # sequential stream) at once.
+        _, missing, reads = cache.read_lookup(256, 128)
+        assert missing == [(256, 128)]
+        assert reads == [(HOST_READ, 256, 128), (FILL_CHUNK, 384, 128), (LOCAL_PREFETCH, 256, 1024)]
+        assert cache.outstanding_fills == [(0, 256), (256, 128), (384, 128), (256, 1024)]
+
+    def test_fill_chunk_data_starts_the_next_chunk(self):
+        cache = SegmentedCache(cfg(read_prefetch=ReadPrefetch.SEQUENTIAL_FILL))
+        cache.read_lookup(0, 128)
+        cache.read_lookup(128, 128)
+        assert cache.on_media_data(128, 128, HOST_READ) is None
+        assert cache.on_media_data(256, 128, FILL_CHUNK) == (FILL_CHUNK, 384, 128)
+        assert cache.on_media_data(384, 128, FILL_CHUNK) == (FILL_CHUNK, 512, 128)
+        assert cache.on_media_data(512, 128, FILL_CHUNK) == (FILL_CHUNK, 640, 128)
+        # The segment's 512 sectors past the request are read: the queue is empty.
+        assert cache.on_media_data(640, 128, FILL_CHUNK) is None
+        assert not cache.fill_ranges
+        assert cache.outstanding_fills == [(0, 128)]
+
+    def test_run_covered_by_a_fill_gets_no_host_read(self):
+        cache = SegmentedCache(cfg(read_prefetch=ReadPrefetch.SEQUENTIAL_FILL))
+        cache.read_lookup(0, 128)
+        cache.read_lookup(128, 128)  # chunk [256, 384) in flight, [384, 768) queued
+        kind, missing, reads = cache.read_lookup(256, 128)  # queues [768, 896) too
+        assert (kind, missing, reads) == (Lookup.MISS, [(256, 128)], [])
+        assert list(cache.fill_ranges) == [(384, 768), (768, 896)]
+        kind, missing, reads = cache.read_lookup(512, 128)
+        assert (kind, missing, reads) == (Lookup.MISS, [(512, 128)], [])
+        # Half in the queue, half past it.
+        _, missing, reads = cache.read_lookup(832, 128)
+        assert missing == [(832, 128)] and reads == [(HOST_READ, 832, 128)]
+
+    def test_no_read_passes_the_disk_end(self):
+        cache = SegmentedCache(
+            cfg(segment_count=16, segment_bytes=512 * 1024, read_prefetch=ReadPrefetch.LOCAL_512K),
+            usable_sectors=1000,
+        )
+        cache.read_lookup(0, 256)
+        cache.read_lookup(128, 128)
+        # A 64KB block overhanging the end is read up to the end only.
+        kind, missing, reads = cache.read_lookup(256, 800)
+        assert kind is Lookup.MISS and missing == [(256, 744)]
+        assert reads == [(HOST_READ, 256, 744), (LOCAL_PREFETCH, 256, 744)]
+        assert not cache.fill_ranges
+        with pytest.raises(ValueError):
+            cache.read_lookup(1000, 8)
 
 
 class TestLocalPattern:
@@ -109,11 +166,9 @@ class TestLocalPattern:
         )
         cache.read_lookup(3 * BLOCK_SECTORS, BLOCK_SECTORS)
         cache.read_lookup(8 * BLOCK_SECTORS, BLOCK_SECTORS)
-        _, _, directives = cache.read_lookup(4 * BLOCK_SECTORS, BLOCK_SECTORS)
-        local = [d for d in directives if d.local]
-        assert len(local) == 1
-        assert local[0].lba == 4 * BLOCK_SECTORS
-        assert local[0].sectors == 1024  # 512KB
+        _, _, reads = cache.read_lookup(4 * BLOCK_SECTORS, BLOCK_SECTORS)
+        # 512KB from the third request's start.
+        assert [r for r in reads if r[0] is LOCAL_PREFETCH] == [(LOCAL_PREFETCH, 4 * BLOCK_SECTORS, 1024)]
         assert cache.local_prefetch_count == 1
 
 

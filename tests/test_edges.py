@@ -20,6 +20,7 @@ from iostack import (
 )
 from iostack.diskcache import DiskCacheConfig, ReadPrefetch
 from iostack.fscache import DEMAND, FsCache, FsCacheConfig
+from iostack.profiles import PROFILES
 from iostack.replay import MediaRole
 from iostack.requests import CanonicalRequest, Origin
 from iostack.scheduler import Policy
@@ -195,6 +196,52 @@ class TestReplayEdges:
         result = replay(stream(ios, AccessMode.NO_BUFFER), stack)
         roles = {e.payload.role for e in result.event_log.filter(kind="media")}
         assert MediaRole.FILL_CHUNK in roles
+
+
+def assert_media_within_disk(result, geometry: DiskGeometry) -> None:
+    assert len(result.records) == len(result.effective_requests)
+    media = result.event_log.filter(kind="media")
+    assert media
+    assert all(e.payload.lba + e.payload.sectors <= geometry.usable_sectors for e in media)
+
+
+class TestDiskEnd:
+    """Reads that reach the disk end: no media read may pass it."""
+
+    @pytest.mark.parametrize("profile", sorted(PROFILES))
+    def test_last_4kb_normal_read(self, profile):
+        # The fs cache reads the whole 64KB block, which overhangs the end
+        # of a disk whose sector count is no multiple of 128.
+        drive = PROFILES[profile]
+        stack = StackConfig(geometry=drive.geometry, seek=drive.seek, cache=drive.cache)
+        last = drive.geometry.usable_bytes - 4 * KB
+        result = replay(stream([(Op.READ, last, 4 * KB)], AccessMode.NORMAL), stack)
+        assert_media_within_disk(result, drive.geometry)
+
+    @pytest.mark.parametrize("prefetch", [ReadPrefetch.SEQUENTIAL_FILL, ReadPrefetch.LOCAL_512K])
+    @pytest.mark.parametrize("mode", [AccessMode.NO_BUFFER, AccessMode.NORMAL])
+    def test_sequential_reads_up_to_the_end(self, mode, prefetch):
+        geometry = tiny_geometry()  # 12000 sectors
+        stack = plain_stack(geometry=geometry, cache=DiskCacheConfig(read_prefetch=prefetch))
+        first = geometry.usable_bytes - 8 * BLOCK
+        ios = [(Op.READ, first + i * BLOCK, BLOCK) for i in range(8)]
+        result = replay(stream(ios, mode), stack)
+        assert_media_within_disk(result, geometry)
+        roles = {e.payload.role for e in result.event_log.filter(kind="media")}
+        assert MediaRole.FILL_CHUNK in roles
+
+    def test_local_prefetch_stops_at_the_end(self):
+        geometry = tiny_geometry()
+        stack = plain_stack(geometry=geometry, cache=DiskCacheConfig(read_prefetch=ReadPrefetch.LOCAL_512K))
+        first = geometry.usable_bytes - 8 * BLOCK
+        # Blocks 0, 4, 1 of the last eight: a 512KB prefetch from block 1
+        # would pass the end by 128 sectors.
+        ios = [(Op.READ, first + b * BLOCK, BLOCK) for b in (0, 4, 1)]
+        result = replay(stream(ios, AccessMode.NO_BUFFER), stack)
+        assert_media_within_disk(result, geometry)
+        local = [e.payload for e in result.event_log.filter(kind="media")
+                 if e.payload.role is MediaRole.LOCAL_PREFETCH]
+        assert [(m.lba, m.sectors) for m in local] == [(first // 512 + 128, 7 * 128)]
 
 
 @settings(max_examples=60, deadline=None)

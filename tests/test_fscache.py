@@ -16,6 +16,8 @@ from iostack.fscache import (
     PREFETCH,
     READAHEAD_WINDOW_FACTOR,
     SYSTEM_ACTOR,
+    WT_DATA,
+    Purpose,
     classify_write_regime,
     periodic_block_count,
     periodic_period_length,
@@ -33,6 +35,11 @@ def read(addr: int, size: int, mode=AccessMode.NORMAL, t=0, file_id=0) -> Canoni
 
 def write(addr: int, size: int, mode=AccessMode.NORMAL, t=0, file_id=0) -> CanonicalRequest:
     return CanonicalRequest(t, Origin.APP, Op.WRITE, file_id, addr, size, addr, mode)
+
+
+def test_purpose_decides_an_ios_duties():
+    assert {p for p in Purpose if not p.required} == {PREFETCH, FLUSH}
+    assert {p for p in Purpose if p.force_media} == {WT_DATA, METADATA}
 
 
 class TestSplitIntoBlocks:
@@ -115,7 +122,7 @@ class TestPeriodicWrites:
         # Position 0 of a 6-block period: 3 accounting blocks stay in
         # cache (192KB) and the trailing bytes go straight to disk.
         assert sum(io.nbytes for io in direct) == 320 * KB - 192 * KB
-        assert all(io.actor == APP_ACTOR and io.required for io in direct)
+        assert all(io.actor == APP_ACTOR and io.purpose.required for io in direct)
 
     def test_progressive_small_writes_have_no_direct_io(self):
         fs = FsCache(FsCacheConfig())
@@ -157,10 +164,10 @@ class TestPeriodicWrites:
         fs = FsCache(FsCacheConfig())
         plan = fs.on_write(write(0, 128 * KB, mode=AccessMode.WRITE_THROUGH), tag=0)
         assert plan.metadata_after_data
-        assert all(io.force_media for io in plan.ios)
+        assert all(io.purpose.force_media for io in plan.ios)
         assert sum(io.nbytes for io in plan.ios) == 128 * KB
         meta = fs.metadata_io()
-        assert meta.purpose is METADATA and meta.force_media
+        assert meta.purpose is METADATA and meta.purpose.force_media
 
     def test_no_buffer_write_passthrough(self):
         fs = FsCache(FsCacheConfig())

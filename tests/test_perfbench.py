@@ -78,3 +78,8 @@ def test_tracer_records_every_stage_span(workloads):
     # The log is read after the block, so its recording re-run is untraced.
     assert calls["engine.run"] == 1
     assert calls["disk.service"] == len(result.event_log.filter(kind="media")) > 0
+    # The drive cache enters every fill it plans; no stage enters one.
+    names = [tracer.names[ix] for ix in tracer.span_name]
+    fill_parents = [names[tracer.span_parent[i]] for i, n in enumerate(names) if n == "diskcache.expect_fill"]
+    assert fill_parents
+    assert set(fill_parents) <= {"diskcache.read_lookup", "diskcache.on_media_data"}
