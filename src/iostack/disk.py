@@ -12,6 +12,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
+from typing import NamedTuple
 
 from .requests import SECTOR_BYTES
 
@@ -90,27 +91,23 @@ class DiskGeometry:
             raise OutOfRange(f"lba {lba} beyond usable capacity {self.usable_sectors}")
         return idx, self._zone_starts[idx]
 
-    def _track_skew_offset(self, zone_track: int) -> int:
-        """Rotational offset of logical sector 0 for a track of the zone.
+    def _track_place(self, zone_idx: int, track: int) -> tuple[int, int, int]:
+        """(cylinder, head, skew) of the zone-relative track index.
 
         Tracks run in cylinder-major order (all heads of a cylinder, then the
-        next cylinder).  Skew accumulates along it: every head switch adds the
-        track skew, every cylinder step adds the cylinder skew, so a
-        sequential transfer resumes just behind the head after each switch.
+        next cylinder).  The skew is the rotational offset of the track's
+        logical sector 0, and it accumulates along that order: every head
+        switch adds the track skew, every cylinder step adds the cylinder
+        skew, so a sequential transfer resumes just behind the head after
+        each switch.
         """
 
-        cylinder_steps = zone_track // self.heads
-        head_switches = zone_track - cylinder_steps
-        return (
-            head_switches * self.track_skew_sectors
+        cylinder_steps, head = divmod(track, self.heads)
+        skew = (
+            (track - cylinder_steps) * self.track_skew_sectors
             + cylinder_steps * self.cylinder_skew_sectors
         )
-
-    def _track_geometry(self, zone_idx: int, zone_track: int) -> tuple[int, int]:
-        """(cylinder, head) of the zone-relative track index."""
-
-        cylinder = self.zones[zone_idx].first_cylinder + zone_track // self.heads
-        return cylinder, zone_track % self.heads
+        return self.zones[zone_idx].first_cylinder + cylinder_steps, head, skew
 
 
 def lba_to_phys(lba: int, geometry: DiskGeometry) -> tuple[int, int, int]:
@@ -121,14 +118,10 @@ def lba_to_phys(lba: int, geometry: DiskGeometry) -> tuple[int, int, int]:
     """
 
     zone_idx, zone_start = geometry._zone_of_lba(lba)
-    z = geometry.zones[zone_idx]
-    slot = lba - zone_start
-    track = slot // z.sectors_per_track
-    logical_sector = slot % z.sectors_per_track
-    cylinder, head = geometry._track_geometry(zone_idx, track)
-    skew = geometry._track_skew_offset(track)
-    physical = (logical_sector + skew) % z.sectors_per_track
-    return cylinder, head, physical
+    spt = geometry.zones[zone_idx].sectors_per_track
+    track, logical_sector = divmod(lba - zone_start, spt)
+    cylinder, head, skew = geometry._track_place(zone_idx, track)
+    return cylinder, head, (logical_sector + skew) % spt
 
 
 @dataclass(frozen=True)
@@ -183,8 +176,7 @@ def seek_time(
     return mid + (hi - mid) * (distance_cylinders - knee) / (full - knee)
 
 
-@dataclass(frozen=True)
-class HeadState:
+class HeadState(NamedTuple):
     """Head position plus the rotational phase at a reference time."""
 
     cylinder: int = 0
@@ -243,7 +235,7 @@ def service(
     period = geometry.rotation_period_us
     t = float(arrival_us)
     # The head: its position, and the platter's phase at reference time ref.
-    cylinder, head, angle, ref = state.cylinder, state.head, state.angle_revs, state.time_us
+    cylinder, head, angle, ref = state
     zone_idx, zone_start = geometry._zone_of_lba(lba)
     usable = geometry._zone_usable[zone_idx]
     spt = geometry.zones[zone_idx].sectors_per_track
@@ -257,16 +249,15 @@ def service(
             slot = 0
             usable = geometry._zone_usable[zone_idx]
             spt = geometry.zones[zone_idx].sectors_per_track
-        track = slot // spt
-        logical = slot % spt
+        track, logical = divmod(slot, spt)
         run = min(remaining, spt - logical, usable - slot)
-        to_cylinder, to_head = geometry._track_geometry(zone_idx, track)
+        to_cylinder, to_head, skew = geometry._track_place(zone_idx, track)
         if to_cylinder != cylinder:
             # Head selection settles within the arm move.
             t += seek_time(abs(to_cylinder - cylinder), profile, geometry.cylinders, write)
         elif to_head != head:
             t += profile.head_switch_us
-        phys_start = (logical + geometry._track_skew_offset(track)) % spt
+        phys_start = (logical + skew) % spt
         # The rotational phase does not depend on which track the head is on.
         t += rotational_wait(phys_start, spt, angle, ref, t, period)
         t += run / spt * period

@@ -298,12 +298,18 @@ class SegmentedCache:
         return seg
 
     def _allocate(self) -> Segment | None:
-        """LRU-clean victim, or None when every segment is dirty."""
+        """LRU-clean victim, or None when every segment is dirty.
 
-        clean = [(s.last_touch, i, s) for i, s in enumerate(self.segments) if not s.dirty]
-        if not clean:
+        The least recently touched clean segment wins, the lowest index on a
+        tie, so a fresh cache fills segment 0 first.
+        """
+
+        victim = None
+        for s in self.segments:
+            if not s.write_queue and (victim is None or s.last_touch < victim.last_touch):
+                victim = s
+        if victim is None:
             return None
-        victim = min(clean)[2]
         victim.start = victim.end = 0
         victim.local_prefetch = False
         victim.consumed_by_128k = 0
@@ -314,9 +320,11 @@ class SegmentedCache:
         return any(s.start <= lba and end <= s.end for s in self.segments if s.end > s.start)
 
     def missing_runs(self, lba: int, sectors: int) -> list[tuple[int, int]]:
-        return uncovered_runs(
-            lba, sectors, [(s.start, s.end) for s in self.segments if s.start < s.end]
-        )
+        """Runs of [lba, lba + sectors) that no segment holds."""
+
+        end = lba + sectors
+        overlapping = [(s.start, s.end) for s in self.segments if s.start < end and lba < s.end]
+        return uncovered_runs(lba, sectors, overlapping)
 
     # -- reads -----------------------------------------------------------------
 
@@ -470,9 +478,11 @@ class SegmentedCache:
         preserves per-segment write order).
         """
 
-        dirty = [s for s in self.segments if s.dirty]
-        if not dirty:
+        oldest = None
+        for s in self.segments:
+            if s.write_queue and (oldest is None or s.write_queue[0][0] < oldest[0][0]):
+                oldest = s.write_queue
+        if oldest is None:
             return None
-        seg = min(dirty, key=lambda s: s.write_queue[0][0])
-        _, lba, sectors, tags = seg.write_queue.popleft()
+        _, lba, sectors, tags = oldest.popleft()
         return lba, sectors, tags

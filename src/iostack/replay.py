@@ -545,9 +545,11 @@ class DiskCacheStage:
         of its segment, or straddle two, before the read is settled.
         """
 
+        if self.host_read is None:
+            return
         delivered = ((lba, lba + sectors),)
         self.needed = [gap for run in self.needed for gap in uncovered_runs(*run, delivered)]
-        if self.host_read is not None and not self.needed:
+        if not self.needed:
             msg, self.host_read = self.host_read, None
             self._reply_done(msg)
 
@@ -578,14 +580,9 @@ class DiskStage:
         if not self.queue:
             return
         msg = self.queue.popleft()
-        delay, new_head = service(
-            msg.lba,
-            msg.sectors,
-            self.head,
-            self.geometry,
-            self.seek,
-            arrival_us=self.sim.now(),
-            write=msg.write,
+        now = self.sim.now()
+        delay, (cylinder, head, angle, _) = service(
+            msg.lba, msg.sectors, self.head, self.geometry, self.seek, now, msg.write
         )
         if msg.penalty_rotations:
             delay += msg.penalty_rotations * self.geometry.rotation_period_us
@@ -594,9 +591,7 @@ class DiskStage:
         # contiguous follow-up op sees its target sector exactly under the
         # head instead of a hair behind it (which would cost a phantom
         # revolution).
-        self.head = HeadState(
-            new_head.cylinder, new_head.head, new_head.angle_revs, float(self.sim.now() + delay_us)
-        )
+        self.head = HeadState(cylinder, head, angle, float(now + delay_us))
         self.active = msg
         self.sim.schedule_after(StageId.DISK, msg.with_flags(finished=True), delay_us)
 

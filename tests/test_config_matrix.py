@@ -8,9 +8,10 @@ Each replay adds its event-log text, request table, summary and media-image
 runs; a replay that stalls raises.  The replays run observed, once each:
 reading the log of a ``replay`` result runs it a second time, which doubles
 the cost of the matrix.  The observer also checks the drive's traffic
-contract: the scheduler hands the drive one io at a time.  The digests must
-not move unless the modelled behaviour changes on purpose; a failure names
-the (profile, access mode) slice that moved.
+contract: the scheduler hands the drive one io at a time, and the drive
+cache holds a waiting read exactly while it still needs media data.  The
+digests must not move unless the modelled behaviour changes on purpose; a
+failure names the (profile, access mode) slice that moved.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import dataclasses
 import hashlib
 import importlib
 import random
+from unittest import mock
 
 import pytest
 
@@ -69,17 +71,30 @@ def stream(mode: AccessMode, sequential: bool) -> list[CanonicalRequest]:
     return requests
 
 
+class WatchedDriveCache(REPLAY_MODULE.DiskCacheStage):
+    """The drive-cache stage, kept where the observer of its replay reads it."""
+
+    current: WatchedDriveCache | None = None
+
+    def __init__(self, *args) -> None:
+        super().__init__(*args)
+        WatchedDriveCache.current = self
+
+
 def observer(log):
-    """Hash each event into ``log``, checking that the drive holds one io at a time.
+    """Hash each event into ``log``, checking the drive's traffic contract.
 
     Between an io's DISK_CACHE ``io`` event and its SCHEDULER ``io-done``, no
-    other io reaches DISK_CACHE.
+    other io reaches DISK_CACHE.  At every event the drive cache holds a
+    waiting host read if and only if that read still needs media data.
     """
 
     at_drive = []
 
     def observe(event) -> None:
         log.update(f"{event.describe()}\n".encode())
+        stage = WatchedDriveCache.current
+        assert (stage.host_read is None) == (not stage.needed), event.describe()
         kind = event.payload.kind
         if kind == "io" and event.target is StageId.DISK_CACHE:
             assert not at_drive, f"{event.describe()} while io {at_drive} is at the drive"
@@ -103,12 +118,13 @@ def slice_digest(profile: str, mode: AccessMode) -> str:
                 stack = StackConfig(drive.geometry, drive.seek, fs, cache, scheduler)
                 for replay_mode in ReplayMode:
                     log = hashlib.sha256()
-                    result = REPLAY_MODULE._replay(
-                        requests,
-                        stack,
-                        ReplayPolicy(mode=replay_mode),
-                        observer(log),
-                    )
+                    with mock.patch.object(REPLAY_MODULE, "DiskCacheStage", WatchedDriveCache):
+                        result = REPLAY_MODULE._replay(
+                            requests,
+                            stack,
+                            ReplayPolicy(mode=replay_mode),
+                            observer(log),
+                        )
                     for text in (
                         log.hexdigest(),
                         format_request_table(result.records),

@@ -11,8 +11,10 @@ from iostack import (
     DiskGeometry,
     HeadState,
     OutOfRange,
+    SECTOR_BYTES,
     SeekProfile,
     Zone,
+    cylinder_of_byte,
     lba_to_phys,
     rotational_wait,
     seek_time,
@@ -313,6 +315,50 @@ def reference_track_runs(lba: int, sectors: int, geometry: DiskGeometry):
         remaining -= run
 
 
+def reference_track_place(geometry: DiskGeometry, zone_idx: int, track: int):
+    """(cylinder, head, skew) of a zone-relative track, apart from the model's.
+
+    The first track of the zone has skew 0.  Every later track adds the
+    cylinder skew when it starts a new cylinder (head 0) and the track skew
+    when it only switches heads.
+    """
+
+    cylinders_crossed = track // geometry.heads
+    head_switches = track - cylinders_crossed
+    skew = (
+        head_switches * geometry.track_skew_sectors
+        + cylinders_crossed * geometry.cylinder_skew_sectors
+    )
+    return geometry.zones[zone_idx].first_cylinder + cylinders_crossed, track % geometry.heads, skew
+
+
+def reference_phys(lba: int, geometry: DiskGeometry) -> tuple[int, int, int]:
+    """``lba_to_phys`` from the summed zone spans and ``reference_track_place``."""
+
+    for zone_idx, (start, usable) in enumerate(zone_starts_by_summing(geometry)):
+        if start <= lba < start + usable:
+            spt = geometry.zones[zone_idx].sectors_per_track
+            cylinder, head, skew = reference_track_place(geometry, zone_idx, (lba - start) // spt)
+            return cylinder, head, ((lba - start) % spt + skew) % spt
+    raise AssertionError(f"lba {lba} outside every zone")
+
+
+@pytest.mark.parametrize("name", sorted(PROFILES))
+def test_lba_to_phys_and_cylinder_of_byte_equal_reference_on_profiles(name):
+    g = PROFILES[name].geometry
+    rng = np.random.default_rng(sum(map(ord, name)))
+    lbas = [int(lba) for lba in rng.integers(0, g.usable_sectors, 300)]
+    for start, usable in zone_starts_by_summing(g):
+        lbas += [start, start + usable - 1]
+    for lba in lbas:
+        want = reference_phys(lba, g)
+        assert lba_to_phys(lba, g) == want
+        offset = int(rng.integers(0, SECTOR_BYTES))
+        assert cylinder_of_byte(lba * SECTOR_BYTES + offset, g) == want[0]
+    # A byte past the end is clipped to the last sector.
+    assert cylinder_of_byte(g.usable_bytes, g) == reference_phys(g.usable_sectors - 1, g)[0]
+
+
 def reference_angle_at(state: HeadState, t_us: float, period_us: float) -> float:
     return (state.angle_revs + (t_us - state.time_us) / period_us) % 1.0
 
@@ -336,12 +382,11 @@ def reference_service(lba, sectors, state, geometry, profile, arrival_us, write=
     pos = state
     for zone_idx, track, logical, run in reference_track_runs(lba, sectors, geometry):
         z = geometry.zones[zone_idx]
-        cylinder, head = geometry._track_geometry(zone_idx, track)
+        cylinder, head, skew = reference_track_place(geometry, zone_idx, track)
         if cylinder != pos.cylinder:
             t += seek_time(abs(cylinder - pos.cylinder), profile, geometry.cylinders, write)
         elif head != pos.head:
             t += profile.head_switch_us
-        skew = geometry._track_skew_offset(track)
         phys_start = (logical + skew) % z.sectors_per_track
         t += reference_rotational_wait(phys_start, z.sectors_per_track, pos, t, period)
         t += run / z.sectors_per_track * period

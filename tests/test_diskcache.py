@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -14,7 +17,13 @@ from iostack import (
     WritePolicy,
     load_config,
 )
-from iostack.diskcache import LocalPatternDetector, MediaRole, SegmentedCache, TagMap
+from iostack.diskcache import (
+    LocalPatternDetector,
+    MediaRole,
+    SegmentedCache,
+    TagMap,
+    uncovered_runs,
+)
 from iostack.requests import SECTOR_BYTES
 
 BLOCK_SECTORS = 128  # one 64KB block
@@ -285,6 +294,81 @@ class TestRepositionPenalty:
             assert kind is Lookup.HIT
         assert cache.take_penalty_rotations() == 1
 
+
+class TestSegmentPicks:
+    """The one-pass segment picks against their plain ``min`` definitions."""
+
+    @staticmethod
+    def check_picks(cache: SegmentedCache, queries) -> None:
+        segments = cache.segments
+        # Both picks run on one copy: the victim is clean, the destaged
+        # segment dirty, so neither pick sees the other's change.
+        probe = copy.deepcopy(cache)
+        clean = [(s.last_touch, i) for i, s in enumerate(segments) if not s.write_queue]
+        victim = probe._allocate()
+        if clean:
+            assert victim is probe.segments[min(clean)[1]]
+        else:
+            assert victim is None
+        dirty = [(s.write_queue[0][0], i) for i, s in enumerate(segments) if s.write_queue]
+        record = probe.destage_next()
+        if dirty:
+            i = min(dirty)[1]
+            _, lba, sectors, tags = segments[i].write_queue[0]
+            assert record == (lba, sectors, tags)
+            assert list(probe.segments[i].write_queue) == list(segments[i].write_queue)[1:]
+        else:
+            assert record is None
+        extents = [(s.start, s.end) for s in segments if s.start < s.end]
+        for lba, sectors in queries:
+            assert cache.missing_runs(lba, sectors) == uncovered_runs(lba, sectors, extents)
+
+    def test_random_steps_match_the_definitions(self):
+        seen = {"tie": 0, "all dirty": 0, "overlap": 0}
+        for seed in range(24):
+            rng = random.Random(seed)
+            cache = SegmentedCache(
+                cfg(
+                    segment_count=rng.randint(2, 4),
+                    segment_bytes=rng.choice((16, 32, 64)) * SECTOR_BYTES,
+                    read_prefetch=rng.choice(list(ReadPrefetch)),
+                )
+            )
+            inflight = []  # media reads whose data has not arrived
+            for step in range(150):
+                lba, sectors = rng.randrange(256), rng.randint(1, 24)
+                op = rng.randrange(4)
+                if op == 0:
+                    inflight += cache.read_lookup(lba, sectors)[2]
+                elif op == 1 and inflight:
+                    role, run_lba, run_sectors = inflight.pop(rng.randrange(len(inflight)))
+                    chunk = cache.on_media_data(run_lba, run_sectors, role)
+                    if chunk is not None:
+                        inflight.append(chunk)
+                elif op == 2:
+                    cache.write_accept(lba, sectors, ((lba, lba + sectors, step),))
+                else:
+                    cache.destage_next()
+                queries = [(rng.randrange(256), rng.randint(1, 48)) for _ in range(3)]
+                self.check_picks(cache, queries)
+                touches = [s.last_touch for s in cache.segments if not s.write_queue]
+                seen["tie"] += len(touches) != len(set(touches))
+                seen["all dirty"] += not touches
+                extents = sorted((s.start, s.end) for s in cache.segments if s.start < s.end)
+                seen["overlap"] += any(a[1] > b[0] for a, b in zip(extents, extents[1:]))
+        assert min(seen.values()) >= 20, seen
+
+    @given(
+        extents=st.lists(st.tuples(st.integers(0, 60), st.integers(0, 20)), min_size=1, max_size=4),
+        lba=st.integers(0, 80),
+        sectors=st.integers(1, 40),
+    )
+    def test_missing_runs_over_overlapping_segments(self, extents, lba, sectors):
+        cache = SegmentedCache(cfg(segment_count=len(extents)))
+        for seg, (start, length) in zip(cache.segments, extents):
+            seg.start, seg.end = start, start + length
+        want = uncovered_runs(lba, sectors, [(a, a + n) for a, n in extents if n])
+        assert cache.missing_runs(lba, sectors) == want
 
 
 def expand(runs) -> dict[int, int]:

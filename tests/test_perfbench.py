@@ -2,8 +2,9 @@
 
 ``perfbench/`` replays three generated workloads and times the layers by
 wrapping named functions of the program.  These tests load its workload and
-tracing modules read-only: the traces must keep their pinned event logs, and
-every span the per-layer split reads must still record calls.
+tracing modules read-only: the traces must keep their pinned event logs, at
+the smoke length and at the full length, and every span the per-layer split
+reads must still record calls.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import pytest
 from iostack import StageId, reference_media_image, replay
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+REPLAY_MODULE = importlib.import_module("iostack.replay")
 
 #: Event-log SHA-256 of each workload's 256-request trace at seed 1, as
 #: printed by ``perfbench/run.py --smoke --seed 1``.
@@ -25,6 +27,14 @@ SMOKE_LOG_SHA256 = {
     "buffered_read": "2c107fec2b8652641af7a27fbc1154d7518033e8415e7c20db1737bda6082cd7",
     "mixed_rw": "d27046e2dc67f6681fedc8ef4e95e1f4fedff018979ff7a7236fbf5ca462b64a",
     "burst_random": "fc410480e1f71f59e67ae373042bc92ff56aeac398a80901a69f254bca8a58b0",
+}
+
+#: (event-log SHA-256, event count) of each workload's full-length trace at
+#: seed 1.  Only the full length reaches a destage backlog and fs eviction.
+FULL_LOG = {
+    "buffered_read": ("e3aa78d9bbbf69ccb377a5f8bc60774b7e191cac1af63911cb9a17fab9b32135", 64_341),
+    "mixed_rw": ("8efe12ef6117367e6db74beec1512a698ee4dcdba718cad452c89ad8e60a9ee6", 73_785),
+    "burst_random": ("ae54c10a196ad65c35152a03ee775b8ec0c8b9fd8921ea6e59c664fffaa451fd", 20_505),
 }
 
 
@@ -56,6 +66,23 @@ def test_smoke_trace_event_log_pinned(workloads, workload):
     assert digest == SMOKE_LOG_SHA256[workload]
     if workload == "mixed_rw":
         assert result.media_image == reference_media_image(result.effective_requests)
+
+
+@pytest.mark.parametrize("workload", sorted(FULL_LOG))
+def test_full_trace_event_log_pinned(workloads, workload):
+    # One observed run: reading a ``replay`` result's log would run it twice.
+    log = hashlib.sha256()
+    events = 0
+
+    def observe(event) -> None:
+        nonlocal events
+        log.update(f"{event.describe()}\n".encode())
+        events += 1
+
+    trace = workloads.generate_trace(workload, workloads.FULL_REQUESTS, 1)
+    stack, policy = workloads.stack_config(workload), workloads.replay_policy(workload)
+    REPLAY_MODULE._replay(trace, stack, policy, observe)
+    assert (log.hexdigest(), events) == FULL_LOG[workload]
 
 
 def test_tracer_records_every_stage_span(workloads):
