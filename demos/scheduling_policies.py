@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
-"""One pending request set, five dispatch orders.
+"""One pending request set, three dispatch orders.
 
 The queue holds requests the disk has not accepted yet; the policy decides
 only at dispatch time.  The head-sweep accounting shows where each policy
-turns around: SCAN rides to the edge, LOOK reverses at the furthest
-pending request, and the circular variants wrap to the bottom instead.
+turns around: LOOK reverses at the furthest pending request, and C-LOOK
+wraps to the lowest one instead.
 """
 
 from iostack import PendingQueue, Policy
@@ -15,7 +15,7 @@ def main() -> None:
     print("head at cylinder 100 moving up; pending:",
           ", ".join(f"{k}@{c}" for k, c in pending.items()), "\n")
     for policy in Policy:
-        queue = PendingQueue(policy=policy, max_cylinder=200, position=100)
+        queue = PendingQueue(policy=policy, position=100)
         for i, (name, cyl) in enumerate(pending.items()):
             queue.enqueue(i, cyl)
         names = list(pending)

@@ -8,14 +8,14 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import io
 import sys
-from pathlib import Path
 
 from .config import REPLAY_MODES, ConfigError, RunSpec, load_config
 from .engine import StageFault
 from .replay import TraceReplayError, replay
 from .reports import BaselineError, emit_reports, load_baseline
-from .trace import TraceError, ingest_text, read_canonical
+from .trace import NotUtf8, TraceError, ingest_text, read_canonical, read_utf8
 from .workload import generate
 
 
@@ -75,9 +75,9 @@ def _load_requests(spec: RunSpec):
             raise ConfigError("workload: no [workload] section to generate from and no trace")
         requests = [r for w in spec.workloads for r in generate(w)]
         return sorted(requests, key=lambda r: r.issue_time_us), None
-    text = Path(spec.trace_path).read_text(encoding="utf-8")
+    text = read_utf8(spec.trace_path)
     if text.startswith("#iostack-trace"):
-        return read_canonical(spec.trace_path), None
+        return read_canonical(io.StringIO(text)), None
     requests, report = ingest_text(text, spec.cluster_bytes, spec.system_processes)
     return requests, report
 
@@ -85,7 +85,7 @@ def _load_requests(spec: RunSpec):
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        spec = _as_run(args, load_config(Path(args.config).read_text(encoding="utf-8")))
+        spec = _as_run(args, load_config(read_utf8(args.config)))
         requests, defect_report = _load_requests(spec)
         result = replay(requests, spec.stack, spec.policy)
         files = emit_reports(
@@ -95,7 +95,9 @@ def main(argv: list[str] | None = None) -> int:
             effective_config=spec.echo,
             event_log=result.event_log if args.dump_events else None,
         )
-    except (ConfigError, TraceError, TraceReplayError, BaselineError, StageFault, OSError) as exc:
+    except (
+        ConfigError, TraceError, TraceReplayError, BaselineError, StageFault, NotUtf8, OSError
+    ) as exc:
         print(f"simulate: error: {exc}", file=sys.stderr)
         return 2
 

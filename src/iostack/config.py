@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
+import math
 import typing
 from dataclasses import dataclass, field
 from enum import Enum
@@ -98,17 +99,21 @@ def _value(kind, text: str):
         return _BOOLS[text.lower()]
     if kind is int or kind is float:
         try:
-            return kind(text)
+            value = kind(text)
         except ValueError:
-            expected = "integer" if kind is int else "number"
-            raise ValueError(f"expected {expected}, got {text!r}") from None
+            value = None
+        # A float must be finite: ``inf`` and ``nan`` parse, but no key means them.
+        if value is None or kind is float and not math.isfinite(value):
+            expected = "integer" if kind is int else "finite number"
+            raise ValueError(f"expected {expected}, got {text!r}")
+        return value
     if kind == tuple[Zone, ...]:
         return _zones(text)
     if kind in _DISTRIBUTIONS:
         if kind != DistSpec and text.upper() == SEQUENTIAL_ADDRESSES:
             return SEQUENTIAL_ADDRESSES
         name, *params = text.split(":")
-        return DistSpec(_value(DistKind, name.strip()), tuple(float(p) for p in params))
+        return DistSpec(_value(DistKind, name.strip()), tuple(_value(float, p) for p in params))
     choices = [member.value for member in kind]
     if text.upper() not in choices:
         raise ValueError(f"expected one of {', '.join(choices)}, got {text!r}")
@@ -121,10 +126,10 @@ def _clamped(dist, text: str) -> DistSpec:
     if not isinstance(dist, DistSpec):
         raise ValueError("clamps only a distribution set in the same section")
     try:
-        lo, hi = (float(p) for p in text.split(":"))
+        lo, hi = text.split(":")
     except ValueError:
         raise ValueError(f"expected 'min:max', got {text!r}") from None
-    return dataclasses.replace(dist, clamp=(lo, hi))
+    return dataclasses.replace(dist, clamp=(_value(float, lo), _value(float, hi)))
 
 
 def _parse(section: str, key: str, parse, *args):

@@ -404,7 +404,7 @@ class SchedulerStage:
 
     def __init__(self, sim: Simulator, policy: Policy, geometry: DiskGeometry):
         self.sim = sim
-        self.queue = PendingQueue(policy=policy, max_cylinder=geometry.cylinders - 1)
+        self.queue = PendingQueue(policy=policy)
         self.geometry = geometry
         self.by_id: dict[int, IoMsg] = {}
         self.inflight: int | None = None

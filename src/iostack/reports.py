@@ -10,6 +10,7 @@ from pathlib import Path
 
 from .engine import EventLog
 from .requests import RequestRecord, Summary
+from .trace import read_utf8
 
 REPORT_FORMAT_VERSION = 1
 
@@ -94,8 +95,7 @@ class BaselineError(ValueError):
 def load_baseline(path: str | Path) -> dict[int, int]:
     """Read a measured-latency baseline: one '<ordinal> <latency_us>' line per ordinal."""
 
-    text = Path(path).read_text(encoding="utf-8")
-    lines = text.splitlines()
+    lines = read_utf8(path).splitlines()
     if not lines or not lines[0].startswith("#iostack-baseline v"):
         raise BaselineError(f"{path}: missing '#iostack-baseline v' header")
     baseline = {}

@@ -20,9 +20,7 @@ class DuplicateRequest(Exception):
 
 class Policy(Enum):
     FCFS = "FCFS"
-    SCAN = "SCAN"
     LOOK = "LOOK"
-    C_SCAN = "C_SCAN"
     C_LOOK = "C_LOOK"
 
 
@@ -36,9 +34,8 @@ class PendingQueue:
     """Policy-ordered queue keyed by target cylinder.
 
     Requests spanning multiple cylinders are keyed by their first cylinder.
-    ``travel_cylinders`` accumulates the head sweep implied by the policy
-    (including boundary excursions for SCAN/C_SCAN), which is what
-    distinguishes LOOK-style turnarounds in tests.
+    ``travel_cylinders`` accumulates the head sweep between dispatched
+    cylinders, starting from ``position``.
 
     Every pending request has the key ``(cylinder, arrival_seq, request_id)``,
     where ``arrival_seq`` counts enqueues.  The elevator and circular
@@ -50,7 +47,6 @@ class PendingQueue:
     """
 
     policy: Policy = Policy.FCFS
-    max_cylinder: int = 0
     direction: Direction = Direction.UP
     position: int = 0
     travel_cylinders: int = 0
@@ -81,10 +77,10 @@ class PendingQueue:
         if self.policy is Policy.FCFS:
             request_id, (cylinder, _, _) = self._keys.popitem(last=False)
         else:
-            if self.policy is Policy.SCAN or self.policy is Policy.LOOK:
+            if self.policy is Policy.LOOK:
                 ix = self._next_elevator()
-            else:
-                ix = self._next_circular()
+            else:  # C-LOOK: the nearest at or above the head, else wrap to the lowest
+                ix = self._first_at(self.position) % len(self._sorted)
             cylinder, _, request_id = self._sorted.pop(ix)
             del self._keys[request_id]
         self.travel_cylinders += abs(cylinder - self.position)
@@ -106,30 +102,10 @@ class PendingQueue:
             above = self._first_at(self.position + 1)
             if above:
                 return self._first_at(keys[above - 1][0])
-        # Nothing ahead: turn around.  SCAN rides to the edge first, LOOK
-        # reverses at the furthest pending request.  Every request is then
-        # ahead, so the nearest one is the extreme one.
-        if self.policy is Policy.SCAN:
-            edge = self.max_cylinder if self.direction is Direction.UP else 0
-            self.travel_cylinders += abs(edge - self.position)
-            self.position = edge
+        # Nothing ahead: reverse at the furthest pending request.  Every
+        # request is then ahead, so the nearest one is the extreme one.
         if self.direction is Direction.UP:
             self.direction = Direction.DOWN
             return self._first_at(keys[-1][0])
         self.direction = Direction.UP
-        return 0
-
-    def _next_circular(self) -> int:
-        keys = self._sorted
-        ix = self._first_at(self.position)
-        if ix < len(keys):
-            return ix
-        # Wrap to the lowest cylinder instead of reversing.
-        if self.policy is Policy.C_SCAN:
-            self.travel_cylinders += (self.max_cylinder - self.position) + self.max_cylinder
-            self.position = 0
-        else:
-            lowest = keys[0][0]
-            self.travel_cylinders += abs(self.position - lowest)
-            self.position = lowest
         return 0

@@ -44,6 +44,19 @@ class CanonicalFormatError(TraceError):
     pass
 
 
+class NotUtf8(ValueError):
+    """An input file is not UTF-8 text."""
+
+
+def read_utf8(path: str | Path) -> str:
+    """The text of the UTF-8 file ``path``; any other encoding raises :class:`NotUtf8`."""
+
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise NotUtf8(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+
+
 class OpenFlag(Enum):
     """Open-time option tokens that matter to the cache model."""
 
@@ -316,10 +329,7 @@ def write_canonical(
 def read_canonical(source: str | Path | IO[str]) -> list[CanonicalRequest]:
     """Read a canonical trace; exact inverse of :func:`write_canonical`."""
 
-    if isinstance(source, (str, Path)):
-        text = Path(source).read_text(encoding="utf-8")
-    else:
-        text = source.read()
+    text = read_utf8(source) if isinstance(source, (str, Path)) else source.read()
     lines = text.splitlines()
     if not lines or not lines[0].startswith("#iostack-trace v"):
         raise CanonicalFormatError("missing canonical trace header")

@@ -8,6 +8,7 @@ from iostack import (
     DiskCacheConfig,
     DiskGeometry,
     FsCacheConfig,
+    Policy,
     ReadPrefetch,
     SeekProfile,
     StackConfig,
@@ -29,6 +30,12 @@ SAMPLE_TRACE = (
     "190\t17:3:26.437\ttestwrite.exe:928\tWRITE\tC:\\1\\testwrite0\tLCN: 2000668 Offset: 0 Length: 196608\n"
     "191\t17:3:26.437\ttestwrite.exe:928\tWRITE\tC:\\1\\testwrite0\tLCN: 2000692 Offset: 0 Length: 131072\n"
 )
+
+#: The scheduler policies the seeded tests draw from or loop over.  Five
+#: entries, with LOOK and C-LOOK twice each, keep every liveness seed and
+#: every configuration-matrix digest on the configuration it has always
+#: named: the dropped SCAN and C-SCAN dispatched exactly as LOOK and C-LOOK.
+SEEDED_POLICIES = (Policy.FCFS, Policy.LOOK, Policy.LOOK, Policy.C_LOOK, Policy.C_LOOK)
 
 
 @pytest.fixture

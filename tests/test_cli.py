@@ -25,10 +25,15 @@ address = sequential
 """
 
 
-def write_config(tmp_path: Path, body: str = CONFIG) -> Path:
-    path = tmp_path / "sim.ini"
-    path.write_text(body)
+def write_file(path: Path, body: str | bytes) -> Path:
+    """``path`` holding ``body``: a text as UTF-8, bytes as they are."""
+
+    path.write_bytes(body.encode() if isinstance(body, str) else body)
     return path
+
+
+def write_config(tmp_path: Path, body: str | bytes = CONFIG) -> Path:
+    return write_file(tmp_path / "sim.ini", body)
 
 
 class TestCli:
@@ -175,38 +180,71 @@ SECTOR_4K_CONFIG = CONFIG.replace(
 ).replace("address = sequential", "address = random_choice:40000000000")
 
 
+#: The file name each input-file option of the test below is written to.
+INPUT_FILES = {"--baseline": "base.txt", "--trace": "trace.txt"}
+
+
 @pytest.mark.parametrize(
-    "baseline, extra, config, message",
+    "files, extra, config, message",
     [
-        ("0 100\n", [], CONFIG, "missing '#iostack-baseline v' header"),
-        ("#iostack-baseline v1\n0 100 7\n", [], CONFIG, "expected '<ordinal> <latency_us>'"),
-        ("#iostack-baseline v1\n0 -5\n", [], CONFIG, "base.txt:2: ordinal and latency must be >= 0"),
-        ("#iostack-baseline v1\n1 100\n1 200\n", [], CONFIG, "base.txt:3: ordinal 1 is given twice"),
-        (None, ["--tolerance-us", "-5"], CONFIG, "argument --tolerance-us: must be >= 0"),
-        (None, ["--seed", "-3"], CONFIG, "argument --seed: must be >= 0"),
-        (None, [], CONFIG.replace("seed = 42", "seed = -1"), "workload: seed must be >= 0"),
-        (None, [], STAGE_FAULT_CONFIG, "stage DISK failed"),
-        (None, [], SECTOR_4K_CONFIG, "disk.sector_bytes: unknown key"),
-        *((None, [], with_bad_value(key, value), f"{key}: ") for key, value in BAD_VALUES.values()),
+        ({"--baseline": "0 100\n"}, [], CONFIG, "missing '#iostack-baseline v' header"),
         (
-            None,
+            {"--baseline": "#iostack-baseline v1\n0 100 7\n"},
+            [],
+            CONFIG,
+            "expected '<ordinal> <latency_us>'",
+        ),
+        (
+            {"--baseline": "#iostack-baseline v1\n0 -5\n"},
+            [],
+            CONFIG,
+            "base.txt:2: ordinal and latency must be >= 0",
+        ),
+        (
+            {"--baseline": "#iostack-baseline v1\n1 100\n1 200\n"},
+            [],
+            CONFIG,
+            "base.txt:3: ordinal 1 is given twice",
+        ),
+        ({}, ["--tolerance-us", "-5"], CONFIG, "argument --tolerance-us: must be >= 0"),
+        ({}, ["--seed", "-3"], CONFIG, "argument --seed: must be >= 0"),
+        ({}, [], CONFIG.replace("seed = 42", "seed = -1"), "workload: seed must be >= 0"),
+        ({}, [], STAGE_FAULT_CONFIG, "stage DISK failed"),
+        ({}, [], SECTOR_4K_CONFIG, "disk.sector_bytes: unknown key"),
+        *(({}, [], with_bad_value(key, value), f"{key}: ") for key, value in BAD_VALUES.values()),
+        (
+            {},
             [],
             with_bad_value("disk_cache.segment_count", "0"),
             "disk_cache: segment_count must be >= 1",
         ),
         (
-            None,
+            {},
             [],
             with_bad_value("disk_cache.segment_bytes", "0"),
             "disk_cache: segment_bytes must be a positive multiple of 512",
         ),
         (
-            None,
+            {},
             [],
             with_bad_value("disk_cache.segment_bytes", "1000"),
             "disk_cache: segment_bytes must be a positive multiple of 512",
         ),
-        *((None, [], with_bad_value(key, "1"), f"{key}: unknown key") for key in REMOVED_KEYS),
+        *(({}, [], with_bad_value(key, "1"), f"{key}: unknown key") for key in REMOVED_KEYS),
+        # Latin-1 text: the 0xe9 of "café" or "résultats" is not UTF-8.
+        ({}, [], "# café\n".encode("latin-1") + CONFIG.encode(), "sim.ini: not UTF-8 text"),
+        (
+            {"--trace": SAMPLE_TRACE.replace("results", "résultats").encode("latin-1")},
+            [],
+            CONFIG,
+            "trace.txt: not UTF-8 text",
+        ),
+        (
+            {"--baseline": "#iostack-baseline v1\n# café\n0 100\n".encode("latin-1")},
+            [],
+            CONFIG,
+            "base.txt: not UTF-8 text",
+        ),
     ],
     ids=[
         "baseline-header",
@@ -223,19 +261,23 @@ SECTOR_4K_CONFIG = CONFIG.replace(
         "bad-segment-bytes-zero",
         "bad-segment-bytes-unaligned",
         *(f"removed-{key}" for key in REMOVED_KEYS),
+        "config-not-utf8",
+        "trace-not-utf8",
+        "baseline-not-utf8",
     ],
 )
-def test_bad_input_exits_2_with_one_line(tmp_path, capsys, baseline, extra, config, message):
-    argv = ["--config", str(write_config(tmp_path, config)), "--generate"]
-    argv += ["--output", str(tmp_path / "out"), *extra]
-    if baseline is not None:
-        path = tmp_path / "base.txt"
-        path.write_text(baseline)
-        argv += ["--baseline", str(path)]
+def test_bad_input_exits_2_with_one_line(tmp_path, capsys, files, extra, config, message):
+    argv = ["--config", str(write_config(tmp_path, config)), "--output", str(tmp_path / "out")]
+    for option, body in files.items():
+        argv += [option, str(write_file(tmp_path / INPUT_FILES[option], body))]
+    if "--trace" not in files:
+        argv.append("--generate")
     try:
-        code = main(argv)
-    except SystemExit as exc:  # argparse rejects the argument itself
+        code = main([*argv, *extra])
+    except SystemExit as exc:  # argparse rejects the argument itself, after its usage
         code = exc.code
+        err = capsys.readouterr().err.splitlines()[-1:]
+    else:
+        err = capsys.readouterr().err.splitlines()
     assert code == 2
-    last = capsys.readouterr().err.splitlines()[-1]
-    assert last.startswith("simulate: error: ") and message in last
+    assert len(err) == 1 and err[0].startswith("simulate: error: ") and message in err[0]

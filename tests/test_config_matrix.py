@@ -1,9 +1,10 @@
 """Pinned digests of the replay configuration matrix.
 
 For each drive profile and access mode, one SHA-256 covers 40 replays of a
-32-request stream: every drive write policy, scheduler policy and replay
-mode, over sequential addresses with the default fs cache and over random
-addresses with a 512 KB fs cache, which evicts views on nearly every miss.
+32-request stream: every drive write policy, each ``SEEDED_POLICIES`` entry
+and every replay mode, over sequential addresses with the default fs cache
+and over random addresses with a 512 KB fs cache, which evicts views on
+nearly every miss.
 Each replay adds its event-log text, request table, summary and media-image
 runs; a replay that stalls raises.  The replays run observed, once each:
 reading the log of a ``replay`` result runs it a second time, which doubles
@@ -30,7 +31,6 @@ from iostack import (
     FsCacheConfig,
     Op,
     Origin,
-    Policy,
     ReplayMode,
     ReplayPolicy,
     StackConfig,
@@ -39,6 +39,8 @@ from iostack import (
 )
 from iostack.profiles import PROFILES
 from iostack.reports import format_request_table, format_summary
+
+from conftest import SEEDED_POLICIES
 
 KB = 1024
 MB = 1024 * KB
@@ -114,7 +116,7 @@ def slice_digest(profile: str, mode: AccessMode) -> str:
         fs = FsCacheConfig() if sequential else SMALL_FS
         for write_policy in WritePolicy:
             cache = dataclasses.replace(drive.cache, write_policy=write_policy)
-            for scheduler in Policy:
+            for scheduler in SEEDED_POLICIES:
                 stack = StackConfig(drive.geometry, drive.seek, fs, cache, scheduler)
                 for replay_mode in ReplayMode:
                     log = hashlib.sha256()

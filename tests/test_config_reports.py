@@ -94,6 +94,9 @@ class TestLoadConfig:
     def test_scheduler_policy_parsed(self):
         spec = load_config(MINIMAL + "[os]\nscheduler_policy = C_LOOK\n")
         assert spec.stack.scheduler_policy is Policy.C_LOOK
+        expected = "os.scheduler_policy: expected one of FCFS, LOOK, C_LOOK, got 'SCAN'"
+        with pytest.raises(ConfigError, match=f"^{expected}$"):
+            load_config(MINIMAL + "[os]\nscheduler_policy = SCAN\n")
 
     def test_replay_section(self):
         spec = load_config(MINIMAL + "[replay]\nmode = open\ntolerance_us = 250\n")
@@ -317,6 +320,10 @@ BAD_VALUES = {
     "zones": ("disk.zones", "0-736"),
     "distribution": ("workload.size_bytes", "zipf:2"),
     "clamp": ("workload.size_bytes_clamp", "8192"),
+    "infinite-parameter": ("workload.inter_arrival_us", "constant:inf"),
+    "nan-weight": ("workload.read_weight", "nan"),
+    "scan-policy": ("os.scheduler_policy", "SCAN"),
+    "c-scan-policy": ("os.scheduler_policy", "C_SCAN"),
 }
 
 

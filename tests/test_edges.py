@@ -155,8 +155,8 @@ class TestReplayEdges:
         result = replay(requests, stack)
         assert result.fs.clipped_requests == 0
 
-    def test_scan_policy_full_run(self):
-        stack = plain_stack(scheduler_policy=Policy.SCAN)
+    def test_look_policy_full_run(self):
+        stack = plain_stack(scheduler_policy=Policy.LOOK)
         ios = [(Op.READ, i * 256 * KB, 256 * KB) for i in range(4)]
         result = replay(stream(ios, AccessMode.NORMAL, gap_us=1000), stack,
                         ReplayPolicy(mode=ReplayMode.OPEN_LOOP_TIMED))

@@ -180,9 +180,9 @@ SCENARIOS = {
         OPEN,
         "aa9790f061a4fe5e38034b1762d48182d8b51d2952977512188578691586fec5",
     ),
-    "write_through_mode_open_scan": (
+    "write_through_mode_open_look": (
         write_through_mix,
-        stack(scheduler=Policy.SCAN),
+        stack(scheduler=Policy.LOOK),
         OPEN,
         "044c81ab4d6988021920c2ccd5f23848b76bc4ed9f955459a0f711e7c8deff9b",
     ),
@@ -198,9 +198,9 @@ SCENARIOS = {
         OPEN,
         "0e59f0c86e3b742909ad6702e89faa6b9762f97fea402ac638e8260aa12d1731",
     ),
-    "saturated_open_scan": (
+    "saturated_open_look": (
         saturated_random_reads,
-        stack(scheduler=Policy.SCAN),
+        stack(scheduler=Policy.LOOK),
         OPEN,
         "fe9181e26f4efd7b6bc2f167280e2aaaf4d0cfa20c31ee4e1e8e94061afd20eb",
     ),
@@ -225,7 +225,7 @@ REPORT_SHA256 = {
         "e2083c51602af1bd734cf8e99b6ea1bf92544ce3a8fa2b732abf280755393d5d",
         "09e15c0ddb578c8d9193c57c4ad7033faf51be724be3f089e7ceaf5b0683dfeb",
     ),
-    "saturated_open_scan": (
+    "saturated_open_look": (
         "8c9b114c17abd9d62a106bc938f43021041ff0e62b9c54278e40ab9de2750b9d",
         "c76c3b4673817eca498f269da4c7c86d954023353449c72e50ed849392b35cd6",
     ),
@@ -241,7 +241,7 @@ REPORT_SHA256 = {
         "1a6615e5fe017dee3945e0adb1d771bdd5cdfe965deb677f7f02c23b000df3cc",
         "b0cfbfefa841562a9ede3356da225dd9b27dde71cd95c48d8bba8192eea04d03",
     ),
-    "write_through_mode_open_scan": (
+    "write_through_mode_open_look": (
         "e7b88aa27220c5cc54e719563eca454fcc955fa667325543d204a00d9474ba49",
         "3914c5d8d7ce42a5d9c10feebbd5e726b0ff2fd3f802fa6784f24f6e0923a505",
     ),

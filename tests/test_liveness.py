@@ -22,7 +22,6 @@ from iostack import (
     CanonicalRequest,
     Op,
     Origin,
-    Policy,
     ReadPrefetch,
     ReplayMode,
     ReplayPolicy,
@@ -32,6 +31,8 @@ from iostack import (
     replay,
 )
 from iostack.profiles import PROFILES
+
+from conftest import SEEDED_POLICIES
 
 KB = 1024
 MB = 1024 * KB
@@ -55,7 +56,7 @@ def trial(seed: int) -> tuple[list[CanonicalRequest], StackConfig, ReplayPolicy]
         geometry=drive.geometry,
         seek=drive.seek,
         cache=cache,
-        scheduler_policy=rng.choice(list(Policy)),
+        scheduler_policy=rng.choice(SEEDED_POLICIES),
     )
     mode = rng.choice(list(AccessMode))
     policy = ReplayPolicy(mode=rng.choice(list(ReplayMode)))
@@ -89,10 +90,10 @@ def test_replay_completes_and_conserves_writes(seed):
 @pytest.mark.xfail(
     strict=True,
     raises=AssertionError,
-    reason="ROADMAP item 1: a queued fs flush lands after a later direct write under SCAN",
+    reason="ROADMAP item 1: a queued fs flush lands after a later direct write under LOOK",
 )
 def test_stale_flush_known_defect():
-    # Closed loop, SCAN, a write-through drive and SEQUENTIAL access: the
+    # Closed loop, LOOK, a write-through drive and SEQUENTIAL access: the
     # in-order image is the oracle, and a stall would still fail the test.
     requests, stack, policy = trial(740)
     result = replay(requests, stack, policy)

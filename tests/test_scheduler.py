@@ -43,7 +43,7 @@ class TestBasics:
     def test_same_contents_any_policy_until_dispatch(self):
         # Ordering is decided only at next(): queues hold identical sets.
         for policy in Policy:
-            q = PendingQueue(policy=policy, max_cylinder=200)
+            q = PendingQueue(policy=policy)
             load(q, {1: 50, 2: 120, 3: 150})
             assert len(q) == 3
 
@@ -56,61 +56,46 @@ class TestFcfs:
 
 
 class TestElevator:
-    def test_scan_order_matches_sort_oracle(self):
+    def test_look_same_order_but_early_turnaround(self):
         # Oracle: ascending cylinders at/above the head, then the rest
         # descending.
         pending = {1: 50, 2: 120, 3: 150}
-        q = PendingQueue(policy=Policy.SCAN, max_cylinder=200, position=100, direction=Direction.UP)
+        q = PendingQueue(policy=Policy.LOOK, position=100, direction=Direction.UP)
         load(q, pending)
         ahead = sorted((c, r) for r, c in pending.items() if c >= 100)
         behind = sorted(((c, r) for r, c in pending.items() if c < 100), reverse=True)
         oracle = [r for _, r in ahead + behind]
         assert drain(q) == oracle == [2, 3, 1]
+        # LOOK reverses at the furthest pending request (150).
+        assert q.travel_cylinders == (150 - 100) + (150 - 50)
 
-    def test_look_same_order_but_early_turnaround(self):
-        scan = PendingQueue(policy=Policy.SCAN, max_cylinder=200, position=100)
-        look = PendingQueue(policy=Policy.LOOK, max_cylinder=200, position=100)
-        for q in (scan, look):
-            load(q, {1: 50, 2: 120, 3: 150})
-        assert drain(scan) == drain(look) == [2, 3, 1]
-        # SCAN rides to the edge (cylinder 200) before reversing; LOOK
-        # reverses at the furthest pending request (150).
-        assert scan.travel_cylinders == (200 - 100) + (200 - 50)
-        assert look.travel_cylinders == (150 - 100) + (150 - 50)
-        assert look.travel_cylinders < scan.travel_cylinders
-
-    def test_scan_direction_persists_while_work_ahead(self):
-        q = PendingQueue(policy=Policy.SCAN, max_cylinder=100, position=10)
+    def test_look_direction_persists_while_work_ahead(self):
+        q = PendingQueue(policy=Policy.LOOK, position=10)
         load(q, {1: 20, 2: 15, 3: 90})
         assert drain(q) == [2, 1, 3]
         assert q.direction is Direction.UP
 
     def test_ties_break_by_arrival(self):
-        q = PendingQueue(policy=Policy.SCAN, max_cylinder=100, position=0)
+        q = PendingQueue(policy=Policy.LOOK, position=0)
         q.enqueue(7, 40)
         q.enqueue(3, 40)
         q.enqueue(9, 40)
         assert drain(q) == [7, 3, 9]
 
     def test_down_direction(self):
-        q = PendingQueue(policy=Policy.SCAN, max_cylinder=100, position=50, direction=Direction.DOWN)
+        q = PendingQueue(policy=Policy.LOOK, position=50, direction=Direction.DOWN)
         load(q, {1: 60, 2: 40, 3: 10})
         assert drain(q) == [2, 3, 1]
 
 
 class TestCircular:
-    def test_c_scan_wraps_to_lowest(self):
-        q = PendingQueue(policy=Policy.C_SCAN, max_cylinder=200, position=100)
+    def test_c_look_wraps_without_edge_travel(self):
+        q = PendingQueue(policy=Policy.C_LOOK, position=100)
         load(q, {1: 50, 2: 120, 3: 150, 4: 10})
         assert drain(q) == [2, 3, 4, 1]
-
-    def test_c_look_wraps_without_edge_travel(self):
-        cscan = PendingQueue(policy=Policy.C_SCAN, max_cylinder=200, position=100)
-        clook = PendingQueue(policy=Policy.C_LOOK, max_cylinder=200, position=100)
-        for q in (cscan, clook):
-            load(q, {1: 50, 2: 120})
-        assert drain(cscan) == drain(clook) == [2, 1]
-        assert clook.travel_cylinders < cscan.travel_cylinders
+        # The wrap runs from the highest pending request (150) straight to
+        # the lowest (10).
+        assert q.travel_cylinders == (150 - 100) + (150 - 10) + (50 - 10)
 
 
 @given(
@@ -119,11 +104,15 @@ class TestCircular:
     st.integers(0, 300),
 )
 def test_every_policy_dispatches_exactly_the_enqueued_set(pending, policy, start):
-    q = PendingQueue(policy=policy, max_cylinder=300, position=start)
+    q = PendingQueue(policy=policy, position=start)
     load(q, pending)
     order = drain(q)
     assert sorted(order) == sorted(pending)
     assert q.next() is None  # work conservation: empty iff nothing pending
+    # The sweep is the real head travel: no policy moves the head between
+    # dispatches.
+    cylinders = [start] + [pending[rid] for rid in order]
+    assert q.travel_cylinders == sum(abs(b - a) for a, b in zip(cylinders, cylinders[1:]))
 
 
 # -- differential check against the linear-scan queue -------------------------
@@ -141,7 +130,6 @@ class LinearQueue:
     """Reference ``PendingQueue``: every operation scans all pending entries."""
 
     policy: Policy = Policy.FCFS
-    max_cylinder: int = 0
     direction: Direction = Direction.UP
     position: int = 0
     travel_cylinders: int = 0
@@ -162,7 +150,7 @@ class LinearQueue:
             return None
         if self.policy is Policy.FCFS:
             chosen = min(self.entries, key=lambda e: e.arrival_seq)
-        elif self.policy in (Policy.SCAN, Policy.LOOK):
+        elif self.policy is Policy.LOOK:
             chosen = self._next_elevator()
         else:
             chosen = self._next_circular()
@@ -185,25 +173,12 @@ class LinearQueue:
             behind = [e for e in self.entries if e.cylinder > self.position]
         if ahead:
             return self._nearest(ahead, self.direction is Direction.UP)
-        if self.policy is Policy.SCAN:
-            edge = self.max_cylinder if self.direction is Direction.UP else 0
-            self.travel_cylinders += abs(edge - self.position)
-            self.position = edge
         self.direction = Direction.DOWN if self.direction is Direction.UP else Direction.UP
         return self._nearest(behind, self.direction is Direction.UP)
 
     def _next_circular(self) -> _Entry:
         ahead = [e for e in self.entries if e.cylinder >= self.position]
-        if ahead:
-            return self._nearest(ahead, True)
-        if self.policy is Policy.C_SCAN:
-            self.travel_cylinders += (self.max_cylinder - self.position) + self.max_cylinder
-            self.position = 0
-        else:
-            lowest = min(e.cylinder for e in self.entries)
-            self.travel_cylinders += abs(self.position - lowest)
-            self.position = lowest
-        return self._nearest(self.entries, True)
+        return self._nearest(ahead or self.entries, True)
 
 
 #: An enqueue at a cylinder (few distinct values, so ties are common) or a
@@ -219,7 +194,7 @@ STEPS = st.lists(st.one_of(st.none(), st.integers(0, 40)), max_size=400)
     st.sampled_from(list(Direction)),
 )
 def test_dispatch_matches_linear_reference(steps, policy, start, direction):
-    kwargs = dict(policy=policy, max_cylinder=40, position=start, direction=direction)
+    kwargs = dict(policy=policy, position=start, direction=direction)
     fast, slow = PendingQueue(**kwargs), LinearQueue(**kwargs)
     request_id = 0
     for cylinder in steps + [None] * len(steps):
