@@ -56,9 +56,9 @@ class TestFcfs:
 
 
 class TestElevator:
-    def test_look_same_order_but_early_turnaround(self):
-        # Oracle: ascending cylinders at/above the head, then the rest
-        # descending.
+    def test_scan_order_matches_sort_oracle(self):
+        # Oracle for the elevator sweep: ascending cylinders at/above the
+        # head, then the rest descending.
         pending = {1: 50, 2: 120, 3: 150}
         q = PendingQueue(policy=Policy.LOOK, position=100, direction=Direction.UP)
         load(q, pending)
@@ -66,6 +66,11 @@ class TestElevator:
         behind = sorted(((c, r) for r, c in pending.items() if c < 100), reverse=True)
         oracle = [r for _, r in ahead + behind]
         assert drain(q) == oracle == [2, 3, 1]
+
+    def test_look_same_order_but_early_turnaround(self):
+        q = PendingQueue(policy=Policy.LOOK, position=100)
+        load(q, {1: 50, 2: 120, 3: 150})
+        assert drain(q) == [2, 3, 1]
         # LOOK reverses at the furthest pending request (150).
         assert q.travel_cylinders == (150 - 100) + (150 - 50)
 
@@ -89,6 +94,13 @@ class TestElevator:
 
 
 class TestCircular:
+    def test_c_scan_wraps_to_lowest(self):
+        # The circular sweep serves upward, then wraps to the lowest pending
+        # request and serves upward again.
+        q = PendingQueue(policy=Policy.C_LOOK, position=100)
+        load(q, {1: 50, 2: 120, 3: 150, 4: 10})
+        assert drain(q) == [2, 3, 4, 1]
+
     def test_c_look_wraps_without_edge_travel(self):
         q = PendingQueue(policy=Policy.C_LOOK, position=100)
         load(q, {1: 50, 2: 120, 3: 150, 4: 10})
