@@ -25,9 +25,7 @@ def serve(cache: SegmentedCache, block: int) -> list:
     todo = deque(reads)
     while todo:
         role, lba, sectors = todo.popleft()
-        chunk = cache.on_media_data(lba, sectors, role)
-        if chunk is not None:
-            todo.append(chunk)
+        todo += cache.on_media_data(lba, sectors, role)
     return reads
 
 

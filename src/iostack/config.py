@@ -262,6 +262,11 @@ def load_config(text: str) -> RunSpec:
     cache_section = section("disk_cache")
     values = _read(cache_section, DISK_CACHE_KEYS, profile.cache if profile else None)
     cache = _make("disk_cache", DiskCacheConfig, DISK_CACHE_KEYS, values)
+    if cache.segment_count * cache.segment_bytes > geometry.usable_bytes:
+        raise ConfigError(
+            f"disk_cache.segment_count: {cache.segment_count} segments of segment_bytes "
+            f"{cache.segment_bytes} exceed the disk's {geometry.usable_bytes} bytes"
+        )
     cache_section.reject_unknown()
 
     # [os]

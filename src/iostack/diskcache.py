@@ -60,10 +60,6 @@ class MediaRole(Enum):
     DESTAGE = "destage"
 
 
-#: A media read the drive issues: (role, lba, sectors).
-MediaRead = tuple[MediaRole, int, int]
-
-
 #: The local-pattern prefetch reads 512KB from the third request's start.
 PREFETCH_BLOCK_SECTORS = 524_288 // SECTOR_BYTES
 #: Two requests count as "local" when the second starts within this many
@@ -159,6 +155,8 @@ def uncovered_runs(
 TagRun = tuple[int, int, int]
 #: The tags of one write, in ascending sector order.
 TagRuns = tuple[TagRun, ...]
+#: A media op the drive issues: (role, lba, sectors), a write with its tags.
+MediaOp = tuple[MediaRole, int, int] | tuple[MediaRole, int, int, TagRuns | None]
 
 _START = itemgetter(0)
 _END = itemgetter(1)
@@ -235,8 +233,10 @@ class TagMap:
 class SegmentedCache:
     """Drive cache state machine, independent of the event engine.
 
-    It plans every media read, owns the reads in flight and the queued
-    fill-ahead, and stops each read at the disk end (``usable_sectors``).
+    It plans every media op: it owns the reads in flight, the queued
+    fill-ahead and the one destage slot, and stops each read at the disk end
+    (``usable_sectors``).  It also settles the held host read: ``awaited``
+    holds the runs whose data has not been delivered to it.
     """
 
     def __init__(self, config: DiskCacheConfig, usable_sectors: int = sys.maxsize):
@@ -252,6 +252,10 @@ class SegmentedCache:
         #: [start, end) fill-ahead ranges not yet read, one chunk at a time.
         self.fill_ranges: deque[tuple[int, int]] = deque()
         self._fill_chunk_outstanding = False
+        #: One destage at a time: the next starts when its data is written.
+        self.destage_inflight = False
+        #: Runs of the last host read that no media data has delivered yet.
+        self.awaited: list[tuple[int, int]] = []
         self.seq_last_end: int | None = None
         self.fill_frontier = 0
         self.local_prefetch_count = 0
@@ -330,15 +334,16 @@ class SegmentedCache:
 
     def read_lookup(
         self, lba: int, sectors: int
-    ) -> tuple[Lookup, list[tuple[int, int]], list[MediaRead]]:
+    ) -> tuple[Lookup, list[tuple[int, int]], list[MediaOp]]:
         """Classify a host read and plan the media reads it starts.
 
         Returns (classification, missing media runs, reads).  The reads are
         in issue order: the host's runs no fill covers (so the media keeps
         ascending LBA order), the next fill-ahead chunk, the local
         prefetch.  Each is already an outstanding fill; the caller issues
-        them and hands their data to :meth:`on_media_data`.  The read stops
-        at the disk end: the fs cache reads whole 64KB blocks.
+        them and hands their data to :meth:`on_media_data`.  The missing
+        runs become ``awaited``.  The read stops at the disk end: the fs
+        cache reads whole 64KB blocks.
         """
 
         if sectors <= 0 or lba >= self.usable_sectors:
@@ -363,7 +368,8 @@ class SegmentedCache:
         else:
             classification = Lookup.PARTIAL
 
-        reads: list[MediaRead] = []
+        self.awaited = missing
+        reads: list[MediaOp] = []
         for run_lba, run_sectors in missing:
             if not self._covered_by_fill(run_lba, run_sectors):
                 self.expect_fill(run_lba, run_sectors)
@@ -376,9 +382,7 @@ class SegmentedCache:
             if target > frontier:
                 self.fill_frontier = target
                 self.fill_ranges.append((frontier, target))
-                chunk = self._next_fill_chunk()
-                if chunk is not None:
-                    reads.append(chunk)
+                reads += self._next_fill_chunk()
         elif not sequential:
             self.fill_frontier = 0
         if cfg.read_prefetch is ReadPrefetch.LOCAL_512K and self.detector.observe(lba, sectors):
@@ -395,11 +399,11 @@ class SegmentedCache:
         inflight = [(start, start + n) for start, n in self.outstanding_fills]
         return not uncovered_runs(lba, sectors, [*inflight, *self.fill_ranges])
 
-    def _next_fill_chunk(self) -> MediaRead | None:
+    def _next_fill_chunk(self) -> tuple[MediaOp, ...]:
         """The next fill-ahead chunk to read, unless one is in flight."""
 
         if self._fill_chunk_outstanding or not self.fill_ranges:
-            return None
+            return ()
         start, end = self.fill_ranges[0]
         take = min(FILL_CHUNK_SECTORS, end - start)
         if start + take < end:
@@ -408,7 +412,7 @@ class SegmentedCache:
             self.fill_ranges.popleft()
         self.expect_fill(start, take)
         self._fill_chunk_outstanding = True
-        return MediaRole.FILL_CHUNK, start, take
+        return ((MediaRole.FILL_CHUNK, start, take),)
 
     def take_penalty_rotations(self) -> int:
         """Rotations of repositioning penalty owed to the next media op."""
@@ -422,23 +426,32 @@ class SegmentedCache:
     def expect_fill(self, lba: int, sectors: int) -> None:
         self.outstanding_fills.append((lba, sectors))
 
-    def on_media_data(self, lba: int, sectors: int, role: MediaRole) -> MediaRead | None:
-        """A planned media read completed; stage the data in a segment.
+    def on_media_data(self, lba: int, sectors: int, role: MediaRole) -> tuple[MediaOp, ...]:
+        """A planned destage or media read completed; returns the ops it starts.
 
-        Returns the fill-ahead chunk to read next when a fill chunk's data
-        frees the chunk slot and more fill is queued.
+        A destage frees the destage slot for the next one.  Read data is
+        staged in a segment and delivered to the held read: delivery, not
+        residency, settles it, since the data may slide out of its segment,
+        or straddle two, before the read's last run arrives.  A fill
+        chunk's data frees the chunk slot for the next queued chunk.
         """
 
+        if role is MediaRole.DESTAGE:
+            self.destage_inflight = False
+            return self._next_destage()
         if sectors <= 0 or (lba, sectors) not in self.outstanding_fills:
             raise UnexpectedFill(f"no outstanding fill for [{lba}, {lba + sectors})")
         self.outstanding_fills.remove((lba, sectors))
+        if self.awaited:
+            delivered = ((lba, lba + sectors),)
+            self.awaited = [gap for run in self.awaited for gap in uncovered_runs(*run, delivered)]
         seg = self._stage(lba, sectors)
         # With every segment dirty the data is served uncached.
         if seg is not None and role is MediaRole.LOCAL_PREFETCH:
             seg.local_prefetch = True
             seg.consumed_by_128k = 0
         if role is not MediaRole.FILL_CHUNK:
-            return None
+            return ()
         self._fill_chunk_outstanding = False
         return self._next_fill_chunk()
 
@@ -446,12 +459,13 @@ class SegmentedCache:
 
     def write_accept(
         self, lba: int, sectors: int, tags: TagRuns | None, force_media: bool = False
-    ) -> tuple[Ack, list[tuple[int, int, TagRuns | None]]]:
+    ) -> tuple[Ack, tuple[MediaOp, ...]]:
         """Accept a host write; returns (ack, media writes to issue now).
 
-        Write-back acknowledges once the data sits in a segment and leaves
-        destaging to :meth:`destage_next`; write-through (or a forced-media
-        write) returns the media action and acknowledges on its completion.
+        Write-through (or a forced-media write) returns the host write,
+        whose completion acknowledges it.  Write-back acknowledges once the
+        data sits in a segment, or defers the write while every segment is
+        dirty; either way it starts the next destage if none is in flight.
         """
 
         if sectors <= 0:
@@ -461,14 +475,25 @@ class SegmentedCache:
             seg = self._segment_for(lba, sectors)
             if seg is not None and not seg.dirty:
                 self._extend(seg, lba, sectors)
-            return Ack.ACK_AFTER_MEDIA, [(lba, sectors, tags)]
+            return Ack.ACK_AFTER_MEDIA, ((MediaRole.HOST_WRITE, lba, sectors, tags),)
 
         seg = self._stage(lba, sectors)
         if seg is None:
-            return Ack.DEFER, []
+            return Ack.DEFER, self._next_destage()
         self._write_seq += 1
         seg.write_queue.append((self._write_seq, lba, sectors, tags))
-        return Ack.ACK_NOW, []
+        return Ack.ACK_NOW, self._next_destage()
+
+    def _next_destage(self) -> tuple[MediaOp, ...]:
+        """The next destage to write, unless one is in flight."""
+
+        if self.destage_inflight:
+            return ()
+        record = self.destage_next()
+        if record is None:
+            return ()
+        self.destage_inflight = True
+        return ((MediaRole.DESTAGE, *record),)
 
     def destage_next(self) -> tuple[int, int, TagRuns | None] | None:
         """Globally oldest pending write record.

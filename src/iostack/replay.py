@@ -11,10 +11,11 @@ Each fact has one owner: ``FsCache`` holds fs residency and the in-flight
 and dirty blocks, ``FsStage`` what each request still waits for, an io's
 ``IoMsg.request_id`` the request it serves, and ``SegmentedCache`` the
 drive segments, the in-flight and queued fills (``outstanding_fills``,
-``fill_ranges``) and the disk end no media read passes.  The cache plans
-each media read and ``DiskCacheStage`` only issues it.  The scheduler
-hands the drive one io at a time, so ``DiskCacheStage`` keeps that io in a
-slot while it waits for media data or for a free segment.
+``fill_ranges``), the destage slot, the runs the held read still awaits
+and the disk end no media read passes.  The cache plans every media op
+and settles the held read; ``DiskCacheStage`` only issues the ops.  The
+scheduler hands the drive one io at a time, so ``DiskCacheStage`` keeps
+that io in a slot while it waits for media data or for a free segment.
 """
 
 from __future__ import annotations
@@ -23,15 +24,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .diskcache import (
-    Ack,
-    DiskCacheConfig,
-    MediaRole,
-    SegmentedCache,
-    TagMap,
-    TagRuns,
-    uncovered_runs,
-)
+from .diskcache import Ack, DiskCacheConfig, MediaRole, SegmentedCache, TagMap, TagRuns
 from .disk import DiskGeometry, HeadState, SeekProfile, cylinder_of_byte, service
 from .engine import EventLog, Observer, Payload, Simulator, StageId
 from .fscache import FLUSH, FsCache, FsCacheConfig, IoIntent
@@ -431,22 +424,20 @@ class SchedulerStage:
 
 
 class DiskCacheStage:
-    """Drive cache: the media reads ``SegmentedCache`` plans, write acks, destage.
+    """Drive cache: issues the media ops ``SegmentedCache`` plans, acks host ios.
 
-    The cache owns the in-flight and queued fills and the disk-end bound.
-    The scheduler hands the drive one io at a time and waits for its done
-    form, so one slot holds the read waiting for media data (``host_read``,
-    with the runs it still ``needed``) and one the write waiting for a
-    destage to free a segment (``deferred_write``).
+    The cache plans every media op and says when the held read has all its
+    data.  The scheduler hands the drive one io at a time and waits for its
+    done form, so one slot holds the read waiting for media data
+    (``host_read``) and one the write waiting for a destage to free a
+    segment (``deferred_write``).
     """
 
     def __init__(self, sim: Simulator, cache: SegmentedCache):
         self.sim = sim
         self.cache = cache
         self.host_read: IoMsg | None = None
-        self.needed: list[tuple[int, int]] = []
         self.deferred_write: IoMsg | None = None
-        self.destage_inflight = False
         self._media_seq = 0
 
     # -- media plumbing ---------------------------------------------------------
@@ -456,8 +447,8 @@ class DiskCacheStage:
         role: MediaRole,
         lba: int,
         sectors: int,
-        host: IoMsg | None = None,
         tags: TagRuns | None = None,
+        host: IoMsg | None = None,
     ) -> None:
         self._media_seq += 1
         penalty = self.cache.take_penalty_rotations()
@@ -482,10 +473,10 @@ class DiskCacheStage:
     def _host_read(self, msg: IoMsg) -> None:
         lba, sectors = self._sectors(msg.intent)
         _, missing, reads = self.cache.read_lookup(lba, sectors)
-        for role, run_lba, run_sectors in reads:
-            self._media(role, run_lba, run_sectors)
+        for op in reads:
+            self._media(*op)
         if missing:
-            self.host_read, self.needed = msg, missing
+            self.host_read = msg
         else:
             self._reply_done(msg)
 
@@ -496,62 +487,35 @@ class DiskCacheStage:
 
     def _host_write(self, msg: IoMsg) -> None:
         lba, sectors = self._sectors(msg.intent)
-        ack, media_actions = self.cache.write_accept(
+        ack, writes = self.cache.write_accept(
             lba, sectors, msg.intent.sector_tags, force_media=msg.intent.purpose.force_media
         )
+        if ack is Ack.ACK_AFTER_MEDIA:
+            # One media write, whose completion acknowledges the host io.
+            self._media(*writes[0], msg)
+            return
         if ack is Ack.ACK_NOW:
             self._reply_done(msg)
-            self._kick_destage()
-        elif ack is Ack.ACK_AFTER_MEDIA:
-            # One media write, whose completion acknowledges the host io.
-            ((run_lba, run_sectors, tags),) = media_actions
-            self._media(MediaRole.HOST_WRITE, run_lba, run_sectors, msg, tags)
         else:  # DEFER: every segment dirty, wait for a destage to free one
             self.deferred_write = msg
-            self._kick_destage()
-
-    def _kick_destage(self) -> None:
-        if self.destage_inflight:
-            return
-        record = self.cache.destage_next()
-        if record is None:
-            return
-        lba, sectors, tags = record
-        self.destage_inflight = True
-        self._media(MediaRole.DESTAGE, lba, sectors, tags=tags)
+        for op in writes:
+            self._media(*op)
 
     # -- media completions ------------------------------------------------------------
 
     def _media_done(self, msg: MediaMsg) -> None:
-        match msg.role:
-            case MediaRole.HOST_WRITE:
-                self._reply_done(msg.host)
-            case MediaRole.DESTAGE:
-                self.destage_inflight = False
-                self._kick_destage()
-                if self.deferred_write is not None:
-                    retry, self.deferred_write = self.deferred_write, None
-                    self._host_write(retry)
-            case _:  # HOST_READ, LOCAL_PREFETCH or FILL_CHUNK data
-                chunk = self.cache.on_media_data(msg.lba, msg.sectors, msg.role)
-                if chunk is not None:
-                    self._media(*chunk)
-                self._settle_host_read(msg.lba, msg.sectors)
-
-    def _settle_host_read(self, lba: int, sectors: int) -> None:
-        """Count media data [lba, lba + sectors) as delivered to the waiting read.
-
-        Delivery, not residency, completes a read: the data may slide out
-        of its segment, or straddle two, before the read is settled.
-        """
-
-        if self.host_read is None:
+        if msg.role is MediaRole.HOST_WRITE:
+            self._reply_done(msg.host)
             return
-        delivered = ((lba, lba + sectors),)
-        self.needed = [gap for run in self.needed for gap in uncovered_runs(*run, delivered)]
-        if not self.needed:
-            msg, self.host_read = self.host_read, None
-            self._reply_done(msg)
+        for op in self.cache.on_media_data(msg.lba, msg.sectors, msg.role):
+            self._media(*op)
+        if msg.role is MediaRole.DESTAGE:
+            if self.deferred_write is not None:
+                retry, self.deferred_write = self.deferred_write, None
+                self._host_write(retry)
+        elif self.host_read is not None and not self.cache.awaited:
+            read, self.host_read = self.host_read, None
+            self._reply_done(read)
 
 
 class DiskStage:

@@ -155,14 +155,15 @@ class GeneratorSpec:
     emit_open_close: bool = True
 
     def __post_init__(self) -> None:
-        if self.count < 0:
-            raise InvalidParams("count must be >= 0")
-        if self.seed < 0:
-            raise InvalidParams("seed must be >= 0")
+        for name in ("count", "seed", "address_base", "disk_base_bytes", "start_time_us"):
+            if getattr(self, name) < 0:
+                raise InvalidParams(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.read_weight < 0 or self.write_weight < 0:
             raise InvalidParams("op weights must be non-negative")
         if self.read_weight + self.write_weight == 0:
             raise InvalidParams("op weights must not all be zero")
+        if not math.isfinite(self.read_weight + self.write_weight):
+            raise InvalidParams("read_weight + write_weight must be finite")
         if self.size_granularity_bytes <= 0:
             raise InvalidParams("size granularity must be positive")
 

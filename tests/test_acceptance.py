@@ -110,9 +110,7 @@ def test_local_512k_prefetch_per_pattern_instance():
         todo = cache.read_lookup(lba, sectors)[2]
         while todo:
             role, run_lba, run_sectors = todo.pop(0)
-            chunk = cache.on_media_data(run_lba, run_sectors, role)
-            if chunk is not None:
-                todo.append(chunk)
+            todo += cache.on_media_data(run_lba, run_sectors, role)
     assert cache.local_prefetch_count == expected
     assert not cache.outstanding_fills and not cache.fill_ranges
     ok("local 512KB prefetch count per pattern instance")

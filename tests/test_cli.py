@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from iostack.cli import main
 
 from conftest import SAMPLE_TRACE, echo_to_ini
-from test_config_reports import BAD_VALUES, REMOVED_KEYS, with_bad_value
+from test_config_reports import BAD_VALUES, EVERY_KEY, REMOVED_KEYS, with_bad_value
 
 CONFIG = """
 [disk]
@@ -183,6 +187,15 @@ SECTOR_4K_CONFIG = CONFIG.replace(
 #: The file name each input-file option of the test below is written to.
 INPUT_FILES = {"--baseline": "base.txt", "--trace": "trace.txt"}
 
+#: ``[workload]`` keys that place a request in time or on the disk.
+NON_NEGATIVE_KEYS = ("address_base", "disk_base_bytes", "start_time_us")
+
+# Each weight is finite, but their sum is not: every request used to become
+# a write.
+HUGE_WEIGHTS = CONFIG.replace(
+    "address = sequential", "address = sequential\nread_weight = 1e308\nwrite_weight = 1e308"
+)
+
 
 @pytest.mark.parametrize(
     "files, extra, config, message",
@@ -230,6 +243,18 @@ INPUT_FILES = {"--baseline": "base.txt", "--trace": "trace.txt"}
             with_bad_value("disk_cache.segment_bytes", "1000"),
             "disk_cache: segment_bytes must be a positive multiple of 512",
         ),
+        # Used to build this many segments, until memory ran out.
+        (
+            {},
+            [],
+            with_bad_value("disk_cache.segment_count", "99999999999999999999999"),
+            "disk_cache.segment_count: 99999999999999999999999 segments of segment_bytes",
+        ),
+        *(
+            ({}, [], with_bad_value(f"workload.{key}", "-1"), f"workload: {key} must be >= 0")
+            for key in NON_NEGATIVE_KEYS
+        ),
+        ({}, [], HUGE_WEIGHTS, "workload: read_weight + write_weight must be finite"),
         *(({}, [], with_bad_value(key, "1"), f"{key}: unknown key") for key in REMOVED_KEYS),
         # Latin-1 text: the 0xe9 of "café" or "résultats" is not UTF-8.
         ({}, [], "# café\n".encode("latin-1") + CONFIG.encode(), "sim.ini: not UTF-8 text"),
@@ -260,6 +285,9 @@ INPUT_FILES = {"--baseline": "base.txt", "--trace": "trace.txt"}
         "bad-segment-count",
         "bad-segment-bytes-zero",
         "bad-segment-bytes-unaligned",
+        "oversized-drive-cache",
+        *(f"negative-{key}" for key in NON_NEGATIVE_KEYS),
+        "huge-weights",
         *(f"removed-{key}" for key in REMOVED_KEYS),
         "config-not-utf8",
         "trace-not-utf8",
@@ -281,3 +309,41 @@ def test_bad_input_exits_2_with_one_line(tmp_path, capsys, files, extra, config,
         err = capsys.readouterr().err.splitlines()
     assert code == 2
     assert len(err) == 1 and err[0].startswith("simulate: error: ") and message in err[0]
+
+
+#: Values a mistyped config might hold: signs, zero, huge, the non-finite
+#: floats, nothing, words, and distributions with bad parameters.
+FUZZ_TOKENS = (
+    "-1", "0", "0.5", "99999999999999999999999", "1e308", "-1e308", "inf", "-inf", "nan", "",
+    "many", "1:2", "zipf:2", "random_choice", "constant:-1", "constant:1e308", "uniform:5:1",
+    "uniform:0:1e308", "exponential:0", "normal:0:-1", "binomial:0.5:2", "poisson:-1",
+)
+
+
+def run_every_key_config(key: str, value: str) -> tuple[int, list[str]]:
+    """Exit code and stderr lines of a run of ``EVERY_KEY`` with ``key`` set to ``value``."""
+
+    with tempfile.TemporaryDirectory() as tmp:
+        base = write_file(Path(tmp) / "base.txt", "#iostack-baseline v1\n0 100\n")
+        entries = {**EVERY_KEY, "replay.baseline": str(base), key: value}
+        argv = ["--config", str(write_config(Path(tmp), echo_to_ini(entries)))]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main([*argv, "--generate", "--output", str(Path(tmp) / "out")])
+    return code, err.getvalue().splitlines()
+
+
+def test_every_key_config_runs():
+    assert run_every_key_config("workload0.count", "64") == (0, [])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(key=st.sampled_from(sorted(EVERY_KEY)), token=st.sampled_from(FUZZ_TOKENS))
+def test_any_value_of_any_key_exits_0_or_2_with_one_line(key, token):
+    if key.endswith(".count") and token.isdigit():
+        # A huge count is a long run, not a bad input.
+        token = str(min(int(token), 64))
+    code, err = run_every_key_config(key, token)
+    assert code in (0, 2)
+    if code == 2:
+        assert len(err) == 1 and err[0].startswith("simulate: error: "), err

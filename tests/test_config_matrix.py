@@ -87,8 +87,9 @@ def observer(log):
     """Hash each event into ``log``, checking the drive's traffic contract.
 
     Between an io's DISK_CACHE ``io`` event and its SCHEDULER ``io-done``, no
-    other io reaches DISK_CACHE.  At every event the drive cache holds a
-    waiting host read if and only if that read still needs media data.
+    other io reaches DISK_CACHE.  At every event the drive cache stage holds
+    a waiting host read if and only if the cache still awaits media data for
+    it.
     """
 
     at_drive = []
@@ -96,7 +97,7 @@ def observer(log):
     def observe(event) -> None:
         log.update(f"{event.describe()}\n".encode())
         stage = WatchedDriveCache.current
-        assert (stage.host_read is None) == (not stage.needed), event.describe()
+        assert (stage.host_read is None) == (not stage.cache.awaited), event.describe()
         kind = event.payload.kind
         if kind == "io" and event.target is StageId.DISK_CACHE:
             assert not at_drive, f"{event.describe()} while io {at_drive} is at the drive"

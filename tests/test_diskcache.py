@@ -28,6 +28,7 @@ from iostack.requests import SECTOR_BYTES
 
 BLOCK_SECTORS = 128  # one 64KB block
 HOST_READ, LOCAL_PREFETCH, FILL_CHUNK = MediaRole.HOST_READ, MediaRole.LOCAL_PREFETCH, MediaRole.FILL_CHUNK
+HOST_WRITE, DESTAGE = MediaRole.HOST_WRITE, MediaRole.DESTAGE
 
 
 def cfg(**overrides) -> DiskCacheConfig:
@@ -109,14 +110,27 @@ class TestReadPlan:
         cache = SegmentedCache(cfg(read_prefetch=ReadPrefetch.SEQUENTIAL_FILL))
         cache.read_lookup(0, 128)
         cache.read_lookup(128, 128)
-        assert cache.on_media_data(128, 128, HOST_READ) is None
-        assert cache.on_media_data(256, 128, FILL_CHUNK) == (FILL_CHUNK, 384, 128)
-        assert cache.on_media_data(384, 128, FILL_CHUNK) == (FILL_CHUNK, 512, 128)
-        assert cache.on_media_data(512, 128, FILL_CHUNK) == (FILL_CHUNK, 640, 128)
+        assert cache.on_media_data(128, 128, HOST_READ) == ()
+        assert cache.on_media_data(256, 128, FILL_CHUNK) == ((FILL_CHUNK, 384, 128),)
+        assert cache.on_media_data(384, 128, FILL_CHUNK) == ((FILL_CHUNK, 512, 128),)
+        assert cache.on_media_data(512, 128, FILL_CHUNK) == ((FILL_CHUNK, 640, 128),)
         # The segment's 512 sectors past the request are read: the queue is empty.
-        assert cache.on_media_data(640, 128, FILL_CHUNK) is None
+        assert cache.on_media_data(640, 128, FILL_CHUNK) == ()
         assert not cache.fill_ranges
         assert cache.outstanding_fills == [(0, 128)]
+
+    def test_delivery_not_residency_settles_the_held_read(self):
+        cache = SegmentedCache(cfg(segment_bytes=64 * 1024))  # 128-sector segments
+        cache.read_lookup(0, 64)
+        _, missing, reads = cache.read_lookup(32, 224)  # [0, 64) is in flight
+        assert cache.awaited == missing == [(32, 224)]
+        assert reads == [(HOST_READ, 32, 224)]
+        cache.on_media_data(0, 64, HOST_READ)
+        assert cache.awaited == [(64, 192)]
+        cache.on_media_data(32, 224, HOST_READ)
+        # The segment slid past [32, 128) while the data arrived.
+        assert not cache.awaited
+        assert not cache.resident(32, 224)
 
     def test_run_covered_by_a_fill_gets_no_host_read(self):
         cache = SegmentedCache(cfg(read_prefetch=ReadPrefetch.SEQUENTIAL_FILL))
@@ -184,39 +198,59 @@ class TestLocalPattern:
 class TestWrites:
     def test_write_back_acks_now(self):
         cache = SegmentedCache(cfg())
-        ack, actions = cache.write_accept(0, 128, ((0, 128, 1),))
-        assert ack is Ack.ACK_NOW and actions == []
+        ack, writes = cache.write_accept(0, 128, ((0, 128, 1),))
+        assert ack is Ack.ACK_NOW
+        assert writes == ((DESTAGE, 0, 128, ((0, 128, 1),)),)
+        assert cache.destage_inflight and dirty_records(cache) == 0
+        # The slot is taken: the next write waits in its segment.
+        ack, writes = cache.write_accept(128, 128, ((128, 256, 2),))
+        assert ack is Ack.ACK_NOW and writes == ()
         assert dirty_records(cache) == 1
 
     def test_write_through_acks_after_media(self):
         cache = SegmentedCache(cfg(write_policy=WritePolicy.WRITE_THROUGH))
-        ack, actions = cache.write_accept(0, 128, ((0, 128, 1),))
+        ack, writes = cache.write_accept(0, 128, ((0, 128, 1),))
         assert ack is Ack.ACK_AFTER_MEDIA
-        assert actions == [(0, 128, ((0, 128, 1),))]
-        assert dirty_records(cache) == 0
+        assert writes == ((HOST_WRITE, 0, 128, ((0, 128, 1),)),)
+        assert dirty_records(cache) == 0 and not cache.destage_inflight
 
     def test_forced_media_overrides_write_back(self):
         cache = SegmentedCache(cfg())
-        ack, actions = cache.write_accept(0, 128, None, force_media=True)
-        assert ack is Ack.ACK_AFTER_MEDIA and len(actions) == 1
-
-    def test_destage_preserves_write_order_per_segment(self):
-        cache = SegmentedCache(cfg())
         cache.write_accept(0, 64, ((0, 64, 1),))
         cache.write_accept(64, 64, ((64, 128, 2),))
-        first = cache.destage_next()
-        second = cache.destage_next()
-        assert first[0] == 0 and second[0] == 64
-        assert cache.destage_next() is None
+        ack, writes = cache.write_accept(0, 128, None, force_media=True)
+        assert ack is Ack.ACK_AFTER_MEDIA
+        assert writes == ((HOST_WRITE, 0, 128, None),)
+        assert dirty_records(cache) == 1
+
+    def test_destage_preserves_write_order_per_segment(self):
+        # Global arrival order: an older record in another segment goes
+        # before the first segment's second record.
+        cache = SegmentedCache(cfg())
+        far = 100 * cache.config.segment_sectors
+        cache.write_accept(0, 64, ((0, 64, 1),))  # destaged at once
+        cache.write_accept(far, 64, ((far, far + 64, 2),))
+        cache.write_accept(64, 64, ((64, 128, 3),))
+        assert cache.on_media_data(0, 64, DESTAGE) == ((DESTAGE, far, 64, ((far, far + 64, 2),)),)
+        assert cache.on_media_data(far, 64, DESTAGE) == ((DESTAGE, 64, 64, ((64, 128, 3),)),)
+        assert cache.on_media_data(64, 64, DESTAGE) == ()
+        assert not cache.destage_inflight and dirty_records(cache) == 0
 
     def test_defer_when_destage_enabled(self):
         config = cfg(segment_count=2, segment_bytes=64 * 1024)
         cache = SegmentedCache(config)
-        step = config.segment_sectors
-        cache.write_accept(0, 8, ((0, 1, 0),))
-        cache.write_accept(10 * step, 8, ((10 * step, 10 * step + 1, 1),))
-        ack, _ = cache.write_accept(20 * step, 8, ((20 * step, 20 * step + 1, 2),))
-        assert ack is Ack.DEFER
+
+        def write(i: int):
+            lba = 10 * i * config.segment_sectors
+            return cache.write_accept(lba, 8, ((lba, lba + 1, i),))
+
+        # The first write's destage leaves its segment clean for the third.
+        assert [write(i)[0] for i in range(3)] == [Ack.ACK_NOW] * 3
+        assert write(3) == (Ack.DEFER, ())
+        # The destage's data starts the next one, which cleans the other segment.
+        (destage,) = cache.on_media_data(0, 8, DESTAGE)
+        assert destage[:3] == (DESTAGE, 10 * config.segment_sectors, 8)
+        assert write(3) == (Ack.ACK_NOW, ())
 
 
 class TestCoherence:
@@ -334,21 +368,21 @@ class TestSegmentPicks:
                     read_prefetch=rng.choice(list(ReadPrefetch)),
                 )
             )
-            inflight = []  # media reads whose data has not arrived
+            inflight = []  # media ops that have not completed
             for step in range(150):
                 lba, sectors = rng.randrange(256), rng.randint(1, 24)
                 op = rng.randrange(4)
+                destages = [i for i, media in enumerate(inflight) if media[0] is DESTAGE]
                 if op == 0:
                     inflight += cache.read_lookup(lba, sectors)[2]
-                elif op == 1 and inflight:
-                    role, run_lba, run_sectors = inflight.pop(rng.randrange(len(inflight)))
-                    chunk = cache.on_media_data(run_lba, run_sectors, role)
-                    if chunk is not None:
-                        inflight.append(chunk)
+                elif op == 1 and inflight or op == 3 and destages:
+                    done = rng.randrange(len(inflight)) if op == 1 else destages[0]
+                    role, run_lba, run_sectors, *_ = inflight.pop(done)
+                    inflight += cache.on_media_data(run_lba, run_sectors, role)
                 elif op == 2:
-                    cache.write_accept(lba, sectors, ((lba, lba + sectors, step),))
-                else:
-                    cache.destage_next()
+                    inflight += cache.write_accept(lba, sectors, ((lba, lba + sectors, step),))[1]
+                destages = [media for media in inflight if media[0] is DESTAGE]
+                assert len(destages) == cache.destage_inflight <= 1
                 queries = [(rng.randrange(256), rng.randint(1, 48)) for _ in range(3)]
                 self.check_picks(cache, queries)
                 touches = [s.last_touch for s in cache.segments if not s.write_queue]

@@ -15,6 +15,7 @@ from iostack import (
     ReadPrefetch,
     ReplayMode,
     ReplayPolicy,
+    SegmentedCache,
     StageId,
     StallError,
     TraceReplayError,
@@ -316,7 +317,7 @@ class TestPacing:
         # A write-back drive that never destages acknowledges every write,
         # so each request completes, but the written data never reaches the
         # media: the run must not end as if it had.
-        monkeypatch.setattr(DiskCacheStage, "_kick_destage", lambda stage: None)
+        monkeypatch.setattr(SegmentedCache, "destage_next", lambda cache: None)
         trace = stream([(Op.WRITE, i * BLOCK, BLOCK) for i in range(2)], AccessMode.NORMAL)
         with pytest.raises(StallError) as info:
             replay(trace, plain_stack())
