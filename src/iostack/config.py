@@ -230,9 +230,12 @@ def load_config(text: str) -> RunSpec:
 
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        parser.read_string(text)
+        # configparser ends lines at "\n" alone; ending them where
+        # ``splitlines`` does keeps every name and value to one line.
+        parser.read_string("\n".join(text.splitlines()))
     except configparser.Error as exc:
-        raise ConfigError(f"config syntax: {exc}") from None
+        # Its message spans lines: the error, then the offending line.
+        raise ConfigError(f"config syntax: {' '.join(str(exc).split())}") from None
 
     known = {"disk", "disk_cache", "os", "trace", "replay"}
     for name in parser.sections():

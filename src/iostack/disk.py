@@ -165,7 +165,7 @@ def seek_time(
     lo, mid, hi = profile.triple(write)
     full = cylinders - 1
     knee = cylinders / 3
-    if knee <= 1.0 or mid <= lo or hi < mid or full <= knee:
+    if knee <= 1.0 or mid <= lo:
         # Degenerate profile or tiny geometry: fall back to a straight line.
         if full <= 1:
             return lo

@@ -98,14 +98,14 @@ class Segment:
     start: int = 0  # valid run [start, end) in absolute sectors
     end: int = 0
     last_touch: int = 0
-    #: Pending write records in arrival order: (seq, lba, sectors, tags).
-    write_queue: deque[tuple[int, int, int, TagRuns | None]] = field(default_factory=deque)
+    #: This segment's write records in ``SegmentedCache.writes``.
+    pending_writes: int = 0
     local_prefetch: bool = False
     consumed_by_128k: int = 0
 
     @property
     def dirty(self) -> bool:
-        return bool(self.write_queue)
+        return self.pending_writes > 0
 
 
 @dataclass
@@ -116,7 +116,6 @@ class LocalPatternDetector:
     first one exactly while the middle one sits nearby on the platter.
     """
 
-    radius_sectors: int
     window: deque[tuple[int, int]] = field(default_factory=lambda: deque(maxlen=3))
 
     def observe(self, lba: int, sectors: int) -> bool:
@@ -124,7 +123,7 @@ class LocalPatternDetector:
         if len(self.window) < 3:
             return False
         (a, a_len), (b, _), (c, _) = self.window
-        return c == a + a_len and b != c and abs(b - (a + a_len)) <= self.radius_sectors
+        return c == a + a_len and b != c and abs(b - (a + a_len)) <= LOCALITY_RADIUS_SECTORS
 
 
 def uncovered_runs(
@@ -243,9 +242,11 @@ class SegmentedCache:
         self.config = config
         self.usable_sectors = usable_sectors
         self.segments = [Segment() for _ in range(config.segment_count)]
-        self.detector = LocalPatternDetector(LOCALITY_RADIUS_SECTORS)
+        self.detector = LocalPatternDetector()
         self._touch_seq = 0
-        self._write_seq = 0
+        #: Write records not yet destaged, in arrival order: (segment, lba,
+        #: sectors, tags).
+        self.writes: deque[tuple[Segment, int, int, TagRuns | None]] = deque()
         #: (lba, sectors) of every media read (host fill, fill chunk or local
         #: prefetch) whose data has not arrived: the in-flight fills.
         self.outstanding_fills: list[tuple[int, int]] = []
@@ -310,7 +311,7 @@ class SegmentedCache:
 
         victim = None
         for s in self.segments:
-            if not s.write_queue and (victim is None or s.last_touch < victim.last_touch):
+            if not s.pending_writes and (victim is None or s.last_touch < victim.last_touch):
                 victim = s
         if victim is None:
             return None
@@ -480,8 +481,8 @@ class SegmentedCache:
         seg = self._stage(lba, sectors)
         if seg is None:
             return Ack.DEFER, self._next_destage()
-        self._write_seq += 1
-        seg.write_queue.append((self._write_seq, lba, sectors, tags))
+        seg.pending_writes += 1
+        self.writes.append((seg, lba, sectors, tags))
         return Ack.ACK_NOW, self._next_destage()
 
     def _next_destage(self) -> tuple[MediaOp, ...]:
@@ -496,18 +497,15 @@ class SegmentedCache:
         return ((MediaRole.DESTAGE, *record),)
 
     def destage_next(self) -> tuple[int, int, TagRuns | None] | None:
-        """Globally oldest pending write record.
+        """Oldest pending write record.
 
-        Global arrival order keeps overlapping writes staged in different
-        segments from reaching the media out of order (and trivially
-        preserves per-segment write order).
+        Arrival order keeps overlapping writes staged in different segments
+        from reaching the media out of order (and preserves each segment's
+        write order).
         """
 
-        oldest = None
-        for s in self.segments:
-            if s.write_queue and (oldest is None or s.write_queue[0][0] < oldest[0][0]):
-                oldest = s.write_queue
-        if oldest is None:
+        if not self.writes:
             return None
-        _, lba, sectors, tags = oldest.popleft()
+        seg, lba, sectors, tags = self.writes.popleft()
+        seg.pending_writes -= 1
         return lba, sectors, tags

@@ -209,7 +209,8 @@ class FsCache:
         #: Views, a file's minimum cache allocation of four 64KB block slots:
         #: (file_id, base address) -> resident slot numbers, oldest first.
         self.views: OrderedDict[tuple[int, int], set[int]] = OrderedDict()
-        self.inflight: set[tuple[int, int]] = set()
+        #: Blocks being loaded -> the requests, other than the loader, that wait for them.
+        self.inflight: dict[tuple[int, int], list[int]] = {}
         self.read_streams: dict[int, ReadStream] = {}
         self.write_streams: dict[int, WriteStream] = {}
         #: Dirty block queue in first-write order; values tag the dirty sectors.
@@ -248,11 +249,15 @@ class FsCache:
             self.resident_bytes += BLOCK_BYTES
         self._evict_to_capacity()
 
-    def on_block_loaded(self, block_key: tuple[int, int]) -> None:
-        """A demand or prefetch load finished; the block is now servable."""
+    def on_block_loaded(self, block_key: tuple[int, int]) -> list[int]:
+        """A demand or prefetch load finished; the block is now servable.
 
-        self.inflight.discard(block_key)
+        Returns the requests, other than the loader, that waited for it.
+        """
+
+        waiters = self.inflight.pop(block_key)
         self.mark_resident(*block_key)
+        return waiters
 
     def _evict_to_capacity(self) -> None:
         # Clean views go first, oldest first; dirty or loading views are pinned.
@@ -305,7 +310,7 @@ class FsCache:
 
     def _read_io(self, file_id: int, addr: int, purpose: Purpose, actor: str) -> IoIntent:
         key = (file_id, addr)
-        self.inflight.add(key)
+        self.inflight[key] = []
         return IoIntent(
             write=False,
             disk_addr=addr,

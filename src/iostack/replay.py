@@ -7,15 +7,17 @@ scheduler orders pending disk work, the drive cache stages data, and the
 disk stage serializes media operations against the mechanical model while
 keeping the written sectors' tags as runs for conservation checks.
 
-Each fact has one owner: ``FsCache`` holds fs residency and the in-flight
-and dirty blocks, ``FsStage`` what each request still waits for, an io's
+Each fact has one owner: ``FsCache`` holds fs residency, the dirty blocks
+and the loading blocks with the requests waiting for each (``inflight``),
+``FsStage`` how many ios and blocks each request still awaits, an io's
 ``IoMsg.request_id`` the request it serves, and ``SegmentedCache`` the
 drive segments, the in-flight and queued fills (``outstanding_fills``,
-``fill_ranges``), the destage slot, the runs the held read still awaits
-and the disk end no media read passes.  The cache plans every media op
-and settles the held read; ``DiskCacheStage`` only issues the ops.  The
-scheduler hands the drive one io at a time, so ``DiskCacheStage`` keeps
-that io in a slot while it waits for media data or for a free segment.
+``fill_ranges``), the acknowledged writes in arrival order (``writes``),
+the destage slot, the runs the held read still awaits and the disk end no
+media read passes.  The cache plans every media op and settles the held
+read; ``DiskCacheStage`` only issues the ops.  The scheduler hands the
+drive one io at a time, so ``DiskCacheStage`` keeps that io in a slot
+while it waits for media data or for a free segment.
 """
 
 from __future__ import annotations
@@ -259,11 +261,10 @@ class AppStage:
 @dataclass
 class _PendingRequest:
     msg: RequestMsg
-    required_ios: set[int] = field(default_factory=set)
-    #: Blocks still awaited; ``FsStage.block_waiters`` says which.
-    blocks_awaited: int = 0
-    copy_us: int = 0
-    metadata_issued: bool = False
+    #: Required ios, loading blocks and, for a write-through request, its
+    #: metadata write that this request still waits for.
+    awaited: int
+    copy_us: int
 
 
 class FsStage:
@@ -273,18 +274,15 @@ class FsStage:
         self.sim = sim
         self.fs = fs
         self.pending: dict[int, _PendingRequest] = {}
-        self.block_waiters: dict[tuple[int, int], list[int]] = {}
-        self.deferred: list[RequestMsg] = []
+        self.deferred: deque[RequestMsg] = deque()
         #: The write-through request whose metadata write holds back the rest.
         self.wt_gate: int | None = None
         self.progressive_running = False
         self._io_seq = 0
 
-    def _issue(self, intent: IoIntent, request_id: int | None, at_us: int) -> int:
+    def _issue(self, intent: IoIntent, request_id: int | None, at_us: int) -> None:
         self._io_seq += 1
-        io = IoMsg(self._io_seq, intent, request_id)
-        self.sim.schedule(StageId.SCHEDULER, io, at_us=at_us)
-        return self._io_seq
+        self.sim.schedule(StageId.SCHEDULER, IoMsg(self._io_seq, intent, request_id), at_us=at_us)
 
     def handle(self, sim: Simulator, payload: Payload) -> None:
         match payload:
@@ -319,27 +317,23 @@ class FsStage:
             return
 
         plan = self.fs.on_read(req) if req.op is Op.READ else self.fs.on_write(req, rid)
-        pending = _PendingRequest(
-            msg=msg, blocks_awaited=len(plan.wait_blocks), copy_us=cfg.copy_us(plan.copy_bytes)
-        )
+        required = len(plan.required_ios)
+        awaited = required + len(plan.wait_blocks) + plan.metadata_after_data
+        pending = _PendingRequest(msg, awaited, cfg.copy_us(plan.copy_bytes))
         for key in plan.wait_blocks:
-            self.block_waiters.setdefault(key, []).append(rid)
-
-        issue_at = now + (cfg.miss_path_cost_us if plan.required_ios else 0)
+            self.fs.inflight[key].append(rid)
+        issue_at = now + (cfg.miss_path_cost_us if required else 0)
         for intent in plan.ios:
-            if intent.purpose.required:
-                pending.required_ios.add(self._issue(intent, rid, issue_at))
-            else:
-                self._issue(intent, None, issue_at)
+            self._issue(intent, rid if intent.purpose.required else None, issue_at)
         if plan.metadata_after_data:
             self.wt_gate = rid
-        self.pending[rid] = pending
         if plan.kick_progressive and not self.progressive_running:
             self.progressive_running = True
             self.sim.schedule(StageId.FS_CACHE, Signal.FLUSH_TICK)
-        if not pending.required_ios and not pending.blocks_awaited and not plan.metadata_after_data:
+        if awaited:
+            self.pending[rid] = pending
+        else:
             # No io, or only optional ones (prefetch/flush): serve from cache now.
-            del self.pending[rid]
             self._complete(msg, at_us=now + cfg.fastio_hit_cost_us + pending.copy_us)
 
     def _complete(self, msg: RequestMsg, at_us: int) -> None:
@@ -350,38 +344,30 @@ class FsStage:
     def _io_done(self, msg: IoMsg) -> None:
         intent = msg.intent
         if intent.block_key is not None:
-            self.fs.on_block_loaded(intent.block_key)
-            for rid in self.block_waiters.pop(intent.block_key, []):
-                pending = self.pending.get(rid)
-                if pending is not None:
-                    pending.blocks_awaited -= 1
-                    self._maybe_finish(pending)
+            for rid in self.fs.on_block_loaded(intent.block_key):
+                self._settle(rid)
         if intent.purpose is FLUSH and self.progressive_running:
             self.sim.schedule(StageId.FS_CACHE, Signal.FLUSH_TICK)
         # Required ios, and only they, carry the request they serve.
         if msg.request_id is not None:
-            pending = self.pending[msg.request_id]
-            pending.required_ios.discard(msg.io_id)
-            self._maybe_finish(pending)
+            self._settle(msg.request_id)
 
-    def _maybe_finish(self, pending: _PendingRequest) -> None:
-        if pending.required_ios or pending.blocks_awaited:
-            return
-        rid = pending.msg.request_id
-        if self.wt_gate == rid and not pending.metadata_issued:
-            pending.metadata_issued = True
-            pending.required_ios.add(self._issue(self.fs.metadata_io(), rid, self.sim.now()))
+    def _settle(self, rid: int) -> None:
+        """One io or block that request ``rid`` awaited has arrived."""
+
+        pending = self.pending[rid]
+        pending.awaited -= 1
+        if pending.awaited == 1 and self.wt_gate == rid:
+            # The data is on the media: only the metadata write is left.
+            self._issue(self.fs.metadata_io(), rid, self.sim.now())
+        if pending.awaited:
             return
         del self.pending[rid]
         self._complete(pending.msg, at_us=self.sim.now() + pending.copy_us)
         if self.wt_gate == rid:
             self.wt_gate = None
-            deferred, self.deferred = self.deferred, []
-            for msg in deferred:
-                if self.wt_gate is None:
-                    self._admit(msg)
-                else:
-                    self.deferred.append(msg)
+            while self.deferred and self.wt_gate is None:
+                self._admit(self.deferred.popleft())
 
     def _progressive_step(self) -> None:
         ios = self.fs.next_progressive_flush()

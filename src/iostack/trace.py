@@ -346,16 +346,19 @@ def read_canonical(source: str | Path | IO[str]) -> list[CanonicalRequest]:
         parts = line.split()
         if len(parts) != 8:
             raise CanonicalFormatError(f"line {lineno}: expected 8 fields, got {len(parts)}")
-        requests.append(
-            CanonicalRequest(
-                issue_time_us=int(parts[0]),
-                origin=Origin(parts[1]),
-                op=Op(parts[2]),
-                file_id=int(parts[3]),
-                file_offset_bytes=int(parts[4]),
-                length_bytes=int(parts[5]),
-                disk_byte_addr=int(parts[6]),
-                mode=AccessMode(parts[7]),
+        try:
+            requests.append(
+                CanonicalRequest(
+                    issue_time_us=int(parts[0]),
+                    origin=Origin(parts[1]),
+                    op=Op(parts[2]),
+                    file_id=int(parts[3]),
+                    file_offset_bytes=int(parts[4]),
+                    length_bytes=int(parts[5]),
+                    disk_byte_addr=int(parts[6]),
+                    mode=AccessMode(parts[7]),
+                )
             )
-        )
+        except ValueError as exc:
+            raise CanonicalFormatError(f"line {lineno}: {exc}") from None
     return requests

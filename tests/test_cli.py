@@ -190,6 +190,15 @@ INPUT_FILES = {"--baseline": "base.txt", "--trace": "trace.txt"}
 #: ``[workload]`` keys that place a request in time or on the disk.
 NON_NEGATIVE_KEYS = ("address_base", "disk_base_bytes", "start_time_us")
 
+#: A canonical trace of one file: open it, read a block, write into the next.
+CANONICAL_TRACE = (
+    "#iostack-trace v1 cluster_bytes=4096\n"
+    "0 APP OPEN 0 0 0 0 NORMAL\n"
+    "10 APP READ 0 0 65536 0 NORMAL\n"
+    "20 APP WRITE 0 65536 4096 65536 NORMAL\n"
+    "30 APP CLOSE 0 0 0 0 NORMAL\n"
+)
+
 # Each weight is finite, but their sum is not: every request used to become
 # a write.
 HUGE_WEIGHTS = CONFIG.replace(
@@ -270,6 +279,32 @@ HUGE_WEIGHTS = CONFIG.replace(
             CONFIG,
             "base.txt: not UTF-8 text",
         ),
+        # Each used to raise a bare ValueError: a traceback and exit 1.
+        *(
+            ({"--trace": CANONICAL_TRACE.replace(*change)}, [], CONFIG, f"line 3: {message}")
+            for change, message in (
+                (("10 APP", "10 BOGUS"), "'BOGUS' is not a valid Origin"),
+                (("10 APP", "x APP"), "invalid literal for int() with base 10: 'x'"),
+                (("10 APP", "-5 APP"), "issue_time_us must be >= 0"),
+                (("65536 0 NORMAL", "65536 0 normal"), "'normal' is not a valid AccessMode"),
+            )
+        ),
+        # configparser's message used to span two lines.
+        (
+            {},
+            [],
+            CONFIG + "oops\n",
+            "config syntax: Source contains parsing errors: '<string>' [line 12]: 'oops",
+        ),
+        (
+            {},
+            [],
+            "count = 5\n" + CONFIG,
+            "config syntax: File contains no section headers. file: '<string>', line: 1",
+        ),
+        # A form feed ends a line for ``splitlines`` but not for configparser:
+        # the section name used to print across two lines.
+        ({}, [], CONFIG.replace("[workload]", "[work\fload]"), "[line 5]: '[work"),
     ],
     ids=[
         "baseline-header",
@@ -292,6 +327,13 @@ HUGE_WEIGHTS = CONFIG.replace(
         "config-not-utf8",
         "trace-not-utf8",
         "baseline-not-utf8",
+        "trace-bad-origin",
+        "trace-bad-issue-time",
+        "trace-negative-issue-time",
+        "trace-bad-mode",
+        "config-line-without-equals",
+        "config-no-section-header",
+        "config-form-feed-in-name",
     ],
 )
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, files, extra, config, message):
@@ -320,6 +362,15 @@ FUZZ_TOKENS = (
 )
 
 
+def run_quietly(argv: list[str]) -> tuple[int, list[str]]:
+    """Exit code and stderr lines of ``main(argv)``; its stdout is dropped."""
+
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    return code, err.getvalue().splitlines()
+
+
 def run_every_key_config(key: str, value: str) -> tuple[int, list[str]]:
     """Exit code and stderr lines of a run of ``EVERY_KEY`` with ``key`` set to ``value``."""
 
@@ -327,10 +378,7 @@ def run_every_key_config(key: str, value: str) -> tuple[int, list[str]]:
         base = write_file(Path(tmp) / "base.txt", "#iostack-baseline v1\n0 100\n")
         entries = {**EVERY_KEY, "replay.baseline": str(base), key: value}
         argv = ["--config", str(write_config(Path(tmp), echo_to_ini(entries)))]
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            code = main([*argv, "--generate", "--output", str(Path(tmp) / "out")])
-    return code, err.getvalue().splitlines()
+        return run_quietly([*argv, "--generate", "--output", str(Path(tmp) / "out")])
 
 
 def test_every_key_config_runs():
@@ -344,6 +392,64 @@ def test_any_value_of_any_key_exits_0_or_2_with_one_line(key, token):
         # A huge count is a long run, not a bad input.
         token = str(min(int(token), 64))
     code, err = run_every_key_config(key, token)
+    assert code in (0, 2)
+    if code == 2:
+        assert len(err) == 1 and err[0].startswith("simulate: error: "), err
+
+
+#: A config, a canonical trace and a baseline that replay together; each is
+#: the body of its input option.
+VALID_INPUTS = {
+    "--config": (
+        "[disk]\nprofile = fujitsu_man3184mp\n\n"
+        "[disk_cache]\nsegment_count = 4\nwrite_policy = WRITE_BACK\n\n"
+        "[os]\nscheduler_policy = LOOK\ncache_capacity_bytes = 1048576\n\n"
+        "[replay]\nmode = closed\ntolerance_us = 100\n"
+    ),
+    "--trace": CANONICAL_TRACE,
+    "--baseline": "#iostack-baseline v1\n0 100\n1 2000\n2 500\n",
+}
+
+#: Bytes that change what a field means: digits, signs, separators, line
+#: and section syntax.
+SYNTAX_BYTES = b"0159-+.e :=[]#\t\n"
+
+
+@st.composite
+def mutated(draw, body: str) -> bytes:
+    """``body`` as UTF-8 with 1-3 bytes replaced, inserted or deleted."""
+
+    data = bytearray(body.encode())
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(data) - 1))
+        edit = draw(st.sampled_from(("replace", "insert", "delete")))
+        if edit == "delete":
+            del data[at]
+        else:
+            byte = draw(st.sampled_from(SYNTAX_BYTES) | st.integers(0, 255))
+            data[at : at + (edit == "replace")] = bytes((byte,))
+    return bytes(data)
+
+
+def run_mutated(option: str, body: bytes) -> tuple[int, list[str]]:
+    """A run of ``VALID_INPUTS`` with the file of ``option`` holding ``body``."""
+
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["--output", str(Path(tmp) / "out")]
+        for name, text in VALID_INPUTS.items():
+            path = Path(tmp) / INPUT_FILES.get(name, "sim.ini")
+            argv += [name, str(write_file(path, body if name == option else text))]
+        return run_quietly(argv)
+
+
+def test_valid_inputs_run():
+    assert run_mutated("--trace", VALID_INPUTS["--trace"].encode()) == (0, [])
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(option=st.sampled_from(sorted(VALID_INPUTS)), data=st.data())
+def test_mutated_input_bytes_exit_0_or_2_with_one_line(option, data):
+    code, err = run_mutated(option, data.draw(mutated(VALID_INPUTS[option])))
     assert code in (0, 2)
     if code == 2:
         assert len(err) == 1 and err[0].startswith("simulate: error: "), err

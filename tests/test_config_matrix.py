@@ -10,7 +10,9 @@ runs; a replay that stalls raises.  The replays run observed, once each:
 reading the log of a ``replay`` result runs it a second time, which doubles
 the cost of the matrix.  The observer also checks the drive's traffic
 contract: the scheduler hands the drive one io at a time, and the drive
-cache holds a waiting read exactly while it still needs media data.  The
+cache holds a waiting read exactly while it still needs media data.  It
+checks that each pending-work fact agrees with its one owner, too: the fs
+requests waiting for a loading block, and the drive's queued writes.  The
 digests must not move unless the modelled behaviour changes on purpose; a
 failure names the (profile, access mode) slice that moved.
 """
@@ -21,6 +23,8 @@ import dataclasses
 import hashlib
 import importlib
 import random
+from collections import Counter
+from itertools import chain
 from unittest import mock
 
 import pytest
@@ -73,14 +77,21 @@ def stream(mode: AccessMode, sequential: bool) -> list[CanonicalRequest]:
     return requests
 
 
-class WatchedDriveCache(REPLAY_MODULE.DiskCacheStage):
-    """The drive-cache stage, kept where the observer of its replay reads it."""
+def watched(stage: type) -> type:
+    """``stage`` keeping its latest instance as ``current``, where the observer reads it."""
 
-    current: WatchedDriveCache | None = None
+    class Watched(stage):
+        current = None
 
-    def __init__(self, *args) -> None:
-        super().__init__(*args)
-        WatchedDriveCache.current = self
+        def __init__(self, *args) -> None:
+            super().__init__(*args)
+            Watched.current = self
+
+    return Watched
+
+
+WatchedFsStage = watched(REPLAY_MODULE.FsStage)
+WatchedDriveCache = watched(REPLAY_MODULE.DiskCacheStage)
 
 
 def observer(log):
@@ -89,7 +100,9 @@ def observer(log):
     Between an io's DISK_CACHE ``io`` event and its SCHEDULER ``io-done``, no
     other io reaches DISK_CACHE.  At every event the drive cache stage holds
     a waiting host read if and only if the cache still awaits media data for
-    it.
+    it.  Every request waiting for a loading fs block is pending and still
+    awaits at least those blocks; each segment counts its queued writes, and
+    a queued write's segment is dirty.
     """
 
     at_drive = []
@@ -98,6 +111,13 @@ def observer(log):
         log.update(f"{event.describe()}\n".encode())
         stage = WatchedDriveCache.current
         assert (stage.host_read is None) == (not stage.cache.awaited), event.describe()
+        fs_stage = WatchedFsStage.current
+        waits = Counter(chain.from_iterable(fs_stage.fs.inflight.values()))
+        for rid, blocks in waits.items():
+            assert fs_stage.pending[rid].awaited >= blocks, event.describe()
+        writes = stage.cache.writes
+        assert sum(s.pending_writes for s in stage.cache.segments) == len(writes)
+        assert all(seg.dirty for seg, *_ in writes), event.describe()
         kind = event.payload.kind
         if kind == "io" and event.target is StageId.DISK_CACHE:
             assert not at_drive, f"{event.describe()} while io {at_drive} is at the drive"
@@ -121,7 +141,10 @@ def slice_digest(profile: str, mode: AccessMode) -> str:
                 stack = StackConfig(drive.geometry, drive.seek, fs, cache, scheduler)
                 for replay_mode in ReplayMode:
                     log = hashlib.sha256()
-                    with mock.patch.object(REPLAY_MODULE, "DiskCacheStage", WatchedDriveCache):
+                    with (
+                        mock.patch.object(REPLAY_MODULE, "FsStage", WatchedFsStage),
+                        mock.patch.object(REPLAY_MODULE, "DiskCacheStage", WatchedDriveCache),
+                    ):
                         result = REPLAY_MODULE._replay(
                             requests,
                             stack,

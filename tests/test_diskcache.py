@@ -46,8 +46,10 @@ def fill(cache: SegmentedCache, lba: int, sectors: int, local: bool = False) -> 
     cache.on_media_data(lba, sectors, LOCAL_PREFETCH if local else HOST_READ)
 
 
-def dirty_records(cache: SegmentedCache) -> int:
-    return sum(len(s.write_queue) for s in cache.segments)
+def dirty_records(cache: SegmentedCache) -> list:
+    """The write records ``cache`` has yet to destage, in the order a copy of it destages them."""
+
+    return list(iter(copy.deepcopy(cache).destage_next, None))
 
 
 class TestReadLookup:
@@ -163,18 +165,18 @@ class TestReadPlan:
 
 class TestLocalPattern:
     def test_detector_fires_on_a_b_a_adjacent(self):
-        det = LocalPatternDetector(radius_sectors=512)
+        det = LocalPatternDetector()
         assert not det.observe(3 * BLOCK_SECTORS, BLOCK_SECTORS)  # A = block 3
         assert not det.observe(8 * BLOCK_SECTORS, BLOCK_SECTORS)  # B = block 8, gap 4 blocks
         assert det.observe(4 * BLOCK_SECTORS, BLOCK_SECTORS)  # A+adjacent fires
 
     def test_detector_ignores_pure_sequential(self):
-        det = LocalPatternDetector(radius_sectors=512)
+        det = LocalPatternDetector()
         fired = [det.observe(i * BLOCK_SECTORS, BLOCK_SECTORS) for i in range(6)]
         assert not any(fired)
 
     def test_detector_respects_radius(self):
-        det = LocalPatternDetector(radius_sectors=512)
+        det = LocalPatternDetector()
         det.observe(0, BLOCK_SECTORS)
         det.observe(6 * BLOCK_SECTORS, BLOCK_SECTORS)  # gap 5 blocks > radius
         assert not det.observe(BLOCK_SECTORS, BLOCK_SECTORS)
@@ -201,18 +203,18 @@ class TestWrites:
         ack, writes = cache.write_accept(0, 128, ((0, 128, 1),))
         assert ack is Ack.ACK_NOW
         assert writes == ((DESTAGE, 0, 128, ((0, 128, 1),)),)
-        assert cache.destage_inflight and dirty_records(cache) == 0
+        assert cache.destage_inflight and dirty_records(cache) == []
         # The slot is taken: the next write waits in its segment.
         ack, writes = cache.write_accept(128, 128, ((128, 256, 2),))
         assert ack is Ack.ACK_NOW and writes == ()
-        assert dirty_records(cache) == 1
+        assert dirty_records(cache) == [(128, 128, ((128, 256, 2),))]
 
     def test_write_through_acks_after_media(self):
         cache = SegmentedCache(cfg(write_policy=WritePolicy.WRITE_THROUGH))
         ack, writes = cache.write_accept(0, 128, ((0, 128, 1),))
         assert ack is Ack.ACK_AFTER_MEDIA
         assert writes == ((HOST_WRITE, 0, 128, ((0, 128, 1),)),)
-        assert dirty_records(cache) == 0 and not cache.destage_inflight
+        assert dirty_records(cache) == [] and not cache.destage_inflight
 
     def test_forced_media_overrides_write_back(self):
         cache = SegmentedCache(cfg())
@@ -221,7 +223,7 @@ class TestWrites:
         ack, writes = cache.write_accept(0, 128, None, force_media=True)
         assert ack is Ack.ACK_AFTER_MEDIA
         assert writes == ((HOST_WRITE, 0, 128, None),)
-        assert dirty_records(cache) == 1
+        assert dirty_records(cache) == [(64, 64, ((64, 128, 2),))]
 
     def test_destage_preserves_write_order_per_segment(self):
         # Global arrival order: an older record in another segment goes
@@ -234,7 +236,7 @@ class TestWrites:
         assert cache.on_media_data(0, 64, DESTAGE) == ((DESTAGE, far, 64, ((far, far + 64, 2),)),)
         assert cache.on_media_data(far, 64, DESTAGE) == ((DESTAGE, 64, 64, ((64, 128, 3),)),)
         assert cache.on_media_data(64, 64, DESTAGE) == ()
-        assert not cache.destage_inflight and dirty_records(cache) == 0
+        assert not cache.destage_inflight and dirty_records(cache) == []
 
     def test_defer_when_destage_enabled(self):
         config = cfg(segment_count=2, segment_bytes=64 * 1024)
@@ -330,29 +332,22 @@ class TestRepositionPenalty:
 
 
 class TestSegmentPicks:
-    """The one-pass segment picks against their plain ``min`` definitions."""
+    """The one-pass victim pick and the destage order against their definitions."""
 
     @staticmethod
-    def check_picks(cache: SegmentedCache, queries) -> None:
+    def check_picks(cache: SegmentedCache, queries, accepted: list) -> None:
+        """Check the picks; ``accepted`` holds the acknowledged writes not yet destaged."""
+
         segments = cache.segments
-        # Both picks run on one copy: the victim is clean, the destaged
-        # segment dirty, so neither pick sees the other's change.
+        clean = [(s.last_touch, i) for i, s in enumerate(segments) if not s.dirty]
         probe = copy.deepcopy(cache)
-        clean = [(s.last_touch, i) for i, s in enumerate(segments) if not s.write_queue]
         victim = probe._allocate()
         if clean:
             assert victim is probe.segments[min(clean)[1]]
         else:
             assert victim is None
-        dirty = [(s.write_queue[0][0], i) for i, s in enumerate(segments) if s.write_queue]
-        record = probe.destage_next()
-        if dirty:
-            i = min(dirty)[1]
-            _, lba, sectors, tags = segments[i].write_queue[0]
-            assert record == (lba, sectors, tags)
-            assert list(probe.segments[i].write_queue) == list(segments[i].write_queue)[1:]
-        else:
-            assert record is None
+        # Every write the cache acknowledged reaches the media, in arrival order.
+        assert dirty_records(cache) == accepted
         extents = [(s.start, s.end) for s in segments if s.start < s.end]
         for lba, sectors in queries:
             assert cache.missing_runs(lba, sectors) == uncovered_runs(lba, sectors, extents)
@@ -369,23 +364,35 @@ class TestSegmentPicks:
                 )
             )
             inflight = []  # media ops that have not completed
+            accepted = []  # acknowledged writes not yet destaged, oldest first
+
+            def issue(ops) -> None:
+                for role, *record in ops:
+                    if role is DESTAGE:
+                        assert tuple(record) == accepted.pop(0)
+                inflight.extend(ops)
+
             for step in range(150):
                 lba, sectors = rng.randrange(256), rng.randint(1, 24)
                 op = rng.randrange(4)
                 destages = [i for i, media in enumerate(inflight) if media[0] is DESTAGE]
                 if op == 0:
-                    inflight += cache.read_lookup(lba, sectors)[2]
+                    issue(cache.read_lookup(lba, sectors)[2])
                 elif op == 1 and inflight or op == 3 and destages:
                     done = rng.randrange(len(inflight)) if op == 1 else destages[0]
                     role, run_lba, run_sectors, *_ = inflight.pop(done)
-                    inflight += cache.on_media_data(run_lba, run_sectors, role)
+                    issue(cache.on_media_data(run_lba, run_sectors, role))
                 elif op == 2:
-                    inflight += cache.write_accept(lba, sectors, ((lba, lba + sectors, step),))[1]
+                    tags = ((lba, lba + sectors, step),)
+                    ack, writes = cache.write_accept(lba, sectors, tags)
+                    if ack is Ack.ACK_NOW:
+                        accepted.append((lba, sectors, tags))
+                    issue(writes)
                 destages = [media for media in inflight if media[0] is DESTAGE]
                 assert len(destages) == cache.destage_inflight <= 1
                 queries = [(rng.randrange(256), rng.randint(1, 48)) for _ in range(3)]
-                self.check_picks(cache, queries)
-                touches = [s.last_touch for s in cache.segments if not s.write_queue]
+                self.check_picks(cache, queries, accepted)
+                touches = [s.last_touch for s in cache.segments if not s.dirty]
                 seen["tie"] += len(touches) != len(set(touches))
                 seen["all dirty"] += not touches
                 extents = sorted((s.start, s.end) for s in cache.segments if s.start < s.end)
