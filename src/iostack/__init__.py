@@ -38,7 +38,7 @@ from .fscache import (
     classify_write_regime,
     split_into_blocks,
 )
-from .profiles import PROFILES, DriveProfile, drive_profile
+from .profiles import PROFILES, DriveProfile
 from .replay import (
     ReplayDiverged,
     ReplayMode,
@@ -60,7 +60,7 @@ from .reports import (
     write_baseline,
 )
 from .requests import SECTOR_BYTES, AccessMode, CanonicalRequest, Op, Origin, RequestRecord, Summary
-from .scheduler import Direction, DuplicateRequest, PendingQueue, Policy
+from .scheduler import Direction, PendingQueue, Policy
 from .trace import (
     BadTime,
     CanonicalFormatError,
@@ -94,7 +94,6 @@ __all__ = [
     "DistKind",
     "DistSpec",
     "DriveProfile",
-    "DuplicateRequest",
     "EventLog",
     "FsCache",
     "FsCacheConfig",
@@ -140,7 +139,6 @@ __all__ = [
     "aligned_choices",
     "classify_write_regime",
     "cylinder_of_byte",
-    "drive_profile",
     "emit_reports",
     "error_percent",
     "file_extents",

@@ -76,16 +76,25 @@ def _load_requests(spec: RunSpec):
         requests = [r for w in spec.workloads for r in generate(w)]
         return sorted(requests, key=lambda r: r.issue_time_us), None
     text = read_utf8(spec.trace_path)
-    if text.startswith("#iostack-trace"):
-        return read_canonical(io.StringIO(text)), None
-    requests, report = ingest_text(text, spec.cluster_bytes, spec.system_processes)
-    return requests, report
+    try:
+        if text.startswith("#iostack-trace"):
+            return read_canonical(io.StringIO(text)), None
+        return ingest_text(text, spec.cluster_bytes, spec.system_processes)
+    except TraceError as exc:
+        raise type(exc)(f"{spec.trace_path}: {exc}") from None
+
+
+def _read_config(path: str) -> RunSpec:
+    try:
+        return load_config(read_utf8(path))
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        spec = _as_run(args, load_config(read_utf8(args.config)))
+        spec = _as_run(args, _read_config(args.config))
         requests, defect_report = _load_requests(spec)
         result = replay(requests, spec.stack, spec.policy)
         files = emit_reports(

@@ -14,6 +14,7 @@ from __future__ import annotations
 import configparser
 import dataclasses
 import math
+import re
 import typing
 from dataclasses import dataclass, field
 from enum import Enum
@@ -234,8 +235,10 @@ def load_config(text: str) -> RunSpec:
         # ``splitlines`` does keeps every name and value to one line.
         parser.read_string("\n".join(text.splitlines()))
     except configparser.Error as exc:
-        # Its message spans lines: the error, then the offending line.
-        raise ConfigError(f"config syntax: {' '.join(str(exc).split())}") from None
+        # Its message spans lines: the error, then the offending line.  It
+        # names the source as '<string>'; the caller names the file.
+        message = re.sub(r"(?:While reading from |file: )?'<string>',?", "", str(exc))
+        raise ConfigError(f"config syntax: {' '.join(message.split())}") from None
 
     known = {"disk", "disk_cache", "os", "trace", "replay"}
     for name in parser.sections():
@@ -282,6 +285,8 @@ def load_config(text: str) -> RunSpec:
     trace_section = section("trace")
     trace_path = trace_section.get("path")
     cluster_bytes = trace_section.value("cluster_bytes", int, 4096)
+    if cluster_bytes < 512 or cluster_bytes & (cluster_bytes - 1):
+        raise ConfigError(f"trace.cluster_bytes: must be a power of two >= 512, got {cluster_bytes}")
     include_system = trace_section.value("include_system", bool, False)
     deny_raw = trace_section.get("process_deny")
     system_processes = (

@@ -126,11 +126,3 @@ PROFILES = {
     for p in (FUJITSU_MAN3184MP, TOSHIBA_MK6012MAP, HITACHI_TRAVELSTAR_80GN)
 }
 
-
-def drive_profile(name: str) -> DriveProfile:
-    try:
-        return PROFILES[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown drive profile {name!r}; available: {', '.join(sorted(PROFILES))}"
-        ) from None

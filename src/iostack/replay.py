@@ -15,9 +15,11 @@ drive segments, the in-flight and queued fills (``outstanding_fills``,
 ``fill_ranges``), the acknowledged writes in arrival order (``writes``),
 the destage slot, the runs the held read still awaits and the disk end no
 media read passes.  The cache plans every media op and settles the held
-read; ``DiskCacheStage`` only issues the ops.  The scheduler hands the
-drive one io at a time, so ``DiskCacheStage`` keeps that io in a slot
-while it waits for media data or for a free segment.
+read; ``DiskCacheStage`` only issues the ops.  The scheduler's
+``PendingQueue`` holds each queued ``IoMsg`` and ``SchedulerStage.inflight``
+the one at the drive, so ``DiskCacheStage`` keeps that io in a slot while
+it waits for media data or for a free segment.  ``DiskStage.queue`` holds
+the media ops in arrival order; its head is the op being served.
 """
 
 from __future__ import annotations
@@ -379,20 +381,19 @@ class FsStage:
 
 
 class SchedulerStage:
-    """Holds disk-bound work and dispatches one request at a time per policy."""
+    """Holds disk-bound ios and dispatches one at a time per policy."""
 
     def __init__(self, sim: Simulator, policy: Policy, geometry: DiskGeometry):
         self.sim = sim
         self.queue = PendingQueue(policy=policy)
         self.geometry = geometry
-        self.by_id: dict[int, IoMsg] = {}
-        self.inflight: int | None = None
+        #: The io at the drive.
+        self.inflight: IoMsg | None = None
 
     def handle(self, sim: Simulator, payload: Payload) -> None:
         match payload:
             case IoMsg(done=False) as msg:
-                self.by_id[msg.io_id] = msg
-                self.queue.enqueue(msg.io_id, cylinder_of_byte(msg.intent.disk_addr, self.geometry))
+                self.queue.enqueue(msg, cylinder_of_byte(msg.intent.disk_addr, self.geometry))
                 self._dispatch()
             case IoMsg() as msg:
                 self.inflight = None
@@ -400,13 +401,10 @@ class SchedulerStage:
                 self._dispatch()
 
     def _dispatch(self) -> None:
-        if self.inflight is not None:
-            return
-        io_id = self.queue.next()
-        if io_id is None:
-            return
-        self.inflight = io_id
-        self.sim.schedule(StageId.DISK_CACHE, self.by_id.pop(io_id))
+        if self.inflight is None:
+            self.inflight = self.queue.next()
+            if self.inflight is not None:
+                self.sim.schedule(StageId.DISK_CACHE, self.inflight)
 
 
 class DiskCacheStage:
@@ -505,7 +503,7 @@ class DiskCacheStage:
 
 
 class DiskStage:
-    """Serial media execution against the mechanical model."""
+    """Serial media execution against the mechanical model, head of the FIFO first."""
 
     def __init__(self, sim: Simulator, geometry: DiskGeometry, seek: SeekProfile):
         self.sim = sim
@@ -513,23 +511,21 @@ class DiskStage:
         self.seek = seek
         self.head = HeadState()
         self.queue: deque[MediaMsg] = deque()
-        self.active: MediaMsg | None = None
         self.data_image = TagMap()
         self.metadata_writes = 0
 
     def handle(self, sim: Simulator, payload: Payload) -> None:
         match payload:
             case MediaMsg(finished=False) as msg:
+                idle = not self.queue
                 self.queue.append(msg)
-                if self.active is None:
+                if idle:
                     self._start_next()
             case MediaMsg() as msg:
                 self._finish(msg)
 
     def _start_next(self) -> None:
-        if not self.queue:
-            return
-        msg = self.queue.popleft()
+        msg = self.queue[0]
         now = self.sim.now()
         delay, (cylinder, head, angle, _) = service(
             msg.lba, msg.sectors, self.head, self.geometry, self.seek, now, msg.write
@@ -542,7 +538,6 @@ class DiskStage:
         # head instead of a hair behind it (which would cost a phantom
         # revolution).
         self.head = HeadState(cylinder, head, angle, float(now + delay_us))
-        self.active = msg
         self.sim.schedule_after(StageId.DISK, msg.with_flags(finished=True), delay_us)
 
     def _finish(self, msg: MediaMsg) -> None:
@@ -552,8 +547,9 @@ class DiskStage:
             else:
                 self.data_image.overlay(msg.sector_tags)
         self.sim.schedule(StageId.DISK_CACHE, msg.with_flags(finished=True, done=True))
-        self.active = None
-        self._start_next()
+        self.queue.popleft()
+        if self.queue:
+            self._start_next()
 
 
 # -- top-level entry -------------------------------------------------------------
@@ -600,13 +596,13 @@ def _held_work(
         ("fs cache", "requests", sorted(fs_stage.pending)),
         ("fs cache", "deferred requests", [m.request_id for m in fs_stage.deferred]),
         ("fs cache", "dirty blocks", list(fs_stage.fs.dirty_blocks)),
-        ("scheduler", "queued ios", list(sched_stage.by_id)),
+        ("scheduler", "queued ios", [m.io_id for m in sched_stage.queue]),
         ("drive cache", "host read ios", [m.io_id for m in (cache_stage.host_read,) if m is not None]),
         ("drive cache", "deferred write ios", [m.io_id for m in (cache_stage.deferred_write,) if m is not None]),
         ("drive cache", "fill ranges", list(cache.fill_ranges)),
         ("drive cache", "dirty segments", [i for i, s in enumerate(cache.segments) if s.dirty]),
         ("drive cache", "outstanding fills", list(cache.outstanding_fills)),
-        ("disk", "media ops", [m.media_id for m in (disk_stage.active, *disk_stage.queue) if m is not None]),
+        ("disk", "media ops", [m.media_id for m in disk_stage.queue]),
     )
     return [f"{stage} still holds {what} {items}" for stage, what, items in holders if items]
 

@@ -9,13 +9,9 @@ closed-loop and open-loop replays share one code path.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from enum import Enum
-
-
-class DuplicateRequest(Exception):
-    pass
+from typing import Any, Iterator
 
 
 class Policy(Enum):
@@ -31,81 +27,79 @@ class Direction(Enum):
 
 @dataclass
 class PendingQueue:
-    """Policy-ordered queue keyed by target cylinder.
+    """Policy-ordered queue of pending items keyed by target cylinder.
 
     Requests spanning multiple cylinders are keyed by their first cylinder.
     ``travel_cylinders`` accumulates the head sweep between dispatched
     cylinders, starting from ``position``.
 
-    Every pending request has the key ``(cylinder, arrival_seq, request_id)``,
-    where ``arrival_seq`` counts enqueues.  The elevator and circular
-    policies keep the keys in one ascending list, so the head position
-    splits it into ahead and behind at a ``bisect`` boundary, and among
-    requests at one cylinder the earliest arrival always goes first.  FCFS
-    needs no sorted list: it pops the oldest entry of ``_keys``, which holds
-    every pending request in arrival order.
+    The queue holds each item once, in one list of ``(cylinder,
+    arrival_seq, item)`` entries, where ``arrival_seq`` counts enqueues, so
+    no two entries tie and items are never compared.  Under FCFS the list
+    is in arrival order and ``next()`` pops its front.  Under LOOK and
+    C-LOOK it is ascending, so the head position splits it into ahead and
+    behind at a ``bisect`` boundary, and among items at one cylinder the
+    earliest arrival always goes first.
     """
 
     policy: Policy = Policy.FCFS
     direction: Direction = Direction.UP
     position: int = 0
     travel_cylinders: int = 0
-    #: request_id -> key, in arrival order.  An OrderedDict because popping
-    #: the front of a plain dict rescans the deleted slots before it.
-    _keys: OrderedDict[int, tuple[int, int, int]] = field(default_factory=OrderedDict)
-    #: Every key in ascending order; unused under FCFS.
-    _sorted: list[tuple[int, int, int]] = field(default_factory=list)
+    _entries: list[tuple[int, int, Any]] = field(default_factory=list)
     _next_arrival: int = 0
 
     def __len__(self) -> int:
-        return len(self._keys)
+        return len(self._entries)
 
-    def enqueue(self, request_id: int, cylinder: int) -> None:
-        if request_id in self._keys:
-            raise DuplicateRequest(f"request {request_id} already pending")
-        key = (cylinder, self._next_arrival, request_id)
+    def __iter__(self) -> Iterator[Any]:
+        """The pending items, in list order rather than dispatch order."""
+
+        return (item for _, _, item in self._entries)
+
+    def enqueue(self, item: Any, cylinder: int) -> None:
+        entry = (cylinder, self._next_arrival, item)
         self._next_arrival += 1
-        self._keys[request_id] = key
-        if self.policy is not Policy.FCFS:
-            insort(self._sorted, key)
+        if self.policy is Policy.FCFS:
+            self._entries.append(entry)
+        else:
+            insort(self._entries, entry)
 
-    def next(self) -> int | None:
-        """Pop the next request id per policy; None when the queue is empty."""
+    def next(self) -> Any:
+        """Pop the next item per policy; None when the queue is empty."""
 
-        if not self._keys:
+        if not self._entries:
             return None
         if self.policy is Policy.FCFS:
-            request_id, (cylinder, _, _) = self._keys.popitem(last=False)
-        else:
-            if self.policy is Policy.LOOK:
-                ix = self._next_elevator()
-            else:  # C-LOOK: the nearest at or above the head, else wrap to the lowest
-                ix = self._first_at(self.position) % len(self._sorted)
-            cylinder, _, request_id = self._sorted.pop(ix)
-            del self._keys[request_id]
+            ix = 0
+        elif self.policy is Policy.LOOK:
+            ix = self._next_elevator()
+        else:  # C-LOOK: the nearest at or above the head, else wrap to the lowest
+            ix = self._first_at(self.position) % len(self._entries)
+        cylinder, _, item = self._entries.pop(ix)
         self.travel_cylinders += abs(cylinder - self.position)
         self.position = cylinder
-        return request_id
+        return item
 
     def _first_at(self, cylinder: int) -> int:
         """Index of the earliest arrival at ``cylinder`` or, failing that, above it."""
 
-        return bisect_left(self._sorted, (cylinder,))
+        return bisect_left(self._entries, (cylinder,))
 
     def _next_elevator(self) -> int:
-        keys = self._sorted
+        entries = self._entries
         if self.direction is Direction.UP:
             ix = self._first_at(self.position)
-            if ix < len(keys):
+            if ix < len(entries):
                 return ix
         else:
             above = self._first_at(self.position + 1)
             if above:
-                return self._first_at(keys[above - 1][0])
-        # Nothing ahead: reverse at the furthest pending request.  Every
-        # request is then ahead, so the nearest one is the extreme one.
+                return self._first_at(entries[above - 1][0])
+        # Nothing ahead: reverse at the furthest pending item.  Every item
+        # is then ahead, so the nearest one is the extreme one.
         if self.direction is Direction.UP:
             self.direction = Direction.DOWN
-            return self._first_at(keys[-1][0])
+            return self._first_at(entries[-1][0])
         self.direction = Direction.UP
         return 0

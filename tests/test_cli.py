@@ -281,7 +281,7 @@ HUGE_WEIGHTS = CONFIG.replace(
         ),
         # Each used to raise a bare ValueError: a traceback and exit 1.
         *(
-            ({"--trace": CANONICAL_TRACE.replace(*change)}, [], CONFIG, f"line 3: {message}")
+            ({"--trace": CANONICAL_TRACE.replace(*change)}, [], CONFIG, f"trace.txt: line 3: {message}")
             for change, message in (
                 (("10 APP", "10 BOGUS"), "'BOGUS' is not a valid Origin"),
                 (("10 APP", "x APP"), "invalid literal for int() with base 10: 'x'"),
@@ -294,17 +294,34 @@ HUGE_WEIGHTS = CONFIG.replace(
             {},
             [],
             CONFIG + "oops\n",
-            "config syntax: Source contains parsing errors: '<string>' [line 12]: 'oops",
+            "sim.ini: config syntax: Source contains parsing errors: [line 12]: 'oops",
         ),
         (
             {},
             [],
             "count = 5\n" + CONFIG,
-            "config syntax: File contains no section headers. file: '<string>', line: 1",
+            "sim.ini: config syntax: File contains no section headers. line: 1",
         ),
         # A form feed ends a line for ``splitlines`` but not for configparser:
         # the section name used to print across two lines.
         ({}, [], CONFIG.replace("[workload]", "[work\fload]"), "[line 5]: '[work"),
+        # The tracer format used to meet a bad cluster size only in
+        # ``normalize``: a traceback and exit 1.
+        *(
+            (
+                {"--trace": SAMPLE_TRACE},
+                [],
+                with_bad_value("trace.cluster_bytes", value),
+                f"sim.ini: trace.cluster_bytes: must be a power of two >= 512, got {value}",
+            )
+            for value in ("1000", "-4096")
+        ),
+        (
+            {"--trace": SAMPLE_TRACE.replace("17:03:26.427", "17:03:25.427")},
+            [],
+            CONFIG,
+            "trace.txt: seq 104: wallclock went backwards",
+        ),
     ],
     ids=[
         "baseline-header",
@@ -334,6 +351,9 @@ HUGE_WEIGHTS = CONFIG.replace(
         "config-line-without-equals",
         "config-no-section-header",
         "config-form-feed-in-name",
+        "trace-cluster-bytes-not-power-of-two",
+        "trace-cluster-bytes-negative",
+        "trace-time-backwards",
     ],
 )
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, files, extra, config, message):
@@ -371,18 +391,33 @@ def run_quietly(argv: list[str]) -> tuple[int, list[str]]:
     return code, err.getvalue().splitlines()
 
 
-def run_every_key_config(key: str, value: str) -> tuple[int, list[str]]:
+#: The ``--generate`` run replays the workload section; the other replays
+#: the tracer-format trace that ``trace.path`` names, so the ``trace.*``
+#: keys are used.
+SOURCES = (["--generate"], [])
+
+
+def run_every_key_config(key: str, value: str, source: list[str]) -> tuple[int, list[str]]:
     """Exit code and stderr lines of a run of ``EVERY_KEY`` with ``key`` set to ``value``."""
 
     with tempfile.TemporaryDirectory() as tmp:
         base = write_file(Path(tmp) / "base.txt", "#iostack-baseline v1\n0 100\n")
-        entries = {**EVERY_KEY, "replay.baseline": str(base), key: value}
+        trace = write_file(Path(tmp) / "trace.txt", SAMPLE_TRACE)
+        # 8192-byte clusters put the trace's last write beyond the disk.
+        entries = {
+            **EVERY_KEY,
+            "replay.baseline": str(base),
+            "trace.path": str(trace),
+            "trace.cluster_bytes": "4096",
+            key: value,
+        }
         argv = ["--config", str(write_config(Path(tmp), echo_to_ini(entries)))]
-        return run_quietly([*argv, "--generate", "--output", str(Path(tmp) / "out")])
+        return run_quietly([*argv, *source, "--output", str(Path(tmp) / "out")])
 
 
 def test_every_key_config_runs():
-    assert run_every_key_config("workload0.count", "64") == (0, [])
+    for source in SOURCES:
+        assert run_every_key_config("workload0.count", "64", source) == (0, [])
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -391,10 +426,11 @@ def test_any_value_of_any_key_exits_0_or_2_with_one_line(key, token):
     if key.endswith(".count") and token.isdigit():
         # A huge count is a long run, not a bad input.
         token = str(min(int(token), 64))
-    code, err = run_every_key_config(key, token)
-    assert code in (0, 2)
-    if code == 2:
-        assert len(err) == 1 and err[0].startswith("simulate: error: "), err
+    for source in SOURCES:
+        code, err = run_every_key_config(key, token, source)
+        assert code in (0, 2)
+        if code == 2:
+            assert len(err) == 1 and err[0].startswith("simulate: error: "), err
 
 
 #: A config, a canonical trace and a baseline that replay together; each is

@@ -12,7 +12,8 @@ the cost of the matrix.  The observer also checks the drive's traffic
 contract: the scheduler hands the drive one io at a time, and the drive
 cache holds a waiting read exactly while it still needs media data.  It
 checks that each pending-work fact agrees with its one owner, too: the fs
-requests waiting for a loading block, and the drive's queued writes.  The
+requests waiting for a loading block, the drive's queued writes, the ios in
+the scheduler queue and the media op the disk serves.  The
 digests must not move unless the modelled behaviour changes on purpose; a
 failure names the (profile, access mode) slice that moved.
 """
@@ -91,7 +92,9 @@ def watched(stage: type) -> type:
 
 
 WatchedFsStage = watched(REPLAY_MODULE.FsStage)
+WatchedScheduler = watched(REPLAY_MODULE.SchedulerStage)
 WatchedDriveCache = watched(REPLAY_MODULE.DiskCacheStage)
+WatchedDisk = watched(REPLAY_MODULE.DiskStage)
 
 
 def observer(log):
@@ -102,13 +105,26 @@ def observer(log):
     a waiting host read if and only if the cache still awaits media data for
     it.  Every request waiting for a loading fs block is pending and still
     awaits at least those blocks; each segment counts its queued writes, and
-    a queued write's segment is dirty.
+    a queued write's segment is dirty.  The scheduler queue holds the very
+    ios that have reached SCHEDULER and not yet DISK_CACHE, but for the one
+    it has just handed on, and each ``media-finish`` is the op at the head
+    of the disk's FIFO.
     """
 
     at_drive = []
+    #: io id -> the ios handled at SCHEDULER and not yet dispatched at DISK_CACHE.
+    at_scheduler = {}
 
     def observe(event) -> None:
         log.update(f"{event.describe()}\n".encode())
+        # The previous event's handler has run; this one's has not.
+        sched = WatchedScheduler.current
+        handed_on = sched.inflight.io_id if sched.inflight is not None else None
+        queued = {m.io_id: m for m in sched.queue}
+        assert len(queued) == len(sched.queue), event.describe()
+        expected = {i: m for i, m in at_scheduler.items() if i != handed_on}
+        assert queued.keys() == expected.keys(), event.describe()
+        assert all(m is expected[i] for i, m in queued.items()), event.describe()
         stage = WatchedDriveCache.current
         assert (stage.host_read is None) == (not stage.cache.awaited), event.describe()
         fs_stage = WatchedFsStage.current
@@ -119,9 +135,14 @@ def observer(log):
         assert sum(s.pending_writes for s in stage.cache.segments) == len(writes)
         assert all(seg.dirty for seg, *_ in writes), event.describe()
         kind = event.payload.kind
-        if kind == "io" and event.target is StageId.DISK_CACHE:
+        if kind == "io" and event.target is StageId.SCHEDULER:
+            at_scheduler[event.payload.io_id] = event.payload
+        elif kind == "io" and event.target is StageId.DISK_CACHE:
             assert not at_drive, f"{event.describe()} while io {at_drive} is at the drive"
             at_drive.append(event.payload.io_id)
+            del at_scheduler[event.payload.io_id]
+        elif kind == "media-finish":
+            assert WatchedDisk.current.queue[0].media_id == event.payload.media_id, event.describe()
         elif kind == "io-done" and event.target is StageId.SCHEDULER:
             assert at_drive == [event.payload.io_id], event.describe()
             at_drive.clear()
@@ -143,7 +164,9 @@ def slice_digest(profile: str, mode: AccessMode) -> str:
                     log = hashlib.sha256()
                     with (
                         mock.patch.object(REPLAY_MODULE, "FsStage", WatchedFsStage),
+                        mock.patch.object(REPLAY_MODULE, "SchedulerStage", WatchedScheduler),
                         mock.patch.object(REPLAY_MODULE, "DiskCacheStage", WatchedDriveCache),
+                        mock.patch.object(REPLAY_MODULE, "DiskStage", WatchedDisk),
                     ):
                         result = REPLAY_MODULE._replay(
                             requests,

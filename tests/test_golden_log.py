@@ -1,4 +1,4 @@
-"""Golden event logs and reports: pinned SHA-256 of nine full-stack replays.
+"""Golden event logs and reports: pinned SHA-256 of ten full-stack replays.
 
 The determinism tests compare two runs of the same code, so they cannot see
 a change to the log or report text itself.  These hashes must not move unless the log
@@ -6,9 +6,9 @@ format or the modelled behaviour changes on purpose.  Together the replays
 reach every event kind, every drive-cache media role and every fs-cache io
 purpose, and they run the SEQUENTIAL, NO_BUFFER and WRITE_THROUGH access
 modes, open loop, the elevator policies and a second drive profile, so a
-change to any of those paths shows up here.  Two saturated open-loop streams
-hold close to a thousand requests in the scheduler queue at once, so the
-queue order under deep queues is pinned too.
+change to any of those paths shows up here.  Three saturated open-loop
+replays, one per scheduler policy, hold close to a thousand requests in the
+scheduler queue at once, so the queue order under deep queues is pinned too.
 """
 
 from __future__ import annotations
@@ -204,6 +204,12 @@ SCENARIOS = {
         OPEN,
         "fe9181e26f4efd7b6bc2f167280e2aaaf4d0cfa20c31ee4e1e8e94061afd20eb",
     ),
+    "saturated_open_fcfs": (
+        saturated_random_reads,
+        stack(scheduler=Policy.FCFS),
+        OPEN,
+        "e27853e8561061a56ae3779bf356ac2ef106fa654ca859ca72b31e4e9c6cea2f",
+    ),
 }
 
 
@@ -224,6 +230,10 @@ REPORT_SHA256 = {
     "saturated_open_c_look": (
         "e2083c51602af1bd734cf8e99b6ea1bf92544ce3a8fa2b732abf280755393d5d",
         "09e15c0ddb578c8d9193c57c4ad7033faf51be724be3f089e7ceaf5b0683dfeb",
+    ),
+    "saturated_open_fcfs": (
+        "d449928141e193124642bdcf6c6e13ad4db15fbf081cc8204110b38bd5324eaa",
+        "99552d349c5b451dc14aa723678c576b420fe798bed9391eb107087bc039df54",
     ),
     "saturated_open_look": (
         "8c9b114c17abd9d62a106bc938f43021041ff0e62b9c54278e40ab9de2750b9d",

@@ -4,10 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from iostack import Direction, DuplicateRequest, PendingQueue, Policy
+from iostack import Direction, PendingQueue, Policy
 
 
 def drain(queue: PendingQueue) -> list[int]:
@@ -30,12 +29,6 @@ class TestBasics:
         q.enqueue(1, 10)
         q.enqueue(2, 20)
         assert len(q) == 2
-
-    def test_duplicate_rejected(self):
-        q = PendingQueue()
-        q.enqueue(1, 10)
-        with pytest.raises(DuplicateRequest):
-            q.enqueue(1, 99)
 
     def test_empty_returns_none(self):
         assert PendingQueue().next() is None
@@ -132,7 +125,7 @@ def test_every_policy_dispatches_exactly_the_enqueued_set(pending, policy, start
 
 @dataclass
 class _Entry:
-    request_id: int
+    item: object
     cylinder: int
     arrival_seq: int
 
@@ -151,13 +144,11 @@ class LinearQueue:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def enqueue(self, request_id: int, cylinder: int) -> None:
-        if any(e.request_id == request_id for e in self.entries):
-            raise DuplicateRequest(f"request {request_id} already pending")
-        self.entries.append(_Entry(request_id, cylinder, self.next_arrival))
+    def enqueue(self, item: object, cylinder: int) -> None:
+        self.entries.append(_Entry(item, cylinder, self.next_arrival))
         self.next_arrival += 1
 
-    def next(self) -> int | None:
+    def next(self) -> object:
         if not self.entries:
             return None
         if self.policy is Policy.FCFS:
@@ -169,7 +160,7 @@ class LinearQueue:
         self.entries.remove(chosen)
         self.travel_cylinders += abs(chosen.cylinder - self.position)
         self.position = chosen.cylinder
-        return chosen.request_id
+        return chosen.item
 
     def _nearest(self, candidates: list[_Entry], ahead_up: bool) -> _Entry:
         if ahead_up:
@@ -208,14 +199,14 @@ STEPS = st.lists(st.one_of(st.none(), st.integers(0, 40)), max_size=400)
 def test_dispatch_matches_linear_reference(steps, policy, start, direction):
     kwargs = dict(policy=policy, position=start, direction=direction)
     fast, slow = PendingQueue(**kwargs), LinearQueue(**kwargs)
-    request_id = 0
     for cylinder in steps + [None] * len(steps):
         if cylinder is None:
-            assert fast.next() == slow.next()
+            # Both return the very object enqueued, not an equal one.
+            assert fast.next() is slow.next()
         else:
-            request_id += 1
-            fast.enqueue(request_id, cylinder)
-            slow.enqueue(request_id, cylinder)
+            item = object()
+            fast.enqueue(item, cylinder)
+            slow.enqueue(item, cylinder)
         assert len(fast) == len(slow)
         assert (fast.travel_cylinders, fast.position, fast.direction) == (
             slow.travel_cylinders,
