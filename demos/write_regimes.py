@@ -11,7 +11,7 @@ reaches the working-set budget minus a reserve.
 from iostack import CanonicalRequest, Op, Origin, classify_write_regime, replay
 from iostack.diskcache import DiskCacheConfig, ReadPrefetch
 from iostack.disk import DiskGeometry, SeekProfile, Zone
-from iostack.fscache import FsCacheConfig
+from iostack.fscache import RESERVE_CONSTANT_BYTES, FsCacheConfig
 from iostack.replay import StackConfig
 
 KB = 1024
@@ -41,7 +41,7 @@ def main() -> None:
     for tag, cached, direct in result.fs.write_splits:
         print(f"  write {tag:>2}: {cached}/{direct}")
     print(f"\nworking set {cfg.working_set_bytes // (1024 * KB)}MB, "
-          f"reserve {cfg.reserve_constant_bytes // (1024 * KB)}MB: "
+          f"reserve {RESERVE_CONSTANT_BYTES // (1024 * KB)}MB: "
           f"bulk flush fired after writes {result.fs.flush_ordinals}")
 
 

@@ -69,18 +69,23 @@ def _as_run(args, spec: RunSpec) -> RunSpec:
     )
 
 
-def _load_requests(spec: RunSpec):
+def _run(spec: RunSpec):
+    """The replay of the trace or generated workload, with the trace's defect report."""
+
     if spec.trace_path is None:
         if not spec.workloads:
             raise ConfigError("workload: no [workload] section to generate from and no trace")
         requests = [r for w in spec.workloads for r in generate(w)]
-        return sorted(requests, key=lambda r: r.issue_time_us), None
+        requests.sort(key=lambda r: r.issue_time_us)
+        return replay(requests, spec.stack, spec.policy), None
     text = read_utf8(spec.trace_path)
     try:
         if text.startswith("#iostack-trace"):
-            return read_canonical(io.StringIO(text)), None
-        return ingest_text(text, spec.cluster_bytes, spec.system_processes)
-    except TraceError as exc:
+            requests, report = read_canonical(io.StringIO(text)), None
+        else:
+            requests, report = ingest_text(text, spec.cluster_bytes, spec.system_processes)
+        return replay(requests, spec.stack, spec.policy), report
+    except (TraceError, TraceReplayError) as exc:
         raise type(exc)(f"{spec.trace_path}: {exc}") from None
 
 
@@ -95,8 +100,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         spec = _as_run(args, _read_config(args.config))
-        requests, defect_report = _load_requests(spec)
-        result = replay(requests, spec.stack, spec.policy)
+        result, defect_report = _run(spec)
         files = emit_reports(
             result.records,
             result.summary,
@@ -117,8 +121,6 @@ def main(argv: list[str] | None = None) -> int:
     print(f"requests={s.total_requests} bytes={s.total_bytes}")
     print(f"total_response_us={s.total_response_us}")
     print(f"throughput_bytes_per_s={s.throughput_bytes_per_s:.0f}")
-    if result.fs.clipped_requests:
-        print(f"clipped_requests={result.fs.clipped_requests}")
     for path in files:
         print(f"wrote {path}")
     return 0

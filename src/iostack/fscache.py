@@ -4,9 +4,10 @@ All cache-mediated traffic moves in 64KB blocks inside 256KB per-file views.
 Reads follow one of two speculative algorithms depending on access mode and
 request size; writes fall into a progressive regime (cache only, drained
 continuously) or a periodic one (part cache, part direct to disk, bulk
-flush when the working set fills).  The planner here is pure: it turns one
-request plus cache state into an ordered list of intents that the replay
-stage executes on the event engine.
+flush when the working set fills).  The planner here turns one request plus
+cache state into an ordered list of intents that the replay stage executes
+on the event engine, and lists the request as a waiter of each block it
+needs that another request is loading.
 
 Cache state is keyed by absolute disk position rather than in-file offsets:
 captured traces report per-run relative displacements, so the disk address
@@ -28,8 +29,15 @@ from .requests import SECTOR_BYTES, AccessMode, CanonicalRequest, Op, sector_ran
 BLOCK_BYTES = 65_536
 VIEW_BYTES = 262_144
 
+#: Sequential requests needed before block read-ahead engages.
+READAHEAD_TRIGGER = 3
 #: Prefetch may run this many request-sizes past the last demand.
 READAHEAD_WINDOW_FACTOR = 2
+#: Dirty data may grow to the working set less this reserve before the bulk
+#: flush.  6MB leaves a 2MB flush threshold at the default 8MB working set,
+#: which reproduces the observed flush cadence of one bulk flush per 7-8
+#: large requests.
+RESERVE_CONSTANT_BYTES = 6 * 1024 * 1024
 METADATA_WRITE_BYTES = 4096
 
 
@@ -77,14 +85,8 @@ class WriteRegime(Enum):
 
 @dataclass(frozen=True)
 class FsCacheConfig:
-    #: Sequential requests needed before read-ahead engages.
-    readahead_trigger: int = 3
+    #: Must exceed ``RESERVE_CONSTANT_BYTES``.
     working_set_bytes: int = 8 * 1024 * 1024
-    #: Dirty data may grow to working_set - reserve before the bulk flush.
-    #: 6MB leaves a 2MB flush threshold, which reproduces the observed
-    #: flush cadence of one bulk flush per 7-8 large requests at an 8MB
-    #: working set.
-    reserve_constant_bytes: int = 6 * 1024 * 1024
     fastio_hit_cost_us: int = 10
     miss_path_cost_us: int = 50
     memcopy_bytes_per_us: int = 2048
@@ -92,20 +94,13 @@ class FsCacheConfig:
     metadata_disk_addr: int = 0
 
     def __post_init__(self) -> None:
-        for name in (
-            "readahead_trigger",
-            "working_set_bytes",
-            "memcopy_bytes_per_us",
-            "cache_capacity_bytes",
-        ):
+        for name in ("memcopy_bytes_per_us", "cache_capacity_bytes"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if not 0 <= self.reserve_constant_bytes < self.working_set_bytes:
-            raise ValueError("reserve must be smaller than the working set")
-
-    @property
-    def flush_threshold_bytes(self) -> int:
-        return self.working_set_bytes - self.reserve_constant_bytes
+        if self.working_set_bytes <= RESERVE_CONSTANT_BYTES:
+            raise ValueError(
+                f"working_set_bytes must exceed the {RESERVE_CONSTANT_BYTES}-byte reserve"
+            )
 
     def copy_us(self, nbytes: int) -> int:
         return -(-nbytes // self.memcopy_bytes_per_us) if nbytes else 0
@@ -174,7 +169,8 @@ class Plan:
     """Outcome of planning one request against the cache state."""
 
     ios: list[IoIntent] = field(default_factory=list)
-    wait_blocks: list[tuple[int, int]] = field(default_factory=list)
+    #: Blocks other requests are loading that this request waits for.
+    waits: int = 0
     copy_bytes: int = 0
     hit: bool = False
     metadata_after_data: bool = False
@@ -186,16 +182,12 @@ class Plan:
 
 
 @dataclass
-class ReadStream:
-    """Per-file sequential detection shared by both read algorithms."""
+class FileStream:
+    """Per-handle speculation state: read sequentiality and the periodic write split."""
 
     last_end: int = -1
     sequential_count: int = 0
     prefetch_cursor: int = 0
-
-
-@dataclass
-class WriteStream:
     period_position: int = 0
     block_count: int = 0
 
@@ -211,15 +203,18 @@ class FsCache:
         self.views: OrderedDict[tuple[int, int], set[int]] = OrderedDict()
         #: Blocks being loaded -> the requests, other than the loader, that wait for them.
         self.inflight: dict[tuple[int, int], list[int]] = {}
-        self.read_streams: dict[int, ReadStream] = {}
-        self.write_streams: dict[int, WriteStream] = {}
+        self.streams: dict[int, FileStream] = {}
         #: Dirty block queue in first-write order; values tag the dirty sectors.
         self.dirty_blocks: OrderedDict[tuple[int, int], TagMap] = OrderedDict()
         self.dirty_accounted_bytes = 0
         self.resident_bytes = 0
         self.flush_ordinals: list[int] = []
         self.write_splits: list[tuple[int, int, int]] = []
-        self.clipped_requests = 0
+
+    def on_open(self, file_id: int) -> None:
+        """A fresh handle: the file's speculation state restarts."""
+
+        self.streams.pop(file_id, None)
 
     # -- residency ----------------------------------------------------------
 
@@ -294,19 +289,23 @@ class FsCache:
             return req.length_bytes % BLOCK_BYTES == 0
         return req.length_bytes <= BLOCK_BYTES
 
-    def _classify_blocks(
-        self, file_id: int, blocks: Iterable[int]
-    ) -> tuple[list[int], list[tuple[int, int]]]:
+    def _demand_blocks(
+        self, file_id: int, blocks: Iterable[int], rid: int
+    ) -> tuple[list[int], int]:
+        """The blocks to load, and how many loading ones request ``rid`` now waits for."""
+
         missing: list[int] = []
-        waiting: list[tuple[int, int]] = []
+        waits = 0
         for addr in blocks:
             if self.block_resident(file_id, addr):
                 continue
-            if (file_id, addr) in self.inflight:
-                waiting.append((file_id, addr))
-            else:
+            waiters = self.inflight.get((file_id, addr))
+            if waiters is None:
                 missing.append(addr)
-        return missing, waiting
+            else:
+                waiters.append(rid)
+                waits += 1
+        return missing, waits
 
     def _read_io(self, file_id: int, addr: int, purpose: Purpose, actor: str) -> IoIntent:
         key = (file_id, addr)
@@ -329,24 +328,26 @@ class FsCache:
             if not self.block_resident(file_id, addr) and (file_id, addr) not in self.inflight
         ]
 
-    def on_read(self, req: CanonicalRequest) -> Plan:
+    def on_read(self, req: CanonicalRequest, rid: int) -> Plan:
+        """Plan read ``rid``; it becomes a waiter of each loading block it needs.
+
+        Replay derives the file extents from the trace, so a read never ends
+        past its file's; the extent only caps read-ahead.
+        """
+
         if req.op is not Op.READ:
             raise ValueError("on_read requires a READ request")
-        cfg = self.config
         if req.mode is AccessMode.NO_BUFFER:
             return _passthrough(req, None)
 
-        eof = self.extents.get(req.file_id, req.disk_byte_addr + req.length_bytes)
         start, end = req.disk_byte_addr, req.disk_byte_addr + req.length_bytes
-        plan = Plan(copy_bytes=max(0, min(end, eof) - start))
-        if plan.copy_bytes < req.length_bytes:
-            self.clipped_requests += 1
-
-        blocks = [addr for addr in split_into_blocks(start, req.length_bytes) if addr < eof]
-        stream = self.read_streams.setdefault(req.file_id, ReadStream())
+        eof = self.extents.get(req.file_id, end)
+        plan = Plan(copy_bytes=req.length_bytes)
+        stream = self.streams.setdefault(req.file_id, FileStream())
         continuation = start == stream.last_end
-        missing, waiting = self._classify_blocks(req.file_id, blocks)
-        plan.wait_blocks = waiting
+        missing, plan.waits = self._demand_blocks(
+            req.file_id, split_into_blocks(start, req.length_bytes), rid
+        )
         block_readahead = self._uses_block_readahead(req)
         # The window algorithm's continuations are loaded by the application
         # process; everything else by the system process.
@@ -358,7 +359,7 @@ class FsCache:
             if not continuation:
                 stream.prefetch_cursor = end
             prefetch_ios = []
-            if stream.sequential_count >= cfg.readahead_trigger and req.length_bytes:
+            if stream.sequential_count >= READAHEAD_TRIGGER and req.length_bytes:
                 window_end = min(end + READAHEAD_WINDOW_FACTOR * req.length_bytes, eof)
                 cursor = max(stream.prefetch_cursor, end)
                 cursor -= cursor % BLOCK_BYTES
@@ -379,7 +380,7 @@ class FsCache:
             plan.ios = demand_ios
 
         stream.last_end = end
-        plan.hit = not plan.required_ios and not plan.wait_blocks
+        plan.hit = not plan.required_ios and not plan.waits
         return plan
 
     # -- writes ---------------------------------------------------------------
@@ -420,7 +421,6 @@ class FsCache:
     def on_write(self, req: CanonicalRequest, tag: int) -> Plan:
         if req.op is not Op.WRITE:
             raise ValueError("on_write requires a WRITE request")
-        cfg = self.config
         if req.mode is AccessMode.NO_BUFFER:
             return _passthrough(req, tag)
 
@@ -446,7 +446,7 @@ class FsCache:
 
         regime = classify_write_regime(length)
         n = periodic_block_count(length)
-        stream = self.write_streams.setdefault(req.file_id, WriteStream())
+        stream = self.streams.setdefault(req.file_id, FileStream())
         plan = Plan()
         if regime is WriteRegime.PROGRESSIVE:
             cached_blocks, direct_blocks = n, 0
@@ -472,10 +472,8 @@ class FsCache:
             plan.ios.extend(
                 self._direct_write_ios(req.file_id, start + cache_bytes, direct_bytes, tag)
             )
-        if (
-            regime is WriteRegime.PERIODIC
-            and self.dirty_accounted_bytes >= cfg.flush_threshold_bytes
-        ):
+        threshold = self.config.working_set_bytes - RESERVE_CONSTANT_BYTES
+        if regime is WriteRegime.PERIODIC and self.dirty_accounted_bytes >= threshold:
             plan.ios.extend(self.flush_all())
             self.flush_ordinals.append(tag)
         return plan

@@ -7,8 +7,9 @@ scheduler orders pending disk work, the drive cache stages data, and the
 disk stage serializes media operations against the mechanical model while
 keeping the written sectors' tags as runs for conservation checks.
 
-Each fact has one owner: ``FsCache`` holds fs residency, the dirty blocks
-and the loading blocks with the requests waiting for each (``inflight``),
+Each fact has one owner: ``FsCache`` holds fs residency, the dirty blocks,
+each file's speculation state and the loading blocks with the requests
+waiting for each (``inflight``), which it registers when it plans a read;
 ``FsStage`` how many ios and blocks each request still awaits, an io's
 ``IoMsg.request_id`` the request it serves, and ``SegmentedCache`` the
 drive segments, the in-flight and queued fills (``outstanding_fills``,
@@ -205,8 +206,6 @@ class AppStage:
         self.records: list[RequestRecord] = []
 
     def start(self, sim: Simulator) -> None:
-        if not self.requests:
-            return
         if self.policy.mode is ReplayMode.OPEN_LOOP_TIMED:
             for i, r in enumerate(self.requests):
                 sim.schedule(StageId.APP, RequestMsg(i, r), at_us=r.issue_time_us)
@@ -308,9 +307,7 @@ class FsStage:
         now = self.sim.now()
         if req.op in (Op.OPEN, Op.CLOSE):
             if req.op is Op.OPEN:
-                # Fresh handle: speculation state restarts.
-                self.fs.read_streams.pop(req.file_id, None)
-                self.fs.write_streams.pop(req.file_id, None)
+                self.fs.on_open(req.file_id)
             # Opening or closing a handle takes no simulated time.
             self._complete(msg, at_us=now)
             return
@@ -318,12 +315,10 @@ class FsStage:
             self._complete(msg, at_us=now + cfg.fastio_hit_cost_us)
             return
 
-        plan = self.fs.on_read(req) if req.op is Op.READ else self.fs.on_write(req, rid)
+        plan = self.fs.on_read(req, rid) if req.op is Op.READ else self.fs.on_write(req, rid)
         required = len(plan.required_ios)
-        awaited = required + len(plan.wait_blocks) + plan.metadata_after_data
+        awaited = required + plan.waits + plan.metadata_after_data
         pending = _PendingRequest(msg, awaited, cfg.copy_us(plan.copy_bytes))
-        for key in plan.wait_blocks:
-            self.fs.inflight[key].append(rid)
         issue_at = now + (cfg.miss_path_cost_us if required else 0)
         for intent in plan.ios:
             self._issue(intent, rid if intent.purpose.required else None, issue_at)
@@ -653,20 +648,19 @@ def _replay(
 
     if not requests:
         raise TraceReplayError("cannot replay an empty trace")
-    effective = [
-        r
-        for r in requests
-        if stack.include_system_requests or r.origin is Origin.APP
-    ]
-    if not effective:
-        raise TraceReplayError("no application-origin requests to replay")
     capacity = stack.geometry.usable_bytes
-    for r in effective:
+    effective = []
+    for position, r in enumerate(requests):
+        if not stack.include_system_requests and r.origin is not Origin.APP:
+            continue
         if r.op in (Op.READ, Op.WRITE) and r.disk_byte_addr + r.length_bytes > capacity:
             raise TraceReplayError(
-                f"request at disk byte {r.disk_byte_addr} (+{r.length_bytes}) exceeds the "
-                f"configured disk capacity of {capacity} bytes"
+                f"request {position} at disk byte {r.disk_byte_addr} (+{r.length_bytes}) "
+                f"exceeds the configured disk capacity of {capacity} bytes"
             )
+        effective.append(r)
+    if not effective:
+        raise TraceReplayError("no application-origin requests to replay")
 
     sim = Simulator(observe)
     fs = FsCache(stack.fs, file_extents(effective))

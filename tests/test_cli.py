@@ -29,6 +29,15 @@ address = sequential
 """
 
 
+#: A tracer-format trace whose last READ comes from a process that never
+#: opened the file: that line is dropped and reported.
+ORPHAN_READ_TRACE = (
+    "1\t17:00:00.000\tapp.exe:1\tOPEN\tC:\\f\tSUCCESS Options: Open\n"
+    "2\t17:00:00.010\tapp.exe:1\tREAD\tC:\\f\tLCN: 10 Offset: 0 Length: 4096\n"
+    "3\t17:00:00.020\tapp.exe:2\tREAD\tC:\\f\tLCN: 10 Offset: 0 Length: 4096\n"
+)
+
+
 def write_file(path: Path, body: str | bytes) -> Path:
     """``path`` holding ``body``: a text as UTF-8, bytes as they are."""
 
@@ -68,6 +77,15 @@ class TestCli:
         stdout = capsys.readouterr().out
         # 7 application-origin records replayed (system helpers excluded).
         assert "requests=7" in stdout
+
+    def test_dropped_trace_line_reported(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        trace = write_file(tmp_path / "capture.txt", ORPHAN_READ_TRACE)
+        code = main(["--config", str(cfg), "--trace", str(trace), "--output", str(tmp_path / "out")])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == ["simulate: dropped line 3: OrphanIO"]
+        assert "requests=2" in captured.out
 
     def test_canonical_trace_autodetected(self, tmp_path):
         from iostack import ingest_text, write_canonical
@@ -322,6 +340,20 @@ HUGE_WEIGHTS = CONFIG.replace(
             CONFIG,
             "trace.txt: seq 104: wallclock went backwards",
         ),
+        # Used to name neither the trace nor the request.
+        (
+            {"--trace": CANONICAL_TRACE.replace("4096 65536 NORMAL", "4096 40000000000 NORMAL")},
+            [],
+            CONFIG,
+            "trace.txt: request 2 at disk byte 40000000000 (+4096) exceeds the configured "
+            "disk capacity of",
+        ),
+        (
+            {},
+            [],
+            with_bad_value("os.working_set_bytes", "6291456"),
+            "sim.ini: os: working_set_bytes must exceed the 6291456-byte reserve",
+        ),
     ],
     ids=[
         "baseline-header",
@@ -354,6 +386,8 @@ HUGE_WEIGHTS = CONFIG.replace(
         "trace-cluster-bytes-not-power-of-two",
         "trace-cluster-bytes-negative",
         "trace-time-backwards",
+        "trace-request-beyond-disk",
+        "working-set-within-reserve",
     ],
 )
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, files, extra, config, message):

@@ -80,16 +80,14 @@ class TestLoadConfig:
     def test_omitted_os_section_defaults_echoed(self):
         spec = load_config(MINIMAL)
         assert spec.stack.fs.cache_capacity_bytes == 128 * 1024 * 1024
-        assert spec.stack.fs.readahead_trigger == 3
         assert spec.stack.fs.working_set_bytes == 8 * 1024 * 1024
         assert spec.echo["os.cache_capacity_bytes"] == str(128 * 1024 * 1024)
-        assert spec.echo["os.readahead_trigger"] == "3"
         assert spec.echo["os.working_set_bytes"] == str(8 * 1024 * 1024)
 
     def test_overrides_on_top_of_profile(self):
-        spec = load_config(MINIMAL + "track_skew_sectors = 0\n[os]\nreadahead_trigger = 5\n")
+        spec = load_config(MINIMAL + "track_skew_sectors = 0\n[os]\nmiss_path_cost_us = 5\n")
         assert spec.stack.geometry.track_skew_sectors == 0
-        assert spec.stack.fs.readahead_trigger == 5
+        assert spec.stack.fs.miss_path_cost_us == 5
 
     def test_scheduler_policy_parsed(self):
         spec = load_config(MINIMAL + "[os]\nscheduler_policy = C_LOOK\n")
@@ -161,9 +159,7 @@ EVERY_KEY = {
     "disk_cache.segment_bytes": "262144",
     "disk_cache.read_prefetch": "NONE",
     "disk_cache.write_policy": "WRITE_THROUGH",
-    "os.readahead_trigger": "4",
     "os.working_set_bytes": "16777216",
-    "os.reserve_constant_bytes": "8388608",
     "os.fastio_hit_cost_us": "12",
     "os.miss_path_cost_us": "60",
     "os.memcopy_bytes_per_us": "4096",
@@ -206,8 +202,7 @@ ACCEPTED_KEYS = {
     },
     "disk_cache": {"segment_count", "segment_bytes", "read_prefetch", "write_policy"},
     "os": {
-        "readahead_trigger", "working_set_bytes", "reserve_constant_bytes",
-        "fastio_hit_cost_us", "miss_path_cost_us", "memcopy_bytes_per_us",
+        "working_set_bytes", "fastio_hit_cost_us", "miss_path_cost_us", "memcopy_bytes_per_us",
         "cache_capacity_bytes", "metadata_disk_addr", "scheduler_policy",
     },
     "trace": {"path", "cluster_bytes", "include_system", "process_deny"},
@@ -272,7 +267,8 @@ class TestRoundTrip:
 
 #: Keys of removed knobs: cache keys that became paper constants, the
 #: LOCAL_512K switch or a derived size, and the LBA mapping, which had one
-#: used value (cylinder-major).
+#: used value (cylinder-major).  The read-ahead trigger and the dirty-data
+#: reserve are Windows cache-manager constants.
 REMOVED_KEYS = (
     "disk.mapping",
     "disk_cache.total_bytes",
@@ -285,6 +281,8 @@ REMOVED_KEYS = (
     "os.readahead_window_factor",
     "os.metadata_write_bytes",
     "os.open_close_cost_us",
+    "os.readahead_trigger",
+    "os.reserve_constant_bytes",
 )
 
 

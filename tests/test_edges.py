@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -21,7 +23,7 @@ from iostack import (
 from iostack.diskcache import DiskCacheConfig, ReadPrefetch
 from iostack.fscache import DEMAND, FsCache, FsCacheConfig
 from iostack.profiles import PROFILES
-from iostack.replay import MediaRole
+from iostack.replay import MediaRole, file_extents
 from iostack.requests import CanonicalRequest, Origin
 from iostack.scheduler import Policy
 from iostack.trace import OpenFlag, ingest_text
@@ -54,6 +56,25 @@ class TestTraceFlags:
         )
         requests, _ = ingest_text(text, system_processes=())
         assert requests[1].mode is AccessMode.NO_BUFFER
+
+    @pytest.mark.parametrize(
+        "options, mode",
+        [
+            ("Open WriteThrough", AccessMode.WRITE_THROUGH),
+            ("Open SequentialScan", AccessMode.SEQUENTIAL),
+            ("Open NoBuffer WriteThrough", AccessMode.NO_BUFFER),
+            ("Open WriteThrough NoBuffer SequentialScan", AccessMode.NO_BUFFER),
+        ],
+    )
+    def test_open_options_set_the_session_mode(self, options, mode):
+        text = (
+            f"1  9:0:0.000  a.exe:1  OPEN  C:\\f  SUCCESS Options: {options} Access: All\n"
+            "2  9:0:0.010  a.exe:1  READ  C:\\f  LCN: 1 Offset: 0 Length: 512\n"
+            "3  9:0:0.020  a.exe:1  WRITE  C:\\f  LCN: 1 Offset: 0 Length: 512\n"
+        )
+        requests, report = ingest_text(text, system_processes=())
+        assert not report.dropped_lines
+        assert [(r.op, r.mode) for r in requests] == [(op, mode) for op in (Op.OPEN, Op.READ, Op.WRITE)]
 
     def test_path_with_single_spaces_survives(self):
         raw = parse_trace_line(
@@ -94,7 +115,7 @@ class TestFsCacheEdges:
     def test_write_through_reads_use_buffered_algorithms(self):
         fs = FsCache(FsCacheConfig(), {0: 100 * BLOCK})
         req = CanonicalRequest(0, Origin.APP, Op.READ, 0, 0, BLOCK, 0, AccessMode.WRITE_THROUGH)
-        plan = fs.on_read(req)
+        plan = fs.on_read(req, 0)
         # Cached path, not passthrough: one quantized demand block.
         assert [io.purpose for io in plan.ios] == [DEMAND]
         assert plan.ios[0].nbytes == BLOCK
@@ -141,19 +162,24 @@ class TestReplayEdges:
         assert result.summary.total_requests == 1
 
     def test_trace_derived_extents_never_clip(self):
-        # In replay, file extents derive from the trace's own accesses, so
-        # no trace-derived read can extend past them; clipping only
-        # triggers for explicitly configured smaller extents (covered at
-        # the planner level).
+        # Replay derives the file extents from the trace's own accesses, so
+        # no read ends past its file's extent and the fs cache needs no
+        # end-of-file clip.
         stack = plain_stack()
         requests = [
             CanonicalRequest(0, Origin.APP, Op.OPEN, 0, 0, 0, 0),
             CanonicalRequest(0, Origin.APP, Op.READ, 0, 0, BLOCK, 0),
             CanonicalRequest(0, Origin.APP, Op.READ, 0, 0, 4 * BLOCK, 0),
+            CanonicalRequest(0, Origin.APP, Op.READ, 1, 0, 3 * BLOCK, 8 * BLOCK),
+            CanonicalRequest(0, Origin.APP, Op.WRITE, 1, 0, 5 * BLOCK, 8 * BLOCK),
             CanonicalRequest(0, Origin.APP, Op.CLOSE, 0, 0, 0, 0),
         ]
         result = replay(requests, stack)
-        assert result.fs.clipped_requests == 0
+        extents = result.fs.extents
+        assert extents == file_extents(requests) == {0: 4 * BLOCK, 1: 13 * BLOCK}
+        reads = [r for r in result.effective_requests if r.op is Op.READ]
+        assert len(reads) == 3
+        assert all(r.disk_byte_addr + r.length_bytes <= extents[r.file_id] for r in reads)
 
     def test_look_policy_full_run(self):
         stack = plain_stack(scheduler_policy=Policy.LOOK)
@@ -173,8 +199,13 @@ class TestReplayEdges:
 
         stack = plain_stack(geometry=tiny_geometry(spt=16, cylinders=2, heads=1))
         huge = CanonicalRequest(0, Origin.APP, Op.READ, 0, 0, BLOCK, 10**12, AccessMode.NO_BUFFER)
-        with pytest.raises(TraceReplayError, match="capacity"):
+        with pytest.raises(TraceReplayError, match="^request 0 at disk byte .* capacity"):
             replay([huge], stack)
+        # The error names the request's position in the whole trace, system
+        # requests included, though only replayed requests are checked.
+        system = dataclasses.replace(huge, origin=Origin.SYSTEM)
+        with pytest.raises(TraceReplayError, match="^request 2 at disk byte"):
+            replay([system, dataclasses.replace(huge, disk_byte_addr=0, length_bytes=512), huge], stack)
 
     def test_zero_length_io_completes_without_disk(self):
         stack = plain_stack()

@@ -148,7 +148,7 @@ class TestPeriodicWrites:
         cfg = FsCacheConfig()
         fs = FsCache(cfg)
         fs.on_write(write(0, 320 * KB), tag=0)  # dirties leading 192KB
-        fs.write_streams[0].period_position = 0  # force a 3/3 split again
+        fs.streams[0].period_position = 0  # force a 3/3 split again
         plan = fs.on_write(write(0, 320 * KB), tag=1)
         direct = [io for io in plan.ios if io.purpose == APP_DIRECT]
         flush_ios = fs.flush_all()
@@ -180,7 +180,7 @@ class TestPeriodicWrites:
 class TestReads:
     def test_no_buffer_read_passthrough_untouched_cache(self):
         fs = FsCache(FsCacheConfig(), {0: 10 * BLOCK})
-        plan = fs.on_read(read(0, 128 * KB, mode=AccessMode.NO_BUFFER))
+        plan = fs.on_read(read(0, 128 * KB, mode=AccessMode.NO_BUFFER), 0)
         assert [io.purpose for io in plan.ios] == [PASSTHROUGH]
         assert plan.ios[0].nbytes == 128 * KB
         assert not fs.views
@@ -191,11 +191,11 @@ class TestReads:
         # the application's demand loads, system block first.
         size = 256 * KB
         fs = FsCache(FsCacheConfig(), {0: 12 * BLOCK})
-        plan1 = fs.on_read(read(0, size))
+        plan1 = fs.on_read(read(0, size), 0)
         assert [io.disk_addr // BLOCK for io in plan1.ios] == [0, 1, 2, 3]
         assert all(io.actor == SYSTEM_ACTOR and io.purpose == DEMAND for io in plan1.ios)
 
-        plan2 = fs.on_read(read(size, size))
+        plan2 = fs.on_read(read(size, size), 1)
         assert [io.disk_addr // BLOCK for io in plan2.ios] == [8, 4, 9, 5, 10, 6, 11, 7]
         kinds = [(io.purpose, io.actor) for io in plan2.ios]
         assert kinds[::2] == [(PREFETCH, SYSTEM_ACTOR)] * 4
@@ -204,10 +204,10 @@ class TestReads:
     def test_window_algorithm_third_request_hits(self):
         size = 256 * KB
         fs = FsCache(FsCacheConfig(), {0: 12 * BLOCK})
-        for plan in (fs.on_read(read(0, size)), fs.on_read(read(size, size))):
+        for plan in (fs.on_read(read(0, size), 0), fs.on_read(read(size, size), 1)):
             for io in plan.ios:
                 fs.on_block_loaded(io.block_key)
-        plan3 = fs.on_read(read(2 * size, size))
+        plan3 = fs.on_read(read(2 * size, size), 2)
         assert plan3.hit
         # End of file: the next window would start past 768KB, nothing
         # gets prefetched.
@@ -216,14 +216,14 @@ class TestReads:
     def test_window_reset_on_random_jump(self):
         size = 256 * KB
         fs = FsCache(FsCacheConfig(), {0: 100 * BLOCK})
-        fs.on_read(read(0, size))
-        plan = fs.on_read(read(40 * BLOCK, size))  # not a continuation
+        fs.on_read(read(0, size), 0)
+        plan = fs.on_read(read(40 * BLOCK, size), 1)  # not a continuation
         assert all(io.purpose == DEMAND and io.actor == SYSTEM_ACTOR for io in plan.ios)
 
     def test_sequential_mode_trigger_then_prefetch(self):
         cfg = FsCacheConfig()  # trigger 3, window factor 2
         fs = FsCache(cfg, {0: 40 * BLOCK})
-        plans = [fs.on_read(read(i * BLOCK, BLOCK, mode=AccessMode.SEQUENTIAL)) for i in range(3)]
+        plans = [fs.on_read(read(i * BLOCK, BLOCK, mode=AccessMode.SEQUENTIAL), i) for i in range(3)]
         assert all(
             [io.purpose for io in p.ios] == [DEMAND] for p in plans[:2]
         )
@@ -238,40 +238,36 @@ class TestReads:
         cfg = FsCacheConfig()
         fs = FsCache(cfg, {0: 4 * BLOCK})
         for i in range(3):
-            fs.on_read(read(i * BLOCK, BLOCK, mode=AccessMode.SEQUENTIAL))
-        stream = fs.read_streams[0]
+            fs.on_read(read(i * BLOCK, BLOCK, mode=AccessMode.SEQUENTIAL), i)
+        stream = fs.streams[0]
         assert stream.prefetch_cursor <= 4 * BLOCK
 
     def test_prefetch_cursor_bounded_by_window(self):
         cfg = FsCacheConfig()
         fs = FsCache(cfg, {0: 1000 * BLOCK})
         for i in range(10):
-            fs.on_read(read(i * BLOCK, BLOCK, mode=AccessMode.SEQUENTIAL))
-        stream = fs.read_streams[0]
+            fs.on_read(read(i * BLOCK, BLOCK, mode=AccessMode.SEQUENTIAL), i)
+        stream = fs.streams[0]
         last_demand_end = 10 * BLOCK
         assert stream.prefetch_cursor - last_demand_end <= READAHEAD_WINDOW_FACTOR * BLOCK
 
     def test_hit_after_load(self):
         fs = FsCache(FsCacheConfig(), {0: 10 * BLOCK})
-        plan = fs.on_read(read(0, BLOCK))
+        plan = fs.on_read(read(0, BLOCK), 0)
         for io in plan.ios:
             fs.on_block_loaded(io.block_key)
-        again = fs.on_read(read(0, BLOCK))
+        again = fs.on_read(read(0, BLOCK), 1)
         assert again.hit and not again.ios
-
-    def test_read_past_eof_clipped(self):
-        fs = FsCache(FsCacheConfig(), {0: BLOCK})
-        plan = fs.on_read(read(0, 4 * BLOCK))
-        assert plan.copy_bytes == BLOCK
-        assert fs.clipped_requests == 1
 
     def test_inflight_block_not_reissued(self):
         fs = FsCache(FsCacheConfig(), {0: 10 * BLOCK})
-        first = fs.on_read(read(0, BLOCK))
+        first = fs.on_read(read(0, BLOCK), 0)
         assert len(first.ios) == 1
-        second = fs.on_read(read(0, BLOCK))
-        assert second.ios == []
-        assert second.wait_blocks == [(0, 0)]
+        second = fs.on_read(read(0, BLOCK), 1)
+        assert second.ios == [] and not second.hit
+        # The second read waits for the first one's load, as its waiter.
+        assert second.waits == 1
+        assert fs.on_block_loaded((0, 0)) == [1]
 
 
 class TestEviction:
@@ -279,7 +275,7 @@ class TestEviction:
         cfg = FsCacheConfig(cache_capacity_bytes=3 * 256 * KB)
         fs = FsCache(cfg, {0: 1000 * BLOCK})
         # View 0 is the oldest: one block resident, one still loading.
-        assert [io.block_key for io in fs.on_read(read(0, BLOCK)).ios] == [(0, 0)]
+        assert [io.block_key for io in fs.on_read(read(0, BLOCK), 0).ios] == [(0, 0)]
         fs.mark_resident(0, BLOCK)
         for view in range(1, 5):
             for slot in range(4):
@@ -301,6 +297,6 @@ class TestEviction:
     def test_no_buffer_leaves_views_empty(self):
         fs = FsCache(FsCacheConfig(), {0: 100 * BLOCK})
         for i in range(10):
-            fs.on_read(read(i * BLOCK, BLOCK, mode=AccessMode.NO_BUFFER))
+            fs.on_read(read(i * BLOCK, BLOCK, mode=AccessMode.NO_BUFFER), i)
             fs.on_write(write(i * BLOCK, BLOCK, mode=AccessMode.NO_BUFFER), tag=i)
         assert not fs.views

@@ -442,3 +442,42 @@ class TestDriveWriteBack:
             e.fire_at_us for e in log if e.target is StageId.SCHEDULER and e.payload.kind == "io-done"
         )
         assert ack_at >= media_done
+
+
+class TestLocalPrefetchPenalty:
+    def test_drained_local_prefetch_delays_the_next_media_op_one_revolution(self, monkeypatch):
+        # LOCAL_512K: 64KB reads at A, B nearby, then A-adjacent start the
+        # 512KB local prefetch; four 128KB reads drain it from the cache, so
+        # the drive owes one revolution of repositioning to its next media
+        # op, here the read of the last request.  The 128KB reads run
+        # backwards, so no sequential fill-ahead issues a media op between.
+        geometry = tiny_geometry(spt=128, cylinders=3000, heads=4)
+        cache = DiskCacheConfig(read_prefetch=ReadPrefetch.LOCAL_512K)
+        stack = plain_stack(geometry=geometry, cache=cache)
+        sectors = BLOCK // 512
+        ios = [(Op.READ, lba * 512, BLOCK) for lba in (0, 3 * sectors, sectors)]
+        ios += [(Op.READ, BLOCK + i * 128 * KB, 128 * KB) for i in reversed(range(4))]
+        ios.append((Op.READ, 1000 * BLOCK, BLOCK))
+        trace = stream(ios, AccessMode.NO_BUFFER, gap_us=500_000)
+
+        def media(log):
+            issued = [e.payload for e in log if e.target is StageId.DISK and e.payload.kind == "media"]
+            finish = {e.payload.media_id: e.fire_at_us for e in log if e.payload.kind == "media-finish"}
+            return issued, finish
+
+        issued, finish = media(replay(trace, stack).event_log.entries)
+        owed = [m for m in issued if m.penalty_rotations]
+        assert [(m.role, m.lba, m.penalty_rotations) for m in owed] == [
+            (MediaRole.HOST_READ, 1000 * sectors, 1)
+        ]
+        # The four 128KB reads hit the cache: no media op between.
+        H, L = MediaRole.HOST_READ, MediaRole.LOCAL_PREFETCH
+        assert [m.role for m in issued] == [H, H, H, L, H] and issued[-1] is owed[0]
+        monkeypatch.setattr(SegmentedCache, "take_penalty_rotations", lambda cache: 0)
+        issued_free, finish_free = media(replay(trace, stack).event_log.entries)
+        assert [m.lba for m in issued_free] == [m.lba for m in issued]
+        op = owed[0].media_id
+        assert finish[op] - finish_free[op] == geometry.rotation_period_us
+        assert {i: t for i, t in finish.items() if i != op} == {
+            i: t for i, t in finish_free.items() if i != op
+        }
