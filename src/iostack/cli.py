@@ -7,14 +7,16 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import io
 import sys
+from pathlib import Path
 
 from .config import REPLAY_MODES, ConfigError, RunSpec, load_config
-from .engine import StageFault
+from .engine import Observer, StageFault
 from .replay import TraceReplayError, replay
-from .reports import BaselineError, emit_reports, load_baseline
+from .reports import BaselineError, emit_reports, load_baseline, open_event_log
 from .trace import NotUtf8, TraceError, ingest_text, read_canonical, read_utf8
 from .workload import generate
 
@@ -69,7 +71,7 @@ def _as_run(args, spec: RunSpec) -> RunSpec:
     )
 
 
-def _run(spec: RunSpec):
+def _run(spec: RunSpec, observe: Observer | None):
     """The replay of the trace or generated workload, with the trace's defect report."""
 
     if spec.trace_path is None:
@@ -77,14 +79,14 @@ def _run(spec: RunSpec):
             raise ConfigError("workload: no [workload] section to generate from and no trace")
         requests = [r for w in spec.workloads for r in generate(w)]
         requests.sort(key=lambda r: r.issue_time_us)
-        return replay(requests, spec.stack, spec.policy), None
+        return replay(requests, spec.stack, spec.policy, observe), None
     text = read_utf8(spec.trace_path)
     try:
         if text.startswith("#iostack-trace"):
             requests, report = read_canonical(io.StringIO(text)), None
         else:
             requests, report = ingest_text(text, spec.cluster_bytes, spec.system_processes)
-        return replay(requests, spec.stack, spec.policy), report
+        return replay(requests, spec.stack, spec.policy, observe), report
     except (TraceError, TraceReplayError) as exc:
         raise type(exc)(f"{spec.trace_path}: {exc}") from None
 
@@ -100,14 +102,15 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         spec = _as_run(args, _read_config(args.config))
-        result, defect_report = _run(spec)
+        # The event log streams to its file while the run it reports runs.
+        with open_event_log(args.output) if args.dump_events else contextlib.nullcontext() as log:
+            observe = None if log is None else lambda e: log.write(e.describe() + "\n")
+            result, defect_report = _run(spec, observe)
         files = emit_reports(
-            result.records,
-            result.summary,
-            args.output,
-            effective_config=spec.echo,
-            event_log=result.event_log if args.dump_events else None,
+            result.records, result.summary, args.output, effective_config=spec.echo
         )
+        if log is not None:
+            files.append(Path(log.name))
     except (
         ConfigError, TraceError, TraceReplayError, BaselineError, StageFault, NotUtf8, OSError
     ) as exc:

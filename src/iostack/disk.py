@@ -66,9 +66,6 @@ class DiskGeometry:
 
     # -- zone arithmetic ---------------------------------------------------
 
-    def zone_usable_sectors(self, idx: int) -> int:
-        return self._zone_usable[idx]
-
     @property
     def usable_sectors(self) -> int:
         return self._zone_starts[-1]

@@ -8,14 +8,16 @@ byte-for-byte.
 
 The queue holds plain ``(fire_at_us, seq, target, payload)`` tuples and each
 handler receives only ``(sim, payload)``: a ``SimEvent`` is built just for an
-observer, or for the ``StageFault`` of a handler that raised.
+observer, or for the ``StageFault`` of a handler that raised.  An observer
+sees each event as it is dispatched, so a run streams its own event log to
+whatever sink the observer writes to; a run without one costs nothing more.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from heapq import heappop, heappush
-from typing import Callable, NamedTuple, Protocol, TextIO
+from typing import Callable, NamedTuple, Protocol
 
 
 class StageId(Enum):
@@ -76,41 +78,24 @@ Observer = Callable[[SimEvent], None]
 
 
 class EventLog:
-    """The events one run dispatched: always counted, recorded on demand.
+    """The events one run dispatched: their count, and their text on demand.
 
-    A plain run keeps only its event count.  ``record(observer)`` runs the
-    same deterministic run again, passing each dispatched event to
-    ``observer``; the first read of the events calls it once and keeps the
-    list.  ``write`` streams the text through a fresh call instead.
+    A run passes its events to the observer it was given while it runs; this
+    log keeps only their count.  ``to_text()`` runs the same deterministic
+    run again through ``record(observer)``, which checks the re-run against
+    the first one, and returns one ``describe()`` line per event.  The
+    benchmark harness (``perfbench/run.py``) hashes ``to_text()`` of a plain
+    run, so the re-run stays until the harness observes its own runs.
     """
 
     def __init__(self, count: int, record: Callable[[Observer], None]):
         self._count = count
         self._record = record
-        self._entries: list[SimEvent] | None = None
-
-    @property
-    def entries(self) -> list[SimEvent]:
-        if self._entries is None:
-            entries: list[SimEvent] = []
-            self._record(entries.append)
-            self._entries = entries
-        return self._entries
 
     def to_text(self) -> str:
-        return "".join(e.describe() + "\n" for e in self.entries)
-
-    def write(self, fp: TextIO) -> None:
-        """Write ``to_text()`` to ``fp`` one line per event, keeping no event."""
-
-        self._record(lambda e: fp.write(e.describe() + "\n"))
-
-    def filter(self, stage: StageId | None = None, kind: str | None = None) -> list[SimEvent]:
-        return [
-            e
-            for e in self.entries
-            if (stage is None or e.target is stage) and (kind is None or e.payload.kind == kind)
-        ]
+        lines: list[str] = []
+        self._record(lambda e: lines.append(e.describe() + "\n"))
+        return "".join(lines)
 
     def __len__(self) -> int:
         return self._count

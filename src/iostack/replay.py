@@ -571,7 +571,7 @@ class StallError(TraceReplayError):
 
 
 class ReplayDiverged(TraceReplayError):
-    """Re-running a replay to record its event log simulated a different run."""
+    """Re-running a replay for its ``event_log.to_text()`` simulated a different run."""
 
 
 def _held_work(
@@ -628,23 +628,16 @@ def replay(
     requests: list[CanonicalRequest],
     stack: StackConfig,
     policy: ReplayPolicy = ReplayPolicy(),
+    observe: Observer | None = None,
 ) -> ReplayResult:
     """Run one full-stack simulation of the request stream.
 
-    The run records no event; its ``event_log`` re-runs it once, checked,
-    when the events are first read.
+    ``observe``, if given, receives each event as it is dispatched, before
+    its handler runs, so one run both streams its event log and is the run
+    it reports; a run that fails has passed it every event up to the one
+    that faulted.  The result keeps only the event count: its
+    ``event_log.to_text()`` re-runs the replay, checked against this run.
     """
-
-    return _replay(requests, stack, policy, None)
-
-
-def _replay(
-    requests: list[CanonicalRequest],
-    stack: StackConfig,
-    policy: ReplayPolicy,
-    observe: Observer | None,
-) -> ReplayResult:
-    """One replay, passing each dispatched event to ``observe`` if given."""
 
     if not requests:
         raise TraceReplayError("cannot replay an empty trace")
@@ -688,10 +681,10 @@ def _replay(
     records = sorted(app.records, key=lambda r: r.request_id)
     events = sim.dispatched
 
-    def record(observe: Observer) -> None:
+    def record(observer: Observer) -> None:
         # Runs are deterministic, so the same inputs simulate the same run;
         # the check catches inputs changed since (a mutated baseline dict).
-        again = _replay(effective, stack, policy, observe)
+        again = replay(effective, stack, policy, observer)
         if len(again.event_log) != events or again.records != records:
             raise ReplayDiverged(
                 f"re-running the replay to record its events gave {len(again.event_log)} events "

@@ -1,4 +1,4 @@
-"""Run report emission: per-request table, summary, optional event log.
+"""Run report emission: per-request table, summary, and the event log's file.
 
 All outputs are versioned, line-oriented text with deterministic content,
 so two runs of the same inputs produce byte-identical files.
@@ -7,8 +7,8 @@ so two runs of the same inputs produce byte-identical files.
 from __future__ import annotations
 
 from pathlib import Path
+from typing import TextIO
 
-from .engine import EventLog
 from .requests import RequestRecord, Summary
 from .trace import read_utf8
 
@@ -54,7 +54,6 @@ def emit_reports(
     summary: Summary,
     out_dir: str | Path,
     effective_config: dict[str, str] | None = None,
-    event_log: EventLog | None = None,
 ) -> list[Path]:
     """Write the run reports; returns the list of files written."""
 
@@ -67,13 +66,17 @@ def emit_reports(
     summary_path = out / "summary.txt"
     summary_path.write_text(format_summary(summary, effective_config), encoding="utf-8")
     written.append(summary_path)
-    if event_log is not None:
-        events_path = out / "events.log"
-        with events_path.open("w", encoding="utf-8") as fp:
-            fp.write(f"#iostack-events v{REPORT_FORMAT_VERSION}\n")
-            event_log.write(fp)
-        written.append(events_path)
     return written
+
+
+def open_event_log(out_dir: str | Path) -> TextIO:
+    """``out_dir/events.log``, created with its header, for a run to stream its events into."""
+
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    fp = (out / "events.log").open("w", encoding="utf-8")
+    fp.write(f"#iostack-events v{REPORT_FORMAT_VERSION}\n")
+    return fp
 
 
 def error_percent(measured_us: float, simulated_us: float) -> float:

@@ -1,4 +1,4 @@
-"""Shared fixtures: the reference tracer sample and small stack configs."""
+"""Shared fixtures: the reference tracer sample, small stack configs and an observed replay."""
 
 from __future__ import annotations
 
@@ -10,9 +10,12 @@ from iostack import (
     FsCacheConfig,
     Policy,
     ReadPrefetch,
+    ReplayPolicy,
     SeekProfile,
+    SimEvent,
     StackConfig,
     Zone,
+    replay,
 )
 
 # Eleven-line capture from the tracer this parser targets, kept verbatim
@@ -110,3 +113,10 @@ def echo_to_ini(echo: dict[str, str]) -> str:
         section, key = dotted.split(".", 1)
         sections.setdefault(section, []).append(f"{key} = {value}")
     return "".join(f"[{name}]\n" + "\n".join(lines) + "\n" for name, lines in sections.items())
+
+
+def observed(requests, stack: StackConfig, policy: ReplayPolicy = ReplayPolicy()):
+    """``(result, events)``: one replay and the events it dispatched, recorded as it ran."""
+
+    events: list[SimEvent] = []
+    return replay(requests, stack, policy, observe=events.append), events

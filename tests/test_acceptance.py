@@ -38,8 +38,9 @@ from iostack.profiles import FUJITSU_MAN3184MP, HITACHI_TRAVELSTAR_80GN, PROFILE
 from iostack.requests import Origin
 from iostack.workload import DistSpec, GeneratorSpec, generate
 
-from conftest import plain_stack, tiny_geometry, zero_cost_fs
+from conftest import observed, plain_stack, tiny_geometry, zero_cost_fs
 from test_disk import enumerate_mapping
+from test_golden_log import log_text
 from test_replay import disk_read_blocks, stream
 
 KB = 1024
@@ -55,8 +56,8 @@ def test_disk_visible_read_order_golden_sequence():
 
     start = time.perf_counter()
     trace = stream([(Op.READ, i * 256 * KB, 256 * KB) for i in range(3)], AccessMode.NORMAL)
-    result = replay(trace, plain_stack())
-    assert disk_read_blocks(result) == [0, 1, 2, 3, 8, 4, 9, 5, 10, 6, 11, 7]
+    _, events = observed(trace, plain_stack())
+    assert disk_read_blocks(events) == [0, 1, 2, 3, 8, 4, 9, 5, 10, 6, 11, 7]
     assert time.perf_counter() - start < 1.0
     ok("disk-visible read order (golden sequence)")
 
@@ -243,12 +244,10 @@ def test_replay_determinism_byte_identical(tmp_path):
 
     outputs = []
     for run in range(2):
-        result = replay(trace, stack)
+        result, events = observed(trace, stack)
         out = tmp_path / f"run{run}"
-        files = emit_reports(result.records, result.summary, out, event_log=result.event_log)
-        outputs.append(
-            (result.event_log.to_text(), tuple(f.read_bytes() for f in files))
-        )
+        files = emit_reports(result.records, result.summary, out)
+        outputs.append((log_text(events), tuple(f.read_bytes() for f in files)))
     assert outputs[0][0] == outputs[1][0]
     assert outputs[0][1] == outputs[1][1]
     ok("replay determinism (event log and reports byte-identical)")

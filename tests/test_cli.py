@@ -10,7 +10,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from iostack import Simulator, load_config, replay
 from iostack.cli import main
+from iostack.reports import REPORT_FORMAT_VERSION, format_request_table
+from iostack.workload import generate
 
 from conftest import SAMPLE_TRACE, echo_to_ini
 from test_config_reports import BAD_VALUES, EVERY_KEY, REMOVED_KEYS, with_bad_value
@@ -66,6 +69,26 @@ class TestCli:
         out = tmp_path / "out"
         assert main(["--config", str(cfg), "--generate", "--output", str(out), "--dump-events"]) == 0
         assert (out / "events.log").read_text().startswith("#iostack-events")
+
+    def test_dump_events_runs_once(self, tmp_path, monkeypatch):
+        # The log streams from the run the reports describe, not from a re-run.
+        runs = []
+        inner = Simulator.run
+
+        def counted(sim):
+            runs.append(sim)
+            inner(sim)
+
+        monkeypatch.setattr(Simulator, "run", counted)
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--generate", "--output", str(out), "--dump-events"]) == 0
+        assert len(runs) == 1
+        spec = load_config(CONFIG)
+        result = replay(generate(spec.workloads[0]), spec.stack, spec.policy)
+        header = f"#iostack-events v{REPORT_FORMAT_VERSION}\n"
+        assert (out / "events.log").read_bytes() == (header + result.event_log.to_text()).encode()
+        assert (out / "requests.csv").read_text() == format_request_table(result.records)
 
     def test_trace_run_from_tracer_text(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -217,6 +240,9 @@ CANONICAL_TRACE = (
     "30 APP CLOSE 0 0 0 0 NORMAL\n"
 )
 
+#: ``CANONICAL_TRACE`` with its write far beyond the disk's last byte.
+OVERSIZED_TRACE = CANONICAL_TRACE.replace("4096 65536 NORMAL", "4096 40000000000 NORMAL")
+
 # Each weight is finite, but their sum is not: every request used to become
 # a write.
 HUGE_WEIGHTS = CONFIG.replace(
@@ -342,7 +368,7 @@ HUGE_WEIGHTS = CONFIG.replace(
         ),
         # Used to name neither the trace nor the request.
         (
-            {"--trace": CANONICAL_TRACE.replace("4096 65536 NORMAL", "4096 40000000000 NORMAL")},
+            {"--trace": OVERSIZED_TRACE},
             [],
             CONFIG,
             "trace.txt: request 2 at disk byte 40000000000 (+4096) exceeds the configured "
@@ -405,6 +431,31 @@ def test_bad_input_exits_2_with_one_line(tmp_path, capsys, files, extra, config,
         err = capsys.readouterr().err.splitlines()
     assert code == 2
     assert len(err) == 1 and err[0].startswith("simulate: error: ") and message in err[0]
+
+
+def dump_events_error(run_dir: Path, capsys, config: str, trace: str | None = None):
+    """The one error line of a failing ``--dump-events`` run and the events it logged."""
+
+    run_dir.mkdir()
+    argv = ["--config", str(write_config(run_dir, config)), "--output", str(run_dir / "out")]
+    argv += ["--trace", str(write_file(run_dir / "trace.txt", trace))] if trace else ["--generate"]
+    assert main([*argv, "--dump-events"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("simulate: error: ")
+    lines = (run_dir / "out" / "events.log").read_text().splitlines()
+    assert lines[0] == f"#iostack-events v{REPORT_FORMAT_VERSION}"
+    return err[0], lines[1:]
+
+
+def test_replay_error_under_dump_events_leaves_the_events_before_it(tmp_path, capsys):
+    # A request beyond the disk is rejected before the first event: the
+    # log holds its header alone.
+    err, events = dump_events_error(tmp_path / "oversized", capsys, CONFIG, OVERSIZED_TRACE)
+    assert "exceeds the configured disk capacity" in err and events == []
+    # A stage fault stops the run part-way: the log ends with the event
+    # whose handler raised.
+    err, events = dump_events_error(tmp_path / "fault", capsys, STAGE_FAULT_CONFIG)
+    assert events and f"failed on {events[-1]}: " in err
 
 
 #: Values a mistyped config might hold: signs, zero, huge, the non-finite

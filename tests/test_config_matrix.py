@@ -6,11 +6,10 @@ and every replay mode, over sequential addresses with the default fs cache
 and over random addresses with a 512 KB fs cache, which evicts views on
 nearly every miss.
 Each replay adds its event-log text, request table, summary and media-image
-runs; a replay that stalls raises.  The replays run observed, once each:
-reading the log of a ``replay`` result runs it a second time, which doubles
-the cost of the matrix.  The observer also checks the drive's traffic
-contract: the scheduler hands the drive one io at a time, and the drive
-cache holds a waiting read exactly while it still needs media data.  It
+runs; a replay that stalls raises.  Each replay runs once, observed: the
+observer hashes each event as it is dispatched.  It also checks the drive's
+traffic contract: the scheduler hands the drive one io at a time, and the
+drive cache holds a waiting read exactly while it still needs media data.  It
 checks that each pending-work fact agrees with its one owner, too: the fs
 requests waiting for a loading block, the drive's queued writes, the ios in
 the scheduler queue and the media op the disk serves.  The
@@ -168,7 +167,7 @@ def slice_digest(profile: str, mode: AccessMode) -> str:
                         mock.patch.object(REPLAY_MODULE, "DiskCacheStage", WatchedDriveCache),
                         mock.patch.object(REPLAY_MODULE, "DiskStage", WatchedDisk),
                     ):
-                        result = REPLAY_MODULE._replay(
+                        result = REPLAY_MODULE.replay(
                             requests,
                             stack,
                             ReplayPolicy(mode=replay_mode),

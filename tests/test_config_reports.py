@@ -17,15 +17,12 @@ from iostack import (
     error_percent,
     load_baseline,
     load_config,
-    replay,
     write_baseline,
 )
-from iostack.reports import REPORT_FORMAT_VERSION
 from iostack.requests import RequestRecord, Origin, Summary
 from iostack.scheduler import Policy
 
-from conftest import echo_to_ini, plain_stack
-from test_golden_log import run as run_golden
+from conftest import echo_to_ini, observed, plain_stack
 from test_replay import stream
 
 MINIMAL = """
@@ -385,19 +382,11 @@ class TestReports:
         trace = stream([(Op.READ, i * 65_536, 65_536) for i in range(5)], AccessMode.NORMAL)
         texts = []
         for run in range(2):
-            result = replay(trace, plain_stack())
+            result, events = observed(trace, plain_stack())
             out = tmp_path / f"run{run}"
-            files = emit_reports(result.records, result.summary, out, event_log=result.event_log)
-            texts.append(tuple(f.read_text() for f in files))
+            files = emit_reports(result.records, result.summary, out)
+            texts.append((*(f.read_text() for f in files), *(e.describe() for e in events)))
         assert texts[0] == texts[1]
-
-    def test_events_log_is_header_plus_log_text(self, tmp_path):
-        result = run_golden("mixed_write_back")
-        # Written first, so the file is streamed through a re-run of its own.
-        files = emit_reports(result.records, result.summary, tmp_path, event_log=result.event_log)
-        assert files[2].name == "events.log"
-        expected = f"#iostack-events v{REPORT_FORMAT_VERSION}\n" + result.event_log.to_text()
-        assert files[2].read_bytes() == expected.encode("utf-8")
 
     def test_baseline_round_trip(self, tmp_path):
         path = tmp_path / "base.txt"

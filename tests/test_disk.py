@@ -164,10 +164,10 @@ def test_zone_table_matches_summed_zones(geometries):
     for g in geometries:
         spans = zone_starts_by_summing(g)
         for idx, (start, usable) in enumerate(spans):
-            assert g.zone_usable_sectors(idx) == usable
+            assert g._zone_usable[idx] == usable
             assert g._zone_of_lba(start) == (idx, start)
             assert g._zone_of_lba(start + usable - 1) == (idx, start)
-        assert g.usable_sectors == sum(g.zone_usable_sectors(i) for i in range(len(g.zones)))
+        assert g.usable_sectors == sum(g._zone_usable)
         assert g.usable_sectors == sum(usable for _, usable in spans)
         for lba in (-1, g.usable_sectors):
             with pytest.raises(OutOfRange):
@@ -309,7 +309,7 @@ def reference_track_runs(lba: int, sectors: int, geometry: DiskGeometry):
         track = slot // z.sectors_per_track
         logical = slot % z.sectors_per_track
         run = min(remaining, z.sectors_per_track - logical)
-        run = min(run, geometry.zone_usable_sectors(zone_idx) - slot)
+        run = min(run, geometry._zone_usable[zone_idx] - slot)
         yield zone_idx, track, logical, run
         lba += run
         remaining -= run
@@ -405,7 +405,7 @@ def boundary_runs(geometry: DiskGeometry, rng: np.random.Generator, count: int):
     def boundary(size: int) -> int:
         """A multiple of ``size`` inside the first zone, or ``size``."""
 
-        return int(rng.integers(1, max(1, geometry.zone_usable_sectors(0) // size) + 1)) * size
+        return int(rng.integers(1, max(1, geometry._zone_usable[0] // size) + 1)) * size
 
     for i in range(count):
         kind = i % 4

@@ -29,8 +29,8 @@ from iostack.scheduler import Policy
 from iostack.trace import OpenFlag, ingest_text
 from iostack.workload import DistSpec, GeneratorSpec, generate
 
-from conftest import flat_seek, plain_stack, tiny_geometry, zero_cost_fs
-from test_replay import stream
+from conftest import flat_seek, observed, plain_stack, tiny_geometry, zero_cost_fs
+from test_replay import select, stream
 
 KB = 1024
 BLOCK = 64 * KB
@@ -129,10 +129,10 @@ class TestFsCacheEdges:
         # the close, so the second session must touch a cold region.
         requests = stream([(Op.READ, 0, size), (Op.READ, size, size)], AccessMode.NORMAL)
         requests += stream([(Op.READ, 8 * size, size)], AccessMode.NORMAL)
-        result = replay(requests, stack)
+        _, events = observed(requests, stack)
         demands = [
             e.payload.intent
-            for e in result.event_log.filter(kind="io")
+            for e in select(events, kind="io")
             if e.payload.intent.purpose is DEMAND
         ]
         last_four = demands[-4:]
@@ -215,23 +215,24 @@ class TestReplayEdges:
             CanonicalRequest(0, Origin.APP, Op.WRITE, 0, 0, 0, 0),
             CanonicalRequest(0, Origin.APP, Op.CLOSE, 0, 0, 0, 0),
         ]
-        result = replay(requests, stack)
+        result, events = observed(requests, stack)
         assert len(result.records) == 4
-        assert not result.event_log.filter(kind="media")
+        assert not select(events, kind="media")
 
     def test_sequential_fill_profileless_drive(self):
         stack = plain_stack(
             cache=DiskCacheConfig(read_prefetch=ReadPrefetch.SEQUENTIAL_FILL)
         )
         ios = [(Op.READ, i * BLOCK, BLOCK) for i in range(20)]
-        result = replay(stream(ios, AccessMode.NO_BUFFER), stack)
-        roles = {e.payload.role for e in result.event_log.filter(kind="media")}
+        _, events = observed(stream(ios, AccessMode.NO_BUFFER), stack)
+        roles = {e.payload.role for e in select(events, kind="media")}
         assert MediaRole.FILL_CHUNK in roles
 
 
-def assert_media_within_disk(result, geometry: DiskGeometry) -> None:
+def assert_media_within_disk(run, geometry: DiskGeometry) -> None:
+    result, events = run
     assert len(result.records) == len(result.effective_requests)
-    media = result.event_log.filter(kind="media")
+    media = select(events, kind="media")
     assert media
     assert all(e.payload.lba + e.payload.sectors <= geometry.usable_sectors for e in media)
 
@@ -246,8 +247,8 @@ class TestDiskEnd:
         drive = PROFILES[profile]
         stack = StackConfig(geometry=drive.geometry, seek=drive.seek, cache=drive.cache)
         last = drive.geometry.usable_bytes - 4 * KB
-        result = replay(stream([(Op.READ, last, 4 * KB)], AccessMode.NORMAL), stack)
-        assert_media_within_disk(result, drive.geometry)
+        run = observed(stream([(Op.READ, last, 4 * KB)], AccessMode.NORMAL), stack)
+        assert_media_within_disk(run, drive.geometry)
 
     @pytest.mark.parametrize("prefetch", [ReadPrefetch.SEQUENTIAL_FILL, ReadPrefetch.LOCAL_512K])
     @pytest.mark.parametrize("mode", [AccessMode.NO_BUFFER, AccessMode.NORMAL])
@@ -256,9 +257,9 @@ class TestDiskEnd:
         stack = plain_stack(geometry=geometry, cache=DiskCacheConfig(read_prefetch=prefetch))
         first = geometry.usable_bytes - 8 * BLOCK
         ios = [(Op.READ, first + i * BLOCK, BLOCK) for i in range(8)]
-        result = replay(stream(ios, mode), stack)
-        assert_media_within_disk(result, geometry)
-        roles = {e.payload.role for e in result.event_log.filter(kind="media")}
+        run = observed(stream(ios, mode), stack)
+        assert_media_within_disk(run, geometry)
+        roles = {e.payload.role for e in select(run[1], kind="media")}
         assert MediaRole.FILL_CHUNK in roles
 
     def test_local_prefetch_stops_at_the_end(self):
@@ -268,9 +269,9 @@ class TestDiskEnd:
         # Blocks 0, 4, 1 of the last eight: a 512KB prefetch from block 1
         # would pass the end by 128 sectors.
         ios = [(Op.READ, first + b * BLOCK, BLOCK) for b in (0, 4, 1)]
-        result = replay(stream(ios, AccessMode.NO_BUFFER), stack)
-        assert_media_within_disk(result, geometry)
-        local = [e.payload for e in result.event_log.filter(kind="media")
+        run = observed(stream(ios, AccessMode.NO_BUFFER), stack)
+        assert_media_within_disk(run, geometry)
+        local = [e.payload for e in select(run[1], kind="media")
                  if e.payload.role is MediaRole.LOCAL_PREFETCH]
         assert [(m.lba, m.sectors) for m in local] == [(first // 512 + 128, 7 * 128)]
 

@@ -1,15 +1,14 @@
-"""The event log is recorded on demand: a plain replay only counts events.
+"""A replay streams its events to an observer as it runs and keeps only their count.
 
-Reading the events re-runs the replay once with a recorder, and checks the
-re-run against the first run; these tests pin what that costs and when it
-happens.
+One observed run is both the run that reports and the run that logs.  A
+result's ``event_log.to_text()`` re-runs the replay, and checks the re-run
+against the first run; these tests pin what each path costs and when a
+simulation runs.
 """
 
 from __future__ import annotations
 
 import gc
-import importlib
-import io
 import tracemalloc
 
 import pytest
@@ -22,16 +21,18 @@ from iostack import (
     ReplayDiverged,
     ReplayPolicy,
     SimEvent,
+    Simulator,
     StackConfig,
     replay,
 )
 from iostack.profiles import FUJITSU_MAN3184MP
+from iostack.reports import open_event_log
 from iostack.workload import DistSpec, GeneratorSpec, generate
 
-from conftest import plain_stack
+from conftest import observed, plain_stack
+from test_golden_log import log_text
 
 KB = 1024
-REPLAY_MODULE = importlib.import_module("iostack.replay")
 
 
 def reads(count: int) -> list[CanonicalRequest]:
@@ -48,44 +49,40 @@ def reads(count: int) -> list[CanonicalRequest]:
 
 
 @pytest.fixture
-def replay_calls(monkeypatch) -> list[int]:
-    """Count the runs of the internal replay, the first one and every re-run."""
+def sim_runs(monkeypatch) -> list[int]:
+    """Count the simulations run: each replay's own and every re-run."""
 
     calls = []
-    inner = REPLAY_MODULE._replay
+    inner = Simulator.run
 
-    def counted(*args):
+    def counted(self):
         calls.append(1)
-        return inner(*args)
+        return inner(self)
 
-    monkeypatch.setattr(REPLAY_MODULE, "_replay", counted)
+    monkeypatch.setattr(Simulator, "run", counted)
     return calls
 
 
 class TestOnDemand:
-    def test_len_does_not_rerun(self, replay_calls):
+    def test_len_does_not_rerun(self, sim_runs):
         log = replay(reads(16), plain_stack()).event_log
-        assert len(replay_calls) == 1
+        assert len(sim_runs) == 1
         assert len(log) > 0
-        assert len(replay_calls) == 1
+        assert len(sim_runs) == 1
 
-    def test_first_read_reruns_once_and_keeps_the_list(self, replay_calls):
-        log = replay(reads(16), plain_stack()).event_log
-        entries = log.entries
-        assert len(replay_calls) == 2
-        assert log.entries is entries
-        assert log.to_text() == "".join(e.describe() + "\n" for e in entries)
-        assert log.filter(kind="request") == [e for e in entries if e.payload.kind == "request"]
-        assert len(replay_calls) == 2
+    def test_observed_replay_runs_once(self, sim_runs):
+        result, events = observed(reads(16), plain_stack())
+        assert len(sim_runs) == 1
+        assert len(events) == len(result.event_log) > 0
+        assert result.records == replay(reads(16), plain_stack()).records
 
-    def test_write_streams_each_time_without_keeping_events(self, replay_calls):
-        log = replay(reads(16), plain_stack()).event_log
-        first, second = io.StringIO(), io.StringIO()
-        log.write(first)
-        log.write(second)
-        assert len(replay_calls) == 3
-        assert first.getvalue() == second.getvalue() == log.to_text()
-        assert len(replay_calls) == 4
+    def test_to_text_reruns_once_per_call(self, sim_runs):
+        result, events = observed(reads(16), plain_stack())
+        text = log_text(events)
+        assert result.event_log.to_text() == text
+        assert len(sim_runs) == 2
+        assert result.event_log.to_text() == text
+        assert len(sim_runs) == 3
 
     def test_plain_replay_holds_no_event(self):
         def live_events() -> int:
@@ -95,7 +92,7 @@ class TestOnDemand:
         before = live_events()
         result = replay(reads(16), plain_stack())
         assert live_events() == before
-        assert live_events() + len(result.event_log.entries) == before + len(result.event_log)
+        assert len(result.event_log) > 0
 
 
 class TestDivergence:
@@ -114,32 +111,57 @@ class TestDivergence:
         events = len(result.event_log)
         policy.baseline_us.clear()
         with pytest.raises(ReplayDiverged):
-            result.event_log.entries
-        with pytest.raises(ReplayDiverged):
-            result.event_log.write(io.StringIO())
+            result.event_log.to_text()
         assert len(result.event_log) == events
 
     def test_unchanged_inputs_do_not_raise(self):
         result, _ = self._result()
-        assert len(result.event_log.entries) == len(result.event_log)
+        assert result.event_log.to_text().count("\n") == len(result.event_log)
 
 
-def test_replay_memory_flat_in_trace_length():
-    """Peak traced memory grows by well under the ~7 KiB a kept event log costs per request."""
+def peak_growth_per_request(run) -> float:
+    """Bytes of peak traced memory ``run(requests)`` adds per request, 256 to 1024 requests."""
 
-    drive = FUJITSU_MAN3184MP
-    stack = StackConfig(geometry=drive.geometry, seek=drive.seek, cache=drive.cache)
     short, long = reads(256), reads(1024)
 
     def peak(requests) -> int:
         gc.collect()
         tracemalloc.start()
         try:
-            result = replay(requests, stack)
+            result = run(requests)
             assert len(result.records) == len(requests)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    growth = (peak(long) - peak(short)) / (len(long) - len(short))
-    assert growth < 1 * KB
+    return (peak(long) - peak(short)) / (len(long) - len(short))
+
+
+def fujitsu() -> StackConfig:
+    drive = FUJITSU_MAN3184MP
+    return StackConfig(geometry=drive.geometry, seek=drive.seek, cache=drive.cache)
+
+
+def test_replay_memory_flat_in_trace_length():
+    """Peak traced memory grows by well under the ~7 KiB a kept event log costs per request."""
+
+    stack = fujitsu()
+    assert peak_growth_per_request(lambda requests: replay(requests, stack)) < 1 * KB
+
+
+def test_streamed_replay_memory_flat_in_trace_length(tmp_path):
+    """A replay writing its log to a file, as ``--dump-events`` does, keeps none of it."""
+
+    stack = fujitsu()
+    events = {}
+
+    def streamed(requests):
+        out = tmp_path / str(len(requests))
+        with open_event_log(out) as fp:
+            result = replay(requests, stack, observe=lambda e: fp.write(e.describe() + "\n"))
+        events[out] = len(result.event_log)
+        return result
+
+    assert peak_growth_per_request(streamed) < 1 * KB
+    for out, count in events.items():
+        assert (out / "events.log").read_text(encoding="utf-8").count("\n") == 1 + count

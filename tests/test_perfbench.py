@@ -18,8 +18,11 @@ import pytest
 
 from iostack import StageId, reference_media_image, replay
 
+from conftest import observed
+from test_golden_log import log_text
+from test_replay import select
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-REPLAY_MODULE = importlib.import_module("iostack.replay")
 
 #: Event-log SHA-256 of each workload's 256-request trace at seed 1, as
 #: printed by ``perfbench/run.py --smoke --seed 1``.
@@ -54,15 +57,15 @@ def workloads() -> ModuleType:
 
 def run(workloads: ModuleType, workload: str, requests: int):
     trace = workloads.generate_trace(workload, requests, 1)
-    return replay(trace, workloads.stack_config(workload), workloads.replay_policy(workload))
+    return observed(trace, workloads.stack_config(workload), workloads.replay_policy(workload))
 
 
 @pytest.mark.parametrize("workload", sorted(SMOKE_LOG_SHA256))
 def test_smoke_trace_event_log_pinned(workloads, workload):
     assert set(workloads.WORKLOADS) == set(SMOKE_LOG_SHA256)
-    result = run(workloads, workload, workloads.SMOKE_REQUESTS)
+    result, events = run(workloads, workload, workloads.SMOKE_REQUESTS)
     assert len(result.records) == len(result.effective_requests)
-    digest = hashlib.sha256(result.event_log.to_text().encode()).hexdigest()
+    digest = hashlib.sha256(log_text(events).encode()).hexdigest()
     assert digest == SMOKE_LOG_SHA256[workload]
     if workload == "mixed_rw":
         assert result.media_image == reference_media_image(result.effective_requests)
@@ -70,7 +73,7 @@ def test_smoke_trace_event_log_pinned(workloads, workload):
 
 @pytest.mark.parametrize("workload", sorted(FULL_LOG))
 def test_full_trace_event_log_pinned(workloads, workload):
-    # One observed run: reading a ``replay`` result's log would run it twice.
+    # Hashed as the run streams it: the log is never held whole.
     log = hashlib.sha256()
     events = 0
 
@@ -81,7 +84,7 @@ def test_full_trace_event_log_pinned(workloads, workload):
 
     trace = workloads.generate_trace(workload, workloads.FULL_REQUESTS, 1)
     stack, policy = workloads.stack_config(workload), workloads.replay_policy(workload)
-    REPLAY_MODULE._replay(trace, stack, policy, observe)
+    replay(trace, stack, policy, observe)
     assert (log.hexdigest(), events) == FULL_LOG[workload]
 
 
@@ -89,7 +92,7 @@ def test_tracer_records_every_stage_span(workloads):
     tracing = load("tracing")
     tracer = tracing.Tracer()
     with tracing.traced(tracer):
-        result = run(workloads, "mixed_rw", 32)
+        result, events = run(workloads, "mixed_rw", 32)
     calls = {name: len(spans) for name, spans in tracer.self_times().items()}
     stages = {
         "replay.app": StageId.APP,
@@ -100,11 +103,11 @@ def test_tracer_records_every_stage_span(workloads):
     }
     # Every event reaches its stage through the wrapped ``handle``.
     for span, stage in stages.items():
-        assert calls[span] == len(result.event_log.filter(stage=stage)) > 0, span
-    assert sum(calls[span] for span in stages) == len(result.event_log)
-    # The log is read after the block, so its recording re-run is untraced.
+        assert calls[span] == len(select(events, stage)) > 0, span
+    assert sum(calls[span] for span in stages) == len(events) == len(result.event_log)
+    # The observed run is the one traced: reading its events runs nothing more.
     assert calls["engine.run"] == 1
-    assert calls["disk.service"] == len(result.event_log.filter(kind="media")) > 0
+    assert calls["disk.service"] == len(select(events, kind="media")) > 0
     # The drive cache enters every fill it plans; no stage enters one.
     names = [tracer.names[ix] for ix in tracer.span_name]
     fill_parents = [names[tracer.span_parent[i]] for i, n in enumerate(names) if n == "diskcache.expect_fill"]

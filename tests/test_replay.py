@@ -28,7 +28,7 @@ from iostack.replay import DiskCacheStage, MediaRole
 from iostack.profiles import TOSHIBA_MK6012MAP
 from iostack.workload import DistSpec, GeneratorSpec, generate
 
-from conftest import plain_stack, tiny_geometry, zero_cost_fs
+from conftest import observed, plain_stack, tiny_geometry, zero_cost_fs
 from test_golden_log import mixed_read_write, stack as golden_stack
 
 KB = 1024
@@ -51,10 +51,20 @@ def stream(ios, mode, gap_us=0, file_id=0):
     return out
 
 
-def disk_read_blocks(result):
+def select(events, stage=None, kind=None):
+    """The events delivered to ``stage`` (any if None) of ``kind`` (any if None)."""
+
+    return [
+        e
+        for e in events
+        if (stage is None or e.target is stage) and (kind is None or e.payload.kind == kind)
+    ]
+
+
+def disk_read_blocks(events):
     """64KB block indexes of reads in drive arrival order."""
 
-    ingress = result.event_log.filter(stage=StageId.DISK_CACHE, kind="io")
+    ingress = select(events, StageId.DISK_CACHE, "io")
     return [e.payload.intent.disk_addr // BLOCK for e in ingress if not e.payload.intent.write]
 
 
@@ -72,11 +82,11 @@ class TestStageTraversal:
             fs=zero_cost_fs(miss_path_cost_us=50),
         )
         trace = stream([(Op.READ, 0, BLOCK)], AccessMode.NO_BUFFER)
-        result = replay(trace, stack)
+        result, events = observed(trace, stack)
         read_record = result.records[1]
         assert read_record.latency_us == 22_800
 
-        stages = [e.target for e in result.event_log.entries]
+        stages = [e.target for e in events]
         order = [stages.index(s) for s in (
             StageId.APP, StageId.FS_CACHE, StageId.SCHEDULER, StageId.DISK_CACHE, StageId.DISK
         )]
@@ -85,7 +95,7 @@ class TestStageTraversal:
         # (the zero-length OPEN/CLOSE completions are not part of it).
         done_kinds = [
             (e.target, e.payload.kind)
-            for e in result.event_log.entries
+            for e in events
             if e.payload.kind in ("media-done", "io-done")
             or (e.payload.kind == "request-done" and e.payload.request_id == 1)
         ]
@@ -96,8 +106,8 @@ class TestStageTraversal:
     def test_every_request_completes_exactly_once(self):
         stack = plain_stack()
         trace = stream([(Op.READ, i * BLOCK, BLOCK) for i in range(8)], AccessMode.NORMAL)
-        result = replay(trace, stack)
-        done = result.event_log.filter(stage=StageId.APP, kind="request-done")
+        result, events = observed(trace, stack)
+        done = select(events, StageId.APP, "request-done")
         ids = [e.payload.request_id for e in done]
         assert sorted(ids) == list(range(len(trace)))
         assert len(result.records) == len(trace)
@@ -111,8 +121,8 @@ class TestWindowReadOrder:
         # 0,1,2,3, 8,4, 9,5, 10,6, 11,7 and nothing else.
         stack = plain_stack()
         trace = stream([(Op.READ, i * 256 * KB, 256 * KB) for i in range(3)], AccessMode.NORMAL)
-        result = replay(trace, stack)
-        assert disk_read_blocks(result) == [0, 1, 2, 3, 8, 4, 9, 5, 10, 6, 11, 7]
+        _, events = observed(trace, stack)
+        assert disk_read_blocks(events) == [0, 1, 2, 3, 8, 4, 9, 5, 10, 6, 11, 7]
 
     def test_third_request_serves_from_cache(self):
         stack = plain_stack()
@@ -156,21 +166,18 @@ class TestWriteRegimesOnTheWire:
     def test_64k_normal_writes_never_write_direct(self):
         stack = plain_stack()
         ios = [(Op.WRITE, i * BLOCK, BLOCK) for i in range(10)]
-        result = replay(stream(ios, AccessMode.NORMAL), stack)
-        purposes = {
-            e.payload.intent.purpose
-            for e in result.event_log.filter(stage=StageId.DISK_CACHE, kind="io")
-        }
+        _, events = observed(stream(ios, AccessMode.NORMAL), stack)
+        purposes = {e.payload.intent.purpose for e in select(events, StageId.DISK_CACHE, "io")}
         assert APP_DIRECT not in purposes
         assert FLUSH in purposes  # media writes all come from the system flush
 
     def test_write_through_ordering(self):
         stack = plain_stack()
         ios = [(Op.WRITE, i * 128 * KB, 128 * KB) for i in range(3)]
-        result = replay(stream(ios, AccessMode.WRITE_THROUGH), stack)
+        result, events = observed(stream(ios, AccessMode.WRITE_THROUGH), stack)
         media = [
             e.payload.host.intent.purpose
-            for e in result.event_log.filter(stage=StageId.DISK, kind="media")
+            for e in select(events, StageId.DISK, "media")
             if e.payload.write
         ]
         # Per request: both data blocks reach media, then the metadata
@@ -193,8 +200,8 @@ class TestWriteRegimesOnTheWire:
     def test_no_buffer_write_is_passthrough_size(self):
         stack = plain_stack()
         ios = [(Op.WRITE, 0, 192 * KB)]
-        result = replay(stream(ios, AccessMode.NO_BUFFER), stack)
-        wire = result.event_log.filter(stage=StageId.DISK_CACHE, kind="io")
+        result, events = observed(stream(ios, AccessMode.NO_BUFFER), stack)
+        wire = select(events, StageId.DISK_CACHE, "io")
         assert [e.payload.intent.nbytes for e in wire] == [192 * KB]
         assert not result.fs.views
 
@@ -205,8 +212,8 @@ class TestQuantization:
         # one full block; only no-buffer passthroughs keep original sizes.
         stack = plain_stack()
         ios = [(Op.READ, i * 100 * KB, 100 * KB) for i in range(6)]
-        result = replay(stream(ios, AccessMode.NORMAL), stack)
-        for e in result.event_log.filter(stage=StageId.DISK_CACHE, kind="io"):
+        _, events = observed(stream(ios, AccessMode.NORMAL), stack)
+        for e in select(events, StageId.DISK_CACHE, "io"):
             intent = e.payload.intent
             if not intent.write and intent.purpose is not PASSTHROUGH:
                 assert intent.nbytes == BLOCK
@@ -384,9 +391,9 @@ class TestTolerance:
         assert [r.latency_us for r in result.records] == [0, 2500, 2500, 2500, 0]
 
     def test_no_baseline_zero_tolerance_is_plain_closed_loop(self):
-        plain = replay(self._trace(), self._stack())
-        toler = replay(self._trace(), self._stack(), ReplayPolicy(tolerance_us=0))
-        assert plain.event_log.to_text() == toler.event_log.to_text()
+        _, plain = observed(self._trace(), self._stack())
+        _, toler = observed(self._trace(), self._stack(), ReplayPolicy(tolerance_us=0))
+        assert [e.describe() for e in plain] == [e.describe() for e in toler]
 
 
 class TestDeterminism:
@@ -403,10 +410,12 @@ class TestDeterminism:
         trace = generate(spec)
 
         def run():
-            return replay(trace, plain_stack(cache=DiskCacheConfig(read_prefetch=ReadPrefetch.SEQUENTIAL_FILL)))
+            stack = plain_stack(cache=DiskCacheConfig(read_prefetch=ReadPrefetch.SEQUENTIAL_FILL))
+            result, events = observed(trace, stack)
+            return result, [e.describe() for e in events]
 
-        a, b = run(), run()
-        assert a.event_log.to_text() == b.event_log.to_text()
+        (a, a_log), (b, b_log) = run(), run()
+        assert a_log == b_log
         assert [(r.request_id, r.issue_us, r.complete_us) for r in a.records] == [
             (r.request_id, r.issue_us, r.complete_us) for r in b.records
         ]
@@ -418,8 +427,7 @@ class TestDriveWriteBack:
             cache=DiskCacheConfig(read_prefetch=ReadPrefetch.NONE, write_policy=WritePolicy.WRITE_BACK)
         )
         ios = [(Op.WRITE, 0, 64 * KB)]
-        result = replay(stream(ios, AccessMode.NO_BUFFER), stack)
-        log = result.event_log.entries
+        _, log = observed(stream(ios, AccessMode.NO_BUFFER), stack)
         ack_at = next(
             e.fire_at_us for e in log if e.target is StageId.SCHEDULER and e.payload.kind == "io-done"
         )
@@ -435,8 +443,7 @@ class TestDriveWriteBack:
             cache=DiskCacheConfig(read_prefetch=ReadPrefetch.NONE, write_policy=WritePolicy.WRITE_THROUGH)
         )
         ios = [(Op.WRITE, 0, 64 * KB)]
-        result = replay(stream(ios, AccessMode.NO_BUFFER), stack)
-        log = result.event_log.entries
+        _, log = observed(stream(ios, AccessMode.NO_BUFFER), stack)
         media_done = next(e.fire_at_us for e in log if e.payload.kind == "media-done")
         ack_at = next(
             e.fire_at_us for e in log if e.target is StageId.SCHEDULER and e.payload.kind == "io-done"
@@ -465,7 +472,7 @@ class TestLocalPrefetchPenalty:
             finish = {e.payload.media_id: e.fire_at_us for e in log if e.payload.kind == "media-finish"}
             return issued, finish
 
-        issued, finish = media(replay(trace, stack).event_log.entries)
+        issued, finish = media(observed(trace, stack)[1])
         owed = [m for m in issued if m.penalty_rotations]
         assert [(m.role, m.lba, m.penalty_rotations) for m in owed] == [
             (MediaRole.HOST_READ, 1000 * sectors, 1)
@@ -474,7 +481,7 @@ class TestLocalPrefetchPenalty:
         H, L = MediaRole.HOST_READ, MediaRole.LOCAL_PREFETCH
         assert [m.role for m in issued] == [H, H, H, L, H] and issued[-1] is owed[0]
         monkeypatch.setattr(SegmentedCache, "take_penalty_rotations", lambda cache: 0)
-        issued_free, finish_free = media(replay(trace, stack).event_log.entries)
+        issued_free, finish_free = media(observed(trace, stack)[1])
         assert [m.lba for m in issued_free] == [m.lba for m in issued]
         op = owed[0].media_id
         assert finish[op] - finish_free[op] == geometry.rotation_period_us

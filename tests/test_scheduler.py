@@ -138,26 +138,26 @@ class LinearQueue:
     direction: Direction = Direction.UP
     position: int = 0
     travel_cylinders: int = 0
-    entries: list[_Entry] = field(default_factory=list)
+    pending: list[_Entry] = field(default_factory=list)
     next_arrival: int = 0
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.pending)
 
     def enqueue(self, item: object, cylinder: int) -> None:
-        self.entries.append(_Entry(item, cylinder, self.next_arrival))
+        self.pending.append(_Entry(item, cylinder, self.next_arrival))
         self.next_arrival += 1
 
     def next(self) -> object:
-        if not self.entries:
+        if not self.pending:
             return None
         if self.policy is Policy.FCFS:
-            chosen = min(self.entries, key=lambda e: e.arrival_seq)
+            chosen = min(self.pending, key=lambda e: e.arrival_seq)
         elif self.policy is Policy.LOOK:
             chosen = self._next_elevator()
         else:
             chosen = self._next_circular()
-        self.entries.remove(chosen)
+        self.pending.remove(chosen)
         self.travel_cylinders += abs(chosen.cylinder - self.position)
         self.position = chosen.cylinder
         return chosen.item
@@ -169,19 +169,19 @@ class LinearQueue:
 
     def _next_elevator(self) -> _Entry:
         if self.direction is Direction.UP:
-            ahead = [e for e in self.entries if e.cylinder >= self.position]
-            behind = [e for e in self.entries if e.cylinder < self.position]
+            ahead = [e for e in self.pending if e.cylinder >= self.position]
+            behind = [e for e in self.pending if e.cylinder < self.position]
         else:
-            ahead = [e for e in self.entries if e.cylinder <= self.position]
-            behind = [e for e in self.entries if e.cylinder > self.position]
+            ahead = [e for e in self.pending if e.cylinder <= self.position]
+            behind = [e for e in self.pending if e.cylinder > self.position]
         if ahead:
             return self._nearest(ahead, self.direction is Direction.UP)
         self.direction = Direction.DOWN if self.direction is Direction.UP else Direction.UP
         return self._nearest(behind, self.direction is Direction.UP)
 
     def _next_circular(self) -> _Entry:
-        ahead = [e for e in self.entries if e.cylinder >= self.position]
-        return self._nearest(ahead or self.entries, True)
+        ahead = [e for e in self.pending if e.cylinder >= self.position]
+        return self._nearest(ahead or self.pending, True)
 
 
 #: An enqueue at a cylinder (few distinct values, so ties are common) or a
