@@ -34,16 +34,18 @@ def main() -> None:
         seek=SeekProfile(400, 1500, 3000, 400, 1500, 3000, head_switch_us=0),
         cache=DiskCacheConfig(read_prefetch=ReadPrefetch.NONE),
     )
-    events = []
-    result = replay(trace(3), stack, observe=events.append)
+    order = []
+
+    def on_event(e):
+        # Read each event as it is dispatched: the drive receives a read.
+        io = e.payload
+        if e.target is StageId.DISK_CACHE and io.kind == "io" and not io.write:
+            order.append(io.disk_addr // BLOCK + 1)
+
+    result = replay(trace(3), stack, observe=on_event)
 
     print(f"application request order: 256KB reads at offsets 0, 256K, 512K")
     print(f"one request = {REQUEST // BLOCK} blocks of 64KB\n")
-    order = [
-        e.payload.intent.disk_addr // BLOCK + 1
-        for e in events
-        if e.target is StageId.DISK_CACHE and e.payload.kind == "io" and not e.payload.intent.write
-    ]
     print("disk-visible block order:", ", ".join(f"B{b}" for b in order))
     print("\nRequest 1 is loaded whole by the system process (B1-B4);")
     print("during request 2 the system prefetches B9-B12 while the app")

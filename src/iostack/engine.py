@@ -9,8 +9,10 @@ byte-for-byte.
 The queue holds plain ``(fire_at_us, seq, target, payload)`` tuples and each
 handler receives only ``(sim, payload)``: a ``SimEvent`` is built just for an
 observer, or for the ``StageFault`` of a handler that raised.  An observer
-sees each event as it is dispatched, so a run streams its own event log to
+reads each event as it is dispatched, so a run streams its own event log to
 whatever sink the observer writes to; a run without one costs nothing more.
+A payload is one object for its whole round trip, turned into its reply by a
+flag, so an observer that keeps events must copy what it reads.
 """
 
 from __future__ import annotations
@@ -108,7 +110,8 @@ Handler = Callable[["Simulator", Payload], None]
 class Simulator:
     """Single-threaded event loop shared by all stages of one run.
 
-    It records no event unless given an ``observe`` callback.
+    It records no event unless given an ``observe`` callback, which reads
+    each event at dispatch, before its handler runs.
     """
 
     def __init__(self, observe: Observer | None = None) -> None:

@@ -5,8 +5,8 @@ Reads follow one of two speculative algorithms depending on access mode and
 request size; writes fall into a progressive regime (cache only, drained
 continuously) or a periodic one (part cache, part direct to disk, bulk
 flush when the working set fills).  The planner here turns one request plus
-cache state into an ordered list of intents that the replay stage executes
-on the event engine, and lists the request as a waiter of each block it
+cache state into an ordered list of ios that the replay stage issues on
+the event engine, and lists the request as a waiter of each block it
 needs that another request is loading.
 
 Cache state is keyed by absolute disk position rather than in-file offsets:
@@ -151,9 +151,9 @@ def periodic_period_length(block_count: int) -> int:
     return block_count // 2 + 1
 
 
-@dataclass
-class IoIntent:
-    """One disk-bound operation the planner wants issued, in list order."""
+@dataclass(slots=True)
+class IoMsg:
+    """One disk-bound io from plan to done; ``FsStage`` stamps its ids at issue."""
 
     write: bool
     disk_addr: int
@@ -162,13 +162,31 @@ class IoIntent:
     actor: str
     block_key: tuple[int, int] | None = None
     sector_tags: TagRuns | None = None
+    io_id: int = 0
+    request_id: int | None = None
+    #: Acknowledged by the drive.
+    done: bool = False
+
+    @property
+    def kind(self) -> str:
+        return "io-done" if self.done else "io"
+
+    def detail(self) -> str:
+        if self.done:
+            return f"io={self.io_id} purpose={self.purpose.value}"
+        op = "write" if self.write else "read"
+        req = self.request_id if self.request_id is not None else "-"
+        return (
+            f"io={self.io_id} op={op} addr={self.disk_addr} bytes={self.nbytes} "
+            f"purpose={self.purpose.value} actor={self.actor} req={req}"
+        )
 
 
 @dataclass
 class Plan:
     """Outcome of planning one request against the cache state."""
 
-    ios: list[IoIntent] = field(default_factory=list)
+    ios: list[IoMsg] = field(default_factory=list)
     #: Blocks other requests are loading that this request waits for.
     waits: int = 0
     copy_bytes: int = 0
@@ -177,7 +195,7 @@ class Plan:
     kick_progressive: bool = False
 
     @property
-    def required_ios(self) -> list[IoIntent]:
+    def required_ios(self) -> list[IoMsg]:
         return [io for io in self.ios if io.purpose.required]
 
 
@@ -307,10 +325,10 @@ class FsCache:
                 waits += 1
         return missing, waits
 
-    def _read_io(self, file_id: int, addr: int, purpose: Purpose, actor: str) -> IoIntent:
+    def _read_io(self, file_id: int, addr: int, purpose: Purpose, actor: str) -> IoMsg:
         key = (file_id, addr)
         self.inflight[key] = []
-        return IoIntent(
+        return IoMsg(
             write=False,
             disk_addr=addr,
             nbytes=BLOCK_BYTES,
@@ -319,7 +337,7 @@ class FsCache:
             block_key=key,
         )
 
-    def _prefetch_ios(self, file_id: int, addrs: Iterable[int]) -> list[IoIntent]:
+    def _prefetch_ios(self, file_id: int, addrs: Iterable[int]) -> list[IoMsg]:
         """Read-ahead loads of the blocks neither resident nor in flight."""
 
         return [
@@ -399,7 +417,7 @@ class FsCache:
 
     def _direct_write_ios(
         self, file_id: int, start: int, nbytes: int, tag: int
-    ) -> list[IoIntent]:
+    ) -> list[IoMsg]:
         """Per-block direct disk writes for the uncached part of a request.
 
         Sectors that are currently dirty in the cache are updated there
@@ -433,7 +451,7 @@ class FsCache:
             for addr, lo, hi in self._block_spans(start, length):
                 self.mark_resident(req.file_id, addr)
                 plan.ios.append(
-                    IoIntent(
+                    IoMsg(
                         write=True,
                         disk_addr=lo,
                         nbytes=hi - lo,
@@ -480,7 +498,7 @@ class FsCache:
 
     # -- flushing ---------------------------------------------------------------
 
-    def flush_all(self) -> list[IoIntent]:
+    def flush_all(self) -> list[IoMsg]:
         """Drain the whole dirty set in first-write order."""
 
         ios = []
@@ -490,7 +508,7 @@ class FsCache:
         self.dirty_accounted_bytes = 0
         return ios
 
-    def next_progressive_flush(self) -> list[IoIntent]:
+    def next_progressive_flush(self) -> list[IoMsg]:
         """One 64KB block for the continuous destage chain, oldest first."""
 
         if not self.dirty_blocks:
@@ -500,14 +518,13 @@ class FsCache:
         self.dirty_accounted_bytes = max(0, self.dirty_accounted_bytes - BLOCK_BYTES)
         return _run_writes(dirty.runs, FLUSH, SYSTEM_ACTOR)
 
-    def metadata_io(self) -> IoIntent:
-        return IoIntent(
+    def metadata_io(self) -> IoMsg:
+        return IoMsg(
             write=True,
             disk_addr=self.config.metadata_disk_addr,
             nbytes=METADATA_WRITE_BYTES,
             purpose=METADATA,
             actor=SYSTEM_ACTOR,
-            sector_tags=None,
         )
 
 
@@ -522,7 +539,7 @@ def _passthrough(req: CanonicalRequest, tag: int | None) -> Plan:
     tags = _tags(req.disk_byte_addr, end, tag) if write else None
     return Plan(
         ios=[
-            IoIntent(
+            IoMsg(
                 write=write,
                 disk_addr=req.disk_byte_addr,
                 nbytes=req.length_bytes,
@@ -541,7 +558,7 @@ def _tags(lo: int, hi: int, tag: int) -> TagRuns:
     return ((sectors.start, sectors.stop, tag),)
 
 
-def _run_writes(runs: Sequence[TagRun], purpose: Purpose, actor: str) -> list[IoIntent]:
+def _run_writes(runs: Sequence[TagRun], purpose: Purpose, actor: str) -> list[IoMsg]:
     """One write per stretch of back-to-back runs, in ascending order."""
 
     ios = []
@@ -551,7 +568,7 @@ def _run_writes(runs: Sequence[TagRun], purpose: Purpose, actor: str) -> list[Io
             continue
         start, end = runs[first][0], runs[k - 1][1]
         ios.append(
-            IoIntent(
+            IoMsg(
                 write=True,
                 disk_addr=start * SECTOR_BYTES,
                 nbytes=(end - start) * SECTOR_BYTES,

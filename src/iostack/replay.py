@@ -2,25 +2,26 @@
 
 One replay is one single-threaded engine run.  The application stage paces
 requests (closed loop, open loop, or closed loop with a measured-response
-tolerance), the file-system cache stage executes planner intents, the
-scheduler orders pending disk work, the drive cache stages data, and the
+tolerance), the file-system cache stage issues the ios its planner makes,
+the scheduler orders pending disk work, the drive cache stages data, and the
 disk stage serializes media operations against the mechanical model while
 keeping the written sectors' tags as runs for conservation checks.
 
 Each fact has one owner: ``FsCache`` holds fs residency, the dirty blocks,
 each file's speculation state and the loading blocks with the requests
-waiting for each (``inflight``), which it registers when it plans a read;
-``FsStage`` how many ios and blocks each request still awaits, an io's
-``IoMsg.request_id`` the request it serves, and ``SegmentedCache`` the
-drive segments, the in-flight and queued fills (``outstanding_fills``,
-``fill_ranges``), the acknowledged writes in arrival order (``writes``),
-the destage slot, the runs the held read still awaits and the disk end no
-media read passes.  The cache plans every media op and settles the held
-read; ``DiskCacheStage`` only issues the ops.  The scheduler's
-``PendingQueue`` holds each queued ``IoMsg`` and ``SchedulerStage.inflight``
-the one at the drive, so ``DiskCacheStage`` keeps that io in a slot while
-it waits for media data or for a free segment.  ``DiskStage.queue`` holds
-the media ops in arrival order; its head is the op being served.
+waiting for each (``inflight``), which it registers when it plans a read; a
+request's ``RequestMsg`` its issue time and how many ios and blocks it still
+awaits, an io's ``IoMsg.request_id`` the request it serves, and
+``SegmentedCache`` the drive segments, the in-flight and queued fills
+(``outstanding_fills``, ``fill_ranges``), the acknowledged writes in arrival
+order (``writes``), the destage slot, the runs the held read still awaits
+and the disk end no media read passes.  The cache plans every media op and
+settles the held read; ``DiskCacheStage`` only issues the ops.  The
+scheduler's ``PendingQueue`` holds each queued ``IoMsg`` and
+``SchedulerStage.inflight`` the one at the drive, so ``DiskCacheStage``
+keeps that io in a slot while it waits for media data or for a free segment.
+``DiskStage.queue`` holds the media ops in arrival order; its head is the op
+being served.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from enum import Enum
 from .diskcache import Ack, DiskCacheConfig, MediaRole, SegmentedCache, TagMap, TagRuns
 from .disk import DiskGeometry, HeadState, SeekProfile, cylinder_of_byte, service
 from .engine import EventLog, Observer, Payload, Simulator, StageId
-from .fscache import FLUSH, FsCache, FsCacheConfig, IoIntent
+from .fscache import FLUSH, FsCache, FsCacheConfig, IoMsg
 from .requests import (
     CanonicalRequest,
     Op,
@@ -78,8 +79,9 @@ class StackConfig:
 # done form returns the same way.  DISK_CACHE sends MediaMsg to DISK, which
 # times each op with its finished form and returns its done form.  Signals go
 # to FS_CACHE: FLUSH_TICK from itself, DRAIN from APP after the last request.
-# A done or finished form is a new message, because the event log keeps the
-# one it replies to.
+# ``IoMsg`` lives in ``fscache``, whose planner makes it.  Each message is one
+# object from issue to done: its done or finished form is the same object with
+# its flag set, so an observer reads each event when it is dispatched.
 
 
 @dataclass(slots=True)
@@ -87,6 +89,11 @@ class RequestMsg:
     request_id: int
     request: CanonicalRequest
     done: bool = False
+    #: Stamped by APP at issue.
+    issue_us: int = 0
+    #: Required ios, loading blocks and a write-through metadata write still awaited.
+    awaited: int = 0
+    copy_us: int = 0
 
     @property
     def kind(self) -> str:
@@ -99,29 +106,6 @@ class RequestMsg:
         return (
             f"req={self.request_id} op={r.op.value} mode={r.mode.value} "
             f"addr={r.disk_byte_addr} bytes={r.length_bytes}"
-        )
-
-
-@dataclass(slots=True)
-class IoMsg:
-    io_id: int
-    intent: IoIntent
-    request_id: int | None
-    done: bool = False
-
-    @property
-    def kind(self) -> str:
-        return "io-done" if self.done else "io"
-
-    def detail(self) -> str:
-        i = self.intent
-        if self.done:
-            return f"io={self.io_id} purpose={i.purpose.value}"
-        op = "write" if i.write else "read"
-        req = self.request_id if self.request_id is not None else "-"
-        return (
-            f"io={self.io_id} op={op} addr={i.disk_addr} bytes={i.nbytes} "
-            f"purpose={i.purpose.value} actor={i.actor} req={req}"
         )
 
 
@@ -147,21 +131,8 @@ class MediaMsg:
     @property
     def purpose(self) -> str:
         if self.role is MediaRole.HOST_WRITE:
-            return self.host.intent.purpose.value
+            return self.host.purpose.value
         return self.role.value
-
-    def with_flags(self, finished: bool, done: bool = False) -> "MediaMsg":
-        return MediaMsg(
-            self.media_id,
-            self.role,
-            self.lba,
-            self.sectors,
-            self.host,
-            self.sector_tags,
-            self.penalty_rotations,
-            finished,
-            done,
-        )
 
     @property
     def kind(self) -> str:
@@ -202,7 +173,6 @@ class AppStage:
     def __init__(self, requests: list[CanonicalRequest], policy: ReplayPolicy):
         self.requests = requests
         self.policy = policy
-        self.issue_times: dict[int, int] = {}
         self.records: list[RequestRecord] = []
 
     def start(self, sim: Simulator) -> None:
@@ -215,10 +185,9 @@ class AppStage:
     def handle(self, sim: Simulator, payload: Payload) -> None:
         match payload:
             case RequestMsg(done=False) as msg:
-                self.issue_times[msg.request_id] = sim.now()
+                msg.issue_us = sim.now()
                 sim.schedule(StageId.FS_CACHE, msg)
-            case RequestMsg(request_id=rid, request=r):
-                issue = self.issue_times.pop(rid)
+            case RequestMsg(request_id=rid, request=r, issue_us=issue):
                 self.records.append(
                     RequestRecord(
                         request_id=rid,
@@ -259,31 +228,24 @@ class AppStage:
         return max(complete_us, issue_us + gap)
 
 
-@dataclass
-class _PendingRequest:
-    msg: RequestMsg
-    #: Required ios, loading blocks and, for a write-through request, its
-    #: metadata write that this request still waits for.
-    awaited: int
-    copy_us: int
-
-
 class FsStage:
     """Executes file-system cache plans and tracks request completion."""
 
     def __init__(self, sim: Simulator, fs: FsCache):
         self.sim = sim
         self.fs = fs
-        self.pending: dict[int, _PendingRequest] = {}
+        self.pending: dict[int, RequestMsg] = {}
         self.deferred: deque[RequestMsg] = deque()
         #: The write-through request whose metadata write holds back the rest.
         self.wt_gate: int | None = None
         self.progressive_running = False
         self._io_seq = 0
 
-    def _issue(self, intent: IoIntent, request_id: int | None, at_us: int) -> None:
+    def _issue(self, io: IoMsg, request_id: int | None, at_us: int) -> None:
         self._io_seq += 1
-        self.sim.schedule(StageId.SCHEDULER, IoMsg(self._io_seq, intent, request_id), at_us=at_us)
+        io.io_id = self._io_seq
+        io.request_id = request_id
+        self.sim.schedule(StageId.SCHEDULER, io, at_us=at_us)
 
     def handle(self, sim: Simulator, payload: Payload) -> None:
         match payload:
@@ -296,8 +258,8 @@ class FsStage:
             case Signal.FLUSH_TICK:
                 self._progressive_step()
             case Signal.DRAIN:
-                for intent in self.fs.flush_all():
-                    self._issue(intent, None, sim.now())
+                for io in self.fs.flush_all():
+                    self._issue(io, None, sim.now())
 
     # -- request admission ----------------------------------------------------
 
@@ -317,33 +279,33 @@ class FsStage:
 
         plan = self.fs.on_read(req, rid) if req.op is Op.READ else self.fs.on_write(req, rid)
         required = len(plan.required_ios)
-        awaited = required + plan.waits + plan.metadata_after_data
-        pending = _PendingRequest(msg, awaited, cfg.copy_us(plan.copy_bytes))
+        msg.awaited = required + plan.waits + plan.metadata_after_data
+        msg.copy_us = cfg.copy_us(plan.copy_bytes)
         issue_at = now + (cfg.miss_path_cost_us if required else 0)
-        for intent in plan.ios:
-            self._issue(intent, rid if intent.purpose.required else None, issue_at)
+        for io in plan.ios:
+            self._issue(io, rid if io.purpose.required else None, issue_at)
         if plan.metadata_after_data:
             self.wt_gate = rid
         if plan.kick_progressive and not self.progressive_running:
             self.progressive_running = True
             self.sim.schedule(StageId.FS_CACHE, Signal.FLUSH_TICK)
-        if awaited:
-            self.pending[rid] = pending
+        if msg.awaited:
+            self.pending[rid] = msg
         else:
             # No io, or only optional ones (prefetch/flush): serve from cache now.
-            self._complete(msg, at_us=now + cfg.fastio_hit_cost_us + pending.copy_us)
+            self._complete(msg, at_us=now + cfg.fastio_hit_cost_us + msg.copy_us)
 
     def _complete(self, msg: RequestMsg, at_us: int) -> None:
-        self.sim.schedule(StageId.APP, RequestMsg(msg.request_id, msg.request, True), at_us=at_us)
+        msg.done = True
+        self.sim.schedule(StageId.APP, msg, at_us=at_us)
 
     # -- io completions ----------------------------------------------------------
 
     def _io_done(self, msg: IoMsg) -> None:
-        intent = msg.intent
-        if intent.block_key is not None:
-            for rid in self.fs.on_block_loaded(intent.block_key):
+        if msg.block_key is not None:
+            for rid in self.fs.on_block_loaded(msg.block_key):
                 self._settle(rid)
-        if intent.purpose is FLUSH and self.progressive_running:
+        if msg.purpose is FLUSH and self.progressive_running:
             self.sim.schedule(StageId.FS_CACHE, Signal.FLUSH_TICK)
         # Required ios, and only they, carry the request they serve.
         if msg.request_id is not None:
@@ -352,15 +314,15 @@ class FsStage:
     def _settle(self, rid: int) -> None:
         """One io or block that request ``rid`` awaited has arrived."""
 
-        pending = self.pending[rid]
-        pending.awaited -= 1
-        if pending.awaited == 1 and self.wt_gate == rid:
+        msg = self.pending[rid]
+        msg.awaited -= 1
+        if msg.awaited == 1 and self.wt_gate == rid:
             # The data is on the media: only the metadata write is left.
             self._issue(self.fs.metadata_io(), rid, self.sim.now())
-        if pending.awaited:
+        if msg.awaited:
             return
         del self.pending[rid]
-        self._complete(pending.msg, at_us=self.sim.now() + pending.copy_us)
+        self._complete(msg, at_us=self.sim.now() + msg.copy_us)
         if self.wt_gate == rid:
             self.wt_gate = None
             while self.deferred and self.wt_gate is None:
@@ -371,8 +333,8 @@ class FsStage:
         if not ios:
             self.progressive_running = False
             return
-        for intent in ios:
-            self._issue(intent, None, self.sim.now())
+        for io in ios:
+            self._issue(io, None, self.sim.now())
 
 
 class SchedulerStage:
@@ -388,7 +350,7 @@ class SchedulerStage:
     def handle(self, sim: Simulator, payload: Payload) -> None:
         match payload:
             case IoMsg(done=False) as msg:
-                self.queue.enqueue(msg, cylinder_of_byte(msg.intent.disk_addr, self.geometry))
+                self.queue.enqueue(msg, cylinder_of_byte(msg.disk_addr, self.geometry))
                 self._dispatch()
             case IoMsg() as msg:
                 self.inflight = None
@@ -434,13 +396,13 @@ class DiskCacheStage:
         msg = MediaMsg(self._media_seq, role, lba, sectors, host, tags, penalty)
         self.sim.schedule(StageId.DISK, msg)
 
-    def _sectors(self, intent: IoIntent) -> tuple[int, int]:
-        sectors = sector_range(intent.disk_addr, intent.disk_addr + intent.nbytes)
+    def _sectors(self, io: IoMsg) -> tuple[int, int]:
+        sectors = sector_range(io.disk_addr, io.disk_addr + io.nbytes)
         return sectors.start, max(1, len(sectors))
 
     def handle(self, sim: Simulator, payload: Payload) -> None:
         match payload:
-            case IoMsg() as msg if msg.intent.write:
+            case IoMsg(write=True) as msg:
                 self._host_write(msg)
             case IoMsg() as msg:
                 self._host_read(msg)
@@ -450,7 +412,7 @@ class DiskCacheStage:
     # -- reads --------------------------------------------------------------------
 
     def _host_read(self, msg: IoMsg) -> None:
-        lba, sectors = self._sectors(msg.intent)
+        lba, sectors = self._sectors(msg)
         _, missing, reads = self.cache.read_lookup(lba, sectors)
         for op in reads:
             self._media(*op)
@@ -460,14 +422,15 @@ class DiskCacheStage:
             self._reply_done(msg)
 
     def _reply_done(self, msg: IoMsg) -> None:
-        self.sim.schedule(StageId.SCHEDULER, IoMsg(msg.io_id, msg.intent, msg.request_id, True))
+        msg.done = True
+        self.sim.schedule(StageId.SCHEDULER, msg)
 
     # -- writes --------------------------------------------------------------------
 
     def _host_write(self, msg: IoMsg) -> None:
-        lba, sectors = self._sectors(msg.intent)
+        lba, sectors = self._sectors(msg)
         ack, writes = self.cache.write_accept(
-            lba, sectors, msg.intent.sector_tags, force_media=msg.intent.purpose.force_media
+            lba, sectors, msg.sector_tags, force_media=msg.purpose.force_media
         )
         if ack is Ack.ACK_AFTER_MEDIA:
             # One media write, whose completion acknowledges the host io.
@@ -533,7 +496,8 @@ class DiskStage:
         # head instead of a hair behind it (which would cost a phantom
         # revolution).
         self.head = HeadState(cylinder, head, angle, float(now + delay_us))
-        self.sim.schedule_after(StageId.DISK, msg.with_flags(finished=True), delay_us)
+        msg.finished = True
+        self.sim.schedule_after(StageId.DISK, msg, delay_us)
 
     def _finish(self, msg: MediaMsg) -> None:
         if msg.write:
@@ -541,10 +505,13 @@ class DiskStage:
                 self.metadata_writes += 1
             else:
                 self.data_image.overlay(msg.sector_tags)
-        self.sim.schedule(StageId.DISK_CACHE, msg.with_flags(finished=True, done=True))
         self.queue.popleft()
+        # Timing the next op may raise, so it goes first; it finishes at
+        # least 1 us later, so the two events dispatch in the same order.
         if self.queue:
             self._start_next()
+        msg.done = True
+        self.sim.schedule(StageId.DISK_CACHE, msg)
 
 
 # -- top-level entry -------------------------------------------------------------
@@ -632,11 +599,13 @@ def replay(
 ) -> ReplayResult:
     """Run one full-stack simulation of the request stream.
 
-    ``observe``, if given, receives each event as it is dispatched, before
-    its handler runs, so one run both streams its event log and is the run
-    it reports; a run that fails has passed it every event up to the one
-    that faulted.  The result keeps only the event count: its
-    ``event_log.to_text()`` re-runs the replay, checked against this run.
+    ``observe``, if given, reads each event as it is dispatched, before its
+    handler runs, so one run both streams its event log and is the run it
+    reports; a run that fails has passed it every event up to the one that
+    faulted.  A payload is one object for its whole round trip, so an
+    observer that keeps events keeps copies.  The result keeps only the
+    event count: its ``event_log.to_text()`` re-runs the replay, checked
+    against this run.
     """
 
     if not requests:

@@ -74,6 +74,9 @@ def open_event_log(out_dir: str | Path) -> TextIO:
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    # An earlier run's reports go, so a run that fails leaves no log beside them.
+    for name in ("requests.csv", "summary.txt"):
+        (out / name).unlink(missing_ok=True)
     fp = (out / "events.log").open("w", encoding="utf-8")
     fp.write(f"#iostack-events v{REPORT_FORMAT_VERSION}\n")
     return fp

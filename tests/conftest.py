@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+
 import pytest
 
 from iostack import (
@@ -116,7 +118,15 @@ def echo_to_ini(echo: dict[str, str]) -> str:
 
 
 def observed(requests, stack: StackConfig, policy: ReplayPolicy = ReplayPolicy()):
-    """``(result, events)``: one replay and the events it dispatched, recorded as it ran."""
+    """``(result, events)``: one replay and the events it dispatched, recorded as it ran.
+
+    A payload is one object for its whole round trip, so each event keeps a
+    shallow copy of its payload as it was dispatched.
+    """
 
     events: list[SimEvent] = []
-    return replay(requests, stack, policy, observe=events.append), events
+
+    def keep(event: SimEvent) -> None:
+        events.append(event._replace(payload=copy.copy(event.payload)))
+
+    return replay(requests, stack, policy, observe=keep), events

@@ -7,7 +7,6 @@ Criteria with stated runtime budgets assert them with a wall clock.
 
 from __future__ import annotations
 
-import dataclasses
 import time
 
 import numpy as np
@@ -19,7 +18,6 @@ from iostack import (
     Op,
     ReplayPolicy,
     StackConfig,
-    StageId,
     WriteRegime,
     Zone,
     classify_write_regime,
@@ -34,7 +32,7 @@ from iostack import (
     write_canonical,
 )
 from iostack.diskcache import LOCALITY_RADIUS_SECTORS, SegmentedCache
-from iostack.profiles import FUJITSU_MAN3184MP, HITACHI_TRAVELSTAR_80GN, PROFILES, TOSHIBA_MK6012MAP
+from iostack.profiles import FUJITSU_MAN3184MP, HITACHI_TRAVELSTAR_80GN, TOSHIBA_MK6012MAP
 from iostack.requests import Origin
 from iostack.workload import DistSpec, GeneratorSpec, generate
 

@@ -16,7 +16,7 @@ from iostack.reports import REPORT_FORMAT_VERSION, format_request_table
 from iostack.workload import generate
 
 from conftest import SAMPLE_TRACE, echo_to_ini
-from test_config_reports import BAD_VALUES, EVERY_KEY, REMOVED_KEYS, with_bad_value
+from test_config_reports import BAD_VALUES, EVERY_KEY, REMOVED_KEYS, SAMPLE_CONFIG, with_bad_value
 
 CONFIG = """
 [disk]
@@ -456,6 +456,17 @@ def test_replay_error_under_dump_events_leaves_the_events_before_it(tmp_path, ca
     # whose handler raised.
     err, events = dump_events_error(tmp_path / "fault", capsys, STAGE_FAULT_CONFIG)
     assert events and f"failed on {events[-1]}: " in err
+
+
+def test_failing_dump_events_run_leaves_no_earlier_reports(tmp_path):
+    # A run that fails into the output directory of an earlier run leaves
+    # its log there alone, not beside the other run's reports.
+    out = tmp_path / "out"
+    assert main(["--config", str(SAMPLE_CONFIG), "--generate", "--output", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["requests.csv", "summary.txt"]
+    argv = ["--config", str(write_config(tmp_path, STAGE_FAULT_CONFIG)), "--generate"]
+    assert main([*argv, "--output", str(out), "--dump-events"]) == 2
+    assert sorted(p.name for p in out.iterdir()) == ["events.log"]
 
 
 #: Values a mistyped config might hold: signs, zero, huge, the non-finite

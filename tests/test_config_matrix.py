@@ -141,7 +141,7 @@ def observer(log):
             at_drive.append(event.payload.io_id)
             del at_scheduler[event.payload.io_id]
         elif kind == "media-finish":
-            assert WatchedDisk.current.queue[0].media_id == event.payload.media_id, event.describe()
+            assert WatchedDisk.current.queue[0] is event.payload, event.describe()
         elif kind == "io-done" and event.target is StageId.SCHEDULER:
             assert at_drive == [event.payload.io_id], event.describe()
             at_drive.clear()

@@ -29,7 +29,7 @@ from iostack.scheduler import Policy
 from iostack.trace import OpenFlag, ingest_text
 from iostack.workload import DistSpec, GeneratorSpec, generate
 
-from conftest import flat_seek, observed, plain_stack, tiny_geometry, zero_cost_fs
+from conftest import flat_seek, observed, plain_stack, tiny_geometry
 from test_replay import select, stream
 
 KB = 1024
@@ -130,11 +130,7 @@ class TestFsCacheEdges:
         requests = stream([(Op.READ, 0, size), (Op.READ, size, size)], AccessMode.NORMAL)
         requests += stream([(Op.READ, 8 * size, size)], AccessMode.NORMAL)
         _, events = observed(requests, stack)
-        demands = [
-            e.payload.intent
-            for e in select(events, kind="io")
-            if e.payload.intent.purpose is DEMAND
-        ]
+        demands = [e.payload for e in select(events, kind="io") if e.payload.purpose is DEMAND]
         last_four = demands[-4:]
         assert [io.disk_addr // BLOCK for io in last_four] == [32, 33, 34, 35]
         assert all(io.actor == "system" for io in last_four)

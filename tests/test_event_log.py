@@ -9,6 +9,7 @@ simulation runs.
 from __future__ import annotations
 
 import gc
+import sys
 import tracemalloc
 
 import pytest
@@ -23,8 +24,12 @@ from iostack import (
     SimEvent,
     Simulator,
     StackConfig,
+    StageFault,
+    StageId,
     replay,
 )
+from iostack.diskcache import MediaRole
+from iostack.fscache import PASSTHROUGH, Purpose
 from iostack.profiles import FUJITSU_MAN3184MP
 from iostack.reports import open_event_log
 from iostack.workload import DistSpec, GeneratorSpec, generate
@@ -33,6 +38,9 @@ from conftest import observed, plain_stack
 from test_golden_log import log_text
 
 KB = 1024
+MB = 1024 * KB
+#: The module of the stages; ``iostack.replay`` names the function.
+REPLAY_MODULE = sys.modules["iostack.replay"]
 
 
 def reads(count: int) -> list[CanonicalRequest]:
@@ -165,3 +173,56 @@ def test_streamed_replay_memory_flat_in_trace_length(tmp_path):
     assert peak_growth_per_request(streamed) < 1 * KB
     for out, count in events.items():
         assert (out / "events.log").read_text(encoding="utf-8").count("\n") == 1 + count
+
+
+def test_each_round_trip_is_one_object():
+    """A request, io or media op comes back as the very object that went out."""
+
+    def req(op, addr, size, mode):
+        return CanonicalRequest(0, Origin.APP, op, 0, addr, size, addr, mode)
+
+    trace = [req(Op.OPEN, 0, 0, AccessMode.NORMAL)]
+    trace += [req(Op.READ, i * 256 * KB, 256 * KB, AccessMode.NORMAL) for i in range(3)]
+    # 384 KB writes go part to the cache, part direct to the disk.
+    trace += [req(Op.WRITE, (4 + i) * MB, 384 * KB, AccessMode.NORMAL) for i in range(2)]
+    trace.append(req(Op.WRITE, 8 * MB, 64 * KB, AccessMode.WRITE_THROUGH))
+    sent = {"request": {}, "io": {}, "media": {}}
+    back = {"request": [], "io": [], "media": []}
+
+    def check(e) -> None:
+        p = e.payload
+        if e.target is StageId.APP and p.kind == "request":
+            sent["request"][p.request_id] = p
+        elif e.target is StageId.SCHEDULER and p.kind == "io":
+            sent["io"][p.io_id] = p
+        elif e.target is StageId.DISK and p.kind == "media":
+            sent["media"][p.media_id] = p
+        elif e.target is StageId.APP and p.kind == "request-done":
+            back["request"].append(p is sent["request"][p.request_id])
+        elif e.target is StageId.FS_CACHE and p.kind == "io-done":
+            back["io"].append(p is sent["io"][p.io_id])
+        elif e.target is StageId.DISK_CACHE and p.kind == "media-done":
+            back["media"].append(p is sent["media"][p.media_id])
+
+    replay(trace, fujitsu(), observe=check)
+    for kind, same in back.items():
+        assert len(same) == len(sent[kind]) > 0 and all(same), kind
+    assert {io.purpose for io in sent["io"].values()} == set(Purpose) - {PASSTHROUGH}
+    assert {op.role for op in sent["media"].values()} == set(MediaRole)
+
+
+def test_stage_fault_names_the_event_as_dispatched(monkeypatch):
+    """A fault while timing a queued media op names the ``media-finish`` it was handling."""
+
+    inner = REPLAY_MODULE.service
+    lines = []
+
+    def fails_after_finish(*args):
+        if " kind=media-finish " in lines[-1]:
+            raise ValueError("timing a queued media op")
+        return inner(*args)
+
+    monkeypatch.setattr(REPLAY_MODULE, "service", fails_after_finish)
+    with pytest.raises(StageFault) as info:
+        replay(reads(16), fujitsu(), observe=lambda e: lines.append(e.describe()))
+    assert info.value.event.describe() == lines[-1]

@@ -304,7 +304,7 @@ def test_scenarios_cover_every_kind_and_media_role():
             if e.payload.kind == "media":
                 roles.add(media_role(e.payload))
             elif e.payload.kind == "io":
-                purposes.add(e.payload.intent.purpose)
+                purposes.add(e.payload.purpose)
     assert kinds == EVENT_KINDS
     assert roles == MEDIA_ROLES
     assert purposes == IO_PURPOSES

@@ -5,9 +5,10 @@ access mode, a scheduler policy, closed or open loop, a write share, and
 either random 4 KB-aligned or sequential addresses, then replays one file's
 stream of 96 requests.  Every replay must complete every request.  Closed
 loop, every write reaches the media in issue order, so the media image must
-equal the directly applied reference; open loop, overlapping writes in
-flight together may reach the media in either order, and no oracle is
-defined for them yet.
+equal the directly applied reference.  Open loop, overlapping writes in
+flight together may reach the media in either order, so each sector's media
+tag must be the trace's last write to that sector, or an earlier write whose
+request completed after that last write was issued.
 """
 
 from __future__ import annotations
@@ -78,13 +79,40 @@ def trial(seed: int) -> tuple[list[CanonicalRequest], StackConfig, ReplayPolicy]
     return requests, stack, policy
 
 
-@pytest.mark.parametrize("seed", range(TRIALS))
-def test_replay_completes_and_conserves_writes(seed):
+def misplaced_sectors(result) -> int:
+    """Sectors whose media tag no order of the overlapping writes in flight explains.
+
+    A sector may hold its last write's tag, or the tag of an earlier write
+    whose request completed after that last write was issued.
+    """
+
+    records = result.records
+    misplaced = 0
+    for start, end, last in reference_media_image(result.effective_requests).runs:
+        held = 0
+        for lo, hi, tag in result.media_image.clip(start, end):
+            held += hi - lo
+            if tag != last and not (
+                tag < last and records[tag].complete_us > records[last].issue_us
+            ):
+                misplaced += hi - lo
+        misplaced += end - start - held
+    return misplaced
+
+
+def check_trial(seed: int) -> None:
     requests, stack, policy = trial(seed)
     result = replay(requests, stack, policy)
     assert len(result.records) == len(result.effective_requests)
     if policy.mode is ReplayMode.CLOSED_LOOP:
         assert result.media_image == reference_media_image(result.effective_requests)
+    else:
+        assert misplaced_sectors(result) == 0
+
+
+@pytest.mark.parametrize("seed", range(TRIALS))
+def test_replay_completes_and_conserves_writes(seed):
+    check_trial(seed)
 
 
 @pytest.mark.xfail(
@@ -95,6 +123,15 @@ def test_replay_completes_and_conserves_writes(seed):
 def test_stale_flush_known_defect():
     # Closed loop, LOOK, a write-through drive and SEQUENTIAL access: the
     # in-order image is the oracle, and a stall would still fail the test.
-    requests, stack, policy = trial(740)
-    result = replay(requests, stack, policy)
-    assert result.media_image == reference_media_image(result.effective_requests)
+    check_trial(740)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 1: a queued fs flush lands after a later direct write under C-LOOK",
+)
+def test_stale_flush_open_loop_known_defect():
+    # Open loop under C-LOOK: 8 sectors end with a tag no order of the
+    # writes in flight together explains.
+    check_trial(163)

@@ -65,7 +65,7 @@ def disk_read_blocks(events):
     """64KB block indexes of reads in drive arrival order."""
 
     ingress = select(events, StageId.DISK_CACHE, "io")
-    return [e.payload.intent.disk_addr // BLOCK for e in ingress if not e.payload.intent.write]
+    return [e.payload.disk_addr // BLOCK for e in ingress if not e.payload.write]
 
 
 class TestStageTraversal:
@@ -167,7 +167,7 @@ class TestWriteRegimesOnTheWire:
         stack = plain_stack()
         ios = [(Op.WRITE, i * BLOCK, BLOCK) for i in range(10)]
         _, events = observed(stream(ios, AccessMode.NORMAL), stack)
-        purposes = {e.payload.intent.purpose for e in select(events, StageId.DISK_CACHE, "io")}
+        purposes = {e.payload.purpose for e in select(events, StageId.DISK_CACHE, "io")}
         assert APP_DIRECT not in purposes
         assert FLUSH in purposes  # media writes all come from the system flush
 
@@ -176,7 +176,7 @@ class TestWriteRegimesOnTheWire:
         ios = [(Op.WRITE, i * 128 * KB, 128 * KB) for i in range(3)]
         result, events = observed(stream(ios, AccessMode.WRITE_THROUGH), stack)
         media = [
-            e.payload.host.intent.purpose
+            e.payload.host.purpose
             for e in select(events, StageId.DISK, "media")
             if e.payload.write
         ]
@@ -202,7 +202,7 @@ class TestWriteRegimesOnTheWire:
         ios = [(Op.WRITE, 0, 192 * KB)]
         result, events = observed(stream(ios, AccessMode.NO_BUFFER), stack)
         wire = select(events, StageId.DISK_CACHE, "io")
-        assert [e.payload.intent.nbytes for e in wire] == [192 * KB]
+        assert [e.payload.nbytes for e in wire] == [192 * KB]
         assert not result.fs.views
 
 
@@ -214,9 +214,9 @@ class TestQuantization:
         ios = [(Op.READ, i * 100 * KB, 100 * KB) for i in range(6)]
         _, events = observed(stream(ios, AccessMode.NORMAL), stack)
         for e in select(events, StageId.DISK_CACHE, "io"):
-            intent = e.payload.intent
-            if not intent.write and intent.purpose is not PASSTHROUGH:
-                assert intent.nbytes == BLOCK
+            io = e.payload
+            if not io.write and io.purpose is not PASSTHROUGH:
+                assert io.nbytes == BLOCK
 
 
 class TestConservation:
