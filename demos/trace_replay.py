@@ -9,7 +9,7 @@ against a drive profile.
 
 import io
 
-from iostack import Origin, error_percent, ingest_text, replay, write_canonical
+from iostack import Op, Origin, error_percent, ingest_text, replay, write_canonical
 from iostack.profiles import FUJITSU_MAN3184MP
 from iostack.replay import StackConfig
 
@@ -31,10 +31,11 @@ CAPTURE = (
 def main() -> None:
     requests, report = ingest_text(CAPTURE, cluster_size_bytes=4096)
     app = sum(1 for r in requests if r.origin is Origin.APP)
+    io_lines = sum(1 for r in requests if r.op in (Op.READ, Op.WRITE))
     print(f"parsed {len(requests)} records: {app} application, "
-          f"{report.system_requests_tagged} tagged as OS helpers, "
+          f"{len(requests) - app} tagged as OS helpers, "
           f"{len(report.dropped_lines)} dropped")
-    print(f"logical addresses reconstructed on {report.address_rewrites} lines\n")
+    print(f"logical addresses reconstructed on {io_lines} lines\n")
 
     sink = io.StringIO()
     write_canonical(requests, sink)

@@ -70,9 +70,7 @@ from .trace import (
     TraceError,
     UnknownOp,
     ingest_text,
-    normalize,
     parse_trace_line,
-    parse_trace_text,
     read_canonical,
     write_canonical,
 )
@@ -147,9 +145,7 @@ __all__ = [
     "lba_to_phys",
     "load_baseline",
     "load_config",
-    "normalize",
     "parse_trace_line",
-    "parse_trace_text",
     "read_canonical",
     "reference_media_image",
     "replay",

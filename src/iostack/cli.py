@@ -81,13 +81,18 @@ def _run(spec: RunSpec, observe: Observer | None):
         requests.sort(key=lambda r: r.issue_time_us)
         return replay(requests, spec.stack, spec.policy, observe), None
     text = read_utf8(spec.trace_path)
+    report = None
     try:
         if text.startswith("#iostack-trace"):
-            requests, report = read_canonical(io.StringIO(text)), None
+            requests = read_canonical(io.StringIO(text))
         else:
             requests, report = ingest_text(text, spec.cluster_bytes, spec.system_processes)
         return replay(requests, spec.stack, spec.policy, observe), report
     except (TraceError, TraceReplayError) as exc:
+        position = getattr(exc, "position", None)
+        if report is not None and position is not None:
+            # A tracer trace names the request by its line's seq.
+            exc = TraceReplayError(f"seq {report.seqs[position]} {exc.detail}")
         raise type(exc)(f"{spec.trace_path}: {exc}") from None
 
 
@@ -111,6 +116,9 @@ def main(argv: list[str] | None = None) -> int:
         )
         if log is not None:
             files.append(Path(log.name))
+        else:
+            # An earlier run's log goes, so no log sits beside these reports.
+            (Path(args.output) / "events.log").unlink(missing_ok=True)
     except (
         ConfigError, TraceError, TraceReplayError, BaselineError, StageFault, NotUtf8, OSError
     ) as exc:

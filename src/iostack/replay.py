@@ -530,7 +530,15 @@ class ReplayResult:
 
 
 class TraceReplayError(ValueError):
-    pass
+    """A request stream that replay rejects.
+
+    ``position``, when set, is the index in the stream of the request at
+    fault, and the message names it ``request N`` before ``detail``.
+    """
+
+    def __init__(self, detail: str, position: int | None = None) -> None:
+        super().__init__(detail if position is None else f"request {position} {detail}")
+        self.detail, self.position = detail, position
 
 
 class StallError(TraceReplayError):
@@ -617,8 +625,9 @@ def replay(
             continue
         if r.op in (Op.READ, Op.WRITE) and r.disk_byte_addr + r.length_bytes > capacity:
             raise TraceReplayError(
-                f"request {position} at disk byte {r.disk_byte_addr} (+{r.length_bytes}) "
-                f"exceeds the configured disk capacity of {capacity} bytes"
+                f"at disk byte {r.disk_byte_addr} (+{r.length_bytes}) "
+                f"exceeds the configured disk capacity of {capacity} bytes",
+                position,
             )
         effective.append(r)
     if not effective:

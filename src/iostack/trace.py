@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable
 
 from .requests import AccessMode, CanonicalRequest, Op, Origin
 
@@ -91,15 +91,15 @@ class RawTraceLine:
 
 @dataclass
 class TraceDefectReport:
-    """Accounting of every repair applied while normalizing a trace.
+    """Where each request of an ingested trace came from, and what was dropped.
 
-    Totality: every input line is either emitted as a CanonicalRequest or
-    listed in ``dropped_lines``.
+    Totality: every record line is either emitted as a CanonicalRequest,
+    whose tracer seq ``seqs`` holds at the request's index, or listed with
+    its reason in ``dropped_lines``, in line order.
     """
 
     dropped_lines: list[tuple[int, str]] = field(default_factory=list)
-    system_requests_tagged: int = 0
-    address_rewrites: int = 0
+    seqs: list[int] = field(default_factory=list)
 
 
 def _parse_wallclock(token: str, where: str) -> int:
@@ -176,30 +176,6 @@ def parse_trace_line(line: str, *, byte_offset: int | None = None) -> RawTraceLi
     )
 
 
-def parse_trace_text(text: str) -> tuple[list[RawTraceLine], list[tuple[int, str]]]:
-    """Parse a whole trace body, collecting per-line failures instead of raising.
-
-    Returns the parsed lines plus (identifier, reason) pairs for rejected
-    lines, where the identifier is the seq when one could be read and the
-    1-based line number otherwise.
-    """
-
-    parsed: list[RawTraceLine] = []
-    dropped: list[tuple[int, str]] = []
-    offset = 0
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if stripped and not stripped.startswith("#"):
-            try:
-                parsed.append(parse_trace_line(line, byte_offset=offset))
-            except TraceError as exc:
-                first = stripped.split()[0]
-                ident = int(first) if first.isdigit() else lineno
-                dropped.append((ident, f"{type(exc).__name__}: {exc}"))
-        offset += len(line) + 1
-    return parsed, dropped
-
-
 def _mode_from_flags(flags: frozenset[OpenFlag]) -> AccessMode:
     # NoBuffer dominates: it disables the cache outright, the other flags
     # only tune it.
@@ -212,14 +188,17 @@ def _mode_from_flags(flags: frozenset[OpenFlag]) -> AccessMode:
     return AccessMode.NORMAL
 
 
-def normalize(
-    lines: Sequence[RawTraceLine],
+def ingest_text(
+    text: str,
     cluster_size_bytes: int = 4096,
     system_processes: Iterable[str] = DEFAULT_SYSTEM_PROCESSES,
 ) -> tuple[list[CanonicalRequest], TraceDefectReport]:
-    """Turn raw tracer lines into canonical requests, repairing known defects.
+    """Turn a tracer capture into canonical requests, repairing known defects.
 
-    Logical disk addresses are reconstructed from cluster number and
+    Each record line is parsed, repaired and emitted or dropped in turn, so
+    ``dropped_lines`` is in line order.  A line that does not parse is
+    dropped under its seq, or its 1-based line number when no seq could be
+    read.  Logical disk addresses are reconstructed from cluster number and
     displacement; the open-time access mode is propagated to every
     READ/WRITE of the session; lines issued by deny-listed helper processes
     are tagged ``origin=SYSTEM`` so replay can exclude them.  Session
@@ -236,8 +215,22 @@ def normalize(
     file_ids: dict[str, int] = {}
     sessions: dict[tuple[int, int], AccessMode] = {}
     last_time = -1
+    offset = 0
 
-    for line in lines:
+    for lineno, text_line in enumerate(text.splitlines(), start=1):
+        stripped = text_line.strip()
+        line_offset, offset = offset, offset + len(text_line) + 1
+        if not stripped or stripped.startswith("#"):
+            continue
+        try:
+            line = parse_trace_line(text_line, byte_offset=line_offset)
+        except TraceError as exc:
+            first = stripped.split()[0]
+            # ``isdigit`` admits digits ``int`` rejects, such as a superscript two.
+            ident = int(first) if first.isdecimal() else lineno
+            report.dropped_lines.append((ident, f"{type(exc).__name__}: {exc}"))
+            continue
+
         if line.wallclock_us < last_time:
             raise BadTime(
                 f"seq {line.seq}: wallclock went backwards (midnight rollover unsupported)"
@@ -258,43 +251,21 @@ def normalize(
                 continue
             mode = sessions[session_key]
 
-        origin = Origin.APP
-        if line.process_name in deny and line.op is not Op.CLOSE:
-            origin = Origin.SYSTEM
-            report.system_requests_tagged += 1
-
-        offset = line.offset_bytes or 0
-        if line.lcn is not None:
-            disk_addr = line.lcn * cluster_size_bytes + offset
-            report.address_rewrites += 1
-        else:
-            disk_addr = 0
-
+        system = line.process_name in deny and line.op is not Op.CLOSE
+        offset_bytes = line.offset_bytes or 0
         requests.append(
             CanonicalRequest(
                 issue_time_us=line.wallclock_us,
-                origin=origin,
+                origin=Origin.SYSTEM if system else Origin.APP,
                 op=line.op,
                 file_id=file_id,
-                file_offset_bytes=offset,
+                file_offset_bytes=offset_bytes,
                 length_bytes=line.length_bytes or 0,
-                disk_byte_addr=disk_addr,
+                disk_byte_addr=(line.lcn or 0) * cluster_size_bytes + offset_bytes,
                 mode=mode,
             )
         )
-    return requests, report
-
-
-def ingest_text(
-    text: str,
-    cluster_size_bytes: int = 4096,
-    system_processes: Iterable[str] = DEFAULT_SYSTEM_PROCESSES,
-) -> tuple[list[CanonicalRequest], TraceDefectReport]:
-    """Parse and normalize a trace body in one step, merging drop reports."""
-
-    lines, parse_drops = parse_trace_text(text)
-    requests, report = normalize(lines, cluster_size_bytes, system_processes)
-    report.dropped_lines = parse_drops + report.dropped_lines
+        report.seqs.append(line.seq)
     return requests, report
 
 

@@ -41,6 +41,23 @@ ORPHAN_READ_TRACE = (
 )
 
 
+#: A tracer-format trace that drops two lines: an orphan READ on line 2, then
+#: a line with an operation the tracer never prints on line 3.
+TWO_DROPS_TRACE = (
+    "1\t17:00:00.000\tapp.exe:1\tOPEN\tC:\\f\tSUCCESS Options: Open\n"
+    "2\t17:00:00.010\tapp.exe:2\tREAD\tC:\\f\tLCN: 10 Offset: 0 Length: 4096\n"
+    "3\t17:00:00.020\tapp.exe:1\tDELETE\tC:\\f\tSUCCESS\n"
+    "4\t17:00:00.030\tapp.exe:1\tREAD\tC:\\f\tLCN: 10 Offset: 0 Length: 4096\n"
+)
+
+#: A tracer-format trace whose every request comes from a deny-listed OS
+#: helper, with no CLOSE to keep the application origin.
+HELPER_ONLY_TRACE = (
+    "1\t17:00:00.000\tcsrss.exe:712\tOPEN\tC:\\f\tSUCCESS Options: Open\n"
+    "2\t17:00:00.010\tcsrss.exe:712\tREAD\tC:\\f\tLCN: 10 Offset: 0 Length: 4096\n"
+)
+
+
 def write_file(path: Path, body: str | bytes) -> Path:
     """``path`` holding ``body``: a text as UTF-8, bytes as they are."""
 
@@ -109,6 +126,32 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err.splitlines() == ["simulate: dropped line 3: OrphanIO"]
         assert "requests=2" in captured.out
+
+    def test_dropped_trace_lines_reported_in_line_order(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        trace = write_file(tmp_path / "capture.txt", TWO_DROPS_TRACE)
+        code = main(["--config", str(cfg), "--trace", str(trace), "--output", str(tmp_path / "out")])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "simulate: dropped line 2: OrphanIO",
+            "simulate: dropped line 3: UnknownOp: seq 3: unknown operation 'DELETE'",
+        ]
+        assert "requests=2" in captured.out
+
+    def test_plain_run_removes_an_earlier_event_log(self, tmp_path):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        run = ["--config", str(cfg), "--generate", "--output", str(out)]
+        assert main([*run, "--dump-events"]) == 0
+        assert main([*run, "--seed", "7"]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["requests.csv", "summary.txt"]
+        # A plain run that fails changes nothing in the directory.
+        assert main([*run, "--dump-events"]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        fault = write_file(tmp_path / "fault.ini", STAGE_FAULT_CONFIG)
+        assert main(["--config", str(fault), "--generate", "--output", str(out)]) == 2
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     def test_canonical_trace_autodetected(self, tmp_path):
         from iostack import ingest_text, write_canonical
@@ -374,6 +417,22 @@ HUGE_WEIGHTS = CONFIG.replace(
             "trace.txt: request 2 at disk byte 40000000000 (+4096) exceeds the configured "
             "disk capacity of",
         ),
+        # A tracer trace names the request by its seq, not by its place
+        # among the requests kept.
+        (
+            {"--trace": SAMPLE_TRACE},
+            [],
+            CONFIG + "\n[trace]\ncluster_bytes = 1048576\n",
+            "trace.txt: seq 190 at disk byte 2097852448768 (+196608) exceeds the configured "
+            "disk capacity of",
+        ),
+        (
+            {},
+            [],
+            CONFIG[: CONFIG.index("[workload]")],
+            "workload: no [workload] section to generate from and no trace",
+        ),
+        ({"--trace": HELPER_ONLY_TRACE}, [], CONFIG, "trace.txt: no application-origin requests"),
         (
             {},
             [],
@@ -413,6 +472,9 @@ HUGE_WEIGHTS = CONFIG.replace(
         "trace-cluster-bytes-negative",
         "trace-time-backwards",
         "trace-request-beyond-disk",
+        "tracer-seq-beyond-disk",
+        "generate-without-workload",
+        "tracer-helpers-only",
         "working-set-within-reserve",
     ],
 )

@@ -1,4 +1,4 @@
-"""Tracer parsing, normalization repairs, and the canonical round trip."""
+"""Tracer parsing, the repairs of ingestion, and the canonical round trip."""
 
 from __future__ import annotations
 
@@ -19,9 +19,7 @@ from iostack import (
     UnknownOp,
     generate,
     ingest_text,
-    normalize,
     parse_trace_line,
-    parse_trace_text,
     read_canonical,
     write_canonical,
 )
@@ -84,14 +82,14 @@ class TestParseLine:
 
 class TestNormalize:
     def test_address_reconstruction(self):
-        lines, _ = parse_trace_text(
+        requests, report = ingest_text(
             "1  17:00:00.000  p.exe:1  OPEN  C:\\f  SUCCESS Options: Open\n"
-            "2  17:00:00.010  p.exe:1  READ  C:\\f  LCN: 403019 Offset: 0 Length: 12\n"
+            "2  17:00:00.010  p.exe:1  READ  C:\\f  LCN: 403019 Offset: 0 Length: 12\n",
+            cluster_size_bytes=4096,
         )
-        requests, report = normalize(lines, cluster_size_bytes=4096)
         read = requests[1]
         assert read.disk_byte_addr == 403019 * 4096 == 1_650_765_824
-        assert report.address_rewrites == 1
+        assert report.seqs == [1, 2]
 
     def test_sample_origin_split(self, sample_trace_text):
         requests, report = ingest_text(sample_trace_text, system_processes=("csrss.exe", "explorer.exe"))
@@ -100,7 +98,7 @@ class TestNormalize:
         app = [r for r in requests if r.origin is Origin.APP]
         system = [r for r in requests if r.origin is Origin.SYSTEM]
         assert (len(app), len(system)) == (7, 4)
-        assert report.system_requests_tagged == 4
+        assert report.seqs == [80, 85, 88, 91, 95, 98, 104, 132, 159, 190, 191]
 
     def test_sample_mode_stickiness(self, sample_trace_text):
         requests, _ = ingest_text(sample_trace_text)
@@ -112,19 +110,43 @@ class TestNormalize:
         assert writes[1].length_bytes == 131_072
 
     def test_orphan_io_dropped_and_reported(self):
-        lines, _ = parse_trace_text(
+        requests, report = ingest_text(
             "5  17:00:00.000  p.exe:1  READ  C:\\f  LCN: 10 Offset: 0 Length: 512\n"
         )
-        requests, report = normalize(lines)
         assert requests == []
         assert report.dropped_lines == [(5, "OrphanIO")]
 
+    def test_drops_reported_in_line_order(self):
+        # An orphan READ, then a line that does not parse, then two with no
+        # readable seq: each is named where it stands, the last two by their
+        # 1-based line number and byte offset.  A superscript two passes
+        # ``str.isdigit`` but not ``int``; it used to raise ValueError.
+        text = (
+            "1  17:00:00.000  p.exe:1  OPEN  C:\\f  SUCCESS\n"
+            "2  17:00:00.010  p.exe:2  READ  C:\\f  LCN: 10 Offset: 0 Length: 512\n"
+            "3  17:00:00.020  p.exe:1  DELETE  C:\\f  SUCCESS\n"
+            "x  17:00:00.030  p.exe:1  CLOSE  C:\\f  SUCCESS\n"
+            "\u00b2  17:00:00.040  p.exe:1  CLOSE  C:\\f  SUCCESS\n"
+        )
+        requests, report = ingest_text(text)
+        assert [r.op for r in requests] == [Op.OPEN]
+        assert report.seqs == [1]
+        x_at, two_at = text.index("x  "), text.index("\u00b2  ")
+        assert report.dropped_lines == [
+            (2, "OrphanIO"),
+            (3, "UnknownOp: seq 3: unknown operation 'DELETE'"),
+            (4, f"MalformedLine: byte offset {x_at}: missing or non-numeric seq 'x'"),
+            (5, f"MalformedLine: byte offset {two_at}: missing or non-numeric seq '\u00b2'"),
+        ]
+
     def test_totality(self, sample_trace_text):
         extra = "500  17:03:27.000  p.exe:9  WRITE  C:\\nofile  LCN: 1 Offset: 0 Length: 512\n"
-        lines, parse_drops = parse_trace_text(sample_trace_text + extra)
-        requests, report = normalize(lines)
-        assert len(lines) == len(requests) + len(report.dropped_lines)
-        assert not parse_drops
+        text = sample_trace_text + "# a comment\n\n" + extra
+        requests, report = ingest_text(text)
+        records = [line for line in text.splitlines() if line.strip() and not line.startswith("#")]
+        assert len(records) == len(requests) + len(report.dropped_lines)
+        assert report.dropped_lines == [(500, "OrphanIO")]
+        assert len(report.seqs) == len(requests)
 
     def test_issue_times_non_decreasing(self, sample_trace_text):
         requests, _ = ingest_text(sample_trace_text)
@@ -132,16 +154,15 @@ class TestNormalize:
         assert times == sorted(times)
 
     def test_midnight_rollover_rejected(self):
-        lines, _ = parse_trace_text(
-            "1  23:59:59.900  p.exe:1  OPEN  C:\\f  SUCCESS\n"
-            "2  0:00:00.100  p.exe:1  CLOSE  C:\\f  SUCCESS\n"
-        )
-        with pytest.raises(BadTime, match="rollover"):
-            normalize(lines)
+        with pytest.raises(BadTime, match="seq 2: wallclock went backwards .midnight rollover"):
+            ingest_text(
+                "1  23:59:59.900  p.exe:1  OPEN  C:\\f  SUCCESS\n"
+                "2  0:00:00.100  p.exe:1  CLOSE  C:\\f  SUCCESS\n"
+            )
 
     def test_bad_cluster_size_rejected(self):
         with pytest.raises(ValueError, match="power of two"):
-            normalize([], cluster_size_bytes=1000)
+            ingest_text("", cluster_size_bytes=1000)
 
     def test_sessions_tracked_per_process(self):
         # Two processes hold different modes on the same path concurrently.
