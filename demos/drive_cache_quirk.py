@@ -21,11 +21,11 @@ BLOCK_SECTORS = 128  # 64KB
 def serve(cache: SegmentedCache, block: int) -> list:
     """Read one 64KB block, delivering the data of every media read it starts."""
 
-    _, _, reads = cache.read_lookup(block * BLOCK_SECTORS, BLOCK_SECTORS)
+    _, reads = cache.read_lookup(block * BLOCK_SECTORS, BLOCK_SECTORS)
     todo = deque(reads)
     while todo:
-        role, lba, sectors = todo.popleft()
-        todo += cache.on_media_data(lba, sectors, role)
+        media = todo.popleft()
+        todo += cache.on_media_data(media.lba, media.sectors, media.role)
     return reads
 
 
@@ -34,10 +34,10 @@ def main() -> None:
     order = [0, 1, 2, 3, 8, 4, 9, 5, 10, 6, 11, 7]  # interleaved read stream
     print("request stream (64KB blocks):", ", ".join(f"B{b + 1}" for b in order))
     for block in order:
-        for role, lba, sectors in serve(cache, block):
-            if role is MediaRole.LOCAL_PREFETCH:
+        for media in serve(cache, block):
+            if media.role is MediaRole.LOCAL_PREFETCH:
                 print(f"  -> 512KB prefetch from B{block + 1} "
-                      f"(lba {lba}, {sectors} sectors)")
+                      f"(lba {media.lba}, {media.sectors} sectors)")
     print(f"local prefetches fired: {cache.local_prefetch_count}")
 
     print("\ndraining a fresh 512KB prefetch in 128KB slices:")
@@ -45,7 +45,7 @@ def main() -> None:
     for block in (3, 8, 4):  # B4, B9, B5: a prefetch from B5
         serve(cache2, block)
     for i in range(4):
-        kind, _, _ = cache2.read_lookup(4 * BLOCK_SECTORS + i * 256, 256)
+        kind, _ = cache2.read_lookup(4 * BLOCK_SECTORS + i * 256, 256)
         print(f"  128KB read {i + 1}: {kind.value}")
     rotations = cache2.take_penalty_rotations()
     print(f"repositioning penalty owed to the next media op: {rotations} rotation(s)")

@@ -16,9 +16,12 @@ from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from operator import itemgetter
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from .requests import SECTOR_BYTES
+
+if TYPE_CHECKING:
+    from .fscache import IoMsg
 
 
 class UnexpectedFill(Exception):
@@ -154,9 +157,6 @@ def uncovered_runs(
 TagRun = tuple[int, int, int]
 #: The tags of one write, in ascending sector order.
 TagRuns = tuple[TagRun, ...]
-#: A media op the drive issues: (role, lba, sectors), a write with its tags.
-MediaOp = tuple[MediaRole, int, int] | tuple[MediaRole, int, int, TagRuns | None]
-
 _START = itemgetter(0)
 _END = itemgetter(1)
 
@@ -229,10 +229,54 @@ class TagMap:
         return f"TagMap({self.runs!r})"
 
 
+@dataclass(slots=True)
+class MediaMsg:
+    """One media op from plan to done; ``DiskCacheStage`` stamps its id and ``host``."""
+
+    role: MediaRole
+    lba: int
+    sectors: int
+    sector_tags: TagRuns | None = None
+    penalty_rotations: int = 0
+    media_id: int = 0
+    #: The host io a HOST_WRITE op serves.
+    host: IoMsg | None = None
+    #: The disk's own timer: the op has left the platter.
+    finished: bool = False
+    #: Reported back to the drive cache.
+    done: bool = False
+
+    @property
+    def write(self) -> bool:
+        return self.role is MediaRole.HOST_WRITE or self.role is MediaRole.DESTAGE
+
+    @property
+    def purpose(self) -> str:
+        if self.role is MediaRole.HOST_WRITE:
+            return self.host.purpose.value
+        return self.role.value
+
+    @property
+    def kind(self) -> str:
+        if self.done:
+            return "media-done"
+        return "media-finish" if self.finished else "media"
+
+    def detail(self) -> str:
+        head = f"media={self.media_id}"
+        if self.done:
+            return f"{head} lba={self.lba} sectors={self.sectors} purpose={self.purpose}"
+        if self.finished:
+            return head
+        op = "write" if self.write else "read"
+        return f"{head} op={op} lba={self.lba} sectors={self.sectors} purpose={self.purpose}"
+
+
 class SegmentedCache:
     """Drive cache state machine, independent of the event engine.
 
-    It plans every media op: it owns the reads in flight, the queued
+    It plans every media op as the ``MediaMsg`` that travels, with the
+    penalty rotations it owes: it owns the reads in flight, the queued
     fill-ahead and the one destage slot, and stops each read at the disk end
     (``usable_sectors``).  It also settles the held host read: ``awaited``
     holds the runs whose data has not been delivered to it.
@@ -333,18 +377,16 @@ class SegmentedCache:
 
     # -- reads -----------------------------------------------------------------
 
-    def read_lookup(
-        self, lba: int, sectors: int
-    ) -> tuple[Lookup, list[tuple[int, int]], list[MediaOp]]:
+    def read_lookup(self, lba: int, sectors: int) -> tuple[Lookup, list[MediaMsg]]:
         """Classify a host read and plan the media reads it starts.
 
-        Returns (classification, missing media runs, reads).  The reads are
-        in issue order: the host's runs no fill covers (so the media keeps
-        ascending LBA order), the next fill-ahead chunk, the local
-        prefetch.  Each is already an outstanding fill; the caller issues
-        them and hands their data to :meth:`on_media_data`.  The missing
-        runs become ``awaited``.  The read stops at the disk end: the fs
-        cache reads whole 64KB blocks.
+        Returns (classification, reads).  The reads are in issue order: the
+        host's runs no fill covers (so the media keeps ascending LBA order),
+        the next fill-ahead chunk, the local prefetch.  Each is already an
+        outstanding fill; the caller issues them and hands their data to
+        :meth:`on_media_data`.  The runs no segment holds become
+        ``awaited``.  The read stops at the disk end: the fs cache reads
+        whole 64KB blocks.
         """
 
         if sectors <= 0 or lba >= self.usable_sectors:
@@ -370,11 +412,12 @@ class SegmentedCache:
             classification = Lookup.PARTIAL
 
         self.awaited = missing
-        reads: list[MediaOp] = []
+        reads: list[MediaMsg] = []
         for run_lba, run_sectors in missing:
             if not self._covered_by_fill(run_lba, run_sectors):
                 self.expect_fill(run_lba, run_sectors)
-                reads.append((MediaRole.HOST_READ, run_lba, run_sectors))
+                penalty = self.take_penalty_rotations()
+                reads.append(MediaMsg(MediaRole.HOST_READ, run_lba, run_sectors, None, penalty))
         sequential = self.seq_last_end is not None and lba == self.seq_last_end
         if cfg.read_prefetch is not ReadPrefetch.NONE and sequential:
             # Fill one segment past the request, short of the disk end.
@@ -390,9 +433,10 @@ class SegmentedCache:
             self.local_prefetch_count += 1
             prefetch = min(PREFETCH_BLOCK_SECTORS, self.usable_sectors - lba)
             self.expect_fill(lba, prefetch)
-            reads.append((MediaRole.LOCAL_PREFETCH, lba, prefetch))
+            penalty = self.take_penalty_rotations()
+            reads.append(MediaMsg(MediaRole.LOCAL_PREFETCH, lba, prefetch, None, penalty))
         self.seq_last_end = lba + sectors
-        return classification, missing, reads
+        return classification, reads
 
     def _covered_by_fill(self, lba: int, sectors: int) -> bool:
         """Whether in-flight plus queued fills will cover the run entirely."""
@@ -400,7 +444,7 @@ class SegmentedCache:
         inflight = [(start, start + n) for start, n in self.outstanding_fills]
         return not uncovered_runs(lba, sectors, [*inflight, *self.fill_ranges])
 
-    def _next_fill_chunk(self) -> tuple[MediaOp, ...]:
+    def _next_fill_chunk(self) -> tuple[MediaMsg, ...]:
         """The next fill-ahead chunk to read, unless one is in flight."""
 
         if self._fill_chunk_outstanding or not self.fill_ranges:
@@ -413,10 +457,10 @@ class SegmentedCache:
             self.fill_ranges.popleft()
         self.expect_fill(start, take)
         self._fill_chunk_outstanding = True
-        return ((MediaRole.FILL_CHUNK, start, take),)
+        return (MediaMsg(MediaRole.FILL_CHUNK, start, take, None, self.take_penalty_rotations()),)
 
     def take_penalty_rotations(self) -> int:
-        """Rotations of repositioning penalty owed to the next media op."""
+        """Rotations of repositioning penalty owed to the next media op planned."""
 
         owed = self._penalty_pending
         self._penalty_pending = 0
@@ -427,7 +471,7 @@ class SegmentedCache:
     def expect_fill(self, lba: int, sectors: int) -> None:
         self.outstanding_fills.append((lba, sectors))
 
-    def on_media_data(self, lba: int, sectors: int, role: MediaRole) -> tuple[MediaOp, ...]:
+    def on_media_data(self, lba: int, sectors: int, role: MediaRole) -> tuple[MediaMsg, ...]:
         """A planned destage or media read completed; returns the ops it starts.
 
         A destage frees the destage slot for the next one.  Read data is
@@ -460,7 +504,7 @@ class SegmentedCache:
 
     def write_accept(
         self, lba: int, sectors: int, tags: TagRuns | None, force_media: bool = False
-    ) -> tuple[Ack, tuple[MediaOp, ...]]:
+    ) -> tuple[Ack, tuple[MediaMsg, ...]]:
         """Accept a host write; returns (ack, media writes to issue now).
 
         Write-through (or a forced-media write) returns the host write,
@@ -476,7 +520,8 @@ class SegmentedCache:
             seg = self._segment_for(lba, sectors)
             if seg is not None and not seg.dirty:
                 self._extend(seg, lba, sectors)
-            return Ack.ACK_AFTER_MEDIA, ((MediaRole.HOST_WRITE, lba, sectors, tags),)
+            write = MediaMsg(MediaRole.HOST_WRITE, lba, sectors, tags, self.take_penalty_rotations())
+            return Ack.ACK_AFTER_MEDIA, (write,)
 
         seg = self._stage(lba, sectors)
         if seg is None:
@@ -485,7 +530,7 @@ class SegmentedCache:
         self.writes.append((seg, lba, sectors, tags))
         return Ack.ACK_NOW, self._next_destage()
 
-    def _next_destage(self) -> tuple[MediaOp, ...]:
+    def _next_destage(self) -> tuple[MediaMsg, ...]:
         """The next destage to write, unless one is in flight."""
 
         if self.destage_inflight:
@@ -494,7 +539,7 @@ class SegmentedCache:
         if record is None:
             return ()
         self.destage_inflight = True
-        return ((MediaRole.DESTAGE, *record),)
+        return (MediaMsg(MediaRole.DESTAGE, *record, self.take_penalty_rotations()),)
 
     def destage_next(self) -> tuple[int, int, TagRuns | None] | None:
         """Oldest pending write record.

@@ -15,11 +15,12 @@ awaits, an io's ``IoMsg.request_id`` the request it serves, and
 ``SegmentedCache`` the drive segments, the in-flight and queued fills
 (``outstanding_fills``, ``fill_ranges``), the acknowledged writes in arrival
 order (``writes``), the destage slot, the runs the held read still awaits
-and the disk end no media read passes.  The cache plans every media op and
-settles the held read; ``DiskCacheStage`` only issues the ops.  The
-scheduler's ``PendingQueue`` holds each queued ``IoMsg`` and
-``SchedulerStage.inflight`` the one at the drive, so ``DiskCacheStage``
-keeps that io in a slot while it waits for media data or for a free segment.
+and the disk end no media read passes.  The cache plans every media op as
+its ``MediaMsg`` and settles the held read; ``DiskCacheStage`` only stamps
+and sends the ops.  The scheduler's ``PendingQueue`` holds each queued
+``IoMsg`` and ``SchedulerStage.inflight`` the one at the drive, so
+``DiskCacheStage`` keeps that io in a slot while it waits for media data or
+for a free segment.
 ``DiskStage.queue`` holds the media ops in arrival order; its head is the op
 being served.
 """
@@ -30,7 +31,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .diskcache import Ack, DiskCacheConfig, MediaRole, SegmentedCache, TagMap, TagRuns
+from .diskcache import Ack, DiskCacheConfig, MediaMsg, MediaRole, SegmentedCache, TagMap
 from .disk import DiskGeometry, HeadState, SeekProfile, cylinder_of_byte, service
 from .engine import EventLog, Observer, Payload, Simulator, StageId
 from .fscache import FLUSH, FsCache, FsCacheConfig, IoMsg
@@ -79,9 +80,10 @@ class StackConfig:
 # done form returns the same way.  DISK_CACHE sends MediaMsg to DISK, which
 # times each op with its finished form and returns its done form.  Signals go
 # to FS_CACHE: FLUSH_TICK from itself, DRAIN from APP after the last request.
-# ``IoMsg`` lives in ``fscache``, whose planner makes it.  Each message is one
-# object from issue to done: its done or finished form is the same object with
-# its flag set, so an observer reads each event when it is dispatched.
+# ``IoMsg`` lives in ``fscache`` and ``MediaMsg`` in ``diskcache``, whose
+# planners make them.  Each message is one object from issue to done: its done
+# or finished form is the same object with its flag set, so an observer reads
+# each event when it is dispatched.
 
 
 @dataclass(slots=True)
@@ -107,47 +109,6 @@ class RequestMsg:
             f"req={self.request_id} op={r.op.value} mode={r.mode.value} "
             f"addr={r.disk_byte_addr} bytes={r.length_bytes}"
         )
-
-
-@dataclass(slots=True)
-class MediaMsg:
-    media_id: int
-    role: MediaRole
-    lba: int
-    sectors: int
-    #: The host io a HOST_WRITE op serves.
-    host: IoMsg | None = None
-    sector_tags: TagRuns | None = None
-    penalty_rotations: int = 0
-    #: The disk's own timer: the op has left the platter.
-    finished: bool = False
-    #: Reported back to the drive cache.
-    done: bool = False
-
-    @property
-    def write(self) -> bool:
-        return self.role is MediaRole.HOST_WRITE or self.role is MediaRole.DESTAGE
-
-    @property
-    def purpose(self) -> str:
-        if self.role is MediaRole.HOST_WRITE:
-            return self.host.purpose.value
-        return self.role.value
-
-    @property
-    def kind(self) -> str:
-        if self.done:
-            return "media-done"
-        return "media-finish" if self.finished else "media"
-
-    def detail(self) -> str:
-        head = f"media={self.media_id}"
-        if self.done:
-            return f"{head} lba={self.lba} sectors={self.sectors} purpose={self.purpose}"
-        if self.finished:
-            return head
-        op = "write" if self.write else "read"
-        return f"{head} op={op} lba={self.lba} sectors={self.sectors} purpose={self.purpose}"
 
 
 class Signal(Enum):
@@ -367,11 +328,11 @@ class SchedulerStage:
 class DiskCacheStage:
     """Drive cache: issues the media ops ``SegmentedCache`` plans, acks host ios.
 
-    The cache plans every media op and says when the held read has all its
-    data.  The scheduler hands the drive one io at a time and waits for its
-    done form, so one slot holds the read waiting for media data
-    (``host_read``) and one the write waiting for a destage to free a
-    segment (``deferred_write``).
+    The cache plans every media op as its ``MediaMsg`` and says when the
+    held read has all its data (``awaited`` is empty).  The scheduler hands
+    the drive one io at a time and waits for its done form, so one slot
+    holds the read waiting for media data (``host_read``) and one the write
+    waiting for a destage to free a segment (``deferred_write``).
     """
 
     def __init__(self, sim: Simulator, cache: SegmentedCache):
@@ -383,22 +344,14 @@ class DiskCacheStage:
 
     # -- media plumbing ---------------------------------------------------------
 
-    def _media(
-        self,
-        role: MediaRole,
-        lba: int,
-        sectors: int,
-        tags: TagRuns | None = None,
-        host: IoMsg | None = None,
-    ) -> None:
+    def _issue(self, op: MediaMsg) -> None:
         self._media_seq += 1
-        penalty = self.cache.take_penalty_rotations()
-        msg = MediaMsg(self._media_seq, role, lba, sectors, host, tags, penalty)
-        self.sim.schedule(StageId.DISK, msg)
+        op.media_id = self._media_seq
+        self.sim.schedule(StageId.DISK, op)
 
     def _sectors(self, io: IoMsg) -> tuple[int, int]:
         sectors = sector_range(io.disk_addr, io.disk_addr + io.nbytes)
-        return sectors.start, max(1, len(sectors))
+        return sectors.start, len(sectors)
 
     def handle(self, sim: Simulator, payload: Payload) -> None:
         match payload:
@@ -413,10 +366,9 @@ class DiskCacheStage:
 
     def _host_read(self, msg: IoMsg) -> None:
         lba, sectors = self._sectors(msg)
-        _, missing, reads = self.cache.read_lookup(lba, sectors)
-        for op in reads:
-            self._media(*op)
-        if missing:
+        for op in self.cache.read_lookup(lba, sectors)[1]:
+            self._issue(op)
+        if self.cache.awaited:
             self.host_read = msg
         else:
             self._reply_done(msg)
@@ -434,14 +386,13 @@ class DiskCacheStage:
         )
         if ack is Ack.ACK_AFTER_MEDIA:
             # One media write, whose completion acknowledges the host io.
-            self._media(*writes[0], msg)
-            return
-        if ack is Ack.ACK_NOW:
+            writes[0].host = msg
+        elif ack is Ack.ACK_NOW:
             self._reply_done(msg)
         else:  # DEFER: every segment dirty, wait for a destage to free one
             self.deferred_write = msg
         for op in writes:
-            self._media(*op)
+            self._issue(op)
 
     # -- media completions ------------------------------------------------------------
 
@@ -450,7 +401,7 @@ class DiskCacheStage:
             self._reply_done(msg.host)
             return
         for op in self.cache.on_media_data(msg.lba, msg.sectors, msg.role):
-            self._media(*op)
+            self._issue(op)
         if msg.role is MediaRole.DESTAGE:
             if self.deferred_write is not None:
                 retry, self.deferred_write = self.deferred_write, None

@@ -25,7 +25,15 @@ DEFAULT_SYSTEM_PROCESSES = ("csrss.exe", "explorer.exe")
 
 
 class TraceError(Exception):
-    """Base class for trace ingestion failures."""
+    """Base class for trace ingestion failures.
+
+    ``seq`` is the tracer seq of the line at fault, or None when none was
+    read; the message then starts ``seq N:``.
+    """
+
+    def __init__(self, message: str, seq: int | None = None) -> None:
+        super().__init__(message if seq is None else f"seq {seq}: {message}")
+        self.seq = seq
 
 
 class MalformedLine(TraceError):
@@ -102,49 +110,47 @@ class TraceDefectReport:
     seqs: list[int] = field(default_factory=list)
 
 
-def _parse_wallclock(token: str, where: str) -> int:
+def _parse_wallclock(token: str, seq: int) -> int:
     m = _TIME_RE.match(token)
     if not m:
-        raise BadTime(f"{where}: unparseable timestamp {token!r}")
+        raise BadTime(f"unparseable timestamp {token!r}", seq)
     hours, minutes, seconds = int(m.group(1)), int(m.group(2)), int(m.group(3))
     if hours > 23 or minutes > 59 or seconds > 59:
-        raise BadTime(f"{where}: timestamp field out of range in {token!r}")
+        raise BadTime(f"timestamp field out of range in {token!r}", seq)
     frac = (m.group(4) or "").ljust(6, "0")
     return (hours * 3600 + minutes * 60 + seconds) * 1_000_000 + int(frac)
 
 
-def parse_trace_line(line: str, *, byte_offset: int | None = None) -> RawTraceLine:
+def parse_trace_line(line: str) -> RawTraceLine:
     """Parse one Filemon record into its raw fields.
 
     The tracer prints hours and minutes without leading zeros, so one- and
     two-digit fields are both accepted.  Raises :class:`MalformedLine`,
-    :class:`UnknownOp` or :class:`BadTime`; each error names the offending
-    seq (or the byte offset when no seq could be read).
+    :class:`UnknownOp` or :class:`BadTime`, each carrying the seq it read
+    (``None`` when the line holds no readable seq).
     """
 
-    where = f"byte offset {byte_offset}" if byte_offset is not None else "line"
     fields = [f for f in _FIELD_SPLIT_RE.split(line.strip()) if f]
     if len(fields) < 5:
-        raise MalformedLine(f"{where}: expected seq/time/process/op/path, got {len(fields)} fields")
+        raise MalformedLine(f"expected seq/time/process/op/path, got {len(fields)} fields")
     try:
         seq = int(fields[0])
     except ValueError:
-        raise MalformedLine(f"{where}: missing or non-numeric seq {fields[0]!r}") from None
-    where = f"seq {seq}"
+        raise MalformedLine(f"missing or non-numeric seq {fields[0]!r}") from None
 
-    wallclock_us = _parse_wallclock(fields[1], where)
+    wallclock_us = _parse_wallclock(fields[1], seq)
 
     proc = fields[2]
     name, colon, pid_text = proc.rpartition(":")
     if not colon or not pid_text.isdigit():
-        raise MalformedLine(f"{where}: process field {proc!r} is not name:pid")
+        raise MalformedLine(f"process field {proc!r} is not name:pid", seq)
     pid = int(pid_text)
 
     op_token = fields[3].upper()
     try:
         op = Op(op_token)
     except ValueError:
-        raise UnknownOp(f"{where}: unknown operation {fields[3]!r}") from None
+        raise UnknownOp(f"unknown operation {fields[3]!r}", seq) from None
 
     path = fields[4]
     trailer = " ".join(fields[5:])
@@ -153,7 +159,7 @@ def parse_trace_line(line: str, *, byte_offset: int | None = None) -> RawTraceLi
     if op in (Op.READ, Op.WRITE):
         detail = _IO_DETAIL_RE.search(trailer)
         if not detail:
-            raise MalformedLine(f"{where}: {op.value} line without LCN/Offset/Length")
+            raise MalformedLine(f"{op.value} line without LCN/Offset/Length", seq)
         lcn, offset, length = (int(g) for g in detail.groups())
 
     flags = frozenset(
@@ -197,14 +203,15 @@ def ingest_text(
 
     Each record line is parsed, repaired and emitted or dropped in turn, so
     ``dropped_lines`` is in line order.  A line that does not parse is
-    dropped under its seq, or its 1-based line number when no seq could be
-    read.  Logical disk addresses are reconstructed from cluster number and
-    displacement; the open-time access mode is propagated to every
-    READ/WRITE of the session; lines issued by deny-listed helper processes
-    are tagged ``origin=SYSTEM`` so replay can exclude them.  Session
-    teardown (CLOSE) keeps the application origin: once a helper's opens and
-    I/O are excluded its close is inert.  READ/WRITE lines with no prior
-    OPEN are dropped and reported as OrphanIO.
+    dropped under the seq :func:`parse_trace_line` read from it, or its
+    1-based line number when it read none.  Logical disk addresses are
+    reconstructed from cluster number and displacement; the open-time
+    access mode is propagated to every READ/WRITE of the session; lines
+    issued by deny-listed helper processes are tagged ``origin=SYSTEM`` so
+    replay can exclude them.  Session teardown (CLOSE) keeps the application
+    origin: once a helper's opens and I/O are excluded its close is inert.
+    READ/WRITE lines with no prior OPEN are dropped and reported as
+    OrphanIO.
     """
 
     if cluster_size_bytes < 512 or cluster_size_bytes & (cluster_size_bytes - 1):
@@ -215,26 +222,20 @@ def ingest_text(
     file_ids: dict[str, int] = {}
     sessions: dict[tuple[int, int], AccessMode] = {}
     last_time = -1
-    offset = 0
 
     for lineno, text_line in enumerate(text.splitlines(), start=1):
         stripped = text_line.strip()
-        line_offset, offset = offset, offset + len(text_line) + 1
         if not stripped or stripped.startswith("#"):
             continue
         try:
-            line = parse_trace_line(text_line, byte_offset=line_offset)
+            line = parse_trace_line(text_line)
         except TraceError as exc:
-            first = stripped.split()[0]
-            # ``isdigit`` admits digits ``int`` rejects, such as a superscript two.
-            ident = int(first) if first.isdecimal() else lineno
+            ident = lineno if exc.seq is None else exc.seq
             report.dropped_lines.append((ident, f"{type(exc).__name__}: {exc}"))
             continue
 
         if line.wallclock_us < last_time:
-            raise BadTime(
-                f"seq {line.seq}: wallclock went backwards (midnight rollover unsupported)"
-            )
+            raise BadTime("wallclock went backwards (midnight rollover unsupported)", line.seq)
         last_time = line.wallclock_us
 
         file_id = file_ids.setdefault(line.path, len(file_ids))

@@ -106,10 +106,10 @@ def test_local_512k_prefetch_per_pattern_instance():
     cache = SegmentedCache(FUJITSU_MAN3184MP.cache)
     for lba, sectors in requests:
         # Deliver every media read the lookup starts, fill chunks included.
-        todo = cache.read_lookup(lba, sectors)[2]
+        todo = cache.read_lookup(lba, sectors)[1]
         while todo:
-            role, run_lba, run_sectors = todo.pop(0)
-            todo += cache.on_media_data(run_lba, run_sectors, role)
+            media = todo.pop(0)
+            todo += cache.on_media_data(media.lba, media.sectors, media.role)
     assert cache.local_prefetch_count == expected
     assert not cache.outstanding_fills and not cache.fill_ranges
     ok("local 512KB prefetch count per pattern instance")

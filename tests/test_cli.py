@@ -50,6 +50,15 @@ TWO_DROPS_TRACE = (
     "4\t17:00:00.030\tapp.exe:1\tREAD\tC:\\f\tLCN: 10 Offset: 0 Length: 4096\n"
 )
 
+#: A CRLF tracer capture with a non-ASCII path whose lines 3 and 4 hold no
+#: seq the parser reads: ``garbage`` and a record separated by single spaces.
+NO_SEQ_DROPS_TRACE = (
+    "1\t17:00:00.000\tapp.exe:1\tOPEN\tC:\\donn\u00e9es\\f\tSUCCESS Options: Open\r\n"
+    "2\t17:00:00.010\tapp.exe:1\tREAD\tC:\\donn\u00e9es\\f\tLCN: 10 Offset: 0 Length: 4096\r\n"
+    "garbage\r\n"
+    "7 17:00:00.020 app.exe:1 READ C:\\donn\u00e9es\\f LCN: 10 Offset: 0 Length: 4096\r\n"
+)
+
 #: A tracer-format trace whose every request comes from a deny-listed OS
 #: helper, with no CLOSE to keep the application origin.
 HELPER_ONLY_TRACE = (
@@ -136,6 +145,19 @@ class TestCli:
         assert captured.err.splitlines() == [
             "simulate: dropped line 2: OrphanIO",
             "simulate: dropped line 3: UnknownOp: seq 3: unknown operation 'DELETE'",
+        ]
+        assert "requests=2" in captured.out
+
+    def test_lines_with_no_readable_seq_reported_by_line_number(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        trace = tmp_path / "capture.txt"
+        trace.write_bytes(NO_SEQ_DROPS_TRACE.encode("utf-8"))
+        code = main(["--config", str(cfg), "--trace", str(trace), "--output", str(tmp_path / "out")])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "simulate: dropped line 3: MalformedLine: expected seq/time/process/op/path, got 1 fields",
+            "simulate: dropped line 4: MalformedLine: expected seq/time/process/op/path, got 1 fields",
         ]
         assert "requests=2" in captured.out
 

@@ -19,6 +19,7 @@ from iostack import (
 )
 from iostack.diskcache import (
     LocalPatternDetector,
+    MediaMsg,
     MediaRole,
     SegmentedCache,
     TagMap,
@@ -46,6 +47,12 @@ def fill(cache: SegmentedCache, lba: int, sectors: int, local: bool = False) -> 
     cache.on_media_data(lba, sectors, LOCAL_PREFETCH if local else HOST_READ)
 
 
+def op(role: MediaRole, lba: int, sectors: int, tags=None) -> MediaMsg:
+    """The media op the cache plans, before the stage stamps its id."""
+
+    return MediaMsg(role, lba, sectors, tags)
+
+
 def dirty_records(cache: SegmentedCache) -> list:
     """The write records ``cache`` has yet to destage, in the order a copy of it destages them."""
 
@@ -55,31 +62,31 @@ def dirty_records(cache: SegmentedCache) -> list:
 class TestReadLookup:
     def test_cold_miss_no_prefetch_under_none(self):
         cache = SegmentedCache(cfg())
-        kind, missing, reads = cache.read_lookup(1000, 8)
+        kind, reads = cache.read_lookup(1000, 8)
         assert kind is Lookup.MISS
-        assert missing == [(1000, 8)]
-        assert reads == [(HOST_READ, 1000, 8)]
+        assert cache.awaited == [(1000, 8)]
+        assert reads == [op(HOST_READ, 1000, 8)]
         assert cache.outstanding_fills == [(1000, 8)]
 
     def test_hit_after_fill(self):
         cache = SegmentedCache(cfg())
         fill(cache, 0, 256)
-        kind, missing, _ = cache.read_lookup(0, 256)
-        assert kind is Lookup.HIT and not missing
+        kind, _ = cache.read_lookup(0, 256)
+        assert kind is Lookup.HIT and not cache.awaited
 
     def test_partial_returns_missing_tail(self):
         cache = SegmentedCache(cfg())
         fill(cache, 0, 100)
-        kind, missing, _ = cache.read_lookup(0, 150)
+        kind, _ = cache.read_lookup(0, 150)
         assert kind is Lookup.PARTIAL
-        assert missing == [(100, 50)]
+        assert cache.awaited == [(100, 50)]
 
     def test_sequential_fill_directive_on_continuation(self):
         cache = SegmentedCache(cfg(read_prefetch=ReadPrefetch.SEQUENTIAL_FILL))
         cache.read_lookup(0, 128)
-        _, _, reads = cache.read_lookup(128, 128)
+        _, reads = cache.read_lookup(128, 128)
         # One segment of fill-ahead past the request, read a chunk at a time.
-        assert reads == [(HOST_READ, 128, 128), (FILL_CHUNK, 256, 128)]
+        assert reads == [op(HOST_READ, 128, 128), op(FILL_CHUNK, 256, 128)]
         assert list(cache.fill_ranges) == [(384, 256 + cache.config.segment_sectors)]
 
     def test_zero_sector_fill_rejected(self):
@@ -98,14 +105,14 @@ class TestReadPlan:
         cache = SegmentedCache(
             cfg(segment_count=16, segment_bytes=512 * 1024, read_prefetch=ReadPrefetch.LOCAL_512K)
         )
-        assert cache.read_lookup(0, 256)[2] == [(HOST_READ, 0, 256)]
+        assert cache.read_lookup(0, 256)[1] == [op(HOST_READ, 0, 256)]
         # In flight from the first read: no media read of its own.
-        assert cache.read_lookup(128, 128)[2] == []
+        assert cache.read_lookup(128, 128)[1] == []
         # Continues the first read (the local pattern) and the second (a
         # sequential stream) at once.
-        _, missing, reads = cache.read_lookup(256, 128)
-        assert missing == [(256, 128)]
-        assert reads == [(HOST_READ, 256, 128), (FILL_CHUNK, 384, 128), (LOCAL_PREFETCH, 256, 1024)]
+        _, reads = cache.read_lookup(256, 128)
+        assert cache.awaited == [(256, 128)]
+        assert reads == [op(HOST_READ, 256, 128), op(FILL_CHUNK, 384, 128), op(LOCAL_PREFETCH, 256, 1024)]
         assert cache.outstanding_fills == [(0, 256), (256, 128), (384, 128), (256, 1024)]
 
     def test_fill_chunk_data_starts_the_next_chunk(self):
@@ -113,9 +120,9 @@ class TestReadPlan:
         cache.read_lookup(0, 128)
         cache.read_lookup(128, 128)
         assert cache.on_media_data(128, 128, HOST_READ) == ()
-        assert cache.on_media_data(256, 128, FILL_CHUNK) == ((FILL_CHUNK, 384, 128),)
-        assert cache.on_media_data(384, 128, FILL_CHUNK) == ((FILL_CHUNK, 512, 128),)
-        assert cache.on_media_data(512, 128, FILL_CHUNK) == ((FILL_CHUNK, 640, 128),)
+        assert cache.on_media_data(256, 128, FILL_CHUNK) == (op(FILL_CHUNK, 384, 128),)
+        assert cache.on_media_data(384, 128, FILL_CHUNK) == (op(FILL_CHUNK, 512, 128),)
+        assert cache.on_media_data(512, 128, FILL_CHUNK) == (op(FILL_CHUNK, 640, 128),)
         # The segment's 512 sectors past the request are read: the queue is empty.
         assert cache.on_media_data(640, 128, FILL_CHUNK) == ()
         assert not cache.fill_ranges
@@ -124,9 +131,9 @@ class TestReadPlan:
     def test_delivery_not_residency_settles_the_held_read(self):
         cache = SegmentedCache(cfg(segment_bytes=64 * 1024))  # 128-sector segments
         cache.read_lookup(0, 64)
-        _, missing, reads = cache.read_lookup(32, 224)  # [0, 64) is in flight
-        assert cache.awaited == missing == [(32, 224)]
-        assert reads == [(HOST_READ, 32, 224)]
+        _, reads = cache.read_lookup(32, 224)  # [0, 64) is in flight
+        assert cache.awaited == [(32, 224)]
+        assert reads == [op(HOST_READ, 32, 224)]
         cache.on_media_data(0, 64, HOST_READ)
         assert cache.awaited == [(64, 192)]
         cache.on_media_data(32, 224, HOST_READ)
@@ -138,14 +145,14 @@ class TestReadPlan:
         cache = SegmentedCache(cfg(read_prefetch=ReadPrefetch.SEQUENTIAL_FILL))
         cache.read_lookup(0, 128)
         cache.read_lookup(128, 128)  # chunk [256, 384) in flight, [384, 768) queued
-        kind, missing, reads = cache.read_lookup(256, 128)  # queues [768, 896) too
-        assert (kind, missing, reads) == (Lookup.MISS, [(256, 128)], [])
+        kind, reads = cache.read_lookup(256, 128)  # queues [768, 896) too
+        assert (kind, cache.awaited, reads) == (Lookup.MISS, [(256, 128)], [])
         assert list(cache.fill_ranges) == [(384, 768), (768, 896)]
-        kind, missing, reads = cache.read_lookup(512, 128)
-        assert (kind, missing, reads) == (Lookup.MISS, [(512, 128)], [])
+        kind, reads = cache.read_lookup(512, 128)
+        assert (kind, cache.awaited, reads) == (Lookup.MISS, [(512, 128)], [])
         # Half in the queue, half past it.
-        _, missing, reads = cache.read_lookup(832, 128)
-        assert missing == [(832, 128)] and reads == [(HOST_READ, 832, 128)]
+        _, reads = cache.read_lookup(832, 128)
+        assert cache.awaited == [(832, 128)] and reads == [op(HOST_READ, 832, 128)]
 
     def test_no_read_passes_the_disk_end(self):
         cache = SegmentedCache(
@@ -155,9 +162,9 @@ class TestReadPlan:
         cache.read_lookup(0, 256)
         cache.read_lookup(128, 128)
         # A 64KB block overhanging the end is read up to the end only.
-        kind, missing, reads = cache.read_lookup(256, 800)
-        assert kind is Lookup.MISS and missing == [(256, 744)]
-        assert reads == [(HOST_READ, 256, 744), (LOCAL_PREFETCH, 256, 744)]
+        kind, reads = cache.read_lookup(256, 800)
+        assert kind is Lookup.MISS and cache.awaited == [(256, 744)]
+        assert reads == [op(HOST_READ, 256, 744), op(LOCAL_PREFETCH, 256, 744)]
         assert not cache.fill_ranges
         with pytest.raises(ValueError):
             cache.read_lookup(1000, 8)
@@ -191,9 +198,9 @@ class TestLocalPattern:
         )
         cache.read_lookup(3 * BLOCK_SECTORS, BLOCK_SECTORS)
         cache.read_lookup(8 * BLOCK_SECTORS, BLOCK_SECTORS)
-        _, _, reads = cache.read_lookup(4 * BLOCK_SECTORS, BLOCK_SECTORS)
+        _, reads = cache.read_lookup(4 * BLOCK_SECTORS, BLOCK_SECTORS)
         # 512KB from the third request's start.
-        assert [r for r in reads if r[0] is LOCAL_PREFETCH] == [(LOCAL_PREFETCH, 4 * BLOCK_SECTORS, 1024)]
+        assert [r for r in reads if r.role is LOCAL_PREFETCH] == [op(LOCAL_PREFETCH, 4 * BLOCK_SECTORS, 1024)]
         assert cache.local_prefetch_count == 1
 
 
@@ -202,7 +209,7 @@ class TestWrites:
         cache = SegmentedCache(cfg())
         ack, writes = cache.write_accept(0, 128, ((0, 128, 1),))
         assert ack is Ack.ACK_NOW
-        assert writes == ((DESTAGE, 0, 128, ((0, 128, 1),)),)
+        assert writes == (op(DESTAGE, 0, 128, ((0, 128, 1),)),)
         assert cache.destage_inflight and dirty_records(cache) == []
         # The slot is taken: the next write waits in its segment.
         ack, writes = cache.write_accept(128, 128, ((128, 256, 2),))
@@ -213,7 +220,7 @@ class TestWrites:
         cache = SegmentedCache(cfg(write_policy=WritePolicy.WRITE_THROUGH))
         ack, writes = cache.write_accept(0, 128, ((0, 128, 1),))
         assert ack is Ack.ACK_AFTER_MEDIA
-        assert writes == ((HOST_WRITE, 0, 128, ((0, 128, 1),)),)
+        assert writes == (op(HOST_WRITE, 0, 128, ((0, 128, 1),)),)
         assert dirty_records(cache) == [] and not cache.destage_inflight
 
     def test_forced_media_overrides_write_back(self):
@@ -222,7 +229,7 @@ class TestWrites:
         cache.write_accept(64, 64, ((64, 128, 2),))
         ack, writes = cache.write_accept(0, 128, None, force_media=True)
         assert ack is Ack.ACK_AFTER_MEDIA
-        assert writes == ((HOST_WRITE, 0, 128, None),)
+        assert writes == (op(HOST_WRITE, 0, 128),)
         assert dirty_records(cache) == [(64, 64, ((64, 128, 2),))]
 
     def test_destage_preserves_write_order_per_segment(self):
@@ -233,8 +240,8 @@ class TestWrites:
         cache.write_accept(0, 64, ((0, 64, 1),))  # destaged at once
         cache.write_accept(far, 64, ((far, far + 64, 2),))
         cache.write_accept(64, 64, ((64, 128, 3),))
-        assert cache.on_media_data(0, 64, DESTAGE) == ((DESTAGE, far, 64, ((far, far + 64, 2),)),)
-        assert cache.on_media_data(far, 64, DESTAGE) == ((DESTAGE, 64, 64, ((64, 128, 3),)),)
+        assert cache.on_media_data(0, 64, DESTAGE) == (op(DESTAGE, far, 64, ((far, far + 64, 2),)),)
+        assert cache.on_media_data(far, 64, DESTAGE) == (op(DESTAGE, 64, 64, ((64, 128, 3),)),)
         assert cache.on_media_data(64, 64, DESTAGE) == ()
         assert not cache.destage_inflight and dirty_records(cache) == []
 
@@ -251,7 +258,7 @@ class TestWrites:
         assert write(3) == (Ack.DEFER, ())
         # The destage's data starts the next one, which cleans the other segment.
         (destage,) = cache.on_media_data(0, 8, DESTAGE)
-        assert destage[:3] == (DESTAGE, 10 * config.segment_sectors, 8)
+        assert (destage.role, destage.lba, destage.sectors) == (DESTAGE, 10 * config.segment_sectors, 8)
         assert write(3) == (Ack.ACK_NOW, ())
 
 
@@ -259,14 +266,14 @@ class TestCoherence:
     def test_read_after_write_hits_cached_data(self):
         cache = SegmentedCache(cfg())
         cache.write_accept(100, 64, ((100, 164, 9),))
-        kind, missing, _ = cache.read_lookup(100, 64)
-        assert kind is Lookup.HIT and not missing
+        kind, _ = cache.read_lookup(100, 64)
+        assert kind is Lookup.HIT and not cache.awaited
 
     def test_read_after_destaged_write_still_hits(self):
         cache = SegmentedCache(cfg())
         cache.write_accept(100, 64, ((100, 164, 9),))
         cache.destage_next()
-        kind, _, _ = cache.read_lookup(100, 64)
+        kind, _ = cache.read_lookup(100, 64)
         assert kind is Lookup.HIT
 
 
@@ -311,7 +318,7 @@ class TestRepositionPenalty:
         )
         fill(cache, 0, 1024, local=True)  # one 512KB local prefetch
         for i in range(4):  # drain it in 4 x 128KB hits
-            kind, _, _ = cache.read_lookup(i * 256, 256)
+            kind, _ = cache.read_lookup(i * 256, 256)
             assert kind is Lookup.HIT
         assert cache.take_penalty_rotations() == 1
         assert cache.take_penalty_rotations() == 0
@@ -326,7 +333,7 @@ class TestRepositionPenalty:
         cache = SegmentedCache(spec.stack.cache)
         fill(cache, 0, 1024, local=True)
         for i in range(4):
-            kind, _, _ = cache.read_lookup(i * 256, 256)
+            kind, _ = cache.read_lookup(i * 256, 256)
             assert kind is Lookup.HIT
         assert cache.take_penalty_rotations() == 1
 
@@ -367,28 +374,27 @@ class TestSegmentPicks:
             accepted = []  # acknowledged writes not yet destaged, oldest first
 
             def issue(ops) -> None:
-                for role, *record in ops:
-                    if role is DESTAGE:
-                        assert tuple(record) == accepted.pop(0)
+                for media in ops:
+                    if media.role is DESTAGE:
+                        assert (media.lba, media.sectors, media.sector_tags) == accepted.pop(0)
                 inflight.extend(ops)
 
             for step in range(150):
                 lba, sectors = rng.randrange(256), rng.randint(1, 24)
-                op = rng.randrange(4)
-                destages = [i for i, media in enumerate(inflight) if media[0] is DESTAGE]
-                if op == 0:
-                    issue(cache.read_lookup(lba, sectors)[2])
-                elif op == 1 and inflight or op == 3 and destages:
-                    done = rng.randrange(len(inflight)) if op == 1 else destages[0]
-                    role, run_lba, run_sectors, *_ = inflight.pop(done)
-                    issue(cache.on_media_data(run_lba, run_sectors, role))
-                elif op == 2:
+                step_kind = rng.randrange(4)
+                destages = [i for i, media in enumerate(inflight) if media.role is DESTAGE]
+                if step_kind == 0:
+                    issue(cache.read_lookup(lba, sectors)[1])
+                elif step_kind == 1 and inflight or step_kind == 3 and destages:
+                    done = inflight.pop(rng.randrange(len(inflight)) if step_kind == 1 else destages[0])
+                    issue(cache.on_media_data(done.lba, done.sectors, done.role))
+                elif step_kind == 2:
                     tags = ((lba, lba + sectors, step),)
                     ack, writes = cache.write_accept(lba, sectors, tags)
                     if ack is Ack.ACK_NOW:
                         accepted.append((lba, sectors, tags))
                     issue(writes)
-                destages = [media for media in inflight if media[0] is DESTAGE]
+                destages = [media for media in inflight if media.role is DESTAGE]
                 assert len(destages) == cache.destage_inflight <= 1
                 queries = [(rng.randrange(256), rng.randint(1, 48)) for _ in range(3)]
                 self.check_picks(cache, queries, accepted)

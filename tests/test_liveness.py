@@ -27,10 +27,12 @@ from iostack import (
     ReplayMode,
     ReplayPolicy,
     StackConfig,
+    StageId,
     WritePolicy,
     reference_media_image,
     replay,
 )
+from iostack.fscache import APP_DIRECT, FLUSH, IoMsg
 from iostack.profiles import PROFILES
 
 from conftest import SEEDED_POLICIES
@@ -79,25 +81,31 @@ def trial(seed: int) -> tuple[list[CanonicalRequest], StackConfig, ReplayPolicy]
     return requests, stack, policy
 
 
-def misplaced_sectors(result) -> int:
-    """Sectors whose media tag no order of the overlapping writes in flight explains.
+def misplaced_runs(result, exact: bool = False):
+    """Runs (lo, hi, media tag) whose tag no order of the writes in flight explains.
 
-    A sector may hold its last write's tag, or the tag of an earlier write
-    whose request completed after that last write was issued.
+    A sector may hold its last write's tag or, unless ``exact``, the tag of
+    an earlier write whose request completed after that last write was
+    issued.  A sector the media never received comes with tag None.
     """
 
     records = result.records
-    misplaced = 0
     for start, end, last in reference_media_image(result.effective_requests).runs:
-        held = 0
+        held = start
         for lo, hi, tag in result.media_image.clip(start, end):
-            held += hi - lo
-            if tag != last and not (
-                tag < last and records[tag].complete_us > records[last].issue_us
+            if held < lo:
+                yield held, lo, None
+            held = hi
+            if tag != last and (
+                exact or not (tag < last and records[tag].complete_us > records[last].issue_us)
             ):
-                misplaced += hi - lo
-        misplaced += end - start - held
-    return misplaced
+                yield lo, hi, tag
+        if held < end:
+            yield held, end, None
+
+
+def misplaced_sectors(result) -> int:
+    return sum(hi - lo for lo, hi, _ in misplaced_runs(result))
 
 
 def check_trial(seed: int) -> None:
@@ -113,6 +121,68 @@ def check_trial(seed: int) -> None:
 @pytest.mark.parametrize("seed", range(TRIALS))
 def test_replay_completes_and_conserves_writes(seed):
     check_trial(seed)
+
+
+#: The two ways seeds 0–1499 misplace a sector (ROADMAP item 1): the
+#: scheduler serves an fs flush after a newer write to the same sector that
+#: was queued after it, and that newer write is an app-direct write or a
+#: later flush of the re-dirtied sector.  Each is (stale io, newer io).
+FLUSH_BEHIND_DIRECT_WRITE = (FLUSH, APP_DIRECT)
+FLUSH_BEHIND_FLUSH = (FLUSH, FLUSH)
+#: The classes of each failing seed's misplaced sectors.
+MISPLACING_SEEDS = {
+    163: {FLUSH_BEHIND_DIRECT_WRITE},
+    477: {FLUSH_BEHIND_FLUSH},
+    646: {FLUSH_BEHIND_FLUSH},
+    682: {FLUSH_BEHIND_DIRECT_WRITE, FLUSH_BEHIND_FLUSH},
+    740: {FLUSH_BEHIND_DIRECT_WRITE},
+    835: {FLUSH_BEHIND_FLUSH},
+    1271: {FLUSH_BEHIND_FLUSH},
+    1291: {FLUSH_BEHIND_FLUSH},
+}
+
+
+def misplacing_reorders(seed: int) -> set[tuple]:
+    """The (stale io, newer io) purposes that explain each misplaced sector of a trial.
+
+    A sector is explained when the last write io the scheduler served to it
+    left its media tag, and a write io with a newer tag for it was queued
+    after that one and served before it.  An unexplained sector fails.
+    """
+
+    requests, stack, policy = trial(seed)
+    queued: dict[int, int] = {}
+    served: list[IoMsg] = []
+
+    def watch(event) -> None:
+        io = event.payload
+        if isinstance(io, IoMsg) and io.sector_tags and not io.done:
+            if event.target is StageId.SCHEDULER:
+                queued[io.io_id] = len(queued)
+            elif event.target is StageId.DISK_CACHE:
+                served.append(io)
+
+    result = replay(requests, stack, policy, observe=watch)
+    found = set()
+    for lo, hi, tag in misplaced_runs(result, exact=policy.mode is ReplayMode.CLOSED_LOOP):
+        for sector in range(lo, hi):
+            writers = [(io, t) for io in served for a, b, t in io.sector_tags if a <= sector < b]
+            stale, stale_tag = writers[-1]
+            assert stale_tag == tag, f"sector {sector}: the media does not hold the last served write"
+            newer = [
+                io
+                for io, t in writers[:-1]
+                if t > tag and queued[io.io_id] > queued[stale.io_id]
+            ]
+            assert newer, f"sector {sector}: no newer write overtook the stale one"
+            found |= {(stale.purpose, io.purpose) for io in newer}
+    return found
+
+
+@pytest.mark.parametrize("seed, classes", sorted(MISPLACING_SEEDS.items()))
+def test_misplaced_sectors_fall_in_the_known_classes(seed, classes):
+    # Passes vacuously once item 1 is fixed and no sector is misplaced.
+    assert misplacing_reorders(seed) <= classes
 
 
 @pytest.mark.xfail(
@@ -137,17 +207,30 @@ def test_stale_flush_open_loop_known_defect():
     check_trial(163)
 
 
-#: Open-loop seeds in 0–1499 that complete every request but misplace
-#: sectors (104, 16, 120, 24, 8 and 64), each under LOOK or C-LOOK.
-OPEN_LOOP_MISPLACING_SEEDS = (477, 646, 682, 835, 1271, 1291)
+#: Open-loop seeds whose misplaced sectors are all flushes served after a
+#: later flush of the same re-dirtied sectors: 104, 16, 24, 8 and 64.
+FLUSH_BEHIND_FLUSH_SEEDS = (477, 646, 835, 1271, 1291)
 
 
 @pytest.mark.xfail(
     strict=True,
     raises=AssertionError,
-    reason="ROADMAP item 1: sectors no order of the writes in flight explains; not yet known "
-    "whether each is a stale flush or a gap in the oracle",
+    reason="ROADMAP item 1: a queued fs flush lands after a later flush of the same "
+    "re-dirtied sectors under LOOK or C-LOOK",
 )
-@pytest.mark.parametrize("seed", OPEN_LOOP_MISPLACING_SEEDS)
-def test_open_loop_misplaced_sectors_known_defect(seed):
+@pytest.mark.parametrize("seed", FLUSH_BEHIND_FLUSH_SEEDS)
+def test_flush_behind_later_flush_known_defect(seed):
     check_trial(seed)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 1: queued fs flushes land after a later direct write and after "
+    "a later flush of the same sectors under C-LOOK",
+)
+def test_flush_behind_direct_write_and_flush_known_defect():
+    # Open loop: 88 sectors hold a flush served after a later app-direct
+    # write, 32 a flush served after a later flush, so the direct-write rule
+    # alone leaves it failing.
+    check_trial(682)

@@ -10,6 +10,7 @@ from iostack import (
     AccessMode,
     CanonicalRequest,
     DiskCacheConfig,
+    HeadState,
     Op,
     Origin,
     ReadPrefetch,
@@ -22,10 +23,11 @@ from iostack import (
     WritePolicy,
     reference_media_image,
     replay,
+    service,
 )
 from iostack.fscache import APP_DIRECT, FLUSH, METADATA, PASSTHROUGH, WT_DATA
 from iostack.replay import DiskCacheStage, MediaRole
-from iostack.profiles import TOSHIBA_MK6012MAP
+from iostack.profiles import FUJITSU_MAN3184MP, TOSHIBA_MK6012MAP
 from iostack.workload import DistSpec, GeneratorSpec, generate
 
 from conftest import observed, plain_stack, tiny_geometry, zero_cost_fs
@@ -488,3 +490,30 @@ class TestLocalPrefetchPenalty:
         assert {i: t for i, t in finish.items() if i != op} == {
             i: t for i, t in finish_free.items() if i != op
         }
+
+
+class TestZoneCrossing:
+    def test_read_across_a_zone_boundary_is_timed_by_service(self):
+        # A NO_BUFFER read of the last 8 sectors of the Fujitsu drive's first
+        # zone and the first 8 of its second: one media op whose timing
+        # steps into the next zone inside ``service``.
+        geometry = FUJITSU_MAN3184MP.geometry
+        first, second = geometry.zones[:2]
+        boundary = (
+            (second.first_cylinder - first.first_cylinder) * geometry.heads * first.sectors_per_track
+            - geometry.spares_per_zone_tail
+        )
+        lba, sectors = boundary - 8, 16
+        stack = plain_stack(geometry=geometry)
+        trace = stream([(Op.READ, lba * 512, sectors * 512)], AccessMode.NO_BUFFER)
+        _, events = observed(trace, stack)
+        (start,) = select(events, StageId.DISK, "media")
+        (finish,) = select(events, StageId.DISK, "media-finish")
+        assert (start.payload.lba, start.payload.sectors) == (lba, sectors)
+        # The first media op of the run finds the head in its initial state.
+        delay, _ = service(lba, sectors, HeadState(), geometry, stack.seek, start.fire_at_us)
+        assert finish.fire_at_us - start.fire_at_us == max(1, round(delay))
+        # Timed as its two halves, each inside one zone, back to back.
+        head_delay, head = service(lba, 8, HeadState(), geometry, stack.seek, start.fire_at_us)
+        tail_delay, _ = service(boundary, 8, head, geometry, stack.seek, head.time_us)
+        assert round(head_delay + tail_delay) == round(delay)

@@ -75,9 +75,14 @@ class TestParseLine:
         with pytest.raises(MalformedLine, match="LCN"):
             parse_trace_line("7  17:03:26.407  p.exe:1  READ  C:\\f  SUCCESS")
 
-    def test_byte_offset_in_error_when_no_seq(self):
-        with pytest.raises(MalformedLine, match="byte offset 42"):
-            parse_trace_line("garbage", byte_offset=42)
+    def test_error_carries_the_seq_it_read(self):
+        with pytest.raises(MalformedLine) as no_seq:
+            parse_trace_line("garbage")
+        assert no_seq.value.seq is None
+        assert str(no_seq.value) == "expected seq/time/process/op/path, got 1 fields"
+        with pytest.raises(UnknownOp) as with_seq:
+            parse_trace_line("7  17:03:26.407  p.exe:1  DELETE  C:\\f  SUCCESS")
+        assert with_seq.value.seq == 7
 
 
 class TestNormalize:
@@ -119,8 +124,8 @@ class TestNormalize:
     def test_drops_reported_in_line_order(self):
         # An orphan READ, then a line that does not parse, then two with no
         # readable seq: each is named where it stands, the last two by their
-        # 1-based line number and byte offset.  A superscript two passes
-        # ``str.isdigit`` but not ``int``; it used to raise ValueError.
+        # 1-based line number.  A superscript two passes ``str.isdigit`` but
+        # not ``int``; it used to raise ValueError.
         text = (
             "1  17:00:00.000  p.exe:1  OPEN  C:\\f  SUCCESS\n"
             "2  17:00:00.010  p.exe:2  READ  C:\\f  LCN: 10 Offset: 0 Length: 512\n"
@@ -131,12 +136,30 @@ class TestNormalize:
         requests, report = ingest_text(text)
         assert [r.op for r in requests] == [Op.OPEN]
         assert report.seqs == [1]
-        x_at, two_at = text.index("x  "), text.index("\u00b2  ")
         assert report.dropped_lines == [
             (2, "OrphanIO"),
             (3, "UnknownOp: seq 3: unknown operation 'DELETE'"),
-            (4, f"MalformedLine: byte offset {x_at}: missing or non-numeric seq 'x'"),
-            (5, f"MalformedLine: byte offset {two_at}: missing or non-numeric seq '\u00b2'"),
+            (4, "MalformedLine: missing or non-numeric seq 'x'"),
+            (5, "MalformedLine: missing or non-numeric seq '\u00b2'"),
+        ]
+
+    def test_line_with_no_readable_seq_is_named_by_its_line_number(self):
+        # A CRLF capture with a non-ASCII path: a line number cannot drift
+        # with line terminators or multi-byte characters the way an offset
+        # can.  The single-space-separated record on line 4 is one field to
+        # the parser, so no seq was read from it, and it is not named 7.
+        text = (
+            "1\t17:00:00.000\tapp.exe:1\tOPEN\tC:\\donn\u00e9es\\f\tSUCCESS Options: Open\r\n"
+            "2\t17:00:00.010\tapp.exe:1\tREAD\tC:\\donn\u00e9es\\f\tLCN: 10 Offset: 0 Length: 4096\r\n"
+            "garbage\r\n"
+            "7 17:00:00.020 app.exe:1 READ C:\\donn\u00e9es\\f LCN: 10 Offset: 0 Length: 4096\r\n"
+        )
+        requests, report = ingest_text(text)
+        assert [r.op for r in requests] == [Op.OPEN, Op.READ]
+        assert report.seqs == [1, 2]
+        assert report.dropped_lines == [
+            (3, "MalformedLine: expected seq/time/process/op/path, got 1 fields"),
+            (4, "MalformedLine: expected seq/time/process/op/path, got 1 fields"),
         ]
 
     def test_totality(self, sample_trace_text):
