@@ -150,9 +150,10 @@ def seek_time(
 ) -> float:
     """Seek cost in microseconds for a cylinder distance.
 
-    Square-root rise up to the knee, affine beyond it; the average point is
-    anchored at one third of the stroke, so the published (min, avg, max)
-    triple is reproduced exactly and the curve stays monotone.
+    Square-root rise up to the knee, affine beyond it, monotone: the published
+    min, avg and max fall at one cylinder, a third of the stroke and the full
+    stroke.  The mean over uniformly random cylinder pairs is off that avg by
+    +2.9 % (Fujitsu), -3.1 % (Toshiba) and +4.2 % (Hitachi): ROADMAP item 7.
     """
 
     if not 0 <= distance_cylinders < cylinders:

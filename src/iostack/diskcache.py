@@ -396,16 +396,19 @@ class SegmentedCache:
         missing = self.missing_runs(lba, sectors)
         if not missing:
             classification = Lookup.HIT
-            holder = self._segment_for(lba, sectors)
-            if holder is not None:
-                self._touch(holder)
-                # Only LOCAL_512K stages local prefetches, so only it owes
-                # the repositioning penalty.
-                if holder.local_prefetch and sectors * SECTOR_BYTES == 131_072:
-                    holder.consumed_by_128k += sectors
-                    if holder.consumed_by_128k >= PREFETCH_BLOCK_SECTORS:
-                        self._penalty_pending += 1
-                        holder.consumed_by_128k = 0
+            # The first segment that overlaps the read: one does, as no run is missing.
+            end = lba + sectors
+            for holder in self.segments:
+                if holder.start < end and lba < holder.end:
+                    break
+            self._touch(holder)
+            # Only LOCAL_512K stages local prefetches, so only it owes the
+            # repositioning penalty.
+            if holder.local_prefetch and sectors * SECTOR_BYTES == 131_072:
+                holder.consumed_by_128k += sectors
+                if holder.consumed_by_128k >= PREFETCH_BLOCK_SECTORS:
+                    self._penalty_pending += 1
+                    holder.consumed_by_128k = 0
         elif len(missing) == 1 and missing[0] == (lba, sectors):
             classification = Lookup.MISS
         else:

@@ -421,8 +421,8 @@ class FsCache:
         """Per-block direct disk writes for the uncached part of a request.
 
         Sectors that are currently dirty in the cache are updated there
-        instead, so a later flush can never land stale data over a newer
-        direct write.
+        instead, so no later flush lands stale data over this write; a flush
+        already queued at the scheduler still can (ROADMAP item 1, class A).
         """
 
         ios = []

@@ -18,9 +18,9 @@ order (``writes``), the destage slot, the runs the held read still awaits
 and the disk end no media read passes.  The cache plans every media op as
 its ``MediaMsg`` and settles the held read; ``DiskCacheStage`` only stamps
 and sends the ops.  The scheduler's ``PendingQueue`` holds each queued
-``IoMsg`` and ``SchedulerStage.inflight`` the one at the drive, so
-``DiskCacheStage`` keeps that io in a slot while it waits for media data or
-for a free segment.
+``IoMsg`` and ``SchedulerStage.inflight`` the one at the drive, which
+``DiskCacheStage.held`` holds while it waits for media data or a free
+segment; a write-through write waits on its ``MediaMsg.host`` instead.
 ``DiskStage.queue`` holds the media ops in arrival order; its head is the op
 being served.
 """
@@ -330,16 +330,16 @@ class DiskCacheStage:
 
     The cache plans every media op as its ``MediaMsg`` and says when the
     held read has all its data (``awaited`` is empty).  The scheduler hands
-    the drive one io at a time and waits for its done form, so one slot
-    holds the read waiting for media data (``host_read``) and one the write
-    waiting for a destage to free a segment (``deferred_write``).
+    the drive one io at a time, so one slot (``held``) holds that io while
+    the drive keeps back its acknowledgement: a read until ``awaited`` is
+    empty, a write-back write until a destage frees a segment.  A write
+    acknowledged after media waits on its ``MediaMsg.host`` instead.
     """
 
     def __init__(self, sim: Simulator, cache: SegmentedCache):
         self.sim = sim
         self.cache = cache
-        self.host_read: IoMsg | None = None
-        self.deferred_write: IoMsg | None = None
+        self.held: IoMsg | None = None
         self._media_seq = 0
 
     # -- media plumbing ---------------------------------------------------------
@@ -369,7 +369,7 @@ class DiskCacheStage:
         for op in self.cache.read_lookup(lba, sectors)[1]:
             self._issue(op)
         if self.cache.awaited:
-            self.host_read = msg
+            self.held = msg
         else:
             self._reply_done(msg)
 
@@ -390,7 +390,7 @@ class DiskCacheStage:
         elif ack is Ack.ACK_NOW:
             self._reply_done(msg)
         else:  # DEFER: every segment dirty, wait for a destage to free one
-            self.deferred_write = msg
+            self.held = msg
         for op in writes:
             self._issue(op)
 
@@ -402,13 +402,14 @@ class DiskCacheStage:
             return
         for op in self.cache.on_media_data(msg.lba, msg.sectors, msg.role):
             self._issue(op)
-        if msg.role is MediaRole.DESTAGE:
-            if self.deferred_write is not None:
-                retry, self.deferred_write = self.deferred_write, None
-                self._host_write(retry)
-        elif self.host_read is not None and not self.cache.awaited:
-            read, self.host_read = self.host_read, None
-            self._reply_done(read)
+        held = self.held
+        if held is not None and held.write:
+            if msg.role is MediaRole.DESTAGE:  # a segment is free: retry the deferred write
+                self.held = None
+                self._host_write(held)
+        elif held is not None and not self.cache.awaited:
+            self.held = None
+            self._reply_done(held)
 
 
 class DiskStage:
@@ -421,7 +422,6 @@ class DiskStage:
         self.head = HeadState()
         self.queue: deque[MediaMsg] = deque()
         self.data_image = TagMap()
-        self.metadata_writes = 0
 
     def handle(self, sim: Simulator, payload: Payload) -> None:
         match payload:
@@ -451,11 +451,8 @@ class DiskStage:
         self.sim.schedule_after(StageId.DISK, msg, delay_us)
 
     def _finish(self, msg: MediaMsg) -> None:
-        if msg.write:
-            if msg.sector_tags is None:
-                self.metadata_writes += 1
-            else:
-                self.data_image.overlay(msg.sector_tags)
+        if msg.sector_tags is not None:
+            self.data_image.overlay(msg.sector_tags)
         self.queue.popleft()
         # Timing the next op may raise, so it goes first; it finishes at
         # least 1 us later, so the two events dispatch in the same order.
@@ -477,7 +474,6 @@ class ReplayResult:
     fs: FsCache
     disk_cache: SegmentedCache
     media_image: TagMap
-    metadata_writes: int
 
 
 class TraceReplayError(ValueError):
@@ -513,13 +509,14 @@ def _held_work(
     """
 
     cache = cache_stage.cache
+    held = cache_stage.held
+    held_what = "deferred write ios" if held and held.write else "host read ios"
     holders = (
         ("fs cache", "requests", sorted(fs_stage.pending)),
         ("fs cache", "deferred requests", [m.request_id for m in fs_stage.deferred]),
         ("fs cache", "dirty blocks", list(fs_stage.fs.dirty_blocks)),
         ("scheduler", "queued ios", [m.io_id for m in sched_stage.queue]),
-        ("drive cache", "host read ios", [m.io_id for m in (cache_stage.host_read,) if m is not None]),
-        ("drive cache", "deferred write ios", [m.io_id for m in (cache_stage.deferred_write,) if m is not None]),
+        ("drive cache", held_what, [held.io_id] if held else []),
         ("drive cache", "fill ranges", list(cache.fill_ranges)),
         ("drive cache", "dirty segments", [i for i, s in enumerate(cache.segments) if s.dirty]),
         ("drive cache", "outstanding fills", list(cache.outstanding_fills)),
@@ -629,5 +626,4 @@ def replay(
         fs=fs,
         disk_cache=cache,
         media_image=disk_stage.data_image,
-        metadata_writes=disk_stage.metadata_writes,
     )

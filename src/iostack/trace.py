@@ -94,7 +94,6 @@ class RawTraceLine:
     offset_bytes: int | None = None
     length_bytes: int | None = None
     flags: frozenset[OpenFlag] = frozenset()
-    status: str = ""
 
 
 @dataclass
@@ -165,7 +164,6 @@ def parse_trace_line(line: str) -> RawTraceLine:
     flags = frozenset(
         _FLAG_TOKENS[tok] for tok in trailer.replace(":", " ").split() if tok in _FLAG_TOKENS
     )
-    status = trailer.split()[0] if trailer and not trailer.startswith("LCN:") else ""
 
     return RawTraceLine(
         seq=seq,
@@ -178,7 +176,6 @@ def parse_trace_line(line: str) -> RawTraceLine:
         offset_bytes=offset,
         length_bytes=length,
         flags=flags,
-        status=status,
     )
 
 
@@ -273,17 +270,17 @@ def ingest_text(
 def write_canonical(
     requests: Iterable[CanonicalRequest],
     sink: str | Path | IO[str],
-    cluster_size_bytes: int = 4096,
 ) -> int:
     """Write requests in the canonical trace format; returns bytes written.
 
     The format is line oriented (one request per line, fixed field order)
-    with a header carrying the format version and cluster size, so traces
-    diff cleanly in tests.
+    with a header carrying the format version, so traces diff cleanly in
+    tests.  Requests hold disk byte addresses, so the header's
+    ``cluster_bytes=4096`` is informational: no reader uses it.
     """
 
     out = io.StringIO()
-    out.write(f"#iostack-trace v{CANONICAL_FORMAT_VERSION} cluster_bytes={cluster_size_bytes}\n")
+    out.write(f"#iostack-trace v{CANONICAL_FORMAT_VERSION} cluster_bytes=4096\n")
     out.write("#issue_us origin op file_id offset_bytes length_bytes disk_byte_addr mode\n")
     for r in requests:
         out.write(

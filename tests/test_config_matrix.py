@@ -8,13 +8,13 @@ nearly every miss.
 Each replay adds its event-log text, request table, summary and media-image
 runs; a replay that stalls raises.  Each replay runs once, observed: the
 observer hashes each event as it is dispatched.  It also checks the drive's
-traffic contract: the scheduler hands the drive one io at a time, and the
-drive cache holds a waiting read exactly while it still needs media data.  It
-checks that each pending-work fact agrees with its one owner, too: the fs
-requests waiting for a loading block, the drive's queued writes, the ios in
-the scheduler queue and the media op the disk serves.  The
-digests must not move unless the modelled behaviour changes on purpose; a
-failure names the (profile, access mode) slice that moved.
+traffic contract: the scheduler hands the drive one io at a time, the drive
+cache holds back no io but that one, and it holds a read exactly while it
+still needs media data.  It checks that each pending-work fact agrees with
+its one owner, too: the fs requests waiting for a loading block, the drive's
+queued writes, the ios in the scheduler queue and the media op the disk
+serves.  The digests must not move unless the modelled behaviour changes on
+purpose; a failure names the (profile, access mode) slice that moved.
 """
 
 from __future__ import annotations
@@ -100,14 +100,14 @@ def observer(log):
     """Hash each event into ``log``, checking the drive's traffic contract.
 
     Between an io's DISK_CACHE ``io`` event and its SCHEDULER ``io-done``, no
-    other io reaches DISK_CACHE.  At every event the drive cache stage holds
-    a waiting host read if and only if the cache still awaits media data for
-    it.  Every request waiting for a loading fs block is pending and still
-    awaits at least those blocks; each segment counts its queued writes, and
-    a queued write's segment is dirty.  The scheduler queue holds the very
-    ios that have reached SCHEDULER and not yet DISK_CACHE, but for the one
-    it has just handed on, and each ``media-finish`` is the op at the head
-    of the disk's FIFO.
+    other io reaches DISK_CACHE.  At every event the io the drive cache stage
+    holds is the scheduler's in-flight io, and it is a read if and only if the
+    cache still awaits media data for it.  Every request waiting for a loading
+    fs block is pending and still awaits at least those blocks; each segment
+    counts its queued writes, and a queued write's segment is dirty.  The
+    scheduler queue holds the very ios that have reached SCHEDULER and not
+    yet DISK_CACHE, but for the one it has just handed on, and each
+    ``media-finish`` is the op at the head of the disk's FIFO.
     """
 
     at_drive = []
@@ -125,7 +125,9 @@ def observer(log):
         assert queued.keys() == expected.keys(), event.describe()
         assert all(m is expected[i] for i, m in queued.items()), event.describe()
         stage = WatchedDriveCache.current
-        assert (stage.host_read is None) == (not stage.cache.awaited), event.describe()
+        held = stage.held
+        assert held is None or held is sched.inflight, event.describe()
+        assert (held is not None and not held.write) == bool(stage.cache.awaited), event.describe()
         fs_stage = WatchedFsStage.current
         waits = Counter(chain.from_iterable(fs_stage.fs.inflight.values()))
         for rid, blocks in waits.items():

@@ -391,4 +391,8 @@ class TestReports:
     def test_baseline_round_trip(self, tmp_path):
         path = tmp_path / "base.txt"
         write_baseline({0: 5000, 3: 7500}, path)
-        assert load_baseline(path) == {0: 5000, 3: 7500}
+        written = path.read_text(encoding="utf-8")
+        # The file as written, then with a blank and a comment line after the header.
+        for text in (written, written.replace("\n", "\n\n# measured\n", 1)):
+            path.write_text(text, encoding="utf-8")
+            assert load_baseline(path) == {0: 5000, 3: 7500}

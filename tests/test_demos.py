@@ -1,4 +1,4 @@
-"""The demonstration scripts must keep running as the library evolves."""
+"""The demonstration scripts and the README's quick start must keep running."""
 
 from __future__ import annotations
 
@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).parent.parent / "demos").glob("*.py"))
+ROOT = Path(__file__).parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.stem)
@@ -18,3 +19,10 @@ def test_demo_runs_clean(script):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip()
+
+
+def test_readme_quick_start_runs(capsys):
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("## Library quick start\n")[1]
+    code = section.split("```python\n")[1].split("```")[0]
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out.strip()

@@ -99,6 +99,18 @@ class TestReadLookup:
         with pytest.raises(UnexpectedFill):
             cache.on_media_data(0, 64, HOST_READ)
 
+    def test_hit_touches_the_segment_holding_the_read(self):
+        # An earlier segment ends where the read starts; a later one holds
+        # it, staged by a local prefetch, so a 128KB hit counts against it.
+        cache = SegmentedCache(cfg(segment_count=2))
+        before, holder = cache.segments
+        before.start, before.end = 0, 128
+        holder.start, holder.end, holder.local_prefetch = 128, 384, True
+        kind, _ = cache.read_lookup(128, 256)
+        assert kind is Lookup.HIT
+        assert holder.last_touch > before.last_touch
+        assert (holder.consumed_by_128k, before.consumed_by_128k) == (256, 0)
+
 
 class TestReadPlan:
     def test_host_runs_then_fill_chunk_then_local_prefetch(self):

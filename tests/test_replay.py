@@ -176,7 +176,7 @@ class TestWriteRegimesOnTheWire:
     def test_write_through_ordering(self):
         stack = plain_stack()
         ios = [(Op.WRITE, i * 128 * KB, 128 * KB) for i in range(3)]
-        result, events = observed(stream(ios, AccessMode.WRITE_THROUGH), stack)
+        _, events = observed(stream(ios, AccessMode.WRITE_THROUGH), stack)
         media = [
             e.payload.host.purpose
             for e in select(events, StageId.DISK, "media")
@@ -185,7 +185,6 @@ class TestWriteRegimesOnTheWire:
         # Per request: both data blocks reach media, then the metadata
         # write, strictly before the next request's first action.
         assert media == [WT_DATA, WT_DATA, METADATA] * 3
-        assert result.metadata_writes == 3
 
     def test_read_larger_than_a_cache_segment_completes(self):
         # 1MB no-buffer read vs 256KB drive segments: the transfer outlives
