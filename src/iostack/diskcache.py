@@ -16,9 +16,9 @@ from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from operator import itemgetter
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .requests import SECTOR_BYTES
+from .requests import SECTOR_BYTES, sector_range
 
 if TYPE_CHECKING:
     from .fscache import IoMsg
@@ -231,7 +231,7 @@ class TagMap:
 
 @dataclass(slots=True)
 class MediaMsg:
-    """One media op from plan to done; ``DiskCacheStage`` stamps its id and ``host``."""
+    """One media op from plan to done; ``DiskCacheStage`` stamps its id at issue."""
 
     role: MediaRole
     lba: int
@@ -278,8 +278,13 @@ class SegmentedCache:
     It plans every media op as the ``MediaMsg`` that travels, with the
     penalty rotations it owes: it owns the reads in flight, the queued
     fill-ahead and the one destage slot, and stops each read at the disk end
-    (``usable_sectors``).  It also settles the held host read: ``awaited``
-    holds the runs whose data has not been delivered to it.
+    (``usable_sectors``).  It also decides every host acknowledgement:
+    :meth:`host_io` and :meth:`media_done` return, in send order, the media
+    ops to issue and the host ios acknowledged now.  The drive serves one
+    host io at a time, and ``held`` keeps it while its acknowledgement waits:
+    a read until ``awaited``, the runs no media data has delivered to it yet,
+    is empty; a write-back write until a destage frees a segment.  A
+    write-through write is never held: it waits on its ``MediaMsg.host``.
     """
 
     def __init__(self, config: DiskCacheConfig, usable_sectors: int = sys.maxsize):
@@ -301,6 +306,8 @@ class SegmentedCache:
         self.destage_inflight = False
         #: Runs of the last host read that no media data has delivered yet.
         self.awaited: list[tuple[int, int]] = []
+        #: The host io whose acknowledgement waits on media data or a free segment.
+        self.held: IoMsg | None = None
         self.seq_last_end: int | None = None
         self.fill_frontier = 0
         self.local_prefetch_count = 0
@@ -374,6 +381,52 @@ class SegmentedCache:
         end = lba + sectors
         overlapping = [(s.start, s.end) for s in self.segments if s.start < end and lba < s.end]
         return uncovered_runs(lba, sectors, overlapping)
+
+    # -- host traffic --------------------------------------------------------------
+
+    def host_io(self, io: IoMsg) -> Sequence[MediaMsg | IoMsg]:
+        """Take the host io at the drive; returns the media ops and acks to send, in order.
+
+        A read sends its media reads, then its ack unless it is held for
+        data.  A write acknowledged now sends its ack, then the next destage;
+        a deferred write is held, and only the destage goes.
+        """
+
+        sectors = sector_range(io.disk_addr, io.disk_addr + io.nbytes)
+        lba, count = sectors.start, len(sectors)
+        if not io.write:
+            sends: list[MediaMsg | IoMsg] = self.read_lookup(lba, count)[1]
+            if self.awaited:
+                self.held = io
+            else:
+                sends.append(io)
+            return sends
+        ack, writes = self.write_accept(lba, count, io.sector_tags, io.purpose.force_media)
+        if ack is Ack.ACK_AFTER_MEDIA:
+            # One media write, whose completion acknowledges the host io.
+            writes[0].host = io
+            return writes
+        if ack is Ack.ACK_NOW:
+            return (io, *writes)
+        self.held = io
+        return writes
+
+    def media_done(self, op: MediaMsg) -> Sequence[MediaMsg | IoMsg]:
+        """A media op is done; returns the media ops and acks to send, in order.
+
+        After the ops :meth:`on_media_data` starts comes the held write's
+        retry once a destage frees a segment, or the held read's ack once it
+        awaits nothing.
+        """
+
+        if op.role is MediaRole.HOST_WRITE:
+            return (op.host,)
+        sends = self.on_media_data(op.lba, op.sectors, op.role)
+        held = self.held
+        if held is not None and (op.role is MediaRole.DESTAGE if held.write else not self.awaited):
+            self.held = None
+            return (*sends, *self.host_io(held)) if held.write else (*sends, held)
+        return sends
 
     # -- reads -----------------------------------------------------------------
 

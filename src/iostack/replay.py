@@ -16,13 +16,13 @@ awaits, an io's ``IoMsg.request_id`` the request it serves, and
 (``outstanding_fills``, ``fill_ranges``), the acknowledged writes in arrival
 order (``writes``), the destage slot, the runs the held read still awaits
 and the disk end no media read passes.  The cache plans every media op as
-its ``MediaMsg`` and settles the held read; ``DiskCacheStage`` only stamps
-and sends the ops.  The scheduler's ``PendingQueue`` holds each queued
-``IoMsg`` and ``SchedulerStage.inflight`` the one at the drive, which
-``DiskCacheStage.held`` holds while it waits for media data or a free
-segment; a write-through write waits on its ``MediaMsg.host`` instead.
-``DiskStage.queue`` holds the media ops in arrival order; its head is the op
-being served.
+its ``MediaMsg`` and decides every acknowledgement; ``DiskCacheStage`` only
+stamps and sends what it returns.  The scheduler's ``PendingQueue`` holds
+each queued ``IoMsg`` and ``SchedulerStage.inflight`` the one at the drive,
+which the cache also holds while its acknowledgement waits for media data
+or a free segment; a write-through write waits on its ``MediaMsg.host``
+instead.  ``DiskStage.queue`` holds the media ops in arrival order; its head
+is the op being served.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .diskcache import Ack, DiskCacheConfig, MediaMsg, MediaRole, SegmentedCache, TagMap
+from .diskcache import DiskCacheConfig, MediaMsg, SegmentedCache, TagMap
 from .disk import DiskGeometry, HeadState, SeekProfile, cylinder_of_byte, service
 from .engine import EventLog, Observer, Payload, Simulator, StageId
 from .fscache import FLUSH, FsCache, FsCacheConfig, IoMsg
@@ -244,7 +244,10 @@ class FsStage:
         msg.copy_us = cfg.copy_us(plan.copy_bytes)
         issue_at = now + (cfg.miss_path_cost_us if required else 0)
         for io in plan.ios:
-            self._issue(io, rid if io.purpose.required else None, issue_at)
+            # The working-set flush leaves at once: only the request's own
+            # ios take its miss path (ROADMAP item 1, class C).
+            at = now if io.purpose is FLUSH else issue_at
+            self._issue(io, rid if io.purpose.required else None, at)
         if plan.metadata_after_data:
             self.wt_gate = rid
         if plan.kick_progressive and not self.progressive_running:
@@ -326,90 +329,33 @@ class SchedulerStage:
 
 
 class DiskCacheStage:
-    """Drive cache: issues the media ops ``SegmentedCache`` plans, acks host ios.
+    """Drive cache: sends what ``SegmentedCache`` decides, stamping each media op.
 
-    The cache plans every media op as its ``MediaMsg`` and says when the
-    held read has all its data (``awaited`` is empty).  The scheduler hands
-    the drive one io at a time, so one slot (``held``) holds that io while
-    the drive keeps back its acknowledgement: a read until ``awaited`` is
-    empty, a write-back write until a destage frees a segment.  A write
-    acknowledged after media waits on its ``MediaMsg.host`` instead.
+    The cache plans every media op, decides every acknowledgement and holds
+    the one io whose acknowledgement waits.  This stage numbers each media op
+    and sends it to DISK, and returns each acknowledged io to SCHEDULER, in
+    the order the cache gives.
     """
 
-    def __init__(self, sim: Simulator, cache: SegmentedCache):
-        self.sim = sim
+    def __init__(self, cache: SegmentedCache):
         self.cache = cache
-        self.held: IoMsg | None = None
         self._media_seq = 0
-
-    # -- media plumbing ---------------------------------------------------------
-
-    def _issue(self, op: MediaMsg) -> None:
-        self._media_seq += 1
-        op.media_id = self._media_seq
-        self.sim.schedule(StageId.DISK, op)
-
-    def _sectors(self, io: IoMsg) -> tuple[int, int]:
-        sectors = sector_range(io.disk_addr, io.disk_addr + io.nbytes)
-        return sectors.start, len(sectors)
 
     def handle(self, sim: Simulator, payload: Payload) -> None:
         match payload:
-            case IoMsg(write=True) as msg:
-                self._host_write(msg)
-            case IoMsg() as msg:
-                self._host_read(msg)
-            case MediaMsg() as msg:
-                self._media_done(msg)
-
-    # -- reads --------------------------------------------------------------------
-
-    def _host_read(self, msg: IoMsg) -> None:
-        lba, sectors = self._sectors(msg)
-        for op in self.cache.read_lookup(lba, sectors)[1]:
-            self._issue(op)
-        if self.cache.awaited:
-            self.held = msg
-        else:
-            self._reply_done(msg)
-
-    def _reply_done(self, msg: IoMsg) -> None:
-        msg.done = True
-        self.sim.schedule(StageId.SCHEDULER, msg)
-
-    # -- writes --------------------------------------------------------------------
-
-    def _host_write(self, msg: IoMsg) -> None:
-        lba, sectors = self._sectors(msg)
-        ack, writes = self.cache.write_accept(
-            lba, sectors, msg.sector_tags, force_media=msg.purpose.force_media
-        )
-        if ack is Ack.ACK_AFTER_MEDIA:
-            # One media write, whose completion acknowledges the host io.
-            writes[0].host = msg
-        elif ack is Ack.ACK_NOW:
-            self._reply_done(msg)
-        else:  # DEFER: every segment dirty, wait for a destage to free one
-            self.held = msg
-        for op in writes:
-            self._issue(op)
-
-    # -- media completions ------------------------------------------------------------
-
-    def _media_done(self, msg: MediaMsg) -> None:
-        if msg.role is MediaRole.HOST_WRITE:
-            self._reply_done(msg.host)
-            return
-        for op in self.cache.on_media_data(msg.lba, msg.sectors, msg.role):
-            self._issue(op)
-        held = self.held
-        if held is not None and held.write:
-            if msg.role is MediaRole.DESTAGE:  # a segment is free: retry the deferred write
-                self.held = None
-                self._host_write(held)
-        elif held is not None and not self.cache.awaited:
-            self.held = None
-            self._reply_done(held)
+            case IoMsg():
+                sends = self.cache.host_io(payload)
+            case MediaMsg():
+                sends = self.cache.media_done(payload)
+        for msg in sends:
+            match msg:
+                case MediaMsg():
+                    self._media_seq += 1
+                    msg.media_id = self._media_seq
+                    sim.schedule(StageId.DISK, msg)
+                case IoMsg():
+                    msg.done = True
+                    sim.schedule(StageId.SCHEDULER, msg)
 
 
 class DiskStage:
@@ -499,7 +445,7 @@ class ReplayDiverged(TraceReplayError):
 def _held_work(
     fs_stage: FsStage,
     sched_stage: SchedulerStage,
-    cache_stage: DiskCacheStage,
+    cache: SegmentedCache,
     disk_stage: DiskStage,
 ) -> list[str]:
     """One line per stage holder still holding work once the event queue is empty.
@@ -508,8 +454,7 @@ def _held_work(
     unread fill left behind is work the run lost.
     """
 
-    cache = cache_stage.cache
-    held = cache_stage.held
+    held = cache.held
     held_what = "deferred write ios" if held and held.write else "host read ios"
     holders = (
         ("fs cache", "requests", sorted(fs_stage.pending)),
@@ -587,7 +532,7 @@ def replay(
     app = AppStage(effective, policy)
     fs_stage = FsStage(sim, fs)
     sched_stage = SchedulerStage(sim, stack.scheduler_policy, stack.geometry)
-    cache_stage = DiskCacheStage(sim, cache)
+    cache_stage = DiskCacheStage(cache)
     disk_stage = DiskStage(sim, stack.geometry, stack.seek)
 
     sim.register(StageId.APP, app.handle)
@@ -598,7 +543,7 @@ def replay(
 
     app.start(sim)
     sim.run()
-    held = _held_work(fs_stage, sched_stage, cache_stage, disk_stage)
+    held = _held_work(fs_stage, sched_stage, cache, disk_stage)
     if len(app.records) != len(effective) or held:
         raise StallError(
             f"event queue ran dry after {len(app.records)} of {len(effective)} requests "

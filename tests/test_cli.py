@@ -50,6 +50,15 @@ TWO_DROPS_TRACE = (
     "4\t17:00:00.030\tapp.exe:1\tREAD\tC:\\f\tLCN: 10 Offset: 0 Length: 4096\n"
 )
 
+#: A tracer-format trace whose line 2 has a timestamp the parser cannot read
+#: and whose line 3 names its process without a pid.
+BAD_FIELDS_TRACE = (
+    "1\t17:00:00.000\tapp.exe:1\tOPEN\tC:\\f\tSUCCESS Options: Open\n"
+    "2\tnoon\tapp.exe:1\tREAD\tC:\\f\tLCN: 10 Offset: 0 Length: 4096\n"
+    "3\t17:00:00.020\tapp.exe\tREAD\tC:\\f\tLCN: 10 Offset: 0 Length: 4096\n"
+    "4\t17:00:00.030\tapp.exe:1\tREAD\tC:\\f\tLCN: 10 Offset: 0 Length: 4096\n"
+)
+
 #: A CRLF tracer capture with a non-ASCII path whose lines 3 and 4 hold no
 #: seq the parser reads: ``garbage`` and a record separated by single spaces.
 NO_SEQ_DROPS_TRACE = (
@@ -145,6 +154,18 @@ class TestCli:
         assert captured.err.splitlines() == [
             "simulate: dropped line 2: OrphanIO",
             "simulate: dropped line 3: UnknownOp: seq 3: unknown operation 'DELETE'",
+        ]
+        assert "requests=2" in captured.out
+
+    def test_lines_with_bad_time_or_process_reported_with_their_reasons(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        trace = write_file(tmp_path / "capture.txt", BAD_FIELDS_TRACE)
+        code = main(["--config", str(cfg), "--trace", str(trace), "--output", str(tmp_path / "out")])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "simulate: dropped line 2: BadTime: seq 2: unparseable timestamp 'noon'",
+            "simulate: dropped line 3: MalformedLine: seq 3: process field 'app.exe' is not name:pid",
         ]
         assert "requests=2" in captured.out
 
@@ -461,6 +482,26 @@ HUGE_WEIGHTS = CONFIG.replace(
             with_bad_value("os.working_set_bytes", "6291456"),
             "sim.ini: os: working_set_bytes must exceed the 6291456-byte reserve",
         ),
+        # The geometry checks the profile's values pass.
+        *(
+            ({}, [], with_bad_value(f"disk.{key}", value), f"sim.ini: disk: {message}")
+            for key, value, message in (
+                ("zones", "0:128,0:100", "zone first_cylinder values must be strictly increasing"),
+                ("zones", "0:128,20000:100", "zone starts beyond the last cylinder"),
+                (
+                    "track_skew_sectors",
+                    "500",
+                    "skews must be smaller than every zone's sectors_per_track",
+                ),
+                ("spares_per_zone_tail", "999999999", "spares exceed zone capacity"),
+            )
+        ),
+        (
+            {},
+            [],
+            CONFIG.replace("size_bytes = constant:65536", "size_bytes_clamp = 0:100"),
+            "sim.ini: workload.size_bytes_clamp: clamps only a distribution set in the same section",
+        ),
     ],
     ids=[
         "baseline-header",
@@ -498,6 +539,11 @@ HUGE_WEIGHTS = CONFIG.replace(
         "generate-without-workload",
         "tracer-helpers-only",
         "working-set-within-reserve",
+        "zones-not-increasing",
+        "zone-beyond-last-cylinder",
+        "skew-not-below-track",
+        "spares-beyond-zone",
+        "clamp-without-distribution",
     ],
 )
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, files, extra, config, message):

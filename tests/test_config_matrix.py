@@ -100,9 +100,9 @@ def observer(log):
     """Hash each event into ``log``, checking the drive's traffic contract.
 
     Between an io's DISK_CACHE ``io`` event and its SCHEDULER ``io-done``, no
-    other io reaches DISK_CACHE.  At every event the io the drive cache stage
-    holds is the scheduler's in-flight io, and it is a read if and only if the
-    cache still awaits media data for it.  Every request waiting for a loading
+    other io reaches DISK_CACHE.  At every event the io the drive cache holds
+    is the scheduler's in-flight io, and it is a read if and only if the cache
+    still awaits media data for it.  Every request waiting for a loading
     fs block is pending and still awaits at least those blocks; each segment
     counts its queued writes, and a queued write's segment is dirty.  The
     scheduler queue holds the very ios that have reached SCHEDULER and not
@@ -125,7 +125,7 @@ def observer(log):
         assert queued.keys() == expected.keys(), event.describe()
         assert all(m is expected[i] for i, m in queued.items()), event.describe()
         stage = WatchedDriveCache.current
-        held = stage.held
+        held = stage.cache.held
         assert held is None or held is sched.inflight, event.describe()
         assert (held is not None and not held.write) == bool(stage.cache.awaited), event.describe()
         fs_stage = WatchedFsStage.current

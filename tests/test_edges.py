@@ -20,10 +20,10 @@ from iostack import (
     replay,
     service,
 )
-from iostack.diskcache import DiskCacheConfig, ReadPrefetch
+from iostack.diskcache import DiskCacheConfig, MediaRole, ReadPrefetch
 from iostack.fscache import DEMAND, FsCache, FsCacheConfig
 from iostack.profiles import PROFILES
-from iostack.replay import MediaRole, file_extents
+from iostack.replay import file_extents
 from iostack.requests import CanonicalRequest, Origin
 from iostack.scheduler import Policy
 from iostack.trace import OpenFlag, ingest_text

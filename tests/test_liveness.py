@@ -32,7 +32,7 @@ from iostack import (
     reference_media_image,
     replay,
 )
-from iostack.fscache import APP_DIRECT, FLUSH, IoMsg
+from iostack.fscache import APP_DIRECT, FLUSH, FsCache, IoMsg
 from iostack.profiles import PROFILES
 
 from conftest import SEEDED_POLICIES
@@ -234,3 +234,46 @@ def test_flush_behind_direct_write_and_flush_known_defect():
     # write, 32 a flush served after a later flush, so the direct-write rule
     # alone leaves it failing.
     check_trial(682)
+
+
+def progressive_steps_started_early(seed: int, monkeypatch) -> list[list[int]]:
+    """For each progressive write-back step of a trial that starts while an io
+    of an earlier step is in flight, the ids of those ios.
+
+    An io is in flight from its step until FS_CACHE receives its completion.
+    """
+
+    steps: list[list[IoMsg]] = []
+    delivered: set[int] = set()
+    early: list[list[int]] = []
+    next_step = FsCache.next_progressive_flush
+
+    def step(fs):
+        ios = next_step(fs)
+        if ios:
+            busy = [io.io_id for s in steps for io in s if io.io_id not in delivered]
+            if busy:
+                early.append(busy)
+            steps.append(ios)
+        return ios
+
+    def watch(event) -> None:
+        io = event.payload
+        if event.target is StageId.FS_CACHE and isinstance(io, IoMsg) and io.done:
+            delivered.add(io.io_id)
+
+    monkeypatch.setattr(FsCache, "next_progressive_flush", step)
+    replay(*trial(seed), observe=watch)
+    return early
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 11: every FLUSH io's completion ticks the progressive chain, "
+    "so bulk-flush and multi-io step completions start extra steps",
+)
+@pytest.mark.parametrize("seed", (1, 37))
+def test_progressive_write_back_runs_one_step_at_a_time(seed, monkeypatch):
+    # Seed 1 peaks at 26 chain ios in flight together, seed 37 at 33.
+    assert progressive_steps_started_early(seed, monkeypatch) == []

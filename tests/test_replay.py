@@ -10,6 +10,7 @@ from iostack import (
     AccessMode,
     CanonicalRequest,
     DiskCacheConfig,
+    FsCacheConfig,
     HeadState,
     Op,
     Origin,
@@ -26,7 +27,7 @@ from iostack import (
     service,
 )
 from iostack.fscache import APP_DIRECT, FLUSH, METADATA, PASSTHROUGH, WT_DATA
-from iostack.replay import DiskCacheStage, MediaRole
+from iostack.diskcache import MediaRole
 from iostack.profiles import FUJITSU_MAN3184MP, TOSHIBA_MK6012MAP
 from iostack.workload import DistSpec, GeneratorSpec, generate
 
@@ -164,6 +165,32 @@ class TestWriteRegimesOnTheWire:
         fires = result.fs.flush_ordinals
         gaps = [b - a for a, b in zip(fires, fires[1:])]
         assert fires and all(7 <= g <= 8 for g in gaps)
+
+    def test_working_set_flush_leaves_at_admission(self):
+        # 512KB writes alternate cached and direct blocks; the sixth, split 4
+        # cached / 4 direct, fills the working set and fires the flush.  Its
+        # direct writes take the 50us miss path, but the flush is the
+        # system's, not the request's: it reaches the scheduler at once, so
+        # a request admitted at the same instant cannot overtake it (ROADMAP
+        # item 1, class C).
+        stack = plain_stack(fs=FsCacheConfig())
+        ios = [(Op.WRITE, i * 512 * KB, 512 * KB) for i in range(8)]
+        result, events = observed(stream(ios, AccessMode.NORMAL), stack)
+        assert result.fs.write_splits[5] == (6, 4, 4)
+        assert result.fs.flush_ordinals == [6]
+        admitted = {
+            e.payload.request_id: e.fire_at_us for e in select(events, StageId.FS_CACHE, "request")
+        }
+        arrivals = select(events, StageId.SCHEDULER, "io")
+        direct = [e.fire_at_us for e in arrivals if e.payload.request_id == 6]
+        flushed = [
+            e.fire_at_us
+            for e in arrivals
+            if e.payload.purpose is FLUSH and e.fire_at_us < admitted[7]
+        ]
+        assert admitted[6] == 1170
+        assert direct == [1170 + 50] * 4
+        assert flushed == [1170] * 34
 
     def test_64k_normal_writes_never_write_direct(self):
         stack = plain_stack()
@@ -304,15 +331,15 @@ class TestPacing:
         # A drive cache that loses the first host read's media reply leaves
         # that read, and the request behind it, waiting for good.
         dropped = []
-        media_done = DiskCacheStage._media_done
+        media_done = SegmentedCache.media_done
 
-        def lose_first_host_read(stage, msg):
-            if msg.role is MediaRole.HOST_READ and not dropped:
-                dropped.append(msg)
-                return
-            media_done(stage, msg)
+        def lose_first_host_read(cache, op):
+            if op.role is MediaRole.HOST_READ and not dropped:
+                dropped.append(op)
+                return ()
+            return media_done(cache, op)
 
-        monkeypatch.setattr(DiskCacheStage, "_media_done", lose_first_host_read)
+        monkeypatch.setattr(SegmentedCache, "media_done", lose_first_host_read)
         trace = stream([(Op.READ, i * BLOCK, BLOCK) for i in range(4)], AccessMode.NORMAL)
         with pytest.raises(StallError) as info:
             replay(trace, plain_stack())
