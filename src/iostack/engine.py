@@ -6,17 +6,20 @@ scheduling sequence, which pins down the one detail message-passing
 frameworks usually leave implicit and makes whole runs replayable
 byte-for-byte.
 
-The queue holds plain ``(fire_at_us, seq, target, payload)`` tuples and each
-handler receives only ``(sim, payload)``: a ``SimEvent`` is built just for an
-observer, or for the ``StageFault`` of a handler that raised.  An observer
-reads each event as it is dispatched, so a run streams its own event log to
-whatever sink the observer writes to; a run without one costs nothing more.
+The queue holds plain ``(fire_at_us, seq, target, payload)`` tuples, events
+due later in a heap and events due at the current clock in a first-in,
+first-out lane beside it (see ``Simulator``).  Each handler receives only
+``(sim, payload)``: a ``SimEvent`` is built just for an observer, or for the
+``StageFault`` of a handler that raised.  An observer reads each event as it
+is dispatched, so a run streams its own event log to whatever sink the
+observer writes to; a run without one costs nothing more.
 A payload is one object for its whole round trip, turned into its reply by a
 flag, so an observer that keeps events must copy what it reads.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from enum import Enum
 from heapq import heappop, heappush
 from typing import Callable, NamedTuple, Protocol
@@ -112,10 +115,20 @@ class Simulator:
 
     It records no event unless given an ``observe`` callback, which reads
     each event at dispatch, before its handler runs.
+
+    Events due later wait in a heap; an event due at the current clock goes
+    on a first-in, first-out lane beside it, which costs no heap push or
+    pop.  Dispatch order is still (time, seq).  ``run`` advances the clock
+    only when the lane is empty, and then moves every heap entry due at the
+    new time onto the lane, in seq order, before it dispatches the first of
+    them.  Those entries were scheduled before the clock got there, so their
+    seqs are lower than that of any entry scheduled at that time, which goes
+    on the lane behind them.
     """
 
     def __init__(self, observe: Observer | None = None) -> None:
         self._queue: list[tuple[int, int, StageId, Payload]] = []
+        self._lane: deque[tuple[int, int, StageId, Payload]] = deque()
         self._handlers: dict[StageId, Handler] = {}
         self._clock = 0
         self._seq = 0
@@ -128,7 +141,7 @@ class Simulator:
     def dispatched(self) -> int:
         """Events dispatched so far: every scheduled event not still queued."""
 
-        return self._seq - len(self._queue)
+        return self._seq - len(self._queue) - len(self._lane)
 
     def register(self, stage: StageId, handler: Handler) -> None:
         self._handlers[stage] = handler
@@ -136,28 +149,42 @@ class Simulator:
     def schedule(self, target: StageId, payload: Payload, at_us: int | None = None) -> None:
         """Enqueue a message; events at equal times dispatch in scheduling order."""
 
-        fire_at = self._clock if at_us is None else at_us
-        if fire_at < self._clock:
-            raise PastEvent(f"cannot schedule at t={fire_at} when clock is t={self._clock}")
+        clock = self._clock
+        fire_at = clock if at_us is None else at_us
+        if fire_at < clock:
+            raise PastEvent(f"cannot schedule at t={fire_at} when clock is t={clock}")
         if target not in self._handlers:
             raise UnknownStage(f"no handler registered for stage {target.value}")
-        heappush(self._queue, (fire_at, self._seq, target, payload))
+        entry = (fire_at, self._seq, target, payload)
+        if fire_at == clock:
+            self._lane.append(entry)
+        else:
+            heappush(self._queue, entry)
         self._seq += 1
 
     def schedule_after(self, target: StageId, payload: Payload, delay_us: int) -> None:
         self.schedule(target, payload, self._clock + delay_us)
 
     def run(self) -> None:
-        """Dispatch events in order until the queue empties."""
+        """Dispatch events in order until the heap and the lane empty."""
 
         queue = self._queue
+        lane = self._lane
         pop = heappop
+        popleft = lane.popleft
         handlers = self._handlers
         observe = self._observe
-        while queue:
-            entry = pop(queue)
-            fire_at, _, target, payload = entry
-            self._clock = fire_at
+        while True:
+            if lane:
+                entry = popleft()
+            elif queue:
+                entry = pop(queue)
+                clock = self._clock = entry[0]
+                while queue and queue[0][0] == clock:
+                    lane.append(pop(queue))
+            else:
+                break
+            _, _, target, payload = entry
             if observe is not None:
                 observe(SimEvent._make(entry))
             try:

@@ -295,6 +295,14 @@ def write_canonical(
     return len(data.encode("utf-8"))
 
 
+#: Value-to-member tables for the enum fields of a canonical line: a dict
+#: lookup costs a fraction of an Enum call.  A value missing from a table
+#: falls back to the Enum call, which raises the Enum's own ``ValueError``.
+_ORIGINS = {m.value: m for m in Origin}
+_OPS = {m.value: m for m in Op}
+_MODES = {m.value: m for m in AccessMode}
+
+
 def read_canonical(source: str | Path | IO[str]) -> list[CanonicalRequest]:
     """Read a canonical trace; exact inverse of :func:`write_canonical`."""
 
@@ -319,13 +327,13 @@ def read_canonical(source: str | Path | IO[str]) -> list[CanonicalRequest]:
             requests.append(
                 CanonicalRequest(
                     issue_time_us=int(parts[0]),
-                    origin=Origin(parts[1]),
-                    op=Op(parts[2]),
+                    origin=_ORIGINS.get(parts[1]) or Origin(parts[1]),
+                    op=_OPS.get(parts[2]) or Op(parts[2]),
                     file_id=int(parts[3]),
                     file_offset_bytes=int(parts[4]),
                     length_bytes=int(parts[5]),
                     disk_byte_addr=int(parts[6]),
-                    mode=AccessMode(parts[7]),
+                    mode=_MODES.get(parts[7]) or AccessMode(parts[7]),
                 )
             )
         except ValueError as exc:

@@ -4,6 +4,9 @@ Each generator owns one PRNG (PCG64 seeded through ``SeedSequence(seed)``)
 and draws, per request, in a fixed order: inter-arrival gap, operation,
 size, then address.  That seed-to-stream mapping is part of the public
 contract; golden-file tests depend on it staying stable.
+
+numpy is imported by :func:`generate` on its first call, so a process that
+only replays a trace never loads it.
 """
 
 from __future__ import annotations
@@ -11,11 +14,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .requests import AccessMode, CanonicalRequest, Op, Origin
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class InvalidParams(ValueError):
@@ -179,6 +183,8 @@ def generate(spec: GeneratorSpec) -> list[CanonicalRequest]:
 
     if spec.count == 0:
         return []
+    import numpy as np
+
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(spec.seed)))
     requests: list[CanonicalRequest] = []
     clock = spec.start_time_us

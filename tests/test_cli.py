@@ -414,6 +414,9 @@ HUGE_WEIGHTS = CONFIG.replace(
             ({"--trace": CANONICAL_TRACE.replace(*change)}, [], CONFIG, f"trace.txt: line 3: {message}")
             for change, message in (
                 (("10 APP", "10 BOGUS"), "'BOGUS' is not a valid Origin"),
+                (("10 APP READ", "10 APP read"), "'read' is not a valid Op"),
+                # Fields are checked in line order: the origin before the op.
+                (("10 APP READ", "10 BOGUS read"), "'BOGUS' is not a valid Origin"),
                 (("10 APP", "x APP"), "invalid literal for int() with base 10: 'x'"),
                 (("10 APP", "-5 APP"), "issue_time_us must be >= 0"),
                 (("65536 0 NORMAL", "65536 0 normal"), "'normal' is not a valid AccessMode"),
@@ -525,6 +528,8 @@ HUGE_WEIGHTS = CONFIG.replace(
         "trace-not-utf8",
         "baseline-not-utf8",
         "trace-bad-origin",
+        "trace-bad-op",
+        "trace-bad-origin-before-op",
         "trace-bad-issue-time",
         "trace-negative-issue-time",
         "trace-bad-mode",

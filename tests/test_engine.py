@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from iostack import PastEvent, Simulator, StageFault, StageId, engine
+from iostack import PastEvent, SimEvent, Simulator, StageFault, StageId, engine
 from iostack.engine import UnknownStage
 
 #: Request path in stack order; completions travel the reverse way.
@@ -202,3 +204,142 @@ class TestTopologyWalk:
             return "".join(e.describe() + "\n" for e in seen)
 
         assert run_once() == run_once()
+
+
+class HeapOnlySimulator:
+    """The simulator as it was before events due now got their own lane.
+
+    One heap holds every event; its dispatch order is the reference the
+    laned ``Simulator`` must match.
+    """
+
+    def __init__(self, observe=None) -> None:
+        self._queue = []
+        self._handlers = {}
+        self._clock = 0
+        self._seq = 0
+        self._observe = observe
+
+    def now(self) -> int:
+        return self._clock
+
+    @property
+    def dispatched(self) -> int:
+        return self._seq - len(self._queue)
+
+    def register(self, stage, handler) -> None:
+        self._handlers[stage] = handler
+
+    def schedule(self, target, payload, at_us=None) -> None:
+        fire_at = self._clock if at_us is None else at_us
+        if fire_at < self._clock:
+            raise PastEvent(f"cannot schedule at t={fire_at} when clock is t={self._clock}")
+        if target not in self._handlers:
+            raise UnknownStage(f"no handler registered for stage {target.value}")
+        heappush(self._queue, (fire_at, self._seq, target, payload))
+        self._seq += 1
+
+    def schedule_after(self, target, payload, delay_us) -> None:
+        self.schedule(target, payload, self._clock + delay_us)
+
+    def run(self) -> None:
+        queue = self._queue
+        pop = heappop
+        handlers = self._handlers
+        observe = self._observe
+        while queue:
+            entry = pop(queue)
+            fire_at, _, target, payload = entry
+            self._clock = fire_at
+            if observe is not None:
+                observe(SimEvent._make(entry))
+            try:
+                handlers[target](self, payload)
+            except Exception as exc:
+                raise StageFault(SimEvent._make(entry), exc) from exc
+
+
+#: How a handler schedules: at the clock three ways, later two ways, or in
+#: the past (``PastEvent``, checked before an unregistered target's
+#: ``UnknownStage``).
+WHEN = ("now", "at_clock", "after_0", "at_later", "after_later", "past")
+
+#: One scheduling step: target stage index, how, and the delay when later.
+steps = st.tuples(st.integers(0, len(STAGE_ORDER) - 1), st.sampled_from(WHEN), st.integers(1, 4))
+
+
+def run_program(make, registered: int, rounds, program, budget: int = 150):
+    """Everything a run of ``program`` shows: its dispatches, counts and fault.
+
+    The first ``registered`` stages get handlers; a target beyond them is
+    unknown.  Each round schedules its ``(stage, at_us)`` list from outside
+    and runs; the k-th handler call performs ``program[k % len(program)]``
+    until ``budget`` events were scheduled.
+    """
+
+    trace = []
+    sim = make(lambda e: trace.append((e.fire_at_us, e.seq, e.target, e.payload.label)))
+    made = [0]
+
+    def send(stage_index: int, how: str, delay: int) -> None:
+        target = STAGE_ORDER[stage_index]
+        token = Token(str(made[0]))
+        made[0] += 1
+        now = sim.now()
+        if how == "now":
+            sim.schedule(target, token)
+        elif how == "at_clock":
+            sim.schedule(target, token, at_us=now)
+        elif how == "after_0":
+            sim.schedule_after(target, token, 0)
+        elif how == "at_later":
+            sim.schedule(target, token, at_us=now + delay)
+        elif how == "after_later":
+            sim.schedule_after(target, token, delay)
+        else:
+            sim.schedule(target, token, at_us=now - delay)
+
+    calls = [0]
+
+    def handler(s, payload) -> None:
+        trace.append(("dispatched", s.dispatched, s.now()))
+        actions = program[calls[0] % len(program)]
+        calls[0] += 1
+        for action in actions:
+            if made[0] >= budget:
+                return
+            send(*action)
+
+    for stage in STAGE_ORDER[:registered]:
+        sim.register(stage, handler)
+    fault = None
+    for starts in rounds:
+        for stage_index, at_us in starts:
+            sim.schedule(STAGE_ORDER[stage_index % registered], Token(str(made[0])), at_us=sim.now() + at_us)
+            made[0] += 1
+        try:
+            sim.run()
+        except StageFault as exc:
+            fault = (exc.event, type(exc.original), str(exc.original))
+            break
+    return trace, sim.dispatched, sim.now(), fault
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    registered=st.integers(1, len(STAGE_ORDER)),
+    rounds=st.lists(
+        st.lists(st.tuples(st.integers(0, 4), st.integers(0, 3)), min_size=1, max_size=6),
+        min_size=1,
+        max_size=3,
+    ),
+    program=st.lists(st.lists(steps, max_size=3), min_size=1, max_size=6),
+)
+def test_lane_dispatches_as_the_heap_only_simulator(registered, rounds, program):
+    # Ties, scheduling at the clock (implicitly, explicitly and with a zero
+    # delay) and later, from several stages, with unknown targets and past
+    # times raising inside handlers: the same events in the same order, the
+    # same ``dispatched`` count at every handler call and at the end, and
+    # the same fault.
+    laned = run_program(Simulator, registered, rounds, program)
+    assert laned == run_program(HeapOnlySimulator, registered, rounds, program)

@@ -11,6 +11,30 @@ from hypothesis import given, strategies as st
 from iostack import AccessMode, GeneratorSpec, InvalidParams, Op, generate, sample, write_canonical
 from iostack.workload import SEQUENTIAL_ADDRESSES, DistSpec, aligned_choices
 
+# The seed-to-stream mapping is a public contract (PCG64 through
+# SeedSequence, draws per request in the order inter-arrival, op, size,
+# address).  This frozen output must never change across releases.
+GOLDEN_SPEC = GeneratorSpec(
+    count=6,
+    seed=20240501,
+    inter_arrival_us=DistSpec.exponential(500),
+    size_bytes=DistSpec.uniform(512, 131072),
+    read_weight=1,
+    write_weight=1,
+)
+GOLDEN_STREAM = (
+    "#iostack-trace v1 cluster_bytes=4096\n"
+    "#issue_us origin op file_id offset_bytes length_bytes disk_byte_addr mode\n"
+    "0 APP OPEN 0 0 0 0 NORMAL\n"
+    "118 APP READ 0 0 3584 0 NORMAL\n"
+    "155 APP READ 0 3584 49664 3584 NORMAL\n"
+    "319 APP READ 0 53248 77312 53248 NORMAL\n"
+    "474 APP READ 0 130560 26624 130560 NORMAL\n"
+    "475 APP WRITE 0 157184 52224 157184 NORMAL\n"
+    "1245 APP READ 0 209408 111104 209408 NORMAL\n"
+    "1245 APP CLOSE 0 0 0 0 NORMAL\n"
+)
+
 
 def rng(seed: int = 1) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
@@ -141,32 +165,9 @@ class TestGenerate:
             assert r.disk_byte_addr == (1 << 20) + r.file_offset_bytes
 
     def test_golden_stream_pins_seed_to_stream_mapping(self):
-        # The seed-to-stream mapping is a public contract (PCG64 through
-        # SeedSequence, draws per request in the order inter-arrival, op,
-        # size, address).  This frozen output must never change across
-        # releases.
-        spec = GeneratorSpec(
-            count=6,
-            seed=20240501,
-            inter_arrival_us=DistSpec.exponential(500),
-            size_bytes=DistSpec.uniform(512, 131072),
-            read_weight=1,
-            write_weight=1,
-        )
         sink = io.StringIO()
-        write_canonical(generate(spec), sink)
-        assert sink.getvalue() == (
-            "#iostack-trace v1 cluster_bytes=4096\n"
-            "#issue_us origin op file_id offset_bytes length_bytes disk_byte_addr mode\n"
-            "0 APP OPEN 0 0 0 0 NORMAL\n"
-            "118 APP READ 0 0 3584 0 NORMAL\n"
-            "155 APP READ 0 3584 49664 3584 NORMAL\n"
-            "319 APP READ 0 53248 77312 53248 NORMAL\n"
-            "474 APP READ 0 130560 26624 130560 NORMAL\n"
-            "475 APP WRITE 0 157184 52224 157184 NORMAL\n"
-            "1245 APP READ 0 209408 111104 209408 NORMAL\n"
-            "1245 APP CLOSE 0 0 0 0 NORMAL\n"
-        )
+        write_canonical(generate(GOLDEN_SPEC), sink)
+        assert sink.getvalue() == GOLDEN_STREAM
 
     @given(seed=st.integers(0, 2**31), count=st.integers(1, 30))
     def test_sequential_address_closure(self, seed, count):
