@@ -139,6 +139,8 @@ class SeekProfile:
         return self.read_min_us, self.read_avg_us, self.read_max_us
 
     def __post_init__(self) -> None:
+        if min(*self.triple(False), *self.triple(True), self.head_switch_us) < 0:
+            raise ValueError("seek and head-switch times must be >= 0")
         for write in (False, True):
             lo, mid, hi = self.triple(write)
             if not lo <= mid <= hi:

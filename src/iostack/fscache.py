@@ -5,9 +5,10 @@ Reads follow one of two speculative algorithms depending on access mode and
 request size; writes fall into a progressive regime (cache only, drained
 continuously) or a periodic one (part cache, part direct to disk, bulk
 flush when the working set fills).  The planner here turns one request plus
-cache state into an ordered list of ios that the replay stage issues on
-the event engine, and lists the request as a waiter of each block it
-needs that another request is loading.
+cache state into an ordered list of ios, and lists the request as a waiter
+of each block it needs that another request is loading.  The cache also
+takes each request to completion and returns what the replay stage sends,
+each with its delay from now, so it never reads the engine's clock.
 
 Cache state is keyed by absolute disk position rather than in-file offsets:
 captured traces report per-run relative displacements, so the disk address
@@ -17,14 +18,17 @@ workloads.
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import zip_longest
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .diskcache import TagMap, TagRun, TagRuns, uncovered_runs
 from .requests import SECTOR_BYTES, AccessMode, CanonicalRequest, Op, sector_range
+
+if TYPE_CHECKING:
+    from .replay import RequestMsg
 
 BLOCK_BYTES = 65_536
 VIEW_BYTES = 262_144
@@ -97,6 +101,9 @@ class FsCacheConfig:
         for name in ("memcopy_bytes_per_us", "cache_capacity_bytes"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        for name in ("fastio_hit_cost_us", "miss_path_cost_us", "metadata_disk_addr"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
         if self.working_set_bytes <= RESERVE_CONSTANT_BYTES:
             raise ValueError(
                 f"working_set_bytes must exceed the {RESERVE_CONSTANT_BYTES}-byte reserve"
@@ -153,7 +160,7 @@ def periodic_period_length(block_count: int) -> int:
 
 @dataclass(slots=True)
 class IoMsg:
-    """One disk-bound io from plan to done; ``FsStage`` stamps its ids at issue."""
+    """One disk-bound io from plan to done; ``FsStage`` stamps its id at issue."""
 
     write: bool
     disk_addr: int
@@ -182,6 +189,24 @@ class IoMsg:
         )
 
 
+class Signal(Enum):
+    """FS_CACHE's inputs without a payload; the value is (kind, detail)."""
+
+    FLUSH_TICK = ("flush-tick", "progressive")
+    DRAIN = ("drain", "end-of-stream")
+
+    @property
+    def kind(self) -> str:
+        return self.value[0]
+
+    def detail(self) -> str:
+        return self.value[1]
+
+
+#: A message to send and its delay from now, in microseconds.
+Send = tuple[int, "IoMsg | RequestMsg | Signal"]
+
+
 @dataclass
 class Plan:
     """Outcome of planning one request against the cache state."""
@@ -191,12 +216,7 @@ class Plan:
     waits: int = 0
     copy_bytes: int = 0
     hit: bool = False
-    metadata_after_data: bool = False
     kick_progressive: bool = False
-
-    @property
-    def required_ios(self) -> list[IoMsg]:
-        return [io for io in self.ios if io.purpose.required]
 
 
 @dataclass
@@ -211,7 +231,7 @@ class FileStream:
 
 
 class FsCache:
-    """Mutable cache state plus pure per-request planning."""
+    """Mutable cache state, per-request planning and each request's progress."""
 
     def __init__(self, config: FsCacheConfig, file_extents: dict[int, int] | None = None):
         self.config = config
@@ -228,11 +248,95 @@ class FsCache:
         self.resident_bytes = 0
         self.flush_ordinals: list[int] = []
         self.write_splits: list[tuple[int, int, int]] = []
+        #: Admitted requests still awaiting ios, loading blocks or a metadata write.
+        self.pending: dict[int, RequestMsg] = {}
+        #: Requests received while the write-through gate is shut, in arrival order.
+        self.deferred: deque[RequestMsg] = deque()
+        #: The write-through request whose metadata write holds back the rest.
+        self.wt_gate: int | None = None
+        #: The progressive chain runs: each completed FLUSH io sends a tick.
+        self.progressive_running = False
 
-    def on_open(self, file_id: int) -> None:
-        """A fresh handle: the file's speculation state restarts."""
+    # -- request progress ---------------------------------------------------
 
-        self.streams.pop(file_id, None)
+    def receive(self, msg: RequestMsg | IoMsg | Signal) -> list[Send]:
+        """Take one FS_CACHE input; returns its ``(delay_us, message)`` sends, in order:
+        ios for the scheduler, done requests for the application, ``FLUSH_TICK`` here.
+        """
+
+        sends: list[Send] = []
+        match msg:
+            case IoMsg(block_key=key, request_id=rid):
+                if key is not None:
+                    for waiter in self.on_block_loaded(key):
+                        self._settle(waiter, sends)
+                if msg.purpose is FLUSH and self.progressive_running:
+                    sends.append((0, Signal.FLUSH_TICK))
+                if rid is not None:
+                    self._settle(rid, sends)
+            case Signal.FLUSH_TICK:
+                ios = self.next_progressive_flush()
+                if not ios:
+                    self.progressive_running = False
+                sends += [(0, io) for io in ios]
+            case Signal.DRAIN:
+                sends += [(0, io) for io in self.flush_all()]
+            case _ if self.wt_gate is not None:
+                self.deferred.append(msg)
+            case _:
+                self._admit(msg, sends)
+        return sends
+
+    def _admit(self, msg: RequestMsg, sends: list[Send]) -> None:
+        req, rid = msg.request, msg.request_id
+        cfg = self.config
+        if req.op in (Op.OPEN, Op.CLOSE):
+            if req.op is Op.OPEN:
+                self.streams.pop(req.file_id, None)  # a fresh handle: speculation restarts
+            # Opening or closing a handle takes no simulated time.
+            sends.append((0, msg))
+            return
+        if req.length_bytes == 0:
+            sends.append((cfg.fastio_hit_cost_us, msg))
+            return
+
+        plan = self.on_read(req, rid) if req.op is Op.READ else self.on_write(req, rid)
+        required = [io for io in plan.ios if io.purpose.required]
+        for io in required:
+            io.request_id = rid  # required ios, and only they, carry their request
+        msg.awaited = len(required) + plan.waits + (self.wt_gate == rid)
+        msg.copy_us = cfg.copy_us(plan.copy_bytes)
+        miss_us = cfg.miss_path_cost_us if required else 0
+        # The working-set flush leaves at once: only the request's own ios
+        # take its miss path (ROADMAP item 1, class C).
+        sends += [(0 if io.purpose is FLUSH else miss_us, io) for io in plan.ios]
+        if plan.kick_progressive and not self.progressive_running:
+            self.progressive_running = True
+            sends.append((0, Signal.FLUSH_TICK))
+        if msg.awaited:
+            self.pending[rid] = msg
+        else:
+            # No io, or only optional ones (prefetch/flush): serve from cache now.
+            sends.append((cfg.fastio_hit_cost_us + msg.copy_us, msg))
+
+    def _settle(self, rid: int, sends: list[Send]) -> None:
+        """One io or block that request ``rid`` awaited has arrived."""
+
+        msg = self.pending[rid]
+        msg.awaited -= 1
+        if msg.awaited == 1 and self.wt_gate == rid:
+            # The data is on the media: only the metadata write is left.
+            metadata = self.metadata_io()
+            metadata.request_id = rid
+            sends.append((0, metadata))
+        if msg.awaited:
+            return
+        del self.pending[rid]
+        sends.append((msg.copy_us, msg))
+        if self.wt_gate == rid:
+            self.wt_gate = None
+            while self.deferred and self.wt_gate is None:
+                self._admit(self.deferred.popleft(), sends)
 
     # -- residency ----------------------------------------------------------
 
@@ -398,7 +502,7 @@ class FsCache:
             plan.ios = demand_ios
 
         stream.last_end = end
-        plan.hit = not plan.required_ios and not plan.waits
+        plan.hit = not demand_ios and not plan.waits
         return plan
 
     # -- writes ---------------------------------------------------------------
@@ -445,9 +549,10 @@ class FsCache:
         start, length = req.disk_byte_addr, req.length_bytes
         if req.mode is AccessMode.WRITE_THROUGH:
             # Copy to cache block by block, push the data through to media,
-            # then update the file's metadata before admitting the next
-            # request.
-            plan = Plan(copy_bytes=length, metadata_after_data=True)
+            # then update the file's metadata: the gate admits no request
+            # until then.
+            self.wt_gate = tag
+            plan = Plan(copy_bytes=length)
             for addr, lo, hi in self._block_spans(start, length):
                 self.mark_resident(req.file_id, addr)
                 plan.ios.append(

@@ -8,21 +8,22 @@ disk stage serializes media operations against the mechanical model while
 keeping the written sectors' tags as runs for conservation checks.
 
 Each fact has one owner: ``FsCache`` holds fs residency, the dirty blocks,
-each file's speculation state and the loading blocks with the requests
-waiting for each (``inflight``), which it registers when it plans a read; a
-request's ``RequestMsg`` its issue time and how many ios and blocks it still
-awaits, an io's ``IoMsg.request_id`` the request it serves, and
-``SegmentedCache`` the drive segments, the in-flight and queued fills
-(``outstanding_fills``, ``fill_ranges``), the acknowledged writes in arrival
-order (``writes``), the destage slot, the runs the held read still awaits
-and the disk end no media read passes.  The cache plans every media op as
-its ``MediaMsg`` and decides every acknowledgement; ``DiskCacheStage`` only
-stamps and sends what it returns.  The scheduler's ``PendingQueue`` holds
-each queued ``IoMsg`` and ``SchedulerStage.inflight`` the one at the drive,
-which the cache also holds while its acknowledgement waits for media data
-or a free segment; a write-through write waits on its ``MediaMsg.host``
-instead.  ``DiskStage.queue`` holds the media ops in arrival order; its head
-is the op being served.
+each file's speculation state, the loading blocks with the requests waiting
+for each (``inflight``), the pending and deferred requests, the
+write-through gate and the progressive chain's state; a request's
+``RequestMsg`` its issue time and how many ios and blocks it still awaits,
+an io's ``IoMsg.request_id`` the request it serves, and ``SegmentedCache``
+the drive segments, the in-flight and queued fills (``outstanding_fills``,
+``fill_ranges``), the acknowledged writes in arrival order (``writes``),
+the destage slot, the runs the held read still awaits and the disk end no
+media read passes.  ``FsCache`` decides every io and request completion,
+and ``SegmentedCache`` every media op and acknowledgement; ``FsStage`` and
+``DiskCacheStage`` only stamp and send what they return.  The scheduler's
+``PendingQueue`` holds each queued ``IoMsg`` and ``SchedulerStage.inflight``
+the one at the drive, which the cache also holds while its acknowledgement
+waits for media data or a free segment; a write-through write waits on its
+``MediaMsg.host`` instead.  ``DiskStage.queue`` holds the media ops in
+arrival order; its head is the op being served.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from enum import Enum
 from .diskcache import DiskCacheConfig, MediaMsg, SegmentedCache, TagMap
 from .disk import DiskGeometry, HeadState, SeekProfile, cylinder_of_byte, service
 from .engine import EventLog, Observer, Payload, Simulator, StageId
-from .fscache import FLUSH, FsCache, FsCacheConfig, IoMsg
+from .fscache import FsCache, FsCacheConfig, IoMsg, Signal
 from .requests import (
     CanonicalRequest,
     Op,
@@ -80,10 +81,10 @@ class StackConfig:
 # done form returns the same way.  DISK_CACHE sends MediaMsg to DISK, which
 # times each op with its finished form and returns its done form.  Signals go
 # to FS_CACHE: FLUSH_TICK from itself, DRAIN from APP after the last request.
-# ``IoMsg`` lives in ``fscache`` and ``MediaMsg`` in ``diskcache``, whose
-# planners make them.  Each message is one object from issue to done: its done
-# or finished form is the same object with its flag set, so an observer reads
-# each event when it is dispatched.
+# ``IoMsg`` and ``Signal`` live in ``fscache`` and ``MediaMsg`` in
+# ``diskcache``, whose models make them.  Each message is one object from
+# issue to done: its done or finished form is the same object with its flag
+# set, so an observer reads each event when it is dispatched.
 
 
 @dataclass(slots=True)
@@ -109,20 +110,6 @@ class RequestMsg:
             f"req={self.request_id} op={r.op.value} mode={r.mode.value} "
             f"addr={r.disk_byte_addr} bytes={r.length_bytes}"
         )
-
-
-class Signal(Enum):
-    """Messages without a payload; the value is (kind, detail)."""
-
-    FLUSH_TICK = ("flush-tick", "progressive")
-    DRAIN = ("drain", "end-of-stream")
-
-    @property
-    def kind(self) -> str:
-        return self.value[0]
-
-    def detail(self) -> str:
-        return self.value[1]
 
 
 # -- stages -------------------------------------------------------------------
@@ -190,115 +177,26 @@ class AppStage:
 
 
 class FsStage:
-    """Executes file-system cache plans and tracks request completion."""
+    """File-system cache: sends what ``FsCache.receive`` returns, in order and
+    each at its delay from now, numbering each io and marking each request done."""
 
-    def __init__(self, sim: Simulator, fs: FsCache):
-        self.sim = sim
+    def __init__(self, fs: FsCache):
         self.fs = fs
-        self.pending: dict[int, RequestMsg] = {}
-        self.deferred: deque[RequestMsg] = deque()
-        #: The write-through request whose metadata write holds back the rest.
-        self.wt_gate: int | None = None
-        self.progressive_running = False
         self._io_seq = 0
 
-    def _issue(self, io: IoMsg, request_id: int | None, at_us: int) -> None:
-        self._io_seq += 1
-        io.io_id = self._io_seq
-        io.request_id = request_id
-        self.sim.schedule(StageId.SCHEDULER, io, at_us=at_us)
-
     def handle(self, sim: Simulator, payload: Payload) -> None:
-        match payload:
-            case RequestMsg() as msg if self.wt_gate is not None:
-                self.deferred.append(msg)
-            case RequestMsg() as msg:
-                self._admit(msg)
-            case IoMsg() as msg:
-                self._io_done(msg)
-            case Signal.FLUSH_TICK:
-                self._progressive_step()
-            case Signal.DRAIN:
-                for io in self.fs.flush_all():
-                    self._issue(io, None, sim.now())
-
-    # -- request admission ----------------------------------------------------
-
-    def _admit(self, msg: RequestMsg) -> None:
-        req, rid = msg.request, msg.request_id
-        cfg = self.fs.config
-        now = self.sim.now()
-        if req.op in (Op.OPEN, Op.CLOSE):
-            if req.op is Op.OPEN:
-                self.fs.on_open(req.file_id)
-            # Opening or closing a handle takes no simulated time.
-            self._complete(msg, at_us=now)
-            return
-        if req.length_bytes == 0:
-            self._complete(msg, at_us=now + cfg.fastio_hit_cost_us)
-            return
-
-        plan = self.fs.on_read(req, rid) if req.op is Op.READ else self.fs.on_write(req, rid)
-        required = len(plan.required_ios)
-        msg.awaited = required + plan.waits + plan.metadata_after_data
-        msg.copy_us = cfg.copy_us(plan.copy_bytes)
-        issue_at = now + (cfg.miss_path_cost_us if required else 0)
-        for io in plan.ios:
-            # The working-set flush leaves at once: only the request's own
-            # ios take its miss path (ROADMAP item 1, class C).
-            at = now if io.purpose is FLUSH else issue_at
-            self._issue(io, rid if io.purpose.required else None, at)
-        if plan.metadata_after_data:
-            self.wt_gate = rid
-        if plan.kick_progressive and not self.progressive_running:
-            self.progressive_running = True
-            self.sim.schedule(StageId.FS_CACHE, Signal.FLUSH_TICK)
-        if msg.awaited:
-            self.pending[rid] = msg
-        else:
-            # No io, or only optional ones (prefetch/flush): serve from cache now.
-            self._complete(msg, at_us=now + cfg.fastio_hit_cost_us + msg.copy_us)
-
-    def _complete(self, msg: RequestMsg, at_us: int) -> None:
-        msg.done = True
-        self.sim.schedule(StageId.APP, msg, at_us=at_us)
-
-    # -- io completions ----------------------------------------------------------
-
-    def _io_done(self, msg: IoMsg) -> None:
-        if msg.block_key is not None:
-            for rid in self.fs.on_block_loaded(msg.block_key):
-                self._settle(rid)
-        if msg.purpose is FLUSH and self.progressive_running:
-            self.sim.schedule(StageId.FS_CACHE, Signal.FLUSH_TICK)
-        # Required ios, and only they, carry the request they serve.
-        if msg.request_id is not None:
-            self._settle(msg.request_id)
-
-    def _settle(self, rid: int) -> None:
-        """One io or block that request ``rid`` awaited has arrived."""
-
-        msg = self.pending[rid]
-        msg.awaited -= 1
-        if msg.awaited == 1 and self.wt_gate == rid:
-            # The data is on the media: only the metadata write is left.
-            self._issue(self.fs.metadata_io(), rid, self.sim.now())
-        if msg.awaited:
-            return
-        del self.pending[rid]
-        self._complete(msg, at_us=self.sim.now() + msg.copy_us)
-        if self.wt_gate == rid:
-            self.wt_gate = None
-            while self.deferred and self.wt_gate is None:
-                self._admit(self.deferred.popleft())
-
-    def _progressive_step(self) -> None:
-        ios = self.fs.next_progressive_flush()
-        if not ios:
-            self.progressive_running = False
-            return
-        for io in ios:
-            self._issue(io, None, self.sim.now())
+        now = sim.now()
+        for delay_us, msg in self.fs.receive(payload):
+            match msg:
+                case IoMsg():
+                    self._io_seq += 1
+                    msg.io_id = self._io_seq
+                    sim.schedule(StageId.SCHEDULER, msg, now + delay_us)
+                case RequestMsg():
+                    msg.done = True
+                    sim.schedule(StageId.APP, msg, now + delay_us)
+                case Signal():
+                    sim.schedule(StageId.FS_CACHE, msg, now + delay_us)
 
 
 class SchedulerStage:
@@ -443,7 +341,7 @@ class ReplayDiverged(TraceReplayError):
 
 
 def _held_work(
-    fs_stage: FsStage,
+    fs: FsCache,
     sched_stage: SchedulerStage,
     cache: SegmentedCache,
     disk_stage: DiskStage,
@@ -457,9 +355,9 @@ def _held_work(
     held = cache.held
     held_what = "deferred write ios" if held and held.write else "host read ios"
     holders = (
-        ("fs cache", "requests", sorted(fs_stage.pending)),
-        ("fs cache", "deferred requests", [m.request_id for m in fs_stage.deferred]),
-        ("fs cache", "dirty blocks", list(fs_stage.fs.dirty_blocks)),
+        ("fs cache", "requests", sorted(fs.pending)),
+        ("fs cache", "deferred requests", [m.request_id for m in fs.deferred]),
+        ("fs cache", "dirty blocks", list(fs.dirty_blocks)),
         ("scheduler", "queued ios", [m.io_id for m in sched_stage.queue]),
         ("drive cache", held_what, [held.io_id] if held else []),
         ("drive cache", "fill ranges", list(cache.fill_ranges)),
@@ -530,7 +428,7 @@ def replay(
     fs = FsCache(stack.fs, file_extents(effective))
     cache = SegmentedCache(stack.cache, stack.geometry.usable_sectors)
     app = AppStage(effective, policy)
-    fs_stage = FsStage(sim, fs)
+    fs_stage = FsStage(fs)
     sched_stage = SchedulerStage(sim, stack.scheduler_policy, stack.geometry)
     cache_stage = DiskCacheStage(cache)
     disk_stage = DiskStage(sim, stack.geometry, stack.seek)
@@ -543,7 +441,7 @@ def replay(
 
     app.start(sim)
     sim.run()
-    held = _held_work(fs_stage, sched_stage, cache, disk_stage)
+    held = _held_work(fs, sched_stage, cache, disk_stage)
     if len(app.records) != len(effective) or held:
         raise StallError(
             f"event queue ran dry after {len(app.records)} of {len(effective)} requests "

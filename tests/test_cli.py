@@ -317,6 +317,22 @@ INPUT_FILES = {"--baseline": "base.txt", "--trace": "trace.txt"}
 #: ``[workload]`` keys that place a request in time or on the disk.
 NON_NEGATIVE_KEYS = ("address_base", "disk_base_bytes", "start_time_us")
 
+SEEK_MESSAGE = "disk: seek and head-switch times must be >= 0"
+#: Negative stack times and addresses, with their test ids and messages.  A
+#: negative seek or head switch used to run and charge negative time, a
+#: negative fs cost to fail in FS_CACHE on an event in the past (or, a few
+#: microseconds below zero, to run with wrong latencies), and a negative
+#: metadata address to fail at SCHEDULER.
+NEGATIVE_STACK_VALUES = {
+    "negative-seek-read-min": ("disk.seek_read_min_us", "-400", SEEK_MESSAGE),
+    "negative-seek-write-min": ("disk.seek_write_min_us", "-400", SEEK_MESSAGE),
+    "negative-head-switch": ("disk.head_switch_us", "-400", SEEK_MESSAGE),
+    "negative-miss-path-cost": ("os.miss_path_cost_us", "-50", "os: miss_path_cost_us must be >= 0"),
+    "negative-fastio-cost": ("os.fastio_hit_cost_us", "-100", "os: fastio_hit_cost_us must be >= 0"),
+    "small-negative-fastio-cost": ("os.fastio_hit_cost_us", "-3", "os: fastio_hit_cost_us must be >= 0"),
+    "negative-metadata-addr": ("os.metadata_disk_addr", "-4096", "os: metadata_disk_addr must be >= 0"),
+}
+
 #: A canonical trace of one file: open it, read a block, write into the next.
 CANONICAL_TRACE = (
     "#iostack-trace v1 cluster_bytes=4096\n"
@@ -505,6 +521,10 @@ HUGE_WEIGHTS = CONFIG.replace(
             CONFIG.replace("size_bytes = constant:65536", "size_bytes_clamp = 0:100"),
             "sim.ini: workload.size_bytes_clamp: clamps only a distribution set in the same section",
         ),
+        *(
+            ({}, [], with_bad_value(key, value), f"sim.ini: {message}")
+            for key, value, message in NEGATIVE_STACK_VALUES.values()
+        ),
     ],
     ids=[
         "baseline-header",
@@ -549,6 +569,7 @@ HUGE_WEIGHTS = CONFIG.replace(
         "skew-not-below-track",
         "spares-beyond-zone",
         "clamp-without-distribution",
+        *NEGATIVE_STACK_VALUES,
     ],
 )
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, files, extra, config, message):

@@ -103,11 +103,13 @@ def observer(log):
     other io reaches DISK_CACHE.  At every event the io the drive cache holds
     is the scheduler's in-flight io, and it is a read if and only if the cache
     still awaits media data for it.  Every request waiting for a loading
-    fs block is pending and still awaits at least those blocks; each segment
-    counts its queued writes, and a queued write's segment is dirty.  The
-    scheduler queue holds the very ios that have reached SCHEDULER and not
-    yet DISK_CACHE, but for the one it has just handed on, and each
-    ``media-finish`` is the op at the head of the disk's FIFO.
+    fs block is pending and still awaits at least those blocks, a shut
+    write-through gate names a pending request, and no request is deferred
+    while the gate is open; each segment counts its queued writes, and a
+    queued write's segment is dirty.  The scheduler queue holds the very ios
+    that have reached SCHEDULER and not yet DISK_CACHE, but for the one it
+    has just handed on, and each ``media-finish`` is the op at the head of
+    the disk's FIFO.
     """
 
     at_drive = []
@@ -128,10 +130,12 @@ def observer(log):
         held = stage.cache.held
         assert held is None or held is sched.inflight, event.describe()
         assert (held is not None and not held.write) == bool(stage.cache.awaited), event.describe()
-        fs_stage = WatchedFsStage.current
-        waits = Counter(chain.from_iterable(fs_stage.fs.inflight.values()))
+        fs = WatchedFsStage.current.fs
+        waits = Counter(chain.from_iterable(fs.inflight.values()))
         for rid, blocks in waits.items():
-            assert fs_stage.pending[rid].awaited >= blocks, event.describe()
+            assert fs.pending[rid].awaited >= blocks, event.describe()
+        assert fs.wt_gate is None or fs.wt_gate in fs.pending, event.describe()
+        assert fs.wt_gate is not None or not fs.deferred, event.describe()
         writes = stage.cache.writes
         assert sum(s.pending_writes for s in stage.cache.segments) == len(writes)
         assert all(seg.dirty for seg, *_ in writes), event.describe()

@@ -15,15 +15,18 @@ from iostack.fscache import (
     PASSTHROUGH,
     PREFETCH,
     READAHEAD_WINDOW_FACTOR,
+    RESERVE_CONSTANT_BYTES,
     SYSTEM_ACTOR,
     WT_DATA,
     Purpose,
+    Signal,
     classify_write_regime,
     periodic_block_count,
     periodic_period_length,
     periodic_split,
     split_into_blocks,
 )
+from iostack.replay import RequestMsg
 
 KB = 1024
 BLOCK = 64 * KB
@@ -163,7 +166,7 @@ class TestPeriodicWrites:
     def test_write_through_plan(self):
         fs = FsCache(FsCacheConfig())
         plan = fs.on_write(write(0, 128 * KB, mode=AccessMode.WRITE_THROUGH), tag=0)
-        assert plan.metadata_after_data
+        assert fs.wt_gate == 0
         assert all(io.purpose.force_media for io in plan.ios)
         assert sum(io.nbytes for io in plan.ios) == 128 * KB
         meta = fs.metadata_io()
@@ -300,3 +303,102 @@ class TestEviction:
             fs.on_read(read(i * BLOCK, BLOCK, mode=AccessMode.NO_BUFFER), i)
             fs.on_write(write(i * BLOCK, BLOCK, mode=AccessMode.NO_BUFFER), tag=i)
         assert not fs.views
+
+
+def done(io):
+    """``io`` in the done form the scheduler returns to FS_CACHE."""
+
+    io.done = True
+    return io
+
+
+class TestRequestProgress:
+    """``FsCache.receive`` driven directly: each input's sends and their delays."""
+
+    def test_request_behind_the_gate_follows_the_metadata_completion(self):
+        fs = FsCache(FsCacheConfig())
+        wt = RequestMsg(0, write(0, BLOCK, mode=AccessMode.WRITE_THROUGH))
+        [(_, data)] = fs.receive(wt)
+        assert data.purpose is WT_DATA and fs.wt_gate == 0
+        later = RequestMsg(1, read(4 * BLOCK, BLOCK, mode=AccessMode.NO_BUFFER))
+        assert fs.receive(later) == []
+        assert list(fs.deferred) == [later]
+        [(_, metadata)] = fs.receive(done(data))
+        assert list(fs.deferred) == [later]
+        sends = fs.receive(done(metadata))
+        # The write-through request completes first; the deferred read is
+        # admitted behind it, in the same sends.
+        assert sends[0] == (fs.config.copy_us(BLOCK), wt)
+        assert [(d, io.purpose, io.request_id) for d, io in sends[1:]] == [
+            (fs.config.miss_path_cost_us, PASSTHROUGH, 1)
+        ]
+        assert fs.wt_gate is None and not fs.deferred and list(fs.pending) == [1]
+
+    def test_metadata_io_waits_for_the_last_data_io(self):
+        fs = FsCache(FsCacheConfig())
+        wt = RequestMsg(0, write(BLOCK // 2, 2 * BLOCK, mode=AccessMode.WRITE_THROUGH))
+        data = [io for _, io in fs.receive(wt)]
+        assert [io.purpose for io in data] == [WT_DATA] * 3
+        assert fs.receive(done(data[2])) == []
+        assert fs.receive(done(data[0])) == []
+        [(delay, metadata)] = fs.receive(done(data[1]))
+        assert (delay, metadata.purpose, metadata.request_id) == (0, METADATA, 0)
+        assert fs.pending[0].awaited == 1
+
+    def test_progressive_chain_starts_with_one_tick(self):
+        fs = FsCache(FsCacheConfig())
+        first = fs.receive(RequestMsg(0, write(0, BLOCK)))
+        assert [m for _, m in first if m is Signal.FLUSH_TICK] == [Signal.FLUSH_TICK]
+        assert fs.progressive_running
+        second = fs.receive(RequestMsg(1, write(BLOCK, BLOCK)))
+        assert Signal.FLUSH_TICK not in [m for _, m in second]
+        # Each tick sends one dirty block's flush at once, oldest first.
+        assert [(d, io.disk_addr) for d, io in fs.receive(Signal.FLUSH_TICK)] == [(0, 0)]
+
+    def test_tick_after_the_chain_stops_flushes_without_restarting_it(self):
+        fs = FsCache(FsCacheConfig())
+        fs.receive(RequestMsg(0, write(0, BLOCK)))
+        fs.receive(Signal.FLUSH_TICK)
+        assert fs.receive(Signal.FLUSH_TICK) == [] and not fs.progressive_running
+        # A periodic write dirties blocks without starting the chain.
+        sends = fs.receive(RequestMsg(1, write(BLOCK, 320 * KB)))
+        assert Signal.FLUSH_TICK not in [m for _, m in sends]
+        flush = fs.receive(Signal.FLUSH_TICK)
+        assert flush and all(io.purpose is FLUSH for _, io in flush)
+        assert not fs.progressive_running
+
+    def test_open_and_close_complete_at_once(self):
+        fs = FsCache(FsCacheConfig())
+        for op in (Op.OPEN, Op.CLOSE):
+            msg = RequestMsg(0, CanonicalRequest(0, Origin.APP, op, 0, 0, 0, 0, AccessMode.NORMAL))
+            assert fs.receive(msg) == [(0, msg)]
+
+    def test_zero_length_request_takes_the_fastio_cost(self):
+        fs = FsCache(FsCacheConfig(fastio_hit_cost_us=7))
+        msg = RequestMsg(0, read(0, 0))
+        assert fs.receive(msg) == [(7, msg)]
+
+    def test_hit_takes_fastio_and_copy(self):
+        cfg = FsCacheConfig(fastio_hit_cost_us=7, memcopy_bytes_per_us=1024)
+        fs = FsCache(cfg, {0: BLOCK})
+        fs.mark_resident(0, 0)
+        msg = RequestMsg(0, read(0, BLOCK))
+        assert fs.receive(msg) == [(7 + 64, msg)]
+
+    def test_read_miss_completes_after_its_copy(self):
+        cfg = FsCacheConfig(miss_path_cost_us=30, memcopy_bytes_per_us=1024)
+        fs = FsCache(cfg, {0: BLOCK})
+        msg = RequestMsg(0, read(0, BLOCK))
+        [(delay, io)] = fs.receive(msg)
+        assert (delay, io.purpose, io.request_id) == (30, DEMAND, 0)
+        assert fs.receive(done(io)) == [(64, msg)]
+        assert not fs.pending
+
+    def test_miss_sends_required_ios_after_the_miss_path_and_flush_ios_at_once(self):
+        # A 64 KB threshold: the first periodic write flushes what it cached.
+        cfg = FsCacheConfig(working_set_bytes=RESERVE_CONSTANT_BYTES + BLOCK, miss_path_cost_us=30)
+        fs = FsCache(cfg)
+        sends = fs.receive(RequestMsg(0, write(0, 320 * KB)))
+        delays = {(io.purpose, d) for d, io in sends}
+        assert delays == {(APP_DIRECT, 30), (FLUSH, 0)}
+        assert all((io.request_id == 0) is io.purpose.required for _, io in sends)
