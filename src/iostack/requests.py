@@ -36,7 +36,7 @@ class Origin(enum.Enum):
     SYSTEM = "SYSTEM"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class CanonicalRequest:
     """One normalized I/O request, the unit every stage of the stack consumes.
 
@@ -45,6 +45,10 @@ class CanonicalRequest:
     trace-derived requests); ``file_offset_bytes`` stays file-relative.  The
     caches key their state by disk address (see ``fscache``), so no stage
     reads the offset; the canonical trace format keeps it.
+
+    A trace load builds one instance per line, so ``__init__`` is written
+    out to check its arguments first and then set each field once.  Its
+    parameters must stay the fields, in order, with the same default.
     """
 
     issue_time_us: int
@@ -56,16 +60,35 @@ class CanonicalRequest:
     disk_byte_addr: int
     mode: AccessMode = AccessMode.NORMAL
 
-    def __post_init__(self) -> None:
-        if self.issue_time_us < 0:
+    def __init__(
+        self,
+        issue_time_us: int,
+        origin: Origin,
+        op: Op,
+        file_id: int,
+        file_offset_bytes: int,
+        length_bytes: int,
+        disk_byte_addr: int,
+        mode: AccessMode = AccessMode.NORMAL,
+    ) -> None:
+        if issue_time_us < 0:
             raise ValueError("issue_time_us must be >= 0")
-        if self.file_offset_bytes < 0 or self.length_bytes < 0:
+        if file_offset_bytes < 0 or length_bytes < 0:
             raise ValueError("offset and length must be >= 0")
-        if self.disk_byte_addr < 0:
+        if disk_byte_addr < 0:
             raise ValueError("disk_byte_addr must be >= 0")
+        setfield = object.__setattr__
+        setfield(self, "issue_time_us", issue_time_us)
+        setfield(self, "origin", origin)
+        setfield(self, "op", op)
+        setfield(self, "file_id", file_id)
+        setfield(self, "file_offset_bytes", file_offset_bytes)
+        setfield(self, "length_bytes", length_bytes)
+        setfield(self, "disk_byte_addr", disk_byte_addr)
+        setfield(self, "mode", mode)
 
 
-@dataclass
+@dataclass(slots=True)
 class RequestRecord:
     """Per-request outcome of a replay run."""
 

@@ -323,17 +323,20 @@ def read_canonical(source: str | Path | IO[str]) -> list[CanonicalRequest]:
         parts = line.split()
         if len(parts) != 8:
             raise CanonicalFormatError(f"line {lineno}: expected 8 fields, got {len(parts)}")
+        issue, origin, op, file_id, offset, length, addr, mode = parts
+        # The arguments are parsed in line order before the constructor runs
+        # its range checks, so the first bad field is the one reported.
         try:
             requests.append(
                 CanonicalRequest(
-                    issue_time_us=int(parts[0]),
-                    origin=_ORIGINS.get(parts[1]) or Origin(parts[1]),
-                    op=_OPS.get(parts[2]) or Op(parts[2]),
-                    file_id=int(parts[3]),
-                    file_offset_bytes=int(parts[4]),
-                    length_bytes=int(parts[5]),
-                    disk_byte_addr=int(parts[6]),
-                    mode=_MODES.get(parts[7]) or AccessMode(parts[7]),
+                    int(issue),
+                    _ORIGINS.get(origin) or Origin(origin),
+                    _OPS.get(op) or Op(op),
+                    int(file_id),
+                    int(offset),
+                    int(length),
+                    int(addr),
+                    _MODES.get(mode) or AccessMode(mode),
                 )
             )
         except ValueError as exc:

@@ -436,6 +436,11 @@ HUGE_WEIGHTS = CONFIG.replace(
                 (("10 APP", "x APP"), "invalid literal for int() with base 10: 'x'"),
                 (("10 APP", "-5 APP"), "issue_time_us must be >= 0"),
                 (("65536 0 NORMAL", "65536 0 normal"), "'normal' is not a valid AccessMode"),
+                (("READ 0 0 65536", "READ 0 -1 65536"), "offset and length must be >= 0"),
+                (("READ 0 0 65536", "READ 0 0 -65536"), "offset and length must be >= 0"),
+                (("65536 0 NORMAL", "65536 -1 NORMAL"), "disk_byte_addr must be >= 0"),
+                # Every field parses before the request checks its values.
+                (("10 APP", "-10 BOGUS"), "'BOGUS' is not a valid Origin"),
             )
         ),
         # configparser's message used to span two lines.
@@ -553,6 +558,10 @@ HUGE_WEIGHTS = CONFIG.replace(
         "trace-bad-issue-time",
         "trace-negative-issue-time",
         "trace-bad-mode",
+        "trace-negative-offset",
+        "trace-negative-length",
+        "trace-negative-disk-addr",
+        "trace-bad-origin-before-negative-time",
         "config-line-without-equals",
         "config-no-section-header",
         "config-form-feed-in-name",
