@@ -29,6 +29,17 @@ class Zone:
 
 @dataclass(frozen=True)
 class DiskGeometry:
+    """A zoned drive's layout: cylinders, heads, zones, spindle speed, skews and spares.
+
+    ``__post_init__`` checks the fields and builds, once per geometry, the
+    tables every media op reads, kept out of the fields: ``_zone_starts``
+    (each zone's first LBA, then the total usable sectors),
+    ``_zone_usable`` (each zone's usable sectors), ``_zone_tracks`` (each
+    zone's first cylinder, sectors per track and usable sectors) and
+    ``_period_us`` (the rotation period).  ``dataclasses.replace`` rebuilds
+    them; a copy or a pickle carries them.
+    """
+
     cylinders: int
     heads: int
     zones: tuple[Zone, ...]
@@ -58,11 +69,15 @@ class DiskGeometry:
             if self.spares_per_zone_tail >= total:
                 raise ValueError("spares exceed zone capacity")
             usable.append(total - self.spares_per_zone_tail)
-        # Zone tables, fixed with the frozen geometry and kept out of its
-        # fields: per zone, its usable sectors and first LBA, plus the total
-        # usable sectors as a final start.
-        object.__setattr__(self, "_zone_usable", tuple(usable))
-        object.__setattr__(self, "_zone_starts", tuple(accumulate(usable, initial=0)))
+        setfield = object.__setattr__
+        setfield(self, "_zone_usable", tuple(usable))
+        setfield(self, "_zone_starts", tuple(accumulate(usable, initial=0)))
+        setfield(
+            self,
+            "_zone_tracks",
+            tuple((z.first_cylinder, z.sectors_per_track, u) for z, u in zip(self.zones, usable)),
+        )
+        setfield(self, "_period_us", 60_000_000 / self.rpm)
 
     # -- zone arithmetic ---------------------------------------------------
 
@@ -76,7 +91,7 @@ class DiskGeometry:
 
     @property
     def rotation_period_us(self) -> float:
-        return 60_000_000 / self.rpm
+        return self._period_us
 
     def _zone_of_lba(self, lba: int) -> tuple[int, int]:
         """Zone index and the LBA where that zone starts."""
@@ -224,21 +239,31 @@ def service(
     by track.  The platter keeps rotating during seeks and switches, so with
     skews matched to the switch costs a sequential multi-track transfer
     incurs no extra revolution.
+
+    Each track is placed from the geometry's tables, built once with it:
+    ``_zone_starts``, ``_zone_tracks`` and ``_period_us``.  The loop computes
+    what ``DiskGeometry._track_place`` and ``rotational_wait`` compute, with
+    the same float operations in the same order.
     """
 
     if sectors <= 0:
         raise OutOfRange("sectors must be positive")
-    if lba + sectors > geometry.usable_sectors:
-        raise OutOfRange(
-            f"range [{lba}, {lba + sectors}) beyond usable {geometry.usable_sectors} sectors"
-        )
-    period = geometry.rotation_period_us
+    starts = geometry._zone_starts
+    if lba + sectors > starts[-1]:
+        raise OutOfRange(f"range [{lba}, {lba + sectors}) beyond usable {starts[-1]} sectors")
+    if lba < 0:
+        raise OutOfRange(f"lba {lba} is negative")
+    period = geometry._period_us
+    heads = geometry.heads
+    track_skew = geometry.track_skew_sectors
+    cylinder_skew = geometry.cylinder_skew_sectors
+    zones = geometry._zone_tracks
     t = float(arrival_us)
     # The head: its position, and the platter's phase at reference time ref.
     cylinder, head, angle, ref = state
-    zone_idx, zone_start = geometry._zone_of_lba(lba)
-    usable = geometry._zone_usable[zone_idx]
-    spt = geometry.zones[zone_idx].sectors_per_track
+    zone_idx = bisect_right(starts, lba) - 1
+    zone_start = starts[zone_idx]
+    first_cylinder, spt, usable = zones[zone_idx]
     remaining = sectors
     while remaining > 0:
         slot = lba - zone_start
@@ -247,19 +272,27 @@ def service(
             zone_idx += 1
             zone_start = lba
             slot = 0
-            usable = geometry._zone_usable[zone_idx]
-            spt = geometry.zones[zone_idx].sectors_per_track
+            first_cylinder, spt, usable = zones[zone_idx]
         track, logical = divmod(slot, spt)
         run = min(remaining, spt - logical, usable - slot)
-        to_cylinder, to_head, skew = geometry._track_place(zone_idx, track)
+        # Tracks run cylinder-major; the skew of a track's logical sector 0
+        # adds the track skew per head switch and the cylinder skew per step.
+        cylinder_steps, to_head = divmod(track, heads)
+        to_cylinder = first_cylinder + cylinder_steps
         if to_cylinder != cylinder:
             # Head selection settles within the arm move.
             t += seek_time(abs(to_cylinder - cylinder), profile, geometry.cylinders, write)
         elif to_head != head:
             t += profile.head_switch_us
-        phys_start = (logical + skew) % spt
-        # The rotational phase does not depend on which track the head is on.
-        t += rotational_wait(phys_start, spt, angle, ref, t, period)
+        phys_start = (
+            logical + (track - cylinder_steps) * track_skew + cylinder_steps * cylinder_skew
+        ) % spt
+        # The rotational wait; the phase does not depend on which track the
+        # head is on, and a sector exactly under the head waits zero.
+        wait_revs = (phys_start / spt - (angle + (t - ref) / period) % 1.0) % 1.0
+        if wait_revs > 1.0 - 1e-9:
+            wait_revs = 0.0
+        t += wait_revs * period
         t += run / spt * period
         cylinder, head = to_cylinder, to_head
         angle = ((phys_start + run) % spt) / spt
@@ -273,4 +306,6 @@ def cylinder_of_byte(disk_byte_addr: int, geometry: DiskGeometry) -> int:
     """Cylinder holding the first sector of a byte address (clipped in range)."""
 
     lba = min(disk_byte_addr // SECTOR_BYTES, geometry.usable_sectors - 1)
-    return lba_to_phys(lba, geometry)[0]
+    zone_idx, zone_start = geometry._zone_of_lba(lba)
+    first_cylinder, spt, _ = geometry._zone_tracks[zone_idx]
+    return first_cylinder + (lba - zone_start) // spt // geometry.heads

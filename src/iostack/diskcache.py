@@ -15,6 +15,7 @@ from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -289,6 +290,7 @@ class SegmentedCache:
 
     def __init__(self, config: DiskCacheConfig, usable_sectors: int = sys.maxsize):
         self.config = config
+        self.segment_sectors = config.segment_sectors
         self.usable_sectors = usable_sectors
         self.segments = [Segment() for _ in range(config.segment_count)]
         self.detector = LocalPatternDetector()
@@ -328,8 +330,9 @@ class SegmentedCache:
         """
 
         seg.end = max(seg.end, lba + sectors)
-        seg.start = max(seg.start, seg.end - self.config.segment_sectors)
-        self._touch(seg)
+        seg.start = max(seg.start, seg.end - self.segment_sectors)
+        self._touch_seq += 1
+        seg.last_touch = self._touch_seq
 
     def _segment_for(self, lba: int, sectors: int) -> Segment | None:
         """The first non-empty segment that overlaps the run or ends where it starts."""
@@ -379,7 +382,7 @@ class SegmentedCache:
         """Runs of [lba, lba + sectors) that no segment holds."""
 
         end = lba + sectors
-        overlapping = [(s.start, s.end) for s in self.segments if s.start < end and lba < s.end]
+        overlapping = ((s.start, s.end) for s in self.segments if s.start < end and lba < s.end)
         return uncovered_runs(lba, sectors, overlapping)
 
     # -- host traffic --------------------------------------------------------------
@@ -478,7 +481,7 @@ class SegmentedCache:
         if cfg.read_prefetch is not ReadPrefetch.NONE and sequential:
             # Fill one segment past the request, short of the disk end.
             frontier = max(self.fill_frontier, lba + sectors)
-            target = min(lba + sectors + cfg.segment_sectors, self.usable_sectors)
+            target = min(lba + sectors + self.segment_sectors, self.usable_sectors)
             if target > frontier:
                 self.fill_frontier = target
                 self.fill_ranges.append((frontier, target))
@@ -497,8 +500,8 @@ class SegmentedCache:
     def _covered_by_fill(self, lba: int, sectors: int) -> bool:
         """Whether in-flight plus queued fills will cover the run entirely."""
 
-        inflight = [(start, start + n) for start, n in self.outstanding_fills]
-        return not uncovered_runs(lba, sectors, [*inflight, *self.fill_ranges])
+        inflight = ((start, start + n) for start, n in self.outstanding_fills)
+        return not uncovered_runs(lba, sectors, chain(inflight, self.fill_ranges))
 
     def _next_fill_chunk(self) -> tuple[MediaMsg, ...]:
         """The next fill-ahead chunk to read, unless one is in flight."""
@@ -525,6 +528,10 @@ class SegmentedCache:
     # -- fills -------------------------------------------------------------------
 
     def expect_fill(self, lba: int, sectors: int) -> None:
+        """Enter a planned media read as in flight; an empty read is no fill."""
+
+        if sectors <= 0:
+            raise ValueError(f"fill [{lba}, +{sectors}) reads no sector")
         self.outstanding_fills.append((lba, sectors))
 
     def on_media_data(self, lba: int, sectors: int, role: MediaRole) -> tuple[MediaMsg, ...]:
@@ -540,12 +547,26 @@ class SegmentedCache:
         if role is MediaRole.DESTAGE:
             self.destage_inflight = False
             return self._next_destage()
-        if sectors <= 0 or (lba, sectors) not in self.outstanding_fills:
-            raise UnexpectedFill(f"no outstanding fill for [{lba}, {lba + sectors})")
-        self.outstanding_fills.remove((lba, sectors))
+        try:
+            self.outstanding_fills.remove((lba, sectors))
+        except ValueError:
+            raise UnexpectedFill(f"no outstanding fill for [{lba}, {lba + sectors})") from None
         if self.awaited:
-            delivered = ((lba, lba + sectors),)
-            self.awaited = [gap for run in self.awaited for gap in uncovered_runs(*run, delivered)]
+            # Each awaited run keeps what lies outside [lba, end): the whole
+            # run, or the gaps left and right of the delivered data.
+            end = lba + sectors
+            awaited = []
+            for run in self.awaited:
+                run_lba, run_sectors = run
+                run_end = run_lba + run_sectors
+                if run_end <= lba or end <= run_lba:
+                    awaited.append(run)
+                    continue
+                if run_lba < lba:
+                    awaited.append((run_lba, lba - run_lba))
+                if end < run_end:
+                    awaited.append((end, run_end - end))
+            self.awaited = awaited
         seg = self._stage(lba, sectors)
         # With every segment dirty the data is served uncached.
         if seg is not None and role is MediaRole.LOCAL_PREFETCH:

@@ -162,9 +162,6 @@ class Simulator:
             heappush(self._queue, entry)
         self._seq += 1
 
-    def schedule_after(self, target: StageId, payload: Payload, delay_us: int) -> None:
-        self.schedule(target, payload, self._clock + delay_us)
-
     def run(self) -> None:
         """Dispatch events in order until the heap and the lane empty."""
 

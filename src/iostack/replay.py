@@ -267,15 +267,15 @@ class DiskStage:
         self.queue: deque[MediaMsg] = deque()
         self.data_image = TagMap()
 
-    def handle(self, sim: Simulator, payload: Payload) -> None:
-        match payload:
-            case MediaMsg(finished=False) as msg:
-                idle = not self.queue
-                self.queue.append(msg)
-                if idle:
-                    self._start_next()
-            case MediaMsg() as msg:
-                self._finish(msg)
+    def handle(self, sim: Simulator, payload: MediaMsg) -> None:
+        # Every DISK event is a media op; a finished one has left the platter.
+        if payload.finished:
+            self._finish(payload)
+        else:
+            idle = not self.queue
+            self.queue.append(payload)
+            if idle:
+                self._start_next()
 
     def _start_next(self) -> None:
         msg = self.queue[0]
@@ -285,14 +285,14 @@ class DiskStage:
         )
         if msg.penalty_rotations:
             delay += msg.penalty_rotations * self.geometry.rotation_period_us
-        delay_us = max(1, round(delay))
+        finish = now + max(1, round(delay))
         # Re-anchor the head clock on the integer event time so a
         # contiguous follow-up op sees its target sector exactly under the
         # head instead of a hair behind it (which would cost a phantom
         # revolution).
-        self.head = HeadState(cylinder, head, angle, float(now + delay_us))
+        self.head = HeadState(cylinder, head, angle, float(finish))
         msg.finished = True
-        self.sim.schedule_after(StageId.DISK, msg, delay_us)
+        self.sim.schedule(StageId.DISK, msg, finish)
 
     def _finish(self, msg: MediaMsg) -> None:
         if msg.sector_tags is not None:

@@ -9,10 +9,13 @@ from __future__ import annotations
 from pathlib import Path
 from typing import TextIO
 
-from .requests import RequestRecord, Summary
+from .requests import AccessMode, Op, Origin, RequestRecord, Summary
 from .trace import read_utf8
 
 REPORT_FORMAT_VERSION = 1
+
+#: The report text of each op, mode and origin, looked up once per field.
+_TEXT = {member: member.value for kind in (Op, AccessMode, Origin) for member in kind}
 
 
 def format_request_table(records: list[RequestRecord]) -> str:
@@ -20,10 +23,12 @@ def format_request_table(records: list[RequestRecord]) -> str:
         f"#iostack-report v{REPORT_FORMAT_VERSION}",
         "id,issue_us,complete_us,latency_us,bytes,op,mode,origin",
     ]
+    text = _TEXT
     for r in records:
+        issue, complete = r.issue_us, r.complete_us
         lines.append(
-            f"{r.request_id},{r.issue_us},{r.complete_us},{r.latency_us},"
-            f"{r.bytes},{r.op.value},{r.mode.value},{r.origin.value}"
+            f"{r.request_id},{issue},{complete},{complete - issue},"
+            f"{r.bytes},{text[r.op]},{text[r.mode]},{text[r.origin]}"
         )
     return "\n".join(lines) + "\n"
 

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -286,6 +289,15 @@ class TestService:
         g = tiny_geometry(spt=10, cylinders=2, heads=2)
         with pytest.raises(OutOfRange):
             service(35, 10, HeadState(), g, flat_seek(), arrival_us=0)
+        with pytest.raises(OutOfRange, match="^sectors must be positive$"):
+            service(0, 0, HeadState(), g, flat_seek(), arrival_us=0)
+        with pytest.raises(OutOfRange, match=r"^lba -1 is negative$"):
+            service(-1, 10, HeadState(), g, flat_seek(), arrival_us=0)
+        # The capacity check comes first.
+        with pytest.raises(OutOfRange, match=r"^range \[-1, 41\) beyond usable 40 sectors$"):
+            service(-1, 42, HeadState(), g, flat_seek(), arrival_us=0)
+        with pytest.raises(OutOfRange, match=r"^lba -1 is negative$"):
+            cylinder_of_byte(-1, g)
 
     def test_zone_capacity_math(self):
         assert FUJITSU_MAN3184MP.geometry.usable_sectors == 35_937_024
@@ -377,7 +389,7 @@ def reference_rotational_wait(
 def reference_service(lba, sectors, state, geometry, profile, arrival_us, write=False):
     """``service`` as a per-track loop building one ``HeadState`` per track."""
 
-    period = geometry.rotation_period_us
+    period = 60_000_000 / geometry.rpm
     t = float(arrival_us)
     pos = state
     for zone_idx, track, logical, run in reference_track_runs(lba, sectors, geometry):
@@ -463,3 +475,47 @@ def test_service_equals_per_track_reference_on_random_geometries():
             write = bool(i % 2)
             got = service(lba, sectors, state, g, profile, arrival_us=arrival, write=write)
             assert got == reference_service(lba, sectors, state, g, profile, arrival, write)
+
+
+def zone_tracks_by_fields(geometry: DiskGeometry) -> tuple[tuple[int, int, int], ...]:
+    """Per zone (first cylinder, sectors per track, usable sectors), from the fields."""
+
+    spans = zone_starts_by_summing(geometry)
+    return tuple(
+        (z.first_cylinder, z.sectors_per_track, usable) for z, (_, usable) in zip(geometry.zones, spans)
+    )
+
+
+@pytest.mark.parametrize("name", sorted(PROFILES))
+def test_zone_tables_follow_the_fields(name):
+    g = PROFILES[name].geometry
+    first, last = g.zones[0], g.zones[-1]
+    # Two zones split at half the stroke, and a faster spindle.
+    other = dataclasses.replace(
+        g,
+        rpm=g.rpm + 1_234,
+        zones=(Zone(0, last.sectors_per_track), Zone(g.cylinders // 2, first.sectors_per_track)),
+    )
+    assert other._zone_tracks != g._zone_tracks
+    for geometry in (g, other):
+        assert geometry._zone_tracks == zone_tracks_by_fields(geometry)
+        assert geometry._zone_starts == (0, *np.cumsum([u for _, u in zone_starts_by_summing(geometry)]))
+        assert geometry.rotation_period_us == 60_000_000 / geometry.rpm
+
+
+@pytest.mark.parametrize("name", sorted(PROFILES))
+def test_copied_geometry_serves_as_the_original(name):
+    drive = PROFILES[name]
+    g = drive.geometry
+    rng = np.random.default_rng(sum(map(ord, name)) + 1)
+    for twin in (copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+        assert twin is not g and twin == g
+        for i, (lba, sectors) in enumerate(boundary_runs(g, rng, 80)):
+            state = random_head(g, rng)
+            arrival = state.time_us + float(rng.integers(0, 50_000))
+            write = bool(i % 2)
+            assert service(lba, sectors, state, twin, drive.seek, arrival, write) == service(
+                lba, sectors, state, g, drive.seek, arrival, write
+            )
+            addr = lba * SECTOR_BYTES + int(rng.integers(0, SECTOR_BYTES))
+            assert cylinder_of_byte(addr, twin) == cylinder_of_byte(addr, g)

@@ -91,6 +91,8 @@ class TestReadLookup:
 
     def test_zero_sector_fill_rejected(self):
         cache = SegmentedCache(cfg())
+        with pytest.raises(ValueError):
+            cache.expect_fill(0, 0)
         with pytest.raises(UnexpectedFill):
             cache.on_media_data(0, 0, HOST_READ)
 
@@ -351,11 +353,14 @@ class TestRepositionPenalty:
 
 
 class TestSegmentPicks:
-    """The one-pass victim pick and the destage order against their definitions."""
+    """The one-pass victim pick, the destage order and the run arithmetic against their definitions."""
 
     @staticmethod
-    def check_picks(cache: SegmentedCache, queries, accepted: list) -> None:
-        """Check the picks; ``accepted`` holds the acknowledged writes not yet destaged."""
+    def check_picks(cache: SegmentedCache, queries, accepted: list) -> int:
+        """Check the picks; ``accepted`` holds the acknowledged writes not yet destaged.
+
+        Returns how many queries the in-flight and queued fills cover.
+        """
 
         segments = cache.segments
         clean = [(s.last_touch, i) for i, s in enumerate(segments) if not s.dirty]
@@ -368,12 +373,19 @@ class TestSegmentPicks:
         # Every write the cache acknowledged reaches the media, in arrival order.
         assert dirty_records(cache) == accepted
         extents = [(s.start, s.end) for s in segments if s.start < s.end]
+        filled = {lba for start, n in cache.outstanding_fills for lba in range(start, start + n)}
+        filled.update(lba for start, end in cache.fill_ranges for lba in range(start, end))
+        covered = 0
         for lba, sectors in queries:
             assert cache.missing_runs(lba, sectors) == uncovered_runs(lba, sectors, extents)
+            want = filled.issuperset(range(lba, lba + sectors))
+            assert cache._covered_by_fill(lba, sectors) == want
+            covered += want
+        return covered
 
     def test_random_steps_match_the_definitions(self):
-        seen = {"tie": 0, "all dirty": 0, "overlap": 0}
-        for seed in range(24):
+        seen = {"tie": 0, "all dirty": 0, "overlap": 0, "covered": 0, "cut": 0, "gap left": 0, "gap right": 0}
+        for seed in range(40):
             rng = random.Random(seed)
             cache = SegmentedCache(
                 cfg(
@@ -399,7 +411,19 @@ class TestSegmentPicks:
                     issue(cache.read_lookup(lba, sectors)[1])
                 elif step_kind == 1 and inflight or step_kind == 3 and destages:
                     done = inflight.pop(rng.randrange(len(inflight)) if step_kind == 1 else destages[0])
+                    awaited = list(cache.awaited)
                     issue(cache.on_media_data(done.lba, done.sectors, done.role))
+                    if done.role is not DESTAGE:
+                        # Delivered data leaves the gaps of each awaited run around it.
+                        start, end = done.lba, done.lba + done.sectors
+                        for run_lba, run_sectors in awaited:
+                            if start < run_lba + run_sectors and run_lba < end:
+                                seen["cut"] += 1
+                                seen["gap left"] += run_lba < start
+                                seen["gap right"] += end < run_lba + run_sectors
+                        delivered = ((start, end),)
+                        awaited = [gap for run in awaited for gap in uncovered_runs(*run, delivered)]
+                    assert cache.awaited == awaited
                 elif step_kind == 2:
                     tags = ((lba, lba + sectors, step),)
                     ack, writes = cache.write_accept(lba, sectors, tags)
@@ -409,7 +433,7 @@ class TestSegmentPicks:
                 destages = [media for media in inflight if media.role is DESTAGE]
                 assert len(destages) == cache.destage_inflight <= 1
                 queries = [(rng.randrange(256), rng.randint(1, 48)) for _ in range(3)]
-                self.check_picks(cache, queries, accepted)
+                seen["covered"] += self.check_picks(cache, queries, accepted)
                 touches = [s.last_touch for s in cache.segments if not s.dirty]
                 seen["tie"] += len(touches) != len(set(touches))
                 seen["all dirty"] += not touches

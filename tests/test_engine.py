@@ -179,11 +179,11 @@ class TestTopologyWalk:
             def handle(s, payload):
                 if payload.label == "down":
                     if stage is StageId.DISK:
-                        s.schedule_after(next_up(stage), Token("up"), 1)
+                        s.schedule(next_up(stage), Token("up"), s.now() + 1)
                     else:
-                        s.schedule_after(next_down(stage), Token("down"), 1)
+                        s.schedule(next_down(stage), Token("down"), s.now() + 1)
                 elif payload.label == "up" and stage is not StageId.APP:
-                    s.schedule_after(next_up(stage), Token("up"), 1)
+                    s.schedule(next_up(stage), Token("up"), s.now() + 1)
 
             return handle
 
@@ -239,9 +239,6 @@ class HeapOnlySimulator:
         heappush(self._queue, (fire_at, self._seq, target, payload))
         self._seq += 1
 
-    def schedule_after(self, target, payload, delay_us) -> None:
-        self.schedule(target, payload, self._clock + delay_us)
-
     def run(self) -> None:
         queue = self._queue
         pop = heappop
@@ -259,10 +256,9 @@ class HeapOnlySimulator:
                 raise StageFault(SimEvent._make(entry), exc) from exc
 
 
-#: How a handler schedules: at the clock three ways, later two ways, or in
-#: the past (``PastEvent``, checked before an unregistered target's
-#: ``UnknownStage``).
-WHEN = ("now", "at_clock", "after_0", "at_later", "after_later", "past")
+#: How a handler schedules: at the clock two ways, later, or in the past
+#: (``PastEvent``, checked before an unregistered target's ``UnknownStage``).
+WHEN = ("now", "at_clock", "at_later", "past")
 
 #: One scheduling step: target stage index, how, and the delay when later.
 steps = st.tuples(st.integers(0, len(STAGE_ORDER) - 1), st.sampled_from(WHEN), st.integers(1, 4))
@@ -290,12 +286,8 @@ def run_program(make, registered: int, rounds, program, budget: int = 150):
             sim.schedule(target, token)
         elif how == "at_clock":
             sim.schedule(target, token, at_us=now)
-        elif how == "after_0":
-            sim.schedule_after(target, token, 0)
         elif how == "at_later":
             sim.schedule(target, token, at_us=now + delay)
-        elif how == "after_later":
-            sim.schedule_after(target, token, delay)
         else:
             sim.schedule(target, token, at_us=now - delay)
 
@@ -336,9 +328,9 @@ def run_program(make, registered: int, rounds, program, budget: int = 150):
     program=st.lists(st.lists(steps, max_size=3), min_size=1, max_size=6),
 )
 def test_lane_dispatches_as_the_heap_only_simulator(registered, rounds, program):
-    # Ties, scheduling at the clock (implicitly, explicitly and with a zero
-    # delay) and later, from several stages, with unknown targets and past
-    # times raising inside handlers: the same events in the same order, the
+    # Ties, scheduling at the clock (implicitly and explicitly) and later,
+    # from several stages, with unknown targets and past times raising
+    # inside handlers: the same events in the same order, the
     # same ``dispatched`` count at every handler call and at the end, and
     # the same fault.
     laned = run_program(Simulator, registered, rounds, program)

@@ -40,6 +40,15 @@ FULL_LOG = {
     "burst_random": ("ae54c10a196ad65c35152a03ee775b8ec0c8b9fd8921ea6e59c664fffaa451fd", 20_505),
 }
 
+#: The same at the benchmark's held-out seed, ``perfbench/run.py``'s
+#: ``HELD_OUT_SEED``, which no tuning run uses.
+HELD_OUT_SEED = 7919
+HELD_OUT_FULL_LOG = {
+    "buffered_read": ("260f616046c7793793843193ae863c63070bfe4e0ef19c0bad9c4b61af710b8c", 65_471),
+    "mixed_rw": ("1d763936089b1652c27882567e06a63ee1cc276f20d3e8255bb3c0437f67d3f3", 73_096),
+    "burst_random": ("f13d44bc75751c60443e3d6482cf80ca519c9144c5bf767f1b70ce82e075899d", 20_481),
+}
+
 
 def load(name: str) -> ModuleType:
     """A module of ``perfbench/``, loaded from its file without touching ``sys.path``."""
@@ -71,8 +80,9 @@ def test_smoke_trace_event_log_pinned(workloads, workload):
         assert result.media_image == reference_media_image(result.effective_requests)
 
 
-@pytest.mark.parametrize("workload", sorted(FULL_LOG))
-def test_full_trace_event_log_pinned(workloads, workload):
+def full_log(workloads: ModuleType, workload: str, seed: int) -> tuple[str, int]:
+    """(event-log SHA-256, event count) of the workload's full-length trace at ``seed``."""
+
     # Hashed as the run streams it: the log is never held whole.
     log = hashlib.sha256()
     events = 0
@@ -82,10 +92,20 @@ def test_full_trace_event_log_pinned(workloads, workload):
         log.update(f"{event.describe()}\n".encode())
         events += 1
 
-    trace = workloads.generate_trace(workload, workloads.FULL_REQUESTS, 1)
+    trace = workloads.generate_trace(workload, workloads.FULL_REQUESTS, seed)
     stack, policy = workloads.stack_config(workload), workloads.replay_policy(workload)
     replay(trace, stack, policy, observe)
-    assert (log.hexdigest(), events) == FULL_LOG[workload]
+    return log.hexdigest(), events
+
+
+@pytest.mark.parametrize("workload", sorted(FULL_LOG))
+def test_full_trace_event_log_pinned(workloads, workload):
+    assert full_log(workloads, workload, 1) == FULL_LOG[workload]
+
+
+@pytest.mark.parametrize("workload", sorted(HELD_OUT_FULL_LOG))
+def test_held_out_full_trace_event_log_pinned(workloads, workload):
+    assert full_log(workloads, workload, HELD_OUT_SEED) == HELD_OUT_FULL_LOG[workload]
 
 
 def test_tracer_records_every_stage_span(workloads):
