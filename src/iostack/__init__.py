@@ -25,8 +25,6 @@ from .disk import (
     SeekProfile,
     Zone,
     cylinder_of_byte,
-    lba_to_phys,
-    rotational_wait,
     seek_time,
     service,
 )
@@ -142,14 +140,12 @@ __all__ = [
     "file_extents",
     "generate",
     "ingest_text",
-    "lba_to_phys",
     "load_baseline",
     "load_config",
     "parse_trace_line",
     "read_canonical",
     "reference_media_image",
     "replay",
-    "rotational_wait",
     "sample",
     "seek_time",
     "service",

@@ -33,11 +33,10 @@ class DiskGeometry:
 
     ``__post_init__`` checks the fields and builds, once per geometry, the
     tables every media op reads, kept out of the fields: ``_zone_starts``
-    (each zone's first LBA, then the total usable sectors),
-    ``_zone_usable`` (each zone's usable sectors), ``_zone_tracks`` (each
-    zone's first cylinder, sectors per track and usable sectors) and
-    ``_period_us`` (the rotation period).  ``dataclasses.replace`` rebuilds
-    them; a copy or a pickle carries them.
+    (each zone's first LBA, then the total usable sectors), ``_zone_tracks``
+    (each zone's first cylinder, sectors per track and usable sectors) and
+    ``rotation_period_us``.  ``dataclasses.replace`` rebuilds them; a copy
+    or a pickle carries them.
     """
 
     cylinders: int
@@ -70,14 +69,13 @@ class DiskGeometry:
                 raise ValueError("spares exceed zone capacity")
             usable.append(total - self.spares_per_zone_tail)
         setfield = object.__setattr__
-        setfield(self, "_zone_usable", tuple(usable))
         setfield(self, "_zone_starts", tuple(accumulate(usable, initial=0)))
         setfield(
             self,
             "_zone_tracks",
             tuple((z.first_cylinder, z.sectors_per_track, u) for z, u in zip(self.zones, usable)),
         )
-        setfield(self, "_period_us", 60_000_000 / self.rpm)
+        setfield(self, "rotation_period_us", 60_000_000 / self.rpm)
 
     # -- zone arithmetic ---------------------------------------------------
 
@@ -88,52 +86,6 @@ class DiskGeometry:
     @property
     def usable_bytes(self) -> int:
         return self.usable_sectors * SECTOR_BYTES
-
-    @property
-    def rotation_period_us(self) -> float:
-        return self._period_us
-
-    def _zone_of_lba(self, lba: int) -> tuple[int, int]:
-        """Zone index and the LBA where that zone starts."""
-
-        if lba < 0:
-            raise OutOfRange(f"lba {lba} is negative")
-        idx = bisect_right(self._zone_starts, lba) - 1
-        if idx == len(self.zones):
-            raise OutOfRange(f"lba {lba} beyond usable capacity {self.usable_sectors}")
-        return idx, self._zone_starts[idx]
-
-    def _track_place(self, zone_idx: int, track: int) -> tuple[int, int, int]:
-        """(cylinder, head, skew) of the zone-relative track index.
-
-        Tracks run in cylinder-major order (all heads of a cylinder, then the
-        next cylinder).  The skew is the rotational offset of the track's
-        logical sector 0, and it accumulates along that order: every head
-        switch adds the track skew, every cylinder step adds the cylinder
-        skew, so a sequential transfer resumes just behind the head after
-        each switch.
-        """
-
-        cylinder_steps, head = divmod(track, self.heads)
-        skew = (
-            (track - cylinder_steps) * self.track_skew_sectors
-            + cylinder_steps * self.cylinder_skew_sectors
-        )
-        return self.zones[zone_idx].first_cylinder + cylinder_steps, head, skew
-
-
-def lba_to_phys(lba: int, geometry: DiskGeometry) -> tuple[int, int, int]:
-    """Map a logical block address to (cylinder, head, physical sector).
-
-    Bijective onto the non-spare sectors: spare slots sit at the tail of
-    each zone's logical order and are never assigned an address.
-    """
-
-    zone_idx, zone_start = geometry._zone_of_lba(lba)
-    spt = geometry.zones[zone_idx].sectors_per_track
-    track, logical_sector = divmod(lba - zone_start, spt)
-    cylinder, head, skew = geometry._track_place(zone_idx, track)
-    return cylinder, head, (logical_sector + skew) % spt
 
 
 @dataclass(frozen=True)
@@ -200,30 +152,6 @@ class HeadState(NamedTuple):
     time_us: float = 0.0
 
 
-def rotational_wait(
-    target_sector: int,
-    spt: int,
-    angle_revs: float,
-    ref_us: float,
-    arrival_us: float,
-    period_us: float,
-) -> float:
-    """Microseconds until the target physical sector reaches the head.
-
-    The platter stood at ``angle_revs`` revolutions at time ``ref_us``.  A
-    sector that is mathematically exactly under the head must wait zero,
-    not a full revolution; the epsilon absorbs float noise from the angle
-    arithmetic (1e-9 of a revolution is far below one sector).
-    """
-
-    target_angle = (target_sector % spt) / spt
-    current = (angle_revs + (arrival_us - ref_us) / period_us) % 1.0
-    wait_revs = (target_angle - current) % 1.0
-    if wait_revs > 1.0 - 1e-9:
-        wait_revs = 0.0
-    return wait_revs * period_us
-
-
 def service(
     lba: int,
     sectors: int,
@@ -238,12 +166,9 @@ def service(
     The delay composes seek, head-switch, rotational wait and transfer track
     by track.  The platter keeps rotating during seeks and switches, so with
     skews matched to the switch costs a sequential multi-track transfer
-    incurs no extra revolution.
-
-    Each track is placed from the geometry's tables, built once with it:
-    ``_zone_starts``, ``_zone_tracks`` and ``_period_us``.  The loop computes
-    what ``DiskGeometry._track_place`` and ``rotational_wait`` compute, with
-    the same float operations in the same order.
+    incurs no extra revolution.  Each track is placed from the geometry's
+    tables, built once with it.  ``state`` may be any tuple of the four
+    ``HeadState`` fields.
     """
 
     if sectors <= 0:
@@ -253,7 +178,7 @@ def service(
         raise OutOfRange(f"range [{lba}, {lba + sectors}) beyond usable {starts[-1]} sectors")
     if lba < 0:
         raise OutOfRange(f"lba {lba} is negative")
-    period = geometry._period_us
+    period = geometry.rotation_period_us
     heads = geometry.heads
     track_skew = geometry.track_skew_sectors
     cylinder_skew = geometry.cylinder_skew_sectors
@@ -288,7 +213,9 @@ def service(
             logical + (track - cylinder_steps) * track_skew + cylinder_steps * cylinder_skew
         ) % spt
         # The rotational wait; the phase does not depend on which track the
-        # head is on, and a sector exactly under the head waits zero.
+        # head is on.  A sector exactly under the head waits zero, not a
+        # revolution: 1e-9 of a revolution, far below a sector, absorbs float
+        # noise from the angle arithmetic.
         wait_revs = (phys_start / spt - (angle + (t - ref) / period) % 1.0) % 1.0
         if wait_revs > 1.0 - 1e-9:
             wait_revs = 0.0
@@ -305,7 +232,10 @@ def service(
 def cylinder_of_byte(disk_byte_addr: int, geometry: DiskGeometry) -> int:
     """Cylinder holding the first sector of a byte address (clipped in range)."""
 
-    lba = min(disk_byte_addr // SECTOR_BYTES, geometry.usable_sectors - 1)
-    zone_idx, zone_start = geometry._zone_of_lba(lba)
+    starts = geometry._zone_starts
+    lba = min(disk_byte_addr // SECTOR_BYTES, starts[-1] - 1)
+    if lba < 0:
+        raise OutOfRange(f"lba {lba} is negative")
+    zone_idx = bisect_right(starts, lba) - 1
     first_cylinder, spt, _ = geometry._zone_tracks[zone_idx]
-    return first_cylinder + (lba - zone_start) // spt // geometry.heads
+    return first_cylinder + (lba - starts[zone_idx]) // spt // geometry.heads

@@ -5,7 +5,10 @@ from the drives' published characteristics.  Zone tables, head counts,
 segment counts and skews are not published anywhere, so they are
 interpolated or derived and should be treated as calibration data: zone
 sizes interpolate linearly between the known outer and inner track sizes,
-and skews are sized so a head or cylinder switch costs no extra revolution.
+and skews are sized so a head or cylinder switch costs no extra revolution,
+with one exception: on the Fujitsu drive a write that steps to the next
+cylinder in zones 0-4 loses a revolution, because its ``write_min_us``
+(600 us) outlasts the cylinder skew there (457-598 us; ROADMAP item 13).
 The second drive's track sizes are themselves interpolated from capacity
 and are non-authoritative.
 """

@@ -130,29 +130,30 @@ class AppStage:
         else:
             sim.schedule(StageId.APP, RequestMsg(0, self.requests[0]), at_us=self.requests[0].issue_time_us)
 
-    def handle(self, sim: Simulator, payload: Payload) -> None:
-        match payload:
-            case RequestMsg(done=False) as msg:
-                msg.issue_us = sim.now()
-                sim.schedule(StageId.FS_CACHE, msg)
-            case RequestMsg(request_id=rid, request=r, issue_us=issue):
-                self.records.append(
-                    RequestRecord(
-                        request_id=rid,
-                        issue_us=issue,
-                        complete_us=sim.now(),
-                        bytes=r.length_bytes,
-                        op=r.op,
-                        mode=r.mode,
-                        origin=r.origin,
-                    )
-                )
-                if self.policy.mode is ReplayMode.CLOSED_LOOP and rid + 1 < len(self.requests):
-                    nxt = rid + 1
-                    at = self._next_issue_time(rid, issue, sim.now())
-                    sim.schedule(StageId.APP, RequestMsg(nxt, self.requests[nxt]), at_us=max(at, sim.now()))
-                if len(self.records) == len(self.requests):
-                    sim.schedule(StageId.FS_CACHE, Signal.DRAIN)
+    def handle(self, sim: Simulator, payload: RequestMsg) -> None:
+        # Every APP event is a request; a done one has left the stack.
+        if not payload.done:
+            payload.issue_us = sim.now()
+            sim.schedule(StageId.FS_CACHE, payload)
+            return
+        rid, r, issue = payload.request_id, payload.request, payload.issue_us
+        self.records.append(
+            RequestRecord(
+                request_id=rid,
+                issue_us=issue,
+                complete_us=sim.now(),
+                bytes=r.length_bytes,
+                op=r.op,
+                mode=r.mode,
+                origin=r.origin,
+            )
+        )
+        if self.policy.mode is ReplayMode.CLOSED_LOOP and rid + 1 < len(self.requests):
+            nxt = rid + 1
+            at = self._next_issue_time(rid, issue, sim.now())
+            sim.schedule(StageId.APP, RequestMsg(nxt, self.requests[nxt]), at_us=max(at, sim.now()))
+        if len(self.records) == len(self.requests):
+            sim.schedule(StageId.FS_CACHE, Signal.DRAIN)
 
     def _next_issue_time(self, rid: int, issue_us: int, complete_us: int) -> int:
         """Closed-loop pacing with the measured-response tolerance.
@@ -209,15 +210,14 @@ class SchedulerStage:
         #: The io at the drive.
         self.inflight: IoMsg | None = None
 
-    def handle(self, sim: Simulator, payload: Payload) -> None:
-        match payload:
-            case IoMsg(done=False) as msg:
-                self.queue.enqueue(msg, cylinder_of_byte(msg.disk_addr, self.geometry))
-                self._dispatch()
-            case IoMsg() as msg:
-                self.inflight = None
-                sim.schedule(StageId.FS_CACHE, msg)
-                self._dispatch()
+    def handle(self, sim: Simulator, payload: IoMsg) -> None:
+        # Every SCHEDULER event is an io; a done one has left the drive.
+        if payload.done:
+            self.inflight = None
+            sim.schedule(StageId.FS_CACHE, payload)
+        else:
+            self.queue.enqueue(payload, cylinder_of_byte(payload.disk_addr, self.geometry))
+        self._dispatch()
 
     def _dispatch(self) -> None:
         if self.inflight is None:
@@ -263,7 +263,8 @@ class DiskStage:
         self.sim = sim
         self.geometry = geometry
         self.seek = seek
-        self.head = HeadState()
+        #: The ``HeadState`` fields as a plain tuple.
+        self.head: tuple[int, int, float, float] = HeadState()
         self.queue: deque[MediaMsg] = deque()
         self.data_image = TagMap()
 
@@ -290,7 +291,7 @@ class DiskStage:
         # contiguous follow-up op sees its target sector exactly under the
         # head instead of a hair behind it (which would cost a phantom
         # revolution).
-        self.head = HeadState(cylinder, head, angle, float(finish))
+        self.head = (cylinder, head, angle, float(finish))
         msg.finished = True
         self.sim.schedule(StageId.DISK, msg, finish)
 

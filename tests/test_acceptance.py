@@ -24,7 +24,6 @@ from iostack import (
     emit_reports,
     error_percent,
     ingest_text,
-    lba_to_phys,
     read_canonical,
     reference_media_image,
     replay,
@@ -37,7 +36,7 @@ from iostack.requests import Origin
 from iostack.workload import DistSpec, GeneratorSpec, generate
 
 from conftest import observed, plain_stack, tiny_geometry, zero_cost_fs
-from test_disk import enumerate_mapping
+from test_disk import enumerate_mapping, phys_via_service
 from test_golden_log import log_text
 from test_replay import disk_read_blocks, stream
 
@@ -140,7 +139,7 @@ def test_lba_mapping_bijective_on_randomized_geometries():
         oracle = enumerate_mapping(geometry)
         seen = set()
         for lba in range(geometry.usable_sectors):
-            phys = lba_to_phys(lba, geometry)
+            phys = phys_via_service(lba, geometry)
             assert phys == oracle[lba], (geometry, lba)
             seen.add(phys)
         assert len(seen) == geometry.usable_sectors

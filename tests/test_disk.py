@@ -18,8 +18,6 @@ from iostack import (
     SeekProfile,
     Zone,
     cylinder_of_byte,
-    lba_to_phys,
-    rotational_wait,
     seek_time,
     service,
 )
@@ -93,30 +91,42 @@ def random_geometries(count: int = 120):
         )
 
 
+def phys_via_service(lba: int, geometry: DiskGeometry) -> tuple[int, int, int]:
+    """(cylinder, head, physical sector) of an LBA, read off a one-sector ``service``.
+
+    The head ends on the sector's track, its phase one sector past it; the
+    track's sectors per track come from the zone fields.
+    """
+
+    _, (cylinder, head, angle, _) = service(lba, 1, HeadState(), geometry, flat_seek(), 0)
+    spt = next(z.sectors_per_track for z in reversed(geometry.zones) if z.first_cylinder <= cylinder)
+    return cylinder, head, (round(angle * spt) - 1) % spt
+
+
 class TestLbaMapping:
     def test_origin(self):
         g = tiny_geometry(spt=10, cylinders=2, heads=2)
-        assert lba_to_phys(0, g) == (0, 0, 0)
+        assert phys_via_service(0, g) == (0, 0, 0)
 
     def test_tiny_geometry_example(self):
         g = tiny_geometry(spt=10, cylinders=2, heads=2)
         # 40 sectors total; lba 25 sits on track 2 = (cylinder 1, head 0).
-        assert lba_to_phys(25, g) == (1, 0, 5)
+        assert phys_via_service(25, g) == (1, 0, 5)
         oracle = enumerate_mapping(g)
         assert oracle[25] == (1, 0, 5)
 
     def test_track_skew_rotates_origin(self):
         g = tiny_geometry(spt=10, cylinders=2, heads=2, track_skew=3)
         # lba 10 is the first sector of head 1; its physical slot is skewed.
-        assert lba_to_phys(10, g) == (0, 1, 3)
+        assert phys_via_service(10, g) == (0, 1, 3)
         assert enumerate_mapping(g)[10] == (0, 1, 3)
 
     def test_out_of_range(self):
         g = tiny_geometry(spt=10, cylinders=2, heads=2)
         with pytest.raises(OutOfRange):
-            lba_to_phys(40, g)
+            phys_via_service(40, g)
         with pytest.raises(OutOfRange):
-            lba_to_phys(-1, g)
+            phys_via_service(-1, g)
 
     def test_matches_enumeration_oracle(self):
         g = DiskGeometry(
@@ -131,14 +141,14 @@ class TestLbaMapping:
         oracle = enumerate_mapping(g)
         assert len(oracle) == g.usable_sectors
         for lba, expected in oracle.items():
-            assert lba_to_phys(lba, g) == expected
+            assert phys_via_service(lba, g) == expected
 
     def test_randomized_geometries_bijective(self):
         for g in random_geometries():
             oracle = enumerate_mapping(g)
             seen = set()
             for lba in range(g.usable_sectors):
-                phys = lba_to_phys(lba, g)
+                phys = phys_via_service(lba, g)
                 assert phys == oracle[lba]
                 seen.add(phys)
             assert len(seen) == g.usable_sectors  # injective onto non-spares
@@ -166,15 +176,12 @@ def zone_starts_by_summing(geometry: DiskGeometry) -> list[tuple[int, int]]:
 def test_zone_table_matches_summed_zones(geometries):
     for g in geometries:
         spans = zone_starts_by_summing(g)
-        for idx, (start, usable) in enumerate(spans):
-            assert g._zone_usable[idx] == usable
-            assert g._zone_of_lba(start) == (idx, start)
-            assert g._zone_of_lba(start + usable - 1) == (idx, start)
-        assert g.usable_sectors == sum(g._zone_usable)
+        assert g._zone_starts == (*(start for start, _ in spans), g.usable_sectors)
+        assert [usable for _, _, usable in g._zone_tracks] == [usable for _, usable in spans]
         assert g.usable_sectors == sum(usable for _, usable in spans)
         for lba in (-1, g.usable_sectors):
             with pytest.raises(OutOfRange):
-                g._zone_of_lba(lba)
+                service(lba, 1, HeadState(), g, flat_seek(), 0)
 
 
 class TestSeekCurve:
@@ -215,22 +222,32 @@ class TestRotation:
         g = tiny_geometry(rpm=4_200)
         assert g.rotation_period_us == pytest.approx(14_285.714285714286)
 
+    # One-sector reads of track 0 at 10,000 rpm: a 6000us revolution, spt
+    # 100, so LBA n is physical sector n and one sector passes in 60us.
+
+    @staticmethod
+    def wait_us(lba: int, angle_revs: float, ref_us: float, arrival_us: float) -> float:
+        g = tiny_geometry(spt=100, rpm=10_000)
+        state = HeadState(0, 0, angle_revs, ref_us)
+        delay, _ = service(lba, 1, state, g, flat_seek(), arrival_us=arrival_us)
+        return delay - 60
+
     def test_target_at_head_waits_zero(self):
-        # spt 100: sector 25 is exactly under the head.
-        assert rotational_wait(25, 100, 0.25, 0, arrival_us=0, period_us=6000) == pytest.approx(0)
+        # Sector 25 of 100 is exactly under the head.
+        assert self.wait_us(25, 0.25, 0, arrival_us=0) == pytest.approx(0)
 
     def test_wait_bounded_by_period(self):
-        wait = rotational_wait(25, 100, 0.26, 0, arrival_us=0, period_us=6000)
+        wait = self.wait_us(25, 0.26, 0, arrival_us=0)
         assert 0 <= wait < 6000
         assert wait == pytest.approx(6000 * 0.99)
 
     def test_angle_advances_with_time(self):
         # After a quarter period the head sits a quarter turn later: sector
         # 25 of 100 is under it, and sector 0 is three quarters away.
-        assert rotational_wait(25, 100, 0.0, 0, arrival_us=1500, period_us=6000) == pytest.approx(0)
-        assert rotational_wait(0, 100, 0.0, 0, arrival_us=1500, period_us=6000) == pytest.approx(4500)
+        assert self.wait_us(25, 0.0, 0, arrival_us=1500) == pytest.approx(0)
+        assert self.wait_us(0, 0.0, 0, arrival_us=1500) == pytest.approx(4500)
         # The phase is taken relative to the reference time.
-        assert rotational_wait(25, 100, 0.0, 700, arrival_us=2200, period_us=6000) == pytest.approx(0)
+        assert self.wait_us(25, 0.0, 700, arrival_us=2200) == pytest.approx(0)
 
 
 class TestService:
@@ -310,18 +327,27 @@ class TestService:
 # -- exact differential check of ``service`` ---------------------------------
 
 
+def reference_zone(lba: int, geometry: DiskGeometry) -> tuple[int, int, int]:
+    """(zone index, first LBA, usable sectors) of the zone holding ``lba``, from the summed spans."""
+
+    for zone_idx, (start, usable) in enumerate(zone_starts_by_summing(geometry)):
+        if start <= lba < start + usable:
+            return zone_idx, start, usable
+    raise AssertionError(f"lba {lba} outside every zone")
+
+
 def reference_track_runs(lba: int, sectors: int, geometry: DiskGeometry):
     """Per-track runs of logical sectors, one zone lookup per track."""
 
     remaining = sectors
     while remaining > 0:
-        zone_idx, zone_start = geometry._zone_of_lba(lba)
+        zone_idx, zone_start, usable = reference_zone(lba, geometry)
         z = geometry.zones[zone_idx]
         slot = lba - zone_start
         track = slot // z.sectors_per_track
         logical = slot % z.sectors_per_track
         run = min(remaining, z.sectors_per_track - logical)
-        run = min(run, geometry._zone_usable[zone_idx] - slot)
+        run = min(run, usable - slot)
         yield zone_idx, track, logical, run
         lba += run
         remaining -= run
@@ -345,14 +371,12 @@ def reference_track_place(geometry: DiskGeometry, zone_idx: int, track: int):
 
 
 def reference_phys(lba: int, geometry: DiskGeometry) -> tuple[int, int, int]:
-    """``lba_to_phys`` from the summed zone spans and ``reference_track_place``."""
+    """(cylinder, head, physical sector) from the summed zone spans and ``reference_track_place``."""
 
-    for zone_idx, (start, usable) in enumerate(zone_starts_by_summing(geometry)):
-        if start <= lba < start + usable:
-            spt = geometry.zones[zone_idx].sectors_per_track
-            cylinder, head, skew = reference_track_place(geometry, zone_idx, (lba - start) // spt)
-            return cylinder, head, ((lba - start) % spt + skew) % spt
-    raise AssertionError(f"lba {lba} outside every zone")
+    zone_idx, start, _ = reference_zone(lba, geometry)
+    spt = geometry.zones[zone_idx].sectors_per_track
+    cylinder, head, skew = reference_track_place(geometry, zone_idx, (lba - start) // spt)
+    return cylinder, head, ((lba - start) % spt + skew) % spt
 
 
 @pytest.mark.parametrize("name", sorted(PROFILES))
@@ -364,7 +388,7 @@ def test_lba_to_phys_and_cylinder_of_byte_equal_reference_on_profiles(name):
         lbas += [start, start + usable - 1]
     for lba in lbas:
         want = reference_phys(lba, g)
-        assert lba_to_phys(lba, g) == want
+        assert phys_via_service(lba, g) == want
         offset = int(rng.integers(0, SECTOR_BYTES))
         assert cylinder_of_byte(lba * SECTOR_BYTES + offset, g) == want[0]
     # A byte past the end is clipped to the last sector.
@@ -417,7 +441,7 @@ def boundary_runs(geometry: DiskGeometry, rng: np.random.Generator, count: int):
     def boundary(size: int) -> int:
         """A multiple of ``size`` inside the first zone, or ``size``."""
 
-        return int(rng.integers(1, max(1, geometry._zone_usable[0] // size) + 1)) * size
+        return int(rng.integers(1, max(1, geometry._zone_tracks[0][2] // size) + 1)) * size
 
     for i in range(count):
         kind = i % 4
@@ -458,10 +482,10 @@ def test_service_equals_per_track_reference_on_profiles(name):
         got = service(lba, sectors, state, g, drive.seek, arrival_us=arrival, write=write)
         want = reference_service(lba, sectors, state, g, drive.seek, arrival, write)
         assert got == want
-        first, last = lba_to_phys(lba, g), lba_to_phys(lba + sectors - 1, g)
+        first, last = reference_phys(lba, g), reference_phys(lba + sectors - 1, g)
         crossed["track"] += first[:2] != last[:2]
         crossed["cylinder"] += first[0] != last[0]
-        crossed["zone"] += g._zone_of_lba(lba)[0] != g._zone_of_lba(lba + sectors - 1)[0]
+        crossed["zone"] += reference_zone(lba, g)[0] != reference_zone(lba + sectors - 1, g)[0]
     assert min(crossed.values()) >= 20, crossed
 
 
@@ -519,3 +543,47 @@ def test_copied_geometry_serves_as_the_original(name):
             )
             addr = lba * SECTOR_BYTES + int(rng.integers(0, SECTOR_BYTES))
             assert cylinder_of_byte(addr, twin) == cylinder_of_byte(addr, g)
+
+
+# -- switch skews --------------------------------------------------------------
+
+#: Revolutions the sector after a switch takes, where it takes one or more.
+#: On the Fujitsu drive ``write_min_us`` (600) outlasts the cylinder skew of
+#: zones 0-4 (56 sectors, 457-598 us), so a write that steps to the next
+#: cylinder there waits out a revolution (ROADMAP item 13).
+LOST_REVOLUTION = {
+    ("fujitsu_man3184mp", 0, "cylinder", "write"): 1.077,
+    ("fujitsu_man3184mp", 1, "cylinder", "write"): 1.082,
+    ("fujitsu_man3184mp", 2, "cylinder", "write"): 1.088,
+    ("fujitsu_man3184mp", 3, "cylinder", "write"): 1.094,
+    ("fujitsu_man3184mp", 4, "cylinder", "write"): 1.101,
+}
+
+
+def switch_costs():
+    """(profile, zone, switch, direction) and the revolutions the sector after the switch took.
+
+    In every zone of every profile, ``service`` serves the last sector before
+    the first head switch or the first cylinder step, then the next sector
+    from the head state it returned, arriving as the first ends.
+    """
+
+    for name, drive in sorted(PROFILES.items()):
+        g = drive.geometry
+        for zone_idx, (start, _) in enumerate(zone_starts_by_summing(g)):
+            spt = g.zones[zone_idx].sectors_per_track
+            for switch, last in (("head", start + spt - 1), ("cylinder", start + g.heads * spt - 1)):
+                (cylinder, head, _), after = reference_phys(last, g), reference_phys(last + 1, g)
+                assert after[:2] == ((cylinder, head + 1) if switch == "head" else (cylinder + 1, 0))
+                for direction in ("read", "write"):
+                    write = direction == "write"
+                    _, state = service(last, 1, HeadState(), g, drive.seek, 0, write)
+                    delay, _ = service(last + 1, 1, state, g, drive.seek, state.time_us, write)
+                    yield (name, zone_idx, switch, direction), delay / g.rotation_period_us
+
+
+def test_switch_skews_lose_a_revolution_only_on_fujitsu_cylinder_writes():
+    costs = dict(switch_costs())
+    assert len(costs) == sum(2 * 2 * len(p.geometry.zones) for p in PROFILES.values())
+    lost = {case: round(revs, 3) for case, revs in costs.items() if revs >= 1}
+    assert lost == LOST_REVOLUTION
