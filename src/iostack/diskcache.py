@@ -64,6 +64,14 @@ class MediaRole(Enum):
     DESTAGE = "destage"
 
 
+# Module constants for the hot paths: see the comment at ``StageId.__hash__``.
+NONE, SEQUENTIAL_FILL, LOCAL_512K = ReadPrefetch
+WRITE_BACK, WRITE_THROUGH = WritePolicy
+HIT, PARTIAL, MISS = Lookup
+ACK_NOW, ACK_AFTER_MEDIA, DEFER = Ack
+HOST_READ, LOCAL_PREFETCH, FILL_CHUNK, HOST_WRITE, DESTAGE = MediaRole
+
+
 #: The local-pattern prefetch reads 512KB from the third request's start.
 PREFETCH_BLOCK_SECTORS = 524_288 // SECTOR_BYTES
 #: Two requests count as "local" when the second starts within this many
@@ -249,11 +257,11 @@ class MediaMsg:
 
     @property
     def write(self) -> bool:
-        return self.role is MediaRole.HOST_WRITE or self.role is MediaRole.DESTAGE
+        return self.role is HOST_WRITE or self.role is DESTAGE
 
     @property
     def purpose(self) -> str:
-        if self.role is MediaRole.HOST_WRITE:
+        if self.role is HOST_WRITE:
             return self.host.purpose.value
         return self.role.value
 
@@ -405,11 +413,11 @@ class SegmentedCache:
                 sends.append(io)
             return sends
         ack, writes = self.write_accept(lba, count, io.sector_tags, io.purpose.force_media)
-        if ack is Ack.ACK_AFTER_MEDIA:
+        if ack is ACK_AFTER_MEDIA:
             # One media write, whose completion acknowledges the host io.
             writes[0].host = io
             return writes
-        if ack is Ack.ACK_NOW:
+        if ack is ACK_NOW:
             return (io, *writes)
         self.held = io
         return writes
@@ -422,11 +430,11 @@ class SegmentedCache:
         awaits nothing.
         """
 
-        if op.role is MediaRole.HOST_WRITE:
+        if op.role is HOST_WRITE:
             return (op.host,)
         sends = self.on_media_data(op.lba, op.sectors, op.role)
         held = self.held
-        if held is not None and (op.role is MediaRole.DESTAGE if held.write else not self.awaited):
+        if held is not None and (op.role is DESTAGE if held.write else not self.awaited):
             self.held = None
             return (*sends, *self.host_io(held)) if held.write else (*sends, held)
         return sends
@@ -451,7 +459,7 @@ class SegmentedCache:
         cfg = self.config
         missing = self.missing_runs(lba, sectors)
         if not missing:
-            classification = Lookup.HIT
+            classification = HIT
             # The first segment that overlaps the read: one does, as no run is missing.
             end = lba + sectors
             for holder in self.segments:
@@ -466,9 +474,9 @@ class SegmentedCache:
                     self._penalty_pending += 1
                     holder.consumed_by_128k = 0
         elif len(missing) == 1 and missing[0] == (lba, sectors):
-            classification = Lookup.MISS
+            classification = MISS
         else:
-            classification = Lookup.PARTIAL
+            classification = PARTIAL
 
         self.awaited = missing
         reads: list[MediaMsg] = []
@@ -476,9 +484,9 @@ class SegmentedCache:
             if not self._covered_by_fill(run_lba, run_sectors):
                 self.expect_fill(run_lba, run_sectors)
                 penalty = self.take_penalty_rotations()
-                reads.append(MediaMsg(MediaRole.HOST_READ, run_lba, run_sectors, None, penalty))
+                reads.append(MediaMsg(HOST_READ, run_lba, run_sectors, None, penalty))
         sequential = self.seq_last_end is not None and lba == self.seq_last_end
-        if cfg.read_prefetch is not ReadPrefetch.NONE and sequential:
+        if cfg.read_prefetch is not NONE and sequential:
             # Fill one segment past the request, short of the disk end.
             frontier = max(self.fill_frontier, lba + sectors)
             target = min(lba + sectors + self.segment_sectors, self.usable_sectors)
@@ -488,12 +496,12 @@ class SegmentedCache:
                 reads += self._next_fill_chunk()
         elif not sequential:
             self.fill_frontier = 0
-        if cfg.read_prefetch is ReadPrefetch.LOCAL_512K and self.detector.observe(lba, sectors):
+        if cfg.read_prefetch is LOCAL_512K and self.detector.observe(lba, sectors):
             self.local_prefetch_count += 1
             prefetch = min(PREFETCH_BLOCK_SECTORS, self.usable_sectors - lba)
             self.expect_fill(lba, prefetch)
             penalty = self.take_penalty_rotations()
-            reads.append(MediaMsg(MediaRole.LOCAL_PREFETCH, lba, prefetch, None, penalty))
+            reads.append(MediaMsg(LOCAL_PREFETCH, lba, prefetch, None, penalty))
         self.seq_last_end = lba + sectors
         return classification, reads
 
@@ -516,7 +524,7 @@ class SegmentedCache:
             self.fill_ranges.popleft()
         self.expect_fill(start, take)
         self._fill_chunk_outstanding = True
-        return (MediaMsg(MediaRole.FILL_CHUNK, start, take, None, self.take_penalty_rotations()),)
+        return (MediaMsg(FILL_CHUNK, start, take, None, self.take_penalty_rotations()),)
 
     def take_penalty_rotations(self) -> int:
         """Rotations of repositioning penalty owed to the next media op planned."""
@@ -544,7 +552,7 @@ class SegmentedCache:
         chunk's data frees the chunk slot for the next queued chunk.
         """
 
-        if role is MediaRole.DESTAGE:
+        if role is DESTAGE:
             self.destage_inflight = False
             return self._next_destage()
         try:
@@ -569,10 +577,10 @@ class SegmentedCache:
             self.awaited = awaited
         seg = self._stage(lba, sectors)
         # With every segment dirty the data is served uncached.
-        if seg is not None and role is MediaRole.LOCAL_PREFETCH:
+        if seg is not None and role is LOCAL_PREFETCH:
             seg.local_prefetch = True
             seg.consumed_by_128k = 0
-        if role is not MediaRole.FILL_CHUNK:
+        if role is not FILL_CHUNK:
             return ()
         self._fill_chunk_outstanding = False
         return self._next_fill_chunk()
@@ -592,20 +600,20 @@ class SegmentedCache:
 
         if sectors <= 0:
             raise ValueError("sectors must be positive")
-        if self.config.write_policy is WritePolicy.WRITE_THROUGH or force_media:
+        if self.config.write_policy is WRITE_THROUGH or force_media:
             # Written-through data stays readable from the cache afterwards.
             seg = self._segment_for(lba, sectors)
             if seg is not None and not seg.dirty:
                 self._extend(seg, lba, sectors)
-            write = MediaMsg(MediaRole.HOST_WRITE, lba, sectors, tags, self.take_penalty_rotations())
-            return Ack.ACK_AFTER_MEDIA, (write,)
+            write = MediaMsg(HOST_WRITE, lba, sectors, tags, self.take_penalty_rotations())
+            return ACK_AFTER_MEDIA, (write,)
 
         seg = self._stage(lba, sectors)
         if seg is None:
-            return Ack.DEFER, self._next_destage()
+            return DEFER, self._next_destage()
         seg.pending_writes += 1
         self.writes.append((seg, lba, sectors, tags))
-        return Ack.ACK_NOW, self._next_destage()
+        return ACK_NOW, self._next_destage()
 
     def _next_destage(self) -> tuple[MediaMsg, ...]:
         """The next destage to write, unless one is in flight."""
@@ -616,7 +624,7 @@ class SegmentedCache:
         if record is None:
             return ()
         self.destage_inflight = True
-        return (MediaMsg(MediaRole.DESTAGE, *record, self.take_penalty_rotations()),)
+        return (MediaMsg(DESTAGE, *record, self.take_penalty_rotations()),)
 
     def destage_next(self) -> tuple[int, int, TagRuns | None] | None:
         """Oldest pending write record.

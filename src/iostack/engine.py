@@ -34,10 +34,23 @@ class StageId(Enum):
     DISK_CACHE = "DISK_CACHE"
     DISK = "DISK"
 
-    # Members compare by identity, so they may hash by it too; Enum's own
-    # __hash__ is a Python function, and the handler table is looked up
-    # twice per event.
+    # Why hot code reads enum members from module constants, and why some
+    # enums hash by identity; the other unpack sites point here.
+    # - Enum's own __hash__ is a Python-level function in every CPython
+    #   version.  Members compare by identity, so they may hash by it too;
+    #   the handler table is looked up twice per event.  A set of members
+    #   then iterates in address order, so no code may iterate one.
+    # - On 3.10 and 3.11 the metaclass defines a Python-level
+    #   ``EnumType.__getattr__``, so a class read such as ``StageId.DISK``
+    #   takes the interpreter's slow generic path, never specialised, at
+    #   several times the cost of a module global read.  3.12 drops that
+    #   hook.  So each enum the replay reads per event or per request is
+    #   unpacked into module constants beside its class, as below, and hot
+    #   code reads those.
     __hash__ = object.__hash__
+
+
+APP, FS_CACHE, SCHEDULER, DISK_CACHE, DISK = StageId
 
 
 class PastEvent(Exception):

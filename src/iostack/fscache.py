@@ -25,7 +25,18 @@ from itertools import zip_longest
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .diskcache import TagMap, TagRun, TagRuns, uncovered_runs
-from .requests import SECTOR_BYTES, AccessMode, CanonicalRequest, Op, sector_range
+from .requests import (
+    CLOSE,
+    NO_BUFFER,
+    OPEN,
+    READ,
+    SECTOR_BYTES,
+    SEQUENTIAL,
+    WRITE,
+    WRITE_THROUGH,
+    CanonicalRequest,
+    sector_range,
+)
 
 if TYPE_CHECKING:
     from .replay import RequestMsg
@@ -60,15 +71,16 @@ class Purpose(Enum):
     def required(self) -> bool:
         """The request that issues the io waits for it."""
 
-        return self is not Purpose.PREFETCH and self is not Purpose.FLUSH
+        return self is not PREFETCH and self is not FLUSH
 
     @property
     def force_media(self) -> bool:
         """The drive acknowledges the io only once it is on the media."""
 
-        return self is Purpose.WT_DATA or self is Purpose.METADATA
+        return self is WT_DATA or self is METADATA
 
 
+# Module constants for the hot paths: see the comment at ``StageId.__hash__``.
 DEMAND, PREFETCH, PASSTHROUGH, APP_DIRECT, FLUSH, WT_DATA, METADATA = Purpose
 
 APP_ACTOR = "app"
@@ -85,6 +97,9 @@ PERIODIC_BLOCK_OVERRIDES = {327_680: 6}
 class WriteRegime(Enum):
     PROGRESSIVE = "PROGRESSIVE"
     PERIODIC = "PERIODIC"
+
+
+PROGRESSIVE, PERIODIC = WriteRegime
 
 
 @dataclass(frozen=True)
@@ -134,8 +149,8 @@ def classify_write_regime(size_bytes: int) -> WriteRegime:
     if size_bytes <= 0:
         raise ValueError("size must be positive")
     if size_bytes <= PROGRESSIVE_MAX_BYTES or size_bytes in PROGRESSIVE_EXACT_SIZES:
-        return WriteRegime.PROGRESSIVE
-    return WriteRegime.PERIODIC
+        return PROGRESSIVE
+    return PERIODIC
 
 
 def periodic_block_count(size_bytes: int) -> int:
@@ -203,6 +218,8 @@ class Signal(Enum):
         return self.value[1]
 
 
+FLUSH_TICK, DRAIN = Signal
+
 #: A message to send and its delay from now, in microseconds.
 Send = tuple[int, "IoMsg | RequestMsg | Signal"]
 
@@ -265,33 +282,34 @@ class FsCache:
         """
 
         sends: list[Send] = []
-        match msg:
-            case IoMsg(block_key=key, request_id=rid):
-                if key is not None:
-                    for waiter in self.on_block_loaded(key):
-                        self._settle(waiter, sends)
-                if msg.purpose is FLUSH and self.progressive_running:
-                    sends.append((0, Signal.FLUSH_TICK))
-                if rid is not None:
-                    self._settle(rid, sends)
-            case Signal.FLUSH_TICK:
-                ios = self.next_progressive_flush()
-                if not ios:
-                    self.progressive_running = False
-                sends += [(0, io) for io in ios]
-            case Signal.DRAIN:
-                sends += [(0, io) for io in self.flush_all()]
-            case _ if self.wt_gate is not None:
-                self.deferred.append(msg)
-            case _:
-                self._admit(msg, sends)
+        if isinstance(msg, IoMsg):
+            key, rid = msg.block_key, msg.request_id
+            if key is not None:
+                for waiter in self.on_block_loaded(key):
+                    self._settle(waiter, sends)
+            if msg.purpose is FLUSH and self.progressive_running:
+                sends.append((0, FLUSH_TICK))
+            if rid is not None:
+                self._settle(rid, sends)
+        elif msg is FLUSH_TICK:
+            ios = self.next_progressive_flush()
+            if not ios:
+                self.progressive_running = False
+            sends += [(0, io) for io in ios]
+        elif msg is DRAIN:
+            sends += [(0, io) for io in self.flush_all()]
+        elif self.wt_gate is not None:
+            self.deferred.append(msg)
+        else:
+            self._admit(msg, sends)
         return sends
 
     def _admit(self, msg: RequestMsg, sends: list[Send]) -> None:
         req, rid = msg.request, msg.request_id
         cfg = self.config
-        if req.op in (Op.OPEN, Op.CLOSE):
-            if req.op is Op.OPEN:
+        op = req.op
+        if op is OPEN or op is CLOSE:
+            if op is OPEN:
                 self.streams.pop(req.file_id, None)  # a fresh handle: speculation restarts
             # Opening or closing a handle takes no simulated time.
             sends.append((0, msg))
@@ -300,7 +318,7 @@ class FsCache:
             sends.append((cfg.fastio_hit_cost_us, msg))
             return
 
-        plan = self.on_read(req, rid) if req.op is Op.READ else self.on_write(req, rid)
+        plan = self.on_read(req, rid) if op is READ else self.on_write(req, rid)
         required = [io for io in plan.ios if io.purpose.required]
         for io in required:
             io.request_id = rid  # required ios, and only they, carry their request
@@ -312,7 +330,7 @@ class FsCache:
         sends += [(0 if io.purpose is FLUSH else miss_us, io) for io in plan.ios]
         if plan.kick_progressive and not self.progressive_running:
             self.progressive_running = True
-            sends.append((0, Signal.FLUSH_TICK))
+            sends.append((0, FLUSH_TICK))
         if msg.awaited:
             self.pending[rid] = msg
         else:
@@ -407,7 +425,7 @@ class FsCache:
         sizes, whose behavior tracks normal mode) use the window algorithm.
         """
 
-        if req.mode is AccessMode.SEQUENTIAL:
+        if req.mode is SEQUENTIAL:
             return req.length_bytes % BLOCK_BYTES == 0
         return req.length_bytes <= BLOCK_BYTES
 
@@ -457,9 +475,9 @@ class FsCache:
         past its file's; the extent only caps read-ahead.
         """
 
-        if req.op is not Op.READ:
+        if req.op is not READ:
             raise ValueError("on_read requires a READ request")
-        if req.mode is AccessMode.NO_BUFFER:
+        if req.mode is NO_BUFFER:
             return _passthrough(req, None)
 
         start, end = req.disk_byte_addr, req.disk_byte_addr + req.length_bytes
@@ -541,13 +559,13 @@ class FsCache:
         return ios
 
     def on_write(self, req: CanonicalRequest, tag: int) -> Plan:
-        if req.op is not Op.WRITE:
+        if req.op is not WRITE:
             raise ValueError("on_write requires a WRITE request")
-        if req.mode is AccessMode.NO_BUFFER:
+        if req.mode is NO_BUFFER:
             return _passthrough(req, tag)
 
         start, length = req.disk_byte_addr, req.length_bytes
-        if req.mode is AccessMode.WRITE_THROUGH:
+        if req.mode is WRITE_THROUGH:
             # Copy to cache block by block, push the data through to media,
             # then update the file's metadata: the gate admits no request
             # until then.
@@ -571,7 +589,7 @@ class FsCache:
         n = periodic_block_count(length)
         stream = self.streams.setdefault(req.file_id, FileStream())
         plan = Plan()
-        if regime is WriteRegime.PROGRESSIVE:
+        if regime is PROGRESSIVE:
             cached_blocks, direct_blocks = n, 0
             cache_bytes, direct_bytes = length, 0
             plan.kick_progressive = True
@@ -596,7 +614,7 @@ class FsCache:
                 self._direct_write_ios(req.file_id, start + cache_bytes, direct_bytes, tag)
             )
         threshold = self.config.working_set_bytes - RESERVE_CONSTANT_BYTES
-        if regime is WriteRegime.PERIODIC and self.dirty_accounted_bytes >= threshold:
+        if regime is PERIODIC and self.dirty_accounted_bytes >= threshold:
             plan.ios.extend(self.flush_all())
             self.flush_ordinals.append(tag)
         return plan
@@ -639,7 +657,7 @@ def _passthrough(req: CanonicalRequest, tag: int | None) -> Plan:
     The cache manager is bypassed outright and no cache state is touched.
     """
 
-    write = req.op is Op.WRITE
+    write = req.op is WRITE
     end = req.disk_byte_addr + req.length_bytes
     tags = _tags(req.disk_byte_addr, end, tag) if write else None
     return Plan(

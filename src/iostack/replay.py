@@ -34,12 +34,23 @@ from enum import Enum
 
 from .diskcache import DiskCacheConfig, MediaMsg, SegmentedCache, TagMap
 from .disk import DiskGeometry, HeadState, SeekProfile, cylinder_of_byte, service
-from .engine import EventLog, Observer, Payload, Simulator, StageId
-from .fscache import FsCache, FsCacheConfig, IoMsg, Signal
+from .engine import (
+    APP,
+    DISK,
+    DISK_CACHE,
+    FS_CACHE,
+    SCHEDULER,
+    EventLog,
+    Observer,
+    Payload,
+    Simulator,
+)
+from .fscache import DRAIN, FsCache, FsCacheConfig, IoMsg, Signal
 from .requests import (
+    READ,
+    SYSTEM,
+    WRITE,
     CanonicalRequest,
-    Op,
-    Origin,
     RequestRecord,
     Summary,
     sector_range,
@@ -50,6 +61,11 @@ from .scheduler import PendingQueue, Policy
 class ReplayMode(Enum):
     CLOSED_LOOP = "CLOSED_LOOP"
     OPEN_LOOP_TIMED = "OPEN_LOOP_TIMED"
+
+
+# Module constants for the hot paths: see the comment at ``StageId.__hash__``.
+# ``APP`` here is the stage; the request origin this module reads is ``SYSTEM``.
+CLOSED_LOOP, OPEN_LOOP_TIMED = ReplayMode
 
 
 @dataclass(frozen=True)
@@ -124,17 +140,17 @@ class AppStage:
         self.records: list[RequestRecord] = []
 
     def start(self, sim: Simulator) -> None:
-        if self.policy.mode is ReplayMode.OPEN_LOOP_TIMED:
+        if self.policy.mode is OPEN_LOOP_TIMED:
             for i, r in enumerate(self.requests):
-                sim.schedule(StageId.APP, RequestMsg(i, r), at_us=r.issue_time_us)
+                sim.schedule(APP, RequestMsg(i, r), at_us=r.issue_time_us)
         else:
-            sim.schedule(StageId.APP, RequestMsg(0, self.requests[0]), at_us=self.requests[0].issue_time_us)
+            sim.schedule(APP, RequestMsg(0, self.requests[0]), at_us=self.requests[0].issue_time_us)
 
     def handle(self, sim: Simulator, payload: RequestMsg) -> None:
         # Every APP event is a request; a done one has left the stack.
         if not payload.done:
             payload.issue_us = sim.now()
-            sim.schedule(StageId.FS_CACHE, payload)
+            sim.schedule(FS_CACHE, payload)
             return
         rid, r, issue = payload.request_id, payload.request, payload.issue_us
         self.records.append(
@@ -148,12 +164,12 @@ class AppStage:
                 origin=r.origin,
             )
         )
-        if self.policy.mode is ReplayMode.CLOSED_LOOP and rid + 1 < len(self.requests):
+        if self.policy.mode is CLOSED_LOOP and rid + 1 < len(self.requests):
             nxt = rid + 1
             at = self._next_issue_time(rid, issue, sim.now())
-            sim.schedule(StageId.APP, RequestMsg(nxt, self.requests[nxt]), at_us=max(at, sim.now()))
+            sim.schedule(APP, RequestMsg(nxt, self.requests[nxt]), at_us=max(at, sim.now()))
         if len(self.records) == len(self.requests):
-            sim.schedule(StageId.FS_CACHE, Signal.DRAIN)
+            sim.schedule(FS_CACHE, DRAIN)
 
     def _next_issue_time(self, rid: int, issue_us: int, complete_us: int) -> int:
         """Closed-loop pacing with the measured-response tolerance.
@@ -192,12 +208,12 @@ class FsStage:
                 case IoMsg():
                     self._io_seq += 1
                     msg.io_id = self._io_seq
-                    sim.schedule(StageId.SCHEDULER, msg, now + delay_us)
+                    sim.schedule(SCHEDULER, msg, now + delay_us)
                 case RequestMsg():
                     msg.done = True
-                    sim.schedule(StageId.APP, msg, now + delay_us)
+                    sim.schedule(APP, msg, now + delay_us)
                 case Signal():
-                    sim.schedule(StageId.FS_CACHE, msg, now + delay_us)
+                    sim.schedule(FS_CACHE, msg, now + delay_us)
 
 
 class SchedulerStage:
@@ -214,7 +230,7 @@ class SchedulerStage:
         # Every SCHEDULER event is an io; a done one has left the drive.
         if payload.done:
             self.inflight = None
-            sim.schedule(StageId.FS_CACHE, payload)
+            sim.schedule(FS_CACHE, payload)
         else:
             self.queue.enqueue(payload, cylinder_of_byte(payload.disk_addr, self.geometry))
         self._dispatch()
@@ -223,7 +239,7 @@ class SchedulerStage:
         if self.inflight is None:
             self.inflight = self.queue.next()
             if self.inflight is not None:
-                self.sim.schedule(StageId.DISK_CACHE, self.inflight)
+                self.sim.schedule(DISK_CACHE, self.inflight)
 
 
 class DiskCacheStage:
@@ -250,10 +266,10 @@ class DiskCacheStage:
                 case MediaMsg():
                     self._media_seq += 1
                     msg.media_id = self._media_seq
-                    sim.schedule(StageId.DISK, msg)
+                    sim.schedule(DISK, msg)
                 case IoMsg():
                     msg.done = True
-                    sim.schedule(StageId.SCHEDULER, msg)
+                    sim.schedule(SCHEDULER, msg)
 
 
 class DiskStage:
@@ -293,7 +309,7 @@ class DiskStage:
         # revolution).
         self.head = (cylinder, head, angle, float(finish))
         msg.finished = True
-        self.sim.schedule(StageId.DISK, msg, finish)
+        self.sim.schedule(DISK, msg, finish)
 
     def _finish(self, msg: MediaMsg) -> None:
         if msg.sector_tags is not None:
@@ -304,7 +320,7 @@ class DiskStage:
         if self.queue:
             self._start_next()
         msg.done = True
-        self.sim.schedule(StageId.DISK_CACHE, msg)
+        self.sim.schedule(DISK_CACHE, msg)
 
 
 # -- top-level entry -------------------------------------------------------------
@@ -374,7 +390,7 @@ def file_extents(requests: list[CanonicalRequest]) -> dict[int, int]:
 
     extents: dict[int, int] = {}
     for r in requests:
-        if r.op in (Op.READ, Op.WRITE):
+        if r.op is READ or r.op is WRITE:
             end = r.disk_byte_addr + r.length_bytes
             extents[r.file_id] = max(extents.get(r.file_id, 0), end)
     return extents
@@ -385,7 +401,7 @@ def reference_media_image(requests: list[CanonicalRequest]) -> TagMap:
 
     image = TagMap()
     for ordinal, r in enumerate(requests):
-        if r.op is Op.WRITE:
+        if r.op is WRITE:
             sectors = sector_range(r.disk_byte_addr, r.disk_byte_addr + r.length_bytes)
             image.overlay(((sectors.start, sectors.stop, ordinal),))
     return image
@@ -413,9 +429,9 @@ def replay(
     capacity = stack.geometry.usable_bytes
     effective = []
     for position, r in enumerate(requests):
-        if not stack.include_system_requests and r.origin is not Origin.APP:
+        if not stack.include_system_requests and r.origin is SYSTEM:
             continue
-        if r.op in (Op.READ, Op.WRITE) and r.disk_byte_addr + r.length_bytes > capacity:
+        if (r.op is READ or r.op is WRITE) and r.disk_byte_addr + r.length_bytes > capacity:
             raise TraceReplayError(
                 f"at disk byte {r.disk_byte_addr} (+{r.length_bytes}) "
                 f"exceeds the configured disk capacity of {capacity} bytes",
@@ -434,11 +450,11 @@ def replay(
     cache_stage = DiskCacheStage(cache)
     disk_stage = DiskStage(sim, stack.geometry, stack.seek)
 
-    sim.register(StageId.APP, app.handle)
-    sim.register(StageId.FS_CACHE, fs_stage.handle)
-    sim.register(StageId.SCHEDULER, sched_stage.handle)
-    sim.register(StageId.DISK_CACHE, cache_stage.handle)
-    sim.register(StageId.DISK, disk_stage.handle)
+    sim.register(APP, app.handle)
+    sim.register(FS_CACHE, fs_stage.handle)
+    sim.register(SCHEDULER, sched_stage.handle)
+    sim.register(DISK_CACHE, cache_stage.handle)
+    sim.register(DISK, disk_stage.handle)
 
     app.start(sim)
     sim.run()

@@ -15,11 +15,17 @@ def sector_range(lo: int, hi: int) -> range:
     return range(lo // SECTOR_BYTES, -(-hi // SECTOR_BYTES))
 
 
+# These three hash by identity and are unpacked into module constants for
+# the replay and report paths: see the comment at ``StageId.__hash__``.
+
+
 class Op(enum.Enum):
     OPEN = "OPEN"
     READ = "READ"
     WRITE = "WRITE"
     CLOSE = "CLOSE"
+
+    __hash__ = object.__hash__
 
 
 class AccessMode(enum.Enum):
@@ -30,10 +36,21 @@ class AccessMode(enum.Enum):
     NO_BUFFER = "NO_BUFFER"
     WRITE_THROUGH = "WRITE_THROUGH"
 
+    __hash__ = object.__hash__
+
 
 class Origin(enum.Enum):
     APP = "APP"
     SYSTEM = "SYSTEM"
+
+    __hash__ = object.__hash__
+
+
+OPEN, READ, WRITE, CLOSE = Op
+NORMAL, SEQUENTIAL, NO_BUFFER, WRITE_THROUGH = AccessMode
+APP, SYSTEM = Origin
+#: The summary's text of each access mode.
+_MODE_TEXT = {mode: mode.value for mode in AccessMode}
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -132,20 +149,32 @@ class Summary:
 
     @classmethod
     def from_records(cls, records: list[RequestRecord]) -> "Summary":
-        app = [r for r in records if r.origin is Origin.APP]
         s = cls()
-        if not app:
+        # Mode text -> [requests, bytes, response_us], in first-seen order.
+        modes: dict[str, list[int]] = {}
+        text = _MODE_TEXT
+        first = last = None
+        for r in records:
+            if r.origin is not APP:
+                continue
+            issue, complete = r.issue_us, r.complete_us
+            if first is None or issue < first:
+                first = issue
+            if last is None or complete > last:
+                last = complete
+            mode = text[r.mode]
+            bucket = modes.get(mode)
+            if bucket is None:
+                bucket = modes[mode] = [0, 0, 0]
+            bucket[0] += 1
+            bucket[1] += r.bytes
+            bucket[2] += complete - issue
+        if not modes:
             return s
-        s.total_requests = len(app)
-        s.total_bytes = sum(r.bytes for r in app)
-        s.total_response_us = sum(r.latency_us for r in app)
-        s.first_issue_us = min(r.issue_us for r in app)
-        s.last_complete_us = max(r.complete_us for r in app)
-        for r in app:
-            bucket = s.per_mode.setdefault(
-                r.mode.value, {"requests": 0, "bytes": 0, "response_us": 0}
-            )
-            bucket["requests"] += 1
-            bucket["bytes"] += r.bytes
-            bucket["response_us"] += r.latency_us
+        s.total_requests, s.total_bytes, s.total_response_us = map(sum, zip(*modes.values()))
+        s.first_issue_us, s.last_complete_us = first, last
+        s.per_mode = {
+            mode: {"requests": n, "bytes": nbytes, "response_us": us}
+            for mode, (n, nbytes, us) in modes.items()
+        }
         return s

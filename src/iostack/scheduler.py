@@ -25,6 +25,11 @@ class Direction(Enum):
     DOWN = "DOWN"
 
 
+# Module constants for the hot paths: see the comment at ``StageId.__hash__``.
+FCFS, LOOK, C_LOOK = Policy
+UP, DOWN = Direction
+
+
 @dataclass
 class PendingQueue:
     """Policy-ordered queue of pending items keyed by target cylinder.
@@ -60,7 +65,7 @@ class PendingQueue:
     def enqueue(self, item: Any, cylinder: int) -> None:
         entry = (cylinder, self._next_arrival, item)
         self._next_arrival += 1
-        if self.policy is Policy.FCFS:
+        if self.policy is FCFS:
             self._entries.append(entry)
         else:
             insort(self._entries, entry)
@@ -70,9 +75,9 @@ class PendingQueue:
 
         if not self._entries:
             return None
-        if self.policy is Policy.FCFS:
+        if self.policy is FCFS:
             ix = 0
-        elif self.policy is Policy.LOOK:
+        elif self.policy is LOOK:
             ix = self._next_elevator()
         else:  # C-LOOK: the nearest at or above the head, else wrap to the lowest
             ix = self._first_at(self.position) % len(self._entries)
@@ -88,7 +93,7 @@ class PendingQueue:
 
     def _next_elevator(self) -> int:
         entries = self._entries
-        if self.direction is Direction.UP:
+        if self.direction is UP:
             ix = self._first_at(self.position)
             if ix < len(entries):
                 return ix
@@ -98,8 +103,8 @@ class PendingQueue:
                 return self._first_at(entries[above - 1][0])
         # Nothing ahead: reverse at the furthest pending item.  Every item
         # is then ahead, so the nearest one is the extreme one.
-        if self.direction is Direction.UP:
-            self.direction = Direction.DOWN
+        if self.direction is UP:
+            self.direction = DOWN
             return self._first_at(entries[-1][0])
-        self.direction = Direction.UP
+        self.direction = UP
         return 0
