@@ -20,7 +20,6 @@ from .diskcache import (
 )
 from .disk import (
     DiskGeometry,
-    HeadState,
     OutOfRange,
     SeekProfile,
     Zone,
@@ -94,7 +93,6 @@ __all__ = [
     "FsCache",
     "FsCacheConfig",
     "GeneratorSpec",
-    "HeadState",
     "InvalidParams",
     "Lookup",
     "MalformedLine",

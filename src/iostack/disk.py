@@ -1,9 +1,9 @@
 """Mechanical disk service-time model.
 
-Zoned geometry with track/cylinder skews and per-zone spare sectors, a
-three-point seek curve, and rotational bookkeeping precise enough that a
-logically sequential stream crossing a track boundary lands just behind the
-head after the switch instead of losing a revolution.
+Zoned geometry with track and cylinder skews, a three-point seek curve,
+and rotational bookkeeping precise enough that a logically sequential
+stream crossing a track boundary lands just behind the head after the
+switch instead of losing a revolution.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import NamedTuple
 
 from .requests import SECTOR_BYTES
 
@@ -29,12 +28,12 @@ class Zone:
 
 @dataclass(frozen=True)
 class DiskGeometry:
-    """A zoned drive's layout: cylinders, heads, zones, spindle speed, skews and spares.
+    """A zoned drive's layout: cylinders, heads, zones, spindle speed and skews.
 
     ``__post_init__`` checks the fields and builds, once per geometry, the
     tables every media op reads, kept out of the fields: ``_zone_starts``
     (each zone's first LBA, then the total usable sectors), ``_zone_tracks``
-    (each zone's first cylinder, sectors per track and usable sectors) and
+    (each zone's first cylinder and sectors per track) and
     ``rotation_period_us``.  ``dataclasses.replace`` rebuilds them; a copy
     or a pickle carries them.
     """
@@ -45,8 +44,6 @@ class DiskGeometry:
     rpm: int
     track_skew_sectors: int = 0
     cylinder_skew_sectors: int = 0
-    #: Sectors reserved at the tail of each zone's logical order (0 = none).
-    spares_per_zone_tail: int = 0
 
     def __post_init__(self) -> None:
         if self.cylinders <= 0 or self.heads <= 0 or self.rpm <= 0:
@@ -62,19 +59,14 @@ class DiskGeometry:
         if self.track_skew_sectors >= min_spt or self.cylinder_skew_sectors >= min_spt:
             raise ValueError("skews must be smaller than every zone's sectors_per_track")
         ends = [z.first_cylinder for z in self.zones[1:]] + [self.cylinders]
-        usable = []
-        for z, end in zip(self.zones, ends):
-            total = (end - z.first_cylinder) * self.heads * z.sectors_per_track
-            if self.spares_per_zone_tail >= total:
-                raise ValueError("spares exceed zone capacity")
-            usable.append(total - self.spares_per_zone_tail)
-        setfield = object.__setattr__
-        setfield(self, "_zone_starts", tuple(accumulate(usable, initial=0)))
-        setfield(
-            self,
-            "_zone_tracks",
-            tuple((z.first_cylinder, z.sectors_per_track, u) for z, u in zip(self.zones, usable)),
+        sizes = (
+            (end - z.first_cylinder) * self.heads * z.sectors_per_track
+            for z, end in zip(self.zones, ends)
         )
+        setfield = object.__setattr__
+        setfield(self, "_zone_starts", tuple(accumulate(sizes, initial=0)))
+        tracks = tuple((z.first_cylinder, z.sectors_per_track) for z in self.zones)
+        setfield(self, "_zone_tracks", tracks)
         setfield(self, "rotation_period_us", 60_000_000 / self.rpm)
 
     # -- zone arithmetic ---------------------------------------------------
@@ -132,8 +124,8 @@ def seek_time(
     lo, mid, hi = profile.triple(write)
     full = cylinders - 1
     knee = cylinders / 3
-    if knee <= 1.0 or mid <= lo:
-        # Degenerate profile or tiny geometry: fall back to a straight line.
+    if knee <= 1.0:
+        # Tiny geometry: fall back to a straight line.
         if full <= 1:
             return lo
         return lo + (hi - lo) * (distance_cylinders - 1) / (full - 1)
@@ -143,32 +135,24 @@ def seek_time(
     return mid + (hi - mid) * (distance_cylinders - knee) / (full - knee)
 
 
-class HeadState(NamedTuple):
-    """Head position plus the rotational phase at a reference time."""
-
-    cylinder: int = 0
-    head: int = 0
-    angle_revs: float = 0.0
-    time_us: float = 0.0
-
-
 def service(
     lba: int,
     sectors: int,
-    state: HeadState,
+    state: tuple[int, int, float, float],
     geometry: DiskGeometry,
     profile: SeekProfile,
     arrival_us: float,
     write: bool = False,
-) -> tuple[float, HeadState]:
+) -> tuple[float, tuple[int, int, float, float]]:
     """Serve one media access; returns (completion delay, new head state).
 
-    The delay composes seek, head-switch, rotational wait and transfer track
-    by track.  The platter keeps rotating during seeks and switches, so with
+    The head state is ``(cylinder, head, angle_revs, time_us)``: the head's
+    position and the platter's phase, in revolutions, at ``time_us``.  The
+    delay composes seek, head-switch, rotational wait and transfer track by
+    track.  The platter keeps rotating during seeks and switches, so with
     skews matched to the switch costs a sequential multi-track transfer
     incurs no extra revolution.  Each track is placed from the geometry's
-    tables, built once with it.  ``state`` may be any tuple of the four
-    ``HeadState`` fields.
+    tables, built once with it.
     """
 
     if sectors <= 0:
@@ -188,18 +172,16 @@ def service(
     cylinder, head, angle, ref = state
     zone_idx = bisect_right(starts, lba) - 1
     zone_start = starts[zone_idx]
-    first_cylinder, spt, usable = zones[zone_idx]
+    first_cylinder, spt = zones[zone_idx]
     remaining = sectors
     while remaining > 0:
-        slot = lba - zone_start
-        if slot == usable:
+        if lba == starts[zone_idx + 1]:
             # The run continues into the next zone.
             zone_idx += 1
             zone_start = lba
-            slot = 0
-            first_cylinder, spt, usable = zones[zone_idx]
-        track, logical = divmod(slot, spt)
-        run = min(remaining, spt - logical, usable - slot)
+            first_cylinder, spt = zones[zone_idx]
+        track, logical = divmod(lba - zone_start, spt)
+        run = min(remaining, spt - logical)
         # Tracks run cylinder-major; the skew of a track's logical sector 0
         # adds the track skew per head switch and the cylinder skew per step.
         cylinder_steps, to_head = divmod(track, heads)
@@ -226,7 +208,7 @@ def service(
         ref = t
         lba += run
         remaining -= run
-    return t - arrival_us, HeadState(cylinder, head, angle, ref)
+    return t - arrival_us, (cylinder, head, angle, ref)
 
 
 def cylinder_of_byte(disk_byte_addr: int, geometry: DiskGeometry) -> int:
@@ -237,5 +219,5 @@ def cylinder_of_byte(disk_byte_addr: int, geometry: DiskGeometry) -> int:
     if lba < 0:
         raise OutOfRange(f"lba {lba} is negative")
     zone_idx = bisect_right(starts, lba) - 1
-    first_cylinder, spt, _ = geometry._zone_tracks[zone_idx]
+    first_cylinder, spt = geometry._zone_tracks[zone_idx]
     return first_cylinder + (lba - starts[zone_idx]) // spt // geometry.heads

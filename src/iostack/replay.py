@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .diskcache import DiskCacheConfig, MediaMsg, SegmentedCache, TagMap
-from .disk import DiskGeometry, HeadState, SeekProfile, cylinder_of_byte, service
+from .disk import DiskGeometry, SeekProfile, cylinder_of_byte, service
 from .engine import (
     APP,
     DISK,
@@ -279,8 +279,8 @@ class DiskStage:
         self.sim = sim
         self.geometry = geometry
         self.seek = seek
-        #: The ``HeadState`` fields as a plain tuple.
-        self.head: tuple[int, int, float, float] = HeadState()
+        #: (cylinder, head, angle_revs, time_us), as ``service`` takes it.
+        self.head: tuple[int, int, float, float] = (0, 0, 0.0, 0.0)
         self.queue: deque[MediaMsg] = deque()
         self.data_image = TagMap()
 

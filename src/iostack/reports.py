@@ -9,13 +9,10 @@ from __future__ import annotations
 from pathlib import Path
 from typing import TextIO
 
-from .requests import AccessMode, Op, Origin, RequestRecord, Summary
+from .requests import MEMBER_TEXT, RequestRecord, Summary
 from .trace import read_utf8
 
 REPORT_FORMAT_VERSION = 1
-
-#: The report text of each op, mode and origin, looked up once per field.
-_TEXT = {member: member.value for kind in (Op, AccessMode, Origin) for member in kind}
 
 
 def format_request_table(records: list[RequestRecord]) -> str:
@@ -23,7 +20,7 @@ def format_request_table(records: list[RequestRecord]) -> str:
         f"#iostack-report v{REPORT_FORMAT_VERSION}",
         "id,issue_us,complete_us,latency_us,bytes,op,mode,origin",
     ]
-    text = _TEXT
+    text = MEMBER_TEXT
     for r in records:
         issue, complete = r.issue_us, r.complete_us
         lines.append(

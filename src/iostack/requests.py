@@ -49,8 +49,8 @@ class Origin(enum.Enum):
 OPEN, READ, WRITE, CLOSE = Op
 NORMAL, SEQUENTIAL, NO_BUFFER, WRITE_THROUGH = AccessMode
 APP, SYSTEM = Origin
-#: The summary's text of each access mode.
-_MODE_TEXT = {mode: mode.value for mode in AccessMode}
+#: The report text of each op, access mode and origin, looked up once per field.
+MEMBER_TEXT = {member: member.value for kind in (Op, AccessMode, Origin) for member in kind}
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -152,7 +152,7 @@ class Summary:
         s = cls()
         # Mode text -> [requests, bytes, response_us], in first-seen order.
         modes: dict[str, list[int]] = {}
-        text = _MODE_TEXT
+        text = MEMBER_TEXT
         first = last = None
         for r in records:
             if r.origin is not APP:

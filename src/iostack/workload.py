@@ -191,19 +191,22 @@ def generate(spec: GeneratorSpec) -> list[CanonicalRequest]:
     offset = spec.address_base
     read_share = spec.read_weight / (spec.read_weight + spec.write_weight)
 
-    if spec.emit_open_close:
-        requests.append(
-            CanonicalRequest(
-                issue_time_us=clock,
-                origin=Origin.APP,
-                op=Op.OPEN,
-                file_id=spec.file_id,
-                file_offset_bytes=0,
-                length_bytes=0,
-                disk_byte_addr=spec.disk_base_bytes,
-                mode=spec.mode,
-            )
+    def request(op: Op, position: int = 0, size: int = 0) -> CanonicalRequest:
+        """One request of the stream, issued at the current clock."""
+
+        return CanonicalRequest(
+            issue_time_us=clock,
+            origin=Origin.APP,
+            op=op,
+            file_id=spec.file_id,
+            file_offset_bytes=position,
+            length_bytes=size,
+            disk_byte_addr=spec.disk_base_bytes + position,
+            mode=spec.mode,
         )
+
+    if spec.emit_open_close:
+        requests.append(request(Op.OPEN))
 
     for _ in range(spec.count):
         gap = max(0.0, sample(spec.inter_arrival_us, rng))
@@ -216,30 +219,8 @@ def generate(spec: GeneratorSpec) -> list[CanonicalRequest]:
             offset += size
         else:
             position = int(max(0.0, sample(spec.address, rng)))
-        requests.append(
-            CanonicalRequest(
-                issue_time_us=clock,
-                origin=Origin.APP,
-                op=op,
-                file_id=spec.file_id,
-                file_offset_bytes=position,
-                length_bytes=size,
-                disk_byte_addr=spec.disk_base_bytes + position,
-                mode=spec.mode,
-            )
-        )
+        requests.append(request(op, position, size))
 
     if spec.emit_open_close:
-        requests.append(
-            CanonicalRequest(
-                issue_time_us=clock,
-                origin=Origin.APP,
-                op=Op.CLOSE,
-                file_id=spec.file_id,
-                file_offset_bytes=0,
-                length_bytes=0,
-                disk_byte_addr=spec.disk_base_bytes,
-                mode=spec.mode,
-            )
-        )
+        requests.append(request(Op.CLOSE))
     return requests

@@ -48,6 +48,11 @@ def sample_trace_text() -> str:
     return SAMPLE_TRACE
 
 
+#: The drive's head before its first media op, as ``service`` takes it:
+#: (cylinder, head, angle_revs, time_us).
+HEAD_AT_REST = (0, 0, 0.0, 0.0)
+
+
 def tiny_geometry(
     spt: int = 100,
     cylinders: int = 60,

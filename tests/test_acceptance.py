@@ -134,7 +134,6 @@ def test_lba_mapping_bijective_on_randomized_geometries():
             rpm=4200,
             track_skew_sectors=int(rng.integers(0, min(spts))),
             cylinder_skew_sectors=int(rng.integers(0, min(spts))),
-            spares_per_zone_tail=int(rng.integers(0, 3)),
         )
         oracle = enumerate_mapping(geometry)
         seen = set()

@@ -517,7 +517,6 @@ HUGE_WEIGHTS = CONFIG.replace(
                     "500",
                     "skews must be smaller than every zone's sectors_per_track",
                 ),
-                ("spares_per_zone_tail", "999999999", "spares exceed zone capacity"),
             )
         ),
         (
@@ -576,7 +575,6 @@ HUGE_WEIGHTS = CONFIG.replace(
         "zones-not-increasing",
         "zone-beyond-last-cylinder",
         "skew-not-below-track",
-        "spares-beyond-zone",
         "clamp-without-distribution",
         *NEGATIVE_STACK_VALUES,
     ],

@@ -144,7 +144,6 @@ EVERY_KEY = {
     "disk.rpm": "7200",
     "disk.track_skew_sectors": "10",
     "disk.cylinder_skew_sectors": "20",
-    "disk.spares_per_zone_tail": "8",
     "disk.seek_read_min_us": "512.3456",
     "disk.seek_read_avg_us": "4000.25",
     "disk.seek_read_max_us": "9000.5",
@@ -193,7 +192,7 @@ EVERY_KEY = {
 ACCEPTED_KEYS = {
     "disk": {
         "profile", "cylinders", "heads", "zones", "rpm", "track_skew_sectors",
-        "cylinder_skew_sectors", "spares_per_zone_tail", "seek_read_min_us",
+        "cylinder_skew_sectors", "seek_read_min_us",
         "seek_read_avg_us", "seek_read_max_us", "seek_write_min_us", "seek_write_avg_us",
         "seek_write_max_us", "head_switch_us",
     },
@@ -263,11 +262,13 @@ class TestRoundTrip:
 
 
 #: Keys of removed knobs: cache keys that became paper constants, the
-#: LOCAL_512K switch or a derived size, and the LBA mapping, which had one
-#: used value (cylinder-major).  The read-ahead trigger and the dirty-data
-#: reserve are Windows cache-manager constants.
+#: LOCAL_512K switch or a derived size, the LBA mapping, which had one used
+#: value (cylinder-major), and the per-zone spare sectors, 0 in every
+#: profile.  The read-ahead trigger and the dirty-data reserve are Windows
+#: cache-manager constants.
 REMOVED_KEYS = (
     "disk.mapping",
+    "disk.spares_per_zone_tail",
     "disk_cache.total_bytes",
     "disk_cache.prefetch_block_bytes",
     "disk_cache.locality_radius_sectors",

@@ -12,7 +12,6 @@ import pytest
 
 from iostack import (
     DiskGeometry,
-    HeadState,
     OutOfRange,
     SECTOR_BYTES,
     SeekProfile,
@@ -28,7 +27,7 @@ from iostack.profiles import (
     TOSHIBA_MK6012MAP,
 )
 
-from conftest import flat_seek, tiny_geometry
+from conftest import HEAD_AT_REST, flat_seek, tiny_geometry
 
 
 def enumerate_mapping(geometry: DiskGeometry) -> dict[int, tuple[int, int, int]]:
@@ -61,15 +60,14 @@ def enumerate_mapping(geometry: DiskGeometry) -> dict[int, tuple[int, int, int]]
             for s in range(spt):
                 slots.append((cyl, head, (s + skew) % spt))
             prev_cyl = cyl
-        usable = len(slots) - geometry.spares_per_zone_tail
-        for slot in slots[:usable]:
+        for slot in slots:
             mapping[lba] = slot
             lba += 1
     return mapping
 
 
 def random_geometries(count: int = 120):
-    """Small seeded geometries over zones, skews and spares."""
+    """Small seeded geometries over zones and skews."""
 
     rng = np.random.default_rng(20240917)
     for _ in range(count):
@@ -87,7 +85,6 @@ def random_geometries(count: int = 120):
             rpm=4200,
             track_skew_sectors=int(rng.integers(0, min_spt)),
             cylinder_skew_sectors=int(rng.integers(0, min_spt)),
-            spares_per_zone_tail=int(rng.integers(0, 3)),
         )
 
 
@@ -98,7 +95,7 @@ def phys_via_service(lba: int, geometry: DiskGeometry) -> tuple[int, int, int]:
     track's sectors per track come from the zone fields.
     """
 
-    _, (cylinder, head, angle, _) = service(lba, 1, HeadState(), geometry, flat_seek(), 0)
+    _, (cylinder, head, angle, _) = service(lba, 1, HEAD_AT_REST, geometry, flat_seek(), 0)
     spt = next(z.sectors_per_track for z in reversed(geometry.zones) if z.first_cylinder <= cylinder)
     return cylinder, head, (round(angle * spt) - 1) % spt
 
@@ -136,7 +133,6 @@ class TestLbaMapping:
             rpm=6000,
             track_skew_sectors=3,
             cylinder_skew_sectors=5,
-            spares_per_zone_tail=2,
         )
         oracle = enumerate_mapping(g)
         assert len(oracle) == g.usable_sectors
@@ -151,20 +147,19 @@ class TestLbaMapping:
                 phys = phys_via_service(lba, g)
                 assert phys == oracle[lba]
                 seen.add(phys)
-            assert len(seen) == g.usable_sectors  # injective onto non-spares
+            assert len(seen) == g.usable_sectors  # injective
 
 
 def zone_starts_by_summing(geometry: DiskGeometry) -> list[tuple[int, int]]:
-    """(first LBA, usable sectors) of every zone, summed from the zone list."""
+    """(first LBA, sectors) of every zone, summed from the zone list."""
 
     spans = []
     start = 0
     ends = [z.first_cylinder for z in geometry.zones[1:]] + [geometry.cylinders]
     for zone, end in zip(geometry.zones, ends):
-        usable = (end - zone.first_cylinder) * geometry.heads * zone.sectors_per_track
-        usable -= geometry.spares_per_zone_tail
-        spans.append((start, usable))
-        start += usable
+        size = (end - zone.first_cylinder) * geometry.heads * zone.sectors_per_track
+        spans.append((start, size))
+        start += size
     return spans
 
 
@@ -177,11 +172,10 @@ def test_zone_table_matches_summed_zones(geometries):
     for g in geometries:
         spans = zone_starts_by_summing(g)
         assert g._zone_starts == (*(start for start, _ in spans), g.usable_sectors)
-        assert [usable for _, _, usable in g._zone_tracks] == [usable for _, usable in spans]
-        assert g.usable_sectors == sum(usable for _, usable in spans)
+        assert g.usable_sectors == sum(size for _, size in spans)
         for lba in (-1, g.usable_sectors):
             with pytest.raises(OutOfRange):
-                service(lba, 1, HeadState(), g, flat_seek(), 0)
+                service(lba, 1, HEAD_AT_REST, g, flat_seek(), 0)
 
 
 class TestSeekCurve:
@@ -189,13 +183,18 @@ class TestSeekCurve:
         assert seek_time(0, FUJITSU_MAN3184MP.seek, FUJITSU_MAN3184MP.geometry.cylinders) == 0
 
     def test_anchors_reproduced_exactly(self):
-        for profile in (FUJITSU_MAN3184MP, TOSHIBA_MK6012MAP, HITACHI_TRAVELSTAR_80GN):
-            cylinders = profile.geometry.cylinders
+        drives = (FUJITSU_MAN3184MP, TOSHIBA_MK6012MAP, HITACHI_TRAVELSTAR_80GN)
+        cases = [(drive.seek, drive.geometry.cylinders) for drive in drives]
+        # An average equal to the minimum holds the minimum up to the knee.
+        cases.append((flat_seek(min_us=400, avg_us=400, max_us=3000), 3000))
+        for seek, cylinders in cases:
             for write in (False, True):
-                lo, mid, hi = profile.seek.triple(write)
-                assert seek_time(1, profile.seek, cylinders, write) == pytest.approx(lo)
-                assert seek_time(cylinders // 3, profile.seek, cylinders, write) == pytest.approx(mid)
-                assert seek_time(cylinders - 1, profile.seek, cylinders, write) == pytest.approx(hi)
+                lo, mid, hi = seek.triple(write)
+                assert seek_time(1, seek, cylinders, write) == pytest.approx(lo)
+                assert seek_time(cylinders // 3, seek, cylinders, write) == pytest.approx(mid)
+                assert seek_time(cylinders - 1, seek, cylinders, write) == pytest.approx(hi)
+                values = [seek_time(d, seek, cylinders, write) for d in range(cylinders)]
+                assert all(b >= a for a, b in zip(values, values[1:]))
 
     def test_config1_published_points(self):
         cylinders = FUJITSU_MAN3184MP.geometry.cylinders
@@ -228,8 +227,7 @@ class TestRotation:
     @staticmethod
     def wait_us(lba: int, angle_revs: float, ref_us: float, arrival_us: float) -> float:
         g = tiny_geometry(spt=100, rpm=10_000)
-        state = HeadState(0, 0, angle_revs, ref_us)
-        delay, _ = service(lba, 1, state, g, flat_seek(), arrival_us=arrival_us)
+        delay, _ = service(lba, 1, (0, 0, angle_revs, ref_us), g, flat_seek(), arrival_us=arrival_us)
         return delay - 60
 
     def test_target_at_head_waits_zero(self):
@@ -255,15 +253,14 @@ class TestService:
 
     def test_full_track_read_is_one_rotation(self):
         g = tiny_geometry(spt=100, cylinders=4, heads=2, rpm=6000)
-        head = HeadState()
-        delay, new_head = service(0, 100, head, g, flat_seek(), arrival_us=0)
+        delay, (cylinder, head, angle, _) = service(0, 100, HEAD_AT_REST, g, flat_seek(), arrival_us=0)
         assert delay == pytest.approx(10_000)
-        assert new_head.cylinder == 0 and new_head.head == 0
-        assert new_head.angle_revs == pytest.approx(0.0)
+        assert cylinder == 0 and head == 0
+        assert angle == pytest.approx(0.0)
 
     def test_partial_track_transfer_time(self):
         g = tiny_geometry(spt=100, cylinders=4, heads=2, rpm=6000)
-        delay, _ = service(0, 50, HeadState(), g, flat_seek(), arrival_us=0)
+        delay, _ = service(0, 50, HEAD_AT_REST, g, flat_seek(), arrival_us=0)
         assert delay == pytest.approx(5_000)
 
     def test_matched_skew_avoids_rotation_loss(self):
@@ -271,11 +268,11 @@ class TestService:
         # lines the next logical sector up right as the switch ends.
         matched = tiny_geometry(spt=100, cylinders=4, heads=2, rpm=6000, track_skew=3)
         profile = flat_seek(switch_us=300)
-        delay_matched, _ = service(0, 200, HeadState(), matched, profile, arrival_us=0)
+        delay_matched, _ = service(0, 200, HEAD_AT_REST, matched, profile, arrival_us=0)
         assert delay_matched == pytest.approx(2 * 10_000 + 300)
 
         flat = tiny_geometry(spt=100, cylinders=4, heads=2, rpm=6000, track_skew=0)
-        delay_flat, _ = service(0, 200, HeadState(), flat, profile, arrival_us=0)
+        delay_flat, _ = service(0, 200, HEAD_AT_REST, flat, profile, arrival_us=0)
         # Zero skew waits out the rest of the revolution at the boundary.
         assert delay_flat == pytest.approx(2 * 10_000 + 300 + (10_000 - 300))
         assert delay_flat - delay_matched == pytest.approx(10_000 - 300)
@@ -285,34 +282,35 @@ class TestService:
         profile = flat_seek(min_us=400, avg_us=1500, max_us=3000)
         # Move to cylinder 1 (min seek, 400us): the platter rotates 4
         # sectors meanwhile, so sector 0 comes around period - 400us later.
-        delay, _ = service(100, 10, HeadState(), g, profile, arrival_us=0)
+        delay, _ = service(100, 10, HEAD_AT_REST, g, profile, arrival_us=0)
         assert delay == pytest.approx(400 + (10_000 - 400) + 10 / 100 * 10_000)
 
     def test_angle_continuity_after_service(self):
         g = tiny_geometry(spt=100, cylinders=4, heads=2, rpm=6000)
-        _, head = service(5, 20, HeadState(), g, flat_seek(), arrival_us=0)
-        assert head.angle_revs == pytest.approx(0.25)
+        _, head = service(5, 20, HEAD_AT_REST, g, flat_seek(), arrival_us=0)
+        _, _, angle, end_us = head
+        assert angle == pytest.approx(0.25)
         # The next sector is under the head as the transfer ends, so a
         # contiguous follow-up pays transfer time only.
-        delay, _ = service(25, 10, head, g, flat_seek(), arrival_us=head.time_us)
+        delay, _ = service(25, 10, head, g, flat_seek(), arrival_us=end_us)
         assert delay == pytest.approx(10 / 100 * 10_000)
 
     def test_transfer_lower_bound(self):
         g = tiny_geometry(spt=100, cylinders=60, heads=2, rpm=6000)
-        delay, _ = service(1234, 40, HeadState(), g, flat_seek(), arrival_us=77)
+        delay, _ = service(1234, 40, HEAD_AT_REST, g, flat_seek(), arrival_us=77)
         assert delay >= 40 / 100 * 10_000
 
     def test_out_of_range_service(self):
         g = tiny_geometry(spt=10, cylinders=2, heads=2)
         with pytest.raises(OutOfRange):
-            service(35, 10, HeadState(), g, flat_seek(), arrival_us=0)
+            service(35, 10, HEAD_AT_REST, g, flat_seek(), arrival_us=0)
         with pytest.raises(OutOfRange, match="^sectors must be positive$"):
-            service(0, 0, HeadState(), g, flat_seek(), arrival_us=0)
+            service(0, 0, HEAD_AT_REST, g, flat_seek(), arrival_us=0)
         with pytest.raises(OutOfRange, match=r"^lba -1 is negative$"):
-            service(-1, 10, HeadState(), g, flat_seek(), arrival_us=0)
+            service(-1, 10, HEAD_AT_REST, g, flat_seek(), arrival_us=0)
         # The capacity check comes first.
         with pytest.raises(OutOfRange, match=r"^range \[-1, 41\) beyond usable 40 sectors$"):
-            service(-1, 42, HeadState(), g, flat_seek(), arrival_us=0)
+            service(-1, 42, HEAD_AT_REST, g, flat_seek(), arrival_us=0)
         with pytest.raises(OutOfRange, match=r"^lba -1 is negative$"):
             cylinder_of_byte(-1, g)
 
@@ -328,11 +326,11 @@ class TestService:
 
 
 def reference_zone(lba: int, geometry: DiskGeometry) -> tuple[int, int, int]:
-    """(zone index, first LBA, usable sectors) of the zone holding ``lba``, from the summed spans."""
+    """(zone index, first LBA, sectors) of the zone holding ``lba``, from the summed spans."""
 
-    for zone_idx, (start, usable) in enumerate(zone_starts_by_summing(geometry)):
-        if start <= lba < start + usable:
-            return zone_idx, start, usable
+    for zone_idx, (start, size) in enumerate(zone_starts_by_summing(geometry)):
+        if start <= lba < start + size:
+            return zone_idx, start, size
     raise AssertionError(f"lba {lba} outside every zone")
 
 
@@ -341,13 +339,13 @@ def reference_track_runs(lba: int, sectors: int, geometry: DiskGeometry):
 
     remaining = sectors
     while remaining > 0:
-        zone_idx, zone_start, usable = reference_zone(lba, geometry)
+        zone_idx, zone_start, size = reference_zone(lba, geometry)
         z = geometry.zones[zone_idx]
         slot = lba - zone_start
         track = slot // z.sectors_per_track
         logical = slot % z.sectors_per_track
         run = min(remaining, z.sectors_per_track - logical)
-        run = min(run, usable - slot)
+        run = min(run, size - slot)
         yield zone_idx, track, logical, run
         lba += run
         remaining -= run
@@ -384,8 +382,8 @@ def test_lba_to_phys_and_cylinder_of_byte_equal_reference_on_profiles(name):
     g = PROFILES[name].geometry
     rng = np.random.default_rng(sum(map(ord, name)))
     lbas = [int(lba) for lba in rng.integers(0, g.usable_sectors, 300)]
-    for start, usable in zone_starts_by_summing(g):
-        lbas += [start, start + usable - 1]
+    for start, size in zone_starts_by_summing(g):
+        lbas += [start, start + size - 1]
     for lba in lbas:
         want = reference_phys(lba, g)
         assert phys_via_service(lba, g) == want
@@ -395,12 +393,13 @@ def test_lba_to_phys_and_cylinder_of_byte_equal_reference_on_profiles(name):
     assert cylinder_of_byte(g.usable_bytes, g) == reference_phys(g.usable_sectors - 1, g)[0]
 
 
-def reference_angle_at(state: HeadState, t_us: float, period_us: float) -> float:
-    return (state.angle_revs + (t_us - state.time_us) / period_us) % 1.0
+def reference_angle_at(state: tuple, t_us: float, period_us: float) -> float:
+    _, _, angle_revs, time_us = state
+    return (angle_revs + (t_us - time_us) / period_us) % 1.0
 
 
 def reference_rotational_wait(
-    target_sector: int, spt: int, state: HeadState, arrival_us: float, period_us: float
+    target_sector: int, spt: int, state: tuple, arrival_us: float, period_us: float
 ) -> float:
     target_angle = (target_sector % spt) / spt
     current = reference_angle_at(state, arrival_us, period_us)
@@ -411,7 +410,7 @@ def reference_rotational_wait(
 
 
 def reference_service(lba, sectors, state, geometry, profile, arrival_us, write=False):
-    """``service`` as a per-track loop building one ``HeadState`` per track."""
+    """``service`` as a per-track loop building one head state per track."""
 
     period = 60_000_000 / geometry.rpm
     t = float(arrival_us)
@@ -419,15 +418,16 @@ def reference_service(lba, sectors, state, geometry, profile, arrival_us, write=
     for zone_idx, track, logical, run in reference_track_runs(lba, sectors, geometry):
         z = geometry.zones[zone_idx]
         cylinder, head, skew = reference_track_place(geometry, zone_idx, track)
-        if cylinder != pos.cylinder:
-            t += seek_time(abs(cylinder - pos.cylinder), profile, geometry.cylinders, write)
-        elif head != pos.head:
+        from_cylinder, from_head, _, _ = pos
+        if cylinder != from_cylinder:
+            t += seek_time(abs(cylinder - from_cylinder), profile, geometry.cylinders, write)
+        elif head != from_head:
             t += profile.head_switch_us
         phys_start = (logical + skew) % z.sectors_per_track
         t += reference_rotational_wait(phys_start, z.sectors_per_track, pos, t, period)
         t += run / z.sectors_per_track * period
         end_angle = ((phys_start + run) % z.sectors_per_track) / z.sectors_per_track
-        pos = HeadState(cylinder, head, end_angle, t)
+        pos = (cylinder, head, end_angle, t)
     return t - arrival_us, pos
 
 
@@ -441,7 +441,7 @@ def boundary_runs(geometry: DiskGeometry, rng: np.random.Generator, count: int):
     def boundary(size: int) -> int:
         """A multiple of ``size`` inside the first zone, or ``size``."""
 
-        return int(rng.integers(1, max(1, geometry._zone_tracks[0][2] // size) + 1)) * size
+        return int(rng.integers(1, max(1, geometry._zone_starts[1] // size) + 1)) * size
 
     for i in range(count):
         kind = i % 4
@@ -460,12 +460,14 @@ def boundary_runs(geometry: DiskGeometry, rng: np.random.Generator, count: int):
         yield lba, min(sectors, total - lba)
 
 
-def random_head(geometry: DiskGeometry, rng: np.random.Generator) -> HeadState:
-    return HeadState(
-        cylinder=int(rng.integers(0, geometry.cylinders)),
-        head=int(rng.integers(0, geometry.heads)),
-        angle_revs=float(rng.random()),
-        time_us=float(rng.integers(0, 10**7)),
+def random_head(geometry: DiskGeometry, rng: np.random.Generator) -> tuple[int, int, float, float]:
+    """(cylinder, head, angle_revs, time_us) drawn over the geometry."""
+
+    return (
+        int(rng.integers(0, geometry.cylinders)),
+        int(rng.integers(0, geometry.heads)),
+        float(rng.random()),
+        float(rng.integers(0, 10**7)),
     )
 
 
@@ -477,7 +479,7 @@ def test_service_equals_per_track_reference_on_profiles(name):
     crossed = {"track": 0, "cylinder": 0, "zone": 0}
     for i, (lba, sectors) in enumerate(boundary_runs(g, rng, 800)):
         state = random_head(g, rng)
-        arrival = state.time_us + float(rng.integers(0, 50_000))
+        arrival = state[3] + float(rng.integers(0, 50_000))
         write = bool(i % 2)
         got = service(lba, sectors, state, g, drive.seek, arrival_us=arrival, write=write)
         want = reference_service(lba, sectors, state, g, drive.seek, arrival, write)
@@ -495,19 +497,16 @@ def test_service_equals_per_track_reference_on_random_geometries():
     for g in random_geometries(60):
         for i, (lba, sectors) in enumerate(boundary_runs(g, rng, 12)):
             state = random_head(g, rng)
-            arrival = state.time_us + float(rng.integers(0, 20_000))
+            arrival = state[3] + float(rng.integers(0, 20_000))
             write = bool(i % 2)
             got = service(lba, sectors, state, g, profile, arrival_us=arrival, write=write)
             assert got == reference_service(lba, sectors, state, g, profile, arrival, write)
 
 
-def zone_tracks_by_fields(geometry: DiskGeometry) -> tuple[tuple[int, int, int], ...]:
-    """Per zone (first cylinder, sectors per track, usable sectors), from the fields."""
+def zone_tracks_by_fields(geometry: DiskGeometry) -> tuple[tuple[int, int], ...]:
+    """Per zone (first cylinder, sectors per track), from the fields."""
 
-    spans = zone_starts_by_summing(geometry)
-    return tuple(
-        (z.first_cylinder, z.sectors_per_track, usable) for z, (_, usable) in zip(geometry.zones, spans)
-    )
+    return tuple((z.first_cylinder, z.sectors_per_track) for z in geometry.zones)
 
 
 @pytest.mark.parametrize("name", sorted(PROFILES))
@@ -536,7 +535,7 @@ def test_copied_geometry_serves_as_the_original(name):
         assert twin is not g and twin == g
         for i, (lba, sectors) in enumerate(boundary_runs(g, rng, 80)):
             state = random_head(g, rng)
-            arrival = state.time_us + float(rng.integers(0, 50_000))
+            arrival = state[3] + float(rng.integers(0, 50_000))
             write = bool(i % 2)
             assert service(lba, sectors, state, twin, drive.seek, arrival, write) == service(
                 lba, sectors, state, g, drive.seek, arrival, write
@@ -577,8 +576,8 @@ def switch_costs():
                 assert after[:2] == ((cylinder, head + 1) if switch == "head" else (cylinder + 1, 0))
                 for direction in ("read", "write"):
                     write = direction == "write"
-                    _, state = service(last, 1, HeadState(), g, drive.seek, 0, write)
-                    delay, _ = service(last + 1, 1, state, g, drive.seek, state.time_us, write)
+                    _, state = service(last, 1, HEAD_AT_REST, g, drive.seek, 0, write)
+                    delay, _ = service(last + 1, 1, state, g, drive.seek, state[3], write)
                     yield (name, zone_idx, switch, direction), delay / g.rotation_period_us
 
 

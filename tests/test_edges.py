@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from iostack import (
     AccessMode,
     DiskGeometry,
-    HeadState,
     Op,
     ReplayMode,
     ReplayPolicy,
@@ -288,9 +287,9 @@ def test_service_time_never_beats_transfer_bound(spt, heads, cylinders, lba_frac
     sectors = min(sectors, total - lba)
     if sectors <= 0:
         return
-    delay, head = service(
-        lba, sectors, HeadState(angle_revs=angle), geometry, flat_seek(), arrival_us=100
+    delay, (_, _, end_angle, _) = service(
+        lba, sectors, (0, 0, angle, 0.0), geometry, flat_seek(), arrival_us=100
     )
     transfer = sectors / spt * geometry.rotation_period_us
     assert delay >= transfer - 1e-6
-    assert 0 <= head.angle_revs < 1
+    assert 0 <= end_angle < 1

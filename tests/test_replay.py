@@ -11,7 +11,6 @@ from iostack import (
     CanonicalRequest,
     DiskCacheConfig,
     FsCacheConfig,
-    HeadState,
     Op,
     Origin,
     ReadPrefetch,
@@ -31,7 +30,7 @@ from iostack.diskcache import MediaRole
 from iostack.profiles import FUJITSU_MAN3184MP, TOSHIBA_MK6012MAP
 from iostack.workload import DistSpec, GeneratorSpec, generate
 
-from conftest import observed, plain_stack, tiny_geometry, zero_cost_fs
+from conftest import HEAD_AT_REST, observed, plain_stack, tiny_geometry, zero_cost_fs
 from test_golden_log import mixed_read_write, stack as golden_stack
 
 KB = 1024
@@ -525,10 +524,7 @@ class TestZoneCrossing:
         # steps into the next zone inside ``service``.
         geometry = FUJITSU_MAN3184MP.geometry
         first, second = geometry.zones[:2]
-        boundary = (
-            (second.first_cylinder - first.first_cylinder) * geometry.heads * first.sectors_per_track
-            - geometry.spares_per_zone_tail
-        )
+        boundary = (second.first_cylinder - first.first_cylinder) * geometry.heads * first.sectors_per_track
         lba, sectors = boundary - 8, 16
         stack = plain_stack(geometry=geometry)
         trace = stream([(Op.READ, lba * 512, sectors * 512)], AccessMode.NO_BUFFER)
@@ -537,9 +533,9 @@ class TestZoneCrossing:
         (finish,) = select(events, StageId.DISK, "media-finish")
         assert (start.payload.lba, start.payload.sectors) == (lba, sectors)
         # The first media op of the run finds the head in its initial state.
-        delay, _ = service(lba, sectors, HeadState(), geometry, stack.seek, start.fire_at_us)
+        delay, _ = service(lba, sectors, HEAD_AT_REST, geometry, stack.seek, start.fire_at_us)
         assert finish.fire_at_us - start.fire_at_us == max(1, round(delay))
         # Timed as its two halves, each inside one zone, back to back.
-        head_delay, head = service(lba, 8, HeadState(), geometry, stack.seek, start.fire_at_us)
-        tail_delay, _ = service(boundary, 8, head, geometry, stack.seek, head.time_us)
+        head_delay, head = service(lba, 8, HEAD_AT_REST, geometry, stack.seek, start.fire_at_us)
+        tail_delay, _ = service(boundary, 8, head, geometry, stack.seek, head[3])
         assert round(head_delay + tail_delay) == round(delay)
