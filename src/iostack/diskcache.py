@@ -294,6 +294,10 @@ class SegmentedCache:
     a read until ``awaited``, the runs no media data has delivered to it yet,
     is empty; a write-back write until a destage frees a segment.  A
     write-through write is never held: it waits on its ``MediaMsg.host``.
+
+    Staging a run walks ``segments`` once, with no index beside it (a
+    start-sorted one gained nothing at 16 segments): :meth:`_segment_for`
+    finds the run's holder or, failing one, its victim in the same pass.
     """
 
     def __init__(self, config: DiskCacheConfig, usable_sectors: int = sys.maxsize):
@@ -325,10 +329,6 @@ class SegmentedCache:
 
     # -- bookkeeping ----------------------------------------------------------
 
-    def _touch(self, segment: Segment) -> None:
-        self._touch_seq += 1
-        segment.last_touch = self._touch_seq
-
     def _extend(self, seg: Segment, lba: int, sectors: int) -> None:
         """Raise ``seg.end`` to cover the run and touch ``seg``.
 
@@ -342,56 +342,53 @@ class SegmentedCache:
         self._touch_seq += 1
         seg.last_touch = self._touch_seq
 
-    def _segment_for(self, lba: int, sectors: int) -> Segment | None:
-        """The first non-empty segment that overlaps the run or ends where it starts."""
+    def _segment_for(self, lba: int, sectors: int) -> tuple[Segment | None, bool]:
+        """The run's holder and True, else its victim and False, in one pass.
+
+        The holder is the first non-empty segment that overlaps the run or
+        ends where it starts; the victim is the least recently touched clean
+        segment, the lowest index on a tie, or None when every one is dirty.
+        """
 
         end = lba + sectors
+        victim, oldest = None, sys.maxsize
         for seg in self.segments:
             start, stop = seg.start, seg.end
             if start < stop and (lba < stop and start < end or stop == lba):
-                return seg
-        return None
+                return seg, True
+            if seg.last_touch < oldest and not seg.pending_writes:
+                victim, oldest = seg, seg.last_touch
+        return victim, False
 
     def _stage(self, lba: int, sectors: int) -> Segment | None:
-        """The segment now holding the run, or None when every segment is dirty."""
+        """The segment now holding the run, or None when every segment is dirty.
 
-        seg = self._segment_for(lba, sectors)
-        if seg is None:
-            seg = self._allocate()
+        One pass of :meth:`_segment_for` finds the holder or the victim; a
+        victim is emptied and restarts at ``lba``.
+        """
+
+        seg, held = self._segment_for(lba, sectors)
+        if not held:
             if seg is None:
                 return None
             seg.start = seg.end = lba
+            seg.local_prefetch = False
+            seg.consumed_by_128k = 0
         self._extend(seg, lba, sectors)
         return seg
-
-    def _allocate(self) -> Segment | None:
-        """LRU-clean victim, or None when every segment is dirty.
-
-        The least recently touched clean segment wins, the lowest index on a
-        tie, so a fresh cache fills segment 0 first.
-        """
-
-        victim = None
-        for s in self.segments:
-            if not s.pending_writes and (victim is None or s.last_touch < victim.last_touch):
-                victim = s
-        if victim is None:
-            return None
-        victim.start = victim.end = 0
-        victim.local_prefetch = False
-        victim.consumed_by_128k = 0
-        return victim
 
     def resident(self, lba: int, sectors: int) -> bool:
         end = lba + sectors
         return any(s.start <= lba and end <= s.end for s in self.segments if s.end > s.start)
 
     def missing_runs(self, lba: int, sectors: int) -> list[tuple[int, int]]:
-        """Runs of [lba, lba + sectors) that no segment holds."""
+        """Runs of [lba, lba + sectors) no segment holds, as a new list; sorts overlaps only."""
 
         end = lba + sectors
-        overlapping = ((s.start, s.end) for s in self.segments if s.start < end and lba < s.end)
-        return uncovered_runs(lba, sectors, overlapping)
+        overlapping = [(s.start, s.end) for s in self.segments if s.start < end and lba < s.end]
+        if overlapping:
+            return uncovered_runs(lba, sectors, overlapping)
+        return [(lba, sectors)] if sectors > 0 else []
 
     # -- host traffic --------------------------------------------------------------
 
@@ -465,7 +462,8 @@ class SegmentedCache:
             for holder in self.segments:
                 if holder.start < end and lba < holder.end:
                     break
-            self._touch(holder)
+            self._touch_seq += 1
+            holder.last_touch = self._touch_seq
             # Only LOCAL_512K stages local prefetches, so only it owes the
             # repositioning penalty.
             if holder.local_prefetch and sectors * SECTOR_BYTES == 131_072:
@@ -506,8 +504,10 @@ class SegmentedCache:
         return classification, reads
 
     def _covered_by_fill(self, lba: int, sectors: int) -> bool:
-        """Whether in-flight plus queued fills will cover the run entirely."""
+        """Whether in-flight and queued fills cover the whole (non-empty) run; False with none."""
 
+        if not self.outstanding_fills and not self.fill_ranges:
+            return False
         inflight = ((start, start + n) for start, n in self.outstanding_fills)
         return not uncovered_runs(lba, sectors, chain(inflight, self.fill_ranges))
 
@@ -602,8 +602,8 @@ class SegmentedCache:
             raise ValueError("sectors must be positive")
         if self.config.write_policy is WRITE_THROUGH or force_media:
             # Written-through data stays readable from the cache afterwards.
-            seg = self._segment_for(lba, sectors)
-            if seg is not None and not seg.dirty:
+            seg, held = self._segment_for(lba, sectors)
+            if held and not seg.dirty:
                 self._extend(seg, lba, sectors)
             write = MediaMsg(HOST_WRITE, lba, sectors, tags, self.take_penalty_rotations())
             return ACK_AFTER_MEDIA, (write,)

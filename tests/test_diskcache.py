@@ -6,7 +6,7 @@ import copy
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from iostack import (
     Ack,
@@ -351,12 +351,27 @@ class TestRepositionPenalty:
             assert kind is Lookup.HIT
         assert cache.take_penalty_rotations() == 1
 
+    def test_a_reused_segment_owes_nothing_for_its_old_prefetch(self):
+        # One segment: a host fill elsewhere takes it over from the local
+        # prefetch, so 128KB hits on the new data count toward no penalty.
+        cache = SegmentedCache(
+            cfg(segment_count=1, segment_bytes=512 * 1024, read_prefetch=ReadPrefetch.LOCAL_512K)
+        )
+        fill(cache, 0, 1024, local=True)
+        fill(cache, 4096, 1024)
+        owed = 0
+        for i in range(4):
+            kind, reads = cache.read_lookup(4096 + i * 256, 256)
+            assert kind is Lookup.HIT
+            owed += sum(media.penalty_rotations for media in reads)
+        assert owed + cache.take_penalty_rotations() == 0
+
 
 class TestSegmentPicks:
     """The one-pass victim pick, the destage order and the run arithmetic against their definitions."""
 
     @staticmethod
-    def check_picks(cache: SegmentedCache, queries, accepted: list) -> int:
+    def check_picks(cache: SegmentedCache, queries, accepted: list, seen: dict) -> int:
         """Check the picks; ``accepted`` holds the acknowledged writes not yet destaged.
 
         Returns how many queries the in-flight and queued fills cover.
@@ -365,11 +380,21 @@ class TestSegmentPicks:
         segments = cache.segments
         clean = [(s.last_touch, i) for i, s in enumerate(segments) if not s.dirty]
         probe = copy.deepcopy(cache)
-        victim = probe._allocate()
-        if clean:
-            assert victim is probe.segments[min(clean)[1]]
-        else:
-            assert victim is None
+        far = max(s.end for s in segments) + 1  # a run no segment holds or abuts
+        for lba, sectors in (*queries, (far, 8)):
+            holders = [
+                i
+                for i, s in enumerate(segments)
+                if s.start < s.end and (lba < s.end and s.start < lba + sectors or s.end == lba)
+            ]
+            if holders:
+                want, want_held = probe.segments[holders[0]], True
+            else:
+                want, want_held = probe.segments[min(clean)[1]] if clean else None, False
+            seg, held = probe._segment_for(lba, sectors)
+            assert seg is want and held == want_held
+            seen["held"] += held
+        assert probe.segments == segments  # picking changes no segment
         # Every write the cache acknowledged reaches the media, in arrival order.
         assert dirty_records(cache) == accepted
         extents = [(s.start, s.end) for s in segments if s.start < s.end]
@@ -384,7 +409,9 @@ class TestSegmentPicks:
         return covered
 
     def test_random_steps_match_the_definitions(self):
-        seen = {"tie": 0, "all dirty": 0, "overlap": 0, "covered": 0, "cut": 0, "gap left": 0, "gap right": 0}
+        seen = dict.fromkeys(
+            ("tie", "all dirty", "held", "overlap", "covered", "cut", "gap left", "gap right"), 0
+        )
         for seed in range(40):
             rng = random.Random(seed)
             cache = SegmentedCache(
@@ -433,7 +460,7 @@ class TestSegmentPicks:
                 destages = [media for media in inflight if media.role is DESTAGE]
                 assert len(destages) == cache.destage_inflight <= 1
                 queries = [(rng.randrange(256), rng.randint(1, 48)) for _ in range(3)]
-                seen["covered"] += self.check_picks(cache, queries, accepted)
+                seen["covered"] += self.check_picks(cache, queries, accepted, seen)
                 touches = [s.last_touch for s in cache.segments if not s.dirty]
                 seen["tie"] += len(touches) != len(set(touches))
                 seen["all dirty"] += not touches
@@ -443,15 +470,23 @@ class TestSegmentPicks:
 
     @given(
         extents=st.lists(st.tuples(st.integers(0, 60), st.integers(0, 20)), min_size=1, max_size=4),
-        lba=st.integers(0, 80),
-        sectors=st.integers(1, 40),
+        lba=st.integers(0, 120),
+        sectors=st.integers(-2, 40),
     )
+    @example(extents=[(0, 0)], lba=5, sectors=3)  # every segment empty
+    @example(extents=[(10, 5)], lba=20, sectors=4)  # one segment, wholly below the run
+    @example(extents=[(10, 5)], lba=0, sectors=-2)
+    @example(extents=[(10, 5)], lba=12, sectors=0)
     def test_missing_runs_over_overlapping_segments(self, extents, lba, sectors):
         cache = SegmentedCache(cfg(segment_count=len(extents)))
         for seg, (start, length) in zip(cache.segments, extents):
             seg.start, seg.end = start, start + length
         want = uncovered_runs(lba, sectors, [(a, a + n) for a, n in extents if n])
-        assert cache.missing_runs(lba, sectors) == want
+        first = cache.missing_runs(lba, sectors)
+        # ``read_lookup`` keeps the list as ``awaited``: each call returns a new one.
+        second = cache.missing_runs(lba, sectors)
+        assert first == second == want
+        assert first is not second
 
 
 def expand(runs) -> dict[int, int]:

@@ -32,6 +32,7 @@ from iostack import (
     reference_media_image,
     replay,
 )
+from iostack.diskcache import HOST_READ, MediaMsg
 from iostack.fscache import APP_DIRECT, FLUSH, FsCache, IoMsg
 from iostack.profiles import PROFILES
 
@@ -277,3 +278,44 @@ def progressive_steps_started_early(seed: int, monkeypatch) -> list[list[int]]:
 def test_progressive_write_back_runs_one_step_at_a_time(seed, monkeypatch):
     # Seed 1 peaks at 26 chain ios in flight together, seed 37 at 33.
     assert progressive_steps_started_early(seed, monkeypatch) == []
+
+
+def host_read_sectors_in_flight(seed: int) -> list[int]:
+    """For each HOST_READ media op of a trial that overlaps a media read in
+    flight, the number of its sectors that read already covers.
+
+    A media read is in flight from its ``media`` event at DISK until DISK_CACHE
+    receives its ``media-done``.
+    """
+
+    inflight: dict[int, range] = {}
+    overlaps: list[int] = []
+
+    def watch(event) -> None:
+        op = event.payload
+        if not isinstance(op, MediaMsg) or op.write:
+            return
+        if event.target is StageId.DISK_CACHE:
+            del inflight[op.media_id]
+        elif not op.finished:
+            sectors = range(op.lba, op.lba + op.sectors)
+            if op.role is HOST_READ:
+                covered = {s for r in inflight.values() for s in r if s in sectors}
+                if covered:
+                    overlaps.append(len(covered))
+            inflight[op.media_id] = sectors
+
+    replay(*trial(seed), observe=watch)
+    return overlaps
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 8, Step 2b: a host run that a fill covers only in part is read "
+    "whole, so the media reads the covered sectors twice",
+)
+@pytest.mark.parametrize("seed", (43, 76, 89))
+def test_host_reads_skip_sectors_already_in_flight(seed):
+    # Seed 43 reads 128 such sectors, seed 76 576 and seed 89 256.
+    assert host_read_sectors_in_flight(seed) == []
