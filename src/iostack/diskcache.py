@@ -13,7 +13,7 @@ from __future__ import annotations
 import sys
 from bisect import bisect_left, bisect_right
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
 from operator import itemgetter
@@ -118,24 +118,6 @@ class Segment:
     @property
     def dirty(self) -> bool:
         return self.pending_writes > 0
-
-
-@dataclass
-class LocalPatternDetector:
-    """Sliding window over the last three request extents.
-
-    Fires on the shape A, B, A-adjacent: the third request continues the
-    first one exactly while the middle one sits nearby on the platter.
-    """
-
-    window: deque[tuple[int, int]] = field(default_factory=lambda: deque(maxlen=3))
-
-    def observe(self, lba: int, sectors: int) -> bool:
-        self.window.append((lba, sectors))
-        if len(self.window) < 3:
-            return False
-        (a, a_len), (b, _), (c, _) = self.window
-        return c == a + a_len and b != c and abs(b - (a + a_len)) <= LOCALITY_RADIUS_SECTORS
 
 
 def uncovered_runs(
@@ -295,9 +277,15 @@ class SegmentedCache:
     is empty; a write-back write until a destage frees a segment.  A
     write-through write is never held: it waits on its ``MediaMsg.host``.
 
-    Staging a run walks ``segments`` once, with no index beside it (a
-    start-sorted one gained nothing at 16 segments): :meth:`_segment_for`
-    finds the run's holder or, failing one, its victim in the same pass.
+    Each read rule is written once.  ``recent``, the one window of the last
+    three host reads, answers both "does this read continue the last one?"
+    (sequential fill-ahead) and the local A, B, A-adjacent pattern.
+    :meth:`_plan` builds every media op: it enters a read as an outstanding
+    fill and charges the penalty owed.  Staging a run walks ``segments``
+    once, with no index beside it (a start-sorted one gained nothing at 16
+    segments): :meth:`_segment_for` finds the run's holder or, failing one,
+    its victim in the same pass; a lookup's one pass is :meth:`missing_runs`,
+    which also names the segment a hit touches.
     """
 
     def __init__(self, config: DiskCacheConfig, usable_sectors: int = sys.maxsize):
@@ -305,7 +293,8 @@ class SegmentedCache:
         self.segment_sectors = config.segment_sectors
         self.usable_sectors = usable_sectors
         self.segments = [Segment() for _ in range(config.segment_count)]
-        self.detector = LocalPatternDetector()
+        #: The last three host reads, clipped (lba, sectors), oldest first.
+        self.recent: deque[tuple[int, int]] = deque(maxlen=3)
         self._touch_seq = 0
         #: Write records not yet destaged, in arrival order: (segment, lba,
         #: sectors, tags).
@@ -322,7 +311,6 @@ class SegmentedCache:
         self.awaited: list[tuple[int, int]] = []
         #: The host io whose acknowledgement waits on media data or a free segment.
         self.held: IoMsg | None = None
-        self.seq_last_end: int | None = None
         self.fill_frontier = 0
         self.local_prefetch_count = 0
         self._penalty_pending = 0
@@ -381,14 +369,21 @@ class SegmentedCache:
         end = lba + sectors
         return any(s.start <= lba and end <= s.end for s in self.segments if s.end > s.start)
 
-    def missing_runs(self, lba: int, sectors: int) -> list[tuple[int, int]]:
-        """Runs of [lba, lba + sectors) no segment holds, as a new list; sorts overlaps only."""
+    def missing_runs(self, lba: int, sectors: int) -> tuple[list[tuple[int, int]], Segment | None]:
+        """Runs of [lba, lba + sectors) no segment holds, and the first segment holding one.
 
+        The runs come as a new list, and only overlapping extents are sorted;
+        the segment is the first in list order that holds a sector of the
+        run, or None when none does.
+        """
+
+        if sectors <= 0:
+            return [], None
         end = lba + sectors
-        overlapping = [(s.start, s.end) for s in self.segments if s.start < end and lba < s.end]
-        if overlapping:
-            return uncovered_runs(lba, sectors, overlapping)
-        return [(lba, sectors)] if sectors > 0 else []
+        holders = [s for s in self.segments if s.start < end and lba < s.end and s.start < s.end]
+        if holders:
+            return uncovered_runs(lba, sectors, [(s.start, s.end) for s in holders]), holders[0]
+        return [(lba, sectors)], None
 
     # -- host traffic --------------------------------------------------------------
 
@@ -454,14 +449,10 @@ class SegmentedCache:
             raise ValueError(f"read [{lba}, +{sectors}) holds no sector of the disk")
         sectors = min(sectors, self.usable_sectors - lba)
         cfg = self.config
-        missing = self.missing_runs(lba, sectors)
+        missing, holder = self.missing_runs(lba, sectors)
         if not missing:
             classification = HIT
-            # The first segment that overlaps the read: one does, as no run is missing.
-            end = lba + sectors
-            for holder in self.segments:
-                if holder.start < end and lba < holder.end:
-                    break
+            # ``holder`` holds a sector of the read: some segment does, as no run is missing.
             self._touch_seq += 1
             holder.last_touch = self._touch_seq
             # Only LOCAL_512K stages local prefetches, so only it owes the
@@ -480,10 +471,10 @@ class SegmentedCache:
         reads: list[MediaMsg] = []
         for run_lba, run_sectors in missing:
             if not self._covered_by_fill(run_lba, run_sectors):
-                self.expect_fill(run_lba, run_sectors)
-                penalty = self.take_penalty_rotations()
-                reads.append(MediaMsg(HOST_READ, run_lba, run_sectors, None, penalty))
-        sequential = self.seq_last_end is not None and lba == self.seq_last_end
+                reads.append(self._plan(HOST_READ, run_lba, run_sectors))
+        recent = self.recent
+        sequential = bool(recent) and lba == recent[-1][0] + recent[-1][1]
+        recent.append((lba, sectors))
         if cfg.read_prefetch is not NONE and sequential:
             # Fill one segment past the request, short of the disk end.
             frontier = max(self.fill_frontier, lba + sectors)
@@ -494,13 +485,14 @@ class SegmentedCache:
                 reads += self._next_fill_chunk()
         elif not sequential:
             self.fill_frontier = 0
-        if cfg.read_prefetch is LOCAL_512K and self.detector.observe(lba, sectors):
-            self.local_prefetch_count += 1
-            prefetch = min(PREFETCH_BLOCK_SECTORS, self.usable_sectors - lba)
-            self.expect_fill(lba, prefetch)
-            penalty = self.take_penalty_rotations()
-            reads.append(MediaMsg(LOCAL_PREFETCH, lba, prefetch, None, penalty))
-        self.seq_last_end = lba + sectors
+        if cfg.read_prefetch is LOCAL_512K and len(recent) == 3:
+            # The local pattern A, B, A-adjacent: this read continues A
+            # exactly while B sits nearby on the platter.
+            (a, a_sectors), (b, _), _ = recent
+            if lba == a + a_sectors and b != lba and abs(b - lba) <= LOCALITY_RADIUS_SECTORS:
+                self.local_prefetch_count += 1
+                prefetch = min(PREFETCH_BLOCK_SECTORS, self.usable_sectors - lba)
+                reads.append(self._plan(LOCAL_PREFETCH, lba, prefetch))
         return classification, reads
 
     def _covered_by_fill(self, lba: int, sectors: int) -> bool:
@@ -522,9 +514,17 @@ class SegmentedCache:
             self.fill_ranges[0] = (start + take, end)
         else:
             self.fill_ranges.popleft()
-        self.expect_fill(start, take)
         self._fill_chunk_outstanding = True
-        return (MediaMsg(FILL_CHUNK, start, take, None, self.take_penalty_rotations()),)
+        return (self._plan(FILL_CHUNK, start, take),)
+
+    def _plan(
+        self, role: MediaRole, lba: int, sectors: int, tags: TagRuns | None = None
+    ) -> MediaMsg:
+        """The media op for the run, owing the penalty now due; a read is entered as a fill."""
+
+        if role is not HOST_WRITE and role is not DESTAGE:
+            self.expect_fill(lba, sectors)
+        return MediaMsg(role, lba, sectors, tags, self.take_penalty_rotations())
 
     def take_penalty_rotations(self) -> int:
         """Rotations of repositioning penalty owed to the next media op planned."""
@@ -605,8 +605,7 @@ class SegmentedCache:
             seg, held = self._segment_for(lba, sectors)
             if held and not seg.dirty:
                 self._extend(seg, lba, sectors)
-            write = MediaMsg(HOST_WRITE, lba, sectors, tags, self.take_penalty_rotations())
-            return ACK_AFTER_MEDIA, (write,)
+            return ACK_AFTER_MEDIA, (self._plan(HOST_WRITE, lba, sectors, tags),)
 
         seg = self._stage(lba, sectors)
         if seg is None:
@@ -624,7 +623,7 @@ class SegmentedCache:
         if record is None:
             return ()
         self.destage_inflight = True
-        return (MediaMsg(DESTAGE, *record, self.take_penalty_rotations()),)
+        return (self._plan(DESTAGE, *record),)
 
     def destage_next(self) -> tuple[int, int, TagRuns | None] | None:
         """Oldest pending write record.

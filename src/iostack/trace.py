@@ -12,7 +12,6 @@ from __future__ import annotations
 import io
 import re
 from dataclasses import dataclass, field
-from enum import Enum
 from pathlib import Path
 from typing import IO, Iterable
 
@@ -65,15 +64,13 @@ def read_utf8(path: str | Path) -> str:
         raise NotUtf8(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
 
 
-class OpenFlag(Enum):
-    """Open-time option tokens that matter to the cache model."""
-
-    NO_BUFFER = "NoBuffer"
-    WRITE_THROUGH = "WriteThrough"
-    SEQUENTIAL_SCAN = "SequentialScan"
-
-
-_FLAG_TOKENS = {f.value: f for f in OpenFlag}
+#: Open-time option tokens that set the access mode, strongest first:
+#: NoBuffer disables the cache outright, the other options only tune it.
+_MODE_TOKENS = (
+    ("NoBuffer", AccessMode.NO_BUFFER),
+    ("WriteThrough", AccessMode.WRITE_THROUGH),
+    ("SequentialScan", AccessMode.SEQUENTIAL),
+)
 
 _TIME_RE = re.compile(r"^(\d{1,2}):(\d{1,2}):(\d{1,2})(?:\.(\d{1,6}))?$")
 _IO_DETAIL_RE = re.compile(r"LCN:\s*(\d+)\s+Offset:\s*(\d+)\s+Length:\s*(\d+)")
@@ -93,7 +90,8 @@ class RawTraceLine:
     lcn: int | None = None
     offset_bytes: int | None = None
     length_bytes: int | None = None
-    flags: frozenset[OpenFlag] = frozenset()
+    #: The access mode the line's options set (an OPEN's, for its session).
+    mode: AccessMode = AccessMode.NORMAL
 
 
 @dataclass
@@ -161,9 +159,8 @@ def parse_trace_line(line: str) -> RawTraceLine:
             raise MalformedLine(f"{op.value} line without LCN/Offset/Length", seq)
         lcn, offset, length = (int(g) for g in detail.groups())
 
-    flags = frozenset(
-        _FLAG_TOKENS[tok] for tok in trailer.replace(":", " ").split() if tok in _FLAG_TOKENS
-    )
+    tokens = trailer.replace(":", " ").split()
+    mode = next((mode for token, mode in _MODE_TOKENS if token in tokens), AccessMode.NORMAL)
 
     return RawTraceLine(
         seq=seq,
@@ -175,20 +172,8 @@ def parse_trace_line(line: str) -> RawTraceLine:
         lcn=lcn,
         offset_bytes=offset,
         length_bytes=length,
-        flags=flags,
+        mode=mode,
     )
-
-
-def _mode_from_flags(flags: frozenset[OpenFlag]) -> AccessMode:
-    # NoBuffer dominates: it disables the cache outright, the other flags
-    # only tune it.
-    if OpenFlag.NO_BUFFER in flags:
-        return AccessMode.NO_BUFFER
-    if OpenFlag.WRITE_THROUGH in flags:
-        return AccessMode.WRITE_THROUGH
-    if OpenFlag.SEQUENTIAL_SCAN in flags:
-        return AccessMode.SEQUENTIAL
-    return AccessMode.NORMAL
 
 
 def ingest_text(
@@ -239,8 +224,7 @@ def ingest_text(
         session_key = (line.pid, file_id)
 
         if line.op is Op.OPEN:
-            mode = _mode_from_flags(line.flags)
-            sessions[session_key] = mode
+            mode = sessions[session_key] = line.mode
         elif line.op is Op.CLOSE:
             mode = sessions.pop(session_key, AccessMode.NORMAL)
         else:

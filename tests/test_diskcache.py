@@ -18,7 +18,6 @@ from iostack import (
     load_config,
 )
 from iostack.diskcache import (
-    LocalPatternDetector,
     MediaMsg,
     MediaRole,
     SegmentedCache,
@@ -185,22 +184,40 @@ class TestReadPlan:
 
 
 class TestLocalPattern:
+    """The A, B, A-adjacent pattern, read through ``read_lookup`` on a LOCAL_512K cache."""
+
+    @staticmethod
+    def local_prefetches(reads: list) -> list:
+        cache = SegmentedCache(
+            cfg(segment_count=16, segment_bytes=512 * 1024, read_prefetch=ReadPrefetch.LOCAL_512K)
+        )
+        return [
+            [r for r in cache.read_lookup(lba, sectors)[1] if r.role is LOCAL_PREFETCH]
+            for lba, sectors in reads
+        ]
+
     def test_detector_fires_on_a_b_a_adjacent(self):
-        det = LocalPatternDetector()
-        assert not det.observe(3 * BLOCK_SECTORS, BLOCK_SECTORS)  # A = block 3
-        assert not det.observe(8 * BLOCK_SECTORS, BLOCK_SECTORS)  # B = block 8, gap 4 blocks
-        assert det.observe(4 * BLOCK_SECTORS, BLOCK_SECTORS)  # A+adjacent fires
+        # A = block 3, B = block 8 (a gap of 4 blocks), then the block after A.
+        blocks = (3, 8, 4)
+        fired = self.local_prefetches([(b * BLOCK_SECTORS, BLOCK_SECTORS) for b in blocks])
+        assert fired == [[], [], [op(LOCAL_PREFETCH, 4 * BLOCK_SECTORS, 1024)]]
 
     def test_detector_ignores_pure_sequential(self):
-        det = LocalPatternDetector()
-        fired = [det.observe(i * BLOCK_SECTORS, BLOCK_SECTORS) for i in range(6)]
+        fired = self.local_prefetches([(i * BLOCK_SECTORS, BLOCK_SECTORS) for i in range(6)])
         assert not any(fired)
 
     def test_detector_respects_radius(self):
-        det = LocalPatternDetector()
-        det.observe(0, BLOCK_SECTORS)
-        det.observe(6 * BLOCK_SECTORS, BLOCK_SECTORS)  # gap 5 blocks > radius
-        assert not det.observe(BLOCK_SECTORS, BLOCK_SECTORS)
+        # B starts 640 sectors (5 blocks) past A's end: beyond the radius.
+        blocks = (0, 6, 1)
+        assert not any(self.local_prefetches([(b * BLOCK_SECTORS, BLOCK_SECTORS) for b in blocks]))
+
+    @pytest.mark.parametrize("gap, fires", [(512, True), (513, False)])
+    def test_radius_boundary(self, gap, fires):
+        # B starts ``gap`` sectors past A's end, where the third read starts.
+        a_end = BLOCK_SECTORS
+        fired = self.local_prefetches([(0, BLOCK_SECTORS), (a_end + gap, 8), (a_end, BLOCK_SECTORS)])
+        assert fired[:2] == [[], []]
+        assert fired[2] == ([op(LOCAL_PREFETCH, a_end, 1024)] if fires else [])
 
     def test_local_directive_from_third_request_start(self):
         cache = SegmentedCache(
@@ -402,7 +419,7 @@ class TestSegmentPicks:
         filled.update(lba for start, end in cache.fill_ranges for lba in range(start, end))
         covered = 0
         for lba, sectors in queries:
-            assert cache.missing_runs(lba, sectors) == uncovered_runs(lba, sectors, extents)
+            assert cache.missing_runs(lba, sectors)[0] == uncovered_runs(lba, sectors, extents)
             want = filled.issuperset(range(lba, lba + sectors))
             assert cache._covered_by_fill(lba, sectors) == want
             covered += want
@@ -477,16 +494,23 @@ class TestSegmentPicks:
     @example(extents=[(10, 5)], lba=20, sectors=4)  # one segment, wholly below the run
     @example(extents=[(10, 5)], lba=0, sectors=-2)
     @example(extents=[(10, 5)], lba=12, sectors=0)
+    @example(extents=[(10, 0), (0, 30)], lba=5, sectors=10)  # an empty segment inside the run
+    @example(extents=[(20, 10), (0, 25)], lba=22, sectors=4)  # list order, not start order
     def test_missing_runs_over_overlapping_segments(self, extents, lba, sectors):
         cache = SegmentedCache(cfg(segment_count=len(extents)))
         for seg, (start, length) in zip(cache.segments, extents):
             seg.start, seg.end = start, start + length
         want = uncovered_runs(lba, sectors, [(a, a + n) for a, n in extents if n])
-        first = cache.missing_runs(lba, sectors)
+        # The segment a hit touches: the first in list order holding a sector of the run.
+        holders = [
+            seg for seg in cache.segments if max(seg.start, lba) < min(seg.end, lba + sectors)
+        ]
+        first, holder = cache.missing_runs(lba, sectors)
         # ``read_lookup`` keeps the list as ``awaited``: each call returns a new one.
-        second = cache.missing_runs(lba, sectors)
+        second, _ = cache.missing_runs(lba, sectors)
         assert first == second == want
         assert first is not second
+        assert holder is (holders[0] if holders else None)
 
 
 def expand(runs) -> dict[int, int]:

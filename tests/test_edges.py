@@ -25,7 +25,7 @@ from iostack.profiles import PROFILES
 from iostack.replay import file_extents
 from iostack.requests import CanonicalRequest, Origin
 from iostack.scheduler import Policy
-from iostack.trace import OpenFlag, ingest_text
+from iostack.trace import ingest_text
 from iostack.workload import DistSpec, GeneratorSpec, generate
 
 from conftest import flat_seek, observed, plain_stack, tiny_geometry
@@ -40,13 +40,13 @@ class TestTraceFlags:
         raw = parse_trace_line(
             "5  9:0:0.000  app.exe:1  OPEN  C:\\f  SUCCESS Options: Open WriteThrough Access: All"
         )
-        assert OpenFlag.WRITE_THROUGH in raw.flags
+        assert raw.mode is AccessMode.WRITE_THROUGH
 
     def test_sequential_scan_flag(self):
         raw = parse_trace_line(
             "5  9:0:0.000  app.exe:1  OPEN  C:\\f  SUCCESS Options: Open SequentialScan"
         )
-        assert OpenFlag.SEQUENTIAL_SCAN in raw.flags
+        assert raw.mode is AccessMode.SEQUENTIAL
 
     def test_no_buffer_beats_other_flags(self):
         text = (

@@ -108,12 +108,19 @@ def test_held_out_full_trace_event_log_pinned(workloads, workload):
     assert full_log(workloads, workload, HELD_OUT_SEED) == HELD_OUT_FULL_LOG[workload]
 
 
-def test_tracer_records_every_stage_span(workloads):
+def traced_run(workloads: ModuleType, workload: str, requests: int):
+    """``(tracer, calls per span name, result, events)`` of one traced replay."""
+
     tracing = load("tracing")
     tracer = tracing.Tracer()
     with tracing.traced(tracer):
-        result, events = run(workloads, "mixed_rw", 32)
+        result, events = run(workloads, workload, requests)
     calls = {name: len(spans) for name, spans in tracer.self_times().items()}
+    return tracer, calls, result, events
+
+
+def test_tracer_records_every_stage_span(workloads):
+    tracer, calls, result, events = traced_run(workloads, "mixed_rw", 32)
     stages = {
         "replay.app": StageId.APP,
         "replay.fs_stage": StageId.FS_CACHE,
@@ -133,3 +140,13 @@ def test_tracer_records_every_stage_span(workloads):
     fill_parents = [names[tracer.span_parent[i]] for i, n in enumerate(names) if n == "diskcache.expect_fill"]
     assert fill_parents
     assert set(fill_parents) <= {"diskcache.read_lookup", "diskcache.on_media_data"}
+    # Each drive-cache read rule runs once per call of the step it serves.
+    for workload in sorted(SMOKE_LOG_SHA256):
+        _, calls, _, events = traced_run(workloads, workload, workloads.SMOKE_REQUESTS)
+        media = [e.payload for e in select(events, kind="media")]
+        # One segment scan answers each lookup.
+        assert calls["diskcache.missing_runs"] == calls["diskcache.read_lookup"] > 0, workload
+        # Every media op planned owes its penalty once and is served once.
+        assert calls["diskcache.take_penalty_rotations"] == calls["disk.service"] == len(media), workload
+        # Every media read, and nothing else, is entered as a fill.
+        assert calls["diskcache.expect_fill"] == sum(not op.write for op in media) > 0, workload

@@ -23,7 +23,6 @@ from iostack import (
     read_canonical,
     write_canonical,
 )
-from iostack.trace import OpenFlag
 from iostack.workload import DistSpec
 
 
@@ -44,7 +43,7 @@ class TestParseLine:
         line = "159  17:03:26.437  testwrite.exe:928  OPEN  C:\\1\\testwrite0  SUCCESS Options: Open NoBuffer Access: All"
         raw = parse_trace_line(line)
         assert raw.op is Op.OPEN
-        assert raw.flags == frozenset({OpenFlag.NO_BUFFER})
+        assert raw.mode is AccessMode.NO_BUFFER
 
     def test_write_line(self):
         line = "190  17:3:26.437  testwrite.exe:928  WRITE  C:\\1\\testwrite0  LCN: 2000668 Offset: 0 Length: 196608"
