@@ -1,20 +1,22 @@
 """Pinned digests of the replay configuration matrix.
 
-For each drive profile and access mode, one SHA-256 covers 40 replays of a
-32-request stream: every drive write policy, each ``SEEDED_POLICIES`` entry
-and every replay mode, over sequential addresses with the default fs cache
-and over random addresses with a 512 KB fs cache, which evicts views on
-nearly every miss.
-Each replay adds its event-log text, request table, summary and media-image
-runs; a replay that stalls raises.  Each replay runs once, observed: the
+For each drive profile and access mode, two SHA-256 digests cover 40 replays
+of a 32-request stream: every drive write policy, each ``SEEDED_POLICIES``
+entry and every replay mode, over sequential addresses with the default fs
+cache and over random addresses with a 512 KB fs cache, which evicts views on
+nearly every miss.  Each replay adds the hash of its event-log text to the
+log digest, and its request table, summary and media-image runs to the
+report digest, so a change to the log format leaves the report digest
+standing; a replay that stalls raises.  Each replay runs once, observed: the
 observer hashes each event as it is dispatched.  It also checks the drive's
 traffic contract: the scheduler hands the drive one io at a time, the drive
 cache holds back no io but that one, and it holds a read exactly while it
 still needs media data.  It checks that each pending-work fact agrees with
 its one owner, too: the fs requests waiting for a loading block, the drive's
 queued writes, the ios in the scheduler queue and the media op the disk
-serves.  The digests must not move unless the modelled behaviour changes on
-purpose; a failure names the (profile, access mode) slice that moved.
+serves.  The digests must not move unless the modelled behaviour or the log
+format changes on purpose; a failure names the (profile, access mode) slice
+that moved, and the report digest is checked first.
 """
 
 from __future__ import annotations
@@ -155,9 +157,11 @@ def observer(log):
     return observe
 
 
-def slice_digest(profile: str, mode: AccessMode) -> str:
+def slice_digests(profile: str, mode: AccessMode) -> tuple[str, str]:
+    """(log digest, report digest) of the slice's 40 replays."""
+
     drive = PROFILES[profile]
-    digest = hashlib.sha256()
+    logs, reports = hashlib.sha256(), hashlib.sha256()
     for sequential in (True, False):
         requests = stream(mode, sequential)
         fs = FsCacheConfig() if sequential else SMALL_FS
@@ -179,33 +183,51 @@ def slice_digest(profile: str, mode: AccessMode) -> str:
                             ReplayPolicy(mode=replay_mode),
                             observer(log),
                         )
+                    logs.update(log.hexdigest().encode())
                     for text in (
-                        log.hexdigest(),
                         format_request_table(result.records),
                         format_summary(result.summary),
                         repr(result.media_image.runs),
                     ):
-                        digest.update(text.encode())
-    return digest.hexdigest()
+                        reports.update(text.encode())
+    return logs.hexdigest(), reports.hexdigest()
 
 
-#: (profile, access mode) -> SHA-256 of its 40 replays.
-MATRIX_SHA256 = {
-    ('fujitsu_man3184mp', AccessMode.NORMAL): '94cadca5c065b895123b23d621caf47b01b10eab64f713a4cdff02741e56002f',
-    ('fujitsu_man3184mp', AccessMode.SEQUENTIAL): '47bfc436e4169eecd38981ba4df473a14e33ca83872c66f8b8694894205cb9d9',
-    ('fujitsu_man3184mp', AccessMode.NO_BUFFER): 'ade58632e2cb1555cd9954fff1880b2b82b03d5896f3c15b428554df6d71d871',
-    ('fujitsu_man3184mp', AccessMode.WRITE_THROUGH): '790df9cfabd890e280191b86cfc683fe7476cd36179f3b76731250d02dfd0979',
-    ('hitachi_travelstar_80gn', AccessMode.NORMAL): '818563536b7b77c17a4eec33203e0409dc41f0c65d62764f8eaac8cd1cc8e0bf',
-    ('hitachi_travelstar_80gn', AccessMode.SEQUENTIAL): '512d2c1f9592b5b3d1bad728a0365bb253eecac0eee79da1a7a16faf2f64c6b2',
-    ('hitachi_travelstar_80gn', AccessMode.NO_BUFFER): '02b06e72468ada4162b373f2e3bc738c114751e65d78525c243502124a02c7ea',
-    ('hitachi_travelstar_80gn', AccessMode.WRITE_THROUGH): '033ac82da91ed330d886a44dbada8ac35b24b79fb2947f9e26aaaa699c2674eb',
-    ('toshiba_mk6012map', AccessMode.NORMAL): 'cfdc50a44f3a2876e878588b5fea4ca01b11cce4fc48e84fc6f62a4cc03abc08',
-    ('toshiba_mk6012map', AccessMode.SEQUENTIAL): '2bac1d31765af4a50b9fde9f4a0e59e0417934871d42b4dae369b41ee7e2a8d1',
-    ('toshiba_mk6012map', AccessMode.NO_BUFFER): '60e79172a315c1900a425e7282aac8cfb57f73433426a69acabe50173bb10047',
-    ('toshiba_mk6012map', AccessMode.WRITE_THROUGH): '6996c9eb73d7fd7a3f62be02e411ebbb34e746e9d117af5c12dc4de60232778c',
+#: (profile, access mode) -> SHA-256 of its 40 replays' event-log hashes.
+MATRIX_LOG_SHA256 = {
+    ('fujitsu_man3184mp', AccessMode.NORMAL): 'ccd3a968c2765e8490e9df27e15bfdfdecd03f7a5372e1397caccf2e9059836d',
+    ('fujitsu_man3184mp', AccessMode.SEQUENTIAL): '75f6cb2977a91b463b18319a6e31c437a57f55d00d3354bec350c6eaf15d38fc',
+    ('fujitsu_man3184mp', AccessMode.NO_BUFFER): 'bb7ce78d7450bd73bf3ad3662e07d0553f4ca938b78551ad1db076244cfecdb4',
+    ('fujitsu_man3184mp', AccessMode.WRITE_THROUGH): '4cad5d4b36f1f268b7276b8669979ff4eb0676cb6ab3d0b14b2814ad33b0849c',
+    ('hitachi_travelstar_80gn', AccessMode.NORMAL): '6e053c1a77b495b05983101be9b20e5cc2a6c6cb1adc56dbbc3f475264876b1b',
+    ('hitachi_travelstar_80gn', AccessMode.SEQUENTIAL): '0f749c5667ff90b78613fb03ef851784d5029d809275f9bf4784f5e7ec0a20b4',
+    ('hitachi_travelstar_80gn', AccessMode.NO_BUFFER): 'd2b57fdecdd51aeb4356d4a4789e4a8136b232cfc42af0594df414ad01ec1de5',
+    ('hitachi_travelstar_80gn', AccessMode.WRITE_THROUGH): '38aa7650d6ddd640fae3a43936babdb083afc10ba3bc38b407b75def4fa9905c',
+    ('toshiba_mk6012map', AccessMode.NORMAL): 'f9f004fbfc7e6d7fba073a6d25c5c8415575b724555d103f5c6d9fa1d91b30c0',
+    ('toshiba_mk6012map', AccessMode.SEQUENTIAL): '63aacd95cbfc54b9b385f91791ad6d73ebafdaff7b8f9a5d52e11a4354a6d509',
+    ('toshiba_mk6012map', AccessMode.NO_BUFFER): '6ababd53d75de0a1b52b010c699c23305cd2c0abd6825c879e4bf0f51f023af0',
+    ('toshiba_mk6012map', AccessMode.WRITE_THROUGH): '51fdb73e03a2766646d0a7a858468db312fea480e409521f6986d5322f6c4dc4',
+}
+
+#: (profile, access mode) -> SHA-256 of its 40 replays' reports and media images.
+MATRIX_REPORT_SHA256 = {
+    ('fujitsu_man3184mp', AccessMode.NORMAL): 'a939ca881a648784cfed6feeab24b62f0f0bf30613c09d3a8b7e1d71724d6333',
+    ('fujitsu_man3184mp', AccessMode.SEQUENTIAL): '746f1108652a787ef14fe70de85ed3f7985b9e05455240e45f1c06d46323a80a',
+    ('fujitsu_man3184mp', AccessMode.NO_BUFFER): '4831c5d4125727a0cd2206b35d335ca89088650147f566e923cb6d70b6a7c99d',
+    ('fujitsu_man3184mp', AccessMode.WRITE_THROUGH): '2ba88b4868ac7b5a159a1392feba33c08f00b1f742429924782b52b22f4f83f5',
+    ('hitachi_travelstar_80gn', AccessMode.NORMAL): '0c13d3e86431f9165ab0fd6bf7ac801f597df96866b72a97dced978f720dae7a',
+    ('hitachi_travelstar_80gn', AccessMode.SEQUENTIAL): 'ee278babd3d71ab1b2b0b236a03fa898806e34563cecb7214df3d4de7e8ae176',
+    ('hitachi_travelstar_80gn', AccessMode.NO_BUFFER): '6f69d30e4ca61fdb9f2c1d74ce7f3062d41062a47193dd86add316f9ca114c06',
+    ('hitachi_travelstar_80gn', AccessMode.WRITE_THROUGH): 'dd190804814e2aa0f65ea382fcaf0804718f19085f5d3967ddac806f776fddc7',
+    ('toshiba_mk6012map', AccessMode.NORMAL): '6d63ced152ff0105761a0b438f1d644f29b0165c40c199e3649a30468119789a',
+    ('toshiba_mk6012map', AccessMode.SEQUENTIAL): '917cdaea496426e9ab9b7406908c9348201113a23ede634fb7364ae32fd86fdf',
+    ('toshiba_mk6012map', AccessMode.NO_BUFFER): '529670db7d303def3a09b2b7ac5fbff885e7fc96e95a2fa3cd90da87a7764d55',
+    ('toshiba_mk6012map', AccessMode.WRITE_THROUGH): 'a3236c9c9cb4bcd7c0d6f3c824ee2a94c506ad974aaa2fc17a0267791c0b6c6a',
 }
 
 
-@pytest.mark.parametrize("profile, mode", sorted(MATRIX_SHA256, key=str))
+@pytest.mark.parametrize("profile, mode", sorted(MATRIX_REPORT_SHA256, key=str))
 def test_matrix_slice_pinned(profile, mode):
-    assert slice_digest(profile, mode) == MATRIX_SHA256[profile, mode]
+    logs, reports = slice_digests(profile, mode)
+    assert reports == MATRIX_REPORT_SHA256[profile, mode]
+    assert logs == MATRIX_LOG_SHA256[profile, mode]

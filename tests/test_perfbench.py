@@ -2,9 +2,10 @@
 
 ``perfbench/`` replays three generated workloads and times the layers by
 wrapping named functions of the program.  These tests load its workload and
-tracing modules read-only: the traces must keep their pinned event logs, at
-the smoke length and at the full length, and every span the per-layer split
-reads must still record calls.
+tracing modules read-only: the traces must keep their pinned reports and
+event logs, at the smoke length and at the full length, and every span the
+per-layer split reads must still record calls.  Each test checks the reports
+before the log, so a change to the log format cannot hide a report change.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from types import ModuleType
 import pytest
 
 from iostack import StageId, reference_media_image, replay
+from iostack.reports import format_request_table, format_summary
 
 from conftest import observed
 from test_golden_log import log_text
@@ -50,6 +52,39 @@ HELD_OUT_FULL_LOG = {
 }
 
 
+#: (seed, workload) -> SHA-256 of the request table, the summary and the
+#: media image's runs of the workload's smoke-length and full-length traces.
+SMOKE_REPORT_SHA256 = {
+    (1, "buffered_read"): "0d5f30d3c59e4b73a14f8f88531ee308125bc67f87176498b58f692970ee2e4c",
+    (1, "burst_random"): "af8f425d8d82e07f1b7694899935a6a5d48517efa46087023f67fa890a7e9236",
+    (1, "mixed_rw"): "0b544f2975cdeb7c0c5f91ca8be4748fba27fe647207cfd8ba97361b56aa062d",
+    (7919, "buffered_read"): "3a792229798c4daf96e26b8d85c1d1bc8827ec95262c718891638c8d50c6d956",
+    (7919, "burst_random"): "833a0921a5bd843c9f01cadba98c0a6bba9be2ee9290ee325e638daf4e098421",
+    (7919, "mixed_rw"): "a86ad4dea08935aa81286a3f1c34b962cc4e01cf14f4814296451b9327822fb9",
+}
+FULL_REPORT_SHA256 = {
+    (1, "buffered_read"): "2a51332a7b994473e4df7fd94588798102b1436d3d49e1e637c84cb31ba1c4d4",
+    (1, "burst_random"): "573138a49bc22570307630603d1fde3c17e2aea52cca43b40bbb6bd79963c630",
+    (1, "mixed_rw"): "5793ffa128852e98f7a423c264a12cc321798cf02c06dab0357747e5fd767ba8",
+    (7919, "buffered_read"): "2efb77add82125d963842d32eb6ab8f874fd6811b8dbfe42256e0d7795efbc2b",
+    (7919, "burst_random"): "615157d3b8825256ae4d5b882d364f9d78bdd94d8d85e5cf61005c88c5484e8a",
+    (7919, "mixed_rw"): "942603c22bf804b5355c1536fc10cd0b97e5045f99a682fb2f4693ea344b4f6f",
+}
+
+
+def report_digest(result) -> str:
+    """SHA-256 of a replay's request table, summary and media-image runs."""
+
+    digest = hashlib.sha256()
+    for text in (
+        format_request_table(result.records),
+        format_summary(result.summary),
+        repr(result.media_image.runs),
+    ):
+        digest.update(text.encode())
+    return digest.hexdigest()
+
+
 def load(name: str) -> ModuleType:
     """A module of ``perfbench/``, loaded from its file without touching ``sys.path``."""
 
@@ -64,8 +99,8 @@ def workloads() -> ModuleType:
     return load("workloads")
 
 
-def run(workloads: ModuleType, workload: str, requests: int):
-    trace = workloads.generate_trace(workload, requests, 1)
+def run(workloads: ModuleType, workload: str, requests: int, seed: int = 1):
+    trace = workloads.generate_trace(workload, requests, seed)
     return observed(trace, workloads.stack_config(workload), workloads.replay_policy(workload))
 
 
@@ -74,14 +109,22 @@ def test_smoke_trace_event_log_pinned(workloads, workload):
     assert set(workloads.WORKLOADS) == set(SMOKE_LOG_SHA256)
     result, events = run(workloads, workload, workloads.SMOKE_REQUESTS)
     assert len(result.records) == len(result.effective_requests)
+    assert report_digest(result) == SMOKE_REPORT_SHA256[1, workload]
     digest = hashlib.sha256(log_text(events).encode()).hexdigest()
     assert digest == SMOKE_LOG_SHA256[workload]
     if workload == "mixed_rw":
         assert result.media_image == reference_media_image(result.effective_requests)
 
 
+@pytest.mark.parametrize("workload", sorted(SMOKE_LOG_SHA256))
+def test_held_out_smoke_trace_reports_pinned(workloads, workload):
+    result, _ = run(workloads, workload, workloads.SMOKE_REQUESTS, HELD_OUT_SEED)
+    assert report_digest(result) == SMOKE_REPORT_SHA256[HELD_OUT_SEED, workload]
+
+
 def full_log(workloads: ModuleType, workload: str, seed: int) -> tuple[str, int]:
-    """(event-log SHA-256, event count) of the workload's full-length trace at ``seed``."""
+    """(event-log SHA-256, event count) of the workload's full-length trace at
+    ``seed``, after its reports are checked against ``FULL_REPORT_SHA256``."""
 
     # Hashed as the run streams it: the log is never held whole.
     log = hashlib.sha256()
@@ -94,7 +137,8 @@ def full_log(workloads: ModuleType, workload: str, seed: int) -> tuple[str, int]
 
     trace = workloads.generate_trace(workload, workloads.FULL_REQUESTS, seed)
     stack, policy = workloads.stack_config(workload), workloads.replay_policy(workload)
-    replay(trace, stack, policy, observe)
+    result = replay(trace, stack, policy, observe)
+    assert report_digest(result) == FULL_REPORT_SHA256[seed, workload]
     return log.hexdigest(), events
 
 
