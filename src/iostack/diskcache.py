@@ -222,7 +222,11 @@ class TagMap:
 
 @dataclass(slots=True)
 class MediaMsg:
-    """One media op from plan to done; ``DiskCacheStage`` stamps its id at issue."""
+    """One media op from plan to done.
+
+    ``DiskCacheStage`` stamps its id at issue; ``DiskStage`` times it when it
+    arrives and sends its done form back at its finish.
+    """
 
     role: MediaRole
     lba: int
@@ -232,9 +236,7 @@ class MediaMsg:
     media_id: int = 0
     #: The host io a HOST_WRITE op serves.
     host: IoMsg | None = None
-    #: The disk's own timer: the op has left the platter.
-    finished: bool = False
-    #: Reported back to the drive cache.
+    #: Timed by the disk, which reports it back to the drive cache at its finish.
     done: bool = False
 
     @property
@@ -249,16 +251,12 @@ class MediaMsg:
 
     @property
     def kind(self) -> str:
-        if self.done:
-            return "media-done"
-        return "media-finish" if self.finished else "media"
+        return "media-done" if self.done else "media"
 
     def detail(self) -> str:
         head = f"media={self.media_id}"
         if self.done:
             return f"{head} lba={self.lba} sectors={self.sectors} purpose={self.purpose}"
-        if self.finished:
-            return head
         op = "write" if self.write else "read"
         return f"{head} op={op} lba={self.lba} sectors={self.sectors} purpose={self.purpose}"
 
@@ -380,7 +378,11 @@ class SegmentedCache:
         if sectors <= 0:
             return [], None
         end = lba + sectors
-        holders = [s for s in self.segments if s.start < end and lba < s.end and s.start < s.end]
+        # A plain loop: a comprehension is a nested call on 3.10 and 3.11.
+        holders = []
+        for s in self.segments:
+            if s.start < end and lba < s.end and s.start < s.end:
+                holders.append(s)
         if holders:
             return uncovered_runs(lba, sectors, [(s.start, s.end) for s in holders]), holders[0]
         return [(lba, sectors)], None

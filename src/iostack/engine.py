@@ -13,8 +13,8 @@ first-out lane beside it (see ``Simulator``).  Each handler receives only
 ``StageFault`` of a handler that raised.  An observer reads each event as it
 is dispatched, so a run streams its own event log to whatever sink the
 observer writes to; a run without one costs nothing more.
-A payload is one object for its whole round trip, turned into its reply by a
-flag, so an observer that keeps events must copy what it reads.
+A payload is one object for its whole round trip, turned into its done form
+by a flag, so an observer that keeps events must copy what it reads.
 """
 
 from __future__ import annotations

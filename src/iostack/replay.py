@@ -4,8 +4,9 @@ One replay is one single-threaded engine run.  The application stage paces
 requests (closed loop, open loop, or closed loop with a measured-response
 tolerance), the file-system cache stage issues the ios its planner makes,
 the scheduler orders pending disk work, the drive cache stages data, and the
-disk stage serializes media operations against the mechanical model while
-keeping the written sectors' tags as runs for conservation checks.
+disk stage times each media operation against the mechanical model when it
+arrives, while keeping the written sectors' tags as runs for conservation
+checks.
 
 Each fact has one owner: ``FsCache`` holds fs residency, the dirty blocks,
 each file's speculation state, the loading blocks with the requests waiting
@@ -22,13 +23,12 @@ and ``SegmentedCache`` every media op and acknowledgement; ``FsStage`` and
 ``PendingQueue`` holds each queued ``IoMsg`` and ``SchedulerStage.inflight``
 the one at the drive, which the cache also holds while its acknowledgement
 waits for media data or a free segment; a write-through write waits on its
-``MediaMsg.host`` instead.  ``DiskStage.queue`` holds the media ops in
-arrival order; its head is the op being served.
+``MediaMsg.host`` instead.  ``DiskStage.free_at`` is when the disk finishes
+the last op it took, and the event queue holds each op's ``media-done``.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -95,12 +95,12 @@ class StackConfig:
 # APP sends each RequestMsg to FS_CACHE and gets its done form back.  FS_CACHE
 # sends IoMsg to SCHEDULER, which passes them one at a time to DISK_CACHE; the
 # done form returns the same way.  DISK_CACHE sends MediaMsg to DISK, which
-# times each op with its finished form and returns its done form.  Signals go
-# to FS_CACHE: FLUSH_TICK from itself, DRAIN from APP after the last request.
-# ``IoMsg`` and ``Signal`` live in ``fscache`` and ``MediaMsg`` in
-# ``diskcache``, whose models make them.  Each message is one object from
-# issue to done: its done or finished form is the same object with its flag
-# set, so an observer reads each event when it is dispatched.
+# times each op when it arrives and returns its done form at its finish.
+# Signals go to FS_CACHE: FLUSH_TICK from itself, DRAIN from APP after the
+# last request.  ``IoMsg`` and ``Signal`` live in ``fscache`` and ``MediaMsg``
+# in ``diskcache``, whose models make them.  Each message is one object from
+# issue to done: its done form is the same object with its flag set, so an
+# observer reads each event when it is dispatched.
 
 
 @dataclass(slots=True)
@@ -273,54 +273,41 @@ class DiskCacheStage:
 
 
 class DiskStage:
-    """Serial media execution against the mechanical model, head of the FIFO first."""
+    """Serial media execution against the mechanical model.
 
-    def __init__(self, sim: Simulator, geometry: DiskGeometry, seek: SeekProfile):
-        self.sim = sim
+    The drive serves one op at a time, and an op's service time depends only
+    on the head state and its start time, so each op is timed when it
+    arrives: it starts when the disk is next free, and its done form goes
+    back to DISK_CACHE at its finish.
+    """
+
+    def __init__(self, geometry: DiskGeometry, seek: SeekProfile):
         self.geometry = geometry
         self.seek = seek
         #: (cylinder, head, angle_revs, time_us), as ``service`` takes it.
         self.head: tuple[int, int, float, float] = (0, 0, 0.0, 0.0)
-        self.queue: deque[MediaMsg] = deque()
+        #: When the last op taken finishes: the next one starts no earlier.
+        self.free_at = 0
         self.data_image = TagMap()
 
     def handle(self, sim: Simulator, payload: MediaMsg) -> None:
-        # Every DISK event is a media op; a finished one has left the platter.
-        if payload.finished:
-            self._finish(payload)
-        else:
-            idle = not self.queue
-            self.queue.append(payload)
-            if idle:
-                self._start_next()
-
-    def _start_next(self) -> None:
-        msg = self.queue[0]
-        now = self.sim.now()
+        # Every DISK event is a media op; the disk serves them in arrival order.
+        start = max(sim.now(), self.free_at)
         delay, (cylinder, head, angle, _) = service(
-            msg.lba, msg.sectors, self.head, self.geometry, self.seek, now, msg.write
+            payload.lba, payload.sectors, self.head, self.geometry, self.seek, start, payload.write
         )
-        if msg.penalty_rotations:
-            delay += msg.penalty_rotations * self.geometry.rotation_period_us
-        finish = now + max(1, round(delay))
+        if payload.penalty_rotations:
+            delay += payload.penalty_rotations * self.geometry.rotation_period_us
+        finish = self.free_at = start + max(1, round(delay))
         # Re-anchor the head clock on the integer event time so a
         # contiguous follow-up op sees its target sector exactly under the
         # head instead of a hair behind it (which would cost a phantom
         # revolution).
         self.head = (cylinder, head, angle, float(finish))
-        msg.finished = True
-        self.sim.schedule(DISK, msg, finish)
-
-    def _finish(self, msg: MediaMsg) -> None:
-        if msg.sector_tags is not None:
-            self.data_image.overlay(msg.sector_tags)
-        self.queue.popleft()
-        # Timing the next op may raise, so it goes first; it finishes at
-        # least 1 us later, so the two events dispatch in the same order.
-        if self.queue:
-            self._start_next()
-        msg.done = True
-        self.sim.schedule(DISK_CACHE, msg)
+        if payload.sector_tags is not None:
+            self.data_image.overlay(payload.sector_tags)
+        payload.done = True
+        sim.schedule(DISK_CACHE, payload, finish)
 
 
 # -- top-level entry -------------------------------------------------------------
@@ -357,12 +344,7 @@ class ReplayDiverged(TraceReplayError):
     """Re-running a replay for its ``event_log.to_text()`` simulated a different run."""
 
 
-def _held_work(
-    fs: FsCache,
-    sched_stage: SchedulerStage,
-    cache: SegmentedCache,
-    disk_stage: DiskStage,
-) -> list[str]:
+def _held_work(fs: FsCache, sched_stage: SchedulerStage, cache: SegmentedCache) -> list[str]:
     """One line per stage holder still holding work once the event queue is empty.
 
     A finished replay leaves every one of them empty: a queued destage or an
@@ -380,7 +362,6 @@ def _held_work(
         ("drive cache", "fill ranges", list(cache.fill_ranges)),
         ("drive cache", "dirty segments", [i for i, s in enumerate(cache.segments) if s.dirty]),
         ("drive cache", "outstanding fills", list(cache.outstanding_fills)),
-        ("disk", "media ops", [m.media_id for m in disk_stage.queue]),
     )
     return [f"{stage} still holds {what} {items}" for stage, what, items in holders if items]
 
@@ -448,7 +429,7 @@ def replay(
     fs_stage = FsStage(fs)
     sched_stage = SchedulerStage(sim, stack.scheduler_policy, stack.geometry)
     cache_stage = DiskCacheStage(cache)
-    disk_stage = DiskStage(sim, stack.geometry, stack.seek)
+    disk_stage = DiskStage(stack.geometry, stack.seek)
 
     sim.register(APP, app.handle)
     sim.register(FS_CACHE, fs_stage.handle)
@@ -458,7 +439,7 @@ def replay(
 
     app.start(sim)
     sim.run()
-    held = _held_work(fs, sched_stage, cache, disk_stage)
+    held = _held_work(fs, sched_stage, cache)
     if len(app.records) != len(effective) or held:
         raise StallError(
             f"event queue ran dry after {len(app.records)} of {len(effective)} requests "

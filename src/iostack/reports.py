@@ -13,6 +13,8 @@ from .requests import MEMBER_TEXT, RequestRecord, Summary
 from .trace import read_utf8
 
 REPORT_FORMAT_VERSION = 1
+#: Versioned apart from the reports, so a change to the log leaves their hashes standing.
+EVENT_LOG_FORMAT_VERSION = 2
 
 
 def format_request_table(records: list[RequestRecord]) -> str:
@@ -80,7 +82,7 @@ def open_event_log(out_dir: str | Path) -> TextIO:
     for name in ("requests.csv", "summary.txt"):
         (out / name).unlink(missing_ok=True)
     fp = (out / "events.log").open("w", encoding="utf-8")
-    fp.write(f"#iostack-events v{REPORT_FORMAT_VERSION}\n")
+    fp.write(f"#iostack-events v{EVENT_LOG_FORMAT_VERSION}\n")
     return fp
 
 

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from iostack import Simulator, load_config, replay
 from iostack.cli import main
-from iostack.reports import REPORT_FORMAT_VERSION, format_request_table
+from iostack.reports import EVENT_LOG_FORMAT_VERSION, format_request_table
 from iostack.workload import generate
 
 from conftest import SAMPLE_TRACE, echo_to_ini
@@ -103,7 +103,7 @@ class TestCli:
         cfg = write_config(tmp_path)
         out = tmp_path / "out"
         assert main(["--config", str(cfg), "--generate", "--output", str(out), "--dump-events"]) == 0
-        assert (out / "events.log").read_text().startswith("#iostack-events")
+        assert (out / "events.log").read_text().startswith(f"#iostack-events v{EVENT_LOG_FORMAT_VERSION}\n")
 
     def test_dump_events_runs_once(self, tmp_path, monkeypatch):
         # The log streams from the run the reports describe, not from a re-run.
@@ -121,7 +121,7 @@ class TestCli:
         assert len(runs) == 1
         spec = load_config(CONFIG)
         result = replay(generate(spec.workloads[0]), spec.stack, spec.policy)
-        header = f"#iostack-events v{REPORT_FORMAT_VERSION}\n"
+        header = f"#iostack-events v{EVENT_LOG_FORMAT_VERSION}\n"
         assert (out / "events.log").read_bytes() == (header + result.event_log.to_text()).encode()
         assert (out / "requests.csv").read_text() == format_request_table(result.records)
 
@@ -606,7 +606,7 @@ def dump_events_error(run_dir: Path, capsys, config: str, trace: str | None = No
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("simulate: error: ")
     lines = (run_dir / "out" / "events.log").read_text().splitlines()
-    assert lines[0] == f"#iostack-events v{REPORT_FORMAT_VERSION}"
+    assert lines[0] == f"#iostack-events v{EVENT_LOG_FORMAT_VERSION}"
     return err[0], lines[1:]
 
 

@@ -13,10 +13,10 @@ traffic contract: the scheduler hands the drive one io at a time, the drive
 cache holds back no io but that one, and it holds a read exactly while it
 still needs media data.  It checks that each pending-work fact agrees with
 its one owner, too: the fs requests waiting for a loading block, the drive's
-queued writes, the ios in the scheduler queue and the media op the disk
-serves.  The digests must not move unless the modelled behaviour or the log
-format changes on purpose; a failure names the (profile, access mode) slice
-that moved, and the report digest is checked first.
+queued writes, the ios in the scheduler queue and the finish the disk sets
+for each media op.  The digests must not move unless the modelled behaviour
+or the log format changes on purpose; a failure names the (profile, access
+mode) slice that moved, and the report digest is checked first.
 """
 
 from __future__ import annotations
@@ -110,17 +110,27 @@ def observer(log):
     while the gate is open; each segment counts its queued writes, and a
     queued write's segment is dirty.  The scheduler queue holds the very ios
     that have reached SCHEDULER and not yet DISK_CACHE, but for the one it
-    has just handed on, and each ``media-finish`` is the op at the head of
-    the disk's FIFO.
+    has just handed on.  Media ops come back to DISK_CACHE in increasing id
+    order, each at the ``free_at`` the disk set when it handled the op's
+    ``media`` event.
     """
 
     at_drive = []
     #: io id -> the ios handled at SCHEDULER and not yet dispatched at DISK_CACHE.
     at_scheduler = {}
+    #: media id -> the finish the disk set for it.
+    finish_at = {}
+    #: The media op of the last event dispatched, if it went to DISK.
+    taken = None
+    last_done = 0
 
     def observe(event) -> None:
+        nonlocal taken, last_done
         log.update(f"{event.describe()}\n".encode())
         # The previous event's handler has run; this one's has not.
+        if taken is not None:
+            finish_at[taken] = WatchedDisk.current.free_at
+            taken = None
         sched = WatchedScheduler.current
         handed_on = sched.inflight.io_id if sched.inflight is not None else None
         queued = {m.io_id: m for m in sched.queue}
@@ -148,8 +158,12 @@ def observer(log):
             assert not at_drive, f"{event.describe()} while io {at_drive} is at the drive"
             at_drive.append(event.payload.io_id)
             del at_scheduler[event.payload.io_id]
-        elif kind == "media-finish":
-            assert WatchedDisk.current.queue[0] is event.payload, event.describe()
+        elif kind == "media":
+            taken = event.payload.media_id
+        elif kind == "media-done":
+            assert event.payload.media_id > last_done, event.describe()
+            assert event.fire_at_us == finish_at.pop(event.payload.media_id), event.describe()
+            last_done = event.payload.media_id
         elif kind == "io-done" and event.target is StageId.SCHEDULER:
             assert at_drive == [event.payload.io_id], event.describe()
             at_drive.clear()
@@ -195,18 +209,18 @@ def slice_digests(profile: str, mode: AccessMode) -> tuple[str, str]:
 
 #: (profile, access mode) -> SHA-256 of its 40 replays' event-log hashes.
 MATRIX_LOG_SHA256 = {
-    ('fujitsu_man3184mp', AccessMode.NORMAL): 'ccd3a968c2765e8490e9df27e15bfdfdecd03f7a5372e1397caccf2e9059836d',
-    ('fujitsu_man3184mp', AccessMode.SEQUENTIAL): '75f6cb2977a91b463b18319a6e31c437a57f55d00d3354bec350c6eaf15d38fc',
-    ('fujitsu_man3184mp', AccessMode.NO_BUFFER): 'bb7ce78d7450bd73bf3ad3662e07d0553f4ca938b78551ad1db076244cfecdb4',
-    ('fujitsu_man3184mp', AccessMode.WRITE_THROUGH): '4cad5d4b36f1f268b7276b8669979ff4eb0676cb6ab3d0b14b2814ad33b0849c',
-    ('hitachi_travelstar_80gn', AccessMode.NORMAL): '6e053c1a77b495b05983101be9b20e5cc2a6c6cb1adc56dbbc3f475264876b1b',
-    ('hitachi_travelstar_80gn', AccessMode.SEQUENTIAL): '0f749c5667ff90b78613fb03ef851784d5029d809275f9bf4784f5e7ec0a20b4',
-    ('hitachi_travelstar_80gn', AccessMode.NO_BUFFER): 'd2b57fdecdd51aeb4356d4a4789e4a8136b232cfc42af0594df414ad01ec1de5',
-    ('hitachi_travelstar_80gn', AccessMode.WRITE_THROUGH): '38aa7650d6ddd640fae3a43936babdb083afc10ba3bc38b407b75def4fa9905c',
-    ('toshiba_mk6012map', AccessMode.NORMAL): 'f9f004fbfc7e6d7fba073a6d25c5c8415575b724555d103f5c6d9fa1d91b30c0',
-    ('toshiba_mk6012map', AccessMode.SEQUENTIAL): '63aacd95cbfc54b9b385f91791ad6d73ebafdaff7b8f9a5d52e11a4354a6d509',
-    ('toshiba_mk6012map', AccessMode.NO_BUFFER): '6ababd53d75de0a1b52b010c699c23305cd2c0abd6825c879e4bf0f51f023af0',
-    ('toshiba_mk6012map', AccessMode.WRITE_THROUGH): '51fdb73e03a2766646d0a7a858468db312fea480e409521f6986d5322f6c4dc4',
+    ('fujitsu_man3184mp', AccessMode.NORMAL): '5e48b8829ec80e41ac2d17fa92c7e8be64179e5eacce64917a3ff31aa481460b',
+    ('fujitsu_man3184mp', AccessMode.SEQUENTIAL): '5d94c7bec39444b1acb2970fe3119914003b42bad54a6e457330f34f080c54d5',
+    ('fujitsu_man3184mp', AccessMode.NO_BUFFER): 'e34d58709661ae0945160c2c4f8e3ca6e0a420b7e8fadbd15be928cc680da165',
+    ('fujitsu_man3184mp', AccessMode.WRITE_THROUGH): '917b8df6445e49e602ccd41063641cf27fdd5d1da769ddef151fe7969165db42',
+    ('hitachi_travelstar_80gn', AccessMode.NORMAL): '75aab7cf49b1cafc0f904a08ca2b644640d7483c4a6592780fd34d3791ea97e1',
+    ('hitachi_travelstar_80gn', AccessMode.SEQUENTIAL): '064f5dc4c257789d517627153d0ca2ff535bb5813b4f2ba6ed545a4524447e78',
+    ('hitachi_travelstar_80gn', AccessMode.NO_BUFFER): 'f42c39da9165b7e12fa3a2ac4082a6ad504c4328f88c3f18881558d637fb7b40',
+    ('hitachi_travelstar_80gn', AccessMode.WRITE_THROUGH): '9351f9995d2fcf72919bb049066c3cce8faff6dba7609f82fd17e06694642c56',
+    ('toshiba_mk6012map', AccessMode.NORMAL): '1d72cb13327a8a73bc917162ac5270ef3debffc863a0312134e4a84bf56547d8',
+    ('toshiba_mk6012map', AccessMode.SEQUENTIAL): 'fe7ceabcab2f726189c94e632238cfddbb55c241c6068b684ab88ee668bf512f',
+    ('toshiba_mk6012map', AccessMode.NO_BUFFER): 'a6e0a3ac9f5a62b9ab759f14c46be03f86ab45f62894905c86c7989c0c72e2d6',
+    ('toshiba_mk6012map', AccessMode.WRITE_THROUGH): '66fbcb78fc21f8c004238e0f93884455fe20779745c9abd41e793b42f386361f',
 }
 
 #: (profile, access mode) -> SHA-256 of its 40 replays' reports and media images.

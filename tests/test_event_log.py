@@ -212,17 +212,21 @@ def test_each_round_trip_is_one_object():
 
 
 def test_stage_fault_names_the_event_as_dispatched(monkeypatch):
-    """A fault while timing a queued media op names the ``media-finish`` it was handling."""
+    """A fault while timing a media op that waits for the disk names that op's own ``media`` event."""
 
     inner = REPLAY_MODULE.service
-    lines = []
+    #: (time, log line) of each event as it was dispatched.
+    seen = []
 
-    def fails_after_finish(*args):
-        if " kind=media-finish " in lines[-1]:
+    def fails_when_queued(*args):
+        # ``service`` takes the op's start sixth: later than now, the disk is busy.
+        if args[5] > seen[-1][0]:
             raise ValueError("timing a queued media op")
         return inner(*args)
 
-    monkeypatch.setattr(REPLAY_MODULE, "service", fails_after_finish)
+    monkeypatch.setattr(REPLAY_MODULE, "service", fails_when_queued)
     with pytest.raises(StageFault) as info:
-        replay(reads(16), fujitsu(), observe=lambda e: lines.append(e.describe()))
-    assert info.value.event.describe() == lines[-1]
+        replay(reads(16), fujitsu(), observe=lambda e: seen.append((e.fire_at_us, e.describe())))
+    line = seen[-1][1]
+    assert info.value.event.describe() == line
+    assert " stage=DISK kind=media media=" in line

@@ -45,7 +45,6 @@ EVENT_KINDS = {
     "io",
     "io-done",
     "media",
-    "media-finish",
     "media-done",
     "flush-tick",
     "drain",
@@ -155,61 +154,61 @@ SCENARIOS = {
         sequential_reads,
         stack(WritePolicy.WRITE_BACK),
         CLOSED,
-        "2c107fec2b8652641af7a27fbc1154d7518033e8415e7c20db1737bda6082cd7",
+        "d8a1ed3cb1bc765a43a9d3577bd2fd0106645de09a4bc8af6e052adfafe29bc9",
     ),
     "mixed_write_back": (
         mixed_read_write,
         stack(WritePolicy.WRITE_BACK),
         CLOSED,
-        "d27046e2dc67f6681fedc8ef4e95e1f4fedff018979ff7a7236fbf5ca462b64a",
+        "d5603593574c8082e27ffb0bd82ea75c74717d44df2c6a6aa6339685649c898a",
     ),
     "mixed_write_through": (
         mixed_read_write,
         stack(WritePolicy.WRITE_THROUGH),
         CLOSED,
-        "565ddcc32a44b05b2bb48fa52c9290799fc08a4fc91a8c803351fd3644806c51",
+        "9f4e7233815cd37da66f1abca3dba5c05b5de3f6b0bb1e19032b339aba39761f",
     ),
     "sequential_mode_fcfs": (
         sequential_mode_reads,
         stack(scheduler=Policy.FCFS),
         CLOSED,
-        "a59af5409d8d761e79a7b6d782ff7f63d7cda36a21e1c3ad486188651c2e0498",
+        "3a0bab2a5c19b3600358007666dad9c2d57678c028a63ad9d1e16536154777ac",
     ),
     "no_buffer_open_look": (
         no_buffer_random,
         stack(scheduler=Policy.LOOK),
         OPEN,
-        "aa9790f061a4fe5e38034b1762d48182d8b51d2952977512188578691586fec5",
+        "e2fd559f1ee12bf0de8e4550ea5b12baa246c5855df0508e3c002f69b1592b37",
     ),
     "write_through_mode_open_look": (
         write_through_mix,
         stack(scheduler=Policy.LOOK),
         OPEN,
-        "044c81ab4d6988021920c2ccd5f23848b76bc4ed9f955459a0f711e7c8deff9b",
+        "7ebe2b74a95fdeb018152a195d321820c4bdc1f67b3bfdb69e434255f9df1b77",
     ),
     "toshiba_sequential_read": (
         sequential_reads,
         stack(drive=TOSHIBA_MK6012MAP),
         CLOSED,
-        "487e1edea18f3424d46ec9b0941ad9535ae0866de6fd9fe52d014c94e11a74f1",
+        "1e7b175a45dacbfb2a568124df9a689f738961df4c4bddef68d36ef584939270",
     ),
     "saturated_open_c_look": (
         saturated_random_reads,
         stack(scheduler=Policy.C_LOOK),
         OPEN,
-        "0e59f0c86e3b742909ad6702e89faa6b9762f97fea402ac638e8260aa12d1731",
+        "e5a2122f967b8394a6d2b3cce955148f8bb8f2af47d29f9c8dc2cce753f337cd",
     ),
     "saturated_open_look": (
         saturated_random_reads,
         stack(scheduler=Policy.LOOK),
         OPEN,
-        "fe9181e26f4efd7b6bc2f167280e2aaaf4d0cfa20c31ee4e1e8e94061afd20eb",
+        "a7e9be131a2d12d053a1235862a4a2b7f65e7c7d807d1dd458b634baee7de299",
     ),
     "saturated_open_fcfs": (
         saturated_random_reads,
         stack(scheduler=Policy.FCFS),
         OPEN,
-        "e27853e8561061a56ae3779bf356ac2ef106fa654ca859ca72b31e4e9c6cea2f",
+        "a573e1e9299ddc62c6b70f4376c3db639b3376d7b4dc92ea4467291312ec8924",
     ),
 }
 

@@ -297,7 +297,7 @@ def host_read_sectors_in_flight(seed: int) -> list[int]:
             return
         if event.target is StageId.DISK_CACHE:
             del inflight[op.media_id]
-        elif not op.finished:
+        else:
             sectors = range(op.lba, op.lba + op.sectors)
             if op.role is HOST_READ:
                 covered = {s for r in inflight.values() for s in r if s in sectors}

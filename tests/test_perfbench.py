@@ -29,26 +29,26 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 #: Event-log SHA-256 of each workload's 256-request trace at seed 1, as
 #: printed by ``perfbench/run.py --smoke --seed 1``.
 SMOKE_LOG_SHA256 = {
-    "buffered_read": "2c107fec2b8652641af7a27fbc1154d7518033e8415e7c20db1737bda6082cd7",
-    "mixed_rw": "d27046e2dc67f6681fedc8ef4e95e1f4fedff018979ff7a7236fbf5ca462b64a",
-    "burst_random": "fc410480e1f71f59e67ae373042bc92ff56aeac398a80901a69f254bca8a58b0",
+    "buffered_read": "d8a1ed3cb1bc765a43a9d3577bd2fd0106645de09a4bc8af6e052adfafe29bc9",
+    "mixed_rw": "d5603593574c8082e27ffb0bd82ea75c74717d44df2c6a6aa6339685649c898a",
+    "burst_random": "aeca72ab54d52fca7627302a19bbd39cbaa26e562581979f5fa2ef7b44ee5807",
 }
 
 #: (event-log SHA-256, event count) of each workload's full-length trace at
 #: seed 1.  Only the full length reaches a destage backlog and fs eviction.
 FULL_LOG = {
-    "buffered_read": ("e3aa78d9bbbf69ccb377a5f8bc60774b7e191cac1af63911cb9a17fab9b32135", 64_341),
-    "mixed_rw": ("8efe12ef6117367e6db74beec1512a698ee4dcdba718cad452c89ad8e60a9ee6", 73_785),
-    "burst_random": ("ae54c10a196ad65c35152a03ee775b8ec0c8b9fd8921ea6e59c664fffaa451fd", 20_505),
+    "buffered_read": ("78cde13b50fb5336f8f80bc19eb45ac4974c803c970a5b51c808220ecddf1a0f", 55_059),
+    "mixed_rw": ("bdabd958325088ad87604a72f994114fa7f4bbdf83bf108dfbaf4d748541df9a", 60_527),
+    "burst_random": ("2d2603843697e1612125dc76d64d4a2a68aab054a1d1195f5ac5e1ec129983ba", 18_449),
 }
 
 #: The same at the benchmark's held-out seed, ``perfbench/run.py``'s
 #: ``HELD_OUT_SEED``, which no tuning run uses.
 HELD_OUT_SEED = 7919
 HELD_OUT_FULL_LOG = {
-    "buffered_read": ("260f616046c7793793843193ae863c63070bfe4e0ef19c0bad9c4b61af710b8c", 65_471),
-    "mixed_rw": ("1d763936089b1652c27882567e06a63ee1cc276f20d3e8255bb3c0437f67d3f3", 73_096),
-    "burst_random": ("f13d44bc75751c60443e3d6482cf80ca519c9144c5bf767f1b70ce82e075899d", 20_481),
+    "buffered_read": ("53e8ba19d8d7ae343637e24ded4d9ca44cf4bf5cafd4c4ee790b84ec35f1270f", 56_007),
+    "mixed_rw": ("799eeff76371699f095596704fbef355441f414a697b627e394b6e9769e74495", 60_159),
+    "burst_random": ("45508c50133208568d3265d3705d2ea855309064a02f1f9feb04d603574d10f2", 18_433),
 }
 
 

@@ -496,7 +496,7 @@ class TestLocalPrefetchPenalty:
 
         def media(log):
             issued = [e.payload for e in log if e.target is StageId.DISK and e.payload.kind == "media"]
-            finish = {e.payload.media_id: e.fire_at_us for e in log if e.payload.kind == "media-finish"}
+            finish = {e.payload.media_id: e.fire_at_us for e in log if e.payload.kind == "media-done"}
             return issued, finish
 
         issued, finish = media(observed(trace, stack)[1])
@@ -530,7 +530,7 @@ class TestZoneCrossing:
         trace = stream([(Op.READ, lba * 512, sectors * 512)], AccessMode.NO_BUFFER)
         _, events = observed(trace, stack)
         (start,) = select(events, StageId.DISK, "media")
-        (finish,) = select(events, StageId.DISK, "media-finish")
+        (finish,) = select(events, StageId.DISK_CACHE, "media-done")
         assert (start.payload.lba, start.payload.sectors) == (lba, sectors)
         # The first media op of the run finds the head in its initial state.
         delay, _ = service(lba, sectors, HEAD_AT_REST, geometry, stack.seek, start.fire_at_us)
