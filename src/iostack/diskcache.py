@@ -15,7 +15,6 @@ from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain
 from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -498,12 +497,30 @@ class SegmentedCache:
         return classification, reads
 
     def _covered_by_fill(self, lba: int, sectors: int) -> bool:
-        """Whether in-flight and queued fills cover the whole (non-empty) run; False with none."""
+        """Whether in-flight and queued fills cover the whole (non-empty) run; False with none.
 
-        if not self.outstanding_fills and not self.fill_ranges:
+        Walks the run from its first sector: each step moves the cursor past
+        the in-flight fill or queued range that holds it, and the walk fails
+        at the first sector that none holds.
+        """
+
+        fills, ranges = self.outstanding_fills, self.fill_ranges
+        if not fills and not ranges:
             return False
-        inflight = ((start, start + n) for start, n in self.outstanding_fills)
-        return not uncovered_runs(lba, sectors, chain(inflight, self.fill_ranges))
+        cursor, end = lba, lba + sectors
+        while cursor < end:
+            for start, n in fills:
+                if start <= cursor < start + n:
+                    cursor = start + n
+                    break
+            else:
+                for start, stop in ranges:
+                    if start <= cursor < stop:
+                        cursor = stop
+                        break
+                else:
+                    return False
+        return True
 
     def _next_fill_chunk(self) -> tuple[MediaMsg, ...]:
         """The next fill-ahead chunk to read, unless one is in flight."""

@@ -18,7 +18,7 @@ workloads.
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
+from collections import OrderedDict, defaultdict, deque
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import zip_longest
@@ -258,7 +258,7 @@ class FsCache:
         self.views: OrderedDict[tuple[int, int], set[int]] = OrderedDict()
         #: Blocks being loaded -> the requests, other than the loader, that wait for them.
         self.inflight: dict[tuple[int, int], list[int]] = {}
-        self.streams: dict[int, FileStream] = {}
+        self.streams: defaultdict[int, FileStream] = defaultdict(FileStream)
         #: Dirty block queue in first-write order; values tag the dirty sectors.
         self.dirty_blocks: OrderedDict[tuple[int, int], TagMap] = OrderedDict()
         self.dirty_accounted_bytes = 0
@@ -319,15 +319,18 @@ class FsCache:
             return
 
         plan = self.on_read(req, rid) if op is READ else self.on_write(req, rid)
-        required = [io for io in plan.ios if io.purpose.required]
-        for io in required:
-            io.request_id = rid  # required ios, and only they, carry their request
-        msg.awaited = len(required) + plan.waits + (self.wt_gate == rid)
+        required = 0
+        for io in plan.ios:
+            if io.purpose.required:
+                io.request_id = rid  # required ios, and only they, carry their request
+                required += 1
+        msg.awaited = required + plan.waits + (self.wt_gate == rid)
         msg.copy_us = cfg.copy_us(plan.copy_bytes)
         miss_us = cfg.miss_path_cost_us if required else 0
         # The working-set flush leaves at once: only the request's own ios
         # take its miss path (ROADMAP item 1, class C).
-        sends += [(0 if io.purpose is FLUSH else miss_us, io) for io in plan.ios]
+        for io in plan.ios:
+            sends.append((0 if io.purpose is FLUSH else miss_us, io))
         if plan.kick_progressive and not self.progressive_running:
             self.progressive_running = True
             sends.append((0, FLUSH_TICK))
@@ -358,31 +361,32 @@ class FsCache:
 
     # -- residency ----------------------------------------------------------
 
-    def _view_of(self, file_id: int, block_addr: int) -> tuple[tuple[int, int], int]:
-        base = block_addr - block_addr % VIEW_BYTES
-        slot = (block_addr - base) // BLOCK_BYTES
-        return (file_id, base), slot
+    def block_resident(self, file_id: int, block_addr: int) -> bool:
+        offset = block_addr % VIEW_BYTES
+        view = self.views.get((file_id, block_addr - offset))
+        return view is not None and offset // BLOCK_BYTES in view
 
-    def _touch(self, key: tuple[int, int]) -> set[int]:
+    def mark_resident(self, file_id: int, block_addr: int) -> None:
+        """Make the block resident and its view the newest; evict while over capacity.
+
+        Capacity is tested on every call, not only when the block is new: pinned
+        views can leave the cache over capacity, and once their pins go the
+        next call evicts them.
+        """
+
+        offset = block_addr % VIEW_BYTES
+        key = (file_id, block_addr - offset)
+        slot = offset // BLOCK_BYTES
         view = self.views.get(key)
         if view is None:
             view = self.views[key] = set()
         else:
             self.views.move_to_end(key)
-        return view
-
-    def block_resident(self, file_id: int, block_addr: int) -> bool:
-        key, slot = self._view_of(file_id, block_addr)
-        view = self.views.get(key)
-        return view is not None and slot in view
-
-    def mark_resident(self, file_id: int, block_addr: int) -> None:
-        key, slot = self._view_of(file_id, block_addr)
-        view = self._touch(key)
         if slot not in view:
             view.add(slot)
             self.resident_bytes += BLOCK_BYTES
-        self._evict_to_capacity()
+        if self.resident_bytes > self.config.cache_capacity_bytes:
+            self._evict_to_capacity()
 
     def on_block_loaded(self, block_key: tuple[int, int]) -> list[int]:
         """A demand or prefetch load finished; the block is now servable.
@@ -397,20 +401,18 @@ class FsCache:
     def _evict_to_capacity(self) -> None:
         # Clean views go first, oldest first; dirty or loading views are pinned.
         capacity = self.config.cache_capacity_bytes
-        if self.resident_bytes <= capacity:
-            return
+        dirty, inflight = self.dirty_blocks, self.inflight
         victims = []
         for key, view in self.views.items():
             if self.resident_bytes <= capacity:
                 break
             file_id, base = key
-            if any(
-                (file_id, addr) in self.dirty_blocks or (file_id, addr) in self.inflight
-                for addr in range(base, base + VIEW_BYTES, BLOCK_BYTES)
-            ):
-                continue
-            self.resident_bytes -= len(view) * BLOCK_BYTES
-            victims.append(key)
+            for addr in range(base, base + VIEW_BYTES, BLOCK_BYTES):
+                if (file_id, addr) in dirty or (file_id, addr) in inflight:
+                    break
+            else:
+                self.resident_bytes -= len(view) * BLOCK_BYTES
+                victims.append(key)
         for key in victims:
             del self.views[key]
 
@@ -462,11 +464,11 @@ class FsCache:
     def _prefetch_ios(self, file_id: int, addrs: Iterable[int]) -> list[IoMsg]:
         """Read-ahead loads of the blocks neither resident nor in flight."""
 
-        return [
-            self._read_io(file_id, addr, PREFETCH, SYSTEM_ACTOR)
-            for addr in addrs
-            if not self.block_resident(file_id, addr) and (file_id, addr) not in self.inflight
-        ]
+        ios = []
+        for addr in addrs:
+            if not self.block_resident(file_id, addr) and (file_id, addr) not in self.inflight:
+                ios.append(self._read_io(file_id, addr, PREFETCH, SYSTEM_ACTOR))
+        return ios
 
     def on_read(self, req: CanonicalRequest, rid: int) -> Plan:
         """Plan read ``rid``; it becomes a waiter of each loading block it needs.
@@ -483,7 +485,7 @@ class FsCache:
         start, end = req.disk_byte_addr, req.disk_byte_addr + req.length_bytes
         eof = self.extents.get(req.file_id, end)
         plan = Plan(copy_bytes=req.length_bytes)
-        stream = self.streams.setdefault(req.file_id, FileStream())
+        stream = self.streams[req.file_id]
         continuation = start == stream.last_end
         missing, plan.waits = self._demand_blocks(
             req.file_id, split_into_blocks(start, req.length_bytes), rid
@@ -587,7 +589,7 @@ class FsCache:
 
         regime = classify_write_regime(length)
         n = periodic_block_count(length)
-        stream = self.streams.setdefault(req.file_id, FileStream())
+        stream = self.streams[req.file_id]
         plan = Plan()
         if regime is PROGRESSIVE:
             cached_blocks, direct_blocks = n, 0

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import random
+from collections import deque
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -166,6 +167,28 @@ class TestReadPlan:
         # Half in the queue, half past it.
         _, reads = cache.read_lookup(832, 128)
         assert cache.awaited == [(832, 128)] and reads == [op(HOST_READ, 832, 128)]
+
+    @given(
+        fills=st.lists(st.tuples(st.integers(0, 60), st.integers(1, 20)), max_size=4),
+        ranges=st.lists(
+            st.tuples(st.integers(0, 60), st.integers(0, 20)).map(lambda t: (t[0], t[0] + t[1])),
+            max_size=4,
+        ),
+        lba=st.integers(0, 100),
+        sectors=st.integers(1, 40),
+    )
+    @example(fills=[(0, 10)], ranges=[(10, 20)], lba=5, sectors=10)  # abutting: covered only together
+    @example(fills=[(0, 10)], ranges=[(20, 30)], lba=12, sectors=4)  # the run starts in a gap
+    @example(fills=[], ranges=[(10, 10)], lba=10, sectors=1)  # an empty range
+    @example(fills=[(20, 10), (0, 25)], ranges=[(40, 50), (30, 40)], lba=10, sectors=38)  # out of start order
+    @example(fills=[], ranges=[], lba=0, sectors=1)  # no fill at all
+    def test_covered_by_fill_is_union_coverage(self, fills, ranges, lba, sectors):
+        cache = SegmentedCache(cfg())
+        cache.outstanding_fills = list(fills)
+        cache.fill_ranges = deque(ranges)
+        extents = [(start, start + n) for start, n in fills] + ranges
+        want = not uncovered_runs(lba, sectors, extents)
+        assert cache._covered_by_fill(lba, sectors) is want
 
     def test_no_read_passes_the_disk_end(self):
         cache = SegmentedCache(

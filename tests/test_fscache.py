@@ -297,6 +297,19 @@ class TestEviction:
         # Dirty views survive even over capacity.
         assert fs.resident_bytes >= 256 * KB
 
+    def test_eviction_retried_when_the_block_is_already_resident(self):
+        cfg = FsCacheConfig(cache_capacity_bytes=256 * KB)
+        fs = FsCache(cfg, {0: 1000 * BLOCK})
+        fs.on_write(write(0, 256 * KB), tag=0)  # progressive: all dirty
+        fs.on_write(write(512 * KB, 256 * KB), tag=1)
+        # Every view is pinned, so the cache stays over capacity.
+        assert fs.resident_bytes == 8 * BLOCK > cfg.cache_capacity_bytes
+        fs.flush_all()
+        # No block is new, yet the call evicts the oldest view, now clean.
+        fs.mark_resident(0, 512 * KB)
+        assert list(fs.views) == [(0, 512 * KB)]
+        assert fs.resident_bytes == 4 * BLOCK
+
     def test_no_buffer_leaves_views_empty(self):
         fs = FsCache(FsCacheConfig(), {0: 100 * BLOCK})
         for i in range(10):
