@@ -181,7 +181,9 @@ def service(
             zone_start = lba
             first_cylinder, spt = zones[zone_idx]
         track, logical = divmod(lba - zone_start, spt)
-        run = min(remaining, spt - logical)
+        run = spt - logical
+        if remaining < run:
+            run = remaining
         # Tracks run cylinder-major; the skew of a track's logical sector 0
         # adds the track skew per head switch and the cylinder skew per step.
         cylinder_steps, to_head = divmod(track, heads)

@@ -322,8 +322,12 @@ class SegmentedCache:
         its leading sectors out of the segment.
         """
 
-        seg.end = max(seg.end, lba + sectors)
-        seg.start = max(seg.start, seg.end - self.segment_sectors)
+        end = lba + sectors
+        if end > seg.end:
+            seg.end = end
+        start = seg.end - self.segment_sectors
+        if start > seg.start:
+            seg.start = start
         self._touch_seq += 1
         seg.last_touch = self._touch_seq
 

@@ -6,9 +6,10 @@ scheduling sequence, which pins down the one detail message-passing
 frameworks usually leave implicit and makes whole runs replayable
 byte-for-byte.
 
-The queue holds plain ``(fire_at_us, seq, target, payload)`` tuples, events
-due later in a heap and events due at the current clock in a first-in,
-first-out lane beside it (see ``Simulator``).  Each handler receives only
+The queue holds plain ``(fire_at_us, seq, target, payload)`` tuples: the
+events scheduled before a run in one sorted list, those scheduled during it
+in a heap when due later, and in a first-in, first-out lane beside it when
+due at the current clock (see ``Simulator``).  Each handler receives only
 ``(sim, payload)``: a ``SimEvent`` is built just for an observer, or for the
 ``StageFault`` of a handler that raised.  An observer reads each event as it
 is dispatched, so a run streams its own event log to whatever sink the
@@ -129,19 +130,29 @@ class Simulator:
     It records no event unless given an ``observe`` callback, which reads
     each event at dispatch, before its handler runs.
 
-    Events due later wait in a heap; an event due at the current clock goes
-    on a first-in, first-out lane beside it, which costs no heap push or
-    pop.  Dispatch order is still (time, seq).  ``run`` advances the clock
-    only when the lane is empty, and then moves every heap entry due at the
-    new time onto the lane, in seq order, before it dispatches the first of
-    them.  Those entries were scheduled before the clock got there, so their
-    seqs are lower than that of any entry scheduled at that time, which goes
-    on the lane behind them.
+    Dispatch order is (time, seq), from three places.  Every event already
+    scheduled when ``run`` starts, an open-loop trace's arrivals say, leaves
+    the heap for one list sorted by (time, seq), which ``run`` reads by
+    index.  Events scheduled while it runs wait in the heap when due later,
+    or go on a first-in, first-out lane when due at the current clock, which
+    costs no heap push or pop.  ``run`` advances the clock only when the
+    lane is empty, to the earlier of the list's next entry and the heap's
+    top.  It then moves every list entry due at the new time onto the lane,
+    and after them every heap entry due then, before it dispatches the
+    first.  Each set is in seq order, and the list's entries were scheduled
+    before the run began, so their seqs are below any heap entry's; anything
+    scheduled at the new time goes on the lane behind them all.  A run that
+    stops on a ``StageFault`` leaves the list's unread rest to the next
+    ``run``, which sorts it in with the heap.
     """
 
     def __init__(self, observe: Observer | None = None) -> None:
         self._queue: list[tuple[int, int, StageId, Payload]] = []
         self._lane: deque[tuple[int, int, StageId, Payload]] = deque()
+        #: The events scheduled before ``run`` started, in (time, seq) order,
+        #: and the index of the first one not yet dispatched.
+        self._early: list[tuple[int, int, StageId, Payload]] = []
+        self._early_next = 0
         self._handlers: dict[StageId, Handler] = {}
         self._clock = 0
         self._seq = 0
@@ -154,7 +165,8 @@ class Simulator:
     def dispatched(self) -> int:
         """Events dispatched so far: every scheduled event not still queued."""
 
-        return self._seq - len(self._queue) - len(self._lane)
+        unread = len(self._early) - self._early_next
+        return self._seq - len(self._queue) - len(self._lane) - unread
 
     def register(self, stage: StageId, handler: Handler) -> None:
         self._handlers[stage] = handler
@@ -163,37 +175,56 @@ class Simulator:
         """Enqueue a message; events at equal times dispatch in scheduling order."""
 
         clock = self._clock
-        fire_at = clock if at_us is None else at_us
-        if fire_at < clock:
-            raise PastEvent(f"cannot schedule at t={fire_at} when clock is t={clock}")
-        if target not in self._handlers:
-            raise UnknownStage(f"no handler registered for stage {target.value}")
-        entry = (fire_at, self._seq, target, payload)
-        if fire_at == clock:
-            self._lane.append(entry)
+        if at_us is None or at_us == clock:
+            if target not in self._handlers:
+                raise _unknown(target)
+            self._lane.append((clock, self._seq, target, payload))
+        elif at_us > clock:
+            if target not in self._handlers:
+                raise _unknown(target)
+            heappush(self._queue, (at_us, self._seq, target, payload))
         else:
-            heappush(self._queue, entry)
+            raise PastEvent(f"cannot schedule at t={at_us} when clock is t={clock}")
         self._seq += 1
 
     def run(self) -> None:
-        """Dispatch events in order until the heap and the lane empty."""
+        """Dispatch events in order until the list, the heap and the lane empty."""
 
         queue = self._queue
+        early = self._early
+        i = self._early_next
+        if queue:
+            early = self._early = sorted(early[i:] + queue)
+            queue.clear()
+            i = self._early_next = 0
+        n = len(early)
         lane = self._lane
         pop = heappop
         popleft = lane.popleft
+        append = lane.append
         handlers = self._handlers
         observe = self._observe
         while True:
             if lane:
                 entry = popleft()
-            elif queue:
-                entry = pop(queue)
-                clock = self._clock = entry[0]
-                while queue and queue[0][0] == clock:
-                    lane.append(pop(queue))
             else:
-                break
+                # The clock advances: the list goes first at equal times.
+                if i < n and not (queue and queue[0][0] < early[i][0]):
+                    entry = early[i]
+                    clock = entry[0]
+                    i += 1
+                    while i < n and early[i][0] == clock:
+                        append(early[i])
+                        i += 1
+                    self._early_next = i
+                elif queue:
+                    entry = pop(queue)
+                    clock = entry[0]
+                else:
+                    break
+                self._clock = clock
+                while queue and queue[0][0] == clock:
+                    append(pop(queue))
             _, _, target, payload = entry
             if observe is not None:
                 observe(SimEvent._make(entry))
@@ -201,3 +232,7 @@ class Simulator:
                 handlers[target](self, payload)
             except Exception as exc:
                 raise StageFault(SimEvent._make(entry), exc) from exc
+
+
+def _unknown(target: StageId) -> UnknownStage:
+    return UnknownStage(f"no handler registered for stage {target.value}")

@@ -224,7 +224,7 @@ FLUSH_TICK, DRAIN = Signal
 Send = tuple[int, "IoMsg | RequestMsg | Signal"]
 
 
-@dataclass
+@dataclass(slots=True)
 class Plan:
     """Outcome of planning one request against the cache state."""
 
@@ -662,18 +662,8 @@ def _passthrough(req: CanonicalRequest, tag: int | None) -> Plan:
     write = req.op is WRITE
     end = req.disk_byte_addr + req.length_bytes
     tags = _tags(req.disk_byte_addr, end, tag) if write else None
-    return Plan(
-        ios=[
-            IoMsg(
-                write=write,
-                disk_addr=req.disk_byte_addr,
-                nbytes=req.length_bytes,
-                purpose=PASSTHROUGH,
-                actor=APP_ACTOR,
-                sector_tags=tags,
-            )
-        ]
-    )
+    io = IoMsg(write, req.disk_byte_addr, req.length_bytes, PASSTHROUGH, APP_ACTOR, None, tags)
+    return Plan([io])
 
 
 def _tags(lo: int, hi: int, tag: int) -> TagRuns:

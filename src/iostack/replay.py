@@ -148,31 +148,23 @@ class AppStage:
 
     def handle(self, sim: Simulator, payload: RequestMsg) -> None:
         # Every APP event is a request; a done one has left the stack.
+        now = sim.now()
         if not payload.done:
-            payload.issue_us = sim.now()
+            payload.issue_us = now
             sim.schedule(FS_CACHE, payload)
             return
         rid, r, issue = payload.request_id, payload.request, payload.issue_us
-        self.records.append(
-            RequestRecord(
-                request_id=rid,
-                issue_us=issue,
-                complete_us=sim.now(),
-                bytes=r.length_bytes,
-                op=r.op,
-                mode=r.mode,
-                origin=r.origin,
-            )
-        )
+        self.records.append(RequestRecord(rid, issue, now, r.length_bytes, r.op, r.mode, r.origin))
         if self.policy.mode is CLOSED_LOOP and rid + 1 < len(self.requests):
             nxt = rid + 1
-            at = self._next_issue_time(rid, issue, sim.now())
-            sim.schedule(APP, RequestMsg(nxt, self.requests[nxt]), at_us=max(at, sim.now()))
+            at = self._next_issue_time(rid, issue, now)
+            sim.schedule(APP, RequestMsg(nxt, self.requests[nxt]), at)
         if len(self.records) == len(self.requests):
             sim.schedule(FS_CACHE, DRAIN)
 
     def _next_issue_time(self, rid: int, issue_us: int, complete_us: int) -> int:
-        """Closed-loop pacing with the measured-response tolerance.
+        """Closed-loop pacing with the measured-response tolerance; never
+        before ``complete_us``.
 
         The trace gap is honored when positive.  When a measured response
         time is supplied and it disagrees with the simulated one by less
@@ -190,7 +182,8 @@ class AppStage:
             if abs(measured - simulated) < self.policy.tolerance_us:
                 return complete_us + think
             return max(complete_us, issue_us + max(gap, measured))
-        return max(complete_us, issue_us + gap)
+        at = issue_us + gap
+        return at if at > complete_us else complete_us
 
 
 class FsStage:
@@ -219,8 +212,7 @@ class FsStage:
 class SchedulerStage:
     """Holds disk-bound ios and dispatches one at a time per policy."""
 
-    def __init__(self, sim: Simulator, policy: Policy, geometry: DiskGeometry):
-        self.sim = sim
+    def __init__(self, policy: Policy, geometry: DiskGeometry):
         self.queue = PendingQueue(policy=policy)
         self.geometry = geometry
         #: The io at the drive.
@@ -233,13 +225,13 @@ class SchedulerStage:
             sim.schedule(FS_CACHE, payload)
         else:
             self.queue.enqueue(payload, cylinder_of_byte(payload.disk_addr, self.geometry))
-        self._dispatch()
+        self._dispatch(sim)
 
-    def _dispatch(self) -> None:
+    def _dispatch(self, sim: Simulator) -> None:
         if self.inflight is None:
             self.inflight = self.queue.next()
             if self.inflight is not None:
-                self.sim.schedule(DISK_CACHE, self.inflight)
+                sim.schedule(DISK_CACHE, self.inflight)
 
 
 class DiskCacheStage:
@@ -292,13 +284,15 @@ class DiskStage:
 
     def handle(self, sim: Simulator, payload: MediaMsg) -> None:
         # Every DISK event is a media op; the disk serves them in arrival order.
-        start = max(sim.now(), self.free_at)
+        now = sim.now()
+        start = now if now > self.free_at else self.free_at
         delay, (cylinder, head, angle, _) = service(
             payload.lba, payload.sectors, self.head, self.geometry, self.seek, start, payload.write
         )
         if payload.penalty_rotations:
             delay += payload.penalty_rotations * self.geometry.rotation_period_us
-        finish = self.free_at = start + max(1, round(delay))
+        ticks = round(delay)
+        finish = self.free_at = start + (ticks if ticks > 1 else 1)
         # Re-anchor the head clock on the integer event time so a
         # contiguous follow-up op sees its target sector exactly under the
         # head instead of a hair behind it (which would cost a phantom
@@ -427,7 +421,7 @@ def replay(
     cache = SegmentedCache(stack.cache, stack.geometry.usable_sectors)
     app = AppStage(effective, policy)
     fs_stage = FsStage(fs)
-    sched_stage = SchedulerStage(sim, stack.scheduler_policy, stack.geometry)
+    sched_stage = SchedulerStage(stack.scheduler_policy, stack.geometry)
     cache_stage = DiskCacheStage(cache)
     disk_stage = DiskStage(stack.geometry, stack.seek)
 

@@ -1,8 +1,10 @@
-"""Shared fixtures: the reference tracer sample, small stack configs and an observed replay."""
+"""Shared fixtures: the reference tracer sample, small stack configs, an
+observed replay and the heap-only reference simulator."""
 
 from __future__ import annotations
 
 import copy
+from heapq import heappop, heappush
 
 import pytest
 
@@ -10,15 +12,18 @@ from iostack import (
     DiskCacheConfig,
     DiskGeometry,
     FsCacheConfig,
+    PastEvent,
     Policy,
     ReadPrefetch,
     ReplayPolicy,
     SeekProfile,
     SimEvent,
     StackConfig,
+    StageFault,
     Zone,
     replay,
 )
+from iostack.engine import UnknownStage
 
 # Eleven-line capture from the tracer this parser targets, kept verbatim
 # (tab-delimited, hours sometimes printed without a leading zero).
@@ -135,3 +140,54 @@ def observed(requests, stack: StackConfig, policy: ReplayPolicy = ReplayPolicy()
         events.append(event._replace(payload=copy.copy(event.payload)))
 
     return replay(requests, stack, policy, observe=keep), events
+
+
+class HeapOnlySimulator:
+    """The simulator as it was before it kept the events scheduled before a
+    run in a sorted list and those due now on a lane.
+
+    One heap holds every event; its dispatch order is the reference the
+    ``Simulator`` must match, on its own and under a replay.
+    """
+
+    def __init__(self, observe=None) -> None:
+        self._queue = []
+        self._handlers = {}
+        self._clock = 0
+        self._seq = 0
+        self._observe = observe
+
+    def now(self) -> int:
+        return self._clock
+
+    @property
+    def dispatched(self) -> int:
+        return self._seq - len(self._queue)
+
+    def register(self, stage, handler) -> None:
+        self._handlers[stage] = handler
+
+    def schedule(self, target, payload, at_us=None) -> None:
+        fire_at = self._clock if at_us is None else at_us
+        if fire_at < self._clock:
+            raise PastEvent(f"cannot schedule at t={fire_at} when clock is t={self._clock}")
+        if target not in self._handlers:
+            raise UnknownStage(f"no handler registered for stage {target.value}")
+        heappush(self._queue, (fire_at, self._seq, target, payload))
+        self._seq += 1
+
+    def run(self) -> None:
+        queue = self._queue
+        pop = heappop
+        handlers = self._handlers
+        observe = self._observe
+        while queue:
+            entry = pop(queue)
+            fire_at, _, target, payload = entry
+            self._clock = fire_at
+            if observe is not None:
+                observe(SimEvent._make(entry))
+            try:
+                handlers[target](self, payload)
+            except Exception as exc:
+                raise StageFault(SimEvent._make(entry), exc) from exc

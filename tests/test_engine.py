@@ -1,15 +1,36 @@
-"""Event queue ordering, tie-breaking, and the stage walk-through."""
+"""Event queue ordering, tie-breaking, the stage walk-through, and dispatch
+against the heap-only reference simulator, alone and under a replay."""
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
-from heapq import heappop, heappush
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from iostack import PastEvent, SimEvent, Simulator, StageFault, StageId, engine
+from iostack import (
+    AccessMode,
+    CanonicalRequest,
+    Op,
+    Origin,
+    PastEvent,
+    ReplayMode,
+    ReplayPolicy,
+    Simulator,
+    StackConfig,
+    StageFault,
+    StageId,
+    engine,
+    replay,
+)
 from iostack.engine import UnknownStage
+from iostack.fscache import BLOCK_BYTES, FsCacheConfig
+from iostack.profiles import FUJITSU_MAN3184MP
+
+from conftest import HeapOnlySimulator
+from test_liveness import trial
+from test_perfbench import load
 
 #: Request path in stack order; completions travel the reverse way.
 STAGE_ORDER = tuple(StageId)
@@ -206,56 +227,6 @@ class TestTopologyWalk:
         assert run_once() == run_once()
 
 
-class HeapOnlySimulator:
-    """The simulator as it was before events due now got their own lane.
-
-    One heap holds every event; its dispatch order is the reference the
-    laned ``Simulator`` must match.
-    """
-
-    def __init__(self, observe=None) -> None:
-        self._queue = []
-        self._handlers = {}
-        self._clock = 0
-        self._seq = 0
-        self._observe = observe
-
-    def now(self) -> int:
-        return self._clock
-
-    @property
-    def dispatched(self) -> int:
-        return self._seq - len(self._queue)
-
-    def register(self, stage, handler) -> None:
-        self._handlers[stage] = handler
-
-    def schedule(self, target, payload, at_us=None) -> None:
-        fire_at = self._clock if at_us is None else at_us
-        if fire_at < self._clock:
-            raise PastEvent(f"cannot schedule at t={fire_at} when clock is t={self._clock}")
-        if target not in self._handlers:
-            raise UnknownStage(f"no handler registered for stage {target.value}")
-        heappush(self._queue, (fire_at, self._seq, target, payload))
-        self._seq += 1
-
-    def run(self) -> None:
-        queue = self._queue
-        pop = heappop
-        handlers = self._handlers
-        observe = self._observe
-        while queue:
-            entry = pop(queue)
-            fire_at, _, target, payload = entry
-            self._clock = fire_at
-            if observe is not None:
-                observe(SimEvent._make(entry))
-            try:
-                handlers[target](self, payload)
-            except Exception as exc:
-                raise StageFault(SimEvent._make(entry), exc) from exc
-
-
 #: How a handler schedules: at the clock two ways, later, or in the past
 #: (``PastEvent``, checked before an unregistered target's ``UnknownStage``).
 WHEN = ("now", "at_clock", "at_later", "past")
@@ -265,12 +236,13 @@ steps = st.tuples(st.integers(0, len(STAGE_ORDER) - 1), st.sampled_from(WHEN), s
 
 
 def run_program(make, registered: int, rounds, program, budget: int = 150):
-    """Everything a run of ``program`` shows: its dispatches, counts and fault.
+    """Everything a run of ``program`` shows: its dispatches, counts and faults.
 
     The first ``registered`` stages get handlers; a target beyond them is
     unknown.  Each round schedules its ``(stage, at_us)`` list from outside
-    and runs; the k-th handler call performs ``program[k % len(program)]``
-    until ``budget`` events were scheduled.
+    and runs, until it ends or faults, leaving any events still queued to
+    the next round; the k-th handler call performs
+    ``program[k % len(program)]`` until ``budget`` events were scheduled.
     """
 
     trace = []
@@ -304,7 +276,7 @@ def run_program(make, registered: int, rounds, program, budget: int = 150):
 
     for stage in STAGE_ORDER[:registered]:
         sim.register(stage, handler)
-    fault = None
+    faults = []
     for starts in rounds:
         for stage_index, at_us in starts:
             sim.schedule(STAGE_ORDER[stage_index % registered], Token(str(made[0])), at_us=sim.now() + at_us)
@@ -312,9 +284,8 @@ def run_program(make, registered: int, rounds, program, budget: int = 150):
         try:
             sim.run()
         except StageFault as exc:
-            fault = (exc.event, type(exc.original), str(exc.original))
-            break
-    return trace, sim.dispatched, sim.now(), fault
+            faults.append((exc.event, type(exc.original), str(exc.original)))
+    return trace, sim.dispatched, sim.now(), faults
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -327,11 +298,140 @@ def run_program(make, registered: int, rounds, program, budget: int = 150):
     ),
     program=st.lists(st.lists(steps, max_size=3), min_size=1, max_size=6),
 )
+# A pre-run batch of 60 events over four times, which handlers' later
+# events tie with.
+@example(
+    registered=3,
+    rounds=[[(k % 5, k % 4) for k in range(60)]],
+    program=[[(0, "at_later", 1)], [(1, "now", 1), (2, "at_later", 2)], []],
+)
+# A fault at the first event leaves pre-run events unread, at its time and
+# later; each next round's run takes them with its own.
+@example(
+    registered=2,
+    rounds=[[(0, 1), (1, 1), (0, 2), (1, 3), (0, 3)], [(0, 0), (1, 2), (0, 1)], [(1, 1)]],
+    program=[[(4, "now", 1)], [(0, "at_later", 1)], [], [(1, "at_later", 2)]],
+)
+# Pre-run events at the current clock: the second and third rounds start
+# at the clock the round before left.
+@example(
+    registered=2,
+    rounds=[[(0, 2), (1, 2)], [(0, 0), (1, 0), (0, 1)], [(1, 0), (0, 0)]],
+    program=[[(0, "now", 1), (1, "at_later", 1)], [], [(1, "at_clock", 1)]],
+)
 def test_lane_dispatches_as_the_heap_only_simulator(registered, rounds, program):
     # Ties, scheduling at the clock (implicitly and explicitly) and later,
-    # from several stages, with unknown targets and past times raising
-    # inside handlers: the same events in the same order, the
-    # same ``dispatched`` count at every handler call and at the end, and
-    # the same fault.
+    # from several stages and from outside before each run, with unknown
+    # targets and past times raising inside handlers: the same events in the
+    # same order, the same ``dispatched`` count at every handler call and at
+    # the end, and the same faults.
     laned = run_program(Simulator, registered, rounds, program)
     assert laned == run_program(HeapOnlySimulator, registered, rounds, program)
+
+
+# -- a replay under the heap-only simulator ------------------------------------
+
+# ``import iostack.replay`` binds the ``replay`` function re-exported by the
+# package, not the module that holds the stages.
+REPLAY_MODULE = sys.modules["iostack.replay"]
+WORKLOADS = load("workloads")
+OPEN_LOOP = ReplayPolicy(mode=ReplayMode.OPEN_LOOP_TIMED)
+
+
+def event_text(requests, stack, policy) -> str:
+    lines = []
+    replay(requests, stack, policy, observe=lambda e: lines.append(e.describe() + "\n"))
+    return "".join(lines)
+
+
+def assert_dispatches_as_heap_only(monkeypatch, requests, stack, policy) -> str:
+    """The replay's event text, checked equal to its text under ``HeapOnlySimulator``."""
+
+    text = event_text(requests, stack, policy)
+    with monkeypatch.context() as patched:
+        patched.setattr(REPLAY_MODULE, "Simulator", HeapOnlySimulator)
+        assert event_text(requests, stack, policy) == text
+    return text
+
+
+def smoke_burst(seed: int):
+    """``(requests, stack, policy)`` of the benchmark's smoke-length ``burst_random``."""
+
+    trace = WORKLOADS.generate_trace("burst_random", WORKLOADS.SMOKE_REQUESTS, seed)
+    return trace, WORKLOADS.stack_config("burst_random"), WORKLOADS.replay_policy("burst_random")
+
+
+@pytest.mark.parametrize("seed", (1, 7919))
+def test_burst_replay_dispatches_as_the_heap_only_simulator(monkeypatch, seed):
+    assert_dispatches_as_heap_only(monkeypatch, *smoke_burst(seed))
+
+
+def tied_bursts() -> list[CanonicalRequest]:
+    """Open-loop NORMAL 4 KB reads of distinct fs blocks, four per burst,
+    issued out of time order.
+
+    Bursts come ``miss_path_cost_us`` apart, the delay at which the fs cache
+    sends a read miss's demand io, so each burst's arrivals tie with the
+    demand ios of the burst before, which wait in the heap.
+    """
+
+    gap = FsCacheConfig().miss_path_cost_us
+    requests = []
+    for burst in (5, 0, 3, 7, 1, 6, 2, 4):
+        for k in range(4):
+            addr = (4 * burst + k) * BLOCK_BYTES
+            requests.append(
+                CanonicalRequest(burst * gap, Origin.APP, Op.READ, 0, addr, 4096, addr, AccessMode.NORMAL)
+            )
+    return requests
+
+
+def test_tied_open_loop_bursts_dispatch_as_the_heap_only_simulator(monkeypatch):
+    drive = FUJITSU_MAN3184MP
+    stack = StackConfig(geometry=drive.geometry, seek=drive.seek, cache=drive.cache)
+    text = assert_dispatches_as_heap_only(monkeypatch, tied_bursts(), stack, OPEN_LOOP)
+    times = {}
+    for line in text.splitlines():
+        at, stage, kind = line.split()[:3]
+        times.setdefault((stage, kind), set()).add(int(at[2:]))
+    arrivals = times["stage=APP", "kind=request"]
+    # Every later burst ties with the ios of the one before.
+    assert len(arrivals) == 8
+    assert arrivals - {0} <= times["stage=SCHEDULER", "kind=io"]
+
+
+#: The seeds among ``test_liveness.trial``'s 0-199 whose trial is open loop.
+OPEN_LOOP_TRIALS = [seed for seed in range(200) if trial(seed)[2].mode is ReplayMode.OPEN_LOOP_TIMED]
+
+
+@pytest.mark.parametrize("seed", OPEN_LOOP_TRIALS)
+def test_open_loop_trial_dispatches_as_the_heap_only_simulator(monkeypatch, seed):
+    assert_dispatches_as_heap_only(monkeypatch, *trial(seed))
+
+
+def test_arrivals_stay_off_the_heap(monkeypatch):
+    # Every open-loop arrival is scheduled before the run, so none may wait
+    # in the heap: each heap entry's seq is at least the count of events
+    # scheduled before it.  Nothing in the suite times a replay, so this
+    # keeps the arrivals from drifting back onto the heap.
+    before, depths, early = [], [], []
+
+    class Guarded(Simulator):
+        def run(self) -> None:
+            before.append(self._seq)
+            super().run()
+
+        def register(self, stage, handler) -> None:
+            def guarded(sim, payload) -> None:
+                depths.append(len(sim._queue))
+                early.extend(entry for entry in sim._queue if entry[1] < before[-1])
+                handler(sim, payload)
+
+            super().register(stage, guarded)
+
+    monkeypatch.setattr(REPLAY_MODULE, "Simulator", Guarded)
+    requests, stack, policy = smoke_burst(1)
+    replay(requests, stack, policy)
+    assert before == [len(requests)]
+    assert max(depths) > 0
+    assert early == []
