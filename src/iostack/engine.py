@@ -1,19 +1,19 @@
 """Deterministic discrete-event core.
 
-A single integer-microsecond clock and one ordered queue deliver messages
-between the stack stages.  Ties at equal timestamps break by global
-scheduling sequence, which pins down the one detail message-passing
+A single integer-microsecond clock and one event calendar deliver messages
+between the stack stages.  Events at equal timestamps dispatch in the order
+they were scheduled, which pins down the one detail message-passing
 frameworks usually leave implicit and makes whole runs replayable
 byte-for-byte.
 
-The queue holds plain ``(fire_at_us, seq, target, payload)`` tuples: the
-events scheduled before a run in one sorted list, those scheduled during it
-in a heap when due later, and in a first-in, first-out lane beside it when
-due at the current clock (see ``Simulator``).  Each handler receives only
-``(sim, payload)``: a ``SimEvent`` is built just for an observer, or for the
-``StageFault`` of a handler that raised.  An observer reads each event as it
-is dispatched, so a run streams its own event log to whatever sink the
-observer writes to; a run without one costs nothing more.
+The calendar keeps each pending instant's events in one list of plain
+``(target, payload)`` pairs, appended as they are scheduled, so every list
+is already in dispatch order; a heap holds each instant once (see
+``Simulator``).  Each handler receives only ``(sim, payload)``: a
+``SimEvent`` is built just for an observer, or for the ``StageFault`` of a
+handler that raised.  An observer reads each event as it is dispatched, so
+a run streams its own event log to whatever sink the observer writes to; a
+run without one costs nothing more.
 A payload is one object for its whole round trip, turned into its done form
 by a flag, so an observer that keeps events must copy what it reads.
 """
@@ -78,13 +78,9 @@ class Payload(Protocol):
 
 
 class SimEvent(NamedTuple):
-    """One delivery, with the fields of the queue entry it was built from.
-
-    ``seq`` is unique, so two queue entries never compare their payloads.
-    """
+    """One delivery: the clock at dispatch, the stage and its message."""
 
     fire_at_us: int
-    seq: int
     target: StageId
     payload: Payload
 
@@ -130,43 +126,30 @@ class Simulator:
     It records no event unless given an ``observe`` callback, which reads
     each event at dispatch, before its handler runs.
 
-    Dispatch order is (time, seq), from three places.  Every event already
-    scheduled when ``run`` starts, an open-loop trace's arrivals say, leaves
-    the heap for one list sorted by (time, seq), which ``run`` reads by
-    index.  Events scheduled while it runs wait in the heap when due later,
-    or go on a first-in, first-out lane when due at the current clock, which
-    costs no heap push or pop.  ``run`` advances the clock only when the
-    lane is empty, to the earlier of the list's next entry and the heap's
-    top.  It then moves every list entry due at the new time onto the lane,
-    and after them every heap entry due then, before it dispatches the
-    first.  Each set is in seq order, and the list's entries were scheduled
-    before the run began, so their seqs are below any heap entry's; anything
-    scheduled at the new time goes on the lane behind them all.  A run that
-    stops on a ``StageFault`` leaves the list's unread rest to the next
-    ``run``, which sorts it in with the heap.
+    Events dispatch by time, then in scheduling order.  An event due later
+    than the clock is appended to its instant's list in the calendar, and
+    only an instant new to the calendar is pushed on the heap of instants.
+    An event due at the clock goes on a first-in, first-out lane.  ``run``
+    dispatches from the lane; when it is empty, it pops the next instant,
+    sets the clock to it and moves that instant's list onto the lane.  Those
+    events were scheduled before the clock got there, so they come before
+    anything scheduled at that time, which the lane puts behind them.  A run
+    that stops on a ``StageFault`` leaves the lane and the calendar to the
+    next ``run`` as they are.
     """
 
     def __init__(self, observe: Observer | None = None) -> None:
-        self._queue: list[tuple[int, int, StageId, Payload]] = []
-        self._lane: deque[tuple[int, int, StageId, Payload]] = deque()
-        #: The events scheduled before ``run`` started, in (time, seq) order,
-        #: and the index of the first one not yet dispatched.
-        self._early: list[tuple[int, int, StageId, Payload]] = []
-        self._early_next = 0
+        self._lane: deque[tuple[StageId, Payload]] = deque()
+        self._calendar: dict[int, list[tuple[StageId, Payload]]] = {}
+        self._instants: list[int] = []
         self._handlers: dict[StageId, Handler] = {}
         self._clock = 0
-        self._seq = 0
         self._observe = observe
+        #: Events dispatched so far, the one being handled included.
+        self.dispatched = 0
 
     def now(self) -> int:
         return self._clock
-
-    @property
-    def dispatched(self) -> int:
-        """Events dispatched so far: every scheduled event not still queued."""
-
-        unread = len(self._early) - self._early_next
-        return self._seq - len(self._queue) - len(self._lane) - unread
 
     def register(self, stage: StageId, handler: Handler) -> None:
         self._handlers[stage] = handler
@@ -178,60 +161,45 @@ class Simulator:
         if at_us is None or at_us == clock:
             if target not in self._handlers:
                 raise _unknown(target)
-            self._lane.append((clock, self._seq, target, payload))
+            self._lane.append((target, payload))
         elif at_us > clock:
             if target not in self._handlers:
                 raise _unknown(target)
-            heappush(self._queue, (at_us, self._seq, target, payload))
+            waiting = self._calendar.get(at_us)
+            if waiting is None:
+                self._calendar[at_us] = [(target, payload)]
+                heappush(self._instants, at_us)
+            else:
+                waiting.append((target, payload))
         else:
             raise PastEvent(f"cannot schedule at t={at_us} when clock is t={clock}")
-        self._seq += 1
 
     def run(self) -> None:
-        """Dispatch events in order until the list, the heap and the lane empty."""
+        """Dispatch events in order until the lane and the calendar empty."""
 
-        queue = self._queue
-        early = self._early
-        i = self._early_next
-        if queue:
-            early = self._early = sorted(early[i:] + queue)
-            queue.clear()
-            i = self._early_next = 0
-        n = len(early)
         lane = self._lane
-        pop = heappop
         popleft = lane.popleft
-        append = lane.append
+        calendar = self._calendar
+        instants = self._instants
         handlers = self._handlers
         observe = self._observe
+        clock = self._clock
         while True:
             if lane:
-                entry = popleft()
+                target, payload = popleft()
+            elif instants:
+                clock = self._clock = heappop(instants)
+                lane.extend(calendar.pop(clock))
+                target, payload = popleft()
             else:
-                # The clock advances: the list goes first at equal times.
-                if i < n and not (queue and queue[0][0] < early[i][0]):
-                    entry = early[i]
-                    clock = entry[0]
-                    i += 1
-                    while i < n and early[i][0] == clock:
-                        append(early[i])
-                        i += 1
-                    self._early_next = i
-                elif queue:
-                    entry = pop(queue)
-                    clock = entry[0]
-                else:
-                    break
-                self._clock = clock
-                while queue and queue[0][0] == clock:
-                    append(pop(queue))
-            _, _, target, payload = entry
+                break
+            self.dispatched += 1
             if observe is not None:
-                observe(SimEvent._make(entry))
+                observe(SimEvent(clock, target, payload))
             try:
                 handlers[target](self, payload)
             except Exception as exc:
-                raise StageFault(SimEvent._make(entry), exc) from exc
+                raise StageFault(SimEvent(clock, target, payload), exc) from exc
 
 
 def _unknown(target: StageId) -> UnknownStage:

@@ -143,11 +143,12 @@ def observed(requests, stack: StackConfig, policy: ReplayPolicy = ReplayPolicy()
 
 
 class HeapOnlySimulator:
-    """The simulator as it was before it kept the events scheduled before a
-    run in a sorted list and those due now on a lane.
+    """A reference simulator with no calendar and no lane.
 
-    One heap holds every event; its dispatch order is the reference the
-    ``Simulator`` must match, on its own and under a replay.
+    One heap holds every event as a ``(time, seq, target, payload)`` entry,
+    so it dispatches by time, then by scheduling sequence; that order is
+    the reference the ``Simulator`` must match, on its own and under a
+    replay.
     """
 
     def __init__(self, observe=None) -> None:
@@ -182,12 +183,11 @@ class HeapOnlySimulator:
         handlers = self._handlers
         observe = self._observe
         while queue:
-            entry = pop(queue)
-            fire_at, _, target, payload = entry
+            fire_at, _, target, payload = pop(queue)
             self._clock = fire_at
             if observe is not None:
-                observe(SimEvent._make(entry))
+                observe(SimEvent(fire_at, target, payload))
             try:
                 handlers[target](self, payload)
             except Exception as exc:
-                raise StageFault(SimEvent._make(entry), exc) from exc
+                raise StageFault(SimEvent(fire_at, target, payload), exc) from exc

@@ -137,10 +137,6 @@ class TestEventRecords:
                 made.append(fields)
                 return real.__new__(cls, *fields)
 
-            @classmethod
-            def _make(cls, fields):
-                return cls(*fields)
-
         monkeypatch.setattr(engine, "SimEvent", Counted)
         return made
 
@@ -169,7 +165,11 @@ class TestEventRecords:
             "t=4 stage=APP kind=token b",
             "t=4 stage=APP kind=token c",
         ]
-        assert [(e.fire_at_us, e.seq) for e in seen] == [(2, 1), (4, 0), (4, 2)]
+        assert [(e.fire_at_us, e.target, e.payload.label) for e in seen] == [
+            (2, StageId.APP, "a"),
+            (4, StageId.APP, "b"),
+            (4, StageId.APP, "c"),
+        ]
 
 
 class TestStageFault:
@@ -246,7 +246,9 @@ def run_program(make, registered: int, rounds, program, budget: int = 150):
     """
 
     trace = []
-    sim = make(lambda e: trace.append((e.fire_at_us, e.seq, e.target, e.payload.label)))
+    # Labels are unique, so equal traces dispatched the same events in the
+    # same order.
+    sim = make(lambda e: trace.append((e.fire_at_us, e.target, e.payload.label)))
     made = [0]
 
     def send(stage_index: int, how: str, delay: int) -> None:
@@ -298,22 +300,22 @@ def run_program(make, registered: int, rounds, program, budget: int = 150):
     ),
     program=st.lists(st.lists(steps, max_size=3), min_size=1, max_size=6),
 )
-# A pre-run batch of 60 events over four times, which handlers' later
-# events tie with.
+# A batch of 60 events over four times scheduled before the run, which
+# handlers' later events tie with.
 @example(
     registered=3,
     rounds=[[(k % 5, k % 4) for k in range(60)]],
     program=[[(0, "at_later", 1)], [(1, "now", 1), (2, "at_later", 2)], []],
 )
-# A fault at the first event leaves pre-run events unread, at its time and
-# later; each next round's run takes them with its own.
+# A fault at the first event leaves events queued, at its time and later;
+# each next round's run takes them with its own.
 @example(
     registered=2,
     rounds=[[(0, 1), (1, 1), (0, 2), (1, 3), (0, 3)], [(0, 0), (1, 2), (0, 1)], [(1, 1)]],
     program=[[(4, "now", 1)], [(0, "at_later", 1)], [], [(1, "at_later", 2)]],
 )
-# Pre-run events at the current clock: the second and third rounds start
-# at the clock the round before left.
+# Events scheduled before a run at the current clock: the second and third
+# rounds start at the clock the round before left.
 @example(
     registered=2,
     rounds=[[(0, 2), (1, 2)], [(0, 0), (1, 0), (0, 1)], [(1, 0), (0, 0)]],
@@ -400,8 +402,10 @@ def test_tied_open_loop_bursts_dispatch_as_the_heap_only_simulator(monkeypatch):
     assert arrivals - {0} <= times["stage=SCHEDULER", "kind=io"]
 
 
-#: The seeds among ``test_liveness.trial``'s 0-199 whose trial is open loop.
+#: The seeds among ``test_liveness.trial``'s 0-199 whose trial is open loop,
+#: and those whose trial is closed loop.
 OPEN_LOOP_TRIALS = [seed for seed in range(200) if trial(seed)[2].mode is ReplayMode.OPEN_LOOP_TIMED]
+CLOSED_LOOP_TRIALS = sorted(set(range(200)) - set(OPEN_LOOP_TRIALS))
 
 
 @pytest.mark.parametrize("seed", OPEN_LOOP_TRIALS)
@@ -409,22 +413,29 @@ def test_open_loop_trial_dispatches_as_the_heap_only_simulator(monkeypatch, seed
     assert_dispatches_as_heap_only(monkeypatch, *trial(seed))
 
 
-def test_arrivals_stay_off_the_heap(monkeypatch):
-    # Every open-loop arrival is scheduled before the run, so none may wait
-    # in the heap: each heap entry's seq is at least the count of events
-    # scheduled before it.  Nothing in the suite times a replay, so this
-    # keeps the arrivals from drifting back onto the heap.
-    before, depths, early = [], [], []
+@pytest.mark.parametrize("seed", CLOSED_LOOP_TRIALS)
+def test_closed_loop_trial_dispatches_as_the_heap_only_simulator(monkeypatch, seed):
+    assert_dispatches_as_heap_only(monkeypatch, *trial(seed))
+
+
+def test_heap_holds_each_instant_once(monkeypatch):
+    # Events due at one instant wait in one calendar list, so the heap
+    # holds each pending instant once, and an open-loop burst's arrivals,
+    # all issued at one time, wait in one list: the first burst's on the
+    # lane, at the clock the run starts at.  Nothing in the suite times a
+    # replay, so this keeps per-event heap entries from coming back.
+    waiting, depths = [], []
 
     class Guarded(Simulator):
         def run(self) -> None:
-            before.append(self._seq)
+            waiting.append(len(self._lane))
+            waiting.extend(len(self._calendar[t]) for t in sorted(self._calendar))
             super().run()
 
         def register(self, stage, handler) -> None:
             def guarded(sim, payload) -> None:
-                depths.append(len(sim._queue))
-                early.extend(entry for entry in sim._queue if entry[1] < before[-1])
+                assert len(sim._instants) == len(sim._calendar)
+                depths.append(len(sim._instants))
                 handler(sim, payload)
 
             super().register(stage, guarded)
@@ -432,6 +443,7 @@ def test_arrivals_stay_off_the_heap(monkeypatch):
     monkeypatch.setattr(REPLAY_MODULE, "Simulator", Guarded)
     requests, stack, policy = smoke_burst(1)
     replay(requests, stack, policy)
-    assert before == [len(requests)]
-    assert max(depths) > 0
-    assert early == []
+    burst = WORKLOADS.BURST_SIZE
+    assert len(requests) == 2 * burst
+    assert waiting == [burst, burst]
+    assert max(depths) > 1
